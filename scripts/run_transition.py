@@ -28,7 +28,7 @@ def main() -> int:
     params = WfeParams(omega=args.omega, eps=args.eps)
     t0 = time.perf_counter()
     res, beta_c = beta_critical(params)
-    print(f"pbar*   = {res.p_star_inf:.10f}  (inf at y = {res.y_at_inf:.3e})")
+    print(f"pbar*   = {res.p_star_inf:.10f}  (min of p at theta = {res.theta_at_min:.6f})")
     print(f"beta_c  = {beta_c:.10f}")
     print(f"theta range = ({res.theta_range[0]:.6f}, {res.theta_range[1]:.6f})")
     print(f"pipeline time {time.perf_counter() - t0:.1f}s")

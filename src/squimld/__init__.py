@@ -33,7 +33,6 @@ from .gecore import (
 )
 from .ratecurves import (
     BiasedInterval,
-    ConstraintSample,
     GFunctions,
     RateCurvePoint,
     biased_cdf,

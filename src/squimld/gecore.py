@@ -58,6 +58,9 @@ DISC_TIE_TOL = 1e-10
 # At the crossover the u^8 truncation error is ~1e-17 while the closed forms
 # already lose ~1e-11 to log cancellation, so the series side is the safe one.
 AFFINE_SERIES_TOL = 1e-2
+# A root r of q with |1/r| at or below this is far: its moments come from
+# series in 1/r (see _root_moments).
+FAR_ROOT_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -103,23 +106,10 @@ class KernelQ:
 
     @classmethod
     def from_theta(cls, theta: ThetaPair, params: RateParams) -> "KernelQ":
-        b = (
-            1.0
-            - 2.0 * theta.theta1 * (1.0 - params.x)
-            + 2.0 * theta.theta2 * params.eps
-        )
-        return cls(theta, b, params)
+        return cls(theta, _b_of(params, theta.theta1, theta.theta2), params)
 
     def evaluate(self, y):
         return 2.0 * self.theta.theta1 * y * y - 2.0 * self.theta.theta2 * y + self.b
-
-    @property
-    def q_plus1(self) -> float:
-        return 2.0 * self.theta.theta1 - 2.0 * self.theta.theta2 + self.b
-
-    @property
-    def q_minus1(self) -> float:
-        return 2.0 * self.theta.theta1 + 2.0 * self.theta.theta2 + self.b
 
     @property
     def disc(self) -> float:
@@ -127,16 +117,7 @@ class KernelQ:
 
     @property
     def q_min(self) -> float:
-        return self._min_pair()[0]
-
-    @property
-    def y_at_min(self) -> float:
-        return self._min_pair()[1]
-
-    def _min_pair(self) -> tuple[float, float]:
-        return _qmin_scalar(
-            self.theta.theta1, self.theta.theta2, self.b, self.q_plus1, self.q_minus1
-        )
+        return float(_q_shape(self.theta.theta1, self.theta.theta2, self.b)[3])
 
 
 @dataclass(frozen=True)
@@ -162,32 +143,39 @@ class QRoot:
 # ---------------------------------------------------------------------------
 
 
-def _qmin_scalar(t1, t2, b, q1, qm1):
-    """Exact minimum of the parabola q over [-1, 1] and its location."""
-    qmin = min(q1, qm1)
-    ymin = 1.0 if q1 <= qm1 else -1.0
-    if t1 > 0.0:
-        yc = t2 / (2.0 * t1)
-        if -1.0 <= yc <= 1.0:
-            qvert = b - t2 * yc  # q(yc) = b - t2^2/(2 t1)
-            if qvert < qmin:
-                qmin, ymin = qvert, yc
-    return qmin, ymin
+def _b_of(params: RateParams, t1, t2):
+    """Constant term b = 1 - 2*t1*(1 - x) + 2*t2*eps of q."""
+    return 1.0 - 2.0 * t1 * (1.0 - params.x) + 2.0 * t2 * params.eps
+
+
+def _q_shape(t1, t2, b):
+    """(q(1), q(-1), vertex value, q_min, in_D) for q = 2*t1*y^2 - 2*t2*y + b.
+
+    This is the one place the endpoint and vertex values of q are formed,
+    so every membership verdict and every reported q_min are views of the
+    same numbers.  The vertex y_c = t2/(2 t1) is a minimum of q only for
+    t1 > 0, and counts only when it lands in [-1, 1]; elsewhere the vertex
+    value reads +inf.  q_min is the minimum of q over [-1, 1].
+
+    in_D = q_min >= 0 is the one tie rule for the boundary of the closed
+    set D (a NaN is not in D).
+    """
+    t1 = np.asarray(t1, dtype=float)
+    t2 = np.asarray(t2, dtype=float)
+    q1 = 2.0 * t1 - 2.0 * t2 + b
+    qm1 = 2.0 * t1 + 2.0 * t2 + b
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        yc = np.where(t1 > 0.0, t2 / (2.0 * t1), np.inf)
+        qvert = np.where(np.abs(yc) <= 1.0, b - t2 * yc, np.inf)
+    q_min = np.minimum(np.minimum(q1, qm1), qvert)
+    return q1, qm1, qvert, q_min, q_min >= 0.0
 
 
 def q_min_arr(params: RateParams, t1, t2):
     """Vector version of the exact parabola minimum over [-1, 1]."""
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
-    b = 1.0 - 2.0 * t1 * (1.0 - params.x) + 2.0 * t2 * params.eps
-    q1 = 2.0 * t1 - 2.0 * t2 + b
-    qm1 = 2.0 * t1 + 2.0 * t2 + b
-    qmin = np.minimum(q1, qm1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        yc = np.where(t1 != 0.0, t2 / (2.0 * t1), np.inf)
-        interior = (t1 > 0.0) & (np.abs(yc) <= 1.0)
-        qvert = b - t2 * np.where(interior, yc, 0.0)
-    return np.where(interior, np.minimum(qmin, qvert), qmin)
+    return _q_shape(t1, t2, _b_of(params, t1, t2))[3]
 
 
 def h_value(y: float, theta: ThetaPair, params: RateParams) -> float:
@@ -201,44 +189,29 @@ def domain_tests_arr(params: RateParams, t1, t2):
 
     Returns (in_domain, failed) where failed is 0 for members and 1/2/3 for
     the first failing test:
-      Test1: h(1)  <= 1/2
-      Test2: h(-1) <= 1/2
-      Test3: h at the interior critical point y_c = t2/(2 t1), when t1 != 0
-             and y_c lands in [-1, 1].
+      Test1: h(1)  <= 1/2, i.e. q(1) >= 0
+      Test2: h(-1) <= 1/2, i.e. q(-1) >= 0
+      Test3: q >= 0 at the interior critical point y_c = t2/(2 t1), when
+             t1 > 0 and y_c lands in [-1, 1].
+    in_domain is q_min_arr(...) >= 0, and failed is 0 exactly there.
     """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
-    one_mx = 1.0 - params.x
-    h1 = t1 * (one_mx - 1.0) + t2 * (1.0 - params.eps)
-    hm1 = t1 * (one_mx - 1.0) - t2 * (1.0 + params.eps)
-    fail1 = h1 > 0.5
-    fail2 = hm1 > 0.5
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        yc = np.where(t1 != 0.0, t2 / (2.0 * t1), np.inf)
-        has_crit = (t1 != 0.0) & (np.abs(yc) <= 1.0)
-        ycs = np.where(has_crit, yc, 0.0)
-        hc = t1 * (one_mx - ycs * ycs) + t2 * (ycs - params.eps)
-    fail3 = has_crit & (hc > 0.5)
-    failed = np.zeros(np.broadcast(t1, t2).shape, dtype=np.int8)
-    # assign in reverse priority so Test1 wins ties
-    failed[fail3] = 3
-    failed[fail2] = 2
-    failed[fail1] = 1
-    return failed == 0, failed
+    q1, qm1, qvert, _, in_d = _q_shape(t1, t2, _b_of(params, t1, t2))
+    # a NaN fails its test, so failed is 0 exactly where in_d holds
+    failed = np.select([~(q1 >= 0.0), ~(qm1 >= 0.0), ~(qvert >= 0.0)], [1, 2, 3], 0)
+    return in_d, failed.astype(np.int8)
 
 
 def in_domain_D(theta: ThetaPair, params: RateParams) -> DomainVerdict:
     """Three-test membership verdict plus the strict-interior guard value."""
-    in_d, failed = domain_tests_arr(
-        params, np.float64(theta.theta1), np.float64(theta.theta2)
-    )
-    tag = {0: None, 1: "Test1", 2: "Test2", 3: "Test3"}[int(failed)]
-    ker = KernelQ.from_theta(theta, params)
+    in_d, failed = domain_tests_arr(params, theta.theta1, theta.theta2)
+    q_min = KernelQ.from_theta(theta, params).q_min
     return DomainVerdict(
         in_domain=bool(in_d),
-        failed_test=tag,
-        q_min=ker.q_min,
-        strictly_inside=bool(in_d) and ker.q_min >= QMIN_STRICT,
+        failed_test=(None, "Test1", "Test2", "Test3")[int(failed)],
+        q_min=q_min,
+        strictly_inside=q_min >= QMIN_STRICT,
     )
 
 
@@ -302,38 +275,68 @@ def _affine_pieces(b, t2):
     return j, jy, y2, lq
 
 
-def _pieces_arr(params: RateParams, t1, t2):
-    """All integral pieces at once: J, Jy, Lq, c, grad1, grad2, k, q_min.
+def _small_factor_from_product(f, g, prod):
+    """(f, g) with the smaller of the two replaced by prod / (the larger)."""
+    f_big = np.abs(f) >= np.abs(g)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(f_big, f, prod / g), np.where(f_big, prod / f, g)
 
-    Entries not strictly inside D come back NaN.  This is the single source
-    of truth for the closed forms; scalar wrappers below call it with 0-d
-    arrays and translate NaN into NearBoundary.
+
+def _root_moments(r, d, e):
+    """Int_{-1}^{1} y^m / (y - r) dy, m = 0, 1, 2, for a real root |r| > 1.
+
+    d = 1 - r and e = 1 + r.  With L the m = 0 moment the others are
+    2 + r*L and r*(2 + r*L), which cancel for a far root; there, with
+    u = 1/r, L = -2*atanh(u) and 2 + r*L = -2*u^2*sum_k u^(2k)/(2k + 3).
     """
-    t1 = np.atleast_1d(np.asarray(t1, dtype=float))
-    t2 = np.atleast_1d(np.asarray(t2, dtype=float))
-    t1, t2 = np.broadcast_arrays(t1, t2)
-    x, eps = params.x, params.eps
-    b = 1.0 - 2.0 * t1 * (1.0 - x) + 2.0 * t2 * eps
-    q1 = 2.0 * t1 - 2.0 * t2 + b
-    qm1 = 2.0 * t1 + 2.0 * t2 + b
-    disc = 4.0 * t2 * t2 - 8.0 * t1 * b
-    qmin = q_min_arr(params, t1, t2)
+    lm = np.log(np.abs(d)) - np.log(np.abs(e))
+    m1 = 2.0 + r * lm
+    m2 = r * m1
+    u = 1.0 / r
+    far = np.abs(u) <= FAR_ROOT_TOL
+    if np.any(far):
+        u = u[far]
+        u2 = u * u
+        s = 1.0 / 17.0
+        for k in range(7, 0, -1):  # truncated after u^14: < 1e-16 at FAR_ROOT_TOL
+            s = 1.0 / (2 * k + 1) + u2 * s
+        lm[far] = -2.0 * np.arctanh(u)
+        m1[far] = -2.0 * u2 * s
+        m2[far] = -2.0 * u * s
+    return lm, m1, m2
+
+
+def q_kernel(t1, t2, b):
+    """Shape and integrals of q(y) = 2*t1*y^2 - 2*t2*y + b over [-1, 1].
+
+    The single closed-form kernel behind c, grad c and k here and behind
+    p(theta) in wfe.  Returns 1-d arrays under the keys
+      q_min, in_D         -- min q over [-1, 1] and membership in D (_q_shape),
+      ok                  -- strict interior, q_min >= QMIN_STRICT,
+      j, jy, y2, lq       -- Int 1/q, Int y/q, Int y^2/q and Int log q,
+    with the integrals NaN wherever ok is False.
+    """
+    t1, t2, b = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (t1, t2, b))
+    )
+    q1, qm1, _, qmin, in_d = _q_shape(t1, t2, b)
     ok = qmin >= QMIN_STRICT
+    shape = t1.shape
+    # The integrals run on the strict interior only.
+    t1, t2, b, q1, qm1 = (v[ok] for v in (t1, t2, b, q1, qm1))
 
-    j = np.full(t1.shape, np.nan)
-    jy = np.full(t1.shape, np.nan)
-    lq = np.full(t1.shape, np.nan)
-    g1 = np.full(t1.shape, np.nan)
+    j = np.empty(t1.shape)
+    jy = np.empty(t1.shape)
+    y2 = np.empty(t1.shape)
+    lq = np.empty(t1.shape)
 
-    affine = ok & (np.abs(t1) <= T1_AFFINE_TOL)
-    general = ok & ~affine
+    affine = np.abs(t1) <= T1_AFFINE_TOL
+    general = ~affine
 
     if np.any(affine):
-        ja, jya, y2a, lqa = _affine_pieces(b[affine], t2[affine])
-        j[affine] = ja
-        jy[affine] = jya
-        lq[affine] = lqa
-        g1[affine] = (1.0 - x) * ja - y2a
+        j[affine], jy[affine], y2[affine], lq[affine] = _affine_pieces(
+            b[affine], t2[affine]
+        )
 
     if np.any(general):
         gt1 = t1[general]
@@ -341,8 +344,10 @@ def _pieces_arr(params: RateParams, t1, t2):
         gb = b[general]
         gq1 = q1[general]
         gqm1 = qm1[general]
-        gdisc = disc[general]
+        gdisc = 4.0 * gt2 * gt2 - 8.0 * gt1 * gb
         jg = np.empty(gt1.shape)
+        jyg = np.empty(gt1.shape)
+        y2g = np.empty(gt1.shape)
 
         logbranch = gdisc > DISC_TIE_TOL
         atanbranch = gdisc < -DISC_TIE_TOL
@@ -352,8 +357,6 @@ def _pieces_arr(params: RateParams, t1, t2):
             a2 = 2.0 * gt1[logbranch]
             bb = -2.0 * gt2[logbranch]  # q = a2*y^2 + bb*y + cc
             cc = gb[logbranch]
-            lq1 = gq1[logbranch]
-            lqm1 = gqm1[logbranch]
             sq = np.sqrt(gdisc[logbranch])
             sB = np.where(bb >= 0.0, 1.0, -1.0)
             r_stable = (-bb - sB * sq) / (2.0 * a2)
@@ -361,27 +364,23 @@ def _pieces_arr(params: RateParams, t1, t2):
             # r_plus carries +sqrt(disc)
             r_plus = np.where(sB < 0.0, r_stable, r_other)
             r_minus = np.where(sB < 0.0, r_other, r_stable)
-            # J = -log[(1-r_minus)(1+r_plus) / ((1-r_plus)(1+r_minus))] / sq.
-            # When a root sits within ~1e-12 of an endpoint the small factor
+            # When a root sits within ~1e-12 of an endpoint its small factor
             # 1 -+ r loses all relative accuracy to cancellation.  The factor
             # pair at each endpoint satisfies (1 -+ r_plus)(1 -+ r_minus)
             # = q(+-1)/(2 theta1) exactly, and q(+-1) is known to full
-            # absolute precision, so route each endpoint ratio through the
-            # big (safe) factor squared over that product.
-            d_p = 1.0 - r_plus
-            d_m = 1.0 - r_minus
-            e_p = 1.0 + r_plus
-            e_m = 1.0 + r_minus
-            w1 = lq1 / a2
-            wm1 = lqm1 / a2
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                ratio1 = np.where(
-                    np.abs(d_m) >= np.abs(d_p), d_m * d_m / w1, w1 / (d_p * d_p)
-                )
-                ratiom = np.where(
-                    np.abs(e_p) >= np.abs(e_m), e_p * e_p / wm1, wm1 / (e_m * e_m)
-                )
-            jg[logbranch] = -np.log(np.abs(ratio1 * ratiom)) / sq
+            # absolute precision, so the small factor is taken as that
+            # product over the big (safe) one.
+            d_p, d_m = _small_factor_from_product(
+                1.0 - r_plus, 1.0 - r_minus, gq1[logbranch] / a2
+            )
+            e_p, e_m = _small_factor_from_product(
+                1.0 + r_plus, 1.0 + r_minus, gqm1[logbranch] / a2
+            )
+            # 1/q = (1/(y - r_plus) - 1/(y - r_minus)) / sqrt(disc)
+            plus = _root_moments(r_plus, d_p, e_p)
+            minus = _root_moments(r_minus, d_m, e_m)
+            for out, m_plus, m_minus in zip((jg, jyg, y2g), plus, minus):
+                out[logbranch] = (m_plus - m_minus) / sq
 
         if np.any(atanbranch):
             at1 = gt1[atanbranch]
@@ -400,73 +399,81 @@ def _pieces_arr(params: RateParams, t1, t2):
             bp = gt2[tie] / (2.0 * tt1)
             jg[tie] = 1.0 / (tt1 * (bp * bp - 1.0))
 
-        logratio = np.log(gq1) - np.log(gqm1)  # log(q(1)/q(-1))
-        jyg = logratio / (4.0 * gt1) + gt2 / (2.0 * gt1) * jg
-        # c closed form, then Lq = -2c
-        cg = (
-            2.0
-            - 0.5 * (np.log(gqm1) + np.log(gq1))
-            + gt2 / (4.0 * gt1) * logratio
-            + (gt2 * gt2 / (2.0 * gt1) - gb) * jg
-        )
-        aa = -1.0 / (2.0 * gt1)
-        bcoef = (1.0 - x) - aa * gb
-        ccoef = 2.0 * gt2 * aa
+        # Off the log branch t2^2 <= 2*t1*b (up to the tie band), so these
+        # recurrences lose little to their division by t1; on it the roots
+        # above avoid that division, which cancels badly for small t1.
+        rec = ~logbranch
+        if np.any(rec):
+            rt1, rt2, rb, rj = gt1[rec], gt2[rec], gb[rec], jg[rec]
+            logratio = np.log(gq1[rec]) - np.log(gqm1[rec])  # log(q(1)/q(-1))
+            rjy = logratio / (4.0 * rt1) + rt2 / (2.0 * rt1) * rj
+            jyg[rec] = rjy
+            y2g[rec] = (2.0 - rb * rj + 2.0 * rt2 * rjy) / (2.0 * rt1)
+        # c closed form (integration by parts), then Lq = -2c
+        cg = 2.0 - 0.5 * (np.log(gqm1) + np.log(gq1)) + gt2 * jyg - gb * jg
         j[general] = jg
         jy[general] = jyg
+        y2[general] = y2g
         lq[general] = -2.0 * cg
-        g1[general] = 2.0 * aa + bcoef * jg + ccoef * jyg
 
-    c = -0.5 * lq
-    g2 = jy - eps * j
-    k = -1.0 + 0.5 * j + 0.5 * lq
+    integrals = np.full((4,) + shape, np.nan)
+    integrals[:, ok] = j, jy, y2, lq
     return {
-        "j": j,
-        "jy": jy,
-        "lq": lq,
-        "c": c,
-        "grad1": g1,
-        "grad2": g2,
-        "k": k,
         "q_min": qmin,
+        "in_D": in_d,
         "ok": ok,
+        "j": integrals[0],
+        "jy": integrals[1],
+        "y2": integrals[2],
+        "lq": integrals[3],
     }
 
 
-def _scalar(theta: ThetaPair, params: RateParams, field: str) -> float:
+def _pieces_arr(params: RateParams, t1, t2):
+    """The kernel's output at b(x, eps) plus c, grad1, grad2 and k.
+
+    Entries not strictly inside D come back NaN; scalar wrappers below call
+    it with 0-d arrays and translate NaN into NearBoundary.
+    """
+    t1 = np.asarray(t1, dtype=float)
+    t2 = np.asarray(t2, dtype=float)
+    out = q_kernel(t1, t2, _b_of(params, t1, t2))
+    j, lq = out["j"], out["lq"]
+    out["c"] = -0.5 * lq
+    out["grad1"] = (1.0 - params.x) * j - out["y2"]
+    out["grad2"] = out["jy"] - params.eps * j
+    out["k"] = -1.0 + 0.5 * j + 0.5 * lq
+    return out
+
+
+def _scalar(theta: ThetaPair, params: RateParams, *fields: str) -> tuple[float, ...]:
     pieces = _pieces_arr(params, theta.theta1, theta.theta2)
     if not bool(pieces["ok"][0]):
         raise NearBoundary(
             f"min q = {pieces['q_min'][0]:.3e} < {QMIN_STRICT} at "
             f"theta=({theta.theta1}, {theta.theta2})"
         )
-    return float(pieces[field][0])
+    return tuple(float(pieces[field][0]) for field in fields)
 
 
 def integral_inv_q(kq: KernelQ) -> float:
     """Int_{-1}^{1} dy / q(y), closed form with discriminant branching."""
-    return _scalar(kq.theta, kq.params, "j")
+    return _scalar(kq.theta, kq.params, "j")[0]
 
 
 def cgf_c(theta: ThetaPair, params: RateParams) -> float:
     """Scaled cumulant generating function c(theta)."""
-    return _scalar(theta, params, "c")
+    return _scalar(theta, params, "c")[0]
 
 
 def grad_c(theta: ThetaPair, params: RateParams) -> tuple[float, float]:
     """(dc/dtheta1, dc/dtheta2) in closed form."""
-    pieces = _pieces_arr(params, theta.theta1, theta.theta2)
-    if not bool(pieces["ok"][0]):
-        raise NearBoundary(
-            f"min q = {pieces['q_min'][0]:.3e} < {QMIN_STRICT} at "
-            f"theta=({theta.theta1}, {theta.theta2})"
-        )
-    return float(pieces["grad1"][0]), float(pieces["grad2"][0])
+    return _scalar(theta, params, "grad1", "grad2")
 
 
 def k_value(theta: ThetaPair, params: RateParams) -> float:
     """k = theta . grad c - c = -1 + 1/2 Int 1/q + 1/2 Int log q."""
-    return _scalar(theta, params, "k")
+    return _scalar(theta, params, "k")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """One-dimensional golden-section minimization on a bracket.
 
-Used for the axis rate minimization, the Legendre supremum in the dual
-variable, and the infimum of the dual over the observable value.  All three
-objectives are unimodal on the intervals supplied, so golden section is
+Used for the axis rate minimization I1 (ratecurves.compute_I1_detail),
+whose objective is unimodal on the bracket supplied, so golden section is
 reliable and derivative-free.
 """
 

@@ -74,14 +74,6 @@ class BiasedInterval:
 
 
 @dataclass(frozen=True)
-class ConstraintSample:
-    theta: ThetaPair
-    grad: tuple[float, float]
-    in_G: bool
-    k: float
-
-
-@dataclass(frozen=True)
 class RateCurvePoint:
     x: float
     I1: float
@@ -222,6 +214,11 @@ def _combo_schedule(eta_schedule) -> list[tuple[float, str, str]]:
     return combos
 
 
+def _in_G(pieces):
+    """G membership, dc/dtheta1 <= 0 and dc/dtheta2 >= 0, in the strict interior."""
+    return pieces["ok"] & (pieces["grad1"] <= 0.0) & (pieces["grad2"] >= 0.0)
+
+
 def _scan_shard(shard: int, payload):
     """Worker: sample one shard and return raw columns for the scan CSV."""
     params, counts, seed, combos = payload
@@ -229,17 +226,8 @@ def _scan_shard(shard: int, payload):
     rng = shard_rng(seed, shard)
     combo = combos[shard % len(combos)]
     theta1, theta2 = _draw_batch(params, rng, n, combo)
-    in_d, _failed = domain_tests_arr(params, theta1, theta2)
-    k = np.full(n, np.nan)
-    in_g = np.zeros(n, dtype=bool)
-    if np.any(in_d):
-        pieces = _pieces_arr(params, theta1[in_d], theta2[in_d])
-        ok = pieces["ok"]
-        g = ok & (pieces["grad1"] <= 0.0) & (pieces["grad2"] >= 0.0)
-        kk = np.where(ok, pieces["k"], np.nan)
-        k[in_d] = kk
-        in_g[np.flatnonzero(in_d)[g]] = True
-    return theta1, theta2, in_d, in_g, k
+    pieces = _pieces_arr(params, theta1, theta2)
+    return theta1, theta2, pieces["in_D"], _in_G(pieces), pieces["k"]
 
 
 def domain_scan(params: RateParams, n_samples: int, eta_schedule=ETA_DEFAULT,
@@ -276,20 +264,15 @@ def _i2_shard(shard: int, payload):
     rng = shard_rng(seed, shard)
     combo = combos[shard % len(combos)]
     theta1, theta2 = _draw_batch(params, rng, n, combo)
-    in_d, _failed = domain_tests_arr(params, theta1, theta2)
-    n_d = int(np.count_nonzero(in_d))
-    if n_d == 0:
-        return 0, 0, np.inf, np.nan, np.nan
-    t1 = theta1[in_d]
-    t2 = theta2[in_d]
-    pieces = _pieces_arr(params, t1, t2)
-    g_mask = pieces["ok"] & (pieces["grad1"] <= 0.0) & (pieces["grad2"] >= 0.0)
+    pieces = _pieces_arr(params, theta1, theta2)
+    n_d = int(np.count_nonzero(pieces["in_D"]))
+    g_mask = _in_G(pieces)
     n_g = int(np.count_nonzero(g_mask))
     if n_g == 0:
         return n_d, 0, np.inf, np.nan, np.nan
     kg = pieces["k"][g_mask]
     i = int(np.argmin(kg))
-    return n_d, n_g, float(kg[i]), float(t1[g_mask][i]), float(t2[g_mask][i])
+    return n_d, n_g, float(kg[i]), float(theta1[g_mask][i]), float(theta2[g_mask][i])
 
 
 # The polish sees k through a tighter interior gate than G membership.
@@ -304,9 +287,7 @@ def _k_if_feasible(params: RateParams, t1: float, t2: float,
                    qmin_gate: float = QMIN_STRICT) -> float:
     """k(theta) on G ∩ D, else a large barrier (for the local polish)."""
     pieces = _pieces_arr(params, t1, t2)
-    if not (pieces["q_min"][0] >= qmin_gate):
-        return 1e6 + t1 * t1 + t2 * t2
-    if not (pieces["grad1"][0] <= 0.0 and pieces["grad2"][0] >= 0.0):
+    if not (pieces["q_min"][0] >= qmin_gate and _in_G(pieces)[0]):
         return 1e6 + t1 * t1 + t2 * t2
     return float(pieces["k"][0])
 

@@ -18,13 +18,25 @@ line); the whole-line maximum delta*(4-3*omega)/(4*(omega-1)) is reported
 alongside because it coincides with the interval maximum whenever the
 vertex sqrt(delta)/(2r) lands inside [-1, 1].
 
-The mean of A over [-1, 1] is negative throughout the admissible
-parameter range, so p* restricted to y > 0 sits on the increasing branch
-of the dual and its infimum is approached as y -> 0+, where it equals
--min_theta p(theta) > 0.
+1 - 2*theta*A(x) is the quadratic 2*t1*x^2 - 2*t2*x + b of gecore at
+(t1, t2, b) = (theta*r, theta*sqrt(delta), 1 + 2*theta*delta), so p and
+its slope come in closed form from one call of gecore.q_kernel:
 
-beta_critical chains hypothesis checks, the dual, and the infimum into
-the critical inverse temperature beta_c = pbar*/((omega-1)*eps).
+    p(theta)  = -1/4 * Int log q,
+    p'(theta) = (Int 1/q - 2) / (4*theta),    p'(0) = -(r/3 + delta).
+
+p is convex and p' runs from -inf to +inf across the admissible interval,
+so p*(y) = theta*y - p(theta) at the one root of p'(theta) = y, and
+dp*/dy is that root.  p'(0), the mean of A over [-1, 1], is negative, so
+the root is positive for every y >= 0: p* increases on y > 0 and its
+infimum is the y -> 0+ limit
+
+    pbar* = p*(0) = -min_theta p(theta) > 0,
+
+the minimum of the closed form, at the theta where p' vanishes.
+
+beta_critical chains the hypothesis checks and pbar* into the critical
+inverse temperature beta_c = pbar*/((omega-1)*eps).
 
 rare_event_rate_mc cross-validates pbar* by direct simulation with an
 exponential tilt: under the product Gaussian measure with per-coordinate
@@ -45,19 +57,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .errors import HypothesisViolation, InvalidParams, OutOfThetaRange
-from .minimize import golden_section_min
+from .gecore import QMIN_STRICT, q_kernel
 from .parallel import map_shards, shard_rng, split_counts
-
-# Default grid for bracketing inf_{y>0} p*(y) (log-spaced, then golden).
-Y_GRID_DEFAULT = 64
-Y_BRACKET = (1e-4, 1e2)
-# Relative margin keeping golden-section evaluations of p(theta) strictly
-# inside the admissible open interval (p' blows up at the ends, so the
-# optimum never sits there).
-THETA_MARGIN = 1e-9
 
 
 def admissibility_bound(omega: float) -> float:
@@ -117,14 +121,15 @@ class WfeParams:
 @dataclass(frozen=True)
 class PStarResult:
     p_star_inf: float
-    y_at_inf: float
+    y_at_inf: float  # 0.0: the infimum is the y -> 0+ limit
     theta_range: tuple[float, float]
+    theta_at_min: float  # the theta minimising p
 
     def __post_init__(self):
         if not (self.p_star_inf > 0.0):
             raise InvalidParams(f"pbar* must be positive, got {self.p_star_inf}")
-        if not (self.y_at_inf > 0.0):
-            raise InvalidParams(f"y at inf must be positive, got {self.y_at_inf}")
+        if not (self.y_at_inf >= 0.0):
+            raise InvalidParams(f"y at inf must be nonnegative, got {self.y_at_inf}")
 
 
 def a_of_x(x, p: WfeParams):
@@ -163,74 +168,77 @@ def theta_range(p: WfeParams) -> tuple[float, float]:
     return 1.0 / (2.0 * a_min), 1.0 / (2.0 * a_max)
 
 
-def p_theta(theta: float, p: WfeParams) -> float:
-    """p(theta) = -1/4 Int_{-1}^{1} log(1 - 2*theta*A(x)) dx.
-
-    Adaptive quadrature with the vertex of A passed as a split point: near
-    the ends of the admissible interval the integrand develops an
-    integrable logarithmic singularity there (or at an endpoint for
-    theta < 0), which the subdivision handles.
-    """
+def _p_and_slope(theta: float, p: WfeParams) -> tuple[float, float]:
+    """(p(theta), p'(theta)) from one evaluation of the quadratic kernel."""
     lo, hi = theta_range(p)
     if not (lo < theta < hi):
         raise OutOfThetaRange(
             f"theta={theta} outside the admissible interval ({lo:.6g}, {hi:.6g})"
         )
     if theta == 0.0:
-        return 0.0
-    _, _, x_at_max, _ = a_extremes(p)
-    pts = [x_at_max] if -1.0 < x_at_max < 1.0 else None
-
-    def integrand(x):
-        return np.log1p(-2.0 * theta * a_of_x(x, p))
-
-    val, _err = quad(
-        integrand, -1.0, 1.0, points=pts, limit=200, epsabs=1e-12, epsrel=1e-12
-    )
-    return -0.25 * val
+        return 0.0, -(p.r / 3.0 + p.delta)
+    ker = q_kernel(theta * p.r, theta * math.sqrt(p.delta), 1.0 + 2.0 * theta * p.delta)
+    if not ker["ok"][0]:
+        raise OutOfThetaRange(
+            f"min of 1 - 2 theta A = {ker['q_min'][0]:.3e} < {QMIN_STRICT} at "
+            f"theta={theta}, too close to the end of ({lo:.6g}, {hi:.6g})"
+        )
+    return -0.25 * float(ker["lq"][0]), (float(ker["j"][0]) - 2.0) / (4.0 * theta)
 
 
-def p_star(y: float, p: WfeParams, tol: float = 1e-8) -> float:
-    """Legendre dual p*(y) = sup over admissible theta of theta*y - p(theta).
+def p_theta(theta: float, p: WfeParams) -> float:
+    """p(theta) = -1/4 Int_{-1}^{1} log(1 - 2*theta*A(x)) dx, in closed form."""
+    return _p_and_slope(theta, p)[0]
 
-    The objective is concave and steep (its derivative runs to -+inf at the
-    interval ends), so the supremum is interior; golden-section on the
-    negated objective with the stated theta tolerance finds it.
+
+def _theta_at_slope(y: float, p: WfeParams) -> float:
+    """The admissible theta with p'(theta) = y.
+
+    p' increases across the admissible interval and diverges at both ends,
+    so stepping from 0 halfway to the end on the root's side brackets the
+    root within a few steps; a root closer to an end than the kernel's
+    strict interior raises OutOfThetaRange.
     """
     lo, hi = theta_range(p)
-    width = hi - lo
-    a = lo + THETA_MARGIN * width
-    b = hi - THETA_MARGIN * width
-    _, neg = golden_section_min(lambda t: p_theta(t, p) - t * y, a, b, tol=tol)
-    return -neg
+
+    def excess(t):
+        return _p_and_slope(t, p)[1] - y
+
+    below = excess(0.0) < 0.0
+    end = hi if below else lo
+    inner, outer = 0.0, 0.5 * end
+    while (excess(outer) < 0.0) == below:
+        inner, outer = outer, 0.5 * (outer + end)
+    return brentq(excess, inner, outer)
 
 
-def p_star_inf(p: WfeParams, y_grid: int = Y_GRID_DEFAULT) -> PStarResult:
-    """pbar* = inf_{y > 0} p*(y) by log-grid bracketing plus golden-section.
+def p_star(y: float, p: WfeParams) -> float:
+    """Legendre dual p*(y) = sup over admissible theta of theta*y - p(theta).
 
-    p* is convex in y, and on y > 0 it is increasing (the mean of A is
-    negative), so the infimum hugs the smallest grid point; the golden
-    refinement runs on the bracketing pair regardless, so an interior
-    minimum would be found too.
+    The objective is concave, so the supremum sits at the root of
+    p'(theta) = y.
     """
-    ys = np.geomspace(Y_BRACKET[0], Y_BRACKET[1], y_grid)
-    vals = np.array([p_star(float(y), p) for y in ys])
-    i = int(np.argmin(vals))
-    lo = ys[max(i - 1, 0)]
-    hi = ys[min(i + 1, y_grid - 1)]
-    y_min, v_min = golden_section_min(lambda y: p_star(y, p), lo, hi, tol=1e-10)
-    if not np.isfinite(v_min) or v_min <= 0.0:
-        raise HypothesisViolation(f"pbar* = {v_min} is not in (0, inf)")
+    theta = _theta_at_slope(y, p)
+    return theta * y - p_theta(theta, p)
+
+
+def p_star_inf(p: WfeParams) -> PStarResult:
+    """pbar* = inf_{y > 0} p*(y) = p*(0+) = -min_theta p(theta).
+
+    p* increases on y > 0 (see the module docstring), so the infimum is the
+    y -> 0+ limit, reported as y_at_inf = 0, and the minimising theta is
+    the root of p'.
+    """
+    theta = _theta_at_slope(0.0, p)
     return PStarResult(
-        p_star_inf=float(v_min),
-        y_at_inf=float(y_min),
+        p_star_inf=-p_theta(theta, p),
+        y_at_inf=0.0,
         theta_range=theta_range(p),
+        theta_at_min=theta,
     )
 
 
-def beta_critical(
-    p: WfeParams, y_grid: int = Y_GRID_DEFAULT
-) -> tuple[PStarResult, float]:
+def beta_critical(p: WfeParams) -> tuple[PStarResult, float]:
     """(PStarResult, beta_c) with beta_c = pbar*/((omega-1)*eps).
 
     Raises HypothesisViolation when A never becomes positive on [0, 1]
@@ -244,7 +252,7 @@ def beta_critical(
         raise HypothesisViolation(
             f"lower root of A at {x_lower_root(p):.4f} >= 1: A <= 0 on [0, 1]"
         )
-    res = p_star_inf(p, y_grid)
+    res = p_star_inf(p)
     beta_c = res.p_star_inf / ((p.omega - 1.0) * p.eps)
     return res, beta_c
 

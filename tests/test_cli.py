@@ -65,8 +65,9 @@ def test_wfe_csv_hypotheses_ok(tmp_path, capsys):
         "omega,eps,r,delta,p_star_inf,y_at_inf,beta_c,hypotheses_ok"
     )
     cols = lines[1].split(",")
-    assert float(cols[4]) == pytest.approx(0.34076375319859581, abs=1e-8)
-    assert float(cols[6]) == pytest.approx(17.038187659929793, abs=1e-6)
+    assert float(cols[4]) == pytest.approx(0.3400098818596, abs=1e-10)
+    assert float(cols[5]) == 0.0
+    assert float(cols[6]) == pytest.approx(17.00049409298, abs=1e-8)
     assert cols[7] == "1"
 
 

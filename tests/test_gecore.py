@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squimld import (
@@ -188,6 +188,7 @@ def test_qmin_matches_grid_scan(pair):
 
 @given(theta_boxes)
 @settings(max_examples=150)
+@example((-0.25, -0.25))  # on q(-1) = 0, where q(-1) rounds to -1.1e-16
 def test_domain_tests_equal_qmin_sign(pair):
     t1, t2 = pair
     in_d, failed = domain_tests_arr(P07, t1, t2)
@@ -196,11 +197,27 @@ def test_domain_tests_equal_qmin_sign(pair):
     assert (int(failed) == 0) == bool(in_d)
 
 
+@pytest.mark.parametrize("params", [P07, P03])
+def test_boundary_lines_through_p_get_one_verdict(params):
+    # q(1) = 0 and q(-1) = 0 are the lines through P = (-1/(2x), 0) with
+    # slopes x/(1-eps) and -x/(1+eps); on them rounding decides membership,
+    # and every route must decide it the same way
+    x, eps = params.x, params.eps
+    s = np.linspace(0.0, 3.0, 301)
+    for slope in (x / (1.0 - eps), -x / (1.0 + eps)):
+        for t1, t2 in zip(params.p_left + s, slope * s):
+            in_d, failed = domain_tests_arr(params, t1, t2)
+            verdict = in_domain_D(ThetaPair(float(t1), float(t2)), params)
+            assert bool(in_d) == verdict.in_domain == (float(q_min_arr(params, t1, t2)) >= 0.0)
+            assert (int(failed) == 0) == verdict.in_domain
+
+
 @given(
     st.floats(min_value=-0.6, max_value=1.0),
     st.floats(min_value=-1.0, max_value=1.0),
 )
 @settings(max_examples=60)
+@example(5.960464477539063e-08, 0.5)  # one root of q near 8e6: grad1 was off by 1.7e-2
 def test_gradient_consistency_property(t1, t2):
     theta = ThetaPair(t1, t2)
     verdict = in_domain_D(theta, P07)
