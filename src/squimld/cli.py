@@ -22,7 +22,10 @@ import argparse
 import math
 import os
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 from .errors import InvalidParams, NoConstraintPoints, SquimldError
 from .gecore import RateParams
@@ -100,7 +103,8 @@ def _resolve(args, name: str, conv, default, config: dict):
 
 
 def _manifest(command: str, params: dict, seed: int, workers: int,
-              started: str, outputs: list[str], out_dir: Path, stem: str) -> None:
+              started: str, outputs: list[str], out_dir: Path, stem: str,
+              timings: dict | None = None) -> None:
     man = RunManifest(
         command=command,
         parameters=params,
@@ -109,6 +113,7 @@ def _manifest(command: str, params: dict, seed: int, workers: int,
         started=started,
         finished=utc_now(),
         output_files=outputs,
+        timings=timings or {},
     )
     man.write(out_dir / f"{stem}_manifest.json")
 
@@ -128,16 +133,17 @@ def cmd_domain_scan(args) -> int:
         return 2
     started = utc_now()
     params = RateParams(x=x, eps=eps)
+    clock_start = time.perf_counter()
     theta1, theta2, in_d, in_g, k = domain_scan(
         params, samples, tuple(eta), seed=seed, shards=shards, workers=workers
     )
+    clock_scanned = time.perf_counter()
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [
-        (float(theta1[i]), float(theta2[i]), int(in_d[i]), int(in_g[i]), float(k[i]))
-        for i in range(len(theta1))
-    ]
+    header = ["theta1", "theta2", "in_D", "in_G", "k"]
+    rows = np.rec.fromarrays([theta1, theta2, in_d, in_g, k], names=header)
     csv_path = out_dir / "domain_scan.csv"
-    write_csv(csv_path, ["theta1", "theta2", "in_D", "in_G", "k"], rows)
+    write_csv(csv_path, header, rows)
+    clock_written = time.perf_counter()
     gp_path = out_dir / "domain_scan.gp"
     write_text(gp_path, domain_plot_script("domain_scan.csv"))
     _manifest(
@@ -145,6 +151,8 @@ def cmd_domain_scan(args) -> int:
         {"x": x, "eps": eps, "samples": samples, "eta": ",".join(str(e) for e in eta),
          "shards": shards},
         seed, workers, started, [csv_path.name, gp_path.name], out_dir, "domain_scan",
+        {"scan_s": clock_scanned - clock_start,
+         "write_csv_s": clock_written - clock_scanned},
     )
     print(f"wrote {csv_path} ({int(in_d.sum())} D-points, {int(in_g.sum())} G-points)")
     return 0

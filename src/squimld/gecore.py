@@ -50,7 +50,8 @@ from .errors import InvalidParams, NearBoundary, NoRoot
 
 # Strict-interior threshold on min q over [-1, 1].
 QMIN_STRICT = 1e-12
-# |t1| at or below this routes to the affine (t1 = 0) closed forms.
+# |t1| at or below this routes to the affine (t1 = 0) closed forms, plus
+# their first-order terms in t1.
 T1_AFFINE_TOL = 1e-10
 # |disc| at or below this routes to the double-root limiting form.
 DISC_TIE_TOL = 1e-10
@@ -215,12 +216,17 @@ def in_domain_D(theta: ThetaPair, params: RateParams) -> DomainVerdict:
     )
 
 
-def _affine_pieces(b, t2):
-    """J, Jy, Y2, Lq for affine q(y) = b - 2*t2*y (requires b > 0, |2 t2| < b).
+def _affine_pieces(t1, b, t2):
+    """J, Jy, Y2, Lq for q(y) = 2*t1*y^2 + q0(y) with |t1| <= T1_AFFINE_TOL.
 
-    Series in u = 2*t2/b are used below AFFINE_SERIES_TOL where the closed
-    forms cancel catastrophically.
+    The integrals of the affine q0(y) = b - 2*t2*y (requires b > 0,
+    |2 t2| < b) plus their first-order terms in t1: with N_m = Int y^m/q0^2,
+    Int log q ~ Int log q0 + 2 t1 Int y^2/q0 and Int y^m/q ~ Int y^m/q0
+    - 2 t1 N_{m+2}.  The next terms are O((t1/q0)^2).  Series in u = 2*t2/b
+    are used below AFFINE_SERIES_TOL where the closed forms cancel
+    catastrophically.
     """
+    t1 = np.asarray(t1, dtype=float)
     b = np.asarray(b, dtype=float)
     t2 = np.asarray(t2, dtype=float)
     u = 2.0 * t2 / b
@@ -272,7 +278,31 @@ def _affine_pieces(b, t2):
         u2 / 6.0 + u4 / 20.0 + u6 / 42.0 + u4 * u4 / 72.0
     )
     lq = np.where(small, lq_series, lq_exact)
-    return j, jy, y2, lq
+    # N_m by N_{m+1} = (b N_m - Int y^m/q0) / (2 t2) from N_0 = 2/(q1 qm1).
+    # Just above the series switch this loses up to ~1e-6 relative in N_4,
+    # harmless since the N_m enter only multiplied by 2 t1.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s2 = 2.0 * t2
+        n1 = (b * 2.0 / (q1 * qm1) - j) / s2
+        n2_exact = (b * n1 - jy) / s2
+        n3_exact = (b * n2_exact - y2) / s2
+        n4_exact = (b * n3_exact - (b * y2 - 2.0 / 3.0) / s2) / s2
+    scale = 2.0 / (b * b)
+    n2 = np.where(
+        small, scale * (1.0 / 3.0 + 3.0 * u2 / 5.0 + 5.0 * u4 / 7.0 + 7.0 * u6 / 9.0),
+        n2_exact,
+    )
+    n3 = np.where(
+        small,
+        scale * u * (2.0 / 5.0 + 4.0 * u2 / 7.0 + 6.0 * u4 / 9.0 + 8.0 * u6 / 11.0),
+        n3_exact,
+    )
+    n4 = np.where(
+        small, scale * (1.0 / 5.0 + 3.0 * u2 / 7.0 + 5.0 * u4 / 9.0 + 7.0 * u6 / 11.0),
+        n4_exact,
+    )
+    two_t1 = 2.0 * t1
+    return j - two_t1 * n2, jy - two_t1 * n3, y2 - two_t1 * n4, lq + two_t1 * y2
 
 
 def _small_factor_from_product(f, g, prod):
@@ -335,7 +365,7 @@ def q_kernel(t1, t2, b):
 
     if np.any(affine):
         j[affine], jy[affine], y2[affine], lq[affine] = _affine_pieces(
-            b[affine], t2[affine]
+            t1[affine], b[affine], t2[affine]
         )
 
     if np.any(general):

@@ -1,10 +1,18 @@
 """Output emission: fixed-schema CSV files, run manifests, and plot scripts.
 
-Every float is serialized with 17 significant digits so a value survives a
-round trip through text exactly; byte-identical CSVs are the determinism
-contract for repeated runs.  The manifest is a flat JSON object with string
-keys and string values recording what produced the outputs; it carries
-timestamps, so only the CSVs are expected to be byte-stable.
+Every CSV goes through the one writer, `write_csv`, under one formatting
+rule: a float cell is printed with 17 significant digits ("%.17g"), so a
+value survives a round trip through text exactly; an int or bool cell is
+printed as an integer ("%d", so booleans become 1/0); anything else is
+printed with str ("%s").  The rule is applied per column, once per table:
+a record array's columns take it from their dtype, a list of row tuples
+from the Python types of its cells.  Rows are formatted and written a
+block of CHUNK_ROWS at a time, so a table never sits in memory as text.
+Byte-identical CSVs are the determinism contract for repeated runs.
+
+The manifest is a flat JSON object with string keys and string values
+recording what produced the outputs; it carries timestamps and wall times,
+so only the CSVs are expected to be byte-stable.
 
 Plot scripts are standalone gnuplot text files that read the CSV next to
 them, so figures stay reproducible without adding a rendering dependency.
@@ -15,33 +23,87 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
+import numpy as np
+
 FLOAT_FMT = "%.17g"
+# Rows formatted and written per block; bounds the text held in memory.
+CHUNK_ROWS = 65_536
 
 CODE_VERSION = "0.1.0"
 
 
-def fmt_value(value) -> str:
-    """One CSV cell.  Booleans become 1/0, floats get 17 digits."""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
+def _dtype_spec(dtype: np.dtype) -> str:
+    """The cell format of a record-array column."""
+    if dtype.kind in "biu":
+        return "%d"
+    if dtype.kind == "f":
+        return FLOAT_FMT
+    return "%s"
+
+
+def _cell_spec(value) -> str:
+    """The cell format of one Python value (bool is an int)."""
+    if isinstance(value, (int, np.integer)):
+        return "%d"
     if isinstance(value, float):
-        return FLOAT_FMT % value
-    return str(value)
+        return FLOAT_FMT
+    return "%s"
 
 
-def write_csv(path: str | Path, header: list[str], rows: list[tuple]) -> None:
-    lines = [",".join(header)]
+def _check_width(path, header: list[str], width: int) -> None:
+    if width != len(header):
+        raise ValueError(
+            f"row width {width} != header width {len(header)} in {path}"
+        )
+
+
+def _row_format(path, header: list[str], rows) -> str:
+    """The one %-format string shared by every row of the table.
+
+    A column of Python cells must need one format throughout; a column
+    mixing, say, ints and floats is refused rather than printed unevenly.
+    """
+    if isinstance(rows, np.ndarray):
+        names = rows.dtype.names or ()
+        _check_width(path, header, len(names))
+        return ",".join(_dtype_spec(rows.dtype[name]) for name in names)
     for row in rows:
-        if len(row) != len(header):
-            raise ValueError(
-                f"row width {len(row)} != header width {len(header)} in {path}"
-            )
-        lines.append(",".join(fmt_value(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+        _check_width(path, header, len(row))
+    specs = []
+    for name, column in zip(header, zip(*rows)):
+        kinds = {_cell_spec(v) for v in column}
+        if len(kinds) > 1:
+            raise ValueError(f"column {name} mixes {sorted(kinds)} cells in {path}")
+        specs.append(kinds.pop())
+    return ",".join(specs)
+
+
+def _block_cells(rows, start: int, stop: int) -> tuple:
+    """Rows start..stop-1 flattened row-major into one tuple of cells."""
+    if isinstance(rows, np.ndarray):
+        block = rows[start:stop]
+        cells = np.empty((len(block), len(rows.dtype.names)), dtype=object)
+        for j, name in enumerate(rows.dtype.names):
+            cells[:, j] = block[name]
+        return tuple(cells.ravel().tolist())
+    return tuple(chain.from_iterable(rows[start:stop]))
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write header and rows as CSV, CHUNK_ROWS rows per formatting call.
+
+    rows is a list of row tuples or a record array with one field per
+    header column; len(rows) is the row count.
+    """
+    line = _row_format(path, header, rows) + "\n"
+    with open(path, "w", newline="\n") as out:
+        out.write(",".join(header) + "\n")
+        for start in range(0, len(rows), CHUNK_ROWS):
+            stop = min(start + CHUNK_ROWS, len(rows))
+            out.write((line * (stop - start)) % _block_cells(rows, start, stop))
 
 
 def utc_now() -> str:
@@ -60,6 +122,7 @@ class RunManifest:
     finished: str
     output_files: list = field(default_factory=list)
     code_version: str = CODE_VERSION
+    timings: dict = field(default_factory=dict)  # stage -> wall seconds
 
     def to_flat(self) -> dict:
         """Flat string-keyed, string-valued JSON object."""
@@ -75,6 +138,8 @@ class RunManifest:
             flat[f"param.{key}"] = str(value)
         for i, name in enumerate(self.output_files):
             flat[f"output.{i}"] = str(name)
+        for stage, seconds in self.timings.items():
+            flat[f"time.{stage}"] = f"{seconds:.6f}"
         return flat
 
     def write(self, path: str | Path) -> None:

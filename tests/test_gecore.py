@@ -42,6 +42,7 @@ from squimld.gecore import (
     domain_tests_arr,
     h_value,
     in_domain_D,
+    q_kernel,
     q_min_arr,
 )
 
@@ -80,6 +81,21 @@ def test_closed_forms_match_quadrature(params, theta):
     ker = KernelQ.from_theta(theta, params)
     assert abs(integral_inv_q(ker) - j_ref) < 2e-8
     assert abs(cgf_c(theta, params) - c_ref) < 2e-8
+
+
+@pytest.mark.parametrize("t1", [1e-10, -1e-10, 3e-11])
+@pytest.mark.parametrize("t2", [0.0, 1e-3, 0.1, 0.4, -0.3])
+def test_affine_branch_keeps_first_order_t1_terms(t1, t2):
+    # |t1| <= T1_AFFINE_TOL: the 2*t1*y^2 term of q is O(1e-10), far above
+    # the 1e-14 tolerance, so the affine integrals alone would fail here.
+    # q's nearest root is y = 1.25 (t2 = 0.4), whose Bernstein ellipse has
+    # rho = 2, so 80-point Gauss-Legendre is exact to rounding (~2^-160).
+    out = q_kernel(t1, t2, 1.0)
+    ys, ws = np.polynomial.legendre.leggauss(80)
+    q = 2.0 * t1 * ys * ys - 2.0 * t2 * ys + 1.0
+    refs = {"j": 1.0 / q, "jy": ys / q, "y2": ys * ys / q, "lq": np.log(q)}
+    for key, values in refs.items():
+        assert out[key][0] == pytest.approx(float(ws @ values), rel=1e-12, abs=1e-14), key
 
 
 @pytest.mark.parametrize("params,theta", BRANCH_POINTS)

@@ -44,7 +44,7 @@ from squimld.wfe import (
 P12 = WfeParams(omega=1.2, eps=0.1)
 
 
-def p_theta_quad(theta: float, p: WfeParams) -> float:
+def p_theta_quad(theta: float, p: WfeParams, epsabs: float = 1e-13) -> float:
     """p(theta) by adaptive quadrature of log(1 - 2 theta A(x)).
 
     The vertex of A is passed as a split point: near the ends of the
@@ -55,7 +55,7 @@ def p_theta_quad(theta: float, p: WfeParams) -> float:
     pts = [x_at_max] if -1.0 < x_at_max < 1.0 else None
     val, _err = quad(
         lambda x: np.log1p(-2.0 * theta * a_of_x(x, p)),
-        -1.0, 1.0, points=pts, limit=200, epsabs=1e-13, epsrel=1e-13,
+        -1.0, 1.0, points=pts, limit=200, epsabs=epsabs, epsrel=1e-13,
     )
     return -0.25 * val
 
@@ -142,6 +142,17 @@ def test_p_theta_matches_quadrature():
         assert p_theta(float(theta), P12) == pytest.approx(
             p_theta_quad(float(theta), P12), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("theta", [1e-12, 1e-11, 1e-10, 5e-10])
+def test_p_theta_near_zero_keeps_the_quadratic_term(theta):
+    # theta * r <= T1_AFFINE_TOL puts these on the kernel's affine branch,
+    # where dropping the 2*theta*r*y^2 term of q cost 36 % of p.  The
+    # absolute floor is the rounding of b = 1 + 2*theta*delta to a double
+    # before the kernel sees it: up to 2^-53 in b, so ~2^-54 in p.
+    assert theta * P12.r <= 1e-10
+    ref = p_theta_quad(theta, P12, epsabs=0.0)
+    assert p_theta(theta, P12) == pytest.approx(ref, rel=1e-6, abs=1e-16)
 
 
 def test_p_theta_is_convex_on_probes():
