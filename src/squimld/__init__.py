@@ -79,6 +79,7 @@ from .mc import (
     esm_evaluate,
     infinite_T_msq_exact,
     thermal_average,
+    thermal_averages,
 )
 from .validate import CheckResult, run_validation
 from .report import RunManifest

@@ -34,7 +34,7 @@ from .mc import (
     OBSERVABLES,
     EnsembleConfig,
     esm_evaluate,
-    thermal_average,
+    thermal_averages,
 )
 from .ratecurves import (
     ETA_DEFAULT,
@@ -256,13 +256,14 @@ def cmd_ensemble(args) -> int:
         N=n_spins, beta=beta, model=model, samples=samples, omega=omega,
         eps=eps, seed=seed, workers=workers, shards=shards,
     )
-    rows = []
-    for obs in observables:
-        est = thermal_average(cfg, obs)
-        rows.append((
-            model, n_spins, beta, math.nan if omega is None else omega, eps,
-            obs, est.mean, est.std_error, est.n_samples, seed,
-        ))
+    clock_start = time.perf_counter()
+    estimates = thermal_averages(cfg, observables)
+    clock_sampled = time.perf_counter()
+    rows = [
+        (model, n_spins, beta, math.nan if omega is None else omega, eps,
+         obs, est.mean, est.std_error, est.n_samples, seed)
+        for obs, est in zip(observables, estimates)
+    ]
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "ensemble.csv"
     write_csv(
@@ -271,13 +272,22 @@ def cmd_ensemble(args) -> int:
          "n_samples", "seed"],
         rows,
     )
-    _manifest(
-        "ensemble",
-        {"model": model, "N": n_spins, "beta": beta,
-         "omega": "" if omega is None else omega, "eps": eps,
-         "observable": ",".join(observables), "samples": samples, "shards": shards},
-        seed, workers, started, [csv_path.name], out_dir, "ensemble",
-    )
+    clock_written = time.perf_counter()
+    diagnostics = {"weight_ess": estimates[0].weight_ess} if estimates else {}
+    for obs, est in zip(observables, estimates):
+        diagnostics[f"numerator_ess.{obs}"] = est.numerator_ess
+    RunManifest(
+        command="ensemble",
+        parameters={"model": model, "N": n_spins, "beta": beta,
+                    "omega": "" if omega is None else omega, "eps": eps,
+                    "observable": ",".join(observables), "samples": samples,
+                    "shards": shards},
+        seed=seed, workers=workers, started=started, finished=utc_now(),
+        output_files=[csv_path.name],
+        timings={"sample_s": clock_sampled - clock_start,
+                 "write_csv_s": clock_written - clock_sampled},
+        diagnostics=diagnostics,
+    ).write(out_dir / "ensemble_manifest.json")
     print(f"wrote {csv_path} ({len(rows)} rows)")
     return 0
 

@@ -57,19 +57,18 @@ def log_binomials(n_spins: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SymmetricWavefunction:
-    """State over occupation classes n = 0..N, unit norm."""
+class _UnitState:
+    """Unit-norm complex amplitudes, one per cell; weights are |amplitude|^2."""
 
-    amplitudes: np.ndarray  # complex, length N+1
+    amplitudes: np.ndarray  # complex, one per cell
     N: int
 
     def __post_init__(self):
+        cells = self._cells()
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (self.N + 1,):
-            raise InvalidParams(
-                f"need {self.N + 1} amplitudes for N={self.N}, got {amps.shape}"
-            )
+        if amps.shape != (cells,):
+            raise InvalidParams(f"need {cells} amplitudes for N={self.N}, got {amps.shape}")
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > NORM_TOL:
             raise InvalidParams(f"state norm^2 = {norm} is not 1 +- {NORM_TOL}")
@@ -80,32 +79,25 @@ class SymmetricWavefunction:
 
 
 @dataclass(frozen=True)
-class FullWavefunction:
+class SymmetricWavefunction(_UnitState):
+    """State over occupation classes n = 0..N, unit norm."""
+
+    def _cells(self) -> int:
+        return self.N + 1
+
+
+@dataclass(frozen=True)
+class FullWavefunction(_UnitState):
     """State over all 2^N spin-1/2 configurations, unit norm.
 
     Configuration index bits read spin i from bit i: bit 0 is spin +1/2,
     bit 1 is spin -1/2.
     """
 
-    amplitudes: np.ndarray  # complex, length 2^N
-    N: int
-
-    def __post_init__(self):
+    def _cells(self) -> int:
         if self.N > FULL_N_MAX:
             raise InvalidParams(f"full states capped at N={FULL_N_MAX}, got {self.N}")
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (2**self.N,):
-            raise InvalidParams(
-                f"need {2**self.N} amplitudes for N={self.N}, got {amps.shape}"
-            )
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise InvalidParams(f"state norm^2 = {norm} is not 1 +- {NORM_TOL}")
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        return 2**self.N
 
 
 def sample_sphere(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -116,17 +108,37 @@ def sample_sphere(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def spin_moments(w, g):
+    """(m, D) = (w . g, w . g^2 - m^2) of one state w, or of each row of w."""
+    m = w @ g
+    return m, w @ (g * g) - m * m
+
+
+def wfe_exponent(m, d, n_spins: int, beta: float, omega: float):
+    """f = N beta (1 - m^2 + (omega - 1) D), elementwise in m and D."""
+    return n_spins * beta * (1.0 - m * m + (omega - 1.0) * d)
+
+
+# Observable tag -> value per state from (m, D, eps).  All are even under the
+# spin flip but m_signed, the signed magnetization, which symmetrizes to 0.
+OBSERVABLE_FORMULAS = {
+    "msq": lambda m, d, eps: m * m,
+    "m_abs": lambda m, d, eps: np.abs(m),
+    "magnetized_fraction": lambda m, d, eps: (np.abs(m) >= eps).astype(float),
+    "dispersion": lambda m, d, eps: d,
+    "m_signed": lambda m, d, eps: np.zeros_like(m),
+}
+OBSERVABLES = ("msq", "m_abs", "magnetized_fraction", "dispersion")
+
+
 def magnetization_sym(phi: SymmetricWavefunction) -> float:
     """m = sum |phi_n|^2 g_n, in [-1, 1]."""
-    return float(phi.weights @ g_values(phi.N))
+    return float(spin_moments(phi.weights, g_values(phi.N))[0])
 
 
 def dispersion_sym(phi: SymmetricWavefunction) -> float:
     """D = sum |phi_n|^2 g_n^2 - m^2, in [0, 1]."""
-    g = g_values(phi.N)
-    w = phi.weights
-    m = float(w @ g)
-    return float(w @ (g * g)) - m * m
+    return float(spin_moments(phi.weights, g_values(phi.N))[1])
 
 
 def energy_cw(phi: SymmetricWavefunction) -> float:
@@ -139,9 +151,7 @@ def wfe_f(phi: SymmetricWavefunction, beta: float, omega: float) -> float:
     """f = N beta (1 - m^2 + (omega - 1) D), nonnegative for omega >= 1."""
     if omega < 0.0:
         raise InvalidParams(f"omega must be >= 0, got {omega}")
-    m = magnetization_sym(phi)
-    d = dispersion_sym(phi)
-    return phi.N * beta * (1.0 - m * m + (omega - 1.0) * d)
+    return float(wfe_exponent(*spin_moments(phi.weights, g_values(phi.N)), phi.N, beta, omega))
 
 
 def entropy_weight(phi: SymmetricWavefunction) -> float:

@@ -24,10 +24,12 @@ importance weight collapses to a scalar function of v = c . w:
     log w = -v + K log(1 + v) + const,
 
 which peaks at v = K - 1, exactly the shell where the tilted proposal
-concentrates, so the weight effective sample size stays a healthy
-fraction of the budget up to beta*N of order 10^4.  beta = 0 gives c = 0,
-which is exactly uniform sampling.  The full-chain model enumerates 2^N
-states, capping N at 20.
+concentrates.  That covers the cold end, not the crossover: at 10^5
+samples (seed 0, beta in {0.1, 1, 10, 40}) the weight ESS clears ESS_MIN
+for SCWM at N <= 32, and up to N = 128 only at beta >= 10; for
+SCWM_ENTROPY at N <= 16, and up to N = 64 only at beta >= 10; for SQUIM_d1
+at N <= 6, N = 8 up to beta = 0.2 and N = 10 at beta = 0.1.  beta = 0 gives
+c = 0, exactly uniform sampling.  SQUIM_d1 enumerates 2^N states, N <= 20.
 
 The wavefunction-energy model's exponent is quadratic in w (it rewards
 m^2), and its mass sits in two antipodal magnetized caps rather than in
@@ -38,11 +40,13 @@ m^2 >= 2|m| - 1: component fields +-2*omega*g_n - (omega-1)*g_n^2 (times
 beta*N), scaled to keep inverse variances positive.  The mixture density
 is evaluated exactly for the importance weight, and the construction
 stays flip-symmetric, reducing to the uniform measure at beta = 0.  At
-large beta*N this keeps the effective sample size usable at small N; for
-wider systems the guard below refuses honestly.
+omega = 1.2 and 10^5 samples its ESS clears ESS_MIN for N <= 8 up to
+beta = 40, but from N = 16 only at beta = 1.
 
 Estimator plumbing shared by all models:
 
+  * one sampling pass per call: the proposal is tabulated once and every
+    requested observable is read off the same draws and weight sums;
   * ratio of weighted sums with a delta-method standard error,
         SE^2 = (sum w^2 (F - R)^2) / (sum w)^2;
   * per-shard partial sums carry their own max-shift and are merged in
@@ -66,16 +70,18 @@ enumeration of all 2^N spin configurations.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .ensembles import FULL_N_MAX, chain_tables, g_values, log_binomials
+from .ensembles import (FULL_N_MAX, OBSERVABLE_FORMULAS, OBSERVABLES, chain_tables,
+                        g_values, log_binomials, spin_moments, wfe_exponent)
 from .errors import DegenerateWeights, InvalidParams
 from .parallel import map_shards, shard_rng, split_counts
 
 MODELS = ("SQUIM_d1", "SCWM", "SCWM_WFE", "SCWM_ENTROPY")
-OBSERVABLES = ("msq", "m_abs", "magnetized_fraction", "dispersion")
 
 SHARDS_DEFAULT = 64
 ESS_MIN = 100.0
@@ -128,12 +134,13 @@ class EnsembleConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """A ratio estimate with its delta-method error bar."""
+    """A ratio estimate with its delta-method error bar and both ESS."""
 
     mean: float
     std_error: float
     n_samples: int
     numerator_ess: float
+    weight_ess: float = math.nan  # (sum w)^2 / sum w^2, shared by one pass
 
     def __post_init__(self) -> None:
         if not self.std_error >= 0.0:
@@ -158,184 +165,166 @@ class EsmResult:
             )
 
 
-def _shard_partials(shard: int, payload: dict) -> tuple:
-    """(max_logw, T0, T1, T2, T1sq, Tcross) for one shard, self-shifted.
+def _proposal(cfg: EnsembleConfig) -> dict:
+    """The model's importance proposal and cell magnetization g, built once.
 
-    T0 = sum w, T1 = sum w F, T2 = sum w^2, T1sq = sum w^2 F^2,
-    Tcross = sum w^2 F, all with w = exp(logw - max_logw).
+    "tilted": decay form c_decay and rates lam of a linear exponent phi . w;
+    "mixture": (alpha, sigma, log-determinant) of each cap of the WFE model.
     """
-    count = payload["counts"][shard]
-    if count == 0:
-        return (-np.inf, 0.0, 0.0, 0.0, 0.0, 0.0)
-    rng = shard_rng(payload["seed"], shard)
-    model = payload["model"]
-    observable = payload["observable"]
-    n_spins = payload["N"]
-    beta = payload["beta"]
-    shift = payload["energy_shift"]
-
-    if model == "SCWM_WFE":
+    n_spins, beta = cfg.N, cfg.beta
+    if cfg.model == "SCWM_WFE":
         dim = 2 * (n_spins + 1)
         g = g_values(n_spins)
-        gsq = g * g
-        omega = payload["omega"]
-        field_p = beta * n_spins * (2.0 * omega * g - (omega - 1.0) * gsq)
-        field_m = beta * n_spins * (-2.0 * omega * g - (omega - 1.0) * gsq)
-        scale = 1.0 / (1.0 + 2.0 * max(field_p.max(), field_m.max(), 0.0) / dim)
-        alpha_p = 1.0 - 2.0 * scale * field_p / dim
-        alpha_m = 1.0 - 2.0 * scale * field_m / dim
-        sig_p = 1.0 / np.sqrt(alpha_p)
-        sig_m = 1.0 / np.sqrt(alpha_m)
-        # log |Sigma|^(-1/2) per component; each state owns two coords
-        logdet_p = float(np.sum(np.log(alpha_p)))
-        logdet_m = float(np.sum(np.log(alpha_m)))
-        cells = n_spins + 1
+        omega = cfg.omega
+        fields = [beta * n_spins * (sign * 2.0 * omega * g - (omega - 1.0) * (g * g))
+                  for sign in (1.0, -1.0)]
+        scale = 1.0 / (1.0 + 2.0 * max(fields[0].max(), fields[1].max(), 0.0) / dim)
+        alphas = [1.0 - 2.0 * scale * field / dim for field in fields]
+        return {"family": "mixture", "g": g, "exponent": (n_spins, beta, omega),
+                "alpha": alphas, "sigma": [1.0 / np.sqrt(alpha) for alpha in alphas],
+                # log |Sigma|^(-1/2) per cap; each state owns two coords
+                "logdet": [float(np.sum(np.log(alpha))) for alpha in alphas]}
+    if cfg.model == "SQUIM_d1":
+        m_conf, interaction, _flips = chain_tables(n_spins)
+        g = 2.0 * m_conf / n_spins
+        # f = beta * <H> = -beta * <I>
+        phi = beta * interaction
     else:
-        # weight exponent linear in the state weights: exp(phi . w)
-        if model == "SQUIM_d1":
-            cells = 2**n_spins
-            m_conf, interaction, _flips = chain_tables(n_spins)
-            g = 2.0 * m_conf / n_spins
-            gsq = g * g
-            # f = beta * <H> = -beta * <I>
-            phi = beta * interaction
-        else:
-            cells = n_spins + 1
-            g = g_values(n_spins)
-            gsq = g * g
-            phi = beta * n_spins * gsq
-            if model == "SCWM_ENTROPY":
-                phi = phi + log_binomials(n_spins)
-        c_decay = phi.max() - phi
-        lam = 1.0 + c_decay
+        g = g_values(n_spins)
+        phi = beta * n_spins * (g * g)
+        if cfg.model == "SCWM_ENTROPY":
+            phi = phi + log_binomials(n_spins)
+    c_decay = phi.max() - phi
+    return {"family": "tilted", "g": g, "c_decay": c_decay, "lam": 1.0 + c_decay}
 
-    rows = max(1, CHUNK_SCALARS // cells)
-    run_max = -np.inf
-    t0 = t1 = t2 = t1sq = tcross = 0.0
-    done = 0
-    while done < count:
-        m = min(rows, count - done)
-        done += m
-        if model == "SCWM_WFE":
-            pick = rng.random(m) < 0.5
-            sig = np.where(pick[:, None], sig_p, sig_m)
-            a = rng.standard_normal((m, cells)) * sig
-            b = rng.standard_normal((m, cells)) * sig
-            w_amp = a * a + b * b
-            w_amp /= w_amp.sum(axis=1, keepdims=True)
-            mag = w_amp @ g
-            ssq = w_amp @ gsq
-            disp = ssq - mag * mag
-            f = beta * n_spins * (1.0 - mag * mag + (omega - 1.0) * disp)
-            lq_p = logdet_p - 0.5 * dim * np.log(w_amp @ alpha_p)
-            lq_m = logdet_m - 0.5 * dim * np.log(w_amp @ alpha_m)
-            logw = -(f + shift) - np.logaddexp(lq_p, lq_m)
-        else:
-            w_amp = rng.standard_exponential((m, cells))
-            w_amp /= lam
-            w_amp /= w_amp.sum(axis=1, keepdims=True)
-            mag = w_amp @ g
-            ssq = w_amp @ gsq
-            v = w_amp @ c_decay
-            logw = -(v + shift) + cells * np.log1p(v)
 
-        if observable == "msq":
-            fval = mag * mag
-        elif observable == "m_abs":
-            fval = np.abs(mag)
-        elif observable == "magnetized_fraction":
-            fval = (np.abs(mag) >= payload["eps"]).astype(float)
-        elif observable == "dispersion":
-            fval = ssq - mag * mag
-        else:  # m_signed: identically zero once flip-symmetrized
-            fval = np.zeros_like(mag)
+def _draw(rng: np.random.Generator, rows: int, prop: dict, shift: float) -> tuple:
+    """(m, D, log importance weight) of `rows` draws; the one family branch."""
+    g = prop["g"]
+    cells = g.size
+    if prop["family"] == "mixture":
+        pick = rng.random(rows) < 0.5
+        sig = np.where(pick[:, None], *prop["sigma"])
+        a = rng.standard_normal((rows, cells)) * sig
+        b = rng.standard_normal((rows, cells)) * sig
+        w = a * a + b * b
+        w /= w.sum(axis=1, keepdims=True)
+        m, d = spin_moments(w, g)
+        f = wfe_exponent(m, d, *prop["exponent"])
+        # each cap's density on the simplex: |Sigma|^(-1/2) (alpha . w)^(-cells)
+        lq = [logdet - cells * np.log(w @ alpha)
+              for logdet, alpha in zip(prop["logdet"], prop["alpha"])]
+        return m, d, -(f + shift) - np.logaddexp(*lq)
+    w = rng.standard_exponential((rows, cells))
+    w /= prop["lam"]
+    w /= w.sum(axis=1, keepdims=True)
+    m, d = spin_moments(w, g)
+    v = w @ prop["c_decay"]
+    return m, d, -(v + shift) + cells * np.log1p(v)
 
-        chunk_max = float(np.max(logw))
-        new_max = max(run_max, chunk_max)
-        w = np.exp(logw - new_max)
-        if run_max > -np.inf and new_max != run_max:
-            r = math.exp(run_max - new_max)
-            t0 *= r
-            t1 *= r
-            t2 *= r * r
-            t1sq *= r * r
-            tcross *= r * r
-        run_max = new_max
+
+def _fold(acc: tuple, part: tuple) -> tuple:
+    """acc + part, each (max_logw, first, second) at its own max-shift.
+
+    The sum is taken at the larger shift: first-order sums rescale by r,
+    second-order sums by r^2.
+    """
+    run_max, first, second = acc
+    p_max, p_first, p_second = part
+    if p_max == -np.inf:
+        return acc
+    new_max = max(run_max, p_max)
+    if run_max > -np.inf and new_max != run_max:
+        r = math.exp(run_max - new_max)
+        first *= r
+        second *= r * r
+    rs = math.exp(p_max - new_max)
+    first += p_first * rs
+    second += p_second * rs * rs
+    return new_max, first, second
+
+
+def _shard_partials(shard: int, payload: dict) -> tuple:
+    """(max_logw, first, second) for one shard, self-shifted.
+
+    first = [T0, T1...], second = [T2, T1sq..., Tcross...] with T0 = sum w,
+    T2 = sum w^2 and, per observable F, T1 = sum w F, T1sq = sum w^2 F^2,
+    Tcross = sum w^2 F, all with w = exp(logw - max_logw).
+    """
+    tags = payload["observables"]
+    acc = (-np.inf, np.zeros(1 + len(tags)), np.zeros(1 + 2 * len(tags)))
+    count = payload["counts"][shard]
+    rng = shard_rng(payload["seed"], shard)
+    prop = payload["proposal"]
+    rows = max(1, CHUNK_SCALARS // prop["g"].size)
+    for done in range(0, count, rows):
+        m, d, logw = _draw(rng, min(rows, count - done), prop, payload["energy_shift"])
+        fvals = [OBSERVABLE_FORMULAS[tag](m, d, payload["eps"]) for tag in tags]
+        # sums taken at the running max fold in with a unit rescale
+        chunk_max = max(acc[0], float(np.max(logw)))
+        w = np.exp(logw - chunk_max)
         wsq = w * w
-        t0 += float(np.sum(w))
-        t1 += float(w @ fval)
-        t2 += float(np.sum(wsq))
-        t1sq += float(wsq @ (fval * fval))
-        tcross += float(wsq @ fval)
-    return (run_max, t0, t1, t2, t1sq, tcross)
+        acc = _fold(acc, (
+            chunk_max,
+            np.array([np.sum(w), *(w @ f for f in fvals)]),
+            np.array([np.sum(wsq), *(wsq @ (f * f) for f in fvals), *(wsq @ f for f in fvals)]),
+        ))
+    return acc
+
+
+def thermal_averages(cfg: EnsembleConfig, observables: Sequence[str],
+                     energy_shift: float = 0.0) -> list[McEstimate]:
+    """Estimate [F]_beta for every tag F in observables, in request order.
+
+    One pass: each shard draws its stream once and T0, T2 are shared.
+    energy_shift adds a constant to the weight exponent; the ratio cancels
+    it exactly (the max-shift absorbs it), so it exists as a validation hook.
+    Raises InvalidParams for an unknown tag before any sampling, and
+    DegenerateWeights when the weight ESS (sum w)^2 / sum w^2 < ESS_MIN.
+    """
+    for tag in observables:
+        if tag not in OBSERVABLE_FORMULAS:
+            raise InvalidParams(f"unknown observable {tag!r}, want one of {OBSERVABLES}")
+    if not observables:
+        return []
+    payload = {
+        "counts": split_counts(cfg.samples, cfg.shards),
+        "seed": cfg.seed,
+        "proposal": _proposal(cfg),
+        "observables": tuple(observables),
+        "eps": cfg.eps,
+        "energy_shift": energy_shift,
+    }
+    parts = map_shards(_shard_partials, payload, cfg.shards, cfg.workers)
+    _, first, second = reduce(_fold, parts)
+    k = len(observables)
+    t0, *t1s = first.tolist()
+    t2, *t1sqs = second[:k + 1].tolist()
+    weight_ess = t0 * t0 / t2 if t2 > 0.0 else 0.0
+    if weight_ess < ESS_MIN:
+        raise DegenerateWeights(
+            f"weight ESS {weight_ess:.1f} < {ESS_MIN:.0f} at beta={cfg.beta}, "
+            f"N={cfg.N}, model={cfg.model}; raise samples or lower beta*N"
+        )
+    estimates = []
+    for t1, t1sq, tcross in zip(t1s, t1sqs, second[k + 1:].tolist()):
+        mean = t1 / t0
+        var = (t1sq - 2.0 * mean * tcross + mean * mean * t2) / (t0 * t0)
+        estimates.append(McEstimate(
+            mean=mean,
+            std_error=math.sqrt(max(var, 0.0)),
+            n_samples=cfg.samples,
+            numerator_ess=t1 * t1 / t1sq if t1sq > 0.0 else 0.0,
+            weight_ess=weight_ess,
+        ))
+    return estimates
 
 
 def thermal_average(
     cfg: EnsembleConfig, observable: str, energy_shift: float = 0.0
 ) -> McEstimate:
-    """Estimate [observable]_beta for the configured model.
-
-    energy_shift adds a constant to the weight exponent before
-    exponentiation; the ratio cancels it analytically (the per-shard
-    max-shift absorbs it exactly), so it exists as a validation hook.
-
-    Raises DegenerateWeights when the weight effective sample size
-    (sum w)^2 / sum w^2 falls below ESS_MIN.
-    """
-    if observable not in OBSERVABLES and observable != "m_signed":
-        raise InvalidParams(
-            f"unknown observable {observable!r}, want one of {OBSERVABLES}"
-        )
-    payload = {
-        "counts": split_counts(cfg.samples, cfg.shards),
-        "seed": cfg.seed,
-        "model": cfg.model,
-        "observable": observable,
-        "N": cfg.N,
-        "beta": cfg.beta,
-        "omega": cfg.omega,
-        "eps": cfg.eps,
-        "energy_shift": energy_shift,
-    }
-    parts = map_shards(_shard_partials, payload, cfg.shards, cfg.workers)
-
-    run_max = -np.inf
-    t0 = t1 = t2 = t1sq = tcross = 0.0
-    for p_max, p0, p1, p2, p1sq, pcross in parts:
-        if p_max == -np.inf:
-            continue
-        new_max = max(run_max, p_max)
-        if run_max > -np.inf and new_max != run_max:
-            r = math.exp(run_max - new_max)
-            t0 *= r
-            t1 *= r
-            t2 *= r * r
-            t1sq *= r * r
-            tcross *= r * r
-        rs = math.exp(p_max - new_max)
-        t0 += p0 * rs
-        t1 += p1 * rs
-        t2 += p2 * rs * rs
-        t1sq += p1sq * rs * rs
-        tcross += pcross * rs * rs
-        run_max = new_max
-
-    denom_ess = t0 * t0 / t2 if t2 > 0.0 else 0.0
-    if denom_ess < ESS_MIN:
-        raise DegenerateWeights(
-            f"weight ESS {denom_ess:.1f} < {ESS_MIN:.0f} at beta={cfg.beta}, "
-            f"N={cfg.N}, model={cfg.model}; raise samples or lower beta*N"
-        )
-    mean = t1 / t0
-    var = (t1sq - 2.0 * mean * tcross + mean * mean * t2) / (t0 * t0)
-    std_error = math.sqrt(max(var, 0.0))
-    numerator_ess = t1 * t1 / t1sq if t1sq > 0.0 else 0.0
-    return McEstimate(
-        mean=mean,
-        std_error=std_error,
-        n_samples=cfg.samples,
-        numerator_ess=numerator_ess,
-    )
+    """Estimate [observable]_beta; thermal_averages for a single tag."""
+    return thermal_averages(cfg, [observable], energy_shift)[0]
 
 
 def infinite_T_msq_exact(n_spins: int) -> float:

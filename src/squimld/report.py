@@ -11,8 +11,9 @@ block of CHUNK_ROWS at a time, so a table never sits in memory as text.
 Byte-identical CSVs are the determinism contract for repeated runs.
 
 The manifest is a flat JSON object with string keys and string values
-recording what produced the outputs; it carries timestamps and wall times,
-so only the CSVs are expected to be byte-stable.
+recording what produced the outputs and the estimator's diagnostics
+(diag.*); it carries timestamps and wall times (time.*), so only the CSVs
+are expected to be byte-stable.
 
 Plot scripts are standalone gnuplot text files that read the CSV next to
 them, so figures stay reproducible without adding a rendering dependency.
@@ -123,6 +124,7 @@ class RunManifest:
     output_files: list = field(default_factory=list)
     code_version: str = CODE_VERSION
     timings: dict = field(default_factory=dict)  # stage -> wall seconds
+    diagnostics: dict = field(default_factory=dict)  # name -> estimator figure
 
     def to_flat(self) -> dict:
         """Flat string-keyed, string-valued JSON object."""
@@ -140,6 +142,8 @@ class RunManifest:
             flat[f"output.{i}"] = str(name)
         for stage, seconds in self.timings.items():
             flat[f"time.{stage}"] = f"{seconds:.6f}"
+        for name, value in self.diagnostics.items():
+            flat[f"diag.{name}"] = str(value)
         return flat
 
     def write(self, path: str | Path) -> None:

@@ -104,6 +104,32 @@ def test_ensemble_csv_schema_and_float_round_trip(tmp_path, capsys):
     assert f"{mean:.17g}" == row[6]
 
 
+def test_ensemble_rows_follow_the_requested_order(tmp_path, capsys):
+    argv = [
+        "ensemble", "--model", "SCWM", "--n", "8", "--beta", "10",
+        "--samples", "20000", "--observable", "msq,dispersion,msq",
+        "--out-dir", str(tmp_path),
+    ]
+    assert run(argv) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in read(tmp_path / "ensemble.csv").splitlines()[1:]]
+    assert [row[5] for row in rows] == ["msq", "dispersion", "msq"]
+    assert rows[0] == rows[2]
+    man = json.loads(read(tmp_path / "ensemble_manifest.json"))
+    assert 100.0 <= float(man["diag.weight_ess"]) <= 20000.0
+    for obs in ("msq", "dispersion"):
+        assert 0.0 < float(man[f"diag.numerator_ess.{obs}"]) <= 20000.0
+    assert float(man["time.sample_s"]) > 0.0
+    assert float(man["time.write_csv_s"]) >= 0.0
+
+
+def test_ensemble_unknown_observable_usage_error(tmp_path, capsys):
+    argv = ["ensemble", "--observable", "msq,energy", "--out-dir", str(tmp_path)]
+    assert run(argv) == 2
+    capsys.readouterr()
+    assert not (tmp_path / "ensemble.csv").exists()
+
+
 def test_ensemble_invalid_samples_usage_error(tmp_path, capsys):
     assert run(["ensemble", "--samples", "0", "--out-dir", str(tmp_path)]) == 2
     capsys.readouterr()

@@ -1,10 +1,13 @@
 """Thermal-average estimator: oracles, invariances, and failure modes.
 
-The beta = 0 limit has closed-form sphere moments, the enumerated
-product-form model has hand-checkable values, and the estimator carries
-three structural invariances worth pinning: worker-count independence,
-additive-constant cancellation in the weight exponent, and the analytic
-spin-flip symmetrization that zeroes the signed magnetization.
+The beta = 0 limit has closed-form sphere moments, the chain model at
+beta > 0 has an exact divided-difference partition function, the
+enumerated product-form model has hand-checkable values, and the
+estimator carries four structural invariances worth pinning: worker-count
+independence, one sampling pass giving the same numbers as one pass per
+observable, additive-constant cancellation in the weight exponent, and
+the analytic spin-flip symmetrization that zeroes the signed
+magnetization.
 """
 
 import math
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from squimld import (
     DegenerateWeights,
@@ -23,7 +27,9 @@ from squimld import (
     esm_evaluate,
     infinite_T_msq_exact,
     thermal_average,
+    thermal_averages,
 )
+from squimld import mc
 from squimld.ensembles import chain_tables, g_values
 from squimld.mc import MODELS, OBSERVABLES
 
@@ -64,6 +70,108 @@ def test_unknown_observable_rejected():
     cfg = EnsembleConfig(N=4, beta=0.0, model="SCWM", samples=1000)
     with pytest.raises(InvalidParams):
         thermal_average(cfg, "energy")
+
+
+ONE_PASS_CONFIGS = [
+    dict(model="SCWM", N=8, beta=40.0, samples=40_000, seed=2, eps=0.5),
+    dict(model="SCWM_ENTROPY", N=8, beta=40.0, samples=40_000, seed=2, eps=0.5),
+    dict(model="SCWM_WFE", N=8, beta=40.0, omega=1.2, samples=40_000, seed=2, eps=0.5),
+    dict(model="SQUIM_d1", N=8, beta=0.2, samples=40_000, seed=2, eps=0.01),
+    # 4096 cells, 4000 samples per shard: each shard spans three full chunks
+    # of CHUNK_SCALARS and a partial fourth
+    dict(model="SQUIM_d1", N=12, beta=0.05, samples=8_000, shards=2, seed=2, eps=0.005),
+]
+
+
+@pytest.mark.parametrize("kw", ONE_PASS_CONFIGS, ids=lambda kw: f"{kw['model']}-N{kw['N']}")
+def test_one_pass_equals_one_call_per_observable(kw):
+    cfg = EnsembleConfig(**kw)
+    together = thermal_averages(cfg, OBSERVABLES)
+    assert together == [thermal_average(cfg, obs) for obs in OBSERVABLES]
+    assert len({est.weight_ess for est in together}) == 1
+
+
+def test_one_pass_spans_several_chunks():
+    # the N = 12 case above only tests the chunk merge if it really has one
+    kw = ONE_PASS_CONFIGS[-1]
+    rows = mc.CHUNK_SCALARS // 2 ** kw["N"]
+    assert 3 * rows < kw["samples"] // kw["shards"] < 4 * rows
+
+
+@pytest.mark.parametrize("kw", [ONE_PASS_CONFIGS[2], ONE_PASS_CONFIGS[3]],
+                         ids=["SCWM_WFE", "SQUIM_d1"])
+def test_one_pass_worker_count_is_an_execution_detail(kw):
+    one = thermal_averages(EnsembleConfig(workers=1, **kw), OBSERVABLES)
+    two = thermal_averages(EnsembleConfig(workers=2, **kw), OBSERVABLES)
+    assert one == two
+
+
+def test_one_pass_keeps_request_order_and_repeats():
+    cfg = EnsembleConfig(N=8, beta=10.0, model="SCWM", samples=20_000, seed=6)
+    msq, disp, again = thermal_averages(cfg, ["msq", "dispersion", "msq"])
+    assert msq == again
+    assert disp == thermal_average(cfg, "dispersion")
+
+
+def test_unknown_tag_anywhere_refused_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before validating the observable tags")
+
+    monkeypatch.setattr(mc, "map_shards", no_sampling)
+    cfg = EnsembleConfig(N=4, beta=0.0, model="SCWM", samples=1000)
+    for tags in (["energy"], ["msq", "energy"], ["msq", "dispersion", "Msq"]):
+        with pytest.raises(InvalidParams, match="unknown observable"):
+            thermal_averages(cfg, tags)
+
+
+def test_weight_ess_is_the_budget_for_uniform_weights():
+    # beta = 0: the tilted proposal is the flat law, every weight is exactly 1
+    cfg = EnsembleConfig(N=8, beta=0.0, model="SCWM", samples=30_000, seed=1)
+    est = thermal_average(cfg, "msq")
+    assert est.weight_ess == cfg.samples
+    # estimates built without it still construct
+    assert math.isnan(McEstimate(0.1, 0.01, 10, 5.0).weight_ess)
+
+
+def chain_partition(phi: np.ndarray) -> float:
+    """E[exp(phi . w)] under the flat Dirichlet law on K = len(phi) cells.
+
+    Hermite-Genocchi makes the expectation (K-1)! times the divided
+    difference of exp at the nodes phi, and Opitz reads that off the corner
+    of exp(diag(phi) + superdiag(1)), repeated nodes included.  Scaling the
+    superdiagonal to 1..K-1 (a diagonal similarity) folds the (K-1)! in and
+    keeps every entry of the exponential O(1).
+    """
+    k = phi.size
+    return float(expm(np.diag(phi) + np.diag(np.arange(1.0, k), 1))[0, k - 1])
+
+
+def chain_exact_averages(n_spins: int, beta: float, h: float = 1e-3) -> dict:
+    """[m^2] and [D] of the chain from central differences of the exact Z."""
+    m_conf, interaction, _ = chain_tables(n_spins)
+    g = 2.0 * m_conf / n_spins
+    phi = beta * interaction  # weight exp(-f) = exp(beta I . w)
+    z = chain_partition(phi)
+    msq = (chain_partition(phi + h * g) - 2.0 * z + chain_partition(phi - h * g)) / (h * h * z)
+    gsq_mean = (chain_partition(phi + h * g * g) - chain_partition(phi - h * g * g)) / (2.0 * h * z)
+    return {"msq": msq, "dispersion": gsq_mean - msq}
+
+
+def test_chain_oracle_reproduces_the_flat_dirichlet_moments():
+    # beta = 0: Z = 1, and [m^2] = sum g^2 / (K (K + 1)) over K = 2^N cells
+    n_spins = 4
+    g = 2.0 * chain_tables(n_spins)[0] / n_spins
+    assert chain_partition(np.zeros(16)) == pytest.approx(1.0, abs=1e-12)
+    exact = chain_exact_averages(n_spins, 0.0)
+    assert exact["msq"] == pytest.approx(float(g @ g) / (16 * 17), rel=1e-5)
+    assert exact["dispersion"] == pytest.approx(float(g @ g) / 16 - exact["msq"], rel=1e-5)
+
+
+def test_squim_chain_matches_exact_divided_differences_at_positive_beta():
+    exact = chain_exact_averages(4, 1.0)
+    cfg = EnsembleConfig(N=4, beta=1.0, model="SQUIM_d1", samples=400_000, seed=3)
+    for obs, est in zip(exact, thermal_averages(cfg, list(exact))):
+        assert abs(est.mean - exact[obs]) <= 4.0 * est.std_error, (obs, est, exact[obs])
 
 
 def test_infinite_t_exact_values():

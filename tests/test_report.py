@@ -14,7 +14,7 @@ import pytest
 from squimld.cli import main
 from squimld.gecore import RateParams
 from squimld.ratecurves import domain_scan
-from squimld.report import CHUNK_ROWS, write_csv
+from squimld.report import CHUNK_ROWS, RunManifest, write_csv
 
 
 def written(path):
@@ -141,3 +141,17 @@ def test_domain_scan_manifest_records_stage_times(tmp_path, capsys):
         assert key in man
     assert float(man["time.scan_s"]) >= 0.0
     assert float(man["time.write_csv_s"]) >= 0.0
+
+
+def test_manifest_writes_diagnostics_as_diag_keys():
+    man = RunManifest(
+        command="ensemble", parameters={}, seed=0, workers=1, started="s", finished="f",
+        timings={"sample_s": 0.5}, diagnostics={"weight_ess": 1234.5, "numerator_ess.msq": 99.0},
+    )
+    flat = man.to_flat()
+    assert flat["diag.weight_ess"] == "1234.5"
+    assert flat["diag.numerator_ess.msq"] == "99.0"
+    assert flat["time.sample_s"] == "0.500000"
+    # the diagnostics field is optional: existing constructions are unchanged
+    assert not any(key.startswith("diag.") for key in
+                   RunManifest("esm", {}, 0, 1, "s", "f").to_flat())
