@@ -43,6 +43,7 @@ def main() -> int:
         f"({rare.rate / res.p_star_inf:.3f} of pbar*), "
         f"{rare.hits} hits of {rare.replicas} replicas, tilt = {rare.tilt:.6f}"
     )
+    print(f"std error of log P = {rare.std_error:.4f}, weight ESS = {rare.weight_ess:.1f}")
     print(f"simulation time {time.perf_counter() - t0:.1f}s")
     return 0
 

@@ -4,7 +4,9 @@ p(theta) has a direct quadrature oracle, the Legendre dual obeys the
 pointwise inequality p*(y) >= theta*y - p(theta) for every admissible
 probe theta, and the tilted rare-event estimator is cross-checked against
 brute-force simulation at sizes where the event is still common enough to
-count directly.  The headline values at (omega, eps) = (1.2, 0.1) are
+count directly, and against the exact Daniels/Imhof contour integral at
+N = 50; its chi-square pair kernel is checked coordinate by coordinate
+against chi_1^2.  The headline values at (omega, eps) = (1.2, 0.1) are
 frozen to the minimum of p found by adaptive quadrature of the integrand
 with a bounded scalar minimizer, a route that shares no code with the
 closed form.
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.integrate import quad
 
 from squimld import (
@@ -31,7 +34,11 @@ from squimld import (
     p_theta,
     rare_event_rate_mc,
 )
+from squimld.parallel import shard_rng
 from squimld.wfe import (
+    RARE_BLOCK_WORDS,
+    _chi2_pair_block,
+    _pair_coefficients,
     a_extremes,
     a_of_x,
     grid_weights,
@@ -232,20 +239,123 @@ def test_solve_tilt_zeroes_the_derivative():
     assert psi_weighted(b, 0.0) == 0.0
 
 
-def test_rare_event_matches_brute_force_when_countable():
-    # at N = 6 the event still has probability ~1.6e-2, countable directly
-    n_sites = 6
+def contour_log_p(n_sites: int) -> float:
+    """log P[sum b_n chi_n^2 >= 0] by the Daniels/Imhof inversion integral.
+
+    On the vertical line through the saddle t*,
+    P = (1/pi) Int_0^inf Re[exp(psi(t*+iu)) / (t*+iu)] du with the complex
+    cumulant psi(s) = -1/2 sum log(1 - 2 s b_n); exp(psi(t*)) is factored
+    out so the integrand is O(1).  Exact at every N, no sampling.
+    """
     b = grid_weights(P12, n_sites)
-    rng = np.random.default_rng(77)
-    total = 1_000_000
-    z = rng.standard_normal((total, b.size))
-    hits = int(np.count_nonzero((z * z) @ b >= 0.0))
-    p_bf = hits / total
-    se_bf = math.sqrt(p_bf * (1.0 - p_bf) / total)
-    res = rare_event_rate_mc(P12, n_sites=n_sites, replicas=200_000, seed=1)
-    assert abs(math.exp(res.log_p) - p_bf) < 4.0 * se_bf
-    assert res.hits > 0
-    assert res.replicas == 200_000
+    t = solve_tilt(b)
+    psi0 = psi_weighted(b, t)
+
+    def integrand(u):
+        s = t + 1j * u
+        return (np.exp(-0.5 * np.sum(np.log(1.0 - 2.0 * s * b)) - psi0) / s).real
+
+    val, _err = quad(integrand, 0.0, np.inf, epsrel=1e-12, limit=200)
+    return psi0 + math.log(val / math.pi)
+
+
+def test_contour_oracle_values():
+    # the same integral in mpmath at 30 digits: -4.12214394745854,
+    # -19.96927734423 and -71.6396770093352
+    assert math.exp(contour_log_p(6)) == pytest.approx(0.01620972, abs=1e-8)
+    assert contour_log_p(50) == pytest.approx(-19.9692773, abs=1e-7)
+    assert contour_log_p(200) == pytest.approx(-71.6396770, abs=1e-7)
+
+
+def test_rare_event_matches_brute_force_when_countable():
+    # at N = 5 and 6 the event still has probability ~2e-2, countable
+    # directly; N + 1 = 6 and 7 coordinates cover both pair parities
+    for n_sites in (5, 6):
+        b = grid_weights(P12, n_sites)
+        rng = np.random.default_rng(77)
+        total = 1_000_000
+        z = rng.standard_normal((total, b.size))
+        hits = int(np.count_nonzero((z * z) @ b >= 0.0))
+        p_bf = hits / total
+        se_bf = math.sqrt(p_bf * (1.0 - p_bf) / total)
+        assert abs(math.exp(contour_log_p(n_sites)) - p_bf) < 4.0 * se_bf
+        res = rare_event_rate_mc(P12, n_sites=n_sites, replicas=200_000, seed=1)
+        assert abs(math.exp(res.log_p) - p_bf) < 4.0 * se_bf
+        assert res.hits > 0
+        assert res.replicas == 200_000
+
+
+def test_rare_event_matches_the_contour_within_its_standard_error():
+    res = rare_event_rate_mc(P12, n_sites=50, replicas=1_000_000, seed=5)
+    assert 0.0 < res.std_error < 0.01
+    assert 1.0 <= res.weight_ess <= res.hits
+    assert abs(res.log_p - contour_log_p(50)) < 4.0 * res.std_error
+
+
+def pair_kernel_draws(coef, replicas: int, seed: int = 11) -> np.ndarray:
+    """T = sum c_n chi_n^2 from _chi2_pair_block, block by block."""
+    a_odd, a_diff = _pair_coefficients(np.asarray(coef, dtype=float))
+    bitgen = shard_rng(seed, 0).bit_generator
+    rows = RARE_BLOCK_WORDS // a_odd.size
+    out = [
+        _chi2_pair_block(bitgen, min(rows, replicas - done), a_odd, a_diff)
+        for done in range(0, replicas, rows)
+    ]
+    return np.concatenate(out).astype(np.float64)
+
+
+def test_pair_coefficients_pad_odd_counts():
+    a_odd, a_diff = _pair_coefficients(np.array([1.0, 2.0, 3.0]))
+    assert a_odd.dtype == a_diff.dtype == np.float32
+    np.testing.assert_array_equal(a_odd, [2.0, 0.0])
+    np.testing.assert_array_equal(a_diff, [-1.0, 3.0])
+    a_odd, a_diff = _pair_coefficients(np.array([1.0, 2.0, 3.0, 5.0]))
+    np.testing.assert_array_equal(a_odd, [2.0, 5.0])
+    np.testing.assert_array_equal(a_diff, [-1.0, -2.0])
+
+
+@pytest.mark.parametrize(
+    "d, j",
+    [(4, 0), (4, 1), (4, 3), (5, 4)],
+    ids=["first-of-pair", "second-of-pair", "second-of-last-pair", "zero-padded-last"],
+)
+def test_pair_kernel_coordinate_is_chi_square_one(d, j):
+    n = 1_000_000
+    coef = np.zeros(d)
+    coef[j] = 1.0
+    x = pair_kernel_draws(coef, n)
+    assert x.size == n
+    # chi_1^2 has mean 1, variance 2 and central fourth moment 60, so the
+    # sample variance has standard error sqrt((60 - 2^2)/n)
+    assert abs(x.mean() - 1.0) < 4.0 * math.sqrt(2.0 / n)
+    assert abs(x.var() - 2.0) < 4.0 * math.sqrt(56.0 / n)
+    assert stats.kstest(x, stats.chi2(1).cdf).pvalue > 1e-3
+
+
+def test_pair_kernel_bit_layout():
+    hi, lo = 3_000_000_000, 1_000_000_000
+
+    class Words:
+        def random_raw(self, shape):
+            return np.full(shape, (hi << 32) | lo, dtype=np.uint64)
+
+    r2 = -2.0 * math.log((hi + 0.5) * 2.0**-32)
+    cos2 = math.cos(lo * 2.0 * math.pi * 2.0**-32) ** 2
+    one, zero = np.ones(1, np.float32), np.zeros(1, np.float32)
+    assert _chi2_pair_block(Words(), 2, one, zero) == pytest.approx([r2, r2], rel=1e-6)
+    assert _chi2_pair_block(Words(), 2, zero, one) == pytest.approx(
+        [r2 * cos2, r2 * cos2], rel=1e-5
+    )
+
+
+def test_pair_kernel_members_are_uncorrelated():
+    n = 1_000_000
+    x = pair_kernel_draws([1.0, 0.0, 0.0], n)
+    y = pair_kernel_draws([0.0, 1.0, 0.0], n)
+    # same seed, so x and y are the two members of the same pairs, and
+    # their sum is R^2, chi_2^2
+    np.testing.assert_allclose(x + y, pair_kernel_draws([1.0, 1.0, 0.0], n), rtol=1e-5, atol=1e-6)
+    assert abs(np.corrcoef(x, y)[0, 1]) < 4.0 / math.sqrt(n)
 
 
 def test_rare_event_is_deterministic_across_workers():
