@@ -24,10 +24,12 @@ def main() -> int:
     ap.add_argument("--observable", default="msq")
     ap.add_argument("--samples", type=int, default=200_000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--workers", type=int, default=None,
+                    help="worker processes (default: every available core)")
     ap.add_argument("--out-dir", default="runs/ensembles")
     args = ap.parse_args()
 
+    workers = [] if args.workers is None else ["--workers", str(args.workers)]
     for model in args.models.split(","):
         for beta in args.betas.split(","):
             out = f"{args.out_dir}/{model}_beta{beta}"
@@ -35,7 +37,7 @@ def main() -> int:
                 "ensemble", "--model", model, "--n", str(args.n),
                 "--beta", beta, "--observable", args.observable,
                 "--samples", str(args.samples), "--seed", str(args.seed),
-                "--workers", str(args.workers), "--out-dir", out,
+                "--out-dir", out, *workers,
             ]
             if model == "SCWM_WFE":
                 argv += ["--omega", str(args.omega)]

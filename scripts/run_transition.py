@@ -22,7 +22,8 @@ def main() -> int:
     ap.add_argument("--n-sites", type=int, default=2000)
     ap.add_argument("--replicas", type=int, default=10**6)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--workers", type=int, default=None,
+                    help="worker processes (default: every available core)")
     args = ap.parse_args()
 
     params = WfeParams(omega=args.omega, eps=args.eps)

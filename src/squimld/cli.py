@@ -32,10 +32,12 @@ from .gecore import RateParams
 from .mc import (
     MODELS,
     OBSERVABLES,
+    SHARDS_DEFAULT as MC_SHARDS_DEFAULT,
     EnsembleConfig,
     esm_evaluate,
     thermal_averages,
 )
+from .parallel import available_cores, resolve_workers
 from .ratecurves import (
     ETA_DEFAULT,
     SHARDS_DEFAULT,
@@ -102,9 +104,14 @@ def _resolve(args, name: str, conv, default, config: dict):
     return default
 
 
+def _workers(args, config: dict, shards: int) -> int:
+    """The resolved --workers: every available core unless set, at most shards."""
+    return resolve_workers(_resolve(args, "workers", int, None, config), shards)
+
+
 def _manifest(command: str, params: dict, seed: int, workers: int,
               started: str, outputs: list[str], out_dir: Path, stem: str,
-              timings: dict | None = None) -> None:
+              timings: dict | None = None, diagnostics: dict | None = None) -> None:
     man = RunManifest(
         command=command,
         parameters=params,
@@ -114,6 +121,7 @@ def _manifest(command: str, params: dict, seed: int, workers: int,
         finished=utc_now(),
         output_files=outputs,
         timings=timings or {},
+        diagnostics={"available_cores": available_cores(), **(diagnostics or {})},
     )
     man.write(out_dir / f"{stem}_manifest.json")
 
@@ -126,7 +134,7 @@ def cmd_domain_scan(args) -> int:
     eta = _resolve(args, "eta", _float_list, list(ETA_DEFAULT), config)
     seed = _resolve(args, "seed", int, 0, config)
     shards = _resolve(args, "shards", int, SHARDS_DEFAULT, config)
-    workers = _resolve(args, "workers", int, 1, config)
+    workers = _workers(args, config, shards)
     out_dir = Path(_resolve(args, "out-dir", str, ".", config))
     if samples < 1:
         print("error: samples must be >= 1", file=sys.stderr)
@@ -142,7 +150,7 @@ def cmd_domain_scan(args) -> int:
     header = ["theta1", "theta2", "in_D", "in_G", "k"]
     rows = np.rec.fromarrays([theta1, theta2, in_d, in_g, k], names=header)
     csv_path = out_dir / "domain_scan.csv"
-    write_csv(csv_path, header, rows)
+    write_csv(csv_path, header, rows, workers)
     clock_written = time.perf_counter()
     gp_path = out_dir / "domain_scan.gp"
     write_text(gp_path, domain_plot_script("domain_scan.csv"))
@@ -166,7 +174,7 @@ def cmd_rate_curves(args) -> int:
     eta = _resolve(args, "eta", _float_list, list(ETA_DEFAULT), config)
     seed = _resolve(args, "seed", int, 0, config)
     shards = _resolve(args, "shards", int, SHARDS_DEFAULT, config)
-    workers = _resolve(args, "workers", int, 1, config)
+    workers = _workers(args, config, shards)
     out_dir = Path(_resolve(args, "out-dir", str, ".", config))
     if samples < 1:
         print("error: samples must be >= 1", file=sys.stderr)
@@ -245,8 +253,8 @@ def cmd_ensemble(args) -> int:
     observables = _resolve(args, "observable", _str_list, ["msq"], config)
     samples = _resolve(args, "samples", int, 100_000, config)
     seed = _resolve(args, "seed", int, 0, config)
-    shards = _resolve(args, "shards", int, 64, config)
-    workers = _resolve(args, "workers", int, 1, config)
+    shards = _resolve(args, "shards", int, MC_SHARDS_DEFAULT, config)
+    workers = _workers(args, config, shards)
     out_dir = Path(_resolve(args, "out-dir", str, ".", config))
     if samples < 1:
         print("error: samples must be >= 1", file=sys.stderr)
@@ -276,18 +284,16 @@ def cmd_ensemble(args) -> int:
     diagnostics = {"weight_ess": estimates[0].weight_ess} if estimates else {}
     for obs, est in zip(observables, estimates):
         diagnostics[f"numerator_ess.{obs}"] = est.numerator_ess
-    RunManifest(
-        command="ensemble",
-        parameters={"model": model, "N": n_spins, "beta": beta,
-                    "omega": "" if omega is None else omega, "eps": eps,
-                    "observable": ",".join(observables), "samples": samples,
-                    "shards": shards},
-        seed=seed, workers=workers, started=started, finished=utc_now(),
-        output_files=[csv_path.name],
-        timings={"sample_s": clock_sampled - clock_start,
-                 "write_csv_s": clock_written - clock_sampled},
-        diagnostics=diagnostics,
-    ).write(out_dir / "ensemble_manifest.json")
+    _manifest(
+        "ensemble",
+        {"model": model, "N": n_spins, "beta": beta,
+         "omega": "" if omega is None else omega, "eps": eps,
+         "observable": ",".join(observables), "samples": samples, "shards": shards},
+        seed, workers, started, [csv_path.name], out_dir, "ensemble",
+        {"sample_s": clock_sampled - clock_start,
+         "write_csv_s": clock_written - clock_sampled},
+        diagnostics,
+    )
     print(f"wrote {csv_path} ({len(rows)} rows)")
     return 0
 
@@ -317,16 +323,18 @@ def cmd_esm(args) -> int:
 def cmd_validate(args) -> int:
     config = _read_config(args.config)
     level = _resolve(args, "level", str, "fast", config)
+    # the suite's one Monte Carlo check runs the ensemble default of shards
+    workers = _workers(args, config, MC_SHARDS_DEFAULT)
     out_dir = Path(_resolve(args, "out-dir", str, ".", config))
     if level not in LEVELS:
         print(f"error: level must be one of {LEVELS}", file=sys.stderr)
         return 2
     started = utc_now()
-    results = run_validation(level)
+    results = run_validation(level, workers)
     for r in results:
         print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    _manifest("validate", {"level": level}, 0, 1, started, [], out_dir, "validate")
+    _manifest("validate", {"level": level}, 0, workers, started, [], out_dir, "validate")
     return 0 if all(r.ok for r in results) else 4
 
 

@@ -101,7 +101,7 @@ class EnsembleConfig:
     omega: float | None = None
     eps: float = 0.0
     seed: int = 0
-    workers: int = 1
+    workers: int | None = None  # None: every available core (parallel.resolve_workers)
     shards: int = SHARDS_DEFAULT
 
     def __post_init__(self) -> None:
@@ -128,7 +128,7 @@ class EnsembleConfig:
             raise InvalidParams(f"magnetized-fraction threshold must be in [0, 1], got {self.eps}")
         if self.seed < 0:
             raise InvalidParams(f"need seed >= 0, got {self.seed}")
-        if self.workers < 1 or self.shards < 1:
+        if (self.workers is not None and self.workers < 1) or self.shards < 1:
             raise InvalidParams("workers and shards must be >= 1")
 
 

@@ -231,7 +231,7 @@ def _scan_shard(shard: int, payload):
 
 
 def domain_scan(params: RateParams, n_samples: int, eta_schedule=ETA_DEFAULT,
-                seed: int = 0, shards: int = SHARDS_DEFAULT, workers: int = 1):
+                seed: int = 0, shards: int = SHARDS_DEFAULT, workers: int | None = None):
     """Sample the dual plane; returns columns (theta1, theta2, in_D, in_G, k).
 
     Row order is fixed by (seed, shards): shard blocks in shard order, draws
@@ -314,7 +314,7 @@ def _polish_minimum(params: RateParams, t1: float, t2: float, k0: float,
 
 
 def compute_I2(params: RateParams, n_samples: int, eta_schedule=ETA_DEFAULT,
-               seed: int = 0, shards: int = SHARDS_DEFAULT, workers: int = 1,
+               seed: int = 0, shards: int = SHARDS_DEFAULT, workers: int | None = None,
                polish: bool = True) -> RateCurvePoint:
     """Estimate I2 = inf k over G ∩ D; raises NoConstraintPoints if G is
     never hit at this budget.

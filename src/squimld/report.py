@@ -8,7 +8,15 @@ printed with str ("%s").  The rule is applied per column, once per table:
 a record array's columns take it from their dtype, a list of row tuples
 from the Python types of its cells.  Rows are formatted and written a
 block of CHUNK_ROWS at a time, so a table never sits in memory as text.
-Byte-identical CSVs are the determinism contract for repeated runs.
+With workers > 1, a record array of more than one block has its blocks
+formatted on the shared process pool of `parallel` (built on first use,
+reused by every later call, fork start method on Linux before Python 3.14
+and forkserver from 3.14; `_format_block` is module-level, so both work)
+and written in order, with at most parallel.TASKS_PER_WORKER x workers
+(2 x workers) blocks in flight, so the text held in memory stays bounded.
+A list of row tuples is always formatted in-process.  The bytes do not
+depend on the worker count; they are the determinism contract for
+repeated runs.
 
 The manifest is a flat JSON object with string keys and string values
 recording what produced the outputs and the estimator's diagnostics
@@ -24,10 +32,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
+
+from .parallel import ordered_map
 
 FLOAT_FMT = "%.17g"
 # Rows formatted and written per block; bounds the text held in memory.
@@ -82,29 +93,36 @@ def _row_format(path, header: list[str], rows) -> str:
     return ",".join(specs)
 
 
-def _block_cells(rows, start: int, stop: int) -> tuple:
-    """Rows start..stop-1 flattened row-major into one tuple of cells."""
-    if isinstance(rows, np.ndarray):
-        block = rows[start:stop]
-        cells = np.empty((len(block), len(rows.dtype.names)), dtype=object)
-        for j, name in enumerate(rows.dtype.names):
+def _format_block(line: str, block) -> str:
+    """One block of rows as CSV text: one `line` per row, a single % over
+    the block's cells flattened row-major."""
+    if isinstance(block, np.ndarray):
+        cells = np.empty((len(block), len(block.dtype.names)), dtype=object)
+        for j, name in enumerate(block.dtype.names):
             cells[:, j] = block[name]
-        return tuple(cells.ravel().tolist())
-    return tuple(chain.from_iterable(rows[start:stop]))
+        flat = tuple(cells.ravel().tolist())
+    else:
+        flat = tuple(chain.from_iterable(block))
+    return (line * len(block)) % flat
 
 
-def write_csv(path: str | Path, header: list[str], rows) -> None:
+def write_csv(path: str | Path, header: list[str], rows, workers: int = 1) -> None:
     """Write header and rows as CSV, CHUNK_ROWS rows per formatting call.
 
     rows is a list of row tuples or a record array with one field per
-    header column; len(rows) is the row count.
+    header column; len(rows) is the row count.  With workers > 1 the
+    blocks of a record array are formatted on the process pool; the bytes
+    written are the same for every worker count.
     """
     line = _row_format(path, header, rows) + "\n"
+    starts = range(0, len(rows), CHUNK_ROWS)
+    if not (isinstance(rows, np.ndarray) and len(starts) > 1):
+        workers = 1
+    blocks = (rows[start:start + CHUNK_ROWS] for start in starts)
     with open(path, "w", newline="\n") as out:
         out.write(",".join(header) + "\n")
-        for start in range(0, len(rows), CHUNK_ROWS):
-            stop = min(start + CHUNK_ROWS, len(rows))
-            out.write((line * (stop - start)) % _block_cells(rows, start, stop))
+        for text in ordered_map(partial(_format_block, line), blocks, workers):
+            out.write(text)
 
 
 def utc_now() -> str:

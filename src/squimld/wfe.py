@@ -18,12 +18,17 @@ line); the whole-line maximum delta*(4-3*omega)/(4*(omega-1)) is reported
 alongside because it coincides with the interval maximum whenever the
 vertex sqrt(delta)/(2r) lands inside [-1, 1].
 
-1 - 2*theta*A(x) is the quadratic 2*t1*x^2 - 2*t2*x + b of gecore at
-(t1, t2, b) = (theta*r, theta*sqrt(delta), 1 + 2*theta*delta), so p and
-its slope come in closed form from one call of gecore.q_kernel:
+1 - 2*theta*A(x) is b times the quadratic 2*t1*x^2 - 2*t2*x + 1 of gecore
+at (t1, t2) = (theta*r, theta*sqrt(delta))/b, b = 1 + 2*theta*delta, so p
+and its slope come in closed form from one call of gecore.q_kernel on that
+monic-constant quadratic q (J_m = Int x^m/q):
 
-    p(theta)  = -1/4 * Int log q,
-    p'(theta) = (Int 1/q - 2) / (4*theta),    p'(0) = -(r/3 + delta).
+    p(theta)  = -1/4 * (Int log q + 2*log1p(2*theta*delta)),
+    p'(theta) = 1/2 Int A/(b q) = -(r*J_2 - sqrt(delta)*J_1 + delta*J_0) / (2b),
+
+with p'(0) = -(r/3 + delta).  Keeping the constant term exactly 1 and
+taking the slope as a weighted moment, not (Int 1/(bq) - 2)/(4*theta), leaves
+no rounding of b and no cancellation at tiny theta.
 
 p is convex and p' runs from -inf to +inf across the admissible interval,
 so p*(y) = theta*y - p(theta) at the one root of p'(theta) = y, and
@@ -193,13 +198,18 @@ def _p_and_slope(theta: float, p: WfeParams) -> tuple[float, float]:
         )
     if theta == 0.0:
         return 0.0, -(p.r / 3.0 + p.delta)
-    ker = q_kernel(theta * p.r, theta * math.sqrt(p.delta), 1.0 + 2.0 * theta * p.delta)
+    b = 1.0 + 2.0 * theta * p.delta
+    sqrt_delta = math.sqrt(p.delta)
+    ker = q_kernel(theta * p.r / b, theta * sqrt_delta / b, 1.0)
     if not ker["ok"][0]:
         raise OutOfThetaRange(
-            f"min of 1 - 2 theta A = {ker['q_min'][0]:.3e} < {QMIN_STRICT} at "
+            f"min of (1 - 2 theta A)/b = {ker['q_min'][0]:.3e} < {QMIN_STRICT} at "
             f"theta={theta}, too close to the end of ({lo:.6g}, {hi:.6g})"
         )
-    return -0.25 * float(ker["lq"][0]), (float(ker["j"][0]) - 2.0) / (4.0 * theta)
+    j0, j1, j2, lq = (float(ker[key][0]) for key in ("j", "jy", "y2", "lq"))
+    p_val = -0.25 * (lq + 2.0 * math.log1p(2.0 * theta * p.delta))
+    slope = -(p.r * j2 - sqrt_delta * j1 + p.delta * j0) / (2.0 * b)
+    return p_val, slope
 
 
 def p_theta(theta: float, p: WfeParams) -> float:
@@ -424,7 +434,7 @@ def rare_event_rate_mc(
     replicas: int = 10**7,
     seed: int = 0,
     shards: int = 63,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> RareEventResult:
     """Tilted-measure estimate of P[sum b_n chi_n^2 >= 0] at finite N.
 

@@ -13,6 +13,8 @@ import math
 import pytest
 
 from squimld.cli import ENV_PREFIX, main
+from squimld.mc import SHARDS_DEFAULT as MC_SHARDS
+from squimld.parallel import available_cores, resolve_workers
 
 
 def run(argv):
@@ -227,6 +229,18 @@ def test_domain_scan_byte_identity_across_workers(tmp_path, capsys):
     assert (d1 / "domain_scan.csv").read_bytes() == (d2 / "domain_scan.csv").read_bytes()
 
 
+def test_domain_scan_default_workers_write_the_serial_bytes(tmp_path, capsys):
+    # 200,000 rows are more than one CSV block, so the default run formats
+    # them on the process pool wherever more than one core is available
+    args = ["domain-scan", "--samples", "200000", "--seed", "5"]
+    d0, d1 = tmp_path / "default", tmp_path / "w1"
+    assert run(args + ["--out-dir", str(d0)]) == 0
+    assert run(args + ["--workers", "1", "--out-dir", str(d1)]) == 0
+    capsys.readouterr()
+    assert (d0 / "domain_scan.csv").read_bytes() == (d1 / "domain_scan.csv").read_bytes()
+    assert json.loads(read(d1 / "domain_scan_manifest.json"))["workers"] == "1"
+
+
 def test_rate_curves_rows_and_empty_constraint_marker(tmp_path, capsys):
     assert (
         run(
@@ -278,3 +292,17 @@ def test_manifest_timestamps_and_version(tmp_path, capsys):
     assert man["code_version"]
     assert man["started"].endswith("Z") and man["finished"].endswith("Z")
     assert man["started"] <= man["finished"]
+
+
+@pytest.mark.parametrize("argv, stem, workers", [
+    (["esm"], "esm", 1),
+    (["wfe"], "wfe_transition", 1),
+    (["ensemble", "--samples", "2000"], "ensemble", resolve_workers(None, MC_SHARDS)),
+    (["ensemble", "--samples", "2000", "--workers", "1"], "ensemble", 1),
+])
+def test_manifest_records_resolved_workers_and_cores(tmp_path, capsys, argv, stem, workers):
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    man = json.loads(read(tmp_path / f"{stem}_manifest.json"))
+    assert man["workers"] == str(workers)
+    assert man["diag.available_cores"] == str(available_cores())

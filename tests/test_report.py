@@ -13,7 +13,8 @@ import pytest
 
 from squimld.cli import main
 from squimld.gecore import RateParams
-from squimld.ratecurves import domain_scan
+from squimld.parallel import available_cores, resolve_workers
+from squimld.ratecurves import SHARDS_DEFAULT, domain_scan
 from squimld.report import CHUNK_ROWS, RunManifest, write_csv
 
 
@@ -96,6 +97,24 @@ def test_block_edges_match_line_by_line_reference(tmp_path, n_rows):
     assert written(list_path) == expected
 
 
+def test_pooled_blocks_write_the_serial_bytes(tmp_path):
+    # 3.5 blocks: three full ones and a partial last block
+    n_rows = 3 * CHUNK_ROWS + CHUNK_ROWS // 2
+    rng = np.random.default_rng(35)
+    a = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+    a[::101] = np.inf
+    a[7::211] = -np.inf
+    flag = rng.random(n_rows) < 0.5
+    k = rng.standard_normal(n_rows)
+    k[::97] = np.nan
+    rows = np.rec.fromarrays([a, flag, k])
+    expected = reference_text(a, flag, k)
+    for workers in (1, 2, 3):
+        path = tmp_path / f"w{workers}.csv"
+        write_csv(path, ["a", "flag", "k"], rows, workers)
+        assert written(path) == expected
+
+
 def test_row_width_mismatch_names_the_path(tmp_path):
     path = tmp_path / "short.csv"
     with pytest.raises(ValueError, match="row width 1 != header width 2") as err:
@@ -139,6 +158,9 @@ def test_domain_scan_manifest_records_stage_times(tmp_path, capsys):
     man = json.loads((tmp_path / "domain_scan_manifest.json").read_text())
     for key in ("command", "seed", "workers", "param.samples", "output.0", "output.1"):
         assert key in man
+    # the resolved worker count, never the unset default
+    assert man["workers"] == str(resolve_workers(None, SHARDS_DEFAULT))
+    assert man["diag.available_cores"] == str(available_cores())
     assert float(man["time.scan_s"]) >= 0.0
     assert float(man["time.write_csv_s"]) >= 0.0
 

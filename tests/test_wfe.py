@@ -38,6 +38,7 @@ from squimld.parallel import shard_rng
 from squimld.wfe import (
     RARE_BLOCK_WORDS,
     _chi2_pair_block,
+    _p_and_slope,
     _pair_coefficients,
     a_extremes,
     a_of_x,
@@ -65,6 +66,15 @@ def p_theta_quad(theta: float, p: WfeParams, epsabs: float = 1e-13) -> float:
         -1.0, 1.0, points=pts, limit=200, epsabs=epsabs, epsrel=1e-13,
     )
     return -0.25 * val
+
+
+def slope_quad(theta: float, p: WfeParams) -> float:
+    """p'(theta) = 1/2 Int A/(1 - 2 theta A) by adaptive quadrature."""
+    val, _err = quad(
+        lambda x: a_of_x(x, p) / (1.0 - 2.0 * theta * a_of_x(x, p)),
+        -1.0, 1.0, limit=200, epsabs=0.0, epsrel=1e-13,
+    )
+    return 0.5 * val
 
 
 def test_admissibility_bound_value():
@@ -154,12 +164,19 @@ def test_p_theta_matches_quadrature():
 @pytest.mark.parametrize("theta", [1e-12, 1e-11, 1e-10, 5e-10])
 def test_p_theta_near_zero_keeps_the_quadratic_term(theta):
     # theta * r <= T1_AFFINE_TOL puts these on the kernel's affine branch,
-    # where dropping the 2*theta*r*y^2 term of q cost 36 % of p.  The
-    # absolute floor is the rounding of b = 1 + 2*theta*delta to a double
-    # before the kernel sees it: up to 2^-53 in b, so ~2^-54 in p.
+    # where dropping the 2*theta*r*y^2 term of q cost 36 % of p.
     assert theta * P12.r <= 1e-10
     ref = p_theta_quad(theta, P12, epsabs=0.0)
     assert p_theta(theta, P12) == pytest.approx(ref, rel=1e-6, abs=1e-16)
+
+
+@pytest.mark.parametrize("theta", [1e-12, 1e-11])
+def test_p_and_slope_keep_full_relative_precision_near_zero(theta):
+    # p and p' are O(theta) here: rounding b = 1 + 2 theta delta before the
+    # kernel, or forming p' as (Int 1/q - 2)/(4 theta), costs ~1e-4 of them
+    p_val, slope = _p_and_slope(theta, P12)
+    assert p_val == pytest.approx(p_theta_quad(theta, P12, epsabs=0.0), rel=1e-12, abs=0.0)
+    assert slope == pytest.approx(slope_quad(theta, P12), rel=1e-12, abs=0.0)
 
 
 def test_p_theta_is_convex_on_probes():
