@@ -39,10 +39,8 @@ from .ratecurves import (
     biased_sample,
     classify_theorem_two,
     compute_I1,
-    compute_I1_detail,
     compute_I2,
     domain_scan,
-    sample_domain_point,
 )
 from .wfe import (
     PStarResult,

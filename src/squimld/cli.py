@@ -54,7 +54,7 @@ from .report import (
     write_text,
 )
 from .validate import LEVELS, run_validation
-from .wfe import WfeParams, beta_critical, check_hypotheses
+from .wfe import WfeParams, beta_critical, check_hypotheses, r_of_omega
 
 ENV_PREFIX = "SQUIMLD_"
 
@@ -218,13 +218,13 @@ def cmd_wfe(args) -> int:
     out_dir = Path(_resolve(args, "out-dir", str, ".", config))
     started = utc_now()
     ok = check_hypotheses(omega, eps, delta)
+    r = r_of_omega(omega)
     if ok:
         p = WfeParams(omega=omega, eps=eps, delta=delta)
         res, beta_c = beta_critical(p)
-        row = (omega, eps, p.r, p.delta, res.p_star_inf, res.y_at_inf, beta_c, 1)
+        row = (omega, eps, r, p.delta, res.p_star_inf, res.y_at_inf, beta_c, 1)
     else:
         d = eps if delta is None else delta
-        r = d / eps**2 if eps > 0 else math.nan
         row = (omega, eps, r, d, math.nan, math.nan, math.nan, 0)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "wfe_transition.csv"

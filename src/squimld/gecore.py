@@ -55,6 +55,8 @@ QMIN_STRICT = 1e-12
 T1_AFFINE_TOL = 1e-10
 # |disc| at or below this routes to the double-root limiting form.
 DISC_TIE_TOL = 1e-10
+# solve_Q_detail stops bisecting once |H| at the midpoint falls below this.
+Q_H_TOL = 1e-12
 # |2*t2/b| below this switches the affine branch to power series in u = 2*t2/b.
 # At the crossover the u^8 truncation error is ~1e-17 while the closed forms
 # already lose ~1e-11 to log cancellation, so the series side is the safe one.
@@ -574,7 +576,7 @@ def H_value(theta1: float, x: float) -> float:
     return float(-1.0 + 0.5 * j)
 
 
-def solve_Q_detail(x: float, h_tol: float = 1e-12) -> QRoot:
+def solve_Q_detail(x: float) -> QRoot:
     """Second zero of H on (P, 0) by bisection in log t.
 
     H(t) -> +inf as t -> 0+ (the P end) and approaches 0 from below as
@@ -604,7 +606,7 @@ def solve_Q_detail(x: float, h_tol: float = 1e-12) -> QRoot:
     for _ in range(300):
         mid = 0.5 * (lo + hi)
         fmid = float(axis_h_t(np.exp(mid), x))
-        if abs(fmid) < h_tol:
+        if abs(fmid) < Q_H_TOL:
             break
         if fmid > 0.0:
             lo = mid

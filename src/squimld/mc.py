@@ -50,7 +50,8 @@ Estimator plumbing shared by all models:
   * ratio of weighted sums with a delta-method standard error,
         SE^2 = (sum w^2 (F - R)^2) / (sum w)^2;
   * per-shard partial sums carry their own max-shift and are merged in
-    fixed shard order with a running rescale, so results are bit-identical
+    fixed shard order by parallel.fold_shifted, the one max-shift merge
+    (also used chunk by chunk inside a shard), so results are bit-identical
     for any worker count and invariant under adding a constant to f;
   * an effective-sample-size guard on the weight sums: below ESS_MIN the
     estimate is refused rather than reported, because collapsed weights
@@ -79,7 +80,7 @@ import numpy as np
 from .ensembles import (FULL_N_MAX, OBSERVABLE_FORMULAS, OBSERVABLES, chain_tables,
                         g_values, log_binomials, spin_moments, wfe_exponent)
 from .errors import DegenerateWeights, InvalidParams
-from .parallel import map_shards, shard_rng, split_counts
+from .parallel import fold_shifted, map_shards, shard_rng, split_counts
 
 MODELS = ("SQUIM_d1", "SCWM", "SCWM_WFE", "SCWM_ENTROPY")
 
@@ -223,27 +224,6 @@ def _draw(rng: np.random.Generator, rows: int, prop: dict, shift: float) -> tupl
     return m, d, -(v + shift) + cells * np.log1p(v)
 
 
-def _fold(acc: tuple, part: tuple) -> tuple:
-    """acc + part, each (max_logw, first, second) at its own max-shift.
-
-    The sum is taken at the larger shift: first-order sums rescale by r,
-    second-order sums by r^2.
-    """
-    run_max, first, second = acc
-    p_max, p_first, p_second = part
-    if p_max == -np.inf:
-        return acc
-    new_max = max(run_max, p_max)
-    if run_max > -np.inf and new_max != run_max:
-        r = math.exp(run_max - new_max)
-        first *= r
-        second *= r * r
-    rs = math.exp(p_max - new_max)
-    first += p_first * rs
-    second += p_second * rs * rs
-    return new_max, first, second
-
-
 def _shard_partials(shard: int, payload: dict) -> tuple:
     """(max_logw, first, second) for one shard, self-shifted.
 
@@ -264,7 +244,7 @@ def _shard_partials(shard: int, payload: dict) -> tuple:
         chunk_max = max(acc[0], float(np.max(logw)))
         w = np.exp(logw - chunk_max)
         wsq = w * w
-        acc = _fold(acc, (
+        acc = fold_shifted(acc, (
             chunk_max,
             np.array([np.sum(w), *(w @ f for f in fvals)]),
             np.array([np.sum(wsq), *(wsq @ (f * f) for f in fvals), *(wsq @ f for f in fvals)]),
@@ -296,7 +276,7 @@ def thermal_averages(cfg: EnsembleConfig, observables: Sequence[str],
         "energy_shift": energy_shift,
     }
     parts = map_shards(_shard_partials, payload, cfg.shards, cfg.workers)
-    _, first, second = reduce(_fold, parts)
+    _, first, second = reduce(fold_shifted, parts)
     k = len(observables)
     t0, *t1s = first.tolist()
     t2, *t1sqs = second[:k + 1].tolist()

@@ -32,10 +32,15 @@ which is why the start method is not forced to spawn.
 
 Worker functions must be module-level callables (picklable) taking
 (shard_index, payload) and returning a picklable result.
+
+Weighted sums of exp(logw) are carried as max-shifted partials and merged
+by `fold_shifted`, the one such merge: inside a shard block by block, and
+across shards in shard order.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -64,6 +69,29 @@ def split_counts(total: int, shards: int) -> list[int]:
     """Partition a sample budget over shards, earlier shards taking the rest."""
     base, rem = divmod(int(total), int(shards))
     return [base + (1 if s < rem else 0) for s in range(shards)]
+
+
+def fold_shifted(acc: tuple, part: tuple) -> tuple:
+    """acc + part, each (max, first, second) at its own max-shift.
+
+    first holds sums of w = exp(logw - max), second sums of w^2.  The sum
+    is taken at the larger shift: first-order sums rescale by r, second-order
+    sums by r^2.  A part whose max is -inf holds no weight and changes
+    nothing.  Sums may be floats or arrays; acc's arrays are updated in place.
+    """
+    run_max, first, second = acc
+    p_max, p_first, p_second = part
+    if p_max == -math.inf:
+        return acc
+    new_max = max(run_max, p_max)
+    if run_max > -math.inf and new_max != run_max:
+        r = math.exp(run_max - new_max)
+        first *= r
+        second *= r * r
+    rs = math.exp(p_max - new_max)
+    first += p_first * rs
+    second += p_second * rs * rs
+    return new_max, first, second
 
 
 def available_cores() -> int:

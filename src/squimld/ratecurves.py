@@ -6,12 +6,14 @@ integrand k over the domain D:
     I2(x) = inf { k(theta) : theta in G ∩ D },
     I1(x) = inf { k(theta1, 0) : theta1 in (P, Q], i.e. H(theta1) >= 0 },
 
-where G = {dc/dtheta1 <= 0 and dc/dtheta2 >= 0}.  I1 lives on a segment of
-the axis and is solved by golden section in the stretched t coordinate (the
-segment is exponentially thin in theta1 for small x, far below float spacing,
-so theta1 itself is useless as a search variable).  I2 has no usable closed
-form; it is estimated by the minimum of k over samples of G ∩ D plus a local
-Nelder-Mead polish, since a bare min-of-samples is biased upward.
+where G = {dc/dtheta1 <= 0 and dc/dtheta2 >= 0}.  I1 needs no search: on
+the axis dk/dtheta1 = theta1 * d^2c/dtheta1^2 < 0 for theta1 < 0, so k
+decreases along (P, Q] and its infimum is k(Q), read off in the stretched t
+coordinate at the root t_Q of H (the segment is exponentially thin in theta1
+for small x, far below float spacing, so theta1 itself is useless there).
+For x >= 2/3, k falls to 0 toward the origin, so I1 = 0.  I2 has no usable
+closed form; it is estimated by the minimum of k over samples of G ∩ D plus
+a local Nelder-Mead polish, since a bare min-of-samples is biased upward.
 
 Sampling of D follows a two-stage scheme: pick a ray slope alpha through the
 left vertex P of D, pick theta1, set theta2 = alpha*(theta1 + 1/(2x)), and
@@ -23,7 +25,8 @@ concentrate samples near the interesting corners; density and CDF are kept in
 log space so large tilt rates stay finite.
 
 Shard determinism follows the parallel module: every sampled number is a
-function of (seed, shard index) only.
+function of (seed, shard index) only.  Both shard workers, the scan's and
+I2's, draw through `_shard_draw`.
 """
 
 from __future__ import annotations
@@ -36,16 +39,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import minimize as _nm_minimize
 
 from .errors import InsufficientCurve, InvalidParams, NoConstraintPoints
-from .gecore import (
-    QMIN_STRICT,
-    RateParams,
-    ThetaPair,
-    _pieces_arr,
-    axis_k_t,
-    domain_tests_arr,
-    solve_Q_detail,
-)
-from .minimize import golden_section_min
+from .gecore import RateParams, _pieces_arr, axis_k_t, solve_Q_detail
 from .parallel import map_shards, shard_rng, split_counts
 
 # Default tilt schedule for D sampling; 0 is the plain uniform pass.
@@ -165,36 +159,15 @@ def biased_cdf(iv: BiasedInterval, s):
 # ---------------------------------------------------------------------------
 
 
-def _domain_intervals(params: RateParams, eta_alpha: float, eta_theta: float,
-                      dir_alpha: str, dir_theta: str) -> tuple[BiasedInterval, BiasedInterval]:
-    x, eps = params.x, params.eps
-    iv_alpha = BiasedInterval(-x / (1.0 + eps), x / (1.0 - eps), eta_alpha, dir_alpha)
-    iv_theta = BiasedInterval(-1.0 / (2.0 * x), 5.0 / (1.0 - x), eta_theta, dir_theta)
-    return iv_alpha, iv_theta
-
-
-def sample_domain_point(params: RateParams, eta_alpha: float, eta_theta: float,
-                        u1: float, u2: float, dir_alpha: str = "TowardB",
-                        dir_theta: str = "TowardA") -> ThetaPair | None:
-    """One attempt of the ray scheme; None is a rejection, not an error."""
-    iv_alpha, iv_theta = _domain_intervals(params, eta_alpha, eta_theta,
-                                           dir_alpha, dir_theta)
-    alpha = float(biased_sample(iv_alpha, u1))
-    theta1 = float(biased_sample(iv_theta, u2))
-    theta2 = alpha * (theta1 + 1.0 / (2.0 * params.x))
-    ok, _ = domain_tests_arr(params, theta1, theta2)
-    if not bool(ok):
-        return None
-    return ThetaPair(theta1, theta2)
-
-
 def _draw_batch(params: RateParams, rng, n: int, combo):
     """Vector draw of n ray-scheme points under one (eta, direction) combo."""
     eta, dir_alpha, dir_theta = combo
-    iv_alpha, iv_theta = _domain_intervals(params, eta, eta, dir_alpha, dir_theta)
+    x, eps = params.x, params.eps
+    iv_alpha = BiasedInterval(-x / (1.0 + eps), x / (1.0 - eps), eta, dir_alpha)
+    iv_theta = BiasedInterval(-1.0 / (2.0 * x), 5.0 / (1.0 - x), eta, dir_theta)
     alpha = biased_sample(iv_alpha, rng.random(n))
     theta1 = biased_sample(iv_theta, rng.random(n))
-    theta2 = alpha * (theta1 + 1.0 / (2.0 * params.x))
+    theta2 = alpha * (theta1 + 1.0 / (2.0 * x))
     return theta1, theta2
 
 
@@ -219,14 +192,21 @@ def _in_G(pieces):
     return pieces["ok"] & (pieces["grad1"] <= 0.0) & (pieces["grad2"] >= 0.0)
 
 
+def _shard_draw(shard: int, payload):
+    """(theta1, theta2, kernel pieces) of one shard's ray-scheme draws.
+
+    payload is (params, per-shard counts, seed, combos); shard s draws its
+    count from the (seed, s) stream under combo s mod len(combos).
+    """
+    params, counts, seed, combos = payload
+    rng = shard_rng(seed, shard)
+    theta1, theta2 = _draw_batch(params, rng, counts[shard], combos[shard % len(combos)])
+    return theta1, theta2, _pieces_arr(params, theta1, theta2)
+
+
 def _scan_shard(shard: int, payload):
     """Worker: sample one shard and return raw columns for the scan CSV."""
-    params, counts, seed, combos = payload
-    n = counts[shard]
-    rng = shard_rng(seed, shard)
-    combo = combos[shard % len(combos)]
-    theta1, theta2 = _draw_batch(params, rng, n, combo)
-    pieces = _pieces_arr(params, theta1, theta2)
+    theta1, theta2, pieces = _shard_draw(shard, payload)
     return theta1, theta2, pieces["in_D"], _in_G(pieces), pieces["k"]
 
 
@@ -259,12 +239,7 @@ def _i2_shard(shard: int, payload):
     Returns (n_in_D, n_in_G, k_min, theta1_at_min, theta2_at_min); k_min is
     +inf when the shard never hits G.
     """
-    params, counts, seed, combos = payload
-    n = counts[shard]
-    rng = shard_rng(seed, shard)
-    combo = combos[shard % len(combos)]
-    theta1, theta2 = _draw_batch(params, rng, n, combo)
-    pieces = _pieces_arr(params, theta1, theta2)
+    theta1, theta2, pieces = _shard_draw(shard, payload)
     n_d = int(np.count_nonzero(pieces["in_D"]))
     g_mask = _in_G(pieces)
     n_g = int(np.count_nonzero(g_mask))
@@ -283,11 +258,10 @@ def _i2_shard(shard: int, payload):
 QMIN_POLISH = 1e-10
 
 
-def _k_if_feasible(params: RateParams, t1: float, t2: float,
-                   qmin_gate: float = QMIN_STRICT) -> float:
-    """k(theta) on G ∩ D, else a large barrier (for the local polish)."""
+def _k_if_feasible(params: RateParams, t1: float, t2: float) -> float:
+    """k(theta) on G ∩ D with q_min >= QMIN_POLISH, else a large barrier."""
     pieces = _pieces_arr(params, t1, t2)
-    if not (pieces["q_min"][0] >= qmin_gate and _in_G(pieces)[0]):
+    if not (pieces["q_min"][0] >= QMIN_POLISH and _in_G(pieces)[0]):
         return 1e6 + t1 * t1 + t2 * t2
     return float(pieces["k"][0])
 
@@ -302,7 +276,7 @@ def _polish_minimum(params: RateParams, t1: float, t2: float, k0: float,
     candidate below it is numerical noise, not an improvement).
     """
     res = _nm_minimize(
-        lambda th: _k_if_feasible(params, th[0], th[1], QMIN_POLISH),
+        lambda th: _k_if_feasible(params, th[0], th[1]),
         x0=np.array([t1, t2]),
         method="Nelder-Mead",
         options={"xatol": 1e-12, "fatol": 1e-12, "maxiter": 600},
@@ -314,8 +288,8 @@ def _polish_minimum(params: RateParams, t1: float, t2: float, k0: float,
 
 
 def compute_I2(params: RateParams, n_samples: int, eta_schedule=ETA_DEFAULT,
-               seed: int = 0, shards: int = SHARDS_DEFAULT, workers: int | None = None,
-               polish: bool = True) -> RateCurvePoint:
+               seed: int = 0, shards: int = SHARDS_DEFAULT,
+               workers: int | None = None) -> RateCurvePoint:
     """Estimate I2 = inf k over G ∩ D; raises NoConstraintPoints if G is
     never hit at this budget.
 
@@ -347,10 +321,9 @@ def compute_I2(params: RateParams, n_samples: int, eta_schedule=ETA_DEFAULT,
     else:
         band = math.inf
     i1 = compute_I1(params)
-    if polish:
-        k_min, theta_min = _polish_minimum(
-            params, theta_min[0], theta_min[1], k_min, floor=i1 - 1e-9
-        )
+    k_min, theta_min = _polish_minimum(
+        params, theta_min[0], theta_min[1], k_min, floor=i1 - 1e-9
+    )
     if i1 - 1e-9 <= k_min < i1:
         # Subset inclusion forces I2 >= I1 exactly; a dip this small is
         # roundoff between two independent minimizations, so project it out.
@@ -366,34 +339,17 @@ def compute_I2(params: RateParams, n_samples: int, eta_schedule=ETA_DEFAULT,
     )
 
 
-def compute_I1_detail(params: RateParams) -> tuple[float, float, float]:
-    """(I1, t at the minimum, raw golden-section minimum of k on the segment).
+def compute_I1(params: RateParams) -> float:
+    """I1 = inf k(theta1, 0) over the axis constraint segment.
 
-    The constraint segment on the axis is {H >= 0} = (P, Q] for x < 2/3 and
-    the whole axis piece of D for x >= 2/3 (H stays positive, approaching 0
-    at the origin end).  k decreases along the segment, so the golden search
-    lands on the right end; for x >= 2/3 the exact value 0 is returned while
-    the raw search result (which should be <= 1e-8) is reported alongside.
+    The segment is {H >= 0} = (P, Q] for x < 2/3, and k decreases along it,
+    so I1 = k(Q).  For x >= 2/3 it is the whole axis piece of D, over which
+    k falls to 0 at the origin end, so I1 = 0.
     """
     x = params.x
     if x >= 2.0 / 3.0:
-        t_lo, t_hi = 1e-6, 1e9
-        tmin, kmin = golden_section_min(
-            lambda u: float(axis_k_t(math.exp(u), x)),
-            math.log(t_lo), math.log(t_hi), tol=1e-13,
-        )
-        return 0.0, math.exp(tmin), kmin
-    t_q = solve_Q_detail(x).t
-    tmin, kmin = golden_section_min(
-        lambda u: float(axis_k_t(math.exp(u), x)),
-        math.log(t_q) - 7.0, math.log(t_q), tol=1e-13,
-    )
-    return max(kmin, 0.0), math.exp(tmin), kmin
-
-
-def compute_I1(params: RateParams) -> float:
-    """I1 = inf k(theta1, 0) over the axis constraint segment; 0 for x >= 2/3."""
-    return compute_I1_detail(params)[0]
+        return 0.0
+    return max(float(axis_k_t(solve_Q_detail(x).t, x)), 0.0)
 
 
 # ---------------------------------------------------------------------------

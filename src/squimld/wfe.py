@@ -69,13 +69,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import HypothesisViolation, InvalidParams, OutOfThetaRange
 from .gecore import QMIN_STRICT, q_kernel
-from .parallel import map_shards, shard_rng, split_counts
+from .parallel import fold_shifted, map_shards, shard_rng, split_counts
 
 # Philox words per block of the rare-event sampler (256 kB of uint64).  A
 # block and its work arrays take ~3x that, which stays in a core's L2; on a
@@ -83,11 +84,18 @@ from .parallel import map_shards, shard_rng, split_counts
 # 2^16 words and 1.8x at 2^17, and 1.13x slower at 2^14, where the
 # per-block overhead starts to show
 RARE_BLOCK_WORDS = 1 << 15
+# Bisection stops solve_tilt once the bracket is this fraction of its start
+TILT_RTOL = 1e-12
+
+
+def r_of_omega(omega: float) -> float:
+    """r = (omega - 1)/omega, the curvature of A; NaN at omega = 0."""
+    return (omega - 1.0) / omega if omega != 0.0 else math.nan
 
 
 def admissibility_bound(omega: float) -> float:
     """Largest eps compatible with omega: (1/4)*(1 + sqrt(1 - 4r))^2."""
-    r = (omega - 1.0) / omega
+    r = r_of_omega(omega)
     return 0.25 * (1.0 + math.sqrt(1.0 - 4.0 * r)) ** 2
 
 
@@ -125,7 +133,7 @@ class WfeParams:
             raise HypothesisViolation(
                 f"omega must be in (1, 4/3), got {self.omega}"
             )
-        r = (self.omega - 1.0) / self.omega
+        r = r_of_omega(self.omega)
         object.__setattr__(self, "r", r)
         if not (0.0 < self.eps < admissibility_bound(self.omega)):
             raise HypothesisViolation(
@@ -312,7 +320,7 @@ def psi_weighted(b: np.ndarray, t: float) -> float:
     return float(-0.5 * np.sum(np.log1p(-2.0 * t * b)))
 
 
-def solve_tilt(b: np.ndarray, tol: float = 1e-12) -> float:
+def solve_tilt(b: np.ndarray) -> float:
     """Root of psi'(t) = sum b_n/(1 - 2 t b_n) on (0, 1/(2 max b)).
 
     psi'(0) = sum b < 0 in our regime and psi' -> +inf at the right end,
@@ -333,7 +341,7 @@ def solve_tilt(b: np.ndarray, tol: float = 1e-12) -> float:
     while dpsi(hi_in) <= 0.0:
         hi_in = (hi_in + hi) / 2.0
     lo_in = 0.0
-    while hi_in - lo_in > tol * hi:
+    while hi_in - lo_in > TILT_RTOL * hi:
         mid = 0.5 * (lo_in + hi_in)
         if dpsi(mid) < 0.0:
             lo_in = mid
@@ -388,13 +396,14 @@ def _chi2_pair_block(bitgen, rows: int, a_odd: np.ndarray, a_diff: np.ndarray) -
     return r2 @ a_odd + x @ a_diff
 
 
-def _rare_event_shard(shard: int, payload) -> tuple[float, float, float, int, int]:
-    """(max exp-arg, scaled sum of w, scaled sum of w^2, hits, replicas).
+def _rare_event_shard(shard: int, payload) -> tuple[tuple[float, float, float], int]:
+    """((max exp-arg, scaled sum of w, scaled sum of w^2), hits).
 
     w = exp(-t* T) over hits, scaled by exp(-max exp-arg) (and its square
-    for w^2).  Replicas run in blocks of RARE_BLOCK_WORDS Philox words, so
-    the dozen elementwise passes _chi2_pair_block makes over a block run
-    from cache; the cost is then mostly the raw words, the log and the cos.  T is float32: a 1e-2
+    for w^2); blocks fold in through parallel.fold_shifted.  Replicas run in
+    blocks of RARE_BLOCK_WORDS Philox words, so the dozen elementwise passes
+    _chi2_pair_block makes over a block run from cache; the cost is then
+    mostly the raw words, the log and the cos.  T is float32: a 1e-2
     absolute error on t*T moves log P by far less than the +-25 percent
     acceptance band.
     """
@@ -402,30 +411,20 @@ def _rare_event_shard(shard: int, payload) -> tuple[float, float, float, int, in
     n = counts[shard]
     bitgen = shard_rng(seed, shard).bit_generator
     rows = max(1, RARE_BLOCK_WORDS // a_odd.shape[0])
-    m = -np.inf
-    s = 0.0
-    s2 = 0.0
+    acc = (-math.inf, 0.0, 0.0)
     hits = 0
-    done = 0
-    while done < n:
-        nb = min(rows, n - done)
-        t_vals = _chi2_pair_block(bitgen, nb, a_odd, a_diff)
+    for done in range(0, n, rows):
+        t_vals = _chi2_pair_block(bitgen, min(rows, n - done), a_odd, a_diff)
         pos = t_vals[t_vals >= 0.0].astype(np.float64)
-        done += nb
         if pos.size == 0:
             continue
         hits += int(pos.size)
         args = -tilt * pos
-        batch_max = float(args.max())
-        if batch_max > m:
-            shift = math.exp(m - batch_max)
-            s *= shift
-            s2 *= shift * shift
-            m = batch_max
-        w = np.exp(args - m)
-        s += float(np.sum(w))
-        s2 += float(np.sum(w * w))
-    return m, s, s2, hits, n
+        # sums taken at the running max fold in with a unit rescale
+        block_max = max(acc[0], float(args.max()))
+        w = np.exp(args - block_max)
+        acc = fold_shifted(acc, (block_max, float(np.sum(w)), float(np.sum(w * w))))
+    return acc, hits
 
 
 def rare_event_rate_mc(
@@ -439,9 +438,9 @@ def rare_event_rate_mc(
     """Tilted-measure estimate of P[sum b_n chi_n^2 >= 0] at finite N.
 
     log P-hat = psi(t*) + logsumexp over hits of (-t* T_i) - log(replicas);
-    the per-shard pieces are merged in shard order with a running max
-    shift, so the result is identical for any worker count.  With w_i =
-    exp(-t* T_i) on hits and 0 otherwise, the relative variance of P-hat is
+    the per-shard pieces are merged in shard order by parallel.fold_shifted,
+    so the result is identical for any worker count.  With w_i = exp(-t* T_i)
+    on hits and 0 otherwise, the relative variance of P-hat is
     sum w^2 / (sum w)^2 - 1/replicas, whose square root is std_error.
     """
     if replicas < 1:
@@ -455,22 +454,8 @@ def rare_event_rate_mc(
     parts = map_shards(
         _rare_event_shard, (a_odd, a_diff, tilt, counts, seed), shards, workers
     )
-    m = -np.inf
-    s = 0.0
-    s2 = 0.0
-    hits = 0
-    for pm, ps, ps2, ph, _pn in parts:
-        if ph == 0:
-            continue
-        hits += ph
-        if pm > m:
-            shift = math.exp(m - pm)
-            s *= shift
-            s2 *= shift * shift
-            m = pm
-        shift = math.exp(pm - m)
-        s += ps * shift
-        s2 += ps2 * shift * shift
+    m, s, s2 = reduce(fold_shifted, (part[0] for part in parts), (-math.inf, 0.0, 0.0))
+    hits = sum(part[1] for part in parts)
     if hits == 0:
         raise InvalidParams(
             f"no replicas hit the event in {replicas} draws; "

@@ -81,6 +81,20 @@ def test_wfe_failed_hypotheses_row_not_error(tmp_path, capsys):
     assert cols[4] == "nan" and cols[6] == "nan"
 
 
+@pytest.mark.parametrize("omega, r", [(1.2, 1.0 / 6.0), (1.5, 1.0 / 3.0), (0.0, math.nan)])
+def test_wfe_r_is_the_model_r_in_both_rows(tmp_path, capsys, omega, r):
+    # r = (omega - 1)/omega whether or not the hypotheses hold; NaN at omega = 0
+    argv = ["wfe", "--omega", repr(omega), "--eps", "0.1", "--out-dir", str(tmp_path)]
+    assert run(argv) == 0
+    capsys.readouterr()
+    cols = read(tmp_path / "wfe_transition.csv").splitlines()[1].split(",")
+    assert cols[7] == ("1" if omega == 1.2 else "0")
+    if math.isnan(r):
+        assert cols[2] == "nan"
+    else:
+        assert float(cols[2]) == pytest.approx(r, rel=1e-15)
+
+
 def test_ensemble_csv_schema_and_float_round_trip(tmp_path, capsys):
     assert (
         run(

@@ -3,18 +3,22 @@
 The pool is an execution detail: every result must equal the in-process
 one, and consecutive maps must share one executor instead of starting
 their worker processes again.  The mapped functions are stdlib or squimld
-callables, so they pickle by reference under any start method.
+callables, so they pickle by reference under any start method.  The
+max-shift fold is checked against scipy's logsumexp.
 """
 
 import operator
 from concurrent.futures import ProcessPoolExecutor
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from squimld import parallel
 from squimld.gecore import RateParams
-from squimld.parallel import map_shards, process_pool, resolve_workers
+from squimld.parallel import fold_shifted, map_shards, process_pool, resolve_workers
 from squimld.ratecurves import domain_scan
 from squimld.wfe import WfeParams, rare_event_rate_mc
 
@@ -78,3 +82,49 @@ def test_default_workers_match_in_process_run():
     assert rare_event_rate_mc(wfe, n_sites=40, replicas=20_000, seed=3) == rare_event_rate_mc(
         wfe, n_sites=40, replicas=20_000, seed=3, workers=1
     )
+
+
+def _shifted_part(logw, f):
+    """(max, [sum w, sum w f], [sum w^2, sum w^2 f]) with w = exp(logw - max)."""
+    m = float(logw.max())
+    w = np.exp(logw - m)
+    return m, np.array([w.sum(), w @ f]), np.array([(w * w).sum(), (w * w) @ f])
+
+
+def test_fold_ignores_a_part_without_weight():
+    acc = (3.0, np.array([2.0, 5.0]), np.array([1.5, 4.0]))
+    empty = (-math.inf, np.zeros(2), np.zeros(2))
+    m, first, second = fold_shifted(acc, empty)
+    assert m == 3.0
+    assert first.tolist() == [2.0, 5.0] and second.tolist() == [1.5, 4.0]
+    # an empty start takes the first part's sums at their own shift
+    m, first, second = fold_shifted((-math.inf, 0.0, 0.0), (7.0, 2.5, 1.25))
+    assert (m, first, second) == (7.0, 2.5, 1.25)
+    assert fold_shifted((-math.inf, 0.0, 0.0), (-math.inf, 0.0, 0.0)) == (-math.inf, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fold_matches_logsumexp_over_widely_spread_parts(seed):
+    rng = np.random.default_rng(seed)
+    logws, fs = [], []
+    for centre in rng.uniform(-600.0, 600.0, size=12):
+        logws.append(centre + rng.normal(0.0, 3.0, size=int(rng.integers(1, 40))))
+        fs.append(rng.uniform(0.5, 2.0, size=logws[-1].size))
+    parts = [_shifted_part(lw, f) for lw, f in zip(logws, fs)]
+    m, first, second = (-math.inf, np.zeros(2), np.zeros(2))
+    for part in parts:
+        m, first, second = fold_shifted((m, first, second), part)
+    logw, f = np.concatenate(logws), np.concatenate(fs)
+    assert m == logw.max()
+    # first-order sums carry the shift once, second-order sums twice
+    assert m + math.log(first[0]) == pytest.approx(logsumexp(logw), rel=1e-12)
+    assert m + math.log(first[1]) == pytest.approx(logsumexp(logw, b=f), rel=1e-12)
+    assert 2 * m + math.log(second[0]) == pytest.approx(logsumexp(2 * logw), rel=1e-12)
+    assert 2 * m + math.log(second[1]) == pytest.approx(logsumexp(2 * logw, b=f), rel=1e-12)
+    # float sums, as the rare-event sampler carries them, fold the same way
+    scalar = (-math.inf, 0.0, 0.0)
+    for pm, pf, ps in parts:
+        scalar = fold_shifted(scalar, (pm, float(pf[0]), float(ps[0])))
+    assert scalar[0] == m
+    assert scalar[1] == pytest.approx(first[0], rel=1e-14)
+    assert scalar[2] == pytest.approx(second[0], rel=1e-14)

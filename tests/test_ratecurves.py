@@ -2,8 +2,8 @@
 
 The tilted inverse-CDF sampler has its own analytic CDF as an oracle, the
 domain scan must honor the shard determinism contract, and the axis rate
-I1 has values reproducible to full precision from the golden search in
-the stretched coordinate.  I2 is a sampled infimum, so its tests pin the
+I1 is k at the constraint end Q, which a dense grid of k along the axis
+segment must never undercut.  I2 is a sampled infimum, so its tests pin the
 invariants (I2 >= I1, determinism, the empty-constraint marker) plus a
 loose frozen value at a budget small enough for the suite.
 """
@@ -27,7 +27,7 @@ from squimld import (
     compute_I2,
     domain_scan,
 )
-from squimld.gecore import ThetaPair, in_domain_D
+from squimld.gecore import ThetaPair, axis_k_t, in_domain_D, solve_Q_detail
 from squimld.ratecurves import (
     BiasedInterval,
     ETA_DEFAULT,
@@ -35,8 +35,6 @@ from squimld.ratecurves import (
     biased_cdf,
     biased_sample,
     classify_theorem_two,
-    compute_I1_detail,
-    sample_domain_point,
 )
 
 P07 = RateParams(x=0.7, eps=0.3)
@@ -126,18 +124,6 @@ def test_extreme_tilt_stays_finite():
 # ---------------------------------------------------------------------------
 
 
-def test_sample_domain_point_respects_membership():
-    rng = np.random.default_rng(3)
-    hits = 0
-    for _ in range(200):
-        pt = sample_domain_point(P07, 2.0, 2.0, rng.random(), rng.random())
-        if pt is None:
-            continue
-        hits += 1
-        assert in_domain_D(pt, P07).in_domain
-    assert hits > 0
-
-
 def test_domain_scan_columns_are_consistent():
     theta1, theta2, in_d, in_g, k = domain_scan(P07, 20_000, seed=5)
     assert len(theta1) == 20_000
@@ -173,7 +159,7 @@ def test_domain_scan_g_points_have_positive_theta2():
 
 
 def test_i1_frozen_values():
-    # golden search in the stretched coordinate reproduces these digits
+    # k at Q in the stretched coordinate reproduces these digits
     assert compute_I1(RateParams(x=0.1, eps=0.1)) == pytest.approx(
         1.6888794582367184, abs=1e-11
     )
@@ -185,14 +171,21 @@ def test_i1_frozen_values():
     assert compute_I1(RateParams(x=2.0 / 3.0, eps=0.1)) == 0.0
 
 
-def test_i1_detail_reports_search_residual():
-    i1, t_at_min, raw = compute_I1_detail(RateParams(x=0.7, eps=0.3))
-    assert i1 == 0.0
-    assert t_at_min > 0.0
-    assert abs(raw) < 1e-8
-    i1_low, _, raw_low = compute_I1_detail(RateParams(x=0.3, eps=0.1))
-    assert i1_low == pytest.approx(raw_low)
-    assert i1_low > 0.0
+def test_i1_is_k_at_q_and_no_axis_point_undercuts_it():
+    for x in (0.02, 0.1, 0.3, 0.6, 0.65):
+        t_q = solve_Q_detail(x).t
+        i1 = compute_I1(RateParams(x=x, eps=0.1))
+        assert i1 > 0.0
+        assert i1 == float(axis_k_t(t_q, x))
+        # (0, t_Q] is the whole constraint segment; sample it geometrically
+        # and densely next to Q, where k is flattest
+        grid = np.concatenate([
+            np.geomspace(t_q * 1e-12, t_q, 20_001),
+            t_q * (1.0 - np.linspace(0.0, 1e-6, 2_001)),
+        ])
+        k = axis_k_t(grid, x)
+        assert np.all(np.isfinite(k)), x
+        assert k.min() >= i1, x
 
 
 def test_i1_non_increasing_in_x():
