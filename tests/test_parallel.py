@@ -107,7 +107,9 @@ def test_fold_ignores_a_part_without_weight():
 def test_fold_matches_logsumexp_over_widely_spread_parts(seed):
     rng = np.random.default_rng(seed)
     logws, fs = [], []
-    for centre in rng.uniform(-600.0, 600.0, size=12):
+    # three clusters 500 apart; inside a cluster parts overlap, so parts
+    # below the running max still carry weight and the r vs r^2 scaling shows
+    for centre in rng.choice([-500.0, 0.0, 500.0], size=15) + rng.uniform(-2.0, 2.0, size=15):
         logws.append(centre + rng.normal(0.0, 3.0, size=int(rng.integers(1, 40))))
         fs.append(rng.uniform(0.5, 2.0, size=logws[-1].size))
     parts = [_shifted_part(lw, f) for lw, f in zip(logws, fs)]

@@ -3,9 +3,9 @@
 The tilted inverse-CDF sampler has its own analytic CDF as an oracle, the
 domain scan must honor the shard determinism contract, and the axis rate
 I1 is k at the constraint end Q, which a dense grid of k along the axis
-segment must never undercut.  I2 is a sampled infimum, so its tests pin the
-invariants (I2 >= I1, determinism, the empty-constraint marker) plus a
-loose frozen value at a budget small enough for the suite.
+segment must never undercut.  I2 is a sampled infimum, so its tests pin
+the invariants (I2 >= I1, determinism, the empty-constraint marker) plus
+a loose frozen value at a budget small enough for the suite.
 """
 
 import math
