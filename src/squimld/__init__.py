@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 
 from .errors import (
     DegenerateWeights,
+    DualNotCertified,
     HypothesisViolation,
     InsufficientCurve,
     InvalidParams,
@@ -33,6 +34,7 @@ from .gecore import (
 )
 from .ratecurves import (
     BiasedInterval,
+    DualSolution,
     GFunctions,
     RateCurvePoint,
     biased_cdf,
@@ -41,6 +43,7 @@ from .ratecurves import (
     compute_I1,
     compute_I2,
     domain_scan,
+    solve_dual,
 )
 from .wfe import (
     PStarResult,

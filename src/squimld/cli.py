@@ -12,8 +12,9 @@ variable, then a key=value line in the file passed via --config, then the
 built-in default.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure surfaced by the
-library (degenerate weights, boundary evaluations, empty constraint sets
-are reported per-row instead), 4 validation-suite failure.
+library (degenerate weights, boundary evaluations, an I2 dual solve that
+does not certify; empty constraint sets are reported per-row instead),
+4 validation-suite failure.
 """
 
 from __future__ import annotations
@@ -184,16 +185,28 @@ def cmd_rate_curves(args) -> int:
         return 2
     started = utc_now()
     rows = []
+    timings = {"sample_s": 0.0, "dual_s": 0.0}
+    diagnostics = {}
     for x in x_list:
         params = RateParams(x=x, eps=eps)
         try:
             pt = compute_I2(
                 params, samples, tuple(eta), seed=seed, shards=shards, workers=workers
             )
-            rows.append((x, pt.I1, pt.I2, pt.accepted_G, samples, seed))
         except NoConstraintPoints:
             # flagged row: empty constraint set at this budget
             rows.append((x, compute_I1(params), math.nan, 0, samples, seed))
+            continue
+        rows.append((x, pt.I1, pt.I2, pt.accepted_G, samples, seed))
+        timings["sample_s"] += pt.sample_s
+        timings["dual_s"] += pt.dual_s
+        diagnostics.update({
+            f"theta_star.{x!r}": f"{pt.theta_at_min[0]!r},{pt.theta_at_min[1]!r}",
+            f"dual_gap.{x!r}": pt.dual_gap,
+            f"newton_iters.{x!r}": pt.newton_iters,
+            f"sampled_k_min.{x!r}": pt.sampled_k_min,
+            f"noise_band.{x!r}": pt.noise_band,
+        })
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "rate_curve.csv"
     write_csv(csv_path, ["x", "I1", "I2", "accepted_G", "samples", "seed"], rows)
@@ -204,6 +217,7 @@ def cmd_rate_curves(args) -> int:
         {"x_list": ",".join(str(x) for x in x_list), "eps": eps, "samples": samples,
          "eta": ",".join(str(e) for e in eta), "shards": shards},
         seed, workers, started, [csv_path.name, gp_path.name], out_dir, "rate_curve",
+        timings, diagnostics,
     )
     flagged = sum(1 for r in rows if math.isnan(r[2]))
     print(f"wrote {csv_path} ({len(rows)} rows, {flagged} with empty constraint set)")

@@ -42,5 +42,17 @@ class NoConstraintPoints(SquimldError):
     """No sampled point landed in the constraint set G (marker condition)."""
 
 
+class DualNotCertified(SquimldError):
+    """The dual solve for I2 ended with its duality gap above the threshold."""
+
+    def __init__(self, x: float, eps: float, gap: float, threshold: float,
+                 iterations: int, reason: str = ""):
+        self.x, self.eps, self.gap, self.threshold = x, eps, gap, threshold
+        super().__init__(
+            f"I2 dual not certified at x={x}, eps={eps}: gap {gap:.3e} > {threshold:g} "
+            f"after {iterations} Newton steps" + (f" ({reason})" if reason else "")
+        )
+
+
 class InsufficientCurve(SquimldError):
     """Rate curve has too few valid points for interpolation."""

@@ -13,17 +13,19 @@ with the quadratic kernel
 c is finite exactly on the domain D = {theta : q >= 0 on [-1, 1]}, whose
 boundary is cut out by three tests (the two endpoint values of h and, when the
 interior critical point of h lands in [-1, 1], its value there).  Everything
-here reduces to elementary antiderivatives of 1/q, y/q, y^2/q and log q with
+here reduces to elementary antiderivatives of y^m/q, y^m/q^2 and log q with
 explicit branching on the discriminant
 
     disc = 4*t2^2 - 8*t1*b:
 
     disc > 0  -> q has two real roots outside [-1, 1]; partial fractions / log,
     disc < 0  -> (only possible for t1 > 0) completed square / arctan,
-    disc ~ 0  -> double root; the common limit of both branches.
+    disc ~ 0  -> double root; an expansion about it.
 
-The t1 = 0 line degenerates q to an affine function and gets its own closed
-forms (with short power series where the t2 -> 0 cancellation bites).
+Where q is close to the constant b (the origin, the t1 = 0 line near it,
+small t1 on either side) every closed form cancels, and power series in the
+inverse roots of q take over.  The Hessian of c is 2 Int a_i a_j / q^2 with
+a1 = 1 - x - y^2 and a2 = y - eps, from the same kernel.
 
 The theta2 = 0 axis supports extra structure used by the one-observable rate
 function: H(t1) = -1 + 1/2 * Int 1/q, which is 0 at the origin, convex, and
@@ -42,6 +44,7 @@ hot path).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,20 +53,25 @@ from .errors import InvalidParams, NearBoundary, NoRoot
 
 # Strict-interior threshold on min q over [-1, 1].
 QMIN_STRICT = 1e-12
-# |t1| at or below this routes to the affine (t1 = 0) closed forms, plus
-# their first-order terms in t1.
-T1_AFFINE_TOL = 1e-10
-# |disc| at or below this routes to the double-root limiting form.
-DISC_TIE_TOL = 1e-10
+# With s = 2*t2/b and p = 2*t1/b, |s| + sqrt|p| at or below this puts both
+# inverse roots of q within it and q on the power-series branch.
+SERIES_TOL = 0.1
+# Highest power of y kept there: (k + 1) * SERIES_TOL^k is ~1e-23 at k = 24.
+SERIES_TERMS = 24
+# Writing q = 2*t1*((y - rm)^2 - h^2), a near-double root with |h^2| at or
+# below this times the squared distance of rm from [-1, 1] routes to the
+# expansion in h^2, kept to the power TIE_ORDER: the dropped terms are
+# ~14 * 0.05^13 ~ 2e-16 relative.  Outside the band the closed forms lose
+# about 1/DISC_TIE_TOL times their own ulp to the near-cancelling roots.
+DISC_TIE_TOL = 0.05
+TIE_ORDER = 12
 # solve_Q_detail stops bisecting once |H| at the midpoint falls below this.
 Q_H_TOL = 1e-12
-# |2*t2/b| below this switches the affine branch to power series in u = 2*t2/b.
-# At the crossover the u^8 truncation error is ~1e-17 while the closed forms
-# already lose ~1e-11 to log cancellation, so the series side is the safe one.
-AFFINE_SERIES_TOL = 1e-2
 # A root r of q with |1/r| at or below this is far: its moments come from
-# series in 1/r (see _root_moments).
+# series in 1/r (see _root_moments); the second radius applies when the
+# moments run up to y^4, for Int y^m/q^2.
 FAR_ROOT_TOL = 0.1
+FAR_ROOT_TOL_Q2 = 0.35
 
 
 @dataclass(frozen=True)
@@ -151,22 +159,27 @@ def _b_of(params: RateParams, t1, t2):
     return 1.0 - 2.0 * t1 * (1.0 - params.x) + 2.0 * t2 * params.eps
 
 
-def _q_shape(t1, t2, b):
+def _q_shape(t1, t2, b, ends=None):
     """(q(1), q(-1), vertex value, q_min, in_D) for q = 2*t1*y^2 - 2*t2*y + b.
 
     This is the one place the endpoint and vertex values of q are formed,
     so every membership verdict and every reported q_min are views of the
-    same numbers.  The vertex y_c = t2/(2 t1) is a minimum of q only for
-    t1 > 0, and counts only when it lands in [-1, 1]; elsewhere the vertex
-    value reads +inf.  q_min is the minimum of q over [-1, 1].
+    same numbers.  ends = (q(1), q(-1)) passes endpoint values the caller
+    knows to better relative accuracy than 2*t1 -+ 2*t2 + b, which cancels
+    near the vertex P of D.  The vertex y_c = t2/(2 t1) is a minimum of q
+    only for t1 > 0, and counts only when it lands in [-1, 1]; elsewhere the
+    vertex value reads +inf.  q_min is the minimum of q over [-1, 1].
 
     in_D = q_min >= 0 is the one tie rule for the boundary of the closed
     set D (a NaN is not in D).
     """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
-    q1 = 2.0 * t1 - 2.0 * t2 + b
-    qm1 = 2.0 * t1 + 2.0 * t2 + b
+    if ends is None:
+        q1 = 2.0 * t1 - 2.0 * t2 + b
+        qm1 = 2.0 * t1 + 2.0 * t2 + b
+    else:
+        q1, qm1 = (np.asarray(v, dtype=float) for v in ends)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         yc = np.where(t1 > 0.0, t2 / (2.0 * t1), np.inf)
         qvert = np.where(np.abs(yc) <= 1.0, b - t2 * yc, np.inf)
@@ -218,95 +231,6 @@ def in_domain_D(theta: ThetaPair, params: RateParams) -> DomainVerdict:
     )
 
 
-def _affine_pieces(t1, b, t2):
-    """J, Jy, Y2, Lq for q(y) = 2*t1*y^2 + q0(y) with |t1| <= T1_AFFINE_TOL.
-
-    The integrals of the affine q0(y) = b - 2*t2*y (requires b > 0,
-    |2 t2| < b) plus their first-order terms in t1: with N_m = Int y^m/q0^2,
-    Int log q ~ Int log q0 + 2 t1 Int y^2/q0 and Int y^m/q ~ Int y^m/q0
-    - 2 t1 N_{m+2}.  The next terms are O((t1/q0)^2).  Series in u = 2*t2/b
-    are used below AFFINE_SERIES_TOL where the closed forms cancel
-    catastrophically.
-    """
-    t1 = np.asarray(t1, dtype=float)
-    b = np.asarray(b, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    u = 2.0 * t2 / b
-    q1 = b - 2.0 * t2
-    qm1 = b + 2.0 * t2
-    small = np.abs(u) <= AFFINE_SERIES_TOL
-    u2 = u * u
-    u4 = u2 * u2
-    u6 = u4 * u2
-    # J = Int 1/q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        j_exact = np.where(
-            small, 0.0, (np.log(np.abs(qm1)) - np.log(np.abs(q1))) / (2.0 * t2)
-        )
-    j_series = (2.0 / b) * (1.0 + u2 / 3.0 + u4 / 5.0 + u6 / 7.0)
-    j = np.where(small, j_series, j_exact)
-    # Jy = Int y/q = (b*log(qm1/q1) - 4 t2) / (4 t2^2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        jy_exact = np.where(
-            small,
-            0.0,
-            (b * (np.log(np.abs(qm1)) - np.log(np.abs(q1))) - 4.0 * t2)
-            / (4.0 * t2 * t2),
-        )
-    jy_series = (u / b) * (2.0 / 3.0 + 2.0 * u2 / 5.0 + 2.0 * u4 / 7.0 + 2.0 * u6 / 9.0)
-    jy = np.where(small, jy_series, jy_exact)
-    # Y2 = Int y^2/q = (b^2*log(qm1/q1) - 4 b t2) / (8 t2^3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y2_exact = np.where(
-            small,
-            1.0,
-            (b * b * (np.log(np.abs(qm1)) - np.log(np.abs(q1))) - 4.0 * b * t2)
-            / (8.0 * t2**3),
-        )
-    y2_series = (2.0 / b) * (1.0 / 3.0 + u2 / 5.0 + u4 / 7.0 + u6 / 9.0)
-    y2 = np.where(small, y2_series, y2_exact)
-    # Lq = Int log q = (1/(2 t2)) * [u log u - u] from q1 to qm1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lq_exact = np.where(
-            small,
-            0.0,
-            (
-                (qm1 * np.log(np.abs(qm1)) - qm1)
-                - (q1 * np.log(np.abs(q1)) - q1)
-            )
-            / (2.0 * t2),
-        )
-    lq_series = 2.0 * np.log(b) - 2.0 * (
-        u2 / 6.0 + u4 / 20.0 + u6 / 42.0 + u4 * u4 / 72.0
-    )
-    lq = np.where(small, lq_series, lq_exact)
-    # N_m by N_{m+1} = (b N_m - Int y^m/q0) / (2 t2) from N_0 = 2/(q1 qm1).
-    # Just above the series switch this loses up to ~1e-6 relative in N_4,
-    # harmless since the N_m enter only multiplied by 2 t1.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s2 = 2.0 * t2
-        n1 = (b * 2.0 / (q1 * qm1) - j) / s2
-        n2_exact = (b * n1 - jy) / s2
-        n3_exact = (b * n2_exact - y2) / s2
-        n4_exact = (b * n3_exact - (b * y2 - 2.0 / 3.0) / s2) / s2
-    scale = 2.0 / (b * b)
-    n2 = np.where(
-        small, scale * (1.0 / 3.0 + 3.0 * u2 / 5.0 + 5.0 * u4 / 7.0 + 7.0 * u6 / 9.0),
-        n2_exact,
-    )
-    n3 = np.where(
-        small,
-        scale * u * (2.0 / 5.0 + 4.0 * u2 / 7.0 + 6.0 * u4 / 9.0 + 8.0 * u6 / 11.0),
-        n3_exact,
-    )
-    n4 = np.where(
-        small, scale * (1.0 / 5.0 + 3.0 * u2 / 7.0 + 5.0 * u4 / 9.0 + 7.0 * u6 / 11.0),
-        n4_exact,
-    )
-    two_t1 = 2.0 * t1
-    return j - two_t1 * n2, jy - two_t1 * n3, y2 - two_t1 * n4, lq + two_t1 * y2
-
-
 def _small_factor_from_product(f, g, prod):
     """(f, g) with the smaller of the two replaced by prod / (the larger)."""
     f_big = np.abs(f) >= np.abs(g)
@@ -314,167 +238,286 @@ def _small_factor_from_product(f, g, prod):
         return np.where(f_big, f, prod / g), np.where(f_big, prod / f, g)
 
 
-def _root_moments(r, d, e):
-    """Int_{-1}^{1} y^m / (y - r) dy, m = 0, 1, 2, for a real root |r| > 1.
+def _far_coefficients(n: int, m: int, radius: float) -> np.ndarray:
+    """Coefficients in u^2 of the far-root series of Int y^m / (y - 1/u)^n.
 
-    d = 1 - r and e = 1 + r.  With L the m = 0 moment the others are
-    2 + r*L and r*(2 + r*L), which cancel for a far root; there, with
-    u = 1/r, L = -2*atanh(u) and 2 + r*L = -2*u^2*sum_k u^(2k)/(2k + 3).
+    (y - r)^-n = (-u)^n sum_k C(k+n-1, n-1) u^k y^k, and Int y^(m+k) is
+    2/(m+k+1) for even m + k, 0 otherwise; the terms kept reach 1e-18 of
+    the leading one at |u| = radius.
     """
-    lm = np.log(np.abs(d)) - np.log(np.abs(e))
-    m1 = 2.0 + r * lm
-    m2 = r * m1
-    u = 1.0 / r
-    far = np.abs(u) <= FAR_ROOT_TOL
+    coef = []
+    k = m % 2
+    while True:
+        term = math.comb(k + n - 1, n - 1) * 2.0 / (m + k + 1)
+        coef.append(term)
+        if term * radius**k < 1e-18:
+            return np.array(coef)
+        k += 2
+
+
+# _root_moments climbs to m_max = 2, or 4 with Int y^m/q^2, each with its
+# far radius: _FAR_RADIUS[m_max] and _FAR_COEF[m_max][n - 1] at m = m_max,
+# n = 1..2*TIE_ORDER + 4
+_FAR_RADIUS = {2: FAR_ROOT_TOL, 4: FAR_ROOT_TOL_Q2}
+_FAR_COEF = {
+    m_max: [_far_coefficients(n, m_max, radius) for n in range(1, 2 * TIE_ORDER + 5)]
+    for m_max, radius in _FAR_RADIUS.items()
+}
+
+
+def _root_moments(u, f, g, n_max: int, m_max: int):
+    """I[n - 1][m] = Int_{-1}^{1} y^m / (y - r)^n dy for the root r = 1/u.
+
+    n = 1..n_max, m = 0..m_max with m_max 2 or 4, as nested lists of
+    arrays; u is real or complex, |u| < 1 (r off [-1, 1]), and f = 1 - u,
+    g = 1 + u are passed in so that a caller who knows the small one of
+    them more accurately than 1 -+ u can say so.
+    The moments obey I[n, m] = I[n-1, m-1] + r I[n, m-1], with I[0, m] =
+    Int y^m.  A nearer root climbs it in m from the closed forms at m = 0,
+    log(f/g) for n = 1 and (d^(1-n) - e^(1-n))/(1-n) with the endpoint
+    values d = -f/u, e = -g/u of y - r, losing about (m + 1) |r|^m / 2 ulp.
+    So a far root, |u| at or below FAR_ROOT_TOL for m_max = 2 and
+    FAR_ROOT_TOL_Q2 for m_max = 4 (u = 0 is a root at infinity), takes the
+    series of _far_coefficients at m = m_max instead and descends,
+    I[n, m-1] = u (I[n, m] - I[n-1, m-1]), which shrinks errors by |u|.
+    """
+    mu = [2.0 / (m + 1) if m % 2 == 0 else 0.0 for m in range(m_max + 1)]
+    # the climb runs on every entry, far ones included (their values,
+    # overwritten below, may be inf or nan)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = 1.0 / u
+        if n_max > 1:
+            d, e = -f * r, -g * r
+        rows = []
+        below = mu
+        for n in range(1, n_max + 1):
+            row = [np.log(f / g) if n == 1 else (d ** (1 - n) - e ** (1 - n)) / (1 - n)]
+            for m in range(1, m_max + 1):
+                row.append(below[m - 1] + r * row[m - 1])
+            rows.append(row)
+            below = row
+    far = np.abs(u) <= _FAR_RADIUS[m_max]
     if np.any(far):
-        u = u[far]
-        u2 = u * u
-        s = 1.0 / 17.0
-        for k in range(7, 0, -1):  # truncated after u^14: < 1e-16 at FAR_ROOT_TOL
-            s = 1.0 / (2 * k + 1) + u2 * s
-        lm[far] = -2.0 * np.arctanh(u)
-        m1[far] = -2.0 * u2 * s
-        m2[far] = -2.0 * u * s
-    return lm, m1, m2
+        uf = u[far]
+        u2 = uf * uf
+        below = mu
+        for n in range(1, n_max + 1):
+            coef = _FAR_COEF[m_max][n - 1]
+            acc = coef[-1]
+            for c in coef[-2::-1]:
+                acc = c + u2 * acc
+            series = [None] * m_max + [(-uf) ** n * acc * (uf if m_max % 2 else 1.0)]
+            for m in range(m_max, 0, -1):
+                series[m - 1] = uf * (series[m] - below[m - 1])
+            for m in range(m_max + 1):
+                rows[n - 1][m][far] = series[m]
+            below = series
+    return rows
 
 
-def q_kernel(t1, t2, b):
+def _put(rows, mask, values):
+    """rows[i][mask] = values[i], row by row (a 2-d masked store is far slower)."""
+    for row, value in zip(rows, values):
+        row[mask] = value
+
+
+def _series_pieces(s, p, b, with_q2: bool):
+    """J_m (m = 0..2), Lq and, with with_q2, N_m = Int y^m/q^2 (m = 0..4)
+    for q = b (1 - s y + p y^2) with both inverse roots small.
+
+    Writing q/b = (1 - u1 y)(1 - u2 y), s = u1 + u2 and p = u1 u2; when
+    |s| + sqrt|p| <= SERIES_TOL both |u| are at most SERIES_TOL, and
+      b/q       = sum_k h_k y^k,   h_k = s h_(k-1) - p h_(k-2),
+      b^2/q^2   = sum_k g_k y^k,   from (q/b)^2 * sum g_k y^k = 1,
+      log(q/b)  = -sum_(k>=1) (u1^k + u2^k)/k y^k,
+    with the power sums P_k = u1^k + u2^k = s P_(k-1) - p P_(k-2).  Real
+    arithmetic throughout, so the double root, the affine q (p = 0) and the
+    constant q (s = p = 0) need no case of their own.
+    """
+    mu = [2.0 / (k + 1) if k % 2 == 0 else 0.0 for k in range(SERIES_TERMS + 5)]
+    h_prev, h = np.zeros_like(s), np.ones_like(s)
+    pw_prev, pw = np.full_like(s, 2.0), s
+    j = [np.zeros_like(s) for _ in range(3)]
+    lq = np.zeros_like(s)
+    if with_q2:
+        g_hist = [np.zeros_like(s)] * 3 + [np.ones_like(s)]
+        c1, c2, c3, c4 = 2.0 * s, -(s * s + 2.0 * p), 2.0 * s * p, -p * p
+        n2 = [np.zeros_like(s) for _ in range(5)]
+    for k in range(SERIES_TERMS + 1):
+        if k > 0:
+            h_prev, h = h, s * h - p * h_prev
+            if k > 1:
+                pw_prev, pw = pw, s * pw - p * pw_prev
+            if k % 2 == 0:
+                lq -= pw * (mu[k] / k)
+            if with_q2:
+                g_new = c1 * g_hist[3] + c2 * g_hist[2] + c3 * g_hist[1] + c4 * g_hist[0]
+                g_hist = g_hist[1:] + [g_new]
+        for m in range(3):
+            if (m + k) % 2 == 0:
+                j[m] += mu[m + k] * h
+        if with_q2:
+            for m in range(5):
+                if (m + k) % 2 == 0:
+                    n2[m] += mu[m + k] * g_hist[3]
+    out = [jm / b for jm in j] + [2.0 * np.log(b) + lq]
+    if with_q2:
+        out.append([nm / (b * b) for nm in n2])
+    return out
+
+
+def q_kernel(t1, t2, b, with_q2: bool = False, ends=None):
     """Shape and integrals of q(y) = 2*t1*y^2 - 2*t2*y + b over [-1, 1].
 
-    The single closed-form kernel behind c, grad c and k here and behind
-    p(theta) in wfe.  Returns 1-d arrays under the keys
+    The single closed-form kernel behind c, grad c, its Hessian and k here
+    and behind p(theta) in wfe.  Returns 1-d arrays under the keys
       q_min, in_D         -- min q over [-1, 1] and membership in D (_q_shape),
       ok                  -- strict interior, q_min >= QMIN_STRICT,
       j, jy, y2, lq       -- Int 1/q, Int y/q, Int y^2/q and Int log q,
-    with the integrals NaN wherever ok is False.
+    and, with with_q2, q2 of shape (5, n): q2[m] = Int y^m/q^2, m = 0..4.
+    The integrals are NaN wherever ok is False.  ends passes (q(1), q(-1))
+    through to _q_shape; every integral then depends on them and not on
+    their rounded values 2*t1 -+ 2*t2 + b.
+
+    The integrals run on the strict interior, where b = q(0) > 0, and there
+    q = b (1 - u1 y)(1 - u2 y) with inverse roots u1 + u2 = s = 2 t2/b and
+    u1 u2 = p = 2 t1/b.  Four branches:
+      series -- |s| + sqrt|p| <= SERIES_TOL, both roots far: power series
+                (_series_pieces), which covers the constant, affine and
+                small-t1 q where every closed form below cancels;
+      log    -- disc = 4 t2^2 - 8 t1 b > 0, real roots: partial fractions
+                over the root moments (_root_moments), J_m = (I[r2] - I[r1])
+                / (b (u1 - u2)) and Int y^m/q^2 = (I2[r1] + I2[r2] - 4 t1 J_m)
+                / disc, with I, I2 the n = 1, 2 moments;
+      atan   -- disc < 0: the same partial fractions over the complex
+                conjugate roots, J_m = -2 Im I[r] / sqrt(-disc) and
+                Int y^m/q^2 = (2 Re I2[r] - 4 t1 J_m) / disc;
+      tie    -- q = 2 t1 ((y - rm)^2 - h^2) with rm = t2/(2 t1) and
+                h^2 = disc/(16 t1^2) within DISC_TIE_TOL of the squared
+                distance from rm to [-1, 1]: expanded in h^2 to TIE_ORDER.
+    Off the series branch Int log q comes from c = -1/2 Int log q
+    = 2 - 1/2 (log q(1) + log q(-1)) + t2 Int y/q - b Int 1/q.
     """
     t1, t2, b = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (t1, t2, b))
     )
-    q1, qm1, _, qmin, in_d = _q_shape(t1, t2, b)
+    if ends is not None:
+        ends = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in ends))
+    q1, qm1, _, qmin, in_d = _q_shape(t1, t2, b, ends)
     ok = qmin >= QMIN_STRICT
     shape = t1.shape
     # The integrals run on the strict interior only.
     t1, t2, b, q1, qm1 = (v[ok] for v in (t1, t2, b, q1, qm1))
+    n_pts = t1.shape[0]
+    j = [np.empty(n_pts) for _ in range(3)]  # Int y^m/q, m = 0, 1, 2
+    q2 = [np.empty(n_pts) for _ in range(5)] if with_q2 else None
+    n_max = 2 if with_q2 else 1
+    m_max = 4 if with_q2 else 2
 
-    j = np.empty(t1.shape)
-    jy = np.empty(t1.shape)
-    y2 = np.empty(t1.shape)
-    lq = np.empty(t1.shape)
+    s = 2.0 * t2 / b
+    p = 2.0 * t1 / b
+    disc = 4.0 * t2 * t2 - 8.0 * t1 * b
+    series = np.abs(s) + np.sqrt(np.abs(p)) <= SERIES_TOL
+    # |h^2| / (|rm| - 1)^2 = |disc| / (4 (|t2| - 2|t1|)^2), with rm = t2/(2 t1)
+    gap_rm = np.abs(t2) - 2.0 * np.abs(t1)
+    tie = ~series & (gap_rm > 0.0) & (np.abs(disc) <= DISC_TIE_TOL * 4.0 * gap_rm * gap_rm)
+    roots = ~(series | tie)
+    logbranch = roots & (disc > 0.0)
+    atanbranch = roots & (disc < 0.0)
 
-    affine = np.abs(t1) <= T1_AFFINE_TOL
-    general = ~affine
+    if np.any(series):
+        pieces = _series_pieces(s[series], p[series], b[series], with_q2)
+        _put(j, series, pieces[:3])
+        if with_q2:
+            _put(q2, series, pieces[4])
 
-    if np.any(affine):
-        j[affine], jy[affine], y2[affine], lq[affine] = _affine_pieces(
-            t1[affine], b[affine], t2[affine]
-        )
+    if np.any(logbranch):
+        ls, lp, lb, ldisc = s[logbranch], p[logbranch], b[logbranch], disc[logbranch]
+        # signed b (u1 - u2) = sgn(s) sqrt(disc); u1 is the larger root in
+        # size, u2 = p/u1 the smaller (0 when t1 = 0: a root at infinity)
+        sq = np.copysign(np.sqrt(ldisc), ls)
+        u1 = 0.5 * (ls + sq / lb)
+        u2 = lp / u1
+        # (1 -+ u1)(1 -+ u2) = q(+-1)/b exactly, and q(+-1) is known to full
+        # absolute precision, so a root within ~1e-12 of an endpoint gets its
+        # small factor from that product over the other (safe) one.  Near P
+        # both endpoints have a root that close.
+        f1, f2 = _small_factor_from_product(1.0 - u1, 1.0 - u2, q1[logbranch] / lb)
+        g1, g2 = _small_factor_from_product(1.0 + u1, 1.0 + u2, qm1[logbranch] / lb)
+        mom1 = _root_moments(u1, f1, g1, n_max, m_max)
+        mom2 = _root_moments(u2, f2, g2, n_max, m_max)
+        jl = [(i2 - i1) / sq for i1, i2 in zip(mom1[0], mom2[0])]
+        _put(j, logbranch, jl)
+        if with_q2:
+            lt1 = t1[logbranch]
+            _put(q2, logbranch, [(a1 + a2 - 4.0 * lt1 * jm) / ldisc
+                                 for a1, a2, jm in zip(mom1[1], mom2[1], jl)])
 
-    if np.any(general):
-        gt1 = t1[general]
-        gt2 = t2[general]
-        gb = b[general]
-        gq1 = q1[general]
-        gqm1 = qm1[general]
-        gdisc = 4.0 * gt2 * gt2 - 8.0 * gt1 * gb
-        jg = np.empty(gt1.shape)
-        jyg = np.empty(gt1.shape)
-        y2g = np.empty(gt1.shape)
+    if np.any(atanbranch):
+        # complex roots r, conj(r) with u = 1/r = (s + i sqrt(-disc)/b)/2;
+        # J_m = (I[conj r] - I[r]) / (i sqrt(-disc)) = -2 Im I[r] / sqrt(-disc)
+        at1, ab, adisc = t1[atanbranch], b[atanbranch], disc[atanbranch]
+        sq = np.sqrt(-adisc)
+        u = 0.5 * (s[atanbranch] + 1j * sq / ab)
+        mom = _root_moments(u, 1.0 - u, 1.0 + u, n_max, m_max)
+        ja = [-2.0 * i1.imag / sq for i1 in mom[0]]
+        _put(j, atanbranch, ja)
+        if with_q2:
+            _put(q2, atanbranch, [(2.0 * i2.real - 4.0 * at1 * jm) / adisc
+                                  for i2, jm in zip(mom[1], ja)])
 
-        logbranch = gdisc > DISC_TIE_TOL
-        atanbranch = gdisc < -DISC_TIE_TOL
-        tie = ~logbranch & ~atanbranch
+    if np.any(tie):
+        # 1/q = sum_i h^(2i) (y - rm)^-(2i+2) / (2 t1) and
+        # 1/q^2 = sum_i (i+1) h^(2i) (y - rm)^-(2i+4) / (4 t1^2)
+        tt1, tt2 = t1[tie], t2[tie]
+        h2 = disc[tie] / (16.0 * tt1 * tt1)
+        u0 = 2.0 * tt1 / tt2  # 1/rm
+        mom = np.array(_root_moments(u0, 1.0 - u0, 1.0 + u0,
+                                     2 * TIE_ORDER + (4 if with_q2 else 2), m_max))
+        jt = sum(h2**i * mom[2 * i + 1] for i in range(TIE_ORDER + 1)) / (2.0 * tt1)
+        _put(j, tie, jt)
+        if with_q2:
+            _put(q2, tie, sum((i + 1) * h2**i * mom[2 * i + 3]
+                              for i in range(TIE_ORDER + 1)) / (4.0 * tt1 * tt1))
 
-        if np.any(logbranch):
-            a2 = 2.0 * gt1[logbranch]
-            bb = -2.0 * gt2[logbranch]  # q = a2*y^2 + bb*y + cc
-            cc = gb[logbranch]
-            sq = np.sqrt(gdisc[logbranch])
-            sB = np.where(bb >= 0.0, 1.0, -1.0)
-            r_stable = (-bb - sB * sq) / (2.0 * a2)
-            r_other = cc / (a2 * r_stable)
-            # r_plus carries +sqrt(disc)
-            r_plus = np.where(sB < 0.0, r_stable, r_other)
-            r_minus = np.where(sB < 0.0, r_other, r_stable)
-            # When a root sits within ~1e-12 of an endpoint its small factor
-            # 1 -+ r loses all relative accuracy to cancellation.  The factor
-            # pair at each endpoint satisfies (1 -+ r_plus)(1 -+ r_minus)
-            # = q(+-1)/(2 theta1) exactly, and q(+-1) is known to full
-            # absolute precision, so the small factor is taken as that
-            # product over the big (safe) one.
-            d_p, d_m = _small_factor_from_product(
-                1.0 - r_plus, 1.0 - r_minus, gq1[logbranch] / a2
-            )
-            e_p, e_m = _small_factor_from_product(
-                1.0 + r_plus, 1.0 + r_minus, gqm1[logbranch] / a2
-            )
-            # 1/q = (1/(y - r_plus) - 1/(y - r_minus)) / sqrt(disc)
-            plus = _root_moments(r_plus, d_p, e_p)
-            minus = _root_moments(r_minus, d_m, e_m)
-            for out, m_plus, m_minus in zip((jg, jyg, y2g), plus, minus):
-                out[logbranch] = (m_plus - m_minus) / sq
+    # c closed form (integration by parts), then Lq = -2c; the series
+    # branch has its own Lq, which does not cancel
+    lq = -2.0 * (2.0 - 0.5 * (np.log(qm1) + np.log(q1)) + t2 * j[1] - b * j[0])
+    if np.any(series):
+        lq[series] = pieces[3]
 
-        if np.any(atanbranch):
-            at1 = gt1[atanbranch]
-            at2 = gt2[atanbranch]
-            ab = gb[atanbranch]
-            ap = 2.0 * at1
-            bp = at2 / (2.0 * at1)
-            cp = ab - at2 * bp  # b - t2^2/(2 t1) = -disc/(8 t1) > 0
-            kk = np.sqrt(ap / cp)
-            jg[atanbranch] = (
-                np.arctan(kk * (1.0 - bp)) - np.arctan(kk * (-1.0 - bp))
-            ) / np.sqrt(ap * cp)
-
-        if np.any(tie):
-            tt1 = gt1[tie]
-            bp = gt2[tie] / (2.0 * tt1)
-            jg[tie] = 1.0 / (tt1 * (bp * bp - 1.0))
-
-        # Off the log branch t2^2 <= 2*t1*b (up to the tie band), so these
-        # recurrences lose little to their division by t1; on it the roots
-        # above avoid that division, which cancels badly for small t1.
-        rec = ~logbranch
-        if np.any(rec):
-            rt1, rt2, rb, rj = gt1[rec], gt2[rec], gb[rec], jg[rec]
-            logratio = np.log(gq1[rec]) - np.log(gqm1[rec])  # log(q(1)/q(-1))
-            rjy = logratio / (4.0 * rt1) + rt2 / (2.0 * rt1) * rj
-            jyg[rec] = rjy
-            y2g[rec] = (2.0 - rb * rj + 2.0 * rt2 * rjy) / (2.0 * rt1)
-        # c closed form (integration by parts), then Lq = -2c
-        cg = 2.0 - 0.5 * (np.log(gqm1) + np.log(gq1)) + gt2 * jyg - gb * jg
-        j[general] = jg
-        jy[general] = jyg
-        y2[general] = y2g
-        lq[general] = -2.0 * cg
-
-    integrals = np.full((4,) + shape, np.nan)
-    integrals[:, ok] = j, jy, y2, lq
-    return {
-        "q_min": qmin,
-        "in_D": in_d,
-        "ok": ok,
-        "j": integrals[0],
-        "jy": integrals[1],
-        "y2": integrals[2],
-        "lq": integrals[3],
-    }
+    integrals = [np.full(shape, np.nan) for _ in range(4 + (5 if with_q2 else 0))]
+    _put(integrals, ok, j + [lq] + (q2 or []))
+    out = {"q_min": qmin, "in_D": in_d, "ok": ok}
+    out.update(zip(("j", "jy", "y2", "lq"), integrals))
+    if with_q2:
+        out["q2"] = np.array(integrals[4:])
+    return out
 
 
-def _pieces_arr(params: RateParams, t1, t2):
+def _pieces_arr(params: RateParams, t1, t2, hessian: bool = False, ends=None):
     """The kernel's output at b(x, eps) plus c, grad1, grad2 and k.
 
+    With hessian, also h11, h12, h22 = 2 Int a_i a_j / q^2 with
+    a1 = 1 - x - y^2 and a2 = y - eps, the second derivatives of c.  ends
+    goes to q_kernel.
     Entries not strictly inside D come back NaN; scalar wrappers below call
     it with 0-d arrays and translate NaN into NearBoundary.
     """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
-    out = q_kernel(t1, t2, _b_of(params, t1, t2))
+    out = q_kernel(t1, t2, _b_of(params, t1, t2), with_q2=hessian, ends=ends)
     j, lq = out["j"], out["lq"]
     out["c"] = -0.5 * lq
     out["grad1"] = (1.0 - params.x) * j - out["y2"]
     out["grad2"] = out["jy"] - params.eps * j
     out["k"] = -1.0 + 0.5 * j + 0.5 * lq
+    if hessian:
+        n0, n1, n2, n3, n4 = out["q2"]
+        w, eps = 1.0 - params.x, params.eps
+        out["h11"] = 2.0 * (w * w * n0 - 2.0 * w * n2 + n4)
+        out["h12"] = 2.0 * (w * (n1 - eps * n0) - n3 + eps * n2)
+        out["h22"] = 2.0 * (n2 - 2.0 * eps * n1 + eps * eps * n0)
     return out
 
 

@@ -11,9 +11,18 @@ the axis dk/dtheta1 = theta1 * d^2c/dtheta1^2 < 0 for theta1 < 0, so k
 decreases along (P, Q] and its infimum is k(Q), read off in the stretched t
 coordinate at the root t_Q of H (the segment is exponentially thin in theta1
 for small x, far below float spacing, so theta1 itself is useless there).
-For x >= 2/3, k falls to 0 toward the origin, so I1 = 0.  I2 has no usable
-closed form; it is estimated by the minimum of k over samples of G ∩ D plus
-a local Nelder-Mead polish, since a bare min-of-samples is biased upward.
+For x >= 2/3, k falls to 0 toward the origin, so I1 = 0.
+
+I2 comes from the convex dual.  c is convex and k(theta) = c*(grad c(theta)),
+and G is where grad c lies in the cone K = {z1 <= 0, z2 >= 0}, which is its
+own dual cone, so Fenchel duality gives
+
+    I2(x) = -min { c(theta) : theta in D, theta1 <= 0, theta2 >= 0 }.
+
+solve_dual finds that minimum by projected Newton and certifies it with the
+duality gap: -c at any point of the quadrant bounds I2 from below, k at any
+point of G from above.  The sampled minimum of k over G ∩ D is such an upper
+bound too, and compute_I2 keeps it beside the dual value as a check.
 
 Sampling of D follows a two-stage scheme: pick a ray slope alpha through the
 left vertex P of D, pick theta1, set theta2 = alpha*(theta1 + 1/(2x)), and
@@ -32,14 +41,14 @@ I2's, draw through `_shard_draw`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import minimize as _nm_minimize
 
-from .errors import InsufficientCurve, InvalidParams, NoConstraintPoints
-from .gecore import RateParams, _pieces_arr, axis_k_t, solve_Q_detail
+from .errors import DualNotCertified, InsufficientCurve, InvalidParams, NoConstraintPoints
+from .gecore import RateParams, _pieces_arr, axis_k_t, q_gap_from_p, solve_Q_detail
 from .parallel import map_shards, shard_rng, split_counts
 
 # Default tilt schedule for D sampling; 0 is the plain uniform pass.
@@ -74,14 +83,20 @@ class RateCurvePoint:
     I2: float  # nan marks a NoConstraintPoints row
     accepted_G: int
     samples: int
-    noise_band: float = 0.0
-    theta_at_min: tuple[float, float] | None = None
+    noise_band: float = 0.0  # of sampled_k_min
+    theta_at_min: tuple[float, float] | None = None  # the dual minimizer theta*
+    dual_gap: float = math.nan
+    newton_iters: int = 0
+    sampled_k_min: float = math.nan  # min of k over the sampled G ∩ D points
+    # wall seconds of the two stages; not part of the result
+    sample_s: float = field(default=0.0, compare=False)
+    dual_s: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         if self.I1 < 0.0:
             raise InvalidParams(f"I1 must be >= 0, got {self.I1}")
-        if self.I2 < self.I1 - 1e-9:
-            raise InvalidParams(f"I2={self.I2} below I1={self.I1} - 1e-9")
+        if self.I2 < self.I1:
+            raise InvalidParams(f"I2={self.I2} below I1={self.I1}")
 
 
 @dataclass(frozen=True)
@@ -229,7 +244,7 @@ def domain_scan(params: RateParams, n_samples: int, eta_schedule=ETA_DEFAULT,
 
 
 # ---------------------------------------------------------------------------
-# I2 by constrained sampling, I1 on the axis
+# I2 from the dual, checked by sampling; I1 on the axis
 # ---------------------------------------------------------------------------
 
 
@@ -250,55 +265,144 @@ def _i2_shard(shard: int, payload):
     return n_d, n_g, float(kg[i]), float(theta1[g_mask][i]), float(theta2[g_mask][i])
 
 
-# The polish sees k through a tighter interior gate than G membership.
-# Close to the q(1) = 0 edge the computed k carries roundoff noise of order
-# 1e-4 (the absolute error of q(1) itself is irreducible), and an
-# unconstrained Nelder-Mead happily descends into those noise dips.  At
-# q_min >= 1e-10 the noise is below 1e-6 and the landscape is clean.
-QMIN_POLISH = 1e-10
+# The dual solve certifies I2 when its duality gap is at or below this.
+DUAL_GAP_TOL = 2e-9
+# Newton stops once the gap is this small, or after NEWTON_MAX_ITERS steps.
+DUAL_GAP_STOP = 1e-15
+NEWTON_MAX_ITERS = 50
+# Armijo fraction, and the slack its test gives c for roundoff: near the
+# minimum the decrease a Newton step predicts falls below the ~1e-15 noise
+# of c, and the slack lets the step through to reach the full-precision
+# gradient.
+ARMIJO = 1e-4
+ROUNDOFF_SLACK = 64.0 * np.finfo(float).eps
 
 
-def _k_if_feasible(params: RateParams, t1: float, t2: float) -> float:
-    """k(theta) on G ∩ D with q_min >= QMIN_POLISH, else a large barrier."""
-    pieces = _pieces_arr(params, t1, t2)
-    if not (pieces["q_min"][0] >= QMIN_POLISH and _in_G(pieces)[0]):
-        return 1e6 + t1 * t1 + t2 * t2
-    return float(pieces["k"][0])
+@dataclass(frozen=True)
+class DualSolution:
+    """Minimum of c over the quadrant theta1 <= 0, theta2 >= 0 of D.
 
-
-def _polish_minimum(params: RateParams, t1: float, t2: float, k0: float,
-                    floor: float):
-    """Nelder-Mead around the best sample, constrained by the barrier.
-
-    A polished value is accepted only when it improves on the sampled
-    minimum and stays at or above ``floor`` (in practice I1 - 1e-9: the
-    two-constraint rate can never undercut the one-constraint rate, so a
-    candidate below it is numerical noise, not an improvement).
+    value = -c(theta) is a lower bound on I2 at any point of the quadrant,
+    and value + gap an upper bound, so the pair brackets I2.
     """
-    res = _nm_minimize(
-        lambda th: _k_if_feasible(params, th[0], th[1]),
-        x0=np.array([t1, t2]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-12, "maxiter": 600},
-    )
-    cand = float(res.fun)
-    if floor <= cand < k0 and cand < 1e5:
-        return cand, (float(res.x[0]), float(res.x[1]))
-    return k0, (t1, t2)
+
+    theta: tuple[float, float]
+    value: float
+    gap: float
+    iterations: int
+
+
+def _dual_pieces(params: RateParams, v):
+    """(c, grad c, Hessian of c) at theta = (P + s, theta2), v = (s, theta2).
+
+    Near the vertex P both q(1) and q(-1) vanish, and forming them from
+    theta1 loses all but a few digits to cancellation; from s they are the
+    exact sums q(+-1) = 2 x s -+ 2 (1 -+ eps) theta2.  None outside the
+    strict interior of D.
+    """
+    s, theta2 = v
+    x, eps = params.x, params.eps
+    ends = (2.0 * x * s - 2.0 * (1.0 - eps) * theta2, 2.0 * x * s + 2.0 * (1.0 + eps) * theta2)
+    pieces = _pieces_arr(params, params.p_left + s, theta2, hessian=True, ends=ends)
+    if not pieces["ok"][0]:
+        return None
+    c, g1, g2, h11, h12, h22 = (float(pieces[key][0])
+                                for key in ("c", "grad1", "grad2", "h11", "h12", "h22"))
+    return c, np.array([g1, g2]), np.array([[h11, h12], [h12, h22]])
+
+
+def _dual_gap(params: RateParams, v, grad) -> float:
+    """Duality gap at theta = (P + s, theta2): I2 <= -c(theta) + gap.
+
+    By convexity c(t) >= c(theta) + grad.(t - theta), and the quadrant's
+    part of D lies in the box P <= t1 <= 0, 0 <= t2 <= 1/(2(1 - eps))
+    (q(1) >= 0 there), so min c >= c(theta) - gap with gap = theta.grad
+    minus the box minimum of t.grad.  Where grad c lies in the cone
+    {g1 <= 0, g2 >= 0}, theta is in G and the gap is theta.grad c(theta),
+    k(theta) - (-c(theta)); the box terms measure how far grad c is outside.
+    """
+    theta1 = params.p_left + v[0]
+    g1, g2 = grad
+    return (theta1 * g1 + v[1] * g2 + max(g1, 0.0) / (2.0 * params.x)
+            + max(-g2, 0.0) / (2.0 * (1.0 - params.eps)))
+
+
+def solve_dual(params: RateParams) -> DualSolution:
+    """I2 as -min c over the quadrant, by projected Newton with a certificate.
+
+    K = {z1 <= 0, z2 >= 0} is its own dual cone, so Fenchel duality gives
+    I2 = inf {k(theta) : theta in G} = -min {c(theta) : theta in D,
+    theta1 <= 0, theta2 >= 0}.  The solve runs in v = (s, theta2) with
+    s = theta1 - P, from Q on the axis for x < 2/3 (where -c = k = I1, so
+    descent keeps -c >= I1 up to the roundoff slack) and from the origin
+    otherwise.  A
+    coordinate at its bound with the gradient pointing out of the quadrant
+    is held there, the free ones take a Newton step, and Armijo
+    backtracking along the projected path keeps to the strict interior of
+    D.  Raises DualNotCertified when the best gap reached exceeds
+    DUAL_GAP_TOL.
+    """
+    x = params.x
+    s_max = -params.p_left  # theta1 = 0
+    v = np.array([q_gap_from_p(x) if x < 2.0 / 3.0 else s_max, 0.0])
+    start = _dual_pieces(params, v)
+    if start is None:
+        raise DualNotCertified(x, params.eps, math.nan, DUAL_GAP_TOL, 0,
+                               f"start theta1 = {params.p_left + v[0]!r} is not strictly inside D")
+    c, grad, hess = start
+    best = (_dual_gap(params, v, grad), v, c)
+    iterations = 0
+    while best[0] > DUAL_GAP_STOP and iterations < NEWTON_MAX_ITERS:
+        free = [not (v[0] >= s_max and grad[0] < 0.0), not (v[1] <= 0.0 and grad[1] > 0.0)]
+        step = np.zeros(2)
+        if all(free):
+            step = -np.linalg.solve(hess, grad)
+        elif any(free):
+            i = free.index(True)
+            step[i] = -grad[i] / hess[i, i]
+        else:
+            break
+        lam = 1.0
+        while lam > 1e-18:
+            trial = np.array([min(v[0] + lam * step[0], s_max), max(v[1] + lam * step[1], 0.0)])
+            pieces = _dual_pieces(params, trial)
+            if pieces is not None and pieces[0] <= (
+                c + ARMIJO * float(grad @ (trial - v)) + ROUNDOFF_SLACK * (1.0 + abs(c))
+            ):
+                break
+            lam *= 0.5
+        else:
+            break
+        v, (c, grad, hess) = trial, pieces
+        iterations += 1
+        gap = _dual_gap(params, v, grad)
+        if gap < best[0]:
+            best = (gap, v, c)
+    gap, v, c = best
+    if not gap <= DUAL_GAP_TOL:
+        raise DualNotCertified(x, params.eps, gap, DUAL_GAP_TOL, iterations)
+    return DualSolution(theta=(params.p_left + float(v[0]), float(v[1])), value=-c,
+                        gap=float(gap), iterations=iterations)
 
 
 def compute_I2(params: RateParams, n_samples: int, eta_schedule=ETA_DEFAULT,
                seed: int = 0, shards: int = SHARDS_DEFAULT,
                workers: int | None = None) -> RateCurvePoint:
-    """Estimate I2 = inf k over G ∩ D; raises NoConstraintPoints if G is
-    never hit at this budget.
+    """I2 from the certified dual (solve_dual), with the sampler alongside.
 
-    The noise band is half the spread of the four per-shard-group minima
-    (shards grouped by index mod 4), floored at 1e-9; it feeds monotonicity
-    checks, not the estimate itself.
+    The sampler draws n_samples points of D and keeps the minimum of k over
+    those in G ∩ D.  Every such k is an upper bound on I2 (weak duality),
+    so the sampled minimum checks the dual value from above; it raises
+    NoConstraintPoints if the draws never hit G.  The two-constraint event
+    lies inside the one-constraint event, so I2 >= I1, and
+    I2 = max(-c(theta*), I1) states that once.
+
+    The noise band of the sampled minimum is half the spread of the four
+    per-shard-group minima (shards grouped by index mod 4), floored at 1e-9.
     """
     if n_samples < 10**4:
         raise InvalidParams(f"n_samples must be >= 1e4, got {n_samples}")
+    clock = time.perf_counter()
     counts = split_counts(n_samples, shards)
     combos = _combo_schedule(eta_schedule)
     parts = map_shards(_i2_shard, (params, counts, seed, combos), shards, workers)
@@ -307,35 +411,30 @@ def compute_I2(params: RateParams, n_samples: int, eta_schedule=ETA_DEFAULT,
         raise NoConstraintPoints(
             f"no G ∩ D hits in {n_samples} samples at x={params.x}, eps={params.eps}"
         )
-    k_min = np.inf
-    theta_min = (np.nan, np.nan)
     group_min = [np.inf] * 4
     for s, p in enumerate(parts):
-        if p[2] < k_min:
-            k_min = p[2]
-            theta_min = (p[3], p[4])
         group_min[s % 4] = min(group_min[s % 4], p[2])
     finite_groups = [g for g in group_min if np.isfinite(g)]
     if len(finite_groups) >= 2:
         band = (max(finite_groups) - min(finite_groups)) / 2.0 + 1e-9
     else:
         band = math.inf
+    sampled = time.perf_counter()
+    dual = solve_dual(params)
     i1 = compute_I1(params)
-    k_min, theta_min = _polish_minimum(
-        params, theta_min[0], theta_min[1], k_min, floor=i1 - 1e-9
-    )
-    if i1 - 1e-9 <= k_min < i1:
-        # Subset inclusion forces I2 >= I1 exactly; a dip this small is
-        # roundoff between two independent minimizations, so project it out.
-        k_min = i1
     return RateCurvePoint(
         x=params.x,
         I1=i1,
-        I2=max(k_min, 0.0),
+        I2=max(dual.value, i1),
         accepted_G=accepted_g,
         samples=n_samples,
         noise_band=band,
-        theta_at_min=theta_min,
+        theta_at_min=dual.theta,
+        dual_gap=dual.gap,
+        newton_iters=dual.iterations,
+        sampled_k_min=min(group_min),
+        sample_s=sampled - clock,
+        dual_s=time.perf_counter() - sampled,
     )
 
 

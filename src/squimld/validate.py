@@ -8,7 +8,9 @@ lemmas (the layer-cake integral identity and the concentration bound)
 against direct numerical integration on the circle and the 2-sphere.
 
 Levels: "fast" exercises every check at small grids; "full" widens the
-gradient and quadrature sweeps to the sizes used by the acceptance gate.
+gradient and quadrature sweeps to the sizes used by the acceptance gate and
+adds the I2 bracket, the certified dual value against the sampled minimum
+of k over G.
 """
 
 from __future__ import annotations
@@ -25,12 +27,18 @@ from .errors import InvalidParams
 from .gecore import KernelQ, RateParams, ThetaPair, cgf_c, grad_c, in_domain_D, integral_inv_q
 from .mc import EnsembleConfig, esm_evaluate, infinite_T_msq_exact, thermal_average
 from .parallel import shard_rng
+from .ratecurves import DUAL_GAP_TOL, compute_I2
 
 LEVELS = ("fast", "full")
 
 TRAPZ_PANELS = 1_000_000
 QUAD_TOL = 1e-6
 GRAD_RTOL = 1e-4
+# The I2 bracket: curve points where 10^6 draws reliably hit G.
+BRACKET_X = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+BRACKET_EPS = 0.1
+BRACKET_SAMPLES = 1_000_000
+BRACKET_SEED = 5
 
 
 @dataclass(frozen=True)
@@ -253,6 +261,31 @@ def check_concentration(level: str = "fast") -> CheckResult:
     )
 
 
+def check_i2_dual_bracket(level: str = "full", workers: int | None = None) -> CheckResult:
+    """I2 from the dual between its certified lower bound and the sampler.
+
+    Weak duality puts I2 at or above -c(theta*) and at or below k at every
+    point of G, so the sampled minimum of k over G ∩ D (10^6 draws) must
+    not fall below the dual value, which must not fall below I1; the gap
+    must certify.  workers runs the sampler's shards.
+    """
+    issues = []
+    margins = []
+    for x in BRACKET_X:
+        pt = compute_I2(RateParams(x=x, eps=BRACKET_EPS), BRACKET_SAMPLES, seed=BRACKET_SEED,
+                        workers=workers)
+        margins.append(pt.sampled_k_min - pt.I2)
+        if not (pt.I1 <= pt.I2 <= pt.sampled_k_min and pt.dual_gap <= DUAL_GAP_TOL):
+            issues.append(f"x={x}: I1={pt.I1:.12g}, I2={pt.I2:.12g}, "
+                          f"sampled={pt.sampled_k_min:.12g}, gap={pt.dual_gap:.2e}")
+    return CheckResult(
+        "i2-dual-vs-sampled-bracket", not issues,
+        "; ".join(issues) if issues else
+        f"x in {BRACKET_X}: I1 <= I2 <= sampled min, smallest sampled - I2 = {min(margins):.2e}, "
+        f"gaps <= {DUAL_GAP_TOL:g}",
+    )
+
+
 CHECKS = (
     check_quadrature,
     check_gradients,
@@ -261,11 +294,16 @@ CHECKS = (
     check_uif,
     check_concentration,
 )
+# Checks that run at level "full" only.
+FULL_CHECKS = (check_i2_dual_bracket,)
+# Checks that sample, and take the worker count.
+SAMPLING_CHECKS = (check_beta0_moments, check_i2_dual_bracket)
 
 
 def run_validation(level: str = "fast", workers: int | None = None) -> list[CheckResult]:
-    """Every check at `level`; workers goes to the one Monte Carlo check."""
+    """Every check at `level`; workers goes to the sampling checks."""
     if level not in LEVELS:
         raise InvalidParams(f"level must be one of {LEVELS}, got {level!r}")
-    return [check(level, workers) if check is check_beta0_moments else check(level)
-            for check in CHECKS]
+    checks = CHECKS + (FULL_CHECKS if level == "full" else ())
+    return [check(level, workers) if check in SAMPLING_CHECKS else check(level)
+            for check in checks]

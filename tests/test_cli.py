@@ -287,6 +287,47 @@ def test_rate_curves_byte_identity_across_workers(tmp_path, capsys):
     assert (d1 / "rate_curve.csv").read_bytes() == (d2 / "rate_curve.csv").read_bytes()
 
 
+def test_rate_curves_manifest_records_the_dual(tmp_path, capsys):
+    args = ["rate-curves", "--x-list", "0.1,0.3,0.7", "--eps", "0.1",
+            "--samples", "50000", "--out-dir", str(tmp_path)]
+    assert run(args) == 0
+    capsys.readouterr()
+    man = json.loads(read(tmp_path / "rate_curve_manifest.json"))
+    rows = [line.split(",") for line in read(tmp_path / "rate_curve.csv").splitlines()[1:]]
+    assert float(man["time.sample_s"]) > 0.0 and float(man["time.dual_s"]) > 0.0
+    for x, _i1, i2, accepted, _n, _seed in rows:
+        key = repr(float(x))
+        if accepted == "0":
+            # the empty-G marker row has no dual solve behind it
+            assert i2 == "nan" and f"diag.dual_gap.{key}" not in man
+            continue
+        assert float(man[f"diag.dual_gap.{key}"]) <= 2e-9
+        assert float(i2) <= float(man[f"diag.sampled_k_min.{key}"])
+        assert int(man[f"diag.newton_iters.{key}"]) > 0
+        assert float(man[f"diag.noise_band.{key}"]) > 0.0
+        theta1, theta2 = (float(v) for v in man[f"diag.theta_star.{key}"].split(","))
+        assert theta1 <= 0.0 <= theta2
+
+
+def test_rate_curves_exit_3_when_the_dual_does_not_certify(tmp_path, capsys, monkeypatch):
+    import squimld.ratecurves
+
+    monkeypatch.setattr(squimld.ratecurves, "DUAL_GAP_TOL", -1.0)
+    args = ["rate-curves", "--x-list", "0.6", "--eps", "0.1",
+            "--samples", "50000", "--out-dir", str(tmp_path)]
+    assert run(args) == 3
+    err = capsys.readouterr().err
+    assert "x=0.6" in err and "gap" in err and "> -1" in err
+
+
+def test_validate_full_alone_brackets_i2():
+    from squimld.validate import check_i2_dual_bracket, run_validation
+
+    assert "i2-dual-vs-sampled-bracket" not in {r.name for r in run_validation("fast", 1)}
+    result = check_i2_dual_bracket("full", workers=1)
+    assert result.ok, result.detail
+
+
 def test_validate_fast_passes(tmp_path, capsys):
     assert run(["validate", "--level", "fast", "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out

@@ -2,8 +2,8 @@
 
 The cumulant function and its companions all reduce to elementary
 antiderivatives, so every value here can be cross-checked by trapezoid
-quadrature on a dense grid.  The tests pin the branch switching (log,
-arctan, double root, affine), the three-test domain verdicts, the exact
+quadrature on a dense grid.  The tests pin the branch switching (power
+series, log, arctan, double root), the three-test domain verdicts, the exact
 parabola minimum, and the transformed-coordinate machinery on the axis
 where the root gap shrinks below float spacing.
 """
@@ -32,8 +32,10 @@ from squimld import (
     solve_Q_detail,
 )
 from squimld.gecore import (
+    DISC_TIE_TOL,
     H_value,
     QMIN_STRICT,
+    SERIES_TOL,
     _t_from_theta1,
     _theta1_from_t,
     axis_h_t,
@@ -86,16 +88,99 @@ def test_closed_forms_match_quadrature(params, theta):
 @pytest.mark.parametrize("t1", [1e-10, -1e-10, 3e-11])
 @pytest.mark.parametrize("t2", [0.0, 1e-3, 0.1, 0.4, -0.3])
 def test_affine_branch_keeps_first_order_t1_terms(t1, t2):
-    # |t1| <= T1_AFFINE_TOL: the 2*t1*y^2 term of q is O(1e-10), far above
-    # the 1e-14 tolerance, so the affine integrals alone would fail here.
+    # |t1| <= 1e-10: the 2*t1*y^2 term of q is O(1e-10), far above the
+    # 1e-14 tolerance, so the integrals of the affine part alone would fail.
     # q's nearest root is y = 1.25 (t2 = 0.4), whose Bernstein ellipse has
     # rho = 2, so 80-point Gauss-Legendre is exact to rounding (~2^-160).
     out = q_kernel(t1, t2, 1.0)
+    refs = _gauss_legendre_80(t1, t2, 1.0)
+    for key in ("j", "jy", "y2", "lq"):
+        assert out[key][0] == pytest.approx(refs[key], rel=1e-12, abs=1e-14), key
+
+
+def _gauss_legendre_80(t1, t2, b):
+    """The kernel's integrals by 80-point Gauss-Legendre quadrature.
+
+    Each integrand is split into its value at q = b, integrated exactly,
+    plus the part carried by dq = q - b, so that a nearly constant q does
+    not cost the reference its relative accuracy.
+    """
     ys, ws = np.polynomial.legendre.leggauss(80)
-    q = 2.0 * t1 * ys * ys - 2.0 * t2 * ys + 1.0
-    refs = {"j": 1.0 / q, "jy": ys / q, "y2": ys * ys / q, "lq": np.log(q)}
-    for key, values in refs.items():
-        assert out[key][0] == pytest.approx(float(ws @ values), rel=1e-12, abs=1e-14), key
+    dq = 2.0 * t1 * ys * ys - 2.0 * t2 * ys
+    q = b + dq
+    mu = [2.0 / (m + 1) if m % 2 == 0 else 0.0 for m in range(5)]
+    refs = {"lq": 2.0 * math.log(b) + ws @ np.log1p(dq / b)}
+    for m, key in enumerate(("j", "jy", "y2")):
+        refs[key] = mu[m] / b - ws @ (ys**m * dq / (b * q))
+    for m in range(5):
+        refs[f"q2_{m}"] = mu[m] / b**2 - ws @ (ys**m * dq * (2.0 * b + dq) / (b * b * q * q))
+    return {key: float(v) for key, v in refs.items()}
+
+
+def _kernel_branch(t1, t2, b):
+    """The branch q_kernel takes for (t1, t2, b), restated from its docstring."""
+    s, p = 2.0 * t2 / b, 2.0 * t1 / b
+    if abs(s) + math.sqrt(abs(p)) <= SERIES_TOL:
+        return "series"
+    disc = 4.0 * t2 * t2 - 8.0 * t1 * b
+    gap = abs(t2) - 2.0 * abs(t1)
+    if gap > 0.0 and abs(disc) <= DISC_TIE_TOL * 4.0 * gap * gap:
+        return "tie"
+    return "log" if disc > 0.0 else "atan"
+
+
+def _assert_kernel_matches(t1, t2, b, rel):
+    out = q_kernel(t1, t2, b, with_q2=True)
+    refs = _gauss_legendre_80(t1, t2, b)
+    for key, ref in refs.items():
+        got = out["q2"][int(key[-1])][0] if key.startswith("q2") else out[key][0]
+        assert got == pytest.approx(ref, rel=rel, abs=0.0), (key, t1, t2, b)
+
+
+@pytest.mark.parametrize("t1", [2e-10, 1e-9, 1e-8, 1e-7, 1e-6])
+@pytest.mark.parametrize("t2,disc_sign", [(1e-5, -1.0), (0.3, 1.0), (-0.2, 1.0)])
+def test_kernel_just_above_the_old_affine_switch(t1, t2, disc_sign):
+    # The arctan form divided by t1 here and lost to cancellation: at
+    # t1 = 1e-9, t2 = 1e-5 it read Int y^2/q off by 4.1e-4.  Every integral,
+    # Int y^m/q^2 included, now holds 1e-12 relative against quadrature on
+    # both sides of disc = 0.
+    assert math.copysign(1.0, 4.0 * t2 * t2 - 8.0 * t1) == disc_sign
+    _assert_kernel_matches(t1, t2, 1.0, rel=1e-12)
+
+
+KERNEL_BRANCH_POINTS = [
+    ("series", (1e-9, 1e-5, 1.0)),
+    ("series", (0.0, 0.0, 1.0)),
+    ("series", (-1e-4, 0.04, 1.3)),
+    ("log", (-0.3, 0.1, 1.0)),
+    ("log", (0.05, 0.5, 1.2)),
+    ("log", (0.0, 0.2, 1.06)),
+    ("log", (0.25, 0.75 * (1.0 + 1e-2), 1.125)),
+    ("atan", (0.4, 0.1, 1.0)),
+    ("atan", (1.2, 0.4, 0.5)),
+    ("atan", (0.25, 0.75 * (1.0 - 1e-2), 1.125)),
+    ("tie", (0.25, 0.75, 1.125)),
+    ("tie", (0.25, 0.75 * (1.0 + 1e-5), 1.125)),
+    ("tie", (0.25, 0.75 * (1.0 - 1e-5), 1.125)),
+]
+
+
+@pytest.mark.parametrize("branch,point", KERNEL_BRANCH_POINTS)
+def test_inverse_square_moments_on_every_branch(branch, point):
+    assert _kernel_branch(*point) == branch
+    _assert_kernel_matches(*point, rel=1e-12)
+
+
+@pytest.mark.parametrize("offset,branch", [
+    (2.7e-3, "tie"), (2.9e-3, "log"), (-2.7e-3, "tie"), (-2.9e-3, "atan"),
+])
+def test_inverse_square_moments_across_the_edge_of_the_tie_band(offset, branch):
+    # On either side of the band edge the roots nearly cancel in the closed
+    # forms and the expansion in h^2 converges slowest, the worst place for
+    # both; each still holds 1e-12.
+    t1, t2, b = 0.25, 0.75 * (1.0 + offset), 1.125
+    assert _kernel_branch(t1, t2, b) == branch
+    _assert_kernel_matches(t1, t2, b, rel=1e-12)
 
 
 @pytest.mark.parametrize("params,theta", BRANCH_POINTS)

@@ -3,9 +3,10 @@
 The tilted inverse-CDF sampler has its own analytic CDF as an oracle, the
 domain scan must honor the shard determinism contract, and the axis rate
 I1 is k at the constraint end Q, which a dense grid of k along the axis
-segment must never undercut.  I2 is a sampled infimum, so its tests pin
-the invariants (I2 >= I1, determinism, the empty-constraint marker) plus
-a loose frozen value at a budget small enough for the suite.
+segment must never undercut.  I2 is minus the minimum of c over the
+quadrant theta1 <= 0, theta2 >= 0; its tests pin the certificate, the
+dual value against quadrature of c, reference values, and the bracket
+I1 <= I2 <= (sampled minimum of k over G) on every seed.
 """
 
 import math
@@ -13,7 +14,6 @@ import math
 import numpy as np
 import pytest
 
-import squimld.ratecurves
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,17 +27,22 @@ from squimld import (
     compute_I2,
     domain_scan,
 )
-from squimld.gecore import ThetaPair, axis_k_t, in_domain_D, solve_Q_detail
+from scipy.integrate import quad
+
+from squimld.gecore import ThetaPair, _pieces_arr, axis_k_t, in_domain_D, solve_Q_detail
 from squimld.ratecurves import (
+    DUAL_GAP_TOL,
     BiasedInterval,
     ETA_DEFAULT,
     GFunctions,
     biased_cdf,
     biased_sample,
     classify_theorem_two,
+    solve_dual,
 )
 
 P07 = RateParams(x=0.7, eps=0.3)
+P03_CURVE = RateParams(x=0.3, eps=0.1)
 P06 = RateParams(x=0.6, eps=0.1)
 
 
@@ -220,18 +225,78 @@ def test_no_constraint_points_marker():
         compute_I2(RateParams(x=0.1, eps=0.1), 30_000, seed=0)
 
 
-def test_compute_i2_projects_roundoff_below_i1(monkeypatch):
-    # Subset inclusion makes I2 >= I1 a theorem.  When the polish lands a
-    # hair under I1 (it may, down to its floor of I1 - 1e-9), the reported
-    # value must be projected back to exactly I1.
-    i1 = compute_I1(P06)
+# I2 at eps = 0.1 from an independent solve (projected Newton with
+# a finite-difference Hessian of the closed-form gradient, to |gap| 1e-14)
+DUAL_REFERENCE = {
+    0.2: 0.995873198020,
+    0.3: 0.593594418158,
+    0.4: 0.320884732588,
+    0.5: 0.136606474290,
+    0.6: 0.033278444074,
+    0.7: 0.015045285075,
+}
+CURVE_X = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 
-    def fake_polish(params, t1, t2, k0, floor):
-        return i1 - 5e-10, (t1, t2)
 
-    monkeypatch.setattr(squimld.ratecurves, "_polish_minimum", fake_polish)
-    pt = compute_I2(P06, 100_000, seed=0)
-    assert pt.I2 == i1
+def _ends(params, t1, t2):
+    """q(1), q(-1) from s = t1 - P, the form that does not cancel next to P."""
+    s = t1 - params.p_left
+    return (2.0 * params.x * s - 2.0 * (1.0 - params.eps) * t2,
+            2.0 * params.x * s + 2.0 * (1.0 + params.eps) * t2)
+
+
+def _grad_from_ends(params, t1, t2):
+    pieces = _pieces_arr(params, t1, t2, ends=_ends(params, t1, t2))
+    return float(pieces["grad1"][0]), float(pieces["grad2"][0])
+
+
+@pytest.mark.parametrize("x", sorted(DUAL_REFERENCE))
+def test_dual_matches_reference_values(x):
+    sol = solve_dual(RateParams(x=x, eps=0.1))
+    assert sol.value == pytest.approx(DUAL_REFERENCE[x], abs=1e-9)
+
+
+def test_dual_minimizer_sits_on_the_theta1_edge_at_x07():
+    sol = solve_dual(RateParams(x=0.7, eps=0.1))
+    assert sol.theta[0] == 0.0
+    assert sol.theta[1] == pytest.approx(0.1509086, abs=1e-7)
+
+
+@pytest.mark.parametrize("x", CURVE_X)
+def test_dual_gap_is_certified_on_the_curve_grid(x):
+    params = RateParams(x=x, eps=0.1)
+    sol = solve_dual(params)
+    assert 0.0 <= sol.gap <= DUAL_GAP_TOL
+    # the certificate is theta . grad c at theta*, and theta* lies in G
+    # there: the gradient is in the cone {g1 <= 0, g2 >= 0} up to roundoff
+    g1, g2 = _grad_from_ends(params, *sol.theta)
+    assert abs(sol.theta[0] * g1 + sol.theta[1] * g2) <= DUAL_GAP_TOL
+    assert g1 <= 1e-12 and g2 >= -1e-12
+    assert sol.value >= compute_I1(params)
+
+
+@pytest.mark.parametrize("x", CURVE_X)
+def test_dual_value_is_minus_c_by_quadrature(x):
+    params = RateParams(x=x, eps=0.1)
+    sol = solve_dual(params)
+    t1, t2 = sol.theta
+    q1, qm1 = _ends(params, t1, t2)
+
+    def log_q(y):
+        return math.log(2.0 * t1 * (y * y - 1.0) + 0.5 * (q1 * (1.0 + y) + qm1 * (1.0 - y)))
+
+    half = 0.5 * quad(log_q, -1.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+    assert sol.value == pytest.approx(half, abs=1e-10)
+
+
+def test_i2_is_bracketed_by_i1_and_the_sampled_minimum_on_every_seed():
+    points = [compute_I2(P03_CURVE, 200_000, seed=seed) for seed in range(4)]
+    for pt in points:
+        assert pt.I1 <= pt.I2 <= pt.sampled_k_min
+        assert pt.dual_gap <= DUAL_GAP_TOL
+    # the dual value does not depend on the sampler's seed
+    assert len({pt.I2 for pt in points}) == 1
+    assert len({pt.theta_at_min for pt in points}) == 1
 
 
 def test_rate_curve_point_validation():

@@ -163,8 +163,8 @@ def test_p_theta_matches_quadrature():
 
 @pytest.mark.parametrize("theta", [1e-12, 1e-11, 1e-10, 5e-10])
 def test_p_theta_near_zero_keeps_the_quadratic_term(theta):
-    # theta * r <= T1_AFFINE_TOL puts these on the kernel's affine branch,
-    # where dropping the 2*theta*r*y^2 term of q cost 36 % of p.
+    # theta * r <= 1e-10: dropping the 2*theta*r*y^2 term of q here (as the
+    # kernel once did for such tiny t1) cost 36 % of p.
     assert theta * P12.r <= 1e-10
     ref = p_theta_quad(theta, P12, epsabs=0.0)
     assert p_theta(theta, P12) == pytest.approx(ref, rel=1e-6, abs=1e-16)
