@@ -17,7 +17,6 @@ from .errors import (
 )
 from .gecore import (
     DomainVerdict,
-    KernelQ,
     QRoot,
     RateParams,
     ThetaPair,
@@ -28,8 +27,6 @@ from .gecore import (
     in_domain_D,
     integral_inv_q,
     k_value,
-    q_gap_from_p,
-    solve_Q,
     solve_Q_detail,
 )
 from .ratecurves import (

@@ -13,8 +13,10 @@ built-in default.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure surfaced by the
 library (degenerate weights, boundary evaluations, an I2 dual solve that
-does not certify; empty constraint sets are reported per-row instead),
-4 validation-suite failure.
+does not certify), 4 validation-suite failure.  Two outcomes are reported
+per row instead: an empty constraint set in rate-curves (NaN I2,
+accepted_G = 0), and (omega, eps, delta) outside the transition-bound
+hypotheses in wfe (NaN p_star_inf and beta_c, hypotheses_ok = 0).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParams, NoConstraintPoints, SquimldError
+from .errors import HypothesisViolation, InvalidParams, NoConstraintPoints, SquimldError
 from .gecore import RateParams
 from .mc import (
     MODELS,
@@ -55,7 +57,7 @@ from .report import (
     write_text,
 )
 from .validate import LEVELS, run_validation
-from .wfe import WfeParams, beta_critical, check_hypotheses, r_of_omega
+from .wfe import WfeParams, beta_critical, r_of_omega
 
 ENV_PREFIX = "SQUIMLD_"
 
@@ -231,15 +233,15 @@ def cmd_wfe(args) -> int:
     delta = _resolve(args, "delta", float, None, config)
     out_dir = Path(_resolve(args, "out-dir", str, ".", config))
     started = utc_now()
-    ok = check_hypotheses(omega, eps, delta)
     r = r_of_omega(omega)
-    if ok:
+    try:
         p = WfeParams(omega=omega, eps=eps, delta=delta)
-        res, beta_c = beta_critical(p)
-        row = (omega, eps, r, p.delta, res.p_star_inf, res.y_at_inf, beta_c, 1)
-    else:
+    except HypothesisViolation:
         d = eps if delta is None else delta
         row = (omega, eps, r, d, math.nan, math.nan, math.nan, 0)
+    else:
+        res, beta_c = beta_critical(p)
+        row = (omega, eps, r, p.delta, res.p_star_inf, res.y_at_inf, beta_c, 1)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "wfe_transition.csv"
     write_csv(
@@ -365,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", dest="out_dir", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--shards", type=int, default=None)
 
     p = sub.add_parser("domain-scan", help="sample the dual plane for D and G")
     common(p)
@@ -374,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--eta", type=_float_list, default=None,
                    help="comma-separated bias strengths")
+    p.add_argument("--shards", type=int, default=None)
     p.set_defaults(func=cmd_domain_scan)
 
     p = sub.add_parser("rate-curves", help="I1 and I2 over a grid of x")
@@ -383,6 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None,
                    help="samples per grid point")
     p.add_argument("--eta", type=_float_list, default=None)
+    p.add_argument("--shards", type=int, default=None)
     p.set_defaults(func=cmd_rate_curves)
 
     p = sub.add_parser("wfe", help="transition pipeline: p*, beta_c")
@@ -402,6 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observable", type=_str_list, default=None,
                    help=f"comma-separated tags from {OBSERVABLES}")
     p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--shards", type=int, default=None)
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("esm", help="enumerated product-form model")

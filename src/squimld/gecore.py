@@ -37,9 +37,13 @@ zero Q is found by bisection in the transformed coordinate
 because Q - P shrinks like exp(-2/x), far below float spacing of theta1 for
 small x, while log t resolves it exactly.
 
-All worker formulas accept numpy arrays; the public scalar API validates and
-raises, the ``*_arr`` variants return NaN masks instead (for the Monte Carlo
-hot path).
+Each quantity has one entry point.  The array workers q_kernel, _pieces_arr
+and domain_tests_arr take numpy arrays and return NaN masks (for the Monte
+Carlo hot path).  The scalar API validates and raises: cgf_c, grad_c, k_value
+and integral_inv_q take (theta, params), read _pieces_arr and raise
+NearBoundary off the strict interior; in_domain_D gives the three-test
+verdict with q_min over [-1, 1]; on the axis, H_value gives H and
+solve_Q_detail gives Q with its t coordinate and the gap Q - P.
 """
 
 from __future__ import annotations
@@ -108,30 +112,6 @@ class ThetaPair:
 
 
 @dataclass(frozen=True)
-class KernelQ:
-    """q(y) = 2*t1*y^2 - 2*t2*y + b = 1 - 2*h(y), with its shape data."""
-
-    theta: ThetaPair
-    b: float
-    params: RateParams
-
-    @classmethod
-    def from_theta(cls, theta: ThetaPair, params: RateParams) -> "KernelQ":
-        return cls(theta, _b_of(params, theta.theta1, theta.theta2), params)
-
-    def evaluate(self, y):
-        return 2.0 * self.theta.theta1 * y * y - 2.0 * self.theta.theta2 * y + self.b
-
-    @property
-    def disc(self) -> float:
-        return 4.0 * self.theta.theta2**2 - 8.0 * self.theta.theta1 * self.b
-
-    @property
-    def q_min(self) -> float:
-        return float(_q_shape(self.theta.theta1, self.theta.theta2, self.b)[3])
-
-
-@dataclass(frozen=True)
 class DomainVerdict:
     in_domain: bool
     failed_test: str | None  # "Test1" | "Test2" | "Test3" | None
@@ -145,6 +125,7 @@ class QRoot:
 
     theta1: float
     t: float
+    gap: float  # Q - P = (t^2 + 2t) / (2x (t^2 + 2t + x)), free of cancellation
     h_residual: float
     fixed_point_residual: float  # |log t - log((2+t)*exp(-2(t+1)/(t^2+2t+x)))|
 
@@ -187,17 +168,17 @@ def _q_shape(t1, t2, b, ends=None):
     return q1, qm1, qvert, q_min, q_min >= 0.0
 
 
-def q_min_arr(params: RateParams, t1, t2):
-    """Vector version of the exact parabola minimum over [-1, 1]."""
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    return _q_shape(t1, t2, _b_of(params, t1, t2))[3]
-
-
 def h_value(y: float, theta: ThetaPair, params: RateParams) -> float:
     """h(y) = t1*(1 - x - y^2) + t2*(y - eps)."""
     t1, t2 = theta.theta1, theta.theta2
     return t1 * (1.0 - params.x - y * y) + t2 * (y - params.eps)
+
+
+def _failed_test(q1, qm1, qvert):
+    """0 where q(1), q(-1) and the vertex value are all >= 0, else 1/2/3 for
+    the first that is not; a NaN fails its test, so 0 is exactly in_D."""
+    failed = np.select([~(q1 >= 0.0), ~(qm1 >= 0.0), ~(qvert >= 0.0)], [1, 2, 3], 0)
+    return failed.astype(np.int8)
 
 
 def domain_tests_arr(params: RateParams, t1, t2):
@@ -209,23 +190,23 @@ def domain_tests_arr(params: RateParams, t1, t2):
       Test2: h(-1) <= 1/2, i.e. q(-1) >= 0
       Test3: q >= 0 at the interior critical point y_c = t2/(2 t1), when
              t1 > 0 and y_c lands in [-1, 1].
-    in_domain is q_min_arr(...) >= 0, and failed is 0 exactly there.
+    in_domain is _q_shape's q_min >= 0, and failed is 0 exactly there.
     """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
     q1, qm1, qvert, _, in_d = _q_shape(t1, t2, _b_of(params, t1, t2))
-    # a NaN fails its test, so failed is 0 exactly where in_d holds
-    failed = np.select([~(q1 >= 0.0), ~(qm1 >= 0.0), ~(qvert >= 0.0)], [1, 2, 3], 0)
-    return in_d, failed.astype(np.int8)
+    return in_d, _failed_test(q1, qm1, qvert)
 
 
 def in_domain_D(theta: ThetaPair, params: RateParams) -> DomainVerdict:
-    """Three-test membership verdict plus the strict-interior guard value."""
-    in_d, failed = domain_tests_arr(params, theta.theta1, theta.theta2)
-    q_min = KernelQ.from_theta(theta, params).q_min
+    """Three-test membership verdict, q_min over [-1, 1] and the
+    strict-interior guard, from one _q_shape call."""
+    t1, t2 = theta.theta1, theta.theta2
+    q1, qm1, qvert, q_min, in_d = _q_shape(t1, t2, _b_of(params, t1, t2))
+    q_min = float(q_min)
     return DomainVerdict(
         in_domain=bool(in_d),
-        failed_test=(None, "Test1", "Test2", "Test3")[int(failed)],
+        failed_test=(None, "Test1", "Test2", "Test3")[int(_failed_test(q1, qm1, qvert))],
         q_min=q_min,
         strictly_inside=q_min >= QMIN_STRICT,
     )
@@ -531,9 +512,9 @@ def _scalar(theta: ThetaPair, params: RateParams, *fields: str) -> tuple[float, 
     return tuple(float(pieces[field][0]) for field in fields)
 
 
-def integral_inv_q(kq: KernelQ) -> float:
+def integral_inv_q(theta: ThetaPair, params: RateParams) -> float:
     """Int_{-1}^{1} dy / q(y), closed form with discriminant branching."""
-    return _scalar(kq.theta, kq.params, "j")[0]
+    return _scalar(theta, params, "j")[0]
 
 
 def cgf_c(theta: ThetaPair, params: RateParams) -> float:
@@ -611,12 +592,13 @@ def H_value(theta1: float, x: float) -> float:
         return 0.0
     if theta1 < 0.0:
         return float(axis_h_t(_t_from_theta1(theta1, x), x))
-    # theta1 > 0: arctan branch with t2 = 0
-    b = 1.0 - 2.0 * theta1 * (1.0 - x)
-    if b <= QMIN_STRICT:
-        raise NearBoundary(f"q(0) = b = {b} <= {QMIN_STRICT} at theta1={theta1}")
-    j = 2.0 * np.arctan(np.sqrt(2.0 * theta1 / b)) / np.sqrt(2.0 * theta1 * b)
-    return float(-1.0 + 0.5 * j)
+    # theta1 > 0: q = 2 t1 y^2 + b has its minimum b at y = 0
+    ker = q_kernel(theta1, 0.0, 1.0 - 2.0 * theta1 * (1.0 - x))
+    if not ker["ok"][0]:
+        raise NearBoundary(
+            f"q(0) = b = {ker['q_min'][0]:.3e} < {QMIN_STRICT} at theta1={theta1}"
+        )
+    return float(-1.0 + 0.5 * ker["j"][0])
 
 
 def solve_Q_detail(x: float) -> QRoot:
@@ -659,37 +641,12 @@ def solve_Q_detail(x: float) -> QRoot:
             break
     t = float(np.exp(0.5 * (lo + hi)))
     fmid = float(axis_h_t(t, x))
-    w = t * t + 2.0 * t + x
-    fp_res = abs(np.log(t) - (np.log(2.0 + t) - 2.0 * (t + 1.0) / w))
+    w = t * t + 2.0 * t
+    fp_res = abs(np.log(t) - (np.log(2.0 + t) - 2.0 * (t + 1.0) / (w + x)))
     return QRoot(
         theta1=_theta1_from_t(t, x),
         t=t,
+        gap=w / (2.0 * x * (w + x)),
         h_residual=fmid,
         fixed_point_residual=float(fp_res),
     )
-
-
-def solve_Q(x: float) -> float:
-    """theta1 coordinate of the second zero Q of H (raises NoRoot if x >= 2/3)."""
-    return solve_Q_detail(x).theta1
-
-
-def q_gap_from_p(x: float) -> float:
-    """Exact Q - P computed in the t coordinate (no cancellation).
-
-    Q - P = (t^2 + 2 t) / (2 x (t^2 + 2 t + x)) with t the transformed root.
-    """
-    t = solve_Q_detail(x).t
-    w = t * t + 2.0 * t
-    return w / (2.0 * x * (w + x))
-
-
-def chebyshev_q_min(params: RateParams, theta: ThetaPair, n: int = 2049) -> float:
-    """Grid cross-check of the analytic parabola minimum (test helper).
-
-    Minimum of q over n Chebyshev-spaced points of [-1, 1] joined with the
-    analytic minimum; equals KernelQ.q_min up to the grid resolution.
-    """
-    ys = np.cos(np.pi * np.arange(n) / (n - 1))
-    ker = KernelQ.from_theta(theta, params)
-    return float(min(np.min(ker.evaluate(ys)), ker.q_min))

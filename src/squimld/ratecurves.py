@@ -48,7 +48,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DualNotCertified, InsufficientCurve, InvalidParams, NoConstraintPoints
-from .gecore import RateParams, _pieces_arr, axis_k_t, q_gap_from_p, solve_Q_detail
+from .gecore import RateParams, _pieces_arr, axis_k_t, solve_Q_detail
 from .parallel import map_shards, shard_rng, split_counts
 
 # Default tilt schedule for D sampling; 0 is the plain uniform pass.
@@ -344,7 +344,7 @@ def solve_dual(params: RateParams) -> DualSolution:
     """
     x = params.x
     s_max = -params.p_left  # theta1 = 0
-    v = np.array([q_gap_from_p(x) if x < 2.0 / 3.0 else s_max, 0.0])
+    v = np.array([solve_Q_detail(x).gap if x < 2.0 / 3.0 else s_max, 0.0])
     start = _dual_pieces(params, v)
     if start is None:
         raise DualNotCertified(x, params.eps, math.nan, DUAL_GAP_TOL, 0,

@@ -24,7 +24,7 @@ from scipy.special import i0
 
 from .ensembles import FullWavefunction, chain_tables, classical_ising_1d, energy_squim_d1
 from .errors import InvalidParams
-from .gecore import KernelQ, RateParams, ThetaPair, cgf_c, grad_c, in_domain_D, integral_inv_q
+from .gecore import RateParams, ThetaPair, cgf_c, grad_c, h_value, in_domain_D, integral_inv_q
 from .mc import EnsembleConfig, esm_evaluate, infinite_T_msq_exact, thermal_average
 from .parallel import shard_rng
 from .ratecurves import DUAL_GAP_TOL, compute_I2
@@ -50,9 +50,8 @@ class CheckResult:
 
 def _trapz_oracle(theta: ThetaPair, params: RateParams) -> tuple[float, float]:
     """(integral of 1/q, -1/2 integral of log q) by the trapezoid rule."""
-    kq = KernelQ.from_theta(theta, params)
     y = np.linspace(-1.0, 1.0, TRAPZ_PANELS + 1)
-    q = kq.evaluate(y)
+    q = 1.0 - 2.0 * h_value(y, theta, params)
     j = float(np.trapezoid(1.0 / q, y))
     c = float(np.trapezoid(-0.5 * np.log(q), y))
     return j, c
@@ -71,10 +70,11 @@ def check_quadrature(level: str = "fast") -> CheckResult:
     ]
     want = {"neg": False, "pos": False}
     for th in candidates:
-        kq = KernelQ.from_theta(th, params)
-        if not in_domain_D(th, params).in_domain or kq.q_min < 1e-3:
+        verdict = in_domain_D(th, params)
+        if not verdict.in_domain or verdict.q_min < 1e-3:
             continue
-        tag = "neg" if kq.disc < 0 else "pos"
+        b = 1.0 - 2.0 * h_value(0.0, th, params)
+        tag = "neg" if 4.0 * th.theta2**2 - 8.0 * th.theta1 * b < 0 else "pos"
         if not want[tag]:
             want[tag] = True
             cases.append((th, tag))
@@ -84,9 +84,8 @@ def check_quadrature(level: str = "fast") -> CheckResult:
                 cases.append((th, "extra"))
     worst = 0.0
     for th, _tag in cases:
-        kq = KernelQ.from_theta(th, params)
         j_ref, c_ref = _trapz_oracle(th, params)
-        worst = max(worst, abs(integral_inv_q(kq) - j_ref), abs(cgf_c(th, params) - c_ref))
+        worst = max(worst, abs(integral_inv_q(th, params) - j_ref), abs(cgf_c(th, params) - c_ref))
     ok = want["neg"] and want["pos"] and worst < QUAD_TOL
     return CheckResult(
         "quadrature-vs-closed-form", ok,
@@ -103,9 +102,8 @@ def _interior_thetas(params: RateParams, n: int, rng) -> list[ThetaPair]:
         t1 = rng.uniform(-3.0, hi1)
         t2 = rng.uniform(-2.0, 2.0)
         th = ThetaPair(t1, t2)
-        if not in_domain_D(th, params).in_domain:
-            continue
-        if KernelQ.from_theta(th, params).q_min < 1e-4:
+        verdict = in_domain_D(th, params)
+        if not verdict.in_domain or verdict.q_min < 1e-4:
             continue
         out.append(th)
     return out

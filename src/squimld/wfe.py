@@ -40,8 +40,11 @@ infimum is the y -> 0+ limit
 
 the minimum of the closed form, at the theta where p' vanishes.
 
-beta_critical chains the hypothesis checks and pbar* into the critical
-inverse temperature beta_c = pbar*/((omega-1)*eps).
+WfeParams is the one check of the hypotheses on (omega, eps, delta),
+among them A > 0 somewhere on [-1, 1] (else the rare event would decay
+faster than any exponential bounded here), and raises HypothesisViolation
+when one fails; beta_critical turns pbar* into the critical inverse
+temperature beta_c = pbar*/((omega-1)*eps).
 
 rare_event_rate_mc cross-validates pbar* by direct simulation with an
 exponential tilt: under the product Gaussian measure with per-coordinate
@@ -100,27 +103,25 @@ def admissibility_bound(omega: float) -> float:
 
 
 def check_hypotheses(omega: float, eps: float, delta: float | None = None) -> bool:
-    """True iff (omega, eps) satisfy the transition-bound hypotheses.
-
-    1 < omega < 4/3 and eps < (1/4)(1 + sqrt(1-4r))^2 with r = (omega-1)/omega;
-    the eps bound always holds for eps < 1/4.  With delta = eps the bound is
-    equivalent to the lower root of A landing inside (0, 1).
-    """
-    if not (1.0 < omega < 4.0 / 3.0):
-        return False
-    if not (0.0 < eps < admissibility_bound(omega)):
-        return False
-    if delta is not None and not (0.0 < delta):
+    """True iff WfeParams(omega, eps, delta) accepts the triple."""
+    try:
+        WfeParams(omega=omega, eps=eps, delta=delta)
+    except HypothesisViolation:
         return False
     return True
 
 
 @dataclass(frozen=True)
 class WfeParams:
-    """Transition-bound parameters.
+    """Transition-bound parameters, admitted only under the hypotheses.
 
     delta defaults to eps (the saturation choice that closes the proof);
-    it stays overridable for exploration.  r is derived from omega.
+    it stays overridable for exploration.  r is derived from omega.  The
+    hypotheses are 1 < omega < 4/3, 0 < eps < (1/4)(1 + sqrt(1-4r))^2 with
+    r = (omega-1)/omega (always true for eps < 1/4), delta > 0, and the
+    lower root of A below 1.  A(0) = -delta < 0 and both roots of A are
+    positive, so the last one says A > 0 somewhere on [-1, 1], i.e.
+    A_min < 0 < A_max; with delta = eps it follows from the eps bound.
     """
 
     omega: float
@@ -145,6 +146,10 @@ class WfeParams:
         elif not (self.delta > 0.0):
             raise HypothesisViolation(f"delta must be positive, got {self.delta}")
         assert self.r < 0.25
+        if not (x_lower_root(self) < 1.0):
+            raise HypothesisViolation(
+                f"lower root of A at {x_lower_root(self):.4f} >= 1: A <= 0 on [-1, 1]"
+            )
 
 
 @dataclass(frozen=True)
@@ -188,12 +193,11 @@ def x_lower_root(p: WfeParams) -> float:
 
 
 def theta_range(p: WfeParams) -> tuple[float, float]:
-    """Open interval (1/(2 A_min), 1/(2 A_max)) where p(theta) is finite."""
+    """Open interval (1/(2 A_min), 1/(2 A_max)) where p(theta) is finite.
+
+    WfeParams admits only A_min < 0 < A_max, so both ends are finite.
+    """
     a_min, a_max, _, _ = a_extremes(p)
-    if not (a_min < 0.0 < a_max):
-        raise HypothesisViolation(
-            f"need A_min < 0 < A_max on [-1, 1], got ({a_min}, {a_max})"
-        )
     return 1.0 / (2.0 * a_min), 1.0 / (2.0 * a_max)
 
 
@@ -273,19 +277,7 @@ def p_star_inf(p: WfeParams) -> PStarResult:
 
 
 def beta_critical(p: WfeParams) -> tuple[PStarResult, float]:
-    """(PStarResult, beta_c) with beta_c = pbar*/((omega-1)*eps).
-
-    Raises HypothesisViolation when A never becomes positive on [0, 1]
-    (whole pipeline meaningless: the rare event would have probability
-    decaying faster than any exponential we bound).
-    """
-    a_min, a_max, _, _ = a_extremes(p)
-    if not (a_max > 0.0):
-        raise HypothesisViolation(f"A_max = {a_max} <= 0 on [-1, 1]")
-    if not (x_lower_root(p) < 1.0):
-        raise HypothesisViolation(
-            f"lower root of A at {x_lower_root(p):.4f} >= 1: A <= 0 on [0, 1]"
-        )
+    """(PStarResult, beta_c) with beta_c = pbar*/((omega-1)*eps)."""
     res = p_star_inf(p)
     beta_c = res.p_star_inf / ((p.omega - 1.0) * p.eps)
     return res, beta_c

@@ -29,7 +29,6 @@ from squimld import (
     domain_scan,
     esm_evaluate,
     infinite_T_msq_exact,
-    q_gap_from_p,
     rare_event_rate_mc,
     solve_Q_detail,
     thermal_average,
@@ -135,7 +134,7 @@ def test_criterion_04_rate_curves():
 def test_criterion_05_root_asymptotics():
     t0 = time.perf_counter()
     t_small = solve_Q_detail(0.01).t
-    gaps = [q_gap_from_p(x) for x in (0.2, 0.1, 0.05, 0.02)]
+    gaps = [solve_Q_detail(x).gap for x in (0.2, 0.1, 0.05, 0.02)]
     monotone = all(a > b for a, b in zip(gaps, gaps[1:]))
     ok = t_small < 1e-10 and monotone
     finish(

@@ -37,6 +37,13 @@ def test_help_exits_zero(capsys):
         assert name in out
 
 
+@pytest.mark.parametrize("command", ["wfe", "esm", "validate"])
+def test_shards_only_on_sharded_commands(command, capsys):
+    # --shards is registered where it is read: domain-scan, rate-curves, ensemble
+    assert run([command, "--shards", "4"]) == 2
+    capsys.readouterr()
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(["frobnicate"]) == 2
     capsys.readouterr()
@@ -73,12 +80,20 @@ def test_wfe_csv_hypotheses_ok(tmp_path, capsys):
     assert cols[7] == "1"
 
 
-def test_wfe_failed_hypotheses_row_not_error(tmp_path, capsys):
-    assert run(["wfe", "--omega", "1.5", "--eps", "0.1", "--out-dir", str(tmp_path)]) == 0
+@pytest.mark.parametrize("flags, delta", [
+    pytest.param(["--omega", "1.5"], 0.1, id="omega-1.5"),
+    # the lower root of A at 1.13 and 1.79 lies past 1: A < 0 on all of [-1, 1]
+    pytest.param(["--omega", "1.2", "--delta", "0.8"], 0.8, id="delta-0.8"),
+    pytest.param(["--omega", "1.2", "--delta", "2.0"], 2.0, id="delta-2.0"),
+])
+def test_wfe_failed_hypotheses_row_not_error(tmp_path, capsys, flags, delta):
+    argv = ["wfe", *flags, "--eps", "0.1", "--out-dir", str(tmp_path)]
+    assert run(argv) == 0
     capsys.readouterr()
     cols = read(tmp_path / "wfe_transition.csv").splitlines()[1].split(",")
     assert cols[7] == "0"
     assert cols[4] == "nan" and cols[6] == "nan"
+    assert float(cols[3]) == delta
 
 
 @pytest.mark.parametrize("omega, r", [(1.2, 1.0 / 6.0), (1.5, 1.0 / 3.0), (0.0, math.nan)])

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from squimld import (
     InvalidParams,
-    KernelQ,
     NearBoundary,
     NoRoot,
     QRoot,
@@ -27,8 +26,6 @@ from squimld import (
     grad_c,
     integral_inv_q,
     k_value,
-    q_gap_from_p,
-    solve_Q,
     solve_Q_detail,
 )
 from squimld.gecore import (
@@ -36,16 +33,15 @@ from squimld.gecore import (
     H_value,
     QMIN_STRICT,
     SERIES_TOL,
+    _b_of,
     _t_from_theta1,
     _theta1_from_t,
     axis_h_t,
     axis_k_t,
-    chebyshev_q_min,
     domain_tests_arr,
     h_value,
     in_domain_D,
     q_kernel,
-    q_min_arr,
 )
 
 P07 = RateParams(x=0.7, eps=0.3)
@@ -55,8 +51,7 @@ P03 = RateParams(x=0.3, eps=0.1)
 def trapz_j_and_c(theta: ThetaPair, params: RateParams, panels: int = 200_000):
     """Dense trapezoid values of Int 1/q and c = -1/2 Int log q."""
     ys = np.linspace(-1.0, 1.0, panels + 1)
-    ker = KernelQ.from_theta(theta, params)
-    q = ker.evaluate(ys)
+    q = 1.0 - 2.0 * h_value(ys, theta, params)
     assert np.all(q > 0.0)
     j = float(np.trapezoid(1.0 / q, ys))
     c = float(-0.5 * np.trapezoid(np.log(q), ys))
@@ -80,8 +75,7 @@ BRANCH_POINTS = [
 @pytest.mark.parametrize("params,theta", BRANCH_POINTS)
 def test_closed_forms_match_quadrature(params, theta):
     j_ref, c_ref = trapz_j_and_c(theta, params)
-    ker = KernelQ.from_theta(theta, params)
-    assert abs(integral_inv_q(ker) - j_ref) < 2e-8
+    assert abs(integral_inv_q(theta, params) - j_ref) < 2e-8
     assert abs(cgf_c(theta, params) - c_ref) < 2e-8
 
 
@@ -245,8 +239,7 @@ def test_domain_verdicts():
 def test_left_vertex_is_domain_corner():
     # q(-0?) at theta = (P, 0): q_min = 1 + 2 P x = 0 exactly
     p = P07.p_left
-    ker = KernelQ.from_theta(ThetaPair(p, 0.0), P07)
-    assert ker.q_min == pytest.approx(0.0, abs=1e-15)
+    assert in_domain_D(ThetaPair(p, 0.0), P07).q_min == pytest.approx(0.0, abs=1e-15)
     assert not in_domain_D(ThetaPair(p - 1e-6, 0.0), P07).in_domain
     verdict = in_domain_D(ThetaPair(p + 1e-3, 0.0), P07)
     assert verdict.in_domain
@@ -262,12 +255,20 @@ def test_near_boundary_raises():
 
 
 def test_h_value_and_kernel_agree():
+    # 1 - 2 h(y) is the kernel's q = 2 t1 y^2 - 2 t2 y + b
     theta = ThetaPair(-0.3, 0.2)
-    ker = KernelQ.from_theta(theta, P07)
+    b = _b_of(P07, theta.theta1, theta.theta2)
     for y in (-1.0, -0.25, 0.5, 1.0):
-        assert ker.evaluate(y) == pytest.approx(
-            1.0 - 2.0 * h_value(y, theta, P07), abs=1e-14
-        )
+        q = 2.0 * theta.theta1 * y * y - 2.0 * theta.theta2 * y + b
+        assert q == pytest.approx(1.0 - 2.0 * h_value(y, theta, P07), abs=1e-14)
+
+
+def chebyshev_q_min(params: RateParams, theta: ThetaPair, n: int) -> float:
+    """Minimum of q over n Chebyshev-spaced points of [-1, 1] joined with the
+    analytic minimum: the grid cross-check of in_domain_D's q_min."""
+    ys = np.cos(np.pi * np.arange(n) / (n - 1))
+    q_grid = 1.0 - 2.0 * h_value(ys, theta, params)
+    return float(min(np.min(q_grid), in_domain_D(theta, params).q_min))
 
 
 theta_boxes = st.tuples(
@@ -280,11 +281,11 @@ theta_boxes = st.tuples(
 @settings(max_examples=150)
 def test_qmin_matches_grid_scan(pair):
     theta = ThetaPair(*pair)
-    ker = KernelQ.from_theta(theta, P07)
+    q_min = in_domain_D(theta, P07).q_min
     grid = chebyshev_q_min(P07, theta, n=4097)
     # the analytic minimum can only undercut the grid scan
-    assert ker.q_min <= grid + 1e-12
-    assert ker.q_min >= grid - 1e-4
+    assert q_min <= grid + 1e-12
+    assert q_min >= grid - 1e-4
 
 
 @given(theta_boxes)
@@ -293,7 +294,7 @@ def test_qmin_matches_grid_scan(pair):
 def test_domain_tests_equal_qmin_sign(pair):
     t1, t2 = pair
     in_d, failed = domain_tests_arr(P07, t1, t2)
-    qmin = float(q_min_arr(P07, t1, t2))
+    qmin = in_domain_D(ThetaPair(t1, t2), P07).q_min
     assert bool(in_d) == (qmin >= 0.0)
     assert (int(failed) == 0) == bool(in_d)
 
@@ -309,7 +310,7 @@ def test_boundary_lines_through_p_get_one_verdict(params):
         for t1, t2 in zip(params.p_left + s, slope * s):
             in_d, failed = domain_tests_arr(params, t1, t2)
             verdict = in_domain_D(ThetaPair(float(t1), float(t2)), params)
-            assert bool(in_d) == verdict.in_domain == (float(q_min_arr(params, t1, t2)) >= 0.0)
+            assert bool(in_d) == verdict.in_domain == (verdict.q_min >= 0.0)
             assert (int(failed) == 0) == verdict.in_domain
 
 
@@ -345,6 +346,9 @@ def test_h_axis_values_match_direct_integral():
         params = RateParams(x=x, eps=0.1)
         j_ref, _ = trapz_j_and_c(ThetaPair(theta1, 0.0), params)
         assert H_value(theta1, x) == pytest.approx(-1.0 + 0.5 * j_ref, abs=1e-7)
+    # near the origin H ~ theta1 (4/3 - 2x) sits far below the trapezoid's
+    # resolution; the reference is -1 + 1/2 Int 1/q by mpmath at 30 digits
+    assert H_value(1e-11, 0.5) == pytest.approx(3.33333333338e-12, rel=1e-6)
 
 
 def test_h_limits_and_sign_structure():
@@ -357,6 +361,9 @@ def test_h_limits_and_sign_structure():
     assert H_value(-1e-6, x) < 0.0
     with pytest.raises(NearBoundary):
         H_value(p_left, x)
+    # the right end of the axis segment in D: b = q(0) = 0 at 1/(2(1 - x))
+    with pytest.raises(NearBoundary):
+        H_value(1.0 / (2.0 * (1.0 - x)), x)
     with pytest.raises(InvalidParams):
         H_value(-0.1, 0.0)
 
@@ -403,18 +410,17 @@ def test_solve_q_properties():
         assert p_left < root.theta1 < 0.0
         assert abs(root.h_residual) < 1e-10
         assert root.fixed_point_residual < 1e-9
-        assert solve_Q(x) == root.theta1
     with pytest.raises(NoRoot):
-        solve_Q(0.7)
+        solve_Q_detail(0.7)
     with pytest.raises(NoRoot):
-        solve_Q(2.0 / 3.0)
+        solve_Q_detail(2.0 / 3.0)
 
 
 def test_q_root_transformed_coordinate_is_tiny():
     # the root gap closes like exp(-2/x); at x = 0.01 the t coordinate
     # resolves it even though theta1 itself cannot
     assert solve_Q_detail(0.01).t < 1e-10
-    gaps = [q_gap_from_p(x) for x in (0.2, 0.1, 0.05, 0.02)]
+    gaps = [solve_Q_detail(x).gap for x in (0.2, 0.1, 0.05, 0.02)]
     assert all(g > 0.0 for g in gaps)
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
@@ -423,8 +429,9 @@ def test_q_gap_matches_theta_difference_where_resolvable():
     # at x = 0.3 the gap is still representable in theta1, so the two
     # routes must agree
     x = 0.3
-    gap = q_gap_from_p(x)
-    direct = solve_Q(x) - (-1.0 / (2.0 * x))
+    root = solve_Q_detail(x)
+    direct = root.theta1 - (-1.0 / (2.0 * x))
+    gap = root.gap
     assert gap == pytest.approx(direct, rel=1e-6)
 
 
@@ -432,7 +439,6 @@ def test_strict_interior_threshold_is_enforced():
     # a point passing the sign tests but inside the guard band must raise
     p = P07.p_left
     theta = ThetaPair(p + 1e-14, 0.0)
-    ker = KernelQ.from_theta(theta, P07)
-    assert 0.0 <= ker.q_min < QMIN_STRICT
+    assert 0.0 <= in_domain_D(theta, P07).q_min < QMIN_STRICT
     with pytest.raises(NearBoundary):
-        integral_inv_q(ker)
+        integral_inv_q(theta, P07)

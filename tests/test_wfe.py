@@ -227,10 +227,10 @@ def test_beta_critical_frozen_value():
 
 
 def test_beta_critical_rejects_nonpositive_parabola():
-    # delta large pushes the lower root of A past 1: A <= 0 on [0, 1]
-    bad = WfeParams(omega=1.2, eps=0.1, delta=3.0)
+    # delta large pushes the lower root of A past 1: A <= 0 on [-1, 1], so
+    # WfeParams refuses the triple before beta_critical can run
     with pytest.raises(HypothesisViolation):
-        beta_critical(bad)
+        beta_critical(WfeParams(omega=1.2, eps=0.1, delta=3.0))
 
 
 # ---------------------------------------------------------------------------
