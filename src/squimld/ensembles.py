@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import InvalidParams
 
@@ -51,9 +50,16 @@ def g_values(n_spins: int) -> np.ndarray:
 
 
 def log_binomials(n_spins: int) -> np.ndarray:
-    """log C(N, n) for n = 0..N via log-gamma (safe up to N ~ 1e6)."""
-    n = np.arange(n_spins + 1)
-    return gammaln(n_spins + 1) - gammaln(n + 1) - gammaln(n_spins - n + 1)
+    """log C(N, n) for n = 0..N.
+
+    A running sum of log((N - k + 1)/k) over the lower half, mirrored onto
+    the upper half: every term is positive, so no cancellation.  The
+    log-gamma difference log N! - log n! - log (N - n)! loses the leading
+    digits of log N! at small n (1.2e-13 relative at N = 1024, n = 1).
+    """
+    k = np.arange(1, n_spins // 2 + 1)
+    half = np.concatenate(([0.0], np.cumsum(np.log((n_spins - k + 1) / k))))
+    return np.concatenate((half, half[: n_spins + 1 - half.size][::-1]))
 
 
 @dataclass(frozen=True)
@@ -213,7 +219,8 @@ def _log_z_chain(n_spins: int, beta: float, lam: float) -> float:
         log_terms = 2.0 * np.log(np.abs(coef)) + (n_spins - 1) * np.log(
             np.maximum(evals, 0.0)
         )
-    return float(logsumexp(log_terms)) - n_spins * math.log(2.0)
+    hi, lo = float(max(log_terms)), float(min(log_terms))
+    return hi + math.log1p(math.exp(lo - hi)) - n_spins * math.log(2.0)
 
 
 def classical_ising_1d(

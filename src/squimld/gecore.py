@@ -37,13 +37,13 @@ zero Q is found by bisection in the transformed coordinate
 because Q - P shrinks like exp(-2/x), far below float spacing of theta1 for
 small x, while log t resolves it exactly.
 
-Each quantity has one entry point.  The array workers q_kernel, _pieces_arr
-and domain_tests_arr take numpy arrays and return NaN masks (for the Monte
-Carlo hot path).  The scalar API validates and raises: cgf_c, grad_c, k_value
-and integral_inv_q take (theta, params), read _pieces_arr and raise
-NearBoundary off the strict interior; in_domain_D gives the three-test
-verdict with q_min over [-1, 1]; on the axis, H_value gives H and
-solve_Q_detail gives Q with its t coordinate and the gap Q - P.
+Each quantity has one entry point.  The array workers q_kernel and
+_pieces_arr take numpy arrays and return NaN masks and the in_D verdict that
+domain-scan writes (for the Monte Carlo hot path).  The scalar API validates
+and raises: cgf_c, grad_c, k_value and integral_inv_q take (theta, params),
+read _pieces_arr and raise NearBoundary off the strict interior; in_domain_D
+gives the three-test verdict with q_min over [-1, 1]; on the axis, H_value
+gives H and solve_Q_detail gives Q with its t coordinate and the gap Q - P.
 """
 
 from __future__ import annotations
@@ -179,23 +179,6 @@ def _failed_test(q1, qm1, qvert):
     the first that is not; a NaN fails its test, so 0 is exactly in_D."""
     failed = np.select([~(q1 >= 0.0), ~(qm1 >= 0.0), ~(qvert >= 0.0)], [1, 2, 3], 0)
     return failed.astype(np.int8)
-
-
-def domain_tests_arr(params: RateParams, t1, t2):
-    """Vectorized membership tests for D.
-
-    Returns (in_domain, failed) where failed is 0 for members and 1/2/3 for
-    the first failing test:
-      Test1: h(1)  <= 1/2, i.e. q(1) >= 0
-      Test2: h(-1) <= 1/2, i.e. q(-1) >= 0
-      Test3: q >= 0 at the interior critical point y_c = t2/(2 t1), when
-             t1 > 0 and y_c lands in [-1, 1].
-    in_domain is _q_shape's q_min >= 0, and failed is 0 exactly there.
-    """
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    q1, qm1, qvert, _, in_d = _q_shape(t1, t2, _b_of(params, t1, t2))
-    return in_d, _failed_test(q1, qm1, qvert)
 
 
 def in_domain_D(theta: ThetaPair, params: RateParams) -> DomainVerdict:

@@ -45,7 +45,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DualNotCertified, InsufficientCurve, InvalidParams, NoConstraintPoints
 from .gecore import RateParams, _pieces_arr, axis_k_t, solve_Q_detail
@@ -466,6 +465,10 @@ def classify_theorem_two(beta: float, curve: list[RateCurvePoint],
     otherwise.  In every case the implied decay exponent of the ratio,
     min(beta, g2_min) - min((2/3)beta, g1_min), must be positive.
     """
+    # scipy only here: no CLI path reaches the classifier, so importing
+    # squimld stays free of scipy
+    from scipy.interpolate import PchipInterpolator
+
     if beta <= 0.0:
         raise InvalidParams(f"beta must be positive, got {beta}")
     pts = sorted(

@@ -75,7 +75,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import HypothesisViolation, InvalidParams, OutOfThetaRange
 from .gecore import QMIN_STRICT, q_kernel
@@ -235,19 +234,45 @@ def _theta_at_slope(y: float, p: WfeParams) -> float:
     p' increases across the admissible interval and diverges at both ends,
     so stepping from 0 halfway to the end on the root's side brackets the
     root within a few steps; a root closer to an end than the kernel's
-    strict interior raises OutOfThetaRange.
+    strict interior raises OutOfThetaRange.  The bracket is then narrowed
+    by false position with the Illinois rule (the value kept at an end
+    that survives two steps in a row is halved), until the next point no
+    longer falls strictly inside it: every step shrinks the bracket, so the
+    loop ends, at the latest on adjacent doubles, with no tolerance to set.
+    Of the two ends the one with the smaller |p'(theta) - y| is returned.
     """
     lo, hi = theta_range(p)
 
     def excess(t):
         return _p_and_slope(t, p)[1] - y
 
-    below = excess(0.0) < 0.0
+    a, fa = 0.0, excess(0.0)
+    below = fa < 0.0
     end = hi if below else lo
-    inner, outer = 0.0, 0.5 * end
-    while (excess(outer) < 0.0) == below:
-        inner, outer = outer, 0.5 * (outer + end)
-    return brentq(excess, inner, outer)
+    b = 0.5 * end
+    fb = excess(b)
+    while (fb < 0.0) == below:
+        a, fa = b, fb
+        b = 0.5 * (b + end)
+        fb = excess(b)
+    wa, wb = fa, fb  # the values false position weighs, halved by the rule
+    kept = 0  # +1 when a survived the last step, -1 when b did
+    while fa != 0.0 and fb != 0.0:
+        c = b - wb * (b - a) / (wb - wa)
+        if not min(a, b) < c < max(a, b):
+            break
+        fc = excess(c)
+        if (fc < 0.0) == (fa < 0.0):
+            a, fa, wa = c, fc, fc
+            if kept == -1:
+                wb *= 0.5
+            kept = -1
+        else:
+            b, fb, wb = c, fc, fc
+            if kept == 1:
+                wa *= 0.5
+            kept = 1
+    return a if abs(fa) <= abs(fb) else b
 
 
 def p_star(y: float, p: WfeParams) -> float:

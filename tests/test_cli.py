@@ -9,9 +9,14 @@ count changes.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import squimld
 from squimld.cli import ENV_PREFIX, main
 from squimld.mc import SHARDS_DEFAULT as MC_SHARDS
 from squimld.parallel import available_cores, resolve_workers
@@ -28,6 +33,21 @@ def read(path):
 def test_no_subcommand_is_usage_error(capsys):
     assert run([]) == 2
     capsys.readouterr()
+
+
+def test_import_loads_no_scipy():
+    # scipy costs most of a cold start; only the tests and
+    # ratecurves.classify_theorem_two use it, behind local imports
+    code = (
+        "import sys, squimld, squimld.cli\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    )
+    src = str(Path(squimld.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout.split()
+    assert not out, f"importing squimld loaded scipy modules: {out}"
 
 
 def test_help_exits_zero(capsys):

@@ -55,9 +55,11 @@ def test_g_values_structure():
 
 
 def test_log_binomials_against_comb():
-    for n in (2, 5, 12):
-        ref = np.log([math.comb(n, k) for k in range(n + 1)])
-        assert np.allclose(log_binomials(n), ref, atol=1e-10)
+    for n_spins in (2, 5, 8, 12, 64, 1024):
+        got = log_binomials(n_spins)
+        assert got.shape == (n_spins + 1,)
+        for n in range(n_spins + 1):
+            assert got[n] == pytest.approx(math.log(math.comb(n_spins, n)), rel=1e-13, abs=0.0)
 
 
 def test_state_validation():

@@ -34,11 +34,11 @@ from squimld.gecore import (
     QMIN_STRICT,
     SERIES_TOL,
     _b_of,
+    _pieces_arr,
     _t_from_theta1,
     _theta1_from_t,
     axis_h_t,
     axis_k_t,
-    domain_tests_arr,
     h_value,
     in_domain_D,
     q_kernel,
@@ -292,26 +292,29 @@ def test_qmin_matches_grid_scan(pair):
 @settings(max_examples=150)
 @example((-0.25, -0.25))  # on q(-1) = 0, where q(-1) rounds to -1.1e-16
 def test_domain_tests_equal_qmin_sign(pair):
+    # domain-scan reads in_D off _pieces_arr (q_kernel); the scalar verdict
+    # must agree with it and with the sign of q_min
     t1, t2 = pair
-    in_d, failed = domain_tests_arr(P07, t1, t2)
-    qmin = in_domain_D(ThetaPair(t1, t2), P07).q_min
-    assert bool(in_d) == (qmin >= 0.0)
-    assert (int(failed) == 0) == bool(in_d)
+    in_d = _pieces_arr(P07, t1, t2)["in_D"][0]
+    verdict = in_domain_D(ThetaPair(t1, t2), P07)
+    assert bool(in_d) == verdict.in_domain == (verdict.q_min >= 0.0)
+    assert (verdict.failed_test is None) == verdict.in_domain
 
 
 @pytest.mark.parametrize("params", [P07, P03])
 def test_boundary_lines_through_p_get_one_verdict(params):
     # q(1) = 0 and q(-1) = 0 are the lines through P = (-1/(2x), 0) with
     # slopes x/(1-eps) and -x/(1+eps); on them rounding decides membership,
-    # and every route must decide it the same way
+    # and the scan's route and the scalar verdict must decide it the same way
     x, eps = params.x, params.eps
     s = np.linspace(0.0, 3.0, 301)
     for slope in (x / (1.0 - eps), -x / (1.0 + eps)):
-        for t1, t2 in zip(params.p_left + s, slope * s):
-            in_d, failed = domain_tests_arr(params, t1, t2)
+        t1s, t2s = params.p_left + s, slope * s
+        in_d = _pieces_arr(params, t1s, t2s)["in_D"]
+        for t1, t2, member in zip(t1s, t2s, in_d):
             verdict = in_domain_D(ThetaPair(float(t1), float(t2)), params)
-            assert bool(in_d) == verdict.in_domain == (verdict.q_min >= 0.0)
-            assert (int(failed) == 0) == verdict.in_domain
+            assert bool(member) == verdict.in_domain == (verdict.q_min >= 0.0)
+            assert (verdict.failed_test is None) == verdict.in_domain
 
 
 @given(

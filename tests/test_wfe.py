@@ -205,7 +205,9 @@ def test_dual_is_convex_in_y():
 
 def test_p_star_inf_frozen_value():
     res = p_star_inf(P12)
-    assert res.p_star_inf == pytest.approx(0.3400098818596, abs=1e-10)
+    assert res.p_star_inf == pytest.approx(0.3400098818596, rel=1e-12)
+    # the quadrature infimum: p is stationary at theta_at_min
+    assert res.p_star_inf == pytest.approx(-p_theta_quad(res.theta_at_min, P12), rel=1e-12)
     # p* increases on y > 0, so the infimum is the y -> 0+ limit
     assert res.y_at_inf == 0.0
     assert res.theta_range[0] < 0.0 < res.theta_range[1]
@@ -218,6 +220,14 @@ def test_theta_at_min_zeroes_the_slope_of_p():
     slope = (p_theta(theta + step, P12) - p_theta(theta - step, P12)) / (2.0 * step)
     assert abs(slope) < 1e-9
     assert p_star_inf(P12).p_star_inf == pytest.approx(-p_theta(theta, P12), rel=1e-14)
+
+
+@pytest.mark.parametrize("omega, eps", [(1.2, 0.1), (1.05, 0.3), (1.3, 0.02)])
+def test_theta_at_min_sits_where_the_slope_changes_sign(omega, eps):
+    p = WfeParams(omega=omega, eps=eps)
+    theta = p_star_inf(p).theta_at_min
+    assert _p_and_slope(theta * (1.0 - 1e-12), p)[1] < 0.0
+    assert _p_and_slope(theta * (1.0 + 1e-12), p)[1] > 0.0
 
 
 def test_beta_critical_frozen_value():
