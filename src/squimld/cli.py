@@ -234,6 +234,7 @@ def cmd_wfe(args) -> int:
     out_dir = Path(_resolve(args, "out-dir", str, ".", config))
     started = utc_now()
     r = r_of_omega(omega)
+    diagnostics = {}
     try:
         p = WfeParams(omega=omega, eps=eps, delta=delta)
     except HypothesisViolation:
@@ -242,6 +243,8 @@ def cmd_wfe(args) -> int:
     else:
         res, beta_c = beta_critical(p)
         row = (omega, eps, r, p.delta, res.p_star_inf, res.y_at_inf, beta_c, 1)
+        diagnostics = {"theta_at_min": res.theta_at_min, "theta_lo": res.theta_range[0],
+                       "theta_hi": res.theta_range[1]}
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "wfe_transition.csv"
     write_csv(
@@ -253,7 +256,7 @@ def cmd_wfe(args) -> int:
     _manifest(
         "wfe",
         {"omega": omega, "eps": eps, "delta": "" if delta is None else delta},
-        0, 1, started, [csv_path.name], out_dir, "wfe_transition",
+        0, 1, started, [csv_path.name], out_dir, "wfe_transition", None, diagnostics,
     )
     print(f"wrote {csv_path} (hypotheses_ok={row[-1]})")
     return 0

@@ -23,7 +23,8 @@ class NearBoundary(SquimldError):
 
 
 class NoRoot(SquimldError):
-    """The axis function H has no second zero for these parameters."""
+    """No root where one was sought: H has no second zero above the bracket
+    floor, or f keeps its sign up to the end gecore.root_toward steps to."""
 
 
 class OutOfThetaRange(SquimldError):

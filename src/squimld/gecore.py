@@ -30,7 +30,7 @@ a1 = 1 - x - y^2 and a2 = y - eps, from the same kernel.
 The theta2 = 0 axis supports extra structure used by the one-observable rate
 function: H(t1) = -1 + 1/2 * Int 1/q, which is 0 at the origin, convex, and
 blows up (logarithmically) at the left endpoint P = -1/(2x) of D.  Its second
-zero Q is found by bisection in the transformed coordinate
+zero Q is found by bracketed_root in the log of the transformed coordinate
 
     t = s - 1,   s = sqrt(1/(-2*t1) + 1 - x),
 
@@ -44,6 +44,8 @@ and raises: cgf_c, grad_c, k_value and integral_inv_q take (theta, params),
 read _pieces_arr and raise NearBoundary off the strict interior; in_domain_D
 gives the three-test verdict with q_min over [-1, 1]; on the axis, H_value
 gives H and solve_Q_detail gives Q with its t coordinate and the gap Q - P.
+bracketed_root is the package's one root solve: Q here, theta* and the
+rare-event tilt in wfe (through root_toward).
 """
 
 from __future__ import annotations
@@ -69,8 +71,6 @@ SERIES_TERMS = 24
 # about 1/DISC_TIE_TOL times their own ulp to the near-cancelling roots.
 DISC_TIE_TOL = 0.05
 TIE_ORDER = 12
-# solve_Q_detail stops bisecting once |H| at the midpoint falls below this.
-Q_H_TOL = 1e-12
 # A root r of q with |1/r| at or below this is far: its moments come from
 # series in 1/r (see _root_moments); the second radius applies when the
 # moments run up to y^4, for Int y^m/q^2.
@@ -515,6 +515,52 @@ def k_value(theta: ThetaPair, params: RateParams) -> float:
     return _scalar(theta, params, "k")[0]
 
 
+def bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of f between a and b, where fa = f(a) and fb = f(b) differ in sign.
+
+    False position with the Illinois rule (Dowell & Jarratt, BIT 1971): the
+    value kept at an end that survives two steps in a row is halved.  Each
+    step shrinks the bracket, and the loop stops, at the latest on adjacent
+    doubles, once the next point no longer falls strictly inside it, so no
+    tolerance is set.  Returns the end with the smaller |f|.
+    """
+    wa, wb = fa, fb  # the values false position weighs, halved by the rule
+    kept = 0  # +1 when a survived the last step, -1 when b did
+    while fa != 0.0 and fb != 0.0:
+        c = b - wb * (b - a) / (wb - wa)
+        if not min(a, b) < c < max(a, b):
+            break
+        fc = f(c)
+        if (fc < 0.0) == (fa < 0.0):
+            a, fa, wa = c, fc, fc
+            if kept == -1:
+                wb *= 0.5
+            kept = -1
+        else:
+            b, fb, wb = c, fc, fc
+            if kept == 1:
+                wa *= 0.5
+            kept = 1
+    return a if abs(fa) <= abs(fb) else b
+
+
+def root_toward(f, a: float, end: float) -> float:
+    """Root of f between a and end: steps from a halfway to end until f
+    changes sign, then calls bracketed_root.  f is never called at end,
+    where it may be infinite; NoRoot is raised if no sign change comes
+    before end."""
+    fa = f(a)
+    b = 0.5 * (a + end)
+    while fa != 0.0:
+        if not min(a, end) < b < max(a, end):
+            raise NoRoot(f"f keeps the sign of f({a!r}) = {fa!r} up to the end {end!r}")
+        fb = f(b)
+        if fb == 0.0 or (fb < 0.0) != (fa < 0.0):
+            return bracketed_root(f, a, b, fa, fb)
+        a, fa, b = b, fb, 0.5 * (b + end)
+    return a
+
+
 # ---------------------------------------------------------------------------
 # The theta2 = 0 axis: H, its second zero Q, and k along the axis.
 # ---------------------------------------------------------------------------
@@ -585,17 +631,26 @@ def H_value(theta1: float, x: float) -> float:
 
 
 def solve_Q_detail(x: float) -> QRoot:
-    """Second zero of H on (P, 0) by bisection in log t.
+    """Second zero of H on (P, 0), by bracketed_root in u = log t.
 
     H(t) -> +inf as t -> 0+ (the P end) and approaches 0 from below as
-    t -> inf (the origin end) when x < 2/3, so a sign change brackets Q.
+    t -> inf (the origin end) when x < 2/3, so a sign change between the
+    floor t = 1e-300 and an upper end grown by factors of 4 brackets Q.
+    Below x ~ 0.0029 Q's t lies under that floor, and NoRoot says so.
     """
     if not (0.0 < x <= 1.0):
         raise InvalidParams(f"x must be in (0, 1], got {x}")
     if x >= 2.0 / 3.0:
         raise NoRoot(f"H has no second zero for x={x} >= 2/3")
+
+    def h_of_u(u):
+        return float(axis_h_t(np.exp(u), x))
+
     lo = np.log(1e-300)
-    flo = float(axis_h_t(np.exp(lo), x))
+    flo = h_of_u(lo)
+    if not flo > 0.0:
+        raise NoRoot(f"Q - P at x={x} lies below the bracket floor t=1e-300: "
+                     f"H(1e-300) = {flo!r} is not positive")
     # Expand the upper end until the (x - 2/3)/t^2 tail turns H negative.
     # Absolute evaluation error is ~1e-16, so the sign is trustworthy while
     # (2/3 - x)/t^2 stays well above that.
@@ -604,32 +659,15 @@ def solve_Q_detail(x: float) -> QRoot:
     while fhi >= 0.0 and t_hi < 1e7:
         t_hi *= 4.0
         fhi = float(axis_h_t(t_hi, x))
-    hi = np.log(t_hi)
-    if not (flo > 0.0 > fhi):
-        raise NoRoot(
-            f"bisection bracket failed for x={x}: H({np.exp(lo)})={flo}, "
-            f"H({t_hi})={fhi}"
-        )
-    fmid = np.inf
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        fmid = float(axis_h_t(np.exp(mid), x))
-        if abs(fmid) < Q_H_TOL:
-            break
-        if fmid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    t = float(np.exp(0.5 * (lo + hi)))
-    fmid = float(axis_h_t(t, x))
+    if not fhi < 0.0:
+        raise NoRoot(f"H stays nonnegative up to t={t_hi:g} at x={x}: H = {fhi!r}")
+    t = float(np.exp(bracketed_root(h_of_u, lo, np.log(t_hi), flo, fhi)))
     w = t * t + 2.0 * t
     fp_res = abs(np.log(t) - (np.log(2.0 + t) - 2.0 * (t + 1.0) / (w + x)))
     return QRoot(
         theta1=_theta1_from_t(t, x),
         t=t,
         gap=w / (2.0 * x * (w + x)),
-        h_residual=fmid,
+        h_residual=float(axis_h_t(t, x)),
         fixed_point_residual=float(fp_res),
     )

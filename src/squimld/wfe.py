@@ -77,7 +77,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import HypothesisViolation, InvalidParams, OutOfThetaRange
-from .gecore import QMIN_STRICT, q_kernel
+from .gecore import QMIN_STRICT, q_kernel, root_toward
 from .parallel import fold_shifted, map_shards, shard_rng, split_counts
 
 # Philox words per block of the rare-event sampler (256 kB of uint64).  A
@@ -86,8 +86,6 @@ from .parallel import fold_shifted, map_shards, shard_rng, split_counts
 # 2^16 words and 1.8x at 2^17, and 1.13x slower at 2^14, where the
 # per-block overhead starts to show
 RARE_BLOCK_WORDS = 1 << 15
-# Bisection stops solve_tilt once the bracket is this fraction of its start
-TILT_RTOL = 1e-12
 
 
 def r_of_omega(omega: float) -> float:
@@ -229,50 +227,20 @@ def p_theta(theta: float, p: WfeParams) -> float:
 
 
 def _theta_at_slope(y: float, p: WfeParams) -> float:
-    """The admissible theta with p'(theta) = y.
+    """The admissible theta with p'(theta) = y, by gecore.root_toward.
 
     p' increases across the admissible interval and diverges at both ends,
     so stepping from 0 halfway to the end on the root's side brackets the
-    root within a few steps; a root closer to an end than the kernel's
-    strict interior raises OutOfThetaRange.  The bracket is then narrowed
-    by false position with the Illinois rule (the value kept at an end
-    that survives two steps in a row is halved), until the next point no
-    longer falls strictly inside it: every step shrinks the bracket, so the
-    loop ends, at the latest on adjacent doubles, with no tolerance to set.
-    Of the two ends the one with the smaller |p'(theta) - y| is returned.
+    root within a few steps, and bracketed_root narrows it to adjacent
+    doubles.  A root closer to an end than the kernel's strict interior
+    raises OutOfThetaRange.
     """
     lo, hi = theta_range(p)
 
     def excess(t):
         return _p_and_slope(t, p)[1] - y
 
-    a, fa = 0.0, excess(0.0)
-    below = fa < 0.0
-    end = hi if below else lo
-    b = 0.5 * end
-    fb = excess(b)
-    while (fb < 0.0) == below:
-        a, fa = b, fb
-        b = 0.5 * (b + end)
-        fb = excess(b)
-    wa, wb = fa, fb  # the values false position weighs, halved by the rule
-    kept = 0  # +1 when a survived the last step, -1 when b did
-    while fa != 0.0 and fb != 0.0:
-        c = b - wb * (b - a) / (wb - wa)
-        if not min(a, b) < c < max(a, b):
-            break
-        fc = excess(c)
-        if (fc < 0.0) == (fa < 0.0):
-            a, fa, wa = c, fc, fc
-            if kept == -1:
-                wb *= 0.5
-            kept = -1
-        else:
-            b, fb, wb = c, fc, fc
-            if kept == 1:
-                wa *= 0.5
-            kept = 1
-    return a if abs(fa) <= abs(fb) else b
+    return root_toward(excess, 0.0, hi if excess(0.0) < 0.0 else lo)
 
 
 def p_star(y: float, p: WfeParams) -> float:
@@ -341,7 +309,8 @@ def solve_tilt(b: np.ndarray) -> float:
     """Root of psi'(t) = sum b_n/(1 - 2 t b_n) on (0, 1/(2 max b)).
 
     psi'(0) = sum b < 0 in our regime and psi' -> +inf at the right end,
-    so bisection brackets the dominant-point tilt.
+    so gecore.root_toward, which never evaluates psi' at that end, finds
+    the dominant-point tilt.
     """
     b_max = float(np.max(b))
     if b_max <= 0.0:
@@ -350,21 +319,9 @@ def solve_tilt(b: np.ndarray) -> float:
     def dpsi(t):
         return float(np.sum(b / (1.0 - 2.0 * t * b)))
 
-    lo, hi = 0.0, 1.0 / (2.0 * b_max)
-    if dpsi(lo) >= 0.0:
+    if dpsi(0.0) >= 0.0:
         raise InvalidParams("sum of weights is nonnegative: no tilt needed")
-    # keep strictly inside the right end where psi' is +inf
-    hi_in = hi * (1.0 - 1e-14)
-    while dpsi(hi_in) <= 0.0:
-        hi_in = (hi_in + hi) / 2.0
-    lo_in = 0.0
-    while hi_in - lo_in > TILT_RTOL * hi:
-        mid = 0.5 * (lo_in + hi_in)
-        if dpsi(mid) < 0.0:
-            lo_in = mid
-        else:
-            hi_in = mid
-    return 0.5 * (lo_in + hi_in)
+    return root_toward(dpsi, 0.0, 1.0 / (2.0 * b_max))
 
 
 def _pair_coefficients(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

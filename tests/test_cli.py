@@ -98,6 +98,10 @@ def test_wfe_csv_hypotheses_ok(tmp_path, capsys):
     assert float(cols[5]) == 0.0
     assert float(cols[6]) == pytest.approx(17.00049409298, abs=1e-8)
     assert cols[7] == "1"
+    man = json.loads(read(tmp_path / "wfe_transition_manifest.json"))
+    res = squimld.p_star_inf(squimld.WfeParams(1.2, 0.1))
+    assert float(man["diag.theta_at_min"]) == res.theta_at_min
+    assert (float(man["diag.theta_lo"]), float(man["diag.theta_hi"])) == res.theta_range
 
 
 @pytest.mark.parametrize("flags, delta", [
@@ -114,6 +118,8 @@ def test_wfe_failed_hypotheses_row_not_error(tmp_path, capsys, flags, delta):
     assert cols[7] == "0"
     assert cols[4] == "nan" and cols[6] == "nan"
     assert float(cols[3]) == delta
+    man = json.loads(read(tmp_path / "wfe_transition_manifest.json"))
+    assert not [k for k in man if k.startswith("diag.theta_")]
 
 
 @pytest.mark.parametrize("omega, r", [(1.2, 1.0 / 6.0), (1.5, 1.0 / 3.0), (0.0, math.nan)])
@@ -353,6 +359,14 @@ def test_rate_curves_exit_3_when_the_dual_does_not_certify(tmp_path, capsys, mon
     assert run(args) == 3
     err = capsys.readouterr().err
     assert "x=0.6" in err and "gap" in err and "> -1" in err
+
+
+def test_rate_curves_exit_3_when_q_is_below_the_bracket_floor(tmp_path, capsys):
+    args = ["rate-curves", "--x-list", "0.0028", "--samples", "10000",
+            "--out-dir", str(tmp_path)]
+    assert run(args) == 3
+    err = capsys.readouterr().err
+    assert "x=0.0028" in err and "bracket floor t=1e-300" in err and "H(1e-300)" in err
 
 
 def test_validate_full_alone_brackets_i2():

@@ -9,6 +9,7 @@ where the root gap shrinks below float spacing.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,9 +40,11 @@ from squimld.gecore import (
     _theta1_from_t,
     axis_h_t,
     axis_k_t,
+    bracketed_root,
     h_value,
     in_domain_D,
     q_kernel,
+    root_toward,
 )
 
 P07 = RateParams(x=0.7, eps=0.3)
@@ -411,12 +414,61 @@ def test_solve_q_properties():
         assert isinstance(root, QRoot)
         p_left = -1.0 / (2.0 * x)
         assert p_left < root.theta1 < 0.0
-        assert abs(root.h_residual) < 1e-10
-        assert root.fixed_point_residual < 1e-9
+        assert abs(root.h_residual) <= 1e-15
+        assert root.fixed_point_residual <= 1e-14
     with pytest.raises(NoRoot):
         solve_Q_detail(0.7)
     with pytest.raises(NoRoot):
         solve_Q_detail(2.0 / 3.0)
+
+
+def test_q_root_t_matches_mpmath():
+    # H = 0 solved in mpmath at 50 digits
+    assert solve_Q_detail(0.1).t == pytest.approx(4.1223137108869917e-9, rel=1e-13, abs=0.0)
+
+
+def test_q_below_the_bracket_floor_names_its_cause():
+    # for x below ~0.0029 the t coordinate of Q lies under t = 1e-300
+    with pytest.raises(NoRoot, match=r"x=0\.0028 lies below the bracket floor t=1e-300: "
+                                     r"H\(1e-300\) = -0\.0319"):
+        solve_Q_detail(0.0028)
+
+
+def _adjacent(root: float, exact_sq: Fraction) -> bool:
+    """root and a neighbouring double bracket sqrt(exact_sq)."""
+    lo, hi = math.nextafter(root, -math.inf), math.nextafter(root, math.inf)
+    r2 = Fraction(root) ** 2
+    return (Fraction(lo) ** 2 < exact_sq < r2) or (r2 < exact_sq < Fraction(hi) ** 2)
+
+
+def test_bracketed_root_ends_next_to_sqrt2():
+    root = bracketed_root(lambda t: t * t - 2.0, 1.0, 2.0, -1.0, 2.0)
+    assert _adjacent(root, Fraction(2))
+    # decreasing f, and the ends passed the other way round
+    root = bracketed_root(lambda t: 2.0 - t * t, 2.0, 1.0, -2.0, 1.0)
+    assert _adjacent(root, Fraction(2))
+
+
+def test_bracketed_root_returns_an_exact_zero_end_at_once():
+    def never(t):
+        raise AssertionError(f"f called at {t}")
+
+    assert bracketed_root(never, 0.0, 1.0, 0.0, 3.0) == 0.0
+    assert bracketed_root(never, -1.0, 3.0, -2.0, 0.0) == 3.0
+
+
+def test_root_toward_never_calls_f_at_the_end():
+    def f(t):
+        if t == 1.0:
+            raise AssertionError("f called at the end")
+        return 1.0 / (1.0 - t) - 10.0
+
+    assert root_toward(f, 0.0, 1.0) == pytest.approx(0.9, rel=1e-15)
+    assert root_toward(lambda t: 10.0 - 1.0 / (1.0 + t), 0.0, -1.0) == pytest.approx(
+        -0.9, rel=1e-15)
+    # no sign change before the end: NoRoot, not a call at the end
+    with pytest.raises(NoRoot, match="up to the end 1.0"):
+        root_toward(lambda t: f(t) - 1e300, 0.0, 1.0)
 
 
 def test_q_root_transformed_coordinate_is_tiny():

@@ -176,6 +176,23 @@ def test_i1_frozen_values():
     assert compute_I1(RateParams(x=2.0 / 3.0, eps=0.1)) == 0.0
 
 
+@pytest.mark.parametrize("x, i1", [
+    (0.1, 1.6888794582362467),
+    (0.2, 0.99582344936466587),
+    (0.3, 0.59294863786307525),
+    (0.5, 0.13128101081181437),
+    (0.6, 0.022986955534743686),
+    (0.65, 0.0015268835411322143),
+    (0.66, 2.4766052724702668e-4),
+    (0.666, 2.497623250584781e-6),
+    (0.6666, 2.4997619468497387e-8),
+])
+def test_i1_matches_mpmath(x, i1):
+    # k at the root of H, both in mpmath at 50 digits; near x = 2/3 the
+    # absolute bound is a relative one of up to 4e-8
+    assert compute_I1(RateParams(x, 0.01)) == pytest.approx(i1, rel=0.0, abs=1e-15)
+
+
 def test_i1_is_k_at_q_and_no_axis_point_undercuts_it():
     for x in (0.02, 0.1, 0.3, 0.6, 0.65):
         t_q = solve_Q_detail(x).t

@@ -266,6 +266,14 @@ def test_solve_tilt_zeroes_the_derivative():
     assert psi_weighted(b, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("n_sites, tilt", [
+    (50, 7.432590379226377673), (2000, 7.5320747323742247032),
+])
+def test_solve_tilt_matches_mpmath(n_sites, tilt):
+    # the root of psi' in mpmath at 50 digits
+    assert solve_tilt(grid_weights(P12, n_sites)) == pytest.approx(tilt, rel=1e-14, abs=0.0)
+
+
 def contour_log_p(n_sites: int) -> float:
     """log P[sum b_n chi_n^2 >= 0] by the Daniels/Imhof inversion integral.
 
