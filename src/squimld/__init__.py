@@ -7,7 +7,6 @@ from .errors import (
     DegenerateWeights,
     DualNotCertified,
     HypothesisViolation,
-    InsufficientCurve,
     InvalidParams,
     NearBoundary,
     NoConstraintPoints,

@@ -49,11 +49,8 @@ class DualNotCertified(SquimldError):
     def __init__(self, x: float, eps: float, gap: float, threshold: float,
                  iterations: int, reason: str = ""):
         self.x, self.eps, self.gap, self.threshold = x, eps, gap, threshold
+        self.iterations, self.reason = iterations, reason
         super().__init__(
             f"I2 dual not certified at x={x}, eps={eps}: gap {gap:.3e} > {threshold:g} "
             f"after {iterations} Newton steps" + (f" ({reason})" if reason else "")
         )
-
-
-class InsufficientCurve(SquimldError):
-    """Rate curve has too few valid points for interpolation."""

@@ -24,6 +24,11 @@ duality gap: -c at any point of the quadrant bounds I2 from below, k at any
 point of G from above.  The sampled minimum of k over G ∩ D is such an upper
 bound too, and compute_I2 keeps it beside the dual value as a check.
 
+The Theorem-2 classifier (library only) minimises beta*x + I(x) directly:
+q depends on x only through b, with db/dx = 2 theta1, so by Danskin's
+theorem dI/dx = theta1 Int 1/q at the minimiser, 2Q for I1 (Int 1/q = 2 at
+Q), and the minimum is the root of beta + dI/dx.
+
 Sampling of D follows a two-stage scheme: pick a ray slope alpha through the
 left vertex P of D, pick theta1, set theta2 = alpha*(theta1 + 1/(2x)), and
 accept iff the three domain tests pass.  The lines h(1) = 1/2 and h(-1) = 1/2
@@ -46,8 +51,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DualNotCertified, InsufficientCurve, InvalidParams, NoConstraintPoints
-from .gecore import RateParams, _pieces_arr, axis_k_t, solve_Q_detail
+from .errors import DualNotCertified, InvalidParams, NoConstraintPoints
+from .gecore import RateParams, _pieces_arr, axis_k_t, root_toward, solve_Q_detail
 from .parallel import map_shards, shard_rng, split_counts
 
 # Default tilt schedule for D sampling; 0 is the plain uniform pass.
@@ -79,7 +84,7 @@ class BiasedInterval:
 class RateCurvePoint:
     x: float
     I1: float
-    I2: float  # nan marks a NoConstraintPoints row
+    I2: float  # max(-c(theta*), I1) from the certified dual
     accepted_G: int
     samples: int
     noise_band: float = 0.0  # of sampled_k_min
@@ -282,17 +287,19 @@ class DualSolution:
     """Minimum of c over the quadrant theta1 <= 0, theta2 >= 0 of D.
 
     value = -c(theta) is a lower bound on I2 at any point of the quadrant,
-    and value + gap an upper bound, so the pair brackets I2.
+    and value + gap an upper bound, so the pair brackets I2.  The quadrant
+    does not move with x, so slope = theta1 Int 1/q is dI2/dx (Danskin).
     """
 
     theta: tuple[float, float]
     value: float
     gap: float
     iterations: int
+    slope: float
 
 
 def _dual_pieces(params: RateParams, v):
-    """(c, grad c, Hessian of c) at theta = (P + s, theta2), v = (s, theta2).
+    """(c, grad c, Hessian of c, Int 1/q) at theta = (P + s, theta2), v = (s, theta2).
 
     Near the vertex P both q(1) and q(-1) vanish, and forming them from
     theta1 loses all but a few digits to cancellation; from s they are the
@@ -305,9 +312,9 @@ def _dual_pieces(params: RateParams, v):
     pieces = _pieces_arr(params, params.p_left + s, theta2, hessian=True, ends=ends)
     if not pieces["ok"][0]:
         return None
-    c, g1, g2, h11, h12, h22 = (float(pieces[key][0])
-                                for key in ("c", "grad1", "grad2", "h11", "h12", "h22"))
-    return c, np.array([g1, g2]), np.array([[h11, h12], [h12, h22]])
+    c, g1, g2, h11, h12, h22, j = (float(pieces[key][0])
+                                   for key in ("c", "grad1", "grad2", "h11", "h12", "h22", "j"))
+    return c, np.array([g1, g2]), np.array([[h11, h12], [h12, h22]]), j
 
 
 def _dual_gap(params: RateParams, v, grad) -> float:
@@ -346,10 +353,10 @@ def solve_dual(params: RateParams) -> DualSolution:
     v = np.array([solve_Q_detail(x).gap if x < 2.0 / 3.0 else s_max, 0.0])
     start = _dual_pieces(params, v)
     if start is None:
-        raise DualNotCertified(x, params.eps, math.nan, DUAL_GAP_TOL, 0,
-                               f"start theta1 = {params.p_left + v[0]!r} is not strictly inside D")
-    c, grad, hess = start
-    best = (_dual_gap(params, v, grad), v, c)
+        raise DualNotCertified(x, params.eps, math.nan, DUAL_GAP_TOL, 0, "start theta1 = "
+                               f"{float(params.p_left + v[0])!r} is not strictly inside D")
+    c, grad, hess, j = start
+    best = (_dual_gap(params, v, grad), v, c, j)
     iterations = 0
     while best[0] > DUAL_GAP_STOP and iterations < NEWTON_MAX_ITERS:
         free = [not (v[0] >= s_max and grad[0] < 0.0), not (v[1] <= 0.0 and grad[1] > 0.0)]
@@ -372,16 +379,17 @@ def solve_dual(params: RateParams) -> DualSolution:
             lam *= 0.5
         else:
             break
-        v, (c, grad, hess) = trial, pieces
+        v, (c, grad, hess, j) = trial, pieces
         iterations += 1
         gap = _dual_gap(params, v, grad)
         if gap < best[0]:
-            best = (gap, v, c)
-    gap, v, c = best
+            best = (gap, v, c, j)
+    gap, v, c, j = best
     if not gap <= DUAL_GAP_TOL:
         raise DualNotCertified(x, params.eps, gap, DUAL_GAP_TOL, iterations)
-    return DualSolution(theta=(params.p_left + float(v[0]), float(v[1])), value=-c,
-                        gap=float(gap), iterations=iterations)
+    theta1 = params.p_left + float(v[0])
+    return DualSolution(theta=(theta1, float(v[1])), value=-c, gap=float(gap),
+                        iterations=iterations, slope=theta1 * j)
 
 
 def compute_I2(params: RateParams, n_samples: int, eta_schedule=ETA_DEFAULT,
@@ -437,6 +445,12 @@ def compute_I2(params: RateParams, n_samples: int, eta_schedule=ETA_DEFAULT,
     )
 
 
+def _axis_rate(x: float) -> tuple[float, float]:
+    """(I1(x), dI1/dx) = (k at Q, 2Q) for x < 2/3; I1 has no eps to check x against."""
+    root = solve_Q_detail(x)
+    return max(float(axis_k_t(root.t, x)), 0.0), 2.0 * root.theta1
+
+
 def compute_I1(params: RateParams) -> float:
     """I1 = inf k(theta1, 0) over the axis constraint segment.
 
@@ -444,69 +458,58 @@ def compute_I1(params: RateParams) -> float:
     so I1 = k(Q).  For x >= 2/3 it is the whole axis piece of D, over which
     k falls to 0 at the origin end, so I1 = 0.
     """
-    x = params.x
-    if x >= 2.0 / 3.0:
-        return 0.0
-    return max(float(axis_k_t(solve_Q_detail(x).t, x)), 0.0)
+    return 0.0 if params.x >= 2.0 / 3.0 else _axis_rate(params.x)[0]
 
 
 # ---------------------------------------------------------------------------
-# four-case classifier
+# Theorem-2 classifier
 # ---------------------------------------------------------------------------
 
 
-def classify_theorem_two(beta: float, curve: list[RateCurvePoint],
-                         grid_points: int = 2001) -> GFunctions:
+def _min_over_x(beta: float, x_max: float, rate) -> tuple[float, float]:
+    """(min, argmin) of beta*x + I(x) over 0 < x < x_max; rate(x) = (I, dI/dx).
+
+    g' = beta + dI/dx runs from -inf at x -> 0 to g' > 0 at
+    x_top = min(x_max, 1/beta), as dI/dx stays above 2P = -1/x (for I1,
+    2Q > 2P).  root_toward starts at
+    x0 = x_top / (1 + x_top), 1/(beta + 1) for large beta, and steps toward
+    x_top if g'(x0) < 0, else toward 0: no x below x0 is probed needlessly.
+    """
+    x_top = min(x_max, 1.0 / beta)
+    x0 = x_top / (1.0 + x_top)
+    up = beta + rate(x0)[1] < 0.0
+    x = root_toward(lambda x: beta + rate(x)[1], x0, x_top if up else 0.0)
+    return beta * x + rate(x)[0], x
+
+
+def classify_theorem_two(beta: float, eps: float) -> GFunctions:
     """Compare the exponential rates g_i(x) = beta*x + I_i(x) of the Laplace
     terms against the bare first-term exponents beta and (2/3)*beta.
 
-    The numerator tag is N1 when the first term wins (beta < min g2), N2
-    otherwise; the denominator tag is D1 when (2/3)*beta <= min g1, D2
-    otherwise.  In every case the implied decay exponent of the ratio,
-    min(beta, g2_min) - min((2/3)beta, g1_min), must be positive.
+    x runs over (0, 2/3) for g1, beyond which I1 = 0, and over the admitted
+    (0, 1 - eps^2) for g2.  The numerator tag is N1 when the first term wins
+    (beta < min g2), N2 otherwise; the denominator tag is D1 when
+    (2/3)*beta <= min g1, D2 otherwise.  In every case the implied decay
+    exponent of the ratio, min(beta, g2_min) - min((2/3)beta, g1_min), must
+    be positive.  A dual that does not certify raises DualNotCertified,
+    naming beta.
     """
-    # scipy only here: no CLI path reaches the classifier, so importing
-    # squimld stays free of scipy
-    from scipy.interpolate import PchipInterpolator
-
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise InvalidParams(f"beta must be positive, got {beta}")
-    pts = sorted(
-        (p for p in curve if np.isfinite(p.I2) and np.isfinite(p.I1)),
-        key=lambda p: p.x,
-    )
-    if len(pts) < 8:
-        raise InsufficientCurve(
-            f"need >= 8 finite curve points, got {len(pts)}"
-        )
-    xs = np.array([p.x for p in pts])
-    if np.any(np.diff(xs) <= 0.0):
-        raise InsufficientCurve("curve x values must be strictly increasing")
-    i1s = np.array([p.I1 for p in pts])
-    i2s = np.array([p.I2 for p in pts])
-    f1 = PchipInterpolator(xs, i1s)
-    f2 = PchipInterpolator(xs, i2s)
-    x_lo = float(xs[0])
-    x_hi = float(xs[-1])
-    if x_lo >= 2.0 / 3.0:
-        raise InsufficientCurve("curve must reach below x = 2/3 for g1")
+    if not 0.0 < eps < 1.0:
+        raise InvalidParams(f"eps must lie in (0, 1), got {eps}")
 
-    g1_grid = np.linspace(x_lo, min(x_hi, 2.0 / 3.0), grid_points)
-    g1_vals = beta * g1_grid + f1(g1_grid)
-    j1 = int(np.argmin(g1_vals))
-    g2_grid = np.linspace(x_lo, min(x_hi, 1.0), grid_points)
-    g2_vals = beta * g2_grid + f2(g2_grid)
-    j2 = int(np.argmin(g2_vals))
+    def dual_rate(x):
+        dual = solve_dual(RateParams(x=x, eps=eps))
+        return dual.value, dual.slope
 
-    g1_min, x_hat1 = float(g1_vals[j1]), float(g1_grid[j1])
-    g2_min, x_hat2 = float(g2_vals[j2]), float(g2_grid[j2])
+    try:
+        g2_min, x_hat2 = _min_over_x(beta, 1.0 - eps * eps, dual_rate)
+    except DualNotCertified as err:
+        raise DualNotCertified(err.x, err.eps, err.gap, err.threshold, err.iterations,
+                               "; ".join(filter(None, (f"beta={beta!r}", err.reason)))) from err
+    g1_min, x_hat1 = _min_over_x(beta, 2.0 / 3.0, _axis_rate)
     n_tag = "N1" if beta < g2_min else "N2"
     d_tag = "D1" if 2.0 * beta / 3.0 <= g1_min else "D2"
-    return GFunctions(
-        beta=beta,
-        g1_min=g1_min,
-        g2_min=g2_min,
-        case_tag=n_tag + d_tag,
-        x_hat1=x_hat1,
-        x_hat2=x_hat2,
-    )
+    return GFunctions(beta=beta, g1_min=g1_min, g2_min=g2_min, case_tag=n_tag + d_tag,
+                      x_hat1=x_hat1, x_hat2=x_hat2)

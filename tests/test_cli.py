@@ -36,10 +36,11 @@ def test_no_subcommand_is_usage_error(capsys):
 
 
 def test_import_loads_no_scipy():
-    # scipy costs most of a cold start; only the tests and
-    # ratecurves.classify_theorem_two use it, behind local imports
+    # scipy costs most of a cold start and only the tests use it; the run
+    # covers the import path and the library-only Theorem-2 classifier
     code = (
         "import sys, squimld, squimld.cli\n"
+        "squimld.classify_theorem_two(2.0, 0.1)\n"
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
     )
     src = str(Path(squimld.__file__).resolve().parents[1])
@@ -47,7 +48,7 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout.split()
-    assert not out, f"importing squimld loaded scipy modules: {out}"
+    assert not out, f"squimld loaded scipy modules: {out}"
 
 
 def test_help_exits_zero(capsys):

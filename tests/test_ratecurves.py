@@ -6,7 +6,9 @@ I1 is k at the constraint end Q, which a dense grid of k along the axis
 segment must never undercut.  I2 is minus the minimum of c over the
 quadrant theta1 <= 0, theta2 >= 0; its tests pin the certificate, the
 dual value against quadrature of c, reference values, and the bracket
-I1 <= I2 <= (sampled minimum of k over G) on every seed.
+I1 <= I2 <= (sampled minimum of k over G) on every seed.  The Theorem-2
+classifier's minima of beta*x + I(x) are checked against a refined grid of
+x and against the asymptote log(4 beta) - 1 of min g1.
 """
 
 import math
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squimld import (
-    InsufficientCurve,
+    DualNotCertified,
     InvalidParams,
     NoConstraintPoints,
     RateCurvePoint,
@@ -327,52 +329,76 @@ def test_rate_curve_point_validation():
 
 
 # ---------------------------------------------------------------------------
-# four-case classification of the ratio exponents
+# Theorem-2 classifier: min over x of beta*x + I_i(x)
 # ---------------------------------------------------------------------------
 
 
-def synthetic_curve():
-    xs = np.arange(0.1, 0.85, 0.1)
-    pts = []
-    for x in xs:
-        i1 = compute_I1(RateParams(x=float(x), eps=0.1))
-        pts.append(
-            RateCurvePoint(
-                x=float(x), I1=i1, I2=i1 + 0.4 * (1.0 - x), accepted_G=1, samples=10**4
-            )
-        )
-    return pts
+def grid_min(rate, beta, lo, hi, n=60):
+    """Minimum of beta*x + rate(x) over a log-spaced grid of n points in
+    [lo, hi], then over n points spanning the two cells around the first
+    grid's argmin."""
+    for _ in range(2):
+        xs = np.geomspace(lo, hi, n)
+        g = beta * xs + np.array([rate(float(x)) for x in xs])
+        j = int(np.argmin(g))
+        lo, hi = xs[max(j - 1, 0)], xs[min(j + 1, n - 1)]
+    return float(g[j])
 
 
-def test_classifier_needs_enough_points():
-    with pytest.raises(InsufficientCurve):
-        classify_theorem_two(1.0, synthetic_curve()[:5])
-    with pytest.raises(InvalidParams):
-        classify_theorem_two(0.0, synthetic_curve())
+def i1_of(x):
+    return compute_I1(RateParams(x=x, eps=0.1))
+
+
+def i2_of(x):
+    return solve_dual(RateParams(x=x, eps=0.1)).value
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0, 5.0])
+def test_classifier_minima_match_a_grid(beta):
+    res = classify_theorem_two(beta, 0.1)
+    for found, rate, hi in ((res.g1_min, i1_of, 0.666), (res.g2_min, i2_of, 0.98)):
+        oracle = grid_min(rate, beta, 0.1, hi)
+        assert found <= oracle + 1e-13
+        assert oracle - found <= 1e-6
+
+
+@pytest.mark.parametrize("beta", [8.0, 10.0, 12.0])
+def test_g1_min_meets_its_asymptote(beta):
+    # x* = 1/beta and I1 = -log x - 2 + 2 log 2 + O(e^{-2/x}), measured
+    # g1 - (log 4 beta - 1) = 2.0 e^{-2 beta}
+    g1 = classify_theorem_two(beta, 0.1).g1_min
+    assert abs(g1 - (math.log(4.0 * beta) - 1.0)) <= 3.0 * math.exp(-2.0 * beta)
 
 
 def test_classifier_tags_and_positive_ratio_rate():
-    curve = synthetic_curve()
-    for beta in (0.05, 0.5, 2.0, 20.0):
-        res = classify_theorem_two(beta, curve)
+    # from beta ~ 8 on, ratio_rate ~ e^{-2 beta} is small: 3.55e-7 at beta = 8
+    for beta in (0.05, 0.5, 2.0, 5.0, 8.0, 10.0, 12.0):
+        res = classify_theorem_two(beta, 0.1)
         assert isinstance(res, GFunctions)
-        assert res.case_tag in ("N1D1", "N1D2", "N2D1", "N2D2")
-        # the ratio of Laplace sums must decay in every case
-        assert res.ratio_rate > 0.0
-        assert res.g1_min <= res.g2_min + 1e-12
-    # tiny beta: the bare exponents are the smallest and win both slots
-    tiny = classify_theorem_two(1e-3, curve)
-    assert tiny.case_tag == "N1D1"
-    # huge beta: the curve minima (at small x) undercut the bare exponents
-    huge = classify_theorem_two(200.0, curve)
-    assert huge.case_tag == "N2D2"
+        assert res.case_tag == "N2D2", beta
+        # the ratio of Laplace sums must decay
+        assert res.ratio_rate > 0.0, beta
+        assert res.g1_min <= res.g2_min
+    # tiny beta: beta itself undercuts min g2, while g1' = beta > 0 at
+    # x = 2/3 keeps min g1 below (2/3) beta, so D1 never occurs
+    assert classify_theorem_two(1e-3, 0.1).case_tag == "N1D2"
 
 
-def test_classifier_rejects_duplicate_x():
-    pts = synthetic_curve()
-    doubled = pts + [pts[3]]
-    with pytest.raises(InsufficientCurve):
-        classify_theorem_two(1.0, doubled)
+def test_classifier_rejects_bad_params():
+    for beta in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidParams):
+            classify_theorem_two(beta, 0.1)
+    for eps in (0.0, 1.0):
+        with pytest.raises(InvalidParams):
+            classify_theorem_two(1.0, eps)
+
+
+def test_classifier_refusal_names_beta():
+    # the search starts at x = 1/201, inside the range where the dual
+    # cannot start from Q
+    with pytest.raises(DualNotCertified, match="beta=200.0") as err:
+        classify_theorem_two(200.0, 0.1)
+    assert err.value.iterations == 0 and err.value.eps == 0.1
 
 
 def test_eta_schedule_default_has_uniform_pass():
