@@ -9,7 +9,11 @@ commands, a gnuplot script) into --out-dir.
 
 Option layering: an explicit flag wins, then an SQUIMLD_<NAME> environment
 variable, then a key=value line in the file passed via --config, then the
-built-in default.
+built-in default.  Each option's type, default and range are declared once,
+in build_parser, and main hands the environment and config strings to
+argparse as the subcommand's defaults: every layer is parsed by the flag's
+own type, and a bad value from any layer exits 2 naming the flag.
+--samples, --shards and --workers must be >= 1 and --seed >= 0 everywhere.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure surfaced by the
 library (degenerate weights, boundary evaluations, an I2 dual solve that
@@ -63,6 +67,10 @@ ENV_PREFIX = "SQUIMLD_"
 
 X_GRID_DEFAULT = "0.1,0.2,0.3,0.4,0.5,0.6,0.7"
 
+# Namespace entries that say where and how a command runs, not what it
+# computes; every other option is recorded as a manifest param.*.
+NOT_PARAMETERS = {"command", "func", "config", "out_dir", "seed", "workers"}
+
 
 def _str_list(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip() != ""]
@@ -75,49 +83,66 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
 
 
-def _read_config(path: str | None) -> dict:
+def _int_at_least(low: int):
+    """An argparse type: an int >= low, refused with the value and the minimum."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" for a non-integer
+    return parse
+
+
+_count = _int_at_least(1)  # a sample, shard or worker count
+_seed = _int_at_least(0)  # a Philox seed
+
+
+def _read_config(command: argparse.ArgumentParser, path: str | None) -> dict:
     if path is None:
         return {}
     cfg = {}
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
-        raise InvalidParams(f"cannot read config file {path}: {exc}") from exc
+        command.error(f"argument --config: cannot read config file {path}: {exc}")
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise InvalidParams(f"config line without '=': {raw!r}")
+            command.error(f"argument --config: config line without '=': {raw!r}")
         key, value = line.split("=", 1)
         cfg[key.strip()] = value.strip()
     return cfg
 
 
-def _resolve(args, name: str, conv, default, config: dict):
-    """flag > SQUIMLD_<NAME> environment variable > --config entry > default."""
-    flag = getattr(args, name.replace("-", "_"))
-    if flag is not None:
-        return flag
-    env = os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
-    if env is not None:
-        return conv(env)
-    if name in config:
-        return conv(config[name])
-    return default
+def _layered_defaults(command: argparse.ArgumentParser, config: str | None) -> dict:
+    """SQUIMLD_<NAME>, or else the --config entry <name>, of each option of
+    `command` as a raw string; <name> is its first long flag without dashes."""
+    entries = _read_config(command, config)
+    layered = {}
+    for action in command._actions:
+        if action.dest in ("help", "config"):
+            continue
+        key = next(s for s in action.option_strings if s.startswith("--"))[2:]
+        value = os.environ.get(ENV_PREFIX + key.upper().replace("-", "_"), entries.get(key))
+        if value is not None:
+            layered[action.dest] = value
+    return layered
 
 
-def _workers(args, config: dict, shards: int) -> int:
-    """The resolved --workers: every available core unless set, at most shards."""
-    return resolve_workers(_resolve(args, "workers", int, None, config), shards)
-
-
-def _manifest(command: str, params: dict, seed: int, workers: int,
-              started: str, outputs: list[str], out_dir: Path, stem: str,
-              timings: dict | None = None, diagnostics: dict | None = None) -> None:
+def _manifest(args, stem: str, outputs: list[str], started: str, *, seed: int = 0,
+              workers: int = 1, timings: dict | None = None,
+              diagnostics: dict | None = None) -> None:
+    """Write <stem>_manifest.json; seed and workers default to what the
+    seedless, in-process commands use."""
     man = RunManifest(
-        command=command,
-        parameters=params,
+        command=args.command,
+        # lists comma-joined, an unset option as ""
+        parameters={k: "" if v is None else ",".join(map(str, v)) if isinstance(v, list) else v
+                    for k, v in vars(args).items() if k not in NOT_PARAMETERS},
         seed=seed,
         workers=workers,
         started=started,
@@ -126,80 +151,57 @@ def _manifest(command: str, params: dict, seed: int, workers: int,
         timings=timings or {},
         diagnostics={"available_cores": available_cores(), **(diagnostics or {})},
     )
-    man.write(out_dir / f"{stem}_manifest.json")
+    man.write(args.out_dir / f"{stem}_manifest.json")
 
 
 def cmd_domain_scan(args) -> int:
-    config = _read_config(args.config)
-    x = _resolve(args, "x", float, 0.7, config)
-    eps = _resolve(args, "eps", float, 0.3, config)
-    samples = _resolve(args, "samples", int, 1_000_000, config)
-    eta = _resolve(args, "eta", _float_list, list(ETA_DEFAULT), config)
-    seed = _resolve(args, "seed", int, 0, config)
-    shards = _resolve(args, "shards", int, SHARDS_DEFAULT, config)
-    workers = _workers(args, config, shards)
-    out_dir = Path(_resolve(args, "out-dir", str, ".", config))
-    if samples < 1:
-        print("error: samples must be >= 1", file=sys.stderr)
-        return 2
+    workers = resolve_workers(args.workers, args.shards)
     started = utc_now()
-    params = RateParams(x=x, eps=eps)
+    params = RateParams(x=args.x, eps=args.eps)
     clock_start = time.perf_counter()
     theta1, theta2, in_d, in_g, k = domain_scan(
-        params, samples, tuple(eta), seed=seed, shards=shards, workers=workers
+        params, args.samples, tuple(args.eta), seed=args.seed, shards=args.shards, workers=workers
     )
     clock_scanned = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     header = ["theta1", "theta2", "in_D", "in_G", "k"]
     rows = np.rec.fromarrays([theta1, theta2, in_d, in_g, k], names=header)
-    csv_path = out_dir / "domain_scan.csv"
+    csv_path = args.out_dir / "domain_scan.csv"
     write_csv(csv_path, header, rows, workers)
     clock_written = time.perf_counter()
-    gp_path = out_dir / "domain_scan.gp"
+    gp_path = args.out_dir / "domain_scan.gp"
     write_text(gp_path, domain_plot_script("domain_scan.csv"))
     _manifest(
-        "domain-scan",
-        {"x": x, "eps": eps, "samples": samples, "eta": ",".join(str(e) for e in eta),
-         "shards": shards},
-        seed, workers, started, [csv_path.name, gp_path.name], out_dir, "domain_scan",
-        {"scan_s": clock_scanned - clock_start,
-         "write_csv_s": clock_written - clock_scanned},
+        args, "domain_scan", [csv_path.name, gp_path.name], started,
+        seed=args.seed, workers=workers,
+        timings={"scan_s": clock_scanned - clock_start,
+                 "write_csv_s": clock_written - clock_scanned},
     )
     print(f"wrote {csv_path} ({int(in_d.sum())} D-points, {int(in_g.sum())} G-points)")
     return 0
 
 
 def cmd_rate_curves(args) -> int:
-    config = _read_config(args.config)
-    x_list = _resolve(args, "x-list", _float_list, _float_list(X_GRID_DEFAULT), config)
-    eps = _resolve(args, "eps", float, 0.1, config)
-    samples = _resolve(args, "samples", int, 1_000_000, config)
-    eta = _resolve(args, "eta", _float_list, list(ETA_DEFAULT), config)
-    seed = _resolve(args, "seed", int, 0, config)
-    shards = _resolve(args, "shards", int, SHARDS_DEFAULT, config)
-    workers = _workers(args, config, shards)
-    out_dir = Path(_resolve(args, "out-dir", str, ".", config))
-    if samples < 1:
-        print("error: samples must be >= 1", file=sys.stderr)
-        return 2
-    if not x_list:
+    workers = resolve_workers(args.workers, args.shards)
+    if not args.x_list:
         print("error: empty x list", file=sys.stderr)
         return 2
     started = utc_now()
     rows = []
     timings = {"sample_s": 0.0, "dual_s": 0.0}
     diagnostics = {}
-    for x in x_list:
-        params = RateParams(x=x, eps=eps)
+    for x in args.x_list:
+        params = RateParams(x=x, eps=args.eps)
         try:
             pt = compute_I2(
-                params, samples, tuple(eta), seed=seed, shards=shards, workers=workers
+                params, args.samples, tuple(args.eta), seed=args.seed, shards=args.shards,
+                workers=workers,
             )
         except NoConstraintPoints:
             # flagged row: empty constraint set at this budget
-            rows.append((x, compute_I1(params), math.nan, 0, samples, seed))
+            rows.append((x, compute_I1(params), math.nan, 0, args.samples, args.seed))
             continue
-        rows.append((x, pt.I1, pt.I2, pt.accepted_G, samples, seed))
+        rows.append((x, pt.I1, pt.I2, pt.accepted_G, args.samples, args.seed))
         timings["sample_s"] += pt.sample_s
         timings["dual_s"] += pt.dual_s
         diagnostics.update({
@@ -209,17 +211,14 @@ def cmd_rate_curves(args) -> int:
             f"sampled_k_min.{x!r}": pt.sampled_k_min,
             f"noise_band.{x!r}": pt.noise_band,
         })
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "rate_curve.csv"
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = args.out_dir / "rate_curve.csv"
     write_csv(csv_path, ["x", "I1", "I2", "accepted_G", "samples", "seed"], rows)
-    gp_path = out_dir / "rate_curve.gp"
+    gp_path = args.out_dir / "rate_curve.gp"
     write_text(gp_path, rate_plot_script("rate_curve.csv"))
     _manifest(
-        "rate-curves",
-        {"x_list": ",".join(str(x) for x in x_list), "eps": eps, "samples": samples,
-         "eta": ",".join(str(e) for e in eta), "shards": shards},
-        seed, workers, started, [csv_path.name, gp_path.name], out_dir, "rate_curve",
-        timings, diagnostics,
+        args, "rate_curve", [csv_path.name, gp_path.name], started,
+        seed=args.seed, workers=workers, timings=timings, diagnostics=diagnostics,
     )
     flagged = sum(1 for r in rows if math.isnan(r[2]))
     print(f"wrote {csv_path} ({len(rows)} rows, {flagged} with empty constraint set)")
@@ -227,11 +226,7 @@ def cmd_rate_curves(args) -> int:
 
 
 def cmd_wfe(args) -> int:
-    config = _read_config(args.config)
-    omega = _resolve(args, "omega", float, 1.2, config)
-    eps = _resolve(args, "eps", float, 0.1, config)
-    delta = _resolve(args, "delta", float, None, config)
-    out_dir = Path(_resolve(args, "out-dir", str, ".", config))
+    omega, eps, delta = args.omega, args.eps, args.delta
     started = utc_now()
     r = r_of_omega(omega)
     diagnostics = {}
@@ -245,54 +240,35 @@ def cmd_wfe(args) -> int:
         row = (omega, eps, r, p.delta, res.p_star_inf, res.y_at_inf, beta_c, 1)
         diagnostics = {"theta_at_min": res.theta_at_min, "theta_lo": res.theta_range[0],
                        "theta_hi": res.theta_range[1]}
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "wfe_transition.csv"
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = args.out_dir / "wfe_transition.csv"
     write_csv(
         csv_path,
         ["omega", "eps", "r", "delta", "p_star_inf", "y_at_inf", "beta_c",
          "hypotheses_ok"],
         [row],
     )
-    _manifest(
-        "wfe",
-        {"omega": omega, "eps": eps, "delta": "" if delta is None else delta},
-        0, 1, started, [csv_path.name], out_dir, "wfe_transition", None, diagnostics,
-    )
+    _manifest(args, "wfe_transition", [csv_path.name], started, diagnostics=diagnostics)
     print(f"wrote {csv_path} (hypotheses_ok={row[-1]})")
     return 0
 
 
 def cmd_ensemble(args) -> int:
-    config = _read_config(args.config)
-    model = _resolve(args, "model", str, "SCWM", config)
-    n_spins = _resolve(args, "n", int, 8, config)
-    beta = _resolve(args, "beta", float, 0.0, config)
-    omega = _resolve(args, "omega", float, None, config)
-    eps = _resolve(args, "eps", float, 0.0, config)
-    observables = _resolve(args, "observable", _str_list, ["msq"], config)
-    samples = _resolve(args, "samples", int, 100_000, config)
-    seed = _resolve(args, "seed", int, 0, config)
-    shards = _resolve(args, "shards", int, MC_SHARDS_DEFAULT, config)
-    workers = _workers(args, config, shards)
-    out_dir = Path(_resolve(args, "out-dir", str, ".", config))
-    if samples < 1:
-        print("error: samples must be >= 1", file=sys.stderr)
-        return 2
+    workers = resolve_workers(args.workers, args.shards)
     started = utc_now()
     cfg = EnsembleConfig(
-        N=n_spins, beta=beta, model=model, samples=samples, omega=omega,
-        eps=eps, seed=seed, workers=workers, shards=shards,
+        N=args.N, beta=args.beta, model=args.model, samples=args.samples,
+        omega=args.omega, eps=args.eps, seed=args.seed, workers=workers,
+        shards=args.shards,
     )
     clock_start = time.perf_counter()
-    estimates = thermal_averages(cfg, observables)
+    estimates = thermal_averages(cfg, args.observable)
     clock_sampled = time.perf_counter()
-    rows = [
-        (model, n_spins, beta, math.nan if omega is None else omega, eps,
-         obs, est.mean, est.std_error, est.n_samples, seed)
-        for obs, est in zip(observables, estimates)
-    ]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "ensemble.csv"
+    omega = math.nan if args.omega is None else args.omega
+    rows = [(args.model, args.N, args.beta, omega, args.eps, obs, est.mean, est.std_error,
+             est.n_samples, args.seed) for obs, est in zip(args.observable, estimates)]
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = args.out_dir / "ensemble.csv"
     write_csv(
         csv_path,
         ["model", "N", "beta", "omega", "eps", "observable", "mean", "std_error",
@@ -301,63 +277,51 @@ def cmd_ensemble(args) -> int:
     )
     clock_written = time.perf_counter()
     diagnostics = {"weight_ess": estimates[0].weight_ess} if estimates else {}
-    for obs, est in zip(observables, estimates):
+    for obs, est in zip(args.observable, estimates):
         diagnostics[f"numerator_ess.{obs}"] = est.numerator_ess
     _manifest(
-        "ensemble",
-        {"model": model, "N": n_spins, "beta": beta,
-         "omega": "" if omega is None else omega, "eps": eps,
-         "observable": ",".join(observables), "samples": samples, "shards": shards},
-        seed, workers, started, [csv_path.name], out_dir, "ensemble",
-        {"sample_s": clock_sampled - clock_start,
-         "write_csv_s": clock_written - clock_sampled},
-        diagnostics,
+        args, "ensemble", [csv_path.name], started, seed=args.seed, workers=workers,
+        timings={"sample_s": clock_sampled - clock_start,
+                 "write_csv_s": clock_written - clock_sampled},
+        diagnostics=diagnostics,
     )
     print(f"wrote {csv_path} ({len(rows)} rows)")
     return 0
 
 
 def cmd_esm(args) -> int:
-    config = _read_config(args.config)
-    n_spins = _resolve(args, "n", int, 2, config)
-    beta = _resolve(args, "beta", float, 1.0, config)
-    out_dir = Path(_resolve(args, "out-dir", str, ".", config))
     started = utc_now()
-    res = esm_evaluate(n_spins, beta)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "esm.csv"
+    res = esm_evaluate(args.N, args.beta)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = args.out_dir / "esm.csv"
     write_csv(
         csv_path,
         ["N", "beta", "logZhat", "msq_dispersion"],
         [(res.N, res.beta, res.logZhat, res.msq_dispersion)],
     )
-    _manifest(
-        "esm", {"N": n_spins, "beta": beta}, 0, 1, started,
-        [csv_path.name], out_dir, "esm",
-    )
+    _manifest(args, "esm", [csv_path.name], started)
     print(f"wrote {csv_path} (logZhat={res.logZhat:.12g})")
     return 0
 
 
 def cmd_validate(args) -> int:
-    config = _read_config(args.config)
-    level = _resolve(args, "level", str, "fast", config)
     # the suite's one Monte Carlo check runs the ensemble default of shards
-    workers = _workers(args, config, MC_SHARDS_DEFAULT)
-    out_dir = Path(_resolve(args, "out-dir", str, ".", config))
-    if level not in LEVELS:
+    workers = resolve_workers(args.workers, MC_SHARDS_DEFAULT)
+    if args.level not in LEVELS:
+        # a layered level is a default, which argparse does not check against choices
         print(f"error: level must be one of {LEVELS}", file=sys.stderr)
         return 2
     started = utc_now()
-    results = run_validation(level, workers)
+    results = run_validation(args.level, workers)
     for r in results:
         print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _manifest("validate", {"level": level}, 0, workers, started, [], out_dir, "validate")
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    _manifest(args, "validate", [], started, workers=workers)
     return 0 if all(r.ok for r in results) else 4
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="squimld",
         description="Rate functionals, constraint geometry, and "
@@ -367,67 +331,72 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--out-dir", dest="out_dir", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--out-dir", dest="out_dir", type=Path, default=".")
+        p.add_argument("--seed", type=_seed, default=0)
+        p.add_argument("--workers", type=_count, default=None)
 
     p = sub.add_parser("domain-scan", help="sample the dual plane for D and G")
     common(p)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--eta", type=_float_list, default=None,
+    p.add_argument("--x", type=float, default=0.7)
+    p.add_argument("--eps", type=float, default=0.3)
+    p.add_argument("--samples", type=_count, default=1_000_000)
+    p.add_argument("--eta", type=_float_list, default=list(ETA_DEFAULT),
                    help="comma-separated bias strengths")
-    p.add_argument("--shards", type=int, default=None)
+    p.add_argument("--shards", type=_count, default=SHARDS_DEFAULT)
     p.set_defaults(func=cmd_domain_scan)
 
     p = sub.add_parser("rate-curves", help="I1 and I2 over a grid of x")
     common(p)
-    p.add_argument("--x-list", dest="x_list", type=_float_list, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--x-list", dest="x_list", type=_float_list, default=X_GRID_DEFAULT)
+    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--samples", type=_count, default=1_000_000,
                    help="samples per grid point")
-    p.add_argument("--eta", type=_float_list, default=None)
-    p.add_argument("--shards", type=int, default=None)
+    p.add_argument("--eta", type=_float_list, default=list(ETA_DEFAULT))
+    p.add_argument("--shards", type=_count, default=SHARDS_DEFAULT)
     p.set_defaults(func=cmd_rate_curves)
 
     p = sub.add_parser("wfe", help="transition pipeline: p*, beta_c")
     common(p)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--omega", type=float, default=1.2)
+    p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=None)
     p.set_defaults(func=cmd_wfe)
 
     p = sub.add_parser("ensemble", help="thermal-average Monte Carlo")
     common(p)
-    p.add_argument("--model", choices=MODELS, default=None)
-    p.add_argument("--n", "--N", dest="n", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--model", choices=MODELS, default="SCWM")
+    p.add_argument("--n", "--N", dest="N", type=int, default=8)
+    p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--observable", type=_str_list, default=None,
+    p.add_argument("--eps", type=float, default=0.0)
+    p.add_argument("--observable", type=_str_list, default=["msq"],
                    help=f"comma-separated tags from {OBSERVABLES}")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--shards", type=int, default=None)
+    p.add_argument("--samples", type=_count, default=100_000)
+    p.add_argument("--shards", type=_count, default=MC_SHARDS_DEFAULT)
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("esm", help="enumerated product-form model")
     common(p)
-    p.add_argument("--n", "--N", dest="n", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--n", "--N", dest="N", type=int, default=2)
+    p.add_argument("--beta", type=float, default=1.0)
     p.set_defaults(func=cmd_esm)
 
     p = sub.add_parser("validate", help="run the self-validation suite")
     common(p)
-    p.add_argument("--level", choices=LEVELS, default=None)
+    p.add_argument("--level", choices=LEVELS, default="fast")
     p.set_defaults(func=cmd_validate)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # built per call, so layered defaults never outlive it
+    parser, commands = build_parser()
     try:
+        args = parser.parse_args(argv)
+        command = commands[args.command]
+        command.set_defaults(**_layered_defaults(command, args.config))
+        # a string default is parsed by the flag's type only when the flag is absent
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2

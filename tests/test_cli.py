@@ -2,7 +2,8 @@
 
 Commands are driven through main(argv) in-process.  The layering tests
 pin the precedence order (flag over environment over config file over
-default), the exit-code tests pin the 0/2/3/4 mapping, and the
+default) and the parsing of every layer by the flag's own type, the
+exit-code tests pin the 0/2/3/4 mapping, and the
 determinism tests require byte-identical CSV files when only the worker
 count changes.
 """
@@ -239,6 +240,48 @@ def test_config_layering_and_flag_precedence(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("env, conf, argv, flag", [
+    pytest.param({"BETA": "abc"}, None, ["esm"], "--beta", id="env-beta"),
+    pytest.param({}, "beta = abc\n", ["esm"], "--beta", id="config-beta"),
+    pytest.param({"ETA": "1,x"}, None, ["domain-scan", "--samples", "100"], "--eta",
+                 id="env-eta"),
+    pytest.param({}, None, ["domain-scan", "--samples", "100", "--seed", "-1"], "--seed",
+                 id="negative-seed"),
+    pytest.param({}, None, ["domain-scan", "--samples", "100", "--shards", "0"], "--shards",
+                 id="zero-shards"),
+    pytest.param({}, None, ["ensemble", "--workers", "0"], "--workers", id="zero-workers"),
+    pytest.param({"SEED": "-1"}, None, ["wfe"], "--seed", id="env-seed-on-wfe"),
+])
+def test_bad_value_from_any_layer_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                 env, conf, argv, flag):
+    # environment and config strings go through the flag's own argparse type
+    for name, value in env.items():
+        monkeypatch.setenv(ENV_PREFIX + name, value)
+    if conf is not None:
+        (tmp_path / "run.conf").write_text(conf)
+        argv = argv + ["--config", str(tmp_path / "run.conf")]
+    out = tmp_path / "out"
+    assert run(argv + ["--out-dir", str(out)]) == 2
+    assert f"error: argument {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_layered_defaults_do_not_outlive_a_call(tmp_path, capsys, monkeypatch):
+    argv = ["ensemble", "--n", "4", "--samples", "2000"]
+    conf = tmp_path / "run.conf"
+    conf.write_text("beta = 1.5\n")
+    monkeypatch.setenv(ENV_PREFIX + "BETA", "2.5")
+    assert run(argv + ["--out-dir", str(tmp_path / "env")]) == 0
+    monkeypatch.delenv(ENV_PREFIX + "BETA")
+    assert run(argv + ["--out-dir", str(tmp_path / "after_env")]) == 0
+    assert run(argv + ["--config", str(conf), "--out-dir", str(tmp_path / "conf")]) == 0
+    assert run(argv + ["--out-dir", str(tmp_path / "after_conf")]) == 0
+    capsys.readouterr()
+    betas = [json.loads(read(tmp_path / d / "ensemble_manifest.json"))["param.beta"]
+             for d in ("env", "after_env", "conf", "after_conf")]
+    assert betas == ["2.5", "0.0", "1.5", "0.0"]
+
+
 def test_malformed_config_is_usage_error(tmp_path, capsys):
     conf = tmp_path / "bad.conf"
     conf.write_text("beta 1.0\n")
@@ -382,7 +425,9 @@ def test_validate_fast_passes(tmp_path, capsys):
     assert run(["validate", "--level", "fast", "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
-    assert (tmp_path / "validate_manifest.json").exists()
+    man = json.loads(read(tmp_path / "validate_manifest.json"))
+    assert {k: v for k, v in man.items() if k.startswith("param.")} == {"param.level": "fast"}
+    assert man["seed"] == "0"
 
 
 def test_validate_unknown_level_usage_error(tmp_path, capsys):
@@ -397,6 +442,33 @@ def test_manifest_timestamps_and_version(tmp_path, capsys):
     assert man["code_version"]
     assert man["started"].endswith("Z") and man["finished"].endswith("Z")
     assert man["started"] <= man["finished"]
+
+
+ETA = "0.0,2.0,8.0,32.0"
+
+
+@pytest.mark.parametrize("argv, stem, params", [
+    # --samples is lowered from its default only to keep the runs cheap
+    (["domain-scan", "--samples", "1000"], "domain_scan",
+     {"x": "0.7", "eps": "0.3", "samples": "1000", "eta": ETA, "shards": "63"}),
+    (["rate-curves", "--samples", "10000"], "rate_curve",
+     {"x_list": "0.1,0.2,0.3,0.4,0.5,0.6,0.7", "eps": "0.1", "samples": "10000",
+      "eta": ETA, "shards": "63"}),
+    (["wfe"], "wfe_transition", {"omega": "1.2", "eps": "0.1", "delta": ""}),
+    (["ensemble", "--samples", "2000"], "ensemble",
+     {"model": "SCWM", "N": "8", "beta": "0.0", "omega": "", "eps": "0.0",
+      "observable": "msq", "samples": "2000", "shards": "64"}),
+    (["esm"], "esm", {"N": "2", "beta": "1.0"}),
+])
+def test_manifest_params_at_the_defaults(tmp_path, capsys, argv, stem, params):
+    # every option but --config, --out-dir, --seed and --workers is a param.*
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    man = json.loads(read(tmp_path / f"{stem}_manifest.json"))
+    assert {k: v for k, v in man.items() if k.startswith("param.")} == {
+        f"param.{k}": v for k, v in params.items()
+    }
+    assert man["seed"] == "0"
 
 
 @pytest.mark.parametrize("argv, stem, workers", [
