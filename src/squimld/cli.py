@@ -167,7 +167,7 @@ def cmd_domain_scan(args) -> int:
     header = ["theta1", "theta2", "in_D", "in_G", "k"]
     rows = np.rec.fromarrays([theta1, theta2, in_d, in_g, k], names=header)
     csv_path = args.out_dir / "domain_scan.csv"
-    write_csv(csv_path, header, rows, workers)
+    fallback_cells = write_csv(csv_path, header, rows, workers)
     clock_written = time.perf_counter()
     gp_path = args.out_dir / "domain_scan.gp"
     write_text(gp_path, domain_plot_script("domain_scan.csv"))
@@ -176,6 +176,7 @@ def cmd_domain_scan(args) -> int:
         seed=args.seed, workers=workers,
         timings={"scan_s": clock_scanned - clock_start,
                  "write_csv_s": clock_written - clock_scanned},
+        diagnostics={"csv_fallback_cells": fallback_cells},
     )
     print(f"wrote {csv_path} ({int(in_d.sum())} D-points, {int(in_g.sum())} G-points)")
     return 0

@@ -7,15 +7,31 @@ printed as an integer ("%d", so booleans become 1/0); anything else is
 printed with str ("%s").  The rule is applied per column, once per table:
 a record array's columns take it from their dtype, a list of row tuples
 from the Python types of its cells.  Rows are formatted and written a
-block of CHUNK_ROWS at a time, so a table never sits in memory as text.
+block of CHUNK_ROWS at a time, so a table never sits in memory as text;
+each block comes back as bytes and the file is written in binary.
+
+A list of row tuples (a few rows, possibly str cells or ints beyond
+int64) is formatted with a single % over each block's cells.  A record
+array is formatted column by column into a byte matrix whose empty slots
+hold a pad byte, deleted afterwards with bytes.translate.  Its float
+columns go through an exact numpy kernel for "%.17g": for finite |v| in
+[1e-4, 1e16), where "%.17g" prints fixed notation, the 17 significant
+digits are the exact integer round(|v| * 10^(16 - E)), E = floor(log10
+|v|), rounded half to even from Dekker's error-free product; each digit
+gets a slot for the decimal point after it.  nan, inf and -inf are
+written by the kernel too, and bool columns as 1/0.  Only the remaining
+float cells (zeros, subnormals, |v| < 1e-4, |v| >= 1e16) and int and
+text cells are formatted one at a time with %; `write_csv` returns how
+many.  The kernel's bytes equal "%.17g"'s for every float64.
+
 With workers > 1, a record array of more than one block has its blocks
 formatted on the shared process pool of `parallel` (built on first use,
 reused by every later call, fork start method on Linux before Python 3.14
-and forkserver from 3.14; `_format_block` is module-level, so both work)
-and written in order, with at most parallel.TASKS_PER_WORKER x workers
-(2 x workers) blocks in flight, so the text held in memory stays bounded.
-A list of row tuples is always formatted in-process.  The bytes do not
-depend on the worker count; they are the determinism contract for
+and forkserver from 3.14; `_format_records` is module-level, so both
+work) and written in order, with at most parallel.TASKS_PER_WORKER x
+workers (2 x workers) blocks in flight, so the text held in memory stays
+bounded.  A list of row tuples is always formatted in-process.  The bytes
+do not depend on the worker count; they are the determinism contract for
 repeated runs.
 
 The manifest is a flat JSON object with string keys and string values
@@ -32,7 +48,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from pathlib import Path
 
@@ -72,8 +88,8 @@ def _check_width(path, header: list[str], width: int) -> None:
         )
 
 
-def _row_format(path, header: list[str], rows) -> str:
-    """The one %-format string shared by every row of the table.
+def _column_specs(path, header: list[str], rows) -> list[str]:
+    """The %-format of each column, shared by every row of the table.
 
     A column of Python cells must need one format throughout; a column
     mixing, say, ints and floats is refused rather than printed unevenly.
@@ -81,7 +97,7 @@ def _row_format(path, header: list[str], rows) -> str:
     if isinstance(rows, np.ndarray):
         names = rows.dtype.names or ()
         _check_width(path, header, len(names))
-        return ",".join(_dtype_spec(rows.dtype[name]) for name in names)
+        return [_dtype_spec(rows.dtype[name]) for name in names]
     for row in rows:
         _check_width(path, header, len(row))
     specs = []
@@ -90,39 +106,222 @@ def _row_format(path, header: list[str], rows) -> str:
         if len(kinds) > 1:
             raise ValueError(f"column {name} mixes {sorted(kinds)} cells in {path}")
         specs.append(kinds.pop())
-    return ",".join(specs)
+    return specs
 
 
-def _format_block(line: str, block) -> str:
-    """One block of rows as CSV text: one `line` per row, a single % over
-    the block's cells flattened row-major."""
-    if isinstance(block, np.ndarray):
-        cells = np.empty((len(block), len(block.dtype.names)), dtype=object)
-        for j, name in enumerate(block.dtype.names):
-            cells[:, j] = block[name]
-        flat = tuple(cells.ravel().tolist())
-    else:
-        flat = tuple(chain.from_iterable(block))
-    return (line * len(block)) % flat
+def _format_rows(line: str, rows: list) -> tuple[bytes, int]:
+    """A block of row tuples as CSV bytes, with a single % over its cells
+    flattened row-major; every cell counts as formatted one at a time."""
+    flat = tuple(chain.from_iterable(rows))
+    return ((line * len(rows)) % flat).encode(), len(flat)
 
 
-def write_csv(path: str | Path, header: list[str], rows, workers: int = 1) -> None:
-    """Write header and rows as CSV, CHUNK_ROWS rows per formatting call.
+# The float kernel.  Each cell is laid out in a row of bytes with PAD in
+# every slot it leaves empty, and one bytes.translate per KERNEL_ROWS rows
+# deletes the padding.
+# A float cell takes 40 bytes, filled as five uint64 words (native order):
+#   byte 0      the sign;
+#   bytes 1-5   "0.000", of which 1e-4 <= |v| < 1 shows "0." and -E - 1 zeros;
+#   bytes 6-39  the 17 significant digits, each followed by a slot for the
+#               decimal point; the last slot, after digit 17, is never a
+#               point and carries the separator that ends the cell.
+PAD = b"\0"
+# Finite |v| in [FIXED_MIN, FIXED_MAX) is printed by the kernel: there
+# "%.17g" uses fixed notation with E = floor(log10 |v|) in [-4, 15].  Zeros,
+# subnormals and every other finite value are formatted one at a time.
+FIXED_MIN, FIXED_MAX = 1e-4, 1e16
+# Rows formatted at a time within a block: the kernel's temporaries stay in
+# cache (a float column of 65,536 rows took 4.5 ms in one piece, 2.4 ms in
+# four, on a 2-core AMD EPYC).
+KERNEL_ROWS = 16_384
+
+
+def _words(byte_rows) -> np.ndarray:
+    """Rows of 8 bytes as uint64 words."""
+    return np.ascontiguousarray(byte_rows, dtype=np.uint8).view(np.uint64)[..., 0]
+
+
+def _digit_words(digits: np.ndarray) -> np.ndarray:
+    """[n * 10^4 + v]: the 4 digits of v < 10^4 in the even bytes of a
+    word, only the first n (0..4) of them shown."""
+    rows = np.zeros((5, 10_000, 8), dtype=np.uint8)
+    rows[:, :, ::2] = (digits + ord("0")) * (np.arange(4) < np.arange(5)[:, None, None])
+    return _words(rows).ravel()
+
+
+def _head_words() -> np.ndarray:
+    """[(E + 4 + 20 * negative) * 10 + d]: bytes 0-7 of a cell with
+    exponent E and first digit d."""
+    rows = np.zeros((2, 20, 10, 8), dtype=np.uint8)
+    rows[1, :, :, 0] = ord("-")
+    for exp10 in range(-4, 0):
+        rows[:, exp10 + 4, :, 1:3] = list(b"0.")
+        rows[:, exp10 + 4, :, 3:2 - exp10] = ord("0")
+    rows[..., 6] = np.arange(10) + ord("0")
+    return _words(rows).ravel()
+
+
+@cache
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The digit words, the head words, and [v]: the position (1..4) of the
+    last nonzero digit of v < 10^4, below any digit position for v = 0.
+    Built on first use, so importing the module stays cheap."""
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    last_nonzero = np.where(digits.any(axis=1),
+                            4 - np.argmax(digits[:, ::-1] != 0, axis=1), -16)
+    return _digit_words(digits), _head_words(), last_nonzero
+
+
+_NAN, _INF, _MINUS_INF = _words(np.frombuffer(b"nan\0\0\0\0\0\0inf\0\0\0\0-inf\0\0\0\0",
+                                              np.uint8).reshape(3, 8))
+# 10^k for k = 16 - E, exact in float64 up to k = 22, and its Veltkamp split
+_TEN = np.array([10.0**k for k in range(22)])
+
+
+def _split(a):
+    """Veltkamp's split of float64 a into two 26-bit halves, hi + lo = a."""
+    c = a * 134217729.0  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_TEN_HI, _TEN_LO = _split(_TEN)
+
+
+def _scaled_digits(mag: np.ndarray, exp10: np.ndarray) -> np.ndarray:
+    """round(mag * 10^(16 - exp10)) as int64, ties to even, exactly.
+
+    Dekker's product gives the float64 product p and its exact error, so
+    p + err is the exact value.  Where that value is at least 10^16 > 2^53,
+    p is an even integer and p + rint(err) is its round half to even.  An
+    exp10 off by one gives a result outside [10^16, 10^17), which the
+    caller redoes.
+    """
+    k = 16 - exp10
+    p = mag * _TEN[k]
+    hi, lo = _split(mag)
+    ten_hi, ten_lo = _TEN_HI[k], _TEN_LO[k]
+    err = ((hi * ten_hi - p) + hi * ten_lo + lo * ten_hi) + lo * ten_lo
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _format_floats(values: np.ndarray, sep: int) -> tuple[np.ndarray, int]:
+    """"%.17g" of each value followed by the byte sep, as the 40-byte rows
+    of a PAD-filled uint8 matrix, and the number of cells formatted one at
+    a time."""
+    mag = np.abs(values)
+    fast = (mag >= FIXED_MIN) & (mag < FIXED_MAX)
+    mag[~fast] = 1.0  # a stand-in; those cells are overwritten below
+    exp10 = np.floor(np.log10(mag)).astype(np.int64)
+    d = _scaled_digits(mag, exp10)
+    # log10 can miss E by one near a power of ten, and rounding can carry
+    # into an 18th digit: move E and redo those cells until D has 17 digits
+    while True:
+        step = (d >= 10**17).astype(np.int64) - (d < 10**16)
+        redo = np.flatnonzero(step)
+        if not redo.size:
+            break
+        exp10[redo] += step[redo]
+        d[redo] = _scaled_digits(mag[redo], exp10[redo])
+    digit_words, head_words, last_nonzero = _tables()
+    # D = first * 10^16 + four 4-digit chunks
+    first = d // 10**16
+    rest = d - first * 10**16
+    high = rest // 10**8
+    low = rest - high * 10**8
+    chunks = [high // 10**4, high % 10**4, low // 10**4, low % 10**4]
+    last = np.maximum(last_nonzero[chunks[0]], 0)  # index of the last nonzero digit
+    for c in range(1, 4):
+        np.maximum(last, last_nonzero[chunks[c]] + 4 * c, out=last)
+    shown = np.maximum(last, exp10)  # digits 0..shown are printed
+    words = np.empty((len(d), 5), dtype=np.uint64)
+    words[:, 0] = head_words[(exp10 + 4 + 20 * (values < 0)) * 10 + first]
+    for c in range(4):
+        keep = np.minimum(np.maximum(shown - 4 * c, 0), 4)
+        words[:, c + 1] = digit_words[keep * 10_000 + chunks[c]]
+    cells = words.view(np.uint8)
+    point = np.flatnonzero((last > exp10) & (exp10 >= 0))
+    cells.reshape(-1)[point * 40 + 2 * exp10[point] + 7] = ord(".")
+
+    special = ~np.isfinite(values)
+    if special.any():
+        words[special, 1:] = 0
+        words[special, 0] = np.where(np.isnan(values[special]), _NAN,
+                                     np.where(values[special] < 0, _MINUS_INF, _INF))
+    single = ~fast & ~special
+    count = int(single.sum())
+    if count:
+        words[single] = 0
+        words[single, :4] = _cell_bytes(FLOAT_FMT, values[single], 32).view(np.uint64)
+    cells[:, 39] = sep
+    return cells, count
+
+
+def _cell_bytes(spec: str, values: np.ndarray, width: int = 0) -> np.ndarray:
+    """Each value formatted with spec, one at a time, as the rows of a
+    PAD-filled uint8 matrix at least width bytes wide."""
+    cells = [(spec % v).encode() for v in values.tolist()]
+    if any(PAD in cell for cell in cells):
+        raise ValueError("a CSV cell holds a NUL byte")
+    matrix = np.array(cells, dtype=f"S{max(width, *map(len, cells), 1)}")
+    return matrix.view(np.uint8).reshape(len(cells), matrix.itemsize)
+
+
+def _format_records(specs: list[str], block: np.ndarray) -> tuple[bytes, int]:
+    """A block of a record array as CSV bytes, and the number of cells
+    formatted one at a time.
+
+    Float columns go through the kernel and bool columns are written as
+    1/0 directly; int and text columns are formatted one cell at a time.
+    The kernel takes KERNEL_ROWS rows at a time.
+    """
+    names = block.dtype.names
+    seps = [ord(",")] * (len(names) - 1) + [ord("\n")]
+    texts, count = [], 0
+    for start in range(0, len(block), KERNEL_ROWS):
+        rows = block[start:start + KERNEL_ROWS]
+        parts = []
+        for spec, name, sep in zip(specs, names, seps):
+            col = rows[name]
+            if col.dtype.kind == "f":  # % prints any float width as a Python float
+                cells, single = _format_floats(np.ascontiguousarray(col, dtype=np.float64), sep)
+            elif col.dtype.kind == "b":
+                cells, single = np.stack([col + ord("0"), np.full(len(col), sep)], axis=1), 0
+            else:
+                cells, single = _cell_bytes(spec, col), len(col)
+                cells = np.column_stack([cells, np.full(len(col), sep)])
+            parts.append(cells.astype(np.uint8, copy=False))
+            count += single
+        texts.append(np.concatenate(parts, axis=1).tobytes().translate(None, PAD))
+    return b"".join(texts), count
+
+
+def write_csv(path: str | Path, header: list[str], rows, workers: int = 1) -> int:
+    """Write header and rows as CSV, CHUNK_ROWS rows per formatting call;
+    return the number of cells formatted one at a time.
 
     rows is a list of row tuples or a record array with one field per
     header column; len(rows) is the row count.  With workers > 1 the
     blocks of a record array are formatted on the process pool; the bytes
     written are the same for every worker count.
     """
-    line = _row_format(path, header, rows) + "\n"
+    specs = _column_specs(path, header, rows)
     starts = range(0, len(rows), CHUNK_ROWS)
-    if not (isinstance(rows, np.ndarray) and len(starts) > 1):
+    if isinstance(rows, np.ndarray):
+        fmt = partial(_format_records, specs)
+    else:
+        fmt = partial(_format_rows, ",".join(specs) + "\n")
+        workers = 1
+    if len(starts) <= 1:
         workers = 1
     blocks = (rows[start:start + CHUNK_ROWS] for start in starts)
-    with open(path, "w", newline="\n") as out:
-        out.write(",".join(header) + "\n")
-        for text in ordered_map(partial(_format_block, line), blocks, workers):
+    single = 0
+    with open(path, "wb") as out:
+        out.write((",".join(header) + "\n").encode())
+        for text, count in ordered_map(fmt, blocks, workers):
             out.write(text)
+            single += count
+    return single
 
 
 def utc_now() -> str:

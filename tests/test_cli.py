@@ -290,6 +290,16 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("beta", ["inf", "nan"])
+def test_esm_non_finite_beta_is_refused(tmp_path, capsys, beta):
+    out = tmp_path / "out"
+    assert run(["esm", "--beta", beta, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"need finite beta >= 0, got beta = {beta}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_ensemble_byte_identity_across_workers(tmp_path, capsys):
     args = [
         "ensemble", "--model", "SCWM", "--n", "8", "--beta", "40",

@@ -338,5 +338,8 @@ def test_esm_guards():
         esm_evaluate(1, 1.0)
     with pytest.raises(InvalidParams):
         esm_evaluate(2, -1.0)
+    for beta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidParams, match="beta"):
+            esm_evaluate(2, beta)
     with pytest.raises(InvalidParams):
         EsmResult(logZhat=0.0, msq_dispersion=-0.1, N=2, beta=1.0)

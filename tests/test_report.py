@@ -3,19 +3,26 @@
 Expected output is written out literally or rebuilt line by line with
 "%.17g" in the test, never taken from the writer itself.  The block tests
 sit one row either side of the writer's block size, where an off-by-one in
-the chunking would drop, repeat or mis-terminate a row.
+the chunking would drop, repeat or mis-terminate a row.  The float kernel
+of record arrays is compared with "%.17g" on drawn bit patterns, on exact
+decimal ties and around every power of ten where its notation or exponent
+changes.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squimld.cli import main
 from squimld.gecore import RateParams
 from squimld.parallel import available_cores, resolve_workers
 from squimld.ratecurves import SHARDS_DEFAULT, domain_scan
-from squimld.report import CHUNK_ROWS, RunManifest, write_csv
+from squimld.report import (CHUNK_ROWS, FIXED_MAX, FIXED_MIN, FLOAT_FMT, RunManifest,
+                            _format_records, write_csv)
 
 
 def written(path):
@@ -177,3 +184,116 @@ def test_manifest_writes_diagnostics_as_diag_keys():
     # the diagnostics field is optional: existing constructions are unchanged
     assert not any(key.startswith("diag.") for key in
                    RunManifest("esm", {}, 0, 1, "s", "f").to_flat())
+
+
+def kernel_text(values) -> bytes:
+    """The record-array writer's bytes for one float column."""
+    rec = np.rec.fromarrays([np.asarray(values, dtype=np.float64)], names="v")
+    return _format_records([FLOAT_FMT], rec)[0]
+
+
+def percent_text(values) -> bytes:
+    return "".join(FLOAT_FMT % float(v) + "\n" for v in values).encode()
+
+
+def floats_from_bits(bits) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+# any float64, and floats whose binary exponent puts them in or next to the
+# kernel's range [1e-4, 1e16)
+ANY_BITS = st.integers(0, 2**64 - 1)
+NEAR_FIXED_BITS = st.builds(
+    lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+    st.integers(0, 1), st.integers(1023 - 15, 1023 + 54), st.integers(0, 2**52 - 1),
+)
+
+
+@given(st.lists(st.one_of(ANY_BITS, NEAR_FIXED_BITS), min_size=1, max_size=50))
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_percent_on_bit_patterns(bits):
+    values = floats_from_bits(bits)
+    assert kernel_text(values) == percent_text(values)
+
+
+@given(st.integers(1, 20), st.integers(0, 2**64 - 1), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_kernel_rounds_decimal_ties_to_even(k, draw, negative):
+    # v = odd * 2^-(k+1) with 16 - k = floor(log10 v): v * 10^k ends in .5,
+    # an exact tie at the 17th significant digit
+    lo, hi = 10.0 ** (16 - k), min(10.0 ** (17 - k), 2.0 ** (52 - k))
+    scale = 2.0 ** -(k + 1)
+    first, last = math.ceil(lo / scale), math.floor(hi / scale) - 1
+    if first > last:
+        return
+    odd = (first + draw % (last - first + 1)) | 1
+    value = odd * scale * (-1.0 if negative else 1.0)
+    assert lo <= abs(value) < 10.0 ** (17 - k)
+    assert kernel_text([value]) == percent_text([value])
+
+
+def test_kernel_around_powers_of_ten():
+    values = []
+    for j in range(-5, 18):
+        for power in (10.0**j, -(10.0**j)):
+            up = down = power
+            values.append(power)
+            for _ in range(2):
+                up, down = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+                values += [up, down]
+    values += [FIXED_MIN, FIXED_MAX, np.nextafter(FIXED_MIN, 0.0), np.nextafter(FIXED_MAX, 0.0)]
+    assert kernel_text(values) == percent_text(values)
+
+
+def test_kernel_special_values():
+    negative_nan = floats_from_bits([0xFFF8000000000000])[0]
+    assert math.isnan(negative_nan) and math.copysign(1.0, negative_nan) < 0.0
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072014e-308,
+              math.inf, -math.inf, math.nan, negative_nan, 1.7976931348623157e308]
+    assert kernel_text(values) == percent_text(values)
+    assert kernel_text([negative_nan, -math.inf, -0.0]) == b"nan\n-inf\n-0\n"
+
+
+def test_narrow_float_columns_print_as_python_floats():
+    single = np.array([0.1, -1 / 3, 1e-5, 3e38, np.nan], dtype=np.float32)
+    half = np.array([0.1, -1 / 3, 1e-3, 6e4, -np.inf], dtype=np.float16)
+    rec = np.rec.fromarrays([single, half], names="single,half")
+    expected = "".join(f"{FLOAT_FMT % float(a)},{FLOAT_FMT % float(b)}\n"
+                       for a, b in zip(single, half))
+    assert _format_records([FLOAT_FMT] * 2, rec)[0] == expected.encode()
+
+
+def test_int_extremes_in_a_record_array(tmp_path):
+    path = tmp_path / "ints.csv"
+    rec = np.rec.fromarrays(
+        [np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0]),
+         np.array([0, np.iinfo(np.uint64).max, 1], dtype=np.uint64)],
+        names="a,b",
+    )
+    assert write_csv(path, ["a", "b"], rec) == 6  # every int cell one at a time
+    assert written(path) == (b"a,b\n-9223372036854775808,0\n"
+                             b"9223372036854775807,18446744073709551615\n0,1\n")
+
+
+def test_write_csv_counts_cells_formatted_one_at_a_time(tmp_path):
+    path = tmp_path / "count.csv"
+    values = np.array([0.0, -0.0, 1e-5, 1e-4, 0.5, 1e16, 9e15, np.nan, -np.inf, 5e-324])
+    rec = np.rec.fromarrays([values, values < 0.5], names="v,flag")
+    # zeros, |v| < 1e-4 and |v| >= 1e16; not nan, inf or the bool column
+    assert write_csv(path, ["v", "flag"], rec) == 5
+    assert written(path) == b"v,flag\n" + b"".join(
+        b"%s,%d\n" % ((FLOAT_FMT % v).encode(), v < 0.5) for v in values.tolist())
+    assert write_csv(path, ["v", "n"], [(0.5, 1), (2.5, 2)]) == 4  # row tuples: every cell
+
+
+def test_domain_scan_manifest_counts_fallback_cells(tmp_path, capsys):
+    argv = ["domain-scan", "--x", "0.7", "--eps", "0.3", "--samples", "3000", "--seed", "4",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    man = json.loads((tmp_path / "domain_scan_manifest.json").read_text())
+    theta1, theta2, _in_d, _in_g, k = domain_scan(RateParams(x=0.7, eps=0.3), 3000, seed=4)
+    floats = np.concatenate([theta1, theta2, k])
+    finite = floats[np.isfinite(floats)]
+    outside = (np.abs(finite) < FIXED_MIN) | (np.abs(finite) >= FIXED_MAX)
+    assert man["diag.csv_fallback_cells"] == str(int(outside.sum()))
