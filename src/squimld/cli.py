@@ -13,7 +13,8 @@ built-in default.  Each option's type, default and range are declared once,
 in build_parser, and main hands the environment and config strings to
 argparse as the subcommand's defaults: every layer is parsed by the flag's
 own type, and a bad value from any layer exits 2 naming the flag.
---samples, --shards and --workers must be >= 1 and --seed >= 0 everywhere.
+--samples, --shards and --workers must be >= 1 (rate-curves' --samples
+>= 10^4) and --seed in [0, 2^64 - 1] everywhere.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure surfaced by the
 library (degenerate weights, boundary evaluations, an I2 dual solve that
@@ -47,6 +48,7 @@ from .mc import (
 from .parallel import available_cores, resolve_workers
 from .ratecurves import (
     ETA_DEFAULT,
+    I2_MIN_SAMPLES,
     SHARDS_DEFAULT,
     compute_I1,
     compute_I2,
@@ -83,12 +85,15 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
 
 
-def _int_at_least(low: int):
-    """An argparse type: an int >= low, refused with the value and the minimum."""
+def _int_at_least(low: int, high: int | None = None):
+    """An argparse type: an int >= low (and <= high, if given), refused with
+    the value and the bound it breaks."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"{value} is above the maximum {high}")
         return value
 
     parse.__name__ = "int"  # argparse's "invalid int value" for a non-integer
@@ -96,7 +101,7 @@ def _int_at_least(low: int):
 
 
 _count = _int_at_least(1)  # a sample, shard or worker count
-_seed = _int_at_least(0)  # a Philox seed
+_seed = _int_at_least(0, 2**64 - 1)  # a Philox seed, one uint64 word
 
 
 def _read_config(command: argparse.ArgumentParser, path: str | None) -> dict:
@@ -164,10 +169,10 @@ def cmd_domain_scan(args) -> int:
     )
     clock_scanned = time.perf_counter()
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    header = ["theta1", "theta2", "in_D", "in_G", "k"]
-    rows = np.rec.fromarrays([theta1, theta2, in_d, in_g, k], names=header)
+    rows = np.rec.fromarrays([theta1, theta2, in_d, in_g, k], dtype=[
+        ("theta1", float), ("theta2", float), ("in_D", bool), ("in_G", bool), ("k", float)])
     csv_path = args.out_dir / "domain_scan.csv"
-    fallback_cells = write_csv(csv_path, header, rows, workers)
+    fallback_cells = write_csv(csv_path, rows, workers)
     clock_written = time.perf_counter()
     gp_path = args.out_dir / "domain_scan.gp"
     write_text(gp_path, domain_plot_script("domain_scan.csv"))
@@ -214,15 +219,17 @@ def cmd_rate_curves(args) -> int:
         })
     args.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = args.out_dir / "rate_curve.csv"
-    write_csv(csv_path, ["x", "I1", "I2", "accepted_G", "samples", "seed"], rows)
+    table = np.array(rows, dtype=[("x", float), ("I1", float), ("I2", float),
+                                  ("accepted_G", int), ("samples", int), ("seed", np.uint64)])
+    write_csv(csv_path, table)
     gp_path = args.out_dir / "rate_curve.gp"
     write_text(gp_path, rate_plot_script("rate_curve.csv"))
     _manifest(
         args, "rate_curve", [csv_path.name, gp_path.name], started,
         seed=args.seed, workers=workers, timings=timings, diagnostics=diagnostics,
     )
-    flagged = sum(1 for r in rows if math.isnan(r[2]))
-    print(f"wrote {csv_path} ({len(rows)} rows, {flagged} with empty constraint set)")
+    flagged = int(np.isnan(table["I2"]).sum())
+    print(f"wrote {csv_path} ({len(table)} rows, {flagged} with empty constraint set)")
     return 0
 
 
@@ -243,12 +250,9 @@ def cmd_wfe(args) -> int:
                        "theta_hi": res.theta_range[1]}
     args.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = args.out_dir / "wfe_transition.csv"
-    write_csv(
-        csv_path,
-        ["omega", "eps", "r", "delta", "p_star_inf", "y_at_inf", "beta_c",
-         "hypotheses_ok"],
-        [row],
-    )
+    write_csv(csv_path, np.array([row], dtype=[
+        ("omega", float), ("eps", float), ("r", float), ("delta", float), ("p_star_inf", float),
+        ("y_at_inf", float), ("beta_c", float), ("hypotheses_ok", int)]))
     _manifest(args, "wfe_transition", [csv_path.name], started, diagnostics=diagnostics)
     print(f"wrote {csv_path} (hypotheses_ok={row[-1]})")
     return 0
@@ -270,12 +274,10 @@ def cmd_ensemble(args) -> int:
              est.n_samples, args.seed) for obs, est in zip(args.observable, estimates)]
     args.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = args.out_dir / "ensemble.csv"
-    write_csv(
-        csv_path,
-        ["model", "N", "beta", "omega", "eps", "observable", "mean", "std_error",
-         "n_samples", "seed"],
-        rows,
-    )
+    write_csv(csv_path, np.array(rows, dtype=[
+        ("model", object), ("N", int), ("beta", float), ("omega", float), ("eps", float),
+        ("observable", object), ("mean", float), ("std_error", float), ("n_samples", int),
+        ("seed", np.uint64)]))
     clock_written = time.perf_counter()
     diagnostics = {"weight_ess": estimates[0].weight_ess} if estimates else {}
     for obs, est in zip(args.observable, estimates):
@@ -295,11 +297,8 @@ def cmd_esm(args) -> int:
     res = esm_evaluate(args.N, args.beta)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = args.out_dir / "esm.csv"
-    write_csv(
-        csv_path,
-        ["N", "beta", "logZhat", "msq_dispersion"],
-        [(res.N, res.beta, res.logZhat, res.msq_dispersion)],
-    )
+    write_csv(csv_path, np.array([(res.N, res.beta, res.logZhat, res.msq_dispersion)], dtype=[
+        ("N", int), ("beta", float), ("logZhat", float), ("msq_dispersion", float)]))
     _manifest(args, "esm", [csv_path.name], started)
     print(f"wrote {csv_path} (logZhat={res.logZhat:.12g})")
     return 0
@@ -350,8 +349,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     common(p)
     p.add_argument("--x-list", dest="x_list", type=_float_list, default=X_GRID_DEFAULT)
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--samples", type=_count, default=1_000_000,
-                   help="samples per grid point")
+    p.add_argument("--samples", type=_int_at_least(I2_MIN_SAMPLES), default=1_000_000,
+                   help="samples per grid point, at least 10^4")
     p.add_argument("--eta", type=_float_list, default=list(ETA_DEFAULT))
     p.add_argument("--shards", type=_count, default=SHARDS_DEFAULT)
     p.set_defaults(func=cmd_rate_curves)

@@ -60,6 +60,8 @@ ETA_DEFAULT = (0.0, 2.0, 8.0, 32.0)
 # Default shard count: divisible by the 7-entry direction schedule below so
 # every (eta, direction) combination receives the same number of shards.
 SHARDS_DEFAULT = 63
+# The fewest draws of D that compute_I2 accepts.
+I2_MIN_SAMPLES = 10**4
 
 
 @dataclass(frozen=True)
@@ -407,7 +409,7 @@ def compute_I2(params: RateParams, n_samples: int, eta_schedule=ETA_DEFAULT,
     The noise band of the sampled minimum is half the spread of the four
     per-shard-group minima (shards grouped by index mod 4), floored at 1e-9.
     """
-    if n_samples < 10**4:
+    if n_samples < I2_MIN_SAMPLES:
         raise InvalidParams(f"n_samples must be >= 1e4, got {n_samples}")
     clock = time.perf_counter()
     counts = split_counts(n_samples, shards)

@@ -1,38 +1,35 @@
 """Output emission: fixed-schema CSV files, run manifests, and plot scripts.
 
-Every CSV goes through the one writer, `write_csv`, under one formatting
-rule: a float cell is printed with 17 significant digits ("%.17g"), so a
-value survives a round trip through text exactly; an int or bool cell is
-printed as an integer ("%d", so booleans become 1/0); anything else is
-printed with str ("%s").  The rule is applied per column, once per table:
-a record array's columns take it from their dtype, a list of row tuples
-from the Python types of its cells.  Rows are formatted and written a
-block of CHUNK_ROWS at a time, so a table never sits in memory as text;
-each block comes back as bytes and the file is written in binary.
+Every CSV is a record array with an explicit dtype, written by the one
+writer, `write_csv`, under a header of its field names.  A column's
+format follows from its dtype kind: a float cell is printed with 17
+significant digits ("%.17g"), so a value survives a round trip through
+text exactly; a bool cell as 1/0; an int cell with "%d"; anything else
+with "%s".  Rows are formatted and written a block of CHUNK_ROWS at a
+time, so a table never sits in memory as text; each block comes back as
+bytes and the file is written in binary.
 
-A list of row tuples (a few rows, possibly str cells or ints beyond
-int64) is formatted with a single % over each block's cells.  A record
-array is formatted column by column into a byte matrix whose empty slots
-hold a pad byte, deleted afterwards with bytes.translate.  Its float
-columns go through an exact numpy kernel for "%.17g": for finite |v| in
+A block is formatted into a byte matrix whose empty slots hold a pad
+byte, deleted afterwards with bytes.translate.  Its float columns go
+through an exact numpy kernel for "%.17g" together: for finite |v| in
 [1e-4, 1e16), where "%.17g" prints fixed notation, the 17 significant
 digits are the exact integer round(|v| * 10^(16 - E)), E = floor(log10
 |v|), rounded half to even from Dekker's error-free product; each digit
 gets a slot for the decimal point after it.  nan, inf and -inf are
-written by the kernel too, and bool columns as 1/0.  Only the remaining
+written by the kernel too, and bool cells directly.  Only the remaining
 float cells (zeros, subnormals, |v| < 1e-4, |v| >= 1e16) and int and
 text cells are formatted one at a time with %; `write_csv` returns how
-many.  The kernel's bytes equal "%.17g"'s for every float64.
+many.  The kernel's bytes equal "%.17g"'s for every float64, and an int
+column prints every value of its dtype exactly (a seed column is uint64).
 
-With workers > 1, a record array of more than one block has its blocks
-formatted on the shared process pool of `parallel` (built on first use,
-reused by every later call, fork start method on Linux before Python 3.14
-and forkserver from 3.14; `_format_records` is module-level, so both
-work) and written in order, with at most parallel.TASKS_PER_WORKER x
-workers (2 x workers) blocks in flight, so the text held in memory stays
-bounded.  A list of row tuples is always formatted in-process.  The bytes
-do not depend on the worker count; they are the determinism contract for
-repeated runs.
+With workers > 1, a table of more than one block has its blocks formatted
+on the shared process pool of `parallel` (built on first use, reused by
+every later call, fork start method on Linux before Python 3.14 and
+forkserver from 3.14; `_format_records` is module-level, so both work)
+and written in order, with at most parallel.TASKS_PER_WORKER x workers
+(2 x workers) blocks in flight, so the text held in memory stays bounded.
+The bytes do not depend on the worker count; they are the determinism
+contract for repeated runs.
 
 The manifest is a flat JSON object with string keys and string values
 recording what produced the outputs and the estimator's diagnostics
@@ -48,8 +45,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import cache, partial
-from itertools import chain
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -61,59 +57,6 @@ FLOAT_FMT = "%.17g"
 CHUNK_ROWS = 65_536
 
 CODE_VERSION = "0.1.0"
-
-
-def _dtype_spec(dtype: np.dtype) -> str:
-    """The cell format of a record-array column."""
-    if dtype.kind in "biu":
-        return "%d"
-    if dtype.kind == "f":
-        return FLOAT_FMT
-    return "%s"
-
-
-def _cell_spec(value) -> str:
-    """The cell format of one Python value (bool is an int)."""
-    if isinstance(value, (int, np.integer)):
-        return "%d"
-    if isinstance(value, float):
-        return FLOAT_FMT
-    return "%s"
-
-
-def _check_width(path, header: list[str], width: int) -> None:
-    if width != len(header):
-        raise ValueError(
-            f"row width {width} != header width {len(header)} in {path}"
-        )
-
-
-def _column_specs(path, header: list[str], rows) -> list[str]:
-    """The %-format of each column, shared by every row of the table.
-
-    A column of Python cells must need one format throughout; a column
-    mixing, say, ints and floats is refused rather than printed unevenly.
-    """
-    if isinstance(rows, np.ndarray):
-        names = rows.dtype.names or ()
-        _check_width(path, header, len(names))
-        return [_dtype_spec(rows.dtype[name]) for name in names]
-    for row in rows:
-        _check_width(path, header, len(row))
-    specs = []
-    for name, column in zip(header, zip(*rows)):
-        kinds = {_cell_spec(v) for v in column}
-        if len(kinds) > 1:
-            raise ValueError(f"column {name} mixes {sorted(kinds)} cells in {path}")
-        specs.append(kinds.pop())
-    return specs
-
-
-def _format_rows(line: str, rows: list) -> tuple[bytes, int]:
-    """A block of row tuples as CSV bytes, with a single % over its cells
-    flattened row-major; every cell counts as formatted one at a time."""
-    flat = tuple(chain.from_iterable(rows))
-    return ((line * len(rows)) % flat).encode(), len(flat)
 
 
 # The float kernel.  Each cell is laid out in a row of bytes with PAD in
@@ -130,9 +73,11 @@ PAD = b"\0"
 # "%.17g" uses fixed notation with E = floor(log10 |v|) in [-4, 15].  Zeros,
 # subnormals and every other finite value are formatted one at a time.
 FIXED_MIN, FIXED_MAX = 1e-4, 1e16
-# Rows formatted at a time within a block: the kernel's temporaries stay in
-# cache (a float column of 65,536 rows took 4.5 ms in one piece, 2.4 ms in
-# four, on a 2-core AMD EPYC).
+# Rows formatted at a time within a block, and the most float cells the
+# kernel takes in one call: its temporaries stay in cache (a float column
+# of 65,536 rows took 4.5 ms in one piece, 2.4 ms in four, on a 2-core AMD
+# EPYC).  A call takes as many float columns as fit, so a table of a few
+# rows pays the kernel's fixed cost once, not once per column.
 KERNEL_ROWS = 16_384
 
 
@@ -145,7 +90,8 @@ def _digit_words(digits: np.ndarray) -> np.ndarray:
     """[n * 10^4 + v]: the 4 digits of v < 10^4 in the even bytes of a
     word, only the first n (0..4) of them shown."""
     rows = np.zeros((5, 10_000, 8), dtype=np.uint8)
-    rows[:, :, ::2] = (digits + ord("0")) * (np.arange(4) < np.arange(5)[:, None, None])
+    for n in range(1, 5):
+        rows[n, :, :2 * n:2] = digits[:, :n] + ord("0")
     return _words(rows).ravel()
 
 
@@ -166,7 +112,7 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The digit words, the head words, and [v]: the position (1..4) of the
     last nonzero digit of v < 10^4, below any digit position for v = 0.
     Built on first use, so importing the module stays cheap."""
-    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # [v]: v's 4 digits
     last_nonzero = np.where(digits.any(axis=1),
                             4 - np.argmax(digits[:, ::-1] != 0, axis=1), -16)
     return _digit_words(digits), _head_words(), last_nonzero
@@ -205,10 +151,10 @@ def _scaled_digits(mag: np.ndarray, exp10: np.ndarray) -> np.ndarray:
     return p.astype(np.int64) + np.rint(err).astype(np.int64)
 
 
-def _format_floats(values: np.ndarray, sep: int) -> tuple[np.ndarray, int]:
-    """"%.17g" of each value followed by the byte sep, as the 40-byte rows
-    of a PAD-filled uint8 matrix, and the number of cells formatted one at
-    a time."""
+def _format_floats(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """"%.17g" of each value, as the 40-byte rows of a PAD-filled uint8
+    matrix whose last byte the caller sets to the separator, and the number
+    of cells formatted one at a time."""
     mag = np.abs(values)
     fast = (mag >= FIXED_MIN) & (mag < FIXED_MAX)
     mag[~fast] = 1.0  # a stand-in; those cells are overwritten below
@@ -253,7 +199,6 @@ def _format_floats(values: np.ndarray, sep: int) -> tuple[np.ndarray, int]:
     if count:
         words[single] = 0
         words[single, :4] = _cell_bytes(FLOAT_FMT, values[single], 32).view(np.uint64)
-    cells[:, 39] = sep
     return cells, count
 
 
@@ -267,58 +212,66 @@ def _cell_bytes(spec: str, values: np.ndarray, width: int = 0) -> np.ndarray:
     return matrix.view(np.uint8).reshape(len(cells), matrix.itemsize)
 
 
-def _format_records(specs: list[str], block: np.ndarray) -> tuple[bytes, int]:
+def _format_records(block: np.ndarray) -> tuple[bytes, int]:
     """A block of a record array as CSV bytes, and the number of cells
     formatted one at a time.
 
-    Float columns go through the kernel and bool columns are written as
-    1/0 directly; int and text columns are formatted one cell at a time.
-    The kernel takes KERNEL_ROWS rows at a time.
+    A column's format follows from its dtype kind: float columns go
+    through the kernel, KERNEL_ROWS rows and at most KERNEL_ROWS cells at
+    a time, and bool columns are written as 1/0 directly; int columns are
+    formatted one cell at a time with "%d" and any other column with "%s".
     """
     names = block.dtype.names
+    kinds = [block.dtype[name].kind for name in names]
     seps = [ord(",")] * (len(names) - 1) + [ord("\n")]
+    floats = [name for name, kind in zip(names, kinds) if kind == "f"]
     texts, count = [], 0
     for start in range(0, len(block), KERNEL_ROWS):
         rows = block[start:start + KERNEL_ROWS]
-        parts = []
-        for spec, name, sep in zip(specs, names, seps):
-            col = rows[name]
-            if col.dtype.kind == "f":  # % prints any float width as a Python float
-                cells, single = _format_floats(np.ascontiguousarray(col, dtype=np.float64), sep)
-            elif col.dtype.kind == "b":
-                cells, single = np.stack([col + ord("0"), np.full(len(col), sep)], axis=1), 0
-            else:
-                cells, single = _cell_bytes(spec, col), len(col)
-                cells = np.column_stack([cells, np.full(len(col), sep)])
-            parts.append(cells.astype(np.uint8, copy=False))
+        float_cells = {}
+        width = KERNEL_ROWS // len(rows)  # float columns per kernel call
+        for first in range(0, len(floats), width):
+            group = floats[first:first + width]
+            # % prints any float width as a Python float
+            cells, single = _format_floats(
+                np.stack([rows[name] for name in group], axis=1, dtype=np.float64).ravel())
+            float_cells.update(zip(group, cells.reshape(len(rows), len(group), 40)
+                                   .transpose(1, 0, 2)))
             count += single
+        parts = []
+        for name, kind, sep in zip(names, kinds, seps):
+            col = rows[name]
+            if kind == "f":
+                cells = float_cells[name]
+                cells[:, 39] = sep
+            elif kind == "b":
+                cells = np.stack([col + ord("0"), np.full(len(col), sep)], axis=1)
+            else:
+                cells = _cell_bytes("%d" if kind in "iu" else "%s", col)
+                cells = np.column_stack([cells, np.full(len(col), sep)])
+                count += len(col)
+            parts.append(cells.astype(np.uint8, copy=False))
         texts.append(np.concatenate(parts, axis=1).tobytes().translate(None, PAD))
     return b"".join(texts), count
 
 
-def write_csv(path: str | Path, header: list[str], rows, workers: int = 1) -> int:
-    """Write header and rows as CSV, CHUNK_ROWS rows per formatting call;
-    return the number of cells formatted one at a time.
+def write_csv(path: str | Path, rows: np.ndarray, workers: int = 1) -> int:
+    """Write the record array rows as CSV under a header of its field names,
+    CHUNK_ROWS rows per formatting call; return the number of cells
+    formatted one at a time.
 
-    rows is a list of row tuples or a record array with one field per
-    header column; len(rows) is the row count.  With workers > 1 the
-    blocks of a record array are formatted on the process pool; the bytes
-    written are the same for every worker count.
+    With workers > 1 a table of more than one block has its blocks
+    formatted on the process pool; the bytes written are the same for
+    every worker count.
     """
-    specs = _column_specs(path, header, rows)
     starts = range(0, len(rows), CHUNK_ROWS)
-    if isinstance(rows, np.ndarray):
-        fmt = partial(_format_records, specs)
-    else:
-        fmt = partial(_format_rows, ",".join(specs) + "\n")
-        workers = 1
     if len(starts) <= 1:
         workers = 1
     blocks = (rows[start:start + CHUNK_ROWS] for start in starts)
     single = 0
     with open(path, "wb") as out:
-        out.write((",".join(header) + "\n").encode())
-        for text, count in ordered_map(fmt, blocks, workers):
+        out.write((",".join(rows.dtype.names) + "\n").encode())
+        for text, count in ordered_map(_format_records, blocks, workers):
             out.write(text)
             single += count
     return single

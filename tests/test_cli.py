@@ -88,6 +88,43 @@ def test_esm_exact_csv(tmp_path, capsys):
     assert all(isinstance(v, str) for v in man.values())
 
 
+ENSEMBLE_HEADER = b"model,N,beta,omega,eps,observable,mean,std_error,n_samples,seed\n"
+
+
+# Literal bytes of the one- and two-row tables.  esm's cells are the closed
+# forms 2 log(8/9) and 1/32 (test_esm_exact_csv); the seed cell holds the
+# largest seed exactly.
+@pytest.mark.parametrize("argv, name, expected", [
+    pytest.param(["esm", "--n", "2", "--beta", "1"], "esm.csv",
+                 b"N,beta,logZhat,msq_dispersion\n2,1,-0.23556607131276691,0.03125\n",
+                 id="esm"),
+    pytest.param(["wfe", "--delta", "0.8"], "wfe_transition.csv",
+                 b"omega,eps,r,delta,p_star_inf,y_at_inf,beta_c,hypotheses_ok\n"
+                 b"1.2,0.10000000000000001,0.16666666666666663,0.80000000000000004,"
+                 b"nan,nan,nan,0\n",
+                 id="wfe-hypotheses-violated"),
+    pytest.param(["rate-curves", "--x-list", "0.5", "--samples", "10000",
+                  "--seed", "18446744073709551615", "--workers", "1"], "rate_curve.csv",
+                 b"x,I1,I2,accepted_G,samples,seed\n"
+                 b"0.5,0.13128101081181454,0.13660647428994865,3246,10000,"
+                 b"18446744073709551615\n",
+                 id="rate-curves-largest-seed"),
+    pytest.param(["ensemble", "--model", "SCWM", "--n", "8", "--beta", "1",
+                  "--observable", "msq,m_abs", "--samples", "10000", "--workers", "1"],
+                 "ensemble.csv",
+                 ENSEMBLE_HEADER
+                 + b"SCWM,8,1,nan,0,msq,0.067292875711534125,0.0011728539598239659,10000,0\n"
+                 b"SCWM,8,1,nan,0,m_abs,0.21092541331837772,0.0023949566657422649,10000,0\n",
+                 id="ensemble-two-observables"),
+    pytest.param(["ensemble", "--observable", ","], "ensemble.csv", ENSEMBLE_HEADER,
+                 id="ensemble-no-observable"),
+])
+def test_small_tables_exact_bytes(tmp_path, capsys, argv, name, expected):
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_path / name).read_bytes() == expected
+
+
 def test_wfe_csv_hypotheses_ok(tmp_path, capsys):
     assert run(["wfe", "--omega", "1.2", "--eps", "0.1", "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -251,6 +288,16 @@ def test_config_layering_and_flag_precedence(tmp_path, capsys, monkeypatch):
                  id="zero-shards"),
     pytest.param({}, None, ["ensemble", "--workers", "0"], "--workers", id="zero-workers"),
     pytest.param({"SEED": "-1"}, None, ["wfe"], "--seed", id="env-seed-on-wfe"),
+    # a seed is one uint64 word of the Philox key
+    pytest.param({}, None, ["rate-curves", "--seed", str(2**64)], "--seed", id="seed-2^64"),
+    pytest.param({"SEED": str(2**64)}, None, ["esm"], "--seed", id="env-seed-2^64"),
+    # rate-curves needs 10^4 draws per grid point, from every layer
+    pytest.param({}, None, ["rate-curves", "--samples", "100"], "--samples",
+                 id="rate-curves-samples"),
+    pytest.param({"SAMPLES": "9999"}, None, ["rate-curves"], "--samples",
+                 id="env-rate-curves-samples"),
+    pytest.param({}, "samples = 100\n", ["rate-curves"], "--samples",
+                 id="config-rate-curves-samples"),
 ])
 def test_bad_value_from_any_layer_is_usage_error(tmp_path, capsys, monkeypatch,
                                                  env, conf, argv, flag):
