@@ -101,7 +101,7 @@ def _int_at_least(low: int, high: int | None = None):
 
 
 _count = _int_at_least(1)  # a sample, shard or worker count
-_seed = _int_at_least(0, 2**64 - 1)  # a Philox seed, one uint64 word
+_seed = _int_at_least(0, 2**64 - 1)  # one uint64 word, the entropy of every shard stream
 
 
 def _read_config(command: argparse.ArgumentParser, path: str | None) -> dict:

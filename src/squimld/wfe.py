@@ -61,11 +61,12 @@ hit at N = 2000; the tilt makes 1e7 replicas informative.
 The sampler only needs the squares chi_n^2 = Z_n^2, so it draws them in
 pairs: Box-Muller gives two independent chi_1^2 values, R^2 cos^2(phi) and
 R^2 sin^2(phi), from one uniform pair, which it takes from the two 32-bit
-halves of one raw Philox word.  With c_n = b_n sigma_n^2 padded to an even
-count, T = sum_k c_{2k+1} R_k^2 + (c_{2k} - c_{2k+1}) R_k^2 cos^2(phi_k):
-one log and one cos per two coordinates.  Replicas run in blocks of
-RARE_BLOCK_WORDS words, sized to stay in cache.  The result carries a
-standard error for log P and the ESS of the hit weights.
+halves of one raw word of the shard's SFC64 stream.  With c_n = b_n
+sigma_n^2 padded to an even count, T = sum_k c_{2k+1} R_k^2 + (c_{2k} -
+c_{2k+1}) R_k^2 cos^2(phi_k): one log and one cos per two coordinates.
+Replicas run in blocks of RARE_BLOCK_WORDS words, sized to stay in cache.
+The result carries a standard error for log P and the ESS of the hit
+weights.
 """
 
 from __future__ import annotations
@@ -80,11 +81,12 @@ from .errors import HypothesisViolation, InvalidParams, OutOfThetaRange
 from .gecore import QMIN_STRICT, q_kernel, root_toward
 from .parallel import fold_shifted, map_shards, shard_rng, split_counts
 
-# Philox words per block of the rare-event sampler (256 kB of uint64).  A
-# block and its work arrays take ~3x that, which stays in a core's L2; on a
-# 2-core Xeon (2 MB L2 per core) the N = 2000 sampler ran 1.6x slower at
-# 2^16 words and 1.8x at 2^17, and 1.13x slower at 2^14, where the
-# per-block overhead starts to show
+# Raw SFC64 words per block of the rare-event sampler (256 kB of uint64).  A
+# block and its work arrays take ~3x that, which stays in a core's L2.  On a
+# 2-core AMD EPYC host, one in-process N = 2000, 10^5-replica run took a
+# median 0.330 s at 2^15 words, 0.372 s at 2^14, where the per-block
+# overhead starts to show, and 0.502 s at 2^16; 2^15 was the faster in each
+# of 10 alternating rounds against either
 RARE_BLOCK_WORDS = 1 << 15
 
 
@@ -336,7 +338,7 @@ def _pair_coefficients(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chi2_pair_block(bitgen, rows: int, a_odd: np.ndarray, a_diff: np.ndarray) -> np.ndarray:
-    """T = sum_n c_n chi_n^2 for `rows` replicas, one Philox word per pair.
+    """T = sum_n c_n chi_n^2 for `rows` replicas, one raw 64-bit word per pair.
 
     Box-Muller without the square root: for a raw 64-bit word split into
     its high and low 32-bit halves, hi32 = word >> 32 and lo32 = word mod 2^32,
@@ -351,18 +353,21 @@ def _chi2_pair_block(bitgen, rows: int, a_odd: np.ndarray, a_diff: np.ndarray) -
     uniform that rounds to 1.0 in float32 gives R^2 = 0, a harmless atom of
     probability ~2^-25.
     """
-    raw = bitgen.random_raw((rows, a_odd.shape[0]))
-    # the little-endian view puts lo32 first on any host; each half is
-    # copied out before the cast, ~2.5x faster than a strided cast
-    halves = raw.astype("<u8", copy=False).view("<u4")
-    r2 = halves[:, 1::2].copy().astype(np.float32)
+    shape = (rows, a_odd.shape[0])
+    # the little-endian view puts lo32 first on any host; copyto casts each
+    # strided half straight into float32, 0.49 ns a word against 0.66 for a
+    # contiguous copy and then a cast
+    halves = bitgen.random_raw(shape).astype("<u8", copy=False).view("<u4")
+    r2 = np.empty(shape, np.float32)
+    x = np.empty(shape, np.float32)
+    np.copyto(r2, halves[:, 1::2], casting="unsafe")
+    np.copyto(x, halves[:, 0::2], casting="unsafe")
     r2 += np.float32(0.5)
     r2 *= np.float32(2.0**-32)
     np.log(r2, out=r2)
     r2 *= np.float32(-2.0)
     # scale the angle before cos: float32 cos of raw 2^32-sized magnitudes
     # falls off numpy's SIMD path and runs ~40x slower
-    x = halves[:, 0::2].copy().astype(np.float32)
     x *= np.float32(2.0 * math.pi * 2.0**-32)
     np.cos(x, out=x)
     np.square(x, out=x)
@@ -375,9 +380,9 @@ def _rare_event_shard(shard: int, payload) -> tuple[tuple[float, float, float], 
 
     w = exp(-t* T) over hits, scaled by exp(-max exp-arg) (and its square
     for w^2); blocks fold in through parallel.fold_shifted.  Replicas run in
-    blocks of RARE_BLOCK_WORDS Philox words, so the dozen elementwise passes
-    _chi2_pair_block makes over a block run from cache; the cost is then
-    mostly the raw words, the log and the cos.  T is float32: a 1e-2
+    blocks of RARE_BLOCK_WORDS raw SFC64 words, so the dozen elementwise
+    passes _chi2_pair_block makes over a block run from cache; the cost is
+    then mostly the raw words, the log and the cos.  T is float32: a 1e-2
     absolute error on t*T moves log P by far less than the +-25 percent
     acceptance band.
     """

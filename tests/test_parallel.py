@@ -2,7 +2,8 @@
 
 The pool is an execution detail: every result must equal the in-process
 one, and consecutive maps must share one executor instead of starting
-their worker processes again.  The mapped functions are stdlib or squimld
+their worker processes again.  Each shard's stream is pinned to numpy's
+SFC64 child of SeedSequence(seed).  The mapped functions are stdlib or squimld
 callables, so they pickle by reference under any start method.  The
 max-shift fold is checked against scipy's logsumexp.
 """
@@ -18,7 +19,13 @@ from scipy.special import logsumexp
 
 from squimld import parallel
 from squimld.gecore import RateParams
-from squimld.parallel import fold_shifted, map_shards, process_pool, resolve_workers
+from squimld.parallel import (
+    fold_shifted,
+    map_shards,
+    process_pool,
+    resolve_workers,
+    shard_rng,
+)
 from squimld.ratecurves import domain_scan
 from squimld.wfe import WfeParams, rare_event_rate_mc
 
@@ -61,6 +68,22 @@ def test_a_new_worker_count_replaces_the_executor(built_pools):
     map_shards(operator.mul, 1, shards=4, workers=3)
     assert len(built_pools) == 2
     assert process_pool(3) is built_pools[1]
+
+
+@pytest.mark.parametrize("seed, shard", [(0, 0), (1, 62), (2**64 - 1, 0)])
+def test_shard_stream_is_the_sfc64_child_of_the_seed(seed, shard):
+    words = shard_rng(seed, shard).bit_generator.random_raw(4)
+    expected = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(shard,))).random_raw(4)
+    np.testing.assert_array_equal(words, expected)
+    # the same state as the shard-th child SeedSequence(seed).spawn gives
+    child = np.random.SeedSequence(seed).spawn(shard + 1)[shard]
+    np.testing.assert_array_equal(words, np.random.SFC64(child).random_raw(4))
+
+
+def test_distinct_seed_shard_pairs_start_distinct_streams():
+    pairs = [(seed, shard) for seed in (0, 1, 2, 62, 2**64 - 1) for shard in (0, 1, 2, 62, 63)]
+    first = {int(shard_rng(seed, shard).bit_generator.random_raw()) for seed, shard in pairs}
+    assert len(first) == len(pairs)
 
 
 def test_resolve_workers_defaults_to_available_cores(monkeypatch):

@@ -383,6 +383,28 @@ def test_pair_kernel_bit_layout():
     )
 
 
+def test_pair_kernel_casts_each_half_as_copy_then_astype():
+    # a block of raw words, the extreme halves 0 and 2^32 - 1 among them
+    words = np.random.SFC64(3).random_raw((300, 7))
+    words[0, :4] = [0, 2**32 - 1, 2**64 - 2**32, 2**64 - 1]
+
+    class Replay:
+        def random_raw(self, shape):
+            assert shape == words.shape
+            return words.copy()
+
+    # the kernel with each strided half copied out and then cast
+    halves = words.astype("<u8", copy=False).view("<u4")
+    r2 = halves[:, 1::2].copy().astype(np.float32)
+    x = halves[:, 0::2].copy().astype(np.float32)
+    r2 = np.float32(-2.0) * np.log((r2 + np.float32(0.5)) * np.float32(2.0**-32))
+    x = np.cos(x * np.float32(2.0 * math.pi * 2.0**-32)) ** 2 * r2
+    a_odd, a_diff = _pair_coefficients(np.linspace(-1.0, 0.5, 14))
+    np.testing.assert_array_equal(
+        _chi2_pair_block(Replay(), 300, a_odd, a_diff), r2 @ a_odd + x @ a_diff
+    )
+
+
 def test_pair_kernel_members_are_uncorrelated():
     n = 1_000_000
     x = pair_kernel_draws([1.0, 0.0, 0.0], n)
