@@ -13,8 +13,9 @@ built-in default.  Each option's type, default and range are declared once,
 in build_parser, and main hands the environment and config strings to
 argparse as the subcommand's defaults: every layer is parsed by the flag's
 own type, and a bad value from any layer exits 2 naming the flag.
---samples, --shards and --workers must be >= 1 (rate-curves' --samples
->= 10^4) and --seed in [0, 2^64 - 1] everywhere.
+--samples, --shards and --workers must lie in [1, 2^63 - 1] (rate-curves'
+--samples in [10^4, 2^63 - 1]), --n in [2, 2^63 - 1], and --seed in
+[0, 2^64 - 1] everywhere.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure surfaced by the
 library (degenerate weights, boundary evaluations, an I2 dual solve that
@@ -100,7 +101,10 @@ def _int_at_least(low: int, high: int | None = None):
     return parse
 
 
-_count = _int_at_least(1)  # a sample, shard or worker count
+# numpy's largest count (int64); a larger count would fail in an allocation
+COUNT_MAX = 2**63 - 1
+_count = _int_at_least(1, COUNT_MAX)  # a sample, shard or worker count
+_spins = _int_at_least(2, COUNT_MAX)  # N, the spin count of ensemble and esm
 _seed = _int_at_least(0, 2**64 - 1)  # one uint64 word, the entropy of every shard stream
 
 
@@ -349,7 +353,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     common(p)
     p.add_argument("--x-list", dest="x_list", type=_float_list, default=X_GRID_DEFAULT)
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--samples", type=_int_at_least(I2_MIN_SAMPLES), default=1_000_000,
+    p.add_argument("--samples", type=_int_at_least(I2_MIN_SAMPLES, COUNT_MAX), default=1_000_000,
                    help="samples per grid point, at least 10^4")
     p.add_argument("--eta", type=_float_list, default=list(ETA_DEFAULT))
     p.add_argument("--shards", type=_count, default=SHARDS_DEFAULT)
@@ -365,7 +369,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("ensemble", help="thermal-average Monte Carlo")
     common(p)
     p.add_argument("--model", choices=MODELS, default="SCWM")
-    p.add_argument("--n", "--N", dest="N", type=int, default=8)
+    p.add_argument("--n", "--N", dest="N", type=_spins, default=8)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--eps", type=float, default=0.0)
@@ -377,7 +381,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("esm", help="enumerated product-form model")
     common(p)
-    p.add_argument("--n", "--N", dest="N", type=int, default=2)
+    p.add_argument("--n", "--N", dest="N", type=_spins, default=2)
     p.add_argument("--beta", type=float, default=1.0)
     p.set_defaults(func=cmd_esm)
 

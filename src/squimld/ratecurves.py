@@ -35,12 +35,13 @@ accept iff the three domain tests pass.  The lines h(1) = 1/2 and h(-1) = 1/2
 both pass through P, so every ray with slope between -x/(1+eps) and x/(1-eps)
 automatically satisfies Tests 1 and 2; only the Test-3 ellipse rejects.  Both
 coordinates can be drawn from exponentially tilted interval distributions to
-concentrate samples near the interesting corners; density and CDF are kept in
-log space so large tilt rates stay finite.
+concentrate samples near the interesting corners; the inverse CDF is one
+log1p of u times the constant expm1(-eta (b - a)), finite at any tilt rate.
 
 Shard determinism follows the parallel module: every sampled number is a
 function of (seed, shard index) only.  Both shard workers, the scan's and
-I2's, draw through `_shard_draw`.
+I2's, draw through the one path `_shard_draw` and call the kernel on the
+draws they need: the scan on all of them, I2 only on those that can be in G.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DualNotCertified, InvalidParams, NoConstraintPoints
-from .gecore import RateParams, _pieces_arr, axis_k_t, root_toward, solve_Q_detail
+from .gecore import (RateParams, _b_of, _pieces_arr, _q_shape, axis_k_t, root_toward,
+                     solve_Q_detail)
 from .parallel import map_shards, shard_rng, split_counts
 
 # Default tilt schedule for D sampling; 0 is the plain uniform pass.
@@ -129,28 +131,33 @@ class GFunctions:
 def biased_sample(iv: BiasedInterval, u):
     """Inverse-CDF map of u in [0,1] to [a, b] under the tilted density.
 
-    Toward b the density is proportional to e^{eta(s-a)}, toward a to
-    e^{-eta(s-a)}.  Written with logaddexp so eta*(b-a) in the hundreds
-    cannot overflow:
+    Toward a the density is proportional to e^{-eta(s-a)}, toward b to
+    e^{-eta(b-s)}.  With the one scalar E = expm1(-eta (b - a)) in (-1, 0),
 
-        toward b: s = a + logaddexp(L + log u, log(1-u)) / eta,
-        toward a: s = a - logaddexp(log(1-u), log u - L) / eta,
+        toward a: s = a - log1p(u E) / eta,
+        toward b: s = b + log1p((1 - u) E) / eta,
 
-    with L = eta*(b-a).  Monotone increasing in u, with s(0) = a, s(1) = b.
+    one log1p per draw (Devroye 1986, sec. II.2).  u E stays in [E, 0], so
+    nothing overflows at any eta (b - a); where E rounds to -1, log1p(-1) =
+    -inf lands on the far end through the clip.  Monotone increasing in u.
+    The near end is exact (s(0) = a toward a, s(1) = b toward b); the far
+    one only in CDF space, as 1 + E rounds: at eta (b - a) = 30 on [0, 1],
+    s(1) toward a is 1 - 5.5e-6, where 1 - CDF is 2e-17.  Mapped back
+    through biased_cdf, u returns to within 2e-13 for eta (b - a) up to
+    1600 on [-0.4, 0.6], and within 6e-13 up to 2000 on intervals inside
+    [-5, 5.6]; the rounding of s, eta times an ulp of it, sets that error.
     """
     u = np.asarray(u, dtype=float)
     if np.any((u < 0.0) | (u > 1.0)):
         raise InvalidParams("u must lie in [0, 1]")
     if iv.eta == 0.0 or iv.direction == "Uniform":
         return iv.a + (iv.b - iv.a) * u
-    L = iv.eta * (iv.b - iv.a)
+    e = math.expm1(-iv.eta * (iv.b - iv.a))
     with np.errstate(divide="ignore"):
-        logu = np.log(u)
-        log1mu = np.log1p(-u)
-    if iv.direction == "TowardB":
-        s = iv.a + np.logaddexp(L + logu, log1mu) / iv.eta
-    else:
-        s = iv.a - np.logaddexp(log1mu, logu - L) / iv.eta
+        if iv.direction == "TowardB":
+            s = iv.b + np.log1p((1.0 - u) * e) / iv.eta
+        else:
+            s = iv.a - np.log1p(u * e) / iv.eta
     return np.clip(s, iv.a, iv.b)
 
 
@@ -161,18 +168,10 @@ def biased_cdf(iv: BiasedInterval, s):
         return np.clip((s - iv.a) / (iv.b - iv.a), 0.0, 1.0)
     L = iv.eta * (iv.b - iv.a)
     t = np.clip(iv.eta * (s - iv.a), 0.0, L)
-    if iv.direction == "TowardB":
-        # u = (e^t - 1)/(e^L - 1); the direct ratio overflows for large L,
-        # so go through logs.
-        with np.errstate(divide="ignore"):
-            logu = np.where(
-                t > 0.0,
-                t - L + np.log1p(-np.exp(-t)) - np.log1p(-np.exp(-L)),
-                -np.inf,
-            )
-        return np.exp(logu)
-    # toward a: u = (1 - e^{-t})/(1 - e^{-L})
-    return -np.expm1(-t) / -np.expm1(-L)
+    # toward a: u = (1 - e^{-t})/(1 - e^{-L}); toward b the same ratio
+    # (e^t - 1)/(e^L - 1) times e^{t - L}, which cannot overflow
+    u = np.expm1(-t) / math.expm1(-L)
+    return np.exp(t - L) * u if iv.direction == "TowardB" else u
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +213,20 @@ def _in_G(pieces):
 
 
 def _shard_draw(shard: int, payload):
-    """(theta1, theta2, kernel pieces) of one shard's ray-scheme draws.
+    """(theta1, theta2) of one shard's ray-scheme draws.
 
     payload is (params, per-shard counts, seed, combos); shard s draws its
     count from the (seed, s) stream under combo s mod len(combos).
     """
     params, counts, seed, combos = payload
     rng = shard_rng(seed, shard)
-    theta1, theta2 = _draw_batch(params, rng, counts[shard], combos[shard % len(combos)])
-    return theta1, theta2, _pieces_arr(params, theta1, theta2)
+    return _draw_batch(params, rng, counts[shard], combos[shard % len(combos)])
 
 
 def _scan_shard(shard: int, payload):
     """Worker: sample one shard and return raw columns for the scan CSV."""
-    theta1, theta2, pieces = _shard_draw(shard, payload)
+    theta1, theta2 = _shard_draw(shard, payload)
+    pieces = _pieces_arr(payload[0], theta1, theta2)
     return theta1, theta2, pieces["in_D"], _in_G(pieces), pieces["k"]
 
 
@@ -260,11 +259,21 @@ def _i2_shard(shard: int, payload):
     k_min is the minimum of k over the draws in G ∩ D, +inf when the shard
     never hits G.  compute_I2 reads n_in_G and k_min; n_in_D is the shard's
     D acceptance count, which the layer benchmark's tracer reads.
+
+    G lies in theta2 > 0, so the kernel runs only on the draws of D there.
+    For theta2 <= 0, q(y) - q(-y) = -4 theta2 y >= 0 for y > 0, so
+    Int y/q <= 0 and dc/dtheta2 = Int y/q - eps Int 1/q < 0: never in G.
+    The kernel works point by point, so the counts and k_min equal those
+    of the kernel over every draw.
     """
-    _, _, pieces = _shard_draw(shard, payload)
+    params = payload[0]
+    theta1, theta2 = _shard_draw(shard, payload)
+    *_, in_d = _q_shape(theta1, theta2, _b_of(params, theta1, theta2))
+    maybe_g = in_d & (theta2 > 0.0)
+    pieces = _pieces_arr(params, theta1[maybe_g], theta2[maybe_g])
     g_mask = _in_G(pieces)
     k_min = float(pieces["k"][g_mask].min()) if g_mask.any() else np.inf
-    return int(np.count_nonzero(pieces["in_D"])), int(np.count_nonzero(g_mask)), k_min
+    return int(np.count_nonzero(in_d)), int(np.count_nonzero(g_mask)), k_min
 
 
 # The dual solve certifies I2 when its duality gap is at or below this.

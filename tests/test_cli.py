@@ -347,6 +347,22 @@ def test_esm_non_finite_beta_is_refused(tmp_path, capsys, beta):
     assert not out.exists()
 
 
+# a count above int64 used to reach numpy's allocation and end in a traceback
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["ensemble", "--n", str(10**20), "--samples", "10"], "--n/--N",
+                 id="ensemble-n"),
+    pytest.param(["rate-curves", "--samples", str(10**20), "--x-list", "0.5"], "--samples",
+                 id="rate-curves-samples"),
+])
+def test_count_above_int64_is_usage_error(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert run(argv + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: {10**20} is above the maximum {2**63 - 1}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_ensemble_byte_identity_across_workers(tmp_path, capsys):
     args = [
         "ensemble", "--model", "SCWM", "--n", "8", "--beta", "40",

@@ -1,7 +1,9 @@
 """Biased interval sampling, dual-plane scans, and the two rate curves.
 
 The tilted inverse-CDF sampler has its own analytic CDF as an oracle, the
-domain scan must honor the shard determinism contract, and the axis rate
+domain scan must honor the shard determinism contract, the I2 shard worker,
+which skips the kernel where theta2 <= 0, must count exactly what the kernel
+over every draw counts, and the axis rate
 I1 is k at the constraint end Q, which a dense grid of k along the axis
 segment must never undercut.  I2 is minus the minimum of c over the
 quadrant theta1 <= 0, theta2 >= 0; its tests pin the certificate, the
@@ -16,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from squimld import (
@@ -31,12 +33,23 @@ from squimld import (
 )
 from scipy.integrate import quad
 
-from squimld.gecore import ThetaPair, _pieces_arr, axis_k_t, in_domain_D, solve_Q_detail
+from squimld.gecore import (
+    ThetaPair,
+    _pieces_arr,
+    axis_k_t,
+    grad_c,
+    in_domain_D,
+    solve_Q_detail,
+)
 from squimld.ratecurves import (
     DUAL_GAP_TOL,
     BiasedInterval,
     ETA_DEFAULT,
     GFunctions,
+    _combo_schedule,
+    _i2_shard,
+    _in_G,
+    _shard_draw,
     biased_cdf,
     biased_sample,
     classify_theorem_two,
@@ -126,6 +139,19 @@ def test_extreme_tilt_stays_finite():
     assert np.all((s >= -1.0) & (s <= 1.0))
 
 
+@pytest.mark.parametrize("direction", ["TowardA", "TowardB"])
+@pytest.mark.parametrize("rate", [1e-6, 1.0, 30.0, 300.0, 1600.0, 2000.0])
+def test_one_log1p_sampler_inverts_its_cdf_to_1e12(rate, direction):
+    # rate = eta*(b - a); the sampler's own stream of u plus both ends
+    iv = BiasedInterval(-1.5, 2.5, rate / 4.0, direction)
+    u = np.concatenate([np.random.default_rng(7).random(10**6),
+                        [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]])
+    s = biased_sample(iv, u)
+    assert np.all((s >= iv.a) & (s <= iv.b))
+    assert float(np.max(np.abs(biased_cdf(iv, s) - u))) <= 1e-12
+    assert np.all(np.diff(biased_sample(iv, np.sort(u))) >= 0.0)
+
+
 # ---------------------------------------------------------------------------
 # domain sampling and scanning
 # ---------------------------------------------------------------------------
@@ -158,6 +184,51 @@ def test_domain_scan_g_points_have_positive_theta2():
     _, theta2, _, in_g, _ = domain_scan(P07, 100_000, seed=0)
     assert in_g.sum() > 100
     assert np.all(theta2[in_g] > 0.0)
+
+
+@given(
+    st.floats(min_value=0.05, max_value=0.95),
+    st.floats(min_value=0.01, max_value=0.99),
+    st.floats(min_value=1e-6, max_value=0.999),
+    st.floats(min_value=0.0, max_value=0.99),
+)
+@settings(max_examples=300, deadline=None)
+def test_no_point_with_theta2_at_most_zero_is_in_G(x, eps_frac, s_frac, f):
+    # G lies in theta2 > 0: for theta2 <= 0, q(y) >= q(-y) on y > 0, so
+    # Int y/q <= 0 and dc/dtheta2 = Int y/q - eps Int 1/q < 0.  _i2_shard
+    # skips the kernel on those draws because of this.
+    params = RateParams(x=x, eps=eps_frac * math.sqrt(1.0 - x))
+    top = 1.0 / (2.0 * (1.0 - x))  # the axis part of D is (P, top]
+    theta1 = params.p_left + s_frac * (top - params.p_left)
+    # theta2 = -f m inside D: the ray through P keeps q(+-1) >= 0, and for
+    # theta1 > 0 the vertex value b - theta2^2/(2 theta1) >= 0 bounds m too
+    m = x / (1.0 + params.eps) * (theta1 - params.p_left)
+    if theta1 > 0.0:
+        b0 = 1.0 - 2.0 * theta1 * (1.0 - x)
+        e = params.eps * theta1
+        m = min(m, math.sqrt(4.0 * e * e + 2.0 * b0 * theta1) - 2.0 * e)
+    theta = ThetaPair(theta1, -f * m)
+    assume(in_domain_D(theta, params).strictly_inside)
+    assert grad_c(theta, params)[1] < 0.0
+
+
+@pytest.mark.parametrize("x", [0.1, 0.4, 0.7])
+def test_i2_shard_matches_the_kernel_over_every_draw(x):
+    # one shard per (eta, direction) combo; the oracle runs the kernel on
+    # all of a shard's draws, _i2_shard only on those in D with theta2 > 0
+    params = RateParams(x=x, eps=0.1)
+    combos = _combo_schedule(ETA_DEFAULT)
+    payload = (params, [100_000] * len(combos), 1, combos)
+    hits = 0
+    for shard in range(len(combos)):
+        theta1, theta2 = _shard_draw(shard, payload)
+        pieces = _pieces_arr(params, theta1, theta2)
+        g_mask = _in_G(pieces)
+        k_min = float(pieces["k"][g_mask].min()) if g_mask.any() else np.inf
+        oracle = (int(np.count_nonzero(pieces["in_D"])), int(np.count_nonzero(g_mask)), k_min)
+        assert _i2_shard(shard, payload) == oracle
+        hits += oracle[1]
+    assert hits > 0
 
 
 # ---------------------------------------------------------------------------
