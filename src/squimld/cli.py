@@ -48,7 +48,6 @@ from .mc import (
 )
 from .parallel import available_cores, resolve_workers
 from .ratecurves import (
-    ETA_DEFAULT,
     I2_MIN_SAMPLES,
     SHARDS_DEFAULT,
     compute_I1,
@@ -169,7 +168,7 @@ def cmd_domain_scan(args) -> int:
     params = RateParams(x=args.x, eps=args.eps)
     clock_start = time.perf_counter()
     theta1, theta2, in_d, in_g, k = domain_scan(
-        params, args.samples, tuple(args.eta), seed=args.seed, shards=args.shards, workers=workers
+        params, args.samples, seed=args.seed, shards=args.shards, workers=workers
     )
     clock_scanned = time.perf_counter()
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -203,10 +202,8 @@ def cmd_rate_curves(args) -> int:
     for x in args.x_list:
         params = RateParams(x=x, eps=args.eps)
         try:
-            pt = compute_I2(
-                params, args.samples, tuple(args.eta), seed=args.seed, shards=args.shards,
-                workers=workers,
-            )
+            pt = compute_I2(params, args.samples, seed=args.seed, shards=args.shards,
+                            workers=workers)
         except NoConstraintPoints:
             # flagged row: empty constraint set at this budget
             rows.append((x, compute_I1(params), math.nan, 0, args.samples, args.seed))
@@ -344,8 +341,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--x", type=float, default=0.7)
     p.add_argument("--eps", type=float, default=0.3)
     p.add_argument("--samples", type=_count, default=1_000_000)
-    p.add_argument("--eta", type=_float_list, default=list(ETA_DEFAULT),
-                   help="comma-separated bias strengths")
     p.add_argument("--shards", type=_count, default=SHARDS_DEFAULT)
     p.set_defaults(func=cmd_domain_scan)
 
@@ -355,7 +350,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--samples", type=_int_at_least(I2_MIN_SAMPLES, COUNT_MAX), default=1_000_000,
                    help="samples per grid point, at least 10^4")
-    p.add_argument("--eta", type=_float_list, default=list(ETA_DEFAULT))
     p.add_argument("--shards", type=_count, default=SHARDS_DEFAULT)
     p.set_defaults(func=cmd_rate_curves)
 

@@ -126,15 +126,14 @@ def wfe_exponent(m, d, n_spins: int, beta: float, omega: float):
 
 
 # Observable tag -> value per state from (m, D, eps).  All are even under the
-# spin flip but m_signed, the signed magnetization, which symmetrizes to 0.
+# spin flip; the signed magnetization, which symmetrizes to 0, is not one.
 OBSERVABLE_FORMULAS = {
     "msq": lambda m, d, eps: m * m,
     "m_abs": lambda m, d, eps: np.abs(m),
     "magnetized_fraction": lambda m, d, eps: (np.abs(m) >= eps).astype(float),
     "dispersion": lambda m, d, eps: d,
-    "m_signed": lambda m, d, eps: np.zeros_like(m),
 }
-OBSERVABLES = ("msq", "m_abs", "magnetized_fraction", "dispersion")
+OBSERVABLES = tuple(OBSERVABLE_FORMULAS)
 
 
 def magnetization_sym(phi: SymmetricWavefunction) -> float:

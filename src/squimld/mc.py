@@ -59,8 +59,8 @@ Estimator plumbing shared by all models:
   * spin-flip symmetry (n -> N-n, or global flip of the chain) holds for
     every model exponent, and every public observable is even under it, so
     the symmetrized estimator is applied analytically: magnetization
-    enters only through |m| and m^2, and the internal signed-magnetization
-    check is identically zero.
+    enters only through |m| and m^2, and the signed magnetization averages
+    to exactly zero.
 
 Closed-form oracles: the infinite-temperature second moment of the
 magnetization from exact uniform-sphere moments, and a product-form model
@@ -263,7 +263,7 @@ def thermal_averages(cfg: EnsembleConfig, observables: Sequence[str],
     DegenerateWeights when the weight ESS (sum w)^2 / sum w^2 < ESS_MIN.
     """
     for tag in observables:
-        if tag not in OBSERVABLE_FORMULAS:
+        if tag not in OBSERVABLES:
             raise InvalidParams(f"unknown observable {tag!r}, want one of {OBSERVABLES}")
     if not observables:
         return []

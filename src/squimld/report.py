@@ -50,13 +50,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .parallel import ordered_map
 
 FLOAT_FMT = "%.17g"
 # Rows formatted and written per block; bounds the text held in memory.
 CHUNK_ROWS = 65_536
-
-CODE_VERSION = "0.1.0"
 
 
 # The float kernel.  Each cell is laid out in a row of bytes with PAD in
@@ -292,7 +291,7 @@ class RunManifest:
     started: str
     finished: str
     output_files: list = field(default_factory=list)
-    code_version: str = CODE_VERSION
+    code_version: str = __version__
     timings: dict = field(default_factory=dict)  # stage -> wall seconds
     diagnostics: dict = field(default_factory=dict)  # name -> estimator figure
 

@@ -77,6 +77,7 @@ from functools import reduce
 
 import numpy as np
 
+from .ensembles import g_values
 from .errors import HypothesisViolation, InvalidParams, OutOfThetaRange
 from .gecore import QMIN_STRICT, q_kernel, root_toward
 from .parallel import fold_shifted, map_shards, shard_rng, split_counts
@@ -298,8 +299,7 @@ class RareEventResult:
 
 def grid_weights(p: WfeParams, n_sites: int) -> np.ndarray:
     """b_n = A(1 - 2n/N) for n = 0..N (N+1 values)."""
-    g = 1.0 - 2.0 * np.arange(n_sites + 1) / n_sites
-    return a_of_x(g, p)
+    return a_of_x(g_values(n_sites), p)
 
 
 def psi_weighted(b: np.ndarray, t: float) -> float:

@@ -8,6 +8,7 @@ determinism tests require byte-identical CSV files when only the worker
 count changes.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -125,6 +126,17 @@ def test_small_tables_exact_bytes(tmp_path, capsys, argv, name, expected):
     assert (tmp_path / name).read_bytes() == expected
 
 
+def test_domain_scan_exact_bytes(tmp_path, capsys):
+    # 700 draws over the 63 default shards reach all seven ratecurves.COMBOS,
+    # so the digest pins their order
+    argv = ["domain-scan", "--samples", "700", "--seed", "3", "--workers", "1"]
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert "(315 D-points, 191 G-points)" in capsys.readouterr().out
+    data = (tmp_path / "domain_scan.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "392c27a8901a2e4cbe30bbc30e16f9a205e8facde6a109dc14101e26d148290c")
+
+
 def test_wfe_csv_hypotheses_ok(tmp_path, capsys):
     assert run(["wfe", "--omega", "1.2", "--eps", "0.1", "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -219,11 +231,21 @@ def test_ensemble_rows_follow_the_requested_order(tmp_path, capsys):
     assert float(man["time.write_csv_s"]) >= 0.0
 
 
+@pytest.mark.parametrize("command", ["domain-scan", "rate-curves"])
+def test_eta_is_refused(tmp_path, capsys, command):
+    # the sampler's tilt schedule is the fixed ratecurves.COMBOS
+    out = tmp_path / "out"
+    assert run([command, "--eta", "0,2", "--out-dir", str(out)]) == 2
+    assert "unrecognized arguments: --eta" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ensemble_unknown_observable_usage_error(tmp_path, capsys):
-    argv = ["ensemble", "--observable", "msq,energy", "--out-dir", str(tmp_path)]
-    assert run(argv) == 2
-    capsys.readouterr()
-    assert not (tmp_path / "ensemble.csv").exists()
+    for tags in ("msq,energy", "m_signed"):
+        argv = ["ensemble", "--observable", tags, "--out-dir", str(tmp_path)]
+        assert run(argv) == 2
+        assert "unknown observable" in capsys.readouterr().err
+        assert not (tmp_path / "ensemble.csv").exists()
 
 
 def test_ensemble_invalid_samples_usage_error(tmp_path, capsys):
@@ -280,8 +302,6 @@ def test_config_layering_and_flag_precedence(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("env, conf, argv, flag", [
     pytest.param({"BETA": "abc"}, None, ["esm"], "--beta", id="env-beta"),
     pytest.param({}, "beta = abc\n", ["esm"], "--beta", id="config-beta"),
-    pytest.param({"ETA": "1,x"}, None, ["domain-scan", "--samples", "100"], "--eta",
-                 id="env-eta"),
     pytest.param({}, None, ["domain-scan", "--samples", "100", "--seed", "-1"], "--seed",
                  id="negative-seed"),
     pytest.param({}, None, ["domain-scan", "--samples", "100", "--shards", "0"], "--shards",
@@ -512,21 +532,19 @@ def test_manifest_timestamps_and_version(tmp_path, capsys):
     assert run(["esm", "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     man = json.loads(read(tmp_path / "esm_manifest.json"))
-    assert man["code_version"]
+    assert man["code_version"] == squimld.__version__ == "0.1.0"
     assert man["started"].endswith("Z") and man["finished"].endswith("Z")
     assert man["started"] <= man["finished"]
 
-
-ETA = "0.0,2.0,8.0,32.0"
 
 
 @pytest.mark.parametrize("argv, stem, params", [
     # --samples is lowered from its default only to keep the runs cheap
     (["domain-scan", "--samples", "1000"], "domain_scan",
-     {"x": "0.7", "eps": "0.3", "samples": "1000", "eta": ETA, "shards": "63"}),
+     {"x": "0.7", "eps": "0.3", "samples": "1000", "shards": "63"}),
     (["rate-curves", "--samples", "10000"], "rate_curve",
      {"x_list": "0.1,0.2,0.3,0.4,0.5,0.6,0.7", "eps": "0.1", "samples": "10000",
-      "eta": ETA, "shards": "63"}),
+      "shards": "63"}),
     (["wfe"], "wfe_transition", {"omega": "1.2", "eps": "0.1", "delta": ""}),
     (["ensemble", "--samples", "2000"], "ensemble",
      {"model": "SCWM", "N": "8", "beta": "0.0", "omega": "", "eps": "0.0",

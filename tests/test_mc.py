@@ -3,11 +3,11 @@
 The beta = 0 limit has closed-form sphere moments, the chain model at
 beta > 0 has an exact divided-difference partition function, the
 enumerated product-form model has hand-checkable values, and the
-estimator carries four structural invariances worth pinning: worker-count
+estimator carries three structural invariances worth pinning: worker-count
 independence, one sampling pass giving the same numbers as one pass per
-observable, additive-constant cancellation in the weight exponent, and
-the analytic spin-flip symmetrization that zeroes the signed
-magnetization.
+observable, and additive-constant cancellation in the weight exponent.
+The analytic spin-flip symmetrization zeroes the signed magnetization, so
+it is refused as an observable.
 """
 
 import math
@@ -265,11 +265,11 @@ def test_energy_shift_cancels():
     assert abs(shifted.std_error - base.std_error) < 1e-10
 
 
-def test_signed_magnetization_is_identically_zero():
+def test_signed_magnetization_is_refused():
+    # it symmetrizes to 0 under the spin flip, so it is no observable
     cfg = EnsembleConfig(N=8, beta=15.0, model="SCWM", samples=20_000, seed=1)
-    est = thermal_average(cfg, "m_signed")
-    assert est.mean == 0.0
-    assert est.std_error == 0.0
+    with pytest.raises(InvalidParams, match="'m_signed'"):
+        thermal_averages(cfg, ["msq", "m_signed"])
 
 
 def test_magnetized_fraction_monotone_in_threshold():

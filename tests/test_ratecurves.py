@@ -42,11 +42,11 @@ from squimld.gecore import (
     solve_Q_detail,
 )
 from squimld.ratecurves import (
+    COMBOS,
     DUAL_GAP_TOL,
+    SHARDS_DEFAULT,
     BiasedInterval,
-    ETA_DEFAULT,
     GFunctions,
-    _combo_schedule,
     _i2_shard,
     _in_G,
     _shard_draw,
@@ -73,6 +73,8 @@ def test_biased_interval_validation():
         BiasedInterval(0.0, 1.0, -1.0, "TowardA")
     with pytest.raises(InvalidParams):
         BiasedInterval(0.0, 1.0, 1.0, "Sideways")
+    with pytest.raises(InvalidParams):
+        BiasedInterval(0.0, 1.0, 0.0, "Uniform")
 
 
 def test_biased_sample_rejects_bad_u():
@@ -83,11 +85,13 @@ def test_biased_sample_rejects_bad_u():
         biased_sample(iv, 1.1)
 
 
-def test_uniform_direction_is_linear():
-    iv = BiasedInterval(-2.0, 3.0, 0.0, "Uniform")
+@pytest.mark.parametrize("direction", ["TowardA", "TowardB"])
+def test_zero_tilt_is_linear_in_either_direction(direction):
+    iv = BiasedInterval(-2.0, 3.0, 0.0, direction)
     u = np.linspace(0.0, 1.0, 11)
     s = biased_sample(iv, u)
     assert np.allclose(s, -2.0 + 5.0 * u, atol=1e-15)
+    assert np.allclose(biased_cdf(iv, s), u, atol=1e-15)
 
 
 directions = st.sampled_from(["TowardA", "TowardB"])
@@ -217,10 +221,9 @@ def test_i2_shard_matches_the_kernel_over_every_draw(x):
     # one shard per (eta, direction) combo; the oracle runs the kernel on
     # all of a shard's draws, _i2_shard only on those in D with theta2 > 0
     params = RateParams(x=x, eps=0.1)
-    combos = _combo_schedule(ETA_DEFAULT)
-    payload = (params, [100_000] * len(combos), 1, combos)
+    payload = (params, [100_000] * len(COMBOS), 1)
     hits = 0
-    for shard in range(len(combos)):
+    for shard in range(len(COMBOS)):
         theta1, theta2 = _shard_draw(shard, payload)
         pieces = _pieces_arr(params, theta1, theta2)
         g_mask = _in_G(pieces)
@@ -473,5 +476,8 @@ def test_classifier_refusal_names_beta():
 
 
 def test_eta_schedule_default_has_uniform_pass():
-    assert ETA_DEFAULT[0] == 0.0
-    assert all(b > a for a, b in zip(ETA_DEFAULT, ETA_DEFAULT[1:]))
+    # a plain pass first, then each tilt, rising, with theta1 toward a, then b
+    assert COMBOS[0] == (0.0, "TowardB", "TowardA")
+    assert COMBOS[1:] == tuple((eta, "TowardB", d) for eta in (2.0, 8.0, 32.0)
+                               for d in ("TowardA", "TowardB"))
+    assert SHARDS_DEFAULT % len(COMBOS) == 0
