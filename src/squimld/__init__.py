@@ -66,7 +66,6 @@ from .ensembles import (
     entropy_weight,
     g_values,
     magnetization_sym,
-    sample_sphere,
     wfe_f,
 )
 from .mc import (

@@ -13,9 +13,11 @@ built-in default.  Each option's type, default and range are declared once,
 in build_parser, and main hands the environment and config strings to
 argparse as the subcommand's defaults: every layer is parsed by the flag's
 own type, and a bad value from any layer exits 2 naming the flag.
---samples, --shards and --workers must lie in [1, 2^63 - 1] (rate-curves'
---samples in [10^4, 2^63 - 1]), --n in [2, 2^63 - 1], and --seed in
-[0, 2^64 - 1] everywhere.
+--samples and --workers must lie in [1, 2^63 - 1] (rate-curves' --samples
+in [10^4, 2^63 - 1]), --n in [2, 2^63 - 1], and --seed in [0, 2^64 - 1]
+everywhere.  Each sampler's shard count is a constant of its module, so a
+sampled output depends on the command's inputs and --seed, never on
+--workers.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure surfaced by the
 library (degenerate weights, boundary evaluations, an I2 dual solve that
@@ -41,7 +43,7 @@ from .gecore import RateParams
 from .mc import (
     MODELS,
     OBSERVABLES,
-    SHARDS_DEFAULT as MC_SHARDS_DEFAULT,
+    SHARDS as MC_SHARDS,
     EnsembleConfig,
     esm_evaluate,
     thermal_averages,
@@ -49,7 +51,7 @@ from .mc import (
 from .parallel import available_cores, resolve_workers
 from .ratecurves import (
     I2_MIN_SAMPLES,
-    SHARDS_DEFAULT,
+    SHARDS as RATE_SHARDS,
     compute_I1,
     compute_I2,
     domain_scan,
@@ -102,7 +104,7 @@ def _int_at_least(low: int, high: int | None = None):
 
 # numpy's largest count (int64); a larger count would fail in an allocation
 COUNT_MAX = 2**63 - 1
-_count = _int_at_least(1, COUNT_MAX)  # a sample, shard or worker count
+_count = _int_at_least(1, COUNT_MAX)  # a sample or worker count
 _spins = _int_at_least(2, COUNT_MAX)  # N, the spin count of ensemble and esm
 _seed = _int_at_least(0, 2**64 - 1)  # one uint64 word, the entropy of every shard stream
 
@@ -163,13 +165,12 @@ def _manifest(args, stem: str, outputs: list[str], started: str, *, seed: int = 
 
 
 def cmd_domain_scan(args) -> int:
-    workers = resolve_workers(args.workers, args.shards)
+    workers = resolve_workers(args.workers, RATE_SHARDS)
     started = utc_now()
     params = RateParams(x=args.x, eps=args.eps)
     clock_start = time.perf_counter()
-    theta1, theta2, in_d, in_g, k = domain_scan(
-        params, args.samples, seed=args.seed, shards=args.shards, workers=workers
-    )
+    theta1, theta2, in_d, in_g, k = domain_scan(params, args.samples, seed=args.seed,
+                                                workers=workers)
     clock_scanned = time.perf_counter()
     args.out_dir.mkdir(parents=True, exist_ok=True)
     rows = np.rec.fromarrays([theta1, theta2, in_d, in_g, k], dtype=[
@@ -191,7 +192,7 @@ def cmd_domain_scan(args) -> int:
 
 
 def cmd_rate_curves(args) -> int:
-    workers = resolve_workers(args.workers, args.shards)
+    workers = resolve_workers(args.workers, RATE_SHARDS)
     if not args.x_list:
         print("error: empty x list", file=sys.stderr)
         return 2
@@ -201,11 +202,13 @@ def cmd_rate_curves(args) -> int:
     diagnostics = {}
     for x in args.x_list:
         params = RateParams(x=x, eps=args.eps)
+        clock = time.perf_counter()
         try:
-            pt = compute_I2(params, args.samples, seed=args.seed, shards=args.shards,
-                            workers=workers)
+            pt = compute_I2(params, args.samples, seed=args.seed, workers=workers)
         except NoConstraintPoints:
-            # flagged row: empty constraint set at this budget
+            # flagged row: empty constraint set at this budget; its draws
+            # still count as sampling time
+            timings["sample_s"] += time.perf_counter() - clock
             rows.append((x, compute_I1(params), math.nan, 0, args.samples, args.seed))
             continue
         rows.append((x, pt.I1, pt.I2, pt.accepted_G, args.samples, args.seed))
@@ -260,12 +263,11 @@ def cmd_wfe(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    workers = resolve_workers(args.workers, args.shards)
+    workers = resolve_workers(args.workers, MC_SHARDS)
     started = utc_now()
     cfg = EnsembleConfig(
         N=args.N, beta=args.beta, model=args.model, samples=args.samples,
         omega=args.omega, eps=args.eps, seed=args.seed, workers=workers,
-        shards=args.shards,
     )
     clock_start = time.perf_counter()
     estimates = thermal_averages(cfg, args.observable)
@@ -306,8 +308,8 @@ def cmd_esm(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    # the suite's one Monte Carlo check runs the ensemble default of shards
-    workers = resolve_workers(args.workers, MC_SHARDS_DEFAULT)
+    # the suite's one Monte Carlo check runs the ensemble's shards
+    workers = resolve_workers(args.workers, MC_SHARDS)
     if args.level not in LEVELS:
         # a layered level is a default, which argparse does not check against choices
         print(f"error: level must be one of {LEVELS}", file=sys.stderr)
@@ -341,7 +343,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--x", type=float, default=0.7)
     p.add_argument("--eps", type=float, default=0.3)
     p.add_argument("--samples", type=_count, default=1_000_000)
-    p.add_argument("--shards", type=_count, default=SHARDS_DEFAULT)
     p.set_defaults(func=cmd_domain_scan)
 
     p = sub.add_parser("rate-curves", help="I1 and I2 over a grid of x")
@@ -350,7 +351,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--samples", type=_int_at_least(I2_MIN_SAMPLES, COUNT_MAX), default=1_000_000,
                    help="samples per grid point, at least 10^4")
-    p.add_argument("--shards", type=_count, default=SHARDS_DEFAULT)
     p.set_defaults(func=cmd_rate_curves)
 
     p = sub.add_parser("wfe", help="transition pipeline: p*, beta_c")
@@ -370,7 +370,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--observable", type=_str_list, default=["msq"],
                    help=f"comma-separated tags from {OBSERVABLES}")
     p.add_argument("--samples", type=_count, default=100_000)
-    p.add_argument("--shards", type=_count, default=MC_SHARDS_DEFAULT)
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("esm", help="enumerated product-form model")

@@ -106,14 +106,6 @@ class FullWavefunction(_UnitState):
         return 2**self.N
 
 
-def sample_sphere(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform point on the unit sphere in R^dim (normalized Gaussians)."""
-    if dim < 2:
-        raise InvalidParams(f"sphere dimension must be >= 2, got {dim}")
-    v = rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def spin_moments(w, g):
     """(m, D) = (w . g, w . g^2 - m^2) of one state w, or of each row of w."""
     m = w @ g

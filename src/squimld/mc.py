@@ -49,10 +49,11 @@ Estimator plumbing shared by all models:
     requested observable is read off the same draws and weight sums;
   * ratio of weighted sums with a delta-method standard error,
         SE^2 = (sum w^2 (F - R)^2) / (sum w)^2;
-  * per-shard partial sums carry their own max-shift and are merged in
-    fixed shard order by parallel.fold_shifted, the one max-shift merge
-    (also used chunk by chunk inside a shard), so results are bit-identical
-    for any worker count and invariant under adding a constant to f;
+  * the budget is split over the fixed SHARDS shards; per-shard partial
+    sums carry their own max-shift and are merged in shard order by
+    parallel.fold_shifted, the one max-shift merge (also used chunk by
+    chunk inside a shard), so results are bit-identical for any worker
+    count and invariant under adding a constant to f;
   * an effective-sample-size guard on the weight sums: below ESS_MIN the
     estimate is refused rather than reported, because collapsed weights
     produce silently garbage means;
@@ -84,7 +85,8 @@ from .parallel import fold_shifted, map_shards, shard_rng, split_counts
 
 MODELS = ("SQUIM_d1", "SCWM", "SCWM_WFE", "SCWM_ENTROPY")
 
-SHARDS_DEFAULT = 64
+# Shards of every thermal-average job, fixed because every estimate depends on it
+SHARDS = 64
 ESS_MIN = 100.0
 # Batch rows are sized so one chunk stays around 32 MB of draws even for
 # the widest state spaces.
@@ -103,7 +105,6 @@ class EnsembleConfig:
     eps: float = 0.0
     seed: int = 0
     workers: int | None = None  # None: every available core (parallel.resolve_workers)
-    shards: int = SHARDS_DEFAULT
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
@@ -129,8 +130,8 @@ class EnsembleConfig:
             raise InvalidParams(f"magnetized-fraction threshold must be in [0, 1], got {self.eps}")
         if self.seed < 0:
             raise InvalidParams(f"need seed >= 0, got {self.seed}")
-        if (self.workers is not None and self.workers < 1) or self.shards < 1:
-            raise InvalidParams("workers and shards must be >= 1")
+        if self.workers is not None and self.workers < 1:
+            raise InvalidParams(f"need workers >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,7 @@ def _proposal(cfg: EnsembleConfig) -> dict:
     return {"family": "tilted", "g": g, "c_decay": c_decay, "lam": 1.0 + c_decay}
 
 
-def _draw(rng: np.random.Generator, rows: int, prop: dict, shift: float) -> tuple:
+def _draw(rng: np.random.Generator, rows: int, prop: dict) -> tuple:
     """(m, D, log importance weight) of `rows` draws; the one family branch."""
     g = prop["g"]
     cells = g.size
@@ -215,13 +216,13 @@ def _draw(rng: np.random.Generator, rows: int, prop: dict, shift: float) -> tupl
         # each cap's density on the simplex: |Sigma|^(-1/2) (alpha . w)^(-cells)
         lq = [logdet - cells * np.log(w @ alpha)
               for logdet, alpha in zip(prop["logdet"], prop["alpha"])]
-        return m, d, -(f + shift) - np.logaddexp(*lq)
+        return m, d, -f - np.logaddexp(*lq)
     w = rng.standard_exponential((rows, cells))
     w /= prop["lam"]
     w /= w.sum(axis=1, keepdims=True)
     m, d = spin_moments(w, g)
     v = w @ prop["c_decay"]
-    return m, d, -(v + shift) + cells * np.log1p(v)
+    return m, d, -v + cells * np.log1p(v)
 
 
 def _shard_partials(shard: int, payload: dict) -> tuple:
@@ -238,7 +239,7 @@ def _shard_partials(shard: int, payload: dict) -> tuple:
     prop = payload["proposal"]
     rows = max(1, CHUNK_SCALARS // prop["g"].size)
     for done in range(0, count, rows):
-        m, d, logw = _draw(rng, min(rows, count - done), prop, payload["energy_shift"])
+        m, d, logw = _draw(rng, min(rows, count - done), prop)
         fvals = [OBSERVABLE_FORMULAS[tag](m, d, payload["eps"]) for tag in tags]
         # sums taken at the running max fold in with a unit rescale
         chunk_max = max(acc[0], float(np.max(logw)))
@@ -252,13 +253,10 @@ def _shard_partials(shard: int, payload: dict) -> tuple:
     return acc
 
 
-def thermal_averages(cfg: EnsembleConfig, observables: Sequence[str],
-                     energy_shift: float = 0.0) -> list[McEstimate]:
+def thermal_averages(cfg: EnsembleConfig, observables: Sequence[str]) -> list[McEstimate]:
     """Estimate [F]_beta for every tag F in observables, in request order.
 
     One pass: each shard draws its stream once and T0, T2 are shared.
-    energy_shift adds a constant to the weight exponent; the ratio cancels
-    it exactly (the max-shift absorbs it), so it exists as a validation hook.
     Raises InvalidParams for an unknown tag before any sampling, and
     DegenerateWeights when the weight ESS (sum w)^2 / sum w^2 < ESS_MIN.
     """
@@ -268,14 +266,13 @@ def thermal_averages(cfg: EnsembleConfig, observables: Sequence[str],
     if not observables:
         return []
     payload = {
-        "counts": split_counts(cfg.samples, cfg.shards),
+        "counts": split_counts(cfg.samples, SHARDS),
         "seed": cfg.seed,
         "proposal": _proposal(cfg),
         "observables": tuple(observables),
         "eps": cfg.eps,
-        "energy_shift": energy_shift,
     }
-    parts = map_shards(_shard_partials, payload, cfg.shards, cfg.workers)
+    parts = map_shards(_shard_partials, payload, SHARDS, cfg.workers)
     _, first, second = reduce(fold_shifted, parts)
     k = len(observables)
     t0, *t1s = first.tolist()
@@ -300,11 +297,9 @@ def thermal_averages(cfg: EnsembleConfig, observables: Sequence[str],
     return estimates
 
 
-def thermal_average(
-    cfg: EnsembleConfig, observable: str, energy_shift: float = 0.0
-) -> McEstimate:
+def thermal_average(cfg: EnsembleConfig, observable: str) -> McEstimate:
     """Estimate [observable]_beta; thermal_averages for a single tag."""
-    return thermal_averages(cfg, [observable], energy_shift)[0]
+    return thermal_averages(cfg, [observable])[0]
 
 
 def infinite_T_msq_exact(n_spins: int) -> float:

@@ -1,11 +1,13 @@
 """Deterministic sharded map for Monte Carlo work, on one persistent pool.
 
-Reproducibility contract: a job is split into a fixed number of shards; shard
-i draws from an SFC64 stream seeded by SeedSequence(seed, spawn_key=(i,)),
-so the stream depends only on those two integers, never on the worker that
-runs it.  Results are returned in shard order and all reductions downstream
-consume them in that order, which makes every estimate a pure function of
-(seed, shards) and makes the worker count an execution detail.
+Reproducibility contract: a job is split into a fixed number of shards, a
+constant of each sampler (ratecurves.SHARDS, mc.SHARDS, wfe.RARE_SHARDS);
+shard i draws from an SFC64 stream seeded by SeedSequence(seed,
+spawn_key=(i,)), so the stream depends only on those two integers, never on
+the worker that runs it.  Results are returned in shard order and all
+reductions downstream consume them in that order, which makes every
+estimate a pure function of its inputs and the seed, and makes the worker
+count an execution detail.
 
 Execution: workers=None, the default of every caller, means every core this
 process may run on (os.sched_getaffinity), capped at the shard count;

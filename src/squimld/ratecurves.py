@@ -39,11 +39,11 @@ of the fixed COMBOS per shard, to concentrate samples near the interesting
 corners; the inverse CDF is one log1p of u times the constant
 expm1(-eta (b - a)), finite at any tilt rate.
 
-Shard determinism follows the parallel module: every sampled number is a
-function of (seed, shard index) only, the combo included.  Both shard
-workers, the scan's and I2's, draw through the one path `_shard_draw` and
-call the kernel on the draws they need: the scan on all of them, I2 only on
-those that can be in G.
+Shard determinism follows the parallel module: every job runs the fixed
+SHARDS shards, and every sampled number is a function of (seed, shard
+index) only, the combo included.  Both shard workers, the scan's and I2's,
+draw through the one path `_shard_draw` and call the kernel on the draws
+they need: the scan on all of them, I2 only on those that can be in G.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ COMBOS = (
     (32.0, "TowardB", "TowardA"),
     (32.0, "TowardB", "TowardB"),
 )
-# Default shard count: 63 = 9 x 7, so each of the 7 COMBOS receives the
-# same number of shards.
-SHARDS_DEFAULT = 63
+# Shards of every D-sampler job, fixed because every sampled byte depends
+# on it: 63 = 9 x 7, so each of the 7 COMBOS receives the same number.
+SHARDS = 63
 # The fewest draws of D that compute_I2 accepts.
 I2_MIN_SAMPLES = 10**4
 
@@ -233,14 +233,16 @@ def _scan_shard(shard: int, payload):
 
 
 def domain_scan(params: RateParams, n_samples: int, seed: int = 0,
-                shards: int = SHARDS_DEFAULT, workers: int | None = None):
+                workers: int | None = None):
     """Sample the dual plane; returns columns (theta1, theta2, in_D, in_G, k).
 
-    Row order is fixed by (seed, shards): shard blocks in shard order, draws
-    in stream order inside each block.
+    Row order is fixed by the seed: SHARDS blocks in shard order, draws in
+    stream order inside each block.  Raises InvalidParams for n_samples < 1.
     """
-    counts = split_counts(n_samples, shards)
-    parts = map_shards(_scan_shard, (params, counts, seed), shards, workers)
+    if n_samples < 1:
+        raise InvalidParams(f"n_samples must be >= 1, got {n_samples}")
+    counts = split_counts(n_samples, SHARDS)
+    parts = map_shards(_scan_shard, (params, counts, seed), SHARDS, workers)
     theta1 = np.concatenate([p[0] for p in parts])
     theta2 = np.concatenate([p[1] for p in parts])
     in_d = np.concatenate([p[2] for p in parts])
@@ -401,7 +403,7 @@ def solve_dual(params: RateParams) -> DualSolution:
 
 
 def compute_I2(params: RateParams, n_samples: int, seed: int = 0,
-               shards: int = SHARDS_DEFAULT, workers: int | None = None) -> RateCurvePoint:
+               workers: int | None = None) -> RateCurvePoint:
     """I2 from the certified dual (solve_dual), with the sampler alongside.
 
     The sampler draws n_samples points of D and keeps the minimum of k over
@@ -417,8 +419,8 @@ def compute_I2(params: RateParams, n_samples: int, seed: int = 0,
     if n_samples < I2_MIN_SAMPLES:
         raise InvalidParams(f"n_samples must be >= 1e4, got {n_samples}")
     clock = time.perf_counter()
-    counts = split_counts(n_samples, shards)
-    parts = map_shards(_i2_shard, (params, counts, seed), shards, workers)
+    counts = split_counts(n_samples, SHARDS)
+    parts = map_shards(_i2_shard, (params, counts, seed), SHARDS, workers)
     accepted_g = sum(p[1] for p in parts)
     if accepted_g == 0:
         raise NoConstraintPoints(

@@ -14,9 +14,7 @@ limiting cumulant function
 through the Legendre dual p*(y) = sup_theta {theta*y - p(theta)} and the
 infimum pbar* = inf_{y > 0} p*(y).  The admissible theta interval is set
 by the extremes of A on [-1, 1] (the integral never sees the rest of the
-line); the whole-line maximum delta*(4-3*omega)/(4*(omega-1)) is reported
-alongside because it coincides with the interval maximum whenever the
-vertex sqrt(delta)/(2r) lands inside [-1, 1].
+line).
 
 1 - 2*theta*A(x) is b times the quadratic 2*t1*x^2 - 2*t2*x + 1 of gecore
 at (t1, t2) = (theta*r, theta*sqrt(delta))/b, b = 1 + 2*theta*delta, so p
@@ -64,7 +62,8 @@ R^2 sin^2(phi), from one uniform pair, which it takes from the two 32-bit
 halves of one raw word of the shard's SFC64 stream.  With c_n = b_n
 sigma_n^2 padded to an even count, T = sum_k c_{2k+1} R_k^2 + (c_{2k} -
 c_{2k+1}) R_k^2 cos^2(phi_k): one log and one cos per two coordinates.
-Replicas run in blocks of RARE_BLOCK_WORDS words, sized to stay in cache.
+Replicas are split over the fixed RARE_SHARDS shards and run in blocks of
+RARE_BLOCK_WORDS words, sized to stay in cache.
 The result carries a standard error for log P and the ESS of the hit
 weights.
 """
@@ -89,6 +88,8 @@ from .parallel import fold_shifted, map_shards, shard_rng, split_counts
 # overhead starts to show, and 0.502 s at 2^16; 2^15 was the faster in each
 # of 10 alternating rounds against either
 RARE_BLOCK_WORDS = 1 << 15
+# Shards of every rare-event job, fixed because the estimate depends on it
+RARE_SHARDS = 63
 
 
 def r_of_omega(omega: float) -> float:
@@ -173,8 +174,8 @@ def a_of_x(x, p: WfeParams):
     return float(out) if out.ndim == 0 else out
 
 
-def a_extremes(p: WfeParams) -> tuple[float, float, float, float]:
-    """(A_min, A_max, x at max, whole-line max) with extremes over [-1, 1].
+def a_extremes(p: WfeParams) -> tuple[float, float, float]:
+    """(A_min, A_max, x at max) with extremes over [-1, 1].
 
     A is a concave parabola, so the interval max sits at the vertex
     sqrt(delta)/(2r) clamped to [-1, 1] and the min at an endpoint.
@@ -183,8 +184,7 @@ def a_extremes(p: WfeParams) -> tuple[float, float, float, float]:
     x_at_max = min(1.0, max(-1.0, xv))
     a_max = float(a_of_x(x_at_max, p))
     a_min = float(min(a_of_x(-1.0, p), a_of_x(1.0, p)))
-    a_max_line = p.delta * (4.0 - 3.0 * p.omega) / (4.0 * (p.omega - 1.0))
-    return a_min, a_max, x_at_max, a_max_line
+    return a_min, a_max, x_at_max
 
 
 def x_lower_root(p: WfeParams) -> float:
@@ -197,7 +197,7 @@ def theta_range(p: WfeParams) -> tuple[float, float]:
 
     WfeParams admits only A_min < 0 < A_max, so both ends are finite.
     """
-    a_min, a_max, _, _ = a_extremes(p)
+    a_min, a_max, _ = a_extremes(p)
     return 1.0 / (2.0 * a_min), 1.0 / (2.0 * a_max)
 
 
@@ -411,7 +411,6 @@ def rare_event_rate_mc(
     n_sites: int = 2000,
     replicas: int = 10**7,
     seed: int = 0,
-    shards: int = 63,
     workers: int | None = None,
 ) -> RareEventResult:
     """Tilted-measure estimate of P[sum b_n chi_n^2 >= 0] at finite N.
@@ -421,7 +420,10 @@ def rare_event_rate_mc(
     so the result is identical for any worker count.  With w_i = exp(-t* T_i)
     on hits and 0 otherwise, the relative variance of P-hat is
     sum w^2 / (sum w)^2 - 1/replicas, whose square root is std_error.
+    Raises InvalidParams for n_sites < 1 or replicas < 1.
     """
+    if n_sites < 1:
+        raise InvalidParams(f"n_sites must be positive, got {n_sites}")
     if replicas < 1:
         raise InvalidParams(f"replicas must be positive, got {replicas}")
     b = grid_weights(p, n_sites)
@@ -429,9 +431,9 @@ def rare_event_rate_mc(
     psi = psi_weighted(b, tilt)
     sigma2 = 1.0 / (1.0 - 2.0 * tilt * b)
     a_odd, a_diff = _pair_coefficients(b * sigma2)
-    counts = split_counts(replicas, shards)
+    counts = split_counts(replicas, RARE_SHARDS)
     parts = map_shards(
-        _rare_event_shard, (a_odd, a_diff, tilt, counts, seed), shards, workers
+        _rare_event_shard, (a_odd, a_diff, tilt, counts, seed), RARE_SHARDS, workers
     )
     m, s, s2 = reduce(fold_shifted, (part[0] for part in parts), (-math.inf, 0.0, 0.0))
     hits = sum(part[1] for part in parts)

@@ -20,7 +20,7 @@ import pytest
 
 import squimld
 from squimld.cli import ENV_PREFIX, main
-from squimld.mc import SHARDS_DEFAULT as MC_SHARDS
+from squimld.mc import SHARDS as MC_SHARDS
 from squimld.parallel import available_cores, resolve_workers
 
 
@@ -60,11 +60,14 @@ def test_help_exits_zero(capsys):
         assert name in out
 
 
-@pytest.mark.parametrize("command", ["wfe", "esm", "validate"])
-def test_shards_only_on_sharded_commands(command, capsys):
-    # --shards is registered where it is read: domain-scan, rate-curves, ensemble
-    assert run([command, "--shards", "4"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("command", ["domain-scan", "rate-curves", "wfe", "ensemble", "esm",
+                                     "validate"])
+def test_shards_is_refused(tmp_path, capsys, command):
+    # each sampler's shard count is a module constant
+    out = tmp_path / "out"
+    assert run([command, "--shards", "4", "--out-dir", str(out)]) == 2
+    assert "unrecognized arguments: --shards" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -127,7 +130,7 @@ def test_small_tables_exact_bytes(tmp_path, capsys, argv, name, expected):
 
 
 def test_domain_scan_exact_bytes(tmp_path, capsys):
-    # 700 draws over the 63 default shards reach all seven ratecurves.COMBOS,
+    # 700 draws over the 63 ratecurves.SHARDS reach all seven ratecurves.COMBOS,
     # so the digest pins their order
     argv = ["domain-scan", "--samples", "700", "--seed", "3", "--workers", "1"]
     assert run(argv + ["--out-dir", str(tmp_path)]) == 0
@@ -304,8 +307,6 @@ def test_config_layering_and_flag_precedence(tmp_path, capsys, monkeypatch):
     pytest.param({}, "beta = abc\n", ["esm"], "--beta", id="config-beta"),
     pytest.param({}, None, ["domain-scan", "--samples", "100", "--seed", "-1"], "--seed",
                  id="negative-seed"),
-    pytest.param({}, None, ["domain-scan", "--samples", "100", "--shards", "0"], "--shards",
-                 id="zero-shards"),
     pytest.param({}, None, ["ensemble", "--workers", "0"], "--workers", id="zero-workers"),
     pytest.param({"SEED": "-1"}, None, ["wfe"], "--seed", id="env-seed-on-wfe"),
     # a seed is one uint64 word, the entropy of every shard's SeedSequence
@@ -487,6 +488,17 @@ def test_rate_curves_manifest_records_the_dual(tmp_path, capsys):
         assert theta1 <= 0.0 <= theta2
 
 
+def test_rate_curves_sample_time_counts_empty_constraint_rows(tmp_path, capsys):
+    # x = 0.1 misses G at this budget, so the one row is the empty-G marker
+    args = ["rate-curves", "--x-list", "0.1", "--eps", "0.1", "--samples", "50000",
+            "--workers", "1", "--out-dir", str(tmp_path)]
+    assert run(args) == 0
+    assert "1 with empty constraint set" in capsys.readouterr().out
+    man = json.loads(read(tmp_path / "rate_curve_manifest.json"))
+    assert float(man["time.sample_s"]) > 0.0
+    assert float(man["time.dual_s"]) == 0.0
+
+
 def test_rate_curves_exit_3_when_the_dual_does_not_certify(tmp_path, capsys, monkeypatch):
     import squimld.ratecurves
 
@@ -541,14 +553,13 @@ def test_manifest_timestamps_and_version(tmp_path, capsys):
 @pytest.mark.parametrize("argv, stem, params", [
     # --samples is lowered from its default only to keep the runs cheap
     (["domain-scan", "--samples", "1000"], "domain_scan",
-     {"x": "0.7", "eps": "0.3", "samples": "1000", "shards": "63"}),
+     {"x": "0.7", "eps": "0.3", "samples": "1000"}),
     (["rate-curves", "--samples", "10000"], "rate_curve",
-     {"x_list": "0.1,0.2,0.3,0.4,0.5,0.6,0.7", "eps": "0.1", "samples": "10000",
-      "shards": "63"}),
+     {"x_list": "0.1,0.2,0.3,0.4,0.5,0.6,0.7", "eps": "0.1", "samples": "10000"}),
     (["wfe"], "wfe_transition", {"omega": "1.2", "eps": "0.1", "delta": ""}),
     (["ensemble", "--samples", "2000"], "ensemble",
      {"model": "SCWM", "N": "8", "beta": "0.0", "omega": "", "eps": "0.0",
-      "observable": "msq", "samples": "2000", "shards": "64"}),
+      "observable": "msq", "samples": "2000"}),
     (["esm"], "esm", {"N": "2", "beta": "1.0"}),
 ])
 def test_manifest_params_at_the_defaults(tmp_path, capsys, argv, stem, params):

@@ -21,7 +21,6 @@ from squimld import (
     classical_ising_1d,
     energy_cw,
     energy_squim_d1,
-    sample_sphere,
 )
 from squimld.ensembles import (
     FULL_N_MAX,
@@ -73,15 +72,6 @@ def test_state_validation():
         FullWavefunction(np.ones(2**25), 25)  # over the enumeration cap
     phi = random_sym_state(6, 0)
     assert phi.weights.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_sample_sphere_is_unit_norm():
-    rng = np.random.default_rng(1)
-    for dim in (2, 7, 40):
-        v = sample_sphere(dim, rng)
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(InvalidParams):
-        sample_sphere(1, rng)
 
 
 @given(st.integers(min_value=2, max_value=16), st.integers(min_value=0, max_value=10**6))

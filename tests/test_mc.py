@@ -3,9 +3,9 @@
 The beta = 0 limit has closed-form sphere moments, the chain model at
 beta > 0 has an exact divided-difference partition function, the
 enumerated product-form model has hand-checkable values, and the
-estimator carries three structural invariances worth pinning: worker-count
-independence, one sampling pass giving the same numbers as one pass per
-observable, and additive-constant cancellation in the weight exponent.
+estimator carries two structural invariances worth pinning: worker-count
+independence, and one sampling pass giving the same numbers as one pass
+per observable.
 The analytic spin-flip symmetrization zeroes the signed magnetization, so
 it is refused as an observable.
 """
@@ -35,8 +35,7 @@ from squimld.mc import MODELS, OBSERVABLES
 
 
 def test_config_validation():
-    ok = EnsembleConfig(N=8, beta=1.0, model="SCWM", samples=100)
-    assert ok.shards >= 1
+    EnsembleConfig(N=8, beta=1.0, model="SCWM", samples=100)
     with pytest.raises(InvalidParams):
         EnsembleConfig(N=8, beta=1.0, model="XXX", samples=100)
     with pytest.raises(InvalidParams):
@@ -77,14 +76,18 @@ ONE_PASS_CONFIGS = [
     dict(model="SCWM_ENTROPY", N=8, beta=40.0, samples=40_000, seed=2, eps=0.5),
     dict(model="SCWM_WFE", N=8, beta=40.0, omega=1.2, samples=40_000, seed=2, eps=0.5),
     dict(model="SQUIM_d1", N=8, beta=0.2, samples=40_000, seed=2, eps=0.01),
-    # 4096 cells, 4000 samples per shard: each shard spans three full chunks
-    # of CHUNK_SCALARS and a partial fourth
-    dict(model="SQUIM_d1", N=12, beta=0.05, samples=8_000, shards=2, seed=2, eps=0.005),
+    # 4096 cells, 8000 / mc.SHARDS = 125 samples per shard: with chunks of
+    # N12_CHUNK_SCALARS each shard spans three full chunks and a partial
+    # fourth.  In-process, so the shards see the patched chunk size.
+    dict(model="SQUIM_d1", N=12, beta=0.05, samples=8_000, workers=1, seed=2, eps=0.005),
 ]
+N12_CHUNK_SCALARS = 32 * 2**12
 
 
 @pytest.mark.parametrize("kw", ONE_PASS_CONFIGS, ids=lambda kw: f"{kw['model']}-N{kw['N']}")
-def test_one_pass_equals_one_call_per_observable(kw):
+def test_one_pass_equals_one_call_per_observable(kw, monkeypatch):
+    if kw["N"] == 12:
+        monkeypatch.setattr(mc, "CHUNK_SCALARS", N12_CHUNK_SCALARS)
     cfg = EnsembleConfig(**kw)
     together = thermal_averages(cfg, OBSERVABLES)
     assert together == [thermal_average(cfg, obs) for obs in OBSERVABLES]
@@ -94,8 +97,9 @@ def test_one_pass_equals_one_call_per_observable(kw):
 def test_one_pass_spans_several_chunks():
     # the N = 12 case above only tests the chunk merge if it really has one
     kw = ONE_PASS_CONFIGS[-1]
-    rows = mc.CHUNK_SCALARS // 2 ** kw["N"]
-    assert 3 * rows < kw["samples"] // kw["shards"] < 4 * rows
+    rows = N12_CHUNK_SCALARS // 2 ** kw["N"]
+    assert kw["workers"] == 1
+    assert 3 * rows < kw["samples"] // mc.SHARDS < 4 * rows
 
 
 @pytest.mark.parametrize("kw", [ONE_PASS_CONFIGS[2], ONE_PASS_CONFIGS[3]],
@@ -255,14 +259,6 @@ def test_worker_count_is_an_execution_detail():
     cfg2 = EnsembleConfig(N=8, beta=40.0, model="SCWM", samples=60_000, seed=9, workers=2)
     for obs in ("msq", "dispersion"):
         assert thermal_average(cfg1, obs) == thermal_average(cfg2, obs)
-
-
-def test_energy_shift_cancels():
-    cfg = EnsembleConfig(N=8, beta=12.0, model="SCWM", samples=50_000, seed=4)
-    base = thermal_average(cfg, "msq")
-    shifted = thermal_average(cfg, "msq", energy_shift=7.3)
-    assert abs(shifted.mean - base.mean) < 1e-10
-    assert abs(shifted.std_error - base.std_error) < 1e-10
 
 
 def test_signed_magnetization_is_refused():

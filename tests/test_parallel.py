@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from squimld import parallel
+from squimld import InvalidParams, mc, parallel, ratecurves, wfe
 from squimld.gecore import RateParams
 from squimld.parallel import (
     fold_shifted,
@@ -93,6 +93,24 @@ def test_resolve_workers_defaults_to_available_cores(monkeypatch):
     assert resolve_workers(5, 64) == 5
     assert resolve_workers(5, 4) == 4
     assert resolve_workers(0, 64) == 1
+
+
+def test_resolve_workers_is_capped_by_the_sampler_shard_counts():
+    # a huge request never asks the pool for more processes than shards
+    for shards in (ratecurves.SHARDS, mc.SHARDS, wfe.RARE_SHARDS):
+        assert resolve_workers(5000, shards) == shards
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rare_event_rate_mc(WfeParams(omega=1.2, eps=0.1), n_sites=0), "n_sites.*got 0"),
+    (lambda: rare_event_rate_mc(WfeParams(omega=1.2, eps=0.1), n_sites=-3), "n_sites.*got -3"),
+    (lambda: domain_scan(RateParams(x=0.7, eps=0.3), 0), "n_samples.*got 0"),
+    (lambda: domain_scan(RateParams(x=0.7, eps=0.3), -1), "n_samples.*got -1"),
+], ids=["rare-event-n_sites-0", "rare-event-n_sites-neg", "domain-scan-n_samples-0",
+        "domain-scan-n_samples-neg"])
+def test_sampler_count_below_one_is_refused(call, message):
+    with pytest.raises(InvalidParams, match=message):
+        call()
 
 
 def test_default_workers_match_in_process_run():

@@ -44,7 +44,7 @@ from squimld.gecore import (
 from squimld.ratecurves import (
     COMBOS,
     DUAL_GAP_TOL,
-    SHARDS_DEFAULT,
+    SHARDS,
     BiasedInterval,
     GFunctions,
     _i2_shard,
@@ -480,4 +480,4 @@ def test_eta_schedule_default_has_uniform_pass():
     assert COMBOS[0] == (0.0, "TowardB", "TowardA")
     assert COMBOS[1:] == tuple((eta, "TowardB", d) for eta in (2.0, 8.0, 32.0)
                                for d in ("TowardA", "TowardB"))
-    assert SHARDS_DEFAULT % len(COMBOS) == 0
+    assert SHARDS % len(COMBOS) == 0

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from squimld.cli import main
 from squimld.gecore import RateParams
 from squimld.parallel import available_cores, resolve_workers
-from squimld.ratecurves import SHARDS_DEFAULT, domain_scan
+from squimld.ratecurves import SHARDS, domain_scan
 from squimld.report import (CHUNK_ROWS, FIXED_MAX, FIXED_MIN, FLOAT_FMT, RunManifest,
                             _format_records, write_csv)
 
@@ -141,7 +141,7 @@ def test_domain_scan_manifest_records_stage_times(tmp_path, capsys):
     for key in ("command", "seed", "workers", "param.samples", "output.0", "output.1"):
         assert key in man
     # the resolved worker count, never the unset default
-    assert man["workers"] == str(resolve_workers(None, SHARDS_DEFAULT))
+    assert man["workers"] == str(resolve_workers(None, SHARDS))
     assert man["diag.available_cores"] == str(available_cores())
     assert float(man["time.scan_s"]) >= 0.0
     assert float(man["time.write_csv_s"]) >= 0.0

@@ -59,7 +59,7 @@ def p_theta_quad(theta: float, p: WfeParams, epsabs: float = 1e-13) -> float:
     admissible interval the integrand develops an integrable logarithmic
     singularity there (or at an endpoint for theta < 0).
     """
-    _, _, x_at_max, _ = a_extremes(p)
+    _, _, x_at_max = a_extremes(p)
     pts = [x_at_max] if -1.0 < x_at_max < 1.0 else None
     val, _err = quad(
         lambda x: np.log1p(-2.0 * theta * a_of_x(x, p)),
@@ -109,11 +109,12 @@ def test_params_validation_and_defaults():
 
 
 def test_parabola_extremes():
-    a_min, a_max, x_at_max, a_max_line = a_extremes(P12)
+    a_min, a_max, x_at_max = a_extremes(P12)
     # vertex sqrt(delta)/(2r) = 3 sqrt(0.1) < 1 sits inside the interval,
     # so the interval max equals the whole-line max delta(4-3w)/(4(w-1))
     assert x_at_max == pytest.approx(3.0 * math.sqrt(0.1))
     assert a_max == pytest.approx(0.05, abs=1e-15)
+    a_max_line = P12.delta * (4.0 - 3.0 * P12.omega) / (4.0 * (P12.omega - 1.0))
     assert a_max == pytest.approx(a_max_line, abs=1e-15)
     assert a_min == pytest.approx(a_of_x(-1.0, P12))
     assert a_min < 0.0 < a_max
