@@ -29,12 +29,9 @@ from .gecore import (
     solve_Q_detail,
 )
 from .ratecurves import (
-    BiasedInterval,
     DualSolution,
     GFunctions,
     RateCurvePoint,
-    biased_cdf,
-    biased_sample,
     classify_theorem_two,
     compute_I1,
     compute_I2,
@@ -56,17 +53,9 @@ from .wfe import (
     theta_range,
 )
 from .ensembles import (
-    FullWavefunction,
-    SymmetricWavefunction,
     chain_tables,
     classical_ising_1d,
-    dispersion_sym,
-    energy_cw,
-    energy_squim_d1,
-    entropy_weight,
     g_values,
-    magnetization_sym,
-    wfe_f,
 )
 from .mc import (
     EnsembleConfig,

@@ -319,7 +319,10 @@ def cmd_validate(args) -> int:
     for r in results:
         print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    _manifest(args, "validate", [], started, workers=workers)
+    _manifest(args, "validate", [], started, workers=workers,
+              timings={f"{r.name}_s": r.seconds for r in results},
+              diagnostics={f"check.{r.name}.{key}": value for r in results
+                           for key, value in (("ok", r.ok), ("detail", r.detail))})
     return 0 if all(r.ok for r in results) else 4
 
 

@@ -1,47 +1,38 @@
-"""Wavefunction states, spin observables, and the classical 1-D baseline.
+"""Spin observables of the mean-field models and the classical 1-D baseline.
 
-Two state representations coexist, each in the sign convention of the
-model it serves:
-
-* ``SymmetricWavefunction``: amplitudes phi_n over the occupation classes
-  n = 0..N of the mean-field models, which use spin values +-1.  The
-  class magnetization per site is g_n = 1 - 2n/N, so m in [-1, 1].
-* ``FullWavefunction``: amplitudes over all 2^N spin-1/2 configurations
-  (spins +-1/2) for the nearest-neighbor chain, so m in [-1/2, 1/2].
-
-The mean-field energy identity E_CW = -N*(m^2 + D) ties the Curie-Weiss
-energy to the magnetization m and the center-of-spin dispersion D; the
-wavefunction-energy variant adds (omega - 1)*D inside
-f = N*beta*(1 - m^2 + (omega-1)*D), and the entropy-weighted variant
-subtracts the log binomial weight sum |phi_n|^2 log C(N, n).
-
-For the chain, both energy sign conventions are kept: the interaction
-sum I = sum S_{i-1} S_i (energy -I), and the positive version
-sum (S_{i-1} - S_i)^2 = (N-1)/2 - 2 I, which simply counts the adjacent
-spin flips of a configuration.
+Every model exponent and observable depends on a state only through its
+weights w = |phi|^2, so each is one function of a weight vector, or of a
+batch of them, one per row.  Over the occupation classes n = 0..N of the
+mean-field models (spins +-1, class magnetization g_n = 1 - 2n/N):
+(m, D) = (w . g, w . g^2 - m^2), the Curie-Weiss energy E_CW =
+-N (m^2 + D), the wavefunction-energy exponent f = N beta (1 - m^2 +
+(omega - 1) D), and the entropy weight w . log C(N, n).  Over all 2^N
+configurations of the open spin-1/2 chain (spins +-1/2): the total
+magnetization M, the interaction sum I = sum S_{i-1} S_i (energy -I),
+and the flip count sum (S_{i-1} - S_i)^2 = (N-1)/2 - 2 I, the positive
+version of the same energy.
 
 ``classical_ising_1d`` evaluates the chain's generating function
 Z(lambda) = 2^{-N} sum_S exp{2 beta sum S_{i-1} S_i + lambda sum S_i}
-by diagonalizing the symmetric 2x2 transfer matrix
-T(s, s') = exp{2 beta s s' + lambda (s + s')/2} with endpoint vector
-w(s) = exp{lambda s / 2}: log Z = -N log 2 + log sum_j (V^T w)_j^2
-xi_j^{N-1}, a sum of nonnegative terms evaluated in log space so chains
-of length 10^4 neither overflow nor lose the lambda dependence.  Moments
-of M come from centered finite differences of log Z in lambda.
+= 2^{-N} w^T T^{N-1} w, with transfer matrix T(s, s') = exp{2 beta s s'
++ lambda (s + s')/2} and endpoint vector w(s) = exp{lambda s / 2}.
+Each factor is a jet in lambda, (value, first derivative, second
+derivative / 2), multiplied by the product rule through a
+square-and-multiply power of T.  Every product is divided by its largest
+value entry, whose log goes to log Z, so chains of length 10^4 neither
+overflow nor underflow, and the jet of Z gives mean and var of M
+exactly, with no step in lambda.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParams
 
-NORM_TOL = 1e-12
 FULL_N_MAX = 20
-LAMBDA_STEP = 1e-5
 
 
 def g_values(n_spins: int) -> np.ndarray:
@@ -60,50 +51,6 @@ def log_binomials(n_spins: int) -> np.ndarray:
     k = np.arange(1, n_spins // 2 + 1)
     half = np.concatenate(([0.0], np.cumsum(np.log((n_spins - k + 1) / k))))
     return np.concatenate((half, half[: n_spins + 1 - half.size][::-1]))
-
-
-@dataclass(frozen=True)
-class _UnitState:
-    """Unit-norm complex amplitudes, one per cell; weights are |amplitude|^2."""
-
-    amplitudes: np.ndarray  # complex, one per cell
-    N: int
-
-    def __post_init__(self):
-        cells = self._cells()
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (cells,):
-            raise InvalidParams(f"need {cells} amplitudes for N={self.N}, got {amps.shape}")
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise InvalidParams(f"state norm^2 = {norm} is not 1 +- {NORM_TOL}")
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
-@dataclass(frozen=True)
-class SymmetricWavefunction(_UnitState):
-    """State over occupation classes n = 0..N, unit norm."""
-
-    def _cells(self) -> int:
-        return self.N + 1
-
-
-@dataclass(frozen=True)
-class FullWavefunction(_UnitState):
-    """State over all 2^N spin-1/2 configurations, unit norm.
-
-    Configuration index bits read spin i from bit i: bit 0 is spin +1/2,
-    bit 1 is spin -1/2.
-    """
-
-    def _cells(self) -> int:
-        if self.N > FULL_N_MAX:
-            raise InvalidParams(f"full states capped at N={FULL_N_MAX}, got {self.N}")
-        return 2**self.N
 
 
 def spin_moments(w, g):
@@ -126,34 +73,6 @@ OBSERVABLE_FORMULAS = {
     "dispersion": lambda m, d, eps: d,
 }
 OBSERVABLES = tuple(OBSERVABLE_FORMULAS)
-
-
-def magnetization_sym(phi: SymmetricWavefunction) -> float:
-    """m = sum |phi_n|^2 g_n, in [-1, 1]."""
-    return float(spin_moments(phi.weights, g_values(phi.N))[0])
-
-
-def dispersion_sym(phi: SymmetricWavefunction) -> float:
-    """D = sum |phi_n|^2 g_n^2 - m^2, in [0, 1]."""
-    return float(spin_moments(phi.weights, g_values(phi.N))[1])
-
-
-def energy_cw(phi: SymmetricWavefunction) -> float:
-    """E_CW = -(1/N) sum |phi_n|^2 (N - 2n)^2; equals -N (m^2 + D)."""
-    n = np.arange(phi.N + 1)
-    return float(-(phi.weights @ (phi.N - 2.0 * n) ** 2) / phi.N)
-
-
-def wfe_f(phi: SymmetricWavefunction, beta: float, omega: float) -> float:
-    """f = N beta (1 - m^2 + (omega - 1) D), nonnegative for omega >= 1."""
-    if omega < 0.0:
-        raise InvalidParams(f"omega must be >= 0, got {omega}")
-    return float(wfe_exponent(*spin_moments(phi.weights, g_values(phi.N)), phi.N, beta, omega))
-
-
-def entropy_weight(phi: SymmetricWavefunction) -> float:
-    """sum |phi_n|^2 log C(N, n), in [0, log C(N, floor(N/2))]."""
-    return float(phi.weights @ log_binomials(phi.N))
 
 
 # ---------------------------------------------------------------------------
@@ -181,55 +100,46 @@ def chain_tables(n_spins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m, interaction, flips.astype(float)
 
 
-def energy_squim_d1(psi: FullWavefunction) -> tuple[float, float]:
-    """(negative-convention energy, positive version) of the chain state.
-
-    Negative convention: E = -sum |psi_S|^2 I(S).  Positive version:
-    E+ = sum |psi_S|^2 sum_i (S_{i-1} - S_i)^2 = 2 E + (N-1)/2.
-    """
-    _m, interaction, flips = chain_tables(psi.N)
-    w = psi.weights
-    e_neg = float(-(w @ interaction))
-    e_pos = float(w @ flips)
-    return e_neg, e_pos
-
-
 # ---------------------------------------------------------------------------
 # classical 1-D transfer-matrix baseline
 # ---------------------------------------------------------------------------
 
 
-def _log_z_chain(n_spins: int, beta: float, lam: float) -> float:
-    """log of Z = 2^{-N} sum_S exp{2 beta sum S S' + lambda sum S}."""
-    s = np.array([0.5, -0.5])
-    t = np.exp(2.0 * beta * np.outer(s, s) + 0.5 * lam * np.add.outer(s, s))
-    w = np.exp(0.5 * lam * s)
-    evals, vecs = np.linalg.eigh(t)
-    coef = vecs.T @ w
-    with np.errstate(divide="ignore"):
-        log_terms = 2.0 * np.log(np.abs(coef)) + (n_spins - 1) * np.log(
-            np.maximum(evals, 0.0)
-        )
-    hi, lo = float(max(log_terms)), float(min(log_terms))
-    return hi + math.log1p(math.exp(lo - hi)) - n_spins * math.log(2.0)
+def _exp_jet(log_value, rate):
+    """Jet (log scale, value, d/dlambda, d^2/dlambda^2 / 2) of exp(log_value + lambda rate)."""
+    top = float(log_value.max())
+    value = np.exp(log_value - top)
+    return top, value, rate * value, 0.5 * rate * rate * value
 
 
-def classical_ising_1d(
-    n_spins: int, beta: float, lam: float = 0.0
-) -> tuple[float, float, float]:
-    """(log Z, mean M, var M) for the open spin-1/2 chain.
+def _jet_mul(a, b):
+    """Product of two jets, divided by its largest value entry."""
+    value = a[1] @ b[1]
+    top = float(np.max(value))
+    return (a[0] + b[0] + math.log(top), value / top, (a[1] @ b[2] + a[2] @ b[1]) / top,
+            (a[1] @ b[3] + a[2] @ b[2] + a[3] @ b[1]) / top)
 
-    Mean and variance of the total magnetization M = sum S_i come from
-    centered finite differences of log Z in lambda with step 1e-5.
+
+def classical_ising_1d(n_spins: int, beta: float, lam: float = 0.0) -> tuple[float, float, float]:
+    """(log Z, mean M, var M) for the open spin-1/2 chain, all exact.
+
+    Z's jet is w^T T^{N-1} w, scaled so Z's value part is 1: then
+    mean M = Z'/Z is its first coefficient c1 and var M = Z''/Z - (Z'/Z)^2
+    is 2 c2 - c1^2.
     """
     if n_spins < 2:
         raise InvalidParams(f"chain needs N >= 2, got {n_spins}")
     if beta < 0.0:
         raise InvalidParams(f"beta must be >= 0, got {beta}")
-    h = LAMBDA_STEP
-    lz = _log_z_chain(n_spins, beta, lam)
-    lzp = _log_z_chain(n_spins, beta, lam + h)
-    lzm = _log_z_chain(n_spins, beta, lam - h)
-    mean_m = (lzp - lzm) / (2.0 * h)
-    var_m = (lzp - 2.0 * lz + lzm) / (h * h)
-    return lz, mean_m, var_m
+    s = np.array([0.5, -0.5])
+    pair = 0.5 * np.add.outer(s, s)
+    power = _exp_jet(2.0 * beta * np.outer(s, s) + lam * pair, pair)
+    row = end = _exp_jet(0.5 * lam * s, 0.5 * s)
+    steps = n_spins - 1
+    while steps:
+        if steps & 1:
+            row = _jet_mul(row, power)
+        power = _jet_mul(power, power)
+        steps >>= 1
+    log_scale, _one, mean_m, half_second = _jet_mul(row, end)
+    return log_scale - n_spins * math.log(2.0), float(mean_m), float(2.0 * half_second - mean_m**2)

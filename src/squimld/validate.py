@@ -2,10 +2,12 @@
 
 Each check pits an implementation against an independent oracle: quadrature
 against closed-form antiderivatives, analytic gradients against central
-differences, Monte Carlo against exact sphere moments, transfer matrices
-and product formulas against brute-force enumeration, and the two measure
-lemmas (the layer-cake integral identity and the concentration bound)
-against direct numerical integration on the circle and the 2-sphere.
+differences, Monte Carlo against exact sphere moments, the product model
+and the chain's log Z against hand values, the chain's zero-field var M
+against (1/4) sum tanh(beta/2)^|i-j|, its two energy conventions against
+each other on the enumeration tables, and the two measure lemmas (the
+layer-cake integral identity and the concentration bound) against direct
+numerical integration on the circle and the 2-sphere.
 
 Levels: "fast" exercises every check at small grids; "full" widens the
 gradient and quadrature sweeps to the sizes used by the acceptance gate and
@@ -17,11 +19,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensembles import FullWavefunction, chain_tables, classical_ising_1d, energy_squim_d1
+from .ensembles import chain_tables, classical_ising_1d
 from .errors import InvalidParams
 from .gecore import RateParams, ThetaPair, cgf_c, grad_c, h_value, in_domain_D, integral_inv_q
 from .mc import EnsembleConfig, esm_evaluate, infinite_T_msq_exact, thermal_average
@@ -52,6 +55,7 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
+    seconds: float = 0.0  # wall time of the check
 
 
 def _trapz_oracle(theta: ThetaPair, params: RateParams) -> tuple[float, float]:
@@ -172,8 +176,15 @@ def check_beta0_moments(level: str = "fast", workers: int | None = None) -> Chec
     )
 
 
+def chain_var_closed_form(n_spins: int, beta: float) -> float:
+    """var M of the zero-field chain: (1/4) sum_{i,j} tanh(beta/2)^|i-j|."""
+    t = math.tanh(beta / 2.0)
+    d = np.arange(1, n_spins)
+    return 0.25 * (n_spins + 2.0 * float(np.sum((n_spins - d) * t**d)))
+
+
 def check_small_n(level: str = "fast") -> CheckResult:
-    """Exact small-N enumerations: product model, transfer matrix, energies."""
+    """Exact small-N values and closed forms: product model, transfer matrix, energies."""
     issues = []
     r = esm_evaluate(2, 1.0)
     if abs(r.logZhat - 2.0 * math.log(8.0 / 9.0)) > 1e-12:
@@ -181,20 +192,22 @@ def check_small_n(level: str = "fast") -> CheckResult:
     if abs(r.msq_dispersion - 1.0 / 32.0) > 1e-15:
         issues.append(f"esm dispersion off by {abs(r.msq_dispersion - 1/32):.2e}")
     for beta in (0.0, 0.7, 3.0):
-        log_z, _mean, _var = classical_ising_1d(2, beta)
-        if abs(log_z - math.log(math.cosh(beta / 2.0))) > 1e-10:
+        if abs(classical_ising_1d(2, beta)[0] - math.log(math.cosh(beta / 2.0))) > 1e-10:
             issues.append(f"chain N=2 logZ off at beta={beta}")
-    # chain energy conventions related by a constant: E+ = 2E + (N-1)/2
+        for n in (2, 100):
+            var, exact = classical_ising_1d(n, beta)[2], chain_var_closed_form(n, beta)
+            if abs(var - exact) > 1e-12 * exact:
+                issues.append(f"chain N={n} var(M) = {var!r}, closed form {exact!r} at beta={beta}")
+    # chain energy conventions related by a constant: E+ = 2E + (N-1)/2,
+    # on random weights and, per configuration, flips = (N-1)/2 - 2I
     rng = shard_rng(7, 0)
     amps = rng.standard_normal(2**5) + 1j * rng.standard_normal(2**5)
-    psi = FullWavefunction(amps / np.linalg.norm(amps), 5)
-    e_neg, e_pos = energy_squim_d1(psi)
-    if abs(e_pos - (2.0 * e_neg + 2.0)) > 1e-12:
+    w = np.abs(amps) ** 2 / np.sum(np.abs(amps) ** 2)
+    _m_conf, interaction, flips = chain_tables(5)
+    if abs(w @ flips - (2.0 * -(w @ interaction) + 2.0)) > 1e-12:
         issues.append("chain energy-convention relation violated")
-    if level == "full":
-        _m_conf, interaction, flips = chain_tables(4)
-        if not np.all(flips == 1.5 - 2.0 * interaction):
-            issues.append("chain tables violate flips = (N-1)/2 - 2I at N=4")
+    if not np.all(flips == 2.0 - 2.0 * interaction):
+        issues.append("chain tables violate flips = (N-1)/2 - 2I at N=5")
     ok = not issues
     return CheckResult(
         "small-N-enumerations", ok, "; ".join(issues) if issues else "all exact"
@@ -352,5 +365,9 @@ def run_validation(level: str = "fast", workers: int | None = None) -> list[Chec
     if level not in LEVELS:
         raise InvalidParams(f"level must be one of {LEVELS}, got {level!r}")
     checks = CHECKS + (FULL_CHECKS if level == "full" else ())
-    return [check(level, workers) if check in SAMPLING_CHECKS else check(level)
-            for check in checks]
+    results = []
+    for check in checks:
+        clock = time.perf_counter()
+        result = check(level, workers) if check in SAMPLING_CHECKS else check(level)
+        results.append(replace(result, seconds=time.perf_counter() - clock))
+    return results

@@ -533,6 +533,14 @@ def test_validate_fast_passes(tmp_path, capsys):
     man = json.loads(read(tmp_path / "validate_manifest.json"))
     assert {k: v for k, v in man.items() if k.startswith("param.")} == {"param.level": "fast"}
     assert man["seed"] == "0"
+    names = ("quadrature-vs-closed-form", "gradient-vs-finite-difference", "beta0-moment-oracle",
+             "small-N-enumerations", "uif-circle-identity", "concentration-bound-2-sphere")
+    assert sorted(k for k in man if k.startswith("diag.check.")) == sorted(
+        f"diag.check.{n}.{key}" for n in names for key in ("ok", "detail"))
+    for n in names:
+        assert man[f"diag.check.{n}.ok"] == "True"
+        assert f"PASS {n}: {man[f'diag.check.{n}.detail']}\n" in out
+        assert float(man[f"time.{n}_s"]) > 0.0
 
 
 def test_validate_unknown_level_usage_error(tmp_path, capsys):

@@ -1,10 +1,11 @@
-"""State containers, spin observables, and the transfer-matrix baseline.
+"""Spin observables on weight vectors, and the transfer-matrix baseline.
 
 The observable identities are algebraic (energy ties to magnetization and
 dispersion, flip counts tie to the interaction sum), so they are tested
-as exact relations on random states.  The transfer-matrix log Z is
-checked against direct enumeration over all configurations at small N,
-which is the only other route to the same number.
+as exact relations on random weight vectors w = |amplitude|^2, normalized.
+The transfer matrix's log Z, mean M and var M are checked against direct
+enumeration over all configurations at small N, and var M at zero field
+against the closed form (1/4) sum tanh(beta/2)^|i-j| at large N.
 """
 
 import math
@@ -14,36 +15,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squimld import (
-    FullWavefunction,
-    InvalidParams,
-    SymmetricWavefunction,
-    classical_ising_1d,
-    energy_cw,
-    energy_squim_d1,
-)
+from squimld import InvalidParams, classical_ising_1d
 from squimld.ensembles import (
     FULL_N_MAX,
     chain_tables,
-    dispersion_sym,
-    entropy_weight,
     g_values,
     log_binomials,
-    magnetization_sym,
-    wfe_f,
+    spin_moments,
+    wfe_exponent,
 )
+from squimld.validate import chain_var_closed_form
 
 
-def random_sym_state(n_spins: int, seed: int) -> SymmetricWavefunction:
+def random_weights(cells: int, seed: int) -> np.ndarray:
+    """|amplitude|^2 of a random complex state, normalized: flat-Dirichlet."""
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n_spins + 1) + 1j * rng.standard_normal(n_spins + 1)
-    return SymmetricWavefunction(v / np.linalg.norm(v), n_spins)
-
-
-def random_full_state(n_spins: int, seed: int) -> FullWavefunction:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(2**n_spins) + 1j * rng.standard_normal(2**n_spins)
-    return FullWavefunction(v / np.linalg.norm(v), n_spins)
+    v = rng.standard_normal(cells) + 1j * rng.standard_normal(cells)
+    w = np.abs(v) ** 2
+    return w / w.sum()
 
 
 def test_g_values_structure():
@@ -61,50 +50,33 @@ def test_log_binomials_against_comb():
             assert got[n] == pytest.approx(math.log(math.comb(n_spins, n)), rel=1e-13, abs=0.0)
 
 
-def test_state_validation():
-    with pytest.raises(InvalidParams):
-        SymmetricWavefunction(np.ones(4) / 2.0, 2)  # wrong length
-    with pytest.raises(InvalidParams):
-        SymmetricWavefunction(np.ones(3), 2)  # norm 3, not 1
-    with pytest.raises(InvalidParams):
-        FullWavefunction(np.ones(4) / 2.0, 3)  # wrong length
-    with pytest.raises(InvalidParams):
-        FullWavefunction(np.ones(2**25), 25)  # over the enumeration cap
-    phi = random_sym_state(6, 0)
-    assert phi.weights.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 @given(st.integers(min_value=2, max_value=16), st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=60)
 def test_energy_identity_curie_weiss(n_spins, seed):
-    # E_CW = -N (m^2 + D) as an exact identity on any state
-    phi = random_sym_state(n_spins, seed)
-    m = magnetization_sym(phi)
-    d = dispersion_sym(phi)
+    # E_CW = -(1/N) sum w_n (N - 2n)^2 = -N (m^2 + D) as an exact identity on any state
+    w = random_weights(n_spins + 1, seed)
+    m, d = spin_moments(w, g_values(n_spins))
     assert -1.0 <= m <= 1.0
     assert -1e-12 <= d <= 1.0
-    assert energy_cw(phi) == pytest.approx(-n_spins * (m * m + d), abs=1e-10)
+    e_cw = -(w @ (n_spins - 2.0 * np.arange(n_spins + 1)) ** 2) / n_spins
+    assert e_cw == pytest.approx(-n_spins * (m * m + d), abs=1e-10)
 
 
 @given(st.integers(min_value=2, max_value=16), st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=40)
 def test_wfe_f_nonnegative_for_omega_above_one(n_spins, seed):
-    phi = random_sym_state(n_spins, seed)
-    val = wfe_f(phi, beta=3.0, omega=1.2)
-    assert val >= -1e-9
-    with pytest.raises(InvalidParams):
-        wfe_f(phi, beta=1.0, omega=-0.5)
+    m, d = spin_moments(random_weights(n_spins + 1, seed), g_values(n_spins))
+    for omega in (1.0, 1.2, 3.0):
+        assert wfe_exponent(m, d, n_spins, 3.0, omega) >= -1e-9
 
 
 def test_entropy_weight_bounds():
     n = 10
-    phi = random_sym_state(n, 4)
-    w = entropy_weight(phi)
-    assert 0.0 <= w <= math.log(math.comb(n, n // 2)) + 1e-12
-    # a state concentrated on the edge class has zero entropy weight
-    edge = np.zeros(n + 1, dtype=complex)
-    edge[0] = 1.0
-    assert entropy_weight(SymmetricWavefunction(edge, n)) == 0.0
+    w = random_weights(n + 1, 4)
+    assert 0.0 <= w @ log_binomials(n) <= math.log(math.comb(n, n // 2)) + 1e-12
+    # a state concentrated on an edge class has zero entropy weight
+    for edge in (0, n):
+        assert log_binomials(n)[edge] == 0.0
 
 
 def test_chain_tables_small_n_by_hand():
@@ -139,8 +111,10 @@ def test_chain_tables_guards():
 @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=40)
 def test_energy_conventions_are_affinely_tied(n_spins, seed):
-    psi = random_full_state(n_spins, seed)
-    e_neg, e_pos = energy_squim_d1(psi)
+    # E = -w . I and E+ = w . flips obey E+ = 2 E + (N-1)/2
+    w = random_weights(2**n_spins, seed)
+    _m, interaction, flips = chain_tables(n_spins)
+    e_neg, e_pos = -(w @ interaction), w @ flips
     assert e_pos == pytest.approx(2.0 * e_neg + (n_spins - 1) / 2.0, abs=1e-10)
     assert e_pos >= -1e-12
 
@@ -150,32 +124,57 @@ def test_energy_conventions_are_affinely_tied(n_spins, seed):
 # ---------------------------------------------------------------------------
 
 
-def brute_force_log_z(n_spins: int, beta: float, lam: float = 0.0) -> float:
+def brute_force(n_spins: int, beta: float, lam: float = 0.0) -> tuple[float, float, float]:
+    """(log Z, mean M, var M) by summing over all 2^N configurations."""
     m, interaction, _ = chain_tables(n_spins)
     terms = 2.0 * beta * interaction + lam * m
     mx = float(terms.max())
-    return mx + math.log(float(np.sum(np.exp(terms - mx)))) - n_spins * math.log(2.0)
+    p = np.exp(terms - mx)
+    z = float(p.sum())
+    p /= z
+    mean = float(p @ m)
+    return mx + math.log(z) - n_spins * math.log(2.0), mean, float(p @ (m - mean) ** 2)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.7, 3.0])
 @pytest.mark.parametrize("n_spins", [2, 3, 6])
 def test_transfer_matrix_matches_enumeration(n_spins, beta):
     lz, _, _ = classical_ising_1d(n_spins, beta)
-    assert lz == pytest.approx(brute_force_log_z(n_spins, beta), abs=1e-10)
+    assert lz == pytest.approx(brute_force(n_spins, beta)[0], abs=1e-10)
 
 
 def test_transfer_matrix_with_field_matches_enumeration():
     lz, mean_m, var_m = classical_ising_1d(5, 1.1, lam=0.8)
-    assert lz == pytest.approx(brute_force_log_z(5, 1.1, 0.8), abs=1e-10)
+    assert lz == pytest.approx(brute_force(5, 1.1, 0.8)[0], abs=1e-10)
     assert mean_m > 0.0
     assert var_m > 0.0
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.8, -0.4])
+@pytest.mark.parametrize("beta", [0.0, 0.7, 3.0])
+@pytest.mark.parametrize("n_spins", [2, 3, 6, 12, 16])
+def test_transfer_matrix_moments_match_enumeration(n_spins, beta, lam):
+    lz, mean_m, var_m = classical_ising_1d(n_spins, beta, lam)
+    lz_ref, mean_ref, var_ref = brute_force(n_spins, beta, lam)
+    # at lam = 0 mean M is 0, and so is log Z at beta = 0: there the
+    # error is absolute, against the enumeration's own rounding of sum p M
+    assert lz == pytest.approx(lz_ref, rel=1e-12, abs=1e-14)
+    assert mean_m == pytest.approx(mean_ref, rel=1e-12, abs=1e-12)
+    assert var_m == pytest.approx(var_ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize("n_spins", [100, 10_000])
+def test_zero_field_variance_matches_closed_form(n_spins, beta):
+    _, _, var_m = classical_ising_1d(n_spins, beta)
+    assert var_m == pytest.approx(chain_var_closed_form(n_spins, beta), rel=1e-12)
 
 
 def test_magnetization_moments():
     # zero field: mean M vanishes by symmetry, var(M) at beta = 0 is N/4
     _, mean_m, var_m = classical_ising_1d(100, 0.0)
     assert abs(mean_m) < 1e-6
-    assert var_m == pytest.approx(25.0, rel=1e-4)
+    assert var_m == pytest.approx(25.0, rel=1e-12)
 
 
 def test_no_transition_in_one_dimension():

@@ -49,6 +49,8 @@ def test_config_validation():
     with pytest.raises(InvalidParams):
         EnsembleConfig(N=8, beta=1.0, model="SCWM_WFE", samples=100)  # omega missing
     with pytest.raises(InvalidParams):
+        EnsembleConfig(N=8, beta=1.0, model="SCWM_WFE", samples=100, omega=-0.5)
+    with pytest.raises(InvalidParams):
         EnsembleConfig(N=8, beta=1.0, model="SCWM", samples=100, omega=1.2)
     with pytest.raises(InvalidParams):
         EnsembleConfig(N=8, beta=1.0, model="SCWM", samples=100, eps=1.5)
