@@ -23,8 +23,10 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure surfaced by the
 library (degenerate weights, boundary evaluations, an I2 dual solve that
 does not certify), 4 validation-suite failure.  Two outcomes are reported
 per row instead: an empty constraint set in rate-curves (NaN I2,
-accepted_G = 0), and (omega, eps, delta) outside the transition-bound
-hypotheses in wfe (NaN p_star_inf and beta_c, hypotheses_ok = 0).
+accepted_G = 0; the manifest still records the dual's theta_star, gap and
+Newton count when the dual certifies), and (omega, eps, delta) outside
+the transition-bound hypotheses in wfe (NaN p_star_inf and beta_c,
+hypotheses_ok = 0).
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import HypothesisViolation, InvalidParams, NoConstraintPoints, SquimldError
+from .ensembles import chain_classes
+from .errors import (DualNotCertified, HypothesisViolation, InvalidParams, NoConstraintPoints,
+                     SquimldError)
 from .gecore import RateParams
 from .mc import (
     MODELS,
@@ -55,6 +59,7 @@ from .ratecurves import (
     compute_I1,
     compute_I2,
     domain_scan,
+    solve_dual,
 )
 from .report import (
     RunManifest,
@@ -191,6 +196,12 @@ def cmd_domain_scan(args) -> int:
     return 0
 
 
+def _dual_diagnostics(x: float, theta: tuple[float, float], gap: float, iterations: int) -> dict:
+    """The manifest's record of the certified dual solve at x."""
+    return {f"theta_star.{x!r}": f"{theta[0]!r},{theta[1]!r}", f"dual_gap.{x!r}": gap,
+            f"newton_iters.{x!r}": iterations}
+
+
 def cmd_rate_curves(args) -> int:
     workers = resolve_workers(args.workers, RATE_SHARDS)
     if not args.x_list:
@@ -207,17 +218,24 @@ def cmd_rate_curves(args) -> int:
             pt = compute_I2(params, args.samples, seed=args.seed, workers=workers)
         except NoConstraintPoints:
             # flagged row: empty constraint set at this budget; its draws
-            # still count as sampling time
+            # still count as sampling time.  The manifest still gets the
+            # dual's record, unless the dual refuses too.
             timings["sample_s"] += time.perf_counter() - clock
             rows.append((x, compute_I1(params), math.nan, 0, args.samples, args.seed))
+            clock = time.perf_counter()
+            try:
+                dual = solve_dual(params)
+            except DualNotCertified:
+                pass
+            else:
+                diagnostics.update(_dual_diagnostics(x, dual.theta, dual.gap, dual.iterations))
+            timings["dual_s"] += time.perf_counter() - clock
             continue
         rows.append((x, pt.I1, pt.I2, pt.accepted_G, args.samples, args.seed))
         timings["sample_s"] += pt.sample_s
         timings["dual_s"] += pt.dual_s
         diagnostics.update({
-            f"theta_star.{x!r}": f"{pt.theta_at_min[0]!r},{pt.theta_at_min[1]!r}",
-            f"dual_gap.{x!r}": pt.dual_gap,
-            f"newton_iters.{x!r}": pt.newton_iters,
+            **_dual_diagnostics(x, pt.theta_at_min, pt.dual_gap, pt.newton_iters),
             f"sampled_k_min.{x!r}": pt.sampled_k_min,
             f"noise_band.{x!r}": pt.noise_band,
         })
@@ -242,6 +260,7 @@ def cmd_wfe(args) -> int:
     started = utc_now()
     r = r_of_omega(omega)
     diagnostics = {}
+    clock_start = time.perf_counter()
     try:
         p = WfeParams(omega=omega, eps=eps, delta=delta)
     except HypothesisViolation:
@@ -252,12 +271,15 @@ def cmd_wfe(args) -> int:
         row = (omega, eps, r, p.delta, res.p_star_inf, res.y_at_inf, beta_c, 1)
         diagnostics = {"theta_at_min": res.theta_at_min, "theta_lo": res.theta_range[0],
                        "theta_hi": res.theta_range[1]}
+    clock_solved = time.perf_counter()
     args.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = args.out_dir / "wfe_transition.csv"
     write_csv(csv_path, np.array([row], dtype=[
         ("omega", float), ("eps", float), ("r", float), ("delta", float), ("p_star_inf", float),
         ("y_at_inf", float), ("beta_c", float), ("hypotheses_ok", int)]))
-    _manifest(args, "wfe_transition", [csv_path.name], started, diagnostics=diagnostics)
+    _manifest(args, "wfe_transition", [csv_path.name], started, diagnostics=diagnostics,
+              timings={"beta_critical_s": clock_solved - clock_start,
+                       "write_csv_s": time.perf_counter() - clock_solved})
     print(f"wrote {csv_path} (hypotheses_ok={row[-1]})")
     return 0
 
@@ -283,6 +305,8 @@ def cmd_ensemble(args) -> int:
         ("seed", np.uint64)]))
     clock_written = time.perf_counter()
     diagnostics = {"weight_ess": estimates[0].weight_ess} if estimates else {}
+    if args.model == "SQUIM_d1":
+        diagnostics["classes"] = chain_classes(args.N)[0].size
     for obs, est in zip(args.observable, estimates):
         diagnostics[f"numerator_ess.{obs}"] = est.numerator_ess
     _manifest(
@@ -297,12 +321,16 @@ def cmd_ensemble(args) -> int:
 
 def cmd_esm(args) -> int:
     started = utc_now()
+    clock_start = time.perf_counter()
     res = esm_evaluate(args.N, args.beta)
+    clock_evaluated = time.perf_counter()
     args.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = args.out_dir / "esm.csv"
     write_csv(csv_path, np.array([(res.N, res.beta, res.logZhat, res.msq_dispersion)], dtype=[
         ("N", int), ("beta", float), ("logZhat", float), ("msq_dispersion", float)]))
-    _manifest(args, "esm", [csv_path.name], started)
+    _manifest(args, "esm", [csv_path.name], started,
+              timings={"evaluate_s": clock_evaluated - clock_start,
+                       "write_csv_s": time.perf_counter() - clock_evaluated})
     print(f"wrote {csv_path} (logZhat={res.logZhat:.12g})")
     return 0
 

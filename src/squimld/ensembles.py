@@ -21,7 +21,14 @@ derivative / 2), multiplied by the product rule through a
 square-and-multiply power of T.  Every product is divided by its largest
 value entry, whose log goes to log Z, so chains of length 10^4 neither
 overflow nor underflow, and the jet of Z gives mean and var of M
-exactly, with no step in lambda.
+exactly, with no step in lambda.  The variance comes from a second pass
+whose jet is that of M less the first pass's mean, so in a field it is not
+a difference of two numbers of order N^2.
+
+``chain_classes`` groups the 2^N configurations by (up count, flip
+count): M and I are constant on each class, so a flat-Dirichlet law over
+the configurations aggregates to one over the classes, weighted by their
+counts.
 """
 
 from __future__ import annotations
@@ -100,6 +107,40 @@ def chain_tables(n_spins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m, interaction, flips.astype(float)
 
 
+def _compositions(n: int, parts: int) -> int:
+    """Ways to write n as an ordered sum of `parts` positive integers."""
+    if parts == 0:
+        return int(n == 0)
+    return math.comb(n - 1, parts - 1) if n >= parts else 0
+
+
+def chain_classes(n_spins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(M, flips, count) over the (up count, flip count) classes of the chain.
+
+    M and the flip count, and so I, are constant on a class, and count is
+    its number of configurations (counts sum to 2^N).  A chain with u up
+    spins and k flips is r = k + 1 alternating runs; starting with an up
+    run it has ceil(r/2) up and floor(r/2) down runs, and the count is the
+    number of compositions of u and N - u into those many positive parts,
+    summed over the two starting spins.  Classes of count 0 are dropped:
+    N = 8 has 33 classes, N = 20 has 201.  Counts are floats, exact
+    integers up to 2^53.
+    """
+    if n_spins < 2:
+        raise InvalidParams(f"chain needs N >= 2, got {n_spins}")
+    rows = []
+    for up in range(n_spins + 1):
+        for flips in range(n_spins):
+            runs = flips + 1
+            odd, even = (runs + 1) // 2, runs // 2
+            count = (_compositions(up, odd) * _compositions(n_spins - up, even)
+                     + _compositions(up, even) * _compositions(n_spins - up, odd))
+            if count:
+                rows.append((up - n_spins / 2.0, flips, float(count)))
+    m, flips, count = (np.array(col, dtype=float) for col in zip(*rows))
+    return m, flips, count
+
+
 # ---------------------------------------------------------------------------
 # classical 1-D transfer-matrix baseline
 # ---------------------------------------------------------------------------
@@ -120,26 +161,42 @@ def _jet_mul(a, b):
             (a[1] @ b[3] + a[2] @ b[2] + a[3] @ b[1]) / top)
 
 
-def classical_ising_1d(n_spins: int, beta: float, lam: float = 0.0) -> tuple[float, float, float]:
-    """(log Z, mean M, var M) for the open spin-1/2 chain, all exact.
+def _chain_jet(n_spins: int, beta: float, lam: float, mu: float) -> tuple[float, float, float]:
+    """(log Z, c1, c2): the jet of Z(lam + h) exp(-h mu N) in h, scaled so its value is 1.
 
-    Z's jet is w^T T^{N-1} w, scaled so Z's value part is 1: then
-    mean M = Z'/Z is its first coefficient c1 and var M = Z''/Z - (Z'/Z)^2
-    is 2 c2 - c1^2.
+    The shift -mu N is spread over the factors: -mu on each of the N - 1
+    transfer steps and -mu/2 on each end, so c1 is the mean of M - mu N and
+    2 c2 its second moment.
     """
-    if n_spins < 2:
-        raise InvalidParams(f"chain needs N >= 2, got {n_spins}")
-    if beta < 0.0:
-        raise InvalidParams(f"beta must be >= 0, got {beta}")
     s = np.array([0.5, -0.5])
     pair = 0.5 * np.add.outer(s, s)
-    power = _exp_jet(2.0 * beta * np.outer(s, s) + lam * pair, pair)
-    row = end = _exp_jet(0.5 * lam * s, 0.5 * s)
+    power = _exp_jet(2.0 * beta * np.outer(s, s) + lam * pair, pair - mu)
+    row = end = _exp_jet(0.5 * lam * s, 0.5 * (s - mu))
     steps = n_spins - 1
     while steps:
         if steps & 1:
             row = _jet_mul(row, power)
         power = _jet_mul(power, power)
         steps >>= 1
-    log_scale, _one, mean_m, half_second = _jet_mul(row, end)
-    return log_scale - n_spins * math.log(2.0), float(mean_m), float(2.0 * half_second - mean_m**2)
+    log_scale, _one, first, half_second = _jet_mul(row, end)
+    return log_scale - n_spins * math.log(2.0), float(first), float(half_second)
+
+
+def classical_ising_1d(n_spins: int, beta: float, lam: float = 0.0) -> tuple[float, float, float]:
+    """(log Z, mean M, var M) for the open spin-1/2 chain, all exact.
+
+    Z's jet is w^T T^{N-1} w, scaled so Z's value part is 1: then
+    mean M = Z'/Z is its first coefficient c1 and var M = Z''/Z - (Z'/Z)^2
+    is 2 c2 - c1^2.  In a field c1^2 is of order N^2 and the variance of
+    order N, so that difference cancels (4e-12 relative at N = 10^4,
+    beta = 3, lam = -0.4).  A second pass takes the jet of M - mu N, with
+    mu = c1 / N from the first: its c1 is near 0 and 2 c2 is the variance.
+    """
+    if n_spins < 2:
+        raise InvalidParams(f"chain needs N >= 2, got {n_spins}")
+    if beta < 0.0:
+        raise InvalidParams(f"beta must be >= 0, got {beta}")
+    log_z, mean_m, _ = _chain_jet(n_spins, beta, lam, 0.0)
+    mu = mean_m / n_spins
+    _, shift, half_second = _chain_jet(n_spins, beta, lam, mu)
+    return log_z, mu * n_spins + shift, 2.0 * half_second - shift * shift

@@ -29,7 +29,17 @@ samples (seed 0, beta in {0.1, 1, 10, 40}) the weight ESS clears ESS_MIN
 for SCWM at N <= 32, and up to N = 128 only at beta >= 10; for
 SCWM_ENTROPY at N <= 16, and up to N = 64 only at beta >= 10; for SQUIM_d1
 at N <= 6, N = 8 up to beta = 0.2 and N = 10 at beta = 0.1.  beta = 0 gives
-c = 0, exactly uniform sampling.  SQUIM_d1 enumerates 2^N states, N <= 20.
+c = 0, exactly uniform sampling.
+
+SQUIM_d1's law is the same flat Dirichlet over all K = 2^N chain
+configurations, N <= 20, but phi and g are constant on each (up count, flip
+count) class (ensembles.chain_classes: 33 classes at N = 8, 201 at N = 20),
+and so are lam and c.  The sum of a class's n i.i.d. Exp(lam) cells is
+Gamma(n)/lam (Devroye 1986, IX), and m, D and v read only the class sums,
+so the sampler draws one Gamma variate per class (numpy's standard_gamma,
+Marsaglia & Tsang 2000) in place of one exponential per configuration: the
+same estimator in law, with K kept in log(1 + v).  The other models draw at
+shape 1.0, for which standard_gamma returns standard_exponential's draws.
 
 The wavefunction-energy model's exponent is quadratic in w (it rewards
 m^2), and its mass sits in two antipodal magnetized caps rather than in
@@ -78,8 +88,8 @@ from functools import reduce
 
 import numpy as np
 
-from .ensembles import (FULL_N_MAX, OBSERVABLE_FORMULAS, OBSERVABLES, chain_tables,
-                        g_values, log_binomials, spin_moments, wfe_exponent)
+from .ensembles import (FULL_N_MAX, OBSERVABLE_FORMULAS, OBSERVABLES, chain_classes,
+                        chain_tables, g_values, log_binomials, spin_moments, wfe_exponent)
 from .errors import DegenerateWeights, InvalidParams, SquimldError
 from .parallel import fold_shifted, map_shards, shard_rng, split_counts
 
@@ -170,7 +180,9 @@ class EsmResult:
 def _proposal(cfg: EnsembleConfig) -> dict:
     """The model's importance proposal and cell magnetization g, built once.
 
-    "tilted": decay form c_decay and rates lam of a linear exponent phi . w;
+    "tilted": decay form c_decay and rates lam of a linear exponent phi . w,
+    with the Gamma shape of each column (1.0, or the chain's class counts)
+    and the number of cells K;
     "mixture": (alpha, sigma, log-determinant) of each cap of the WFE model.
     """
     n_spins, beta = cfg.N, cfg.beta
@@ -186,18 +198,22 @@ def _proposal(cfg: EnsembleConfig) -> dict:
                 "alpha": alphas, "sigma": [1.0 / np.sqrt(alpha) for alpha in alphas],
                 # log |Sigma|^(-1/2) per cap; each state owns two coords
                 "logdet": [float(np.sum(np.log(alpha))) for alpha in alphas]}
+    # one Exp(1) draw per cell (shape 1.0), except on the chain's classes
+    shape, cells = 1.0, n_spins + 1
     if cfg.model == "SQUIM_d1":
-        m_conf, interaction, _flips = chain_tables(n_spins)
-        g = 2.0 * m_conf / n_spins
-        # f = beta * <H> = -beta * <I>
-        phi = beta * interaction
+        m_class, flips, shape = chain_classes(n_spins)
+        g = 2.0 * m_class / n_spins
+        cells = 2**n_spins
+        # f = beta * <H> = -beta * <I>, with I = ((N - 1) - 2 flips) / 4
+        phi = beta * ((n_spins - 1) - 2.0 * flips) / 4.0
     else:
         g = g_values(n_spins)
         phi = beta * n_spins * (g * g)
         if cfg.model == "SCWM_ENTROPY":
             phi = phi + log_binomials(n_spins)
     c_decay = phi.max() - phi
-    return {"family": "tilted", "g": g, "c_decay": c_decay, "lam": 1.0 + c_decay}
+    return {"family": "tilted", "g": g, "c_decay": c_decay, "lam": 1.0 + c_decay,
+            "shape": shape, "cells": cells}
 
 
 def _draw(rng: np.random.Generator, rows: int, prop: dict) -> tuple:
@@ -217,12 +233,13 @@ def _draw(rng: np.random.Generator, rows: int, prop: dict) -> tuple:
         lq = [logdet - cells * np.log(w @ alpha)
               for logdet, alpha in zip(prop["logdet"], prop["alpha"])]
         return m, d, -f - np.logaddexp(*lq)
-    w = rng.standard_exponential((rows, cells))
+    # a class of count n sums n i.i.d. Exp(lam) cell weights: Gamma(n) / lam
+    w = rng.standard_gamma(prop["shape"], (rows, cells))
     w /= prop["lam"]
     w /= w.sum(axis=1, keepdims=True)
     m, d = spin_moments(w, g)
     v = w @ prop["c_decay"]
-    return m, d, -v + cells * np.log1p(v)
+    return m, d, -v + prop["cells"] * np.log1p(v)
 
 
 def _shard_partials(shard: int, payload: dict) -> tuple:

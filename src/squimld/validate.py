@@ -1,11 +1,12 @@
 """Self-validation suite: every closed form checked against a second route.
 
-Each check pits an implementation against an independent oracle: quadrature
-against closed-form antiderivatives, analytic gradients against central
-differences, Monte Carlo against exact sphere moments, the product model
-and the chain's log Z against hand values, the chain's zero-field var M
-against (1/4) sum tanh(beta/2)^|i-j|, its two energy conventions against
-each other on the enumeration tables, and the two measure lemmas (the
+Each check pits an implementation against an independent oracle:
+Gauss-Legendre quadrature against the closed-form antiderivatives and
+against the analytic gradient (dc/dtheta_i = Int a_i / q), Monte Carlo
+against exact sphere moments, the product model and the chain's log Z
+against hand values, the chain's zero-field var M against
+(1/4) sum tanh(beta/2)^|i-j|, its two energy conventions against each
+other on the enumeration tables, and the two measure lemmas (the
 layer-cake integral identity and the concentration bound) against direct
 numerical integration on the circle and the 2-sphere.
 
@@ -26,23 +27,36 @@ import numpy as np
 
 from .ensembles import chain_tables, classical_ising_1d
 from .errors import InvalidParams
-from .gecore import RateParams, ThetaPair, cgf_c, grad_c, h_value, in_domain_D, integral_inv_q
+from .gecore import (RateParams, ThetaPair, _b_of, _pieces_arr, _q_shape, cgf_c, h_value,
+                     in_domain_D, integral_inv_q)
 from .mc import EnsembleConfig, esm_evaluate, infinite_T_msq_exact, thermal_average
 from .parallel import shard_rng
 from .ratecurves import DUAL_GAP_TOL, compute_I2
 
 LEVELS = ("fast", "full")
 
-TRAPZ_PANELS = 1_000_000
-QUAD_TOL = 1e-6
 # Nodes of the Gauss-Legendre rule for the smooth one-dimensional integrals
 # of the measure lemmas: 32 reach double precision on each of them, with
 # exp(-20 (1 - z)) over [-1, 1] the hardest (1e-14 relative)
 GL_NODES = 32
+# Nodes of the rule behind the kernel checks, per level.  The integrands
+# 1/q, log q and a_i/q are nearly singular where q_min is small (down to
+# GRAD_QMIN at full level), so the order is where the error stops falling:
+# at full level 256 nodes leave 5e-6, 1024 reach 3e-12 and 4096 drift back
+# to 1e-10, as numpy's rule itself loses digits.  Fast-level points keep
+# q_min >= 0.027, converged at 256 nodes.
+KERNEL_NODES = {"fast": 256, "full": 1024}
+# Worst |closed form - quadrature| of c and Int 1/q over the cases below:
+# 5e-15 at fast level, 4e-14 at full level; 25x margin over the latter
+QUAD_TOL = 1e-12
 # Points of the periodic trapezoid on the circle; its error falls like
 # 2 I_{n/2}(1/2), below double precision from 32 points, so 64 leave margin
 CIRCLE_POINTS = 64
-GRAD_RTOL = 1e-4
+# Gradient points keep min q over [-1, 1] at least this far from 0
+GRAD_QMIN = 1e-4
+# Worst relative |grad c - quadrature|: 1e-13 at fast level, 2.8e-12 at
+# full level; 35x margin over the latter
+GRAD_RTOL = 1e-10
 # The I2 bracket: curve points where 10^6 draws reliably hit G.
 BRACKET_X = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 BRACKET_EPS = 0.1
@@ -58,17 +72,8 @@ class CheckResult:
     seconds: float = 0.0  # wall time of the check
 
 
-def _trapz_oracle(theta: ThetaPair, params: RateParams) -> tuple[float, float]:
-    """(integral of 1/q, -1/2 integral of log q) by the trapezoid rule."""
-    y = np.linspace(-1.0, 1.0, TRAPZ_PANELS + 1)
-    q = 1.0 - 2.0 * h_value(y, theta, params)
-    j = float(np.trapezoid(1.0 / q, y))
-    c = float(np.trapezoid(-0.5 * np.log(q), y))
-    return j, c
-
-
 def check_quadrature(level: str = "fast") -> CheckResult:
-    """Closed-form integrals against 10^6-panel trapezoid on both branches."""
+    """Closed-form Int 1/q and c against Gauss-Legendre on both branches."""
     params = RateParams(x=0.3, eps=0.3)
     cases = []
     # negative discriminant (arctan branch) and positive (log branch),
@@ -92,35 +97,42 @@ def check_quadrature(level: str = "fast") -> CheckResult:
         for th in (ThetaPair(0.3, -0.2), ThetaPair(-1.5, 0.8)):
             if in_domain_D(th, params).in_domain:
                 cases.append((th, "extra"))
-    worst = 0.0
+    nodes = KERNEL_NODES[level]
+    y, w = _legendre_rule(nodes)
+    errors = []
     for th, _tag in cases:
-        j_ref, c_ref = _trapz_oracle(th, params)
-        worst = max(worst, abs(integral_inv_q(th, params) - j_ref), abs(cgf_c(th, params) - c_ref))
+        q = 1.0 - 2.0 * h_value(y, th, params)
+        errors += [integral_inv_q(th, params) - float(w @ (1.0 / q)),
+                   cgf_c(th, params) - float(w @ (-0.5 * np.log(q)))]
+    # a NaN error propagates, and fails the check
+    worst = float(np.max(np.abs(errors))) if errors else math.nan
     ok = want["neg"] and want["pos"] and worst < QUAD_TOL
     return CheckResult(
         "quadrature-vs-closed-form", ok,
         f"{len(cases)} cases, both branches covered={want['neg'] and want['pos']}, "
-        f"worst |closed - trapezoid| = {worst:.2e} (tol {QUAD_TOL:g})",
+        f"worst |closed - {nodes}-node Gauss-Legendre| = {worst:.2e} (tol {QUAD_TOL:g})",
     )
 
 
-def _interior_thetas(params: RateParams, n: int, rng) -> list[ThetaPair]:
-    """Rejection-sample interior points with margin for finite differencing."""
-    out = []
+def _interior_thetas(params: RateParams, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """n points with q_min >= GRAD_QMIN, by rejection from a box, a batch at a time."""
     hi1 = 0.499 / (1.0 - params.x)
-    while len(out) < n:
-        t1 = rng.uniform(-3.0, hi1)
-        t2 = rng.uniform(-2.0, 2.0)
-        th = ThetaPair(t1, t2)
-        verdict = in_domain_D(th, params)
-        if not verdict.in_domain or verdict.q_min < 1e-4:
-            continue
-        out.append(th)
-    return out
+    t1, t2 = np.empty(0), np.empty(0)
+    while t1.size < n:
+        c1 = rng.uniform(-3.0, hi1, 4 * n)
+        c2 = rng.uniform(-2.0, 2.0, 4 * n)
+        keep = _q_shape(c1, c2, _b_of(params, c1, c2))[3] >= GRAD_QMIN
+        t1, t2 = np.concatenate((t1, c1[keep])), np.concatenate((t2, c2[keep]))
+    return t1[:n], t2[:n]
 
 
 def check_gradients(level: str = "fast") -> CheckResult:
-    """Analytic gradient of the cumulant against central differences."""
+    """Analytic gradient of the cumulant against dc/dtheta_i = Int a_i / q.
+
+    With a1 = 1 - x - y^2 and a2 = y - eps, both integrals for every point
+    of a cell come from one points x nodes product of the Gauss-Legendre
+    rule, with q = 1 - 2 h formed from h, not from the kernel's b.
+    """
     if level == "full":
         grid = [(x, e) for x in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7) for e in (0.1, 0.3)]
         n_pts = 100
@@ -128,28 +140,24 @@ def check_gradients(level: str = "fast") -> CheckResult:
         grid = [(0.3, 0.1), (0.6, 0.3)]
         n_pts = 20
     rng = shard_rng(2024, 0)
-    worst = 0.0
-    step = 1e-6
+    nodes = KERNEL_NODES[level]
+    y, w = _legendre_rule(nodes)
+    errors = []
     for x, eps in grid:
         params = RateParams(x=x, eps=eps)
-        for th in _interior_thetas(params, n_pts, rng):
-            g1, g2 = grad_c(th, params)
-            fd1 = (
-                cgf_c(ThetaPair(th.theta1 + step, th.theta2), params)
-                - cgf_c(ThetaPair(th.theta1 - step, th.theta2), params)
-            ) / (2 * step)
-            fd2 = (
-                cgf_c(ThetaPair(th.theta1, th.theta2 + step), params)
-                - cgf_c(ThetaPair(th.theta1, th.theta2 - step), params)
-            ) / (2 * step)
-            num = math.hypot(g1 - fd1, g2 - fd2)
-            rel = num / max(math.hypot(g1, g2), 1e-12)
-            worst = max(worst, rel)
+        t1, t2 = _interior_thetas(params, n_pts, rng)
+        pieces = _pieces_arr(params, t1, t2)
+        inv_q = w / (1.0 - 2.0 * h_value(y, ThetaPair(t1[:, None], t2[:, None]), params))
+        g1, g2 = pieces["grad1"], pieces["grad2"]
+        errors.append(np.hypot(g1 - inv_q @ (1.0 - x - y * y), g2 - inv_q @ (y - eps))
+                      / np.maximum(np.hypot(g1, g2), 1e-12))
+    # a NaN (a point the kernel refuses) propagates, and fails the check
+    worst = float(np.max(np.concatenate(errors)))
     ok = worst < GRAD_RTOL
     return CheckResult(
-        "gradient-vs-finite-difference", ok,
-        f"{len(grid)} (x, eps) cells x {n_pts} points, worst rel err = {worst:.2e} "
-        f"(tol {GRAD_RTOL:g})",
+        "gradient-vs-quadrature", ok,
+        f"{len(grid)} (x, eps) cells x {n_pts} points, worst rel err against "
+        f"{nodes}-node Gauss-Legendre = {worst:.2e} (tol {GRAD_RTOL:g})",
     )
 
 
@@ -215,14 +223,14 @@ def check_small_n(level: str = "fast") -> CheckResult:
 
 
 @functools.cache
-def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the GL_NODES-point rule on [-1, 1], built once."""
-    return np.polynomial.legendre.leggauss(GL_NODES)
+def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Legendre rule on [-1, 1], built once per order."""
+    return np.polynomial.legendre.leggauss(nodes)
 
 
 def gauss_legendre(f, a: float, b: float) -> float:
     """Int_a^b f by the GL_NODES-point Gauss-Legendre rule; f takes an array."""
-    x, w = _legendre_rule()
+    x, w = _legendre_rule(GL_NODES)
     half = 0.5 * (b - a)
     return half * float(w @ f(a + half * (x + 1.0)))
 

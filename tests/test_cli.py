@@ -396,6 +396,29 @@ def test_ensemble_byte_identity_across_workers(tmp_path, capsys):
     assert (d1 / "ensemble.csv").read_bytes() == (d2 / "ensemble.csv").read_bytes()
 
 
+@pytest.mark.parametrize("model, classes", [("SQUIM_d1", "33"), ("SCWM", None)])
+def test_ensemble_manifest_records_the_chain_class_count(tmp_path, capsys, model, classes):
+    args = ["ensemble", "--model", model, "--n", "8", "--samples", "2000",
+            "--workers", "1", "--out-dir", str(tmp_path)]
+    assert run(args) == 0
+    capsys.readouterr()
+    man = json.loads(read(tmp_path / "ensemble_manifest.json"))
+    assert man.get("diag.classes") == classes
+
+
+@pytest.mark.parametrize("argv, stem, stages", [
+    (["wfe"], "wfe_transition", ("beta_critical_s", "write_csv_s")),
+    (["wfe", "--delta", "0.8"], "wfe_transition", ("beta_critical_s", "write_csv_s")),
+    (["esm", "--n", "8"], "esm", ("evaluate_s", "write_csv_s")),
+])
+def test_wfe_and_esm_manifests_record_stage_times(tmp_path, capsys, argv, stem, stages):
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    man = json.loads(read(tmp_path / f"{stem}_manifest.json"))
+    assert sorted(k for k in man if k.startswith("time.")) == sorted(f"time.{s}" for s in stages)
+    assert all(float(man[f"time.{s}"]) >= 0.0 for s in stages)
+
+
 def test_domain_scan_outputs(tmp_path, capsys):
     assert (
         run(
@@ -476,14 +499,15 @@ def test_rate_curves_manifest_records_the_dual(tmp_path, capsys):
     assert float(man["time.sample_s"]) > 0.0 and float(man["time.dual_s"]) > 0.0
     for x, _i1, i2, accepted, _n, _seed in rows:
         key = repr(float(x))
-        if accepted == "0":
-            # the empty-G marker row has no dual solve behind it
-            assert i2 == "nan" and f"diag.dual_gap.{key}" not in man
-            continue
         assert float(man[f"diag.dual_gap.{key}"]) <= 2e-9
-        assert float(i2) <= float(man[f"diag.sampled_k_min.{key}"])
         assert int(man[f"diag.newton_iters.{key}"]) > 0
-        assert float(man[f"diag.noise_band.{key}"]) > 0.0
+        if accepted == "0":
+            # the empty-G marker row keeps its dual record, but has no
+            # sampled minimum to bracket it
+            assert i2 == "nan" and f"diag.sampled_k_min.{key}" not in man
+        else:
+            assert float(i2) <= float(man[f"diag.sampled_k_min.{key}"])
+            assert float(man[f"diag.noise_band.{key}"]) > 0.0
         theta1, theta2 = (float(v) for v in man[f"diag.theta_star.{key}"].split(","))
         assert theta1 <= 0.0 <= theta2
 
@@ -496,7 +520,21 @@ def test_rate_curves_sample_time_counts_empty_constraint_rows(tmp_path, capsys):
     assert "1 with empty constraint set" in capsys.readouterr().out
     man = json.loads(read(tmp_path / "rate_curve_manifest.json"))
     assert float(man["time.sample_s"]) > 0.0
-    assert float(man["time.dual_s"]) == 0.0
+    # the dual still runs for the marker row, and is timed and recorded
+    assert float(man["time.dual_s"]) > 0.0
+    assert float(man["diag.dual_gap.0.1"]) <= 2e-9
+
+
+def test_rate_curves_marker_row_stands_when_the_dual_refuses_too(tmp_path, capsys):
+    # x = 0.05 misses G, and the dual's start point is not strictly inside D
+    args = ["rate-curves", "--x-list", "0.05", "--eps", "0.1", "--samples", "50000",
+            "--workers", "1", "--out-dir", str(tmp_path)]
+    assert run(args) == 0
+    assert "1 with empty constraint set" in capsys.readouterr().out
+    row = read(tmp_path / "rate_curve.csv").splitlines()[1].split(",")
+    assert row[2] == "nan" and row[3] == "0"
+    man = json.loads(read(tmp_path / "rate_curve_manifest.json"))
+    assert not [k for k in man if k.startswith("diag.") and k.endswith(".0.05")]
 
 
 def test_rate_curves_exit_3_when_the_dual_does_not_certify(tmp_path, capsys, monkeypatch):
@@ -533,7 +571,7 @@ def test_validate_fast_passes(tmp_path, capsys):
     man = json.loads(read(tmp_path / "validate_manifest.json"))
     assert {k: v for k, v in man.items() if k.startswith("param.")} == {"param.level": "fast"}
     assert man["seed"] == "0"
-    names = ("quadrature-vs-closed-form", "gradient-vs-finite-difference", "beta0-moment-oracle",
+    names = ("quadrature-vs-closed-form", "gradient-vs-quadrature", "beta0-moment-oracle",
              "small-N-enumerations", "uif-circle-identity", "concentration-bound-2-sphere")
     assert sorted(k for k in man if k.startswith("diag.check.")) == sorted(
         f"diag.check.{n}.{key}" for n in names for key in ("ok", "detail"))

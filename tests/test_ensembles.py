@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from squimld import InvalidParams, classical_ising_1d
 from squimld.ensembles import (
     FULL_N_MAX,
+    chain_classes,
     chain_tables,
     g_values,
     log_binomials,
@@ -101,6 +102,28 @@ def test_chain_tables_identities(n_spins):
     assert float(interaction.max()) == pytest.approx((n_spins - 1) / 4.0)
 
 
+@pytest.mark.parametrize("n_spins", range(2, 17))
+def test_chain_classes_are_the_enumerated_classes(n_spins):
+    m, flips, count = chain_classes(n_spins)
+    m_conf, _interaction, flips_conf = chain_tables(n_spins)
+    keys, counts = np.unique(np.stack([m_conf, flips_conf], axis=1), axis=0, return_counts=True)
+    assert sorted(zip(m, flips, count)) == sorted(
+        (mm, ff, float(cc)) for (mm, ff), cc in zip(keys, counts))
+    assert float(count.sum()) == 2.0**n_spins
+
+
+def test_chain_class_counts_by_hand():
+    assert chain_classes(8)[0].size == 33
+    assert chain_classes(20)[0].size == 201
+    m, flips, count = chain_classes(20)
+    assert float(count.sum()) == 2.0**20
+    # the two uniform chains, and the 2 (N - 1) chains with one flip
+    assert count[flips == 0].tolist() == [1.0, 1.0]
+    assert float(count[flips == 1].sum()) == 2.0 * 19
+    with pytest.raises(InvalidParams):
+        chain_classes(1)
+
+
 def test_chain_tables_guards():
     with pytest.raises(InvalidParams):
         chain_tables(1)
@@ -168,6 +191,22 @@ def test_transfer_matrix_moments_match_enumeration(n_spins, beta, lam):
 def test_zero_field_variance_matches_closed_form(n_spins, beta):
     _, _, var_m = classical_ising_1d(n_spins, beta)
     assert var_m == pytest.approx(chain_var_closed_form(n_spins, beta), rel=1e-12)
+
+
+@pytest.mark.parametrize("beta, lam, log_z, mean_m, var_m", [
+    # mpmath at 40 digits: the same w^T T^{N-1} w by square-and-multiply,
+    # with mean and var of M from mpmath.diff of log Z in lam
+    (3.0, -0.4, 10116.72710920829750856551, -4853.348906989772291084142,
+     710.4346646489636717074243),
+    (3.0, 0.8, 12087.23365438984580002768, 4963.543067266108315715877,
+     94.88907484999784908198923),
+])
+def test_transfer_matrix_in_a_field_at_large_n_matches_mpmath(beta, lam, log_z, mean_m, var_m):
+    # var M is of order N while mean M^2 is of order N^2: the centred jet
+    # keeps var M from being their difference
+    got = classical_ising_1d(10_000, beta, lam)
+    for value, want in zip(got, (log_z, mean_m, var_m)):
+        assert value == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_magnetization_moments():

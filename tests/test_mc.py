@@ -30,7 +30,7 @@ from squimld import (
     thermal_averages,
 )
 from squimld import mc
-from squimld.ensembles import chain_tables, g_values
+from squimld.ensembles import chain_classes, chain_tables, g_values
 from squimld.mc import MODELS, OBSERVABLES
 
 
@@ -78,12 +78,12 @@ ONE_PASS_CONFIGS = [
     dict(model="SCWM_ENTROPY", N=8, beta=40.0, samples=40_000, seed=2, eps=0.5),
     dict(model="SCWM_WFE", N=8, beta=40.0, omega=1.2, samples=40_000, seed=2, eps=0.5),
     dict(model="SQUIM_d1", N=8, beta=0.2, samples=40_000, seed=2, eps=0.01),
-    # 4096 cells, 8000 / mc.SHARDS = 125 samples per shard: with chunks of
-    # N12_CHUNK_SCALARS each shard spans three full chunks and a partial
-    # fourth.  In-process, so the shards see the patched chunk size.
+    # 73 chain classes, 8000 / mc.SHARDS = 125 samples per shard: with
+    # chunks of N12_CHUNK_SCALARS each shard spans three full chunks and a
+    # partial fourth.  In-process, so the shards see the patched chunk size.
     dict(model="SQUIM_d1", N=12, beta=0.05, samples=8_000, workers=1, seed=2, eps=0.005),
 ]
-N12_CHUNK_SCALARS = 32 * 2**12
+N12_CHUNK_SCALARS = 32 * 73
 
 
 @pytest.mark.parametrize("kw", ONE_PASS_CONFIGS, ids=lambda kw: f"{kw['model']}-N{kw['N']}")
@@ -99,7 +99,9 @@ def test_one_pass_equals_one_call_per_observable(kw, monkeypatch):
 def test_one_pass_spans_several_chunks():
     # the N = 12 case above only tests the chunk merge if it really has one
     kw = ONE_PASS_CONFIGS[-1]
-    rows = N12_CHUNK_SCALARS // 2 ** kw["N"]
+    classes = chain_classes(kw["N"])[0].size
+    assert classes == 73
+    rows = N12_CHUNK_SCALARS // classes
     assert kw["workers"] == 1
     assert 3 * rows < kw["samples"] // mc.SHARDS < 4 * rows
 
@@ -216,12 +218,22 @@ def test_beta_zero_brute_force_cross_check():
     assert abs(float(msq.mean()) - 1.0 / 6.0) < 3.0 * se
 
 
+def test_shape_one_gamma_draws_are_the_exponential_draws():
+    # the one-cell-per-column models draw at shape 1.0, and their outputs
+    # stay those of standard_exponential only while numpy keeps this
+    one = mc.shard_rng(3, 5).standard_gamma(1.0, (50, 9))
+    assert np.array_equal(one, mc.shard_rng(3, 5).standard_exponential((50, 9)))
+
+
 def test_squim_chain_beta_zero_oracle():
-    # flat Dirichlet over K = 2^N cells: [m^2] = sum g^2 / (K (K+1))
-    n_spins = 2
-    cfg = EnsembleConfig(N=n_spins, beta=0.0, model="SQUIM_d1", samples=200_000, seed=7)
-    est = thermal_average(cfg, "msq")
-    assert abs(est.mean - 0.1) < 3.0 * est.std_error
+    # flat Dirichlet over K = 2^N cells: [m^2] = sum g^2 / (K (K+1)) with
+    # sum g^2 = K / N, so 1/(N (2^N + 1)); at N = 8 the sampler draws 33
+    # class columns, and K = 256 still sets the law
+    for n_spins, seed in ((2, 7), (8, 4)):
+        cfg = EnsembleConfig(N=n_spins, beta=0.0, model="SQUIM_d1", samples=200_000, seed=seed)
+        est = thermal_average(cfg, "msq")
+        assert est.weight_ess == cfg.samples
+        assert abs(est.mean - 1.0 / (n_spins * (2**n_spins + 1))) < 3.0 * est.std_error
 
 
 def test_entropy_weighting_shifts_mass_to_center():
