@@ -55,10 +55,11 @@ from .mc import (
 from .parallel import available_cores, resolve_workers
 from .ratecurves import (
     I2_MIN_SAMPLES,
+    SCAN_DTYPE,
     SHARDS as RATE_SHARDS,
     compute_I1,
     compute_I2,
-    domain_scan,
+    domain_scan_csv,
     solve_dual,
 )
 from .report import (
@@ -66,6 +67,7 @@ from .report import (
     domain_plot_script,
     rate_plot_script,
     utc_now,
+    write_blocks,
     write_csv,
     write_text,
 )
@@ -173,26 +175,32 @@ def cmd_domain_scan(args) -> int:
     workers = resolve_workers(args.workers, RATE_SHARDS)
     started = utc_now()
     params = RateParams(x=args.x, eps=args.eps)
-    clock_start = time.perf_counter()
-    theta1, theta2, in_d, in_g, k = domain_scan(params, args.samples, seed=args.seed,
-                                                workers=workers)
-    clock_scanned = time.perf_counter()
+    shards = domain_scan_csv(params, args.samples, seed=args.seed, workers=workers)
+    totals = dict.fromkeys(("d_points", "g_points", "scan_s", "format_s", "write_csv_s"), 0)
+
+    def blocks():
+        # each shard's text as it arrives; the time until the writer asks
+        # for the next block is its file-write time
+        for part in shards:
+            for key in ("d_points", "g_points", "scan_s", "format_s"):
+                totals[key] += getattr(part, key)
+            clock = time.perf_counter()
+            yield part.text, part.fallback_cells
+            totals["write_csv_s"] += time.perf_counter() - clock
+
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    rows = np.rec.fromarrays([theta1, theta2, in_d, in_g, k], dtype=[
-        ("theta1", float), ("theta2", float), ("in_D", bool), ("in_G", bool), ("k", float)])
     csv_path = args.out_dir / "domain_scan.csv"
-    fallback_cells = write_csv(csv_path, rows, workers)
-    clock_written = time.perf_counter()
+    fallback_cells = write_blocks(csv_path, SCAN_DTYPE.names, blocks())
     gp_path = args.out_dir / "domain_scan.gp"
     write_text(gp_path, domain_plot_script("domain_scan.csv"))
     _manifest(
         args, "domain_scan", [csv_path.name, gp_path.name], started,
         seed=args.seed, workers=workers,
-        timings={"scan_s": clock_scanned - clock_start,
-                 "write_csv_s": clock_written - clock_scanned},
-        diagnostics={"csv_fallback_cells": fallback_cells},
+        timings={key: totals[key] for key in ("scan_s", "format_s", "write_csv_s")},
+        diagnostics={"csv_fallback_cells": fallback_cells, "d_points": totals["d_points"],
+                     "g_points": totals["g_points"]},
     )
-    print(f"wrote {csv_path} ({int(in_d.sum())} D-points, {int(in_g.sum())} G-points)")
+    print(f"wrote {csv_path} ({totals['d_points']} D-points, {totals['g_points']} G-points)")
     return 0
 
 
@@ -270,7 +278,7 @@ def cmd_wfe(args) -> int:
         res, beta_c = beta_critical(p)
         row = (omega, eps, r, p.delta, res.p_star_inf, res.y_at_inf, beta_c, 1)
         diagnostics = {"theta_at_min": res.theta_at_min, "theta_lo": res.theta_range[0],
-                       "theta_hi": res.theta_range[1]}
+                       "theta_hi": res.theta_range[1], "root_evals": res.root_evals}
     clock_solved = time.perf_counter()
     args.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = args.out_dir / "wfe_transition.csv"

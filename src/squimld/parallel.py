@@ -14,14 +14,15 @@ process may run on (os.sched_getaffinity), capped at the shard count;
 `resolve_workers` is the one place that turns a requested count into the
 one used.  One worker runs everything in-process.  More workers run on one
 ProcessPoolExecutor per process, built on first use and reused by every
-later call (map_shards here, block formatting in report.write_csv), so a
-command that maps many jobs starts its worker processes once.  The pool is
-rebuilt only when a call asks for a different worker count, or after a
-worker process died.  `ordered_map` keeps at most TASKS_PER_WORKER x
-workers items in flight, so a long input streams through the pool instead
-of being queued whole.  map_shards sends its shards as that many
-contiguous groups, one task each: a job of many small shards then pays a
-few round trips to the pool instead of one per shard.
+later call, so a command that maps many jobs starts its worker processes
+once.  The pool is rebuilt only when a call asks for a different worker
+count, or after a worker process died.  `iter_shards` sends the shards as
+TASKS_PER_WORKER x workers contiguous groups, one task each: a job of many
+small shards then pays a few round trips to the pool instead of one per
+shard.  It yields the results in shard order as the groups finish, so a
+caller that streams them (domain-scan writes each shard's CSV text as it
+arrives) never waits for the whole job; `map_shards` collects them into a
+list.
 
 The pool uses the platform's default start method: fork on Linux up to
 Python 3.13, forkserver from 3.14.  Both work because the functions sent to
@@ -56,7 +57,7 @@ import numpy as np
 # of each importing it inside the sampling call.
 import numpy.random  # noqa: F401
 
-# Tasks per worker in flight, and shard groups per worker in map_shards:
+# Shard groups per worker in iter_shards, each one pool task:
 # two keep each worker busy while the parent collects a result.  With one
 # task per shard, the benchmark's 64-shard ensemble calls ran 1.5-1.9x
 # slower on the pool of a 2-core Xeon host.
@@ -144,25 +145,34 @@ def _drop_pool() -> None:
     _pool, _pool_workers = None, 0
 
 
-def ordered_map(fn, items, workers: int):
-    """Yield fn(item) for each item, in input order.
+def _run_shards(shards: range, fn, payload) -> list:
+    return [fn(s, payload) for s in shards]
 
-    workers <= 1 runs in-process.  Otherwise the items run on the shared
-    pool with at most TASKS_PER_WORKER x workers of them submitted and not
-    yet yielded.
+
+def iter_shards(fn, payload, shards: int, workers: int | None = None):
+    """Yield fn(shard, payload) for shard = 0..shards-1, in shard order.
+
+    workers is resolved by `resolve_workers`; one worker runs in-process,
+    shard by shard.  More split the shards into TASKS_PER_WORKER x workers
+    contiguous groups, one pool task each, and yield a group's results as
+    soon as it and every earlier group have finished, so a caller can
+    consume the first shards while later ones still run.  The sequence
+    yielded is identical either way.
     """
-    if workers <= 1:
-        yield from map(fn, items)
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    workers = resolve_workers(workers, shards)
+    if workers == 1:
+        yield from (fn(s, payload) for s in range(shards))
         return
+    groups = min(shards, TASKS_PER_WORKER * workers)
+    edges = [shards * i // groups for i in range(groups + 1)]
+    job = partial(_run_shards, fn=fn, payload=payload)
     pool = process_pool(workers)
-    pending: deque = deque()
+    pending = deque(pool.submit(job, range(a, b)) for a, b in zip(edges[:-1], edges[1:]))
     try:
-        for item in items:
-            if len(pending) == TASKS_PER_WORKER * workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, item))
         while pending:
-            yield pending.popleft().result()
+            yield from pending.popleft().result()
     except BrokenProcessPool:
         _drop_pool()
         raise
@@ -171,22 +181,6 @@ def ordered_map(fn, items, workers: int):
             future.cancel()
 
 
-def _run_shards(shards: range, fn, payload) -> list:
-    return [fn(s, payload) for s in shards]
-
-
 def map_shards(fn, payload, shards: int, workers: int | None = None) -> list:
-    """Run fn(shard, payload) for shard = 0..shards-1, in shard order.
-
-    workers is resolved by `resolve_workers`; one worker runs in-process,
-    more run TASKS_PER_WORKER x workers contiguous groups of shards on the
-    shared pool.  The output list is identical either way.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    workers = resolve_workers(workers, shards)
-    groups = min(shards, TASKS_PER_WORKER * workers) if workers > 1 else 1
-    edges = [shards * i // groups for i in range(groups + 1)]
-    job = partial(_run_shards, fn=fn, payload=payload)
-    parts = ordered_map(job, map(range, edges[:-1], edges[1:]), workers)
-    return [out for part in parts for out in part]
+    """The list of `iter_shards`' results: fn(shard, payload) in shard order."""
+    return list(iter_shards(fn, payload, shards, workers))

@@ -44,6 +44,10 @@ SHARDS shards, and every sampled number is a function of (seed, shard
 index) only, the combo included.  Both shard workers, the scan's and I2's,
 draw through the one path `_shard_draw` and call the kernel on the draws
 they need: the scan on all of them, I2 only on those that can be in G.
+The scan has two outlets over the one `_scan_shard`: `domain_scan` returns
+its rows as columns, and `domain_scan_csv` has each shard format its rows
+as SCAN_DTYPE CSV text in the worker and yields the texts in shard order,
+so domain-scan's table crosses the process pool once, as text.
 """
 
 from __future__ import annotations
@@ -51,13 +55,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DualNotCertified, InvalidParams, NoConstraintPoints
 from .gecore import (RateParams, _b_of, _pieces_arr, _q_shape, axis_k_t, root_toward,
                      solve_Q_detail)
-from .parallel import map_shards, shard_rng, split_counts
+from .parallel import iter_shards, map_shards, shard_rng, split_counts
+from .report import format_records
 
 # The (eta, alpha direction, theta1 direction) of the D sampler; shard s
 # draws under COMBOS[s % 7].  One plain pass (eta = 0 is uniform whatever
@@ -80,6 +86,9 @@ COMBOS = (
 # Shards of every D-sampler job, fixed because every sampled byte depends
 # on it: 63 = 9 x 7, so each of the 7 COMBOS receives the same number.
 SHARDS = 63
+# The columns of domain-scan's CSV, in order; each dtype sets its column's format.
+SCAN_DTYPE = np.dtype([("theta1", float), ("theta2", float), ("in_D", bool), ("in_G", bool),
+                       ("k", float)])
 # The fewest draws of D that compute_I2 accepts.
 I2_MIN_SAMPLES = 10**4
 
@@ -226,10 +235,17 @@ def _shard_draw(shard: int, payload):
 
 
 def _scan_shard(shard: int, payload):
-    """Worker: sample one shard and return raw columns for the scan CSV."""
+    """Worker: one shard's draws and their kernel values, as the SCAN_DTYPE columns."""
     theta1, theta2 = _shard_draw(shard, payload)
     pieces = _pieces_arr(payload[0], theta1, theta2)
     return theta1, theta2, pieces["in_D"], _in_G(pieces), pieces["k"]
+
+
+def _scan_payload(params: RateParams, n_samples: int, seed: int):
+    """The _scan_shard payload of a scan of n_samples draws; refuses n_samples < 1."""
+    if n_samples < 1:
+        raise InvalidParams(f"n_samples must be >= 1, got {n_samples}")
+    return params, split_counts(n_samples, SHARDS), seed
 
 
 def domain_scan(params: RateParams, n_samples: int, seed: int = 0,
@@ -239,16 +255,41 @@ def domain_scan(params: RateParams, n_samples: int, seed: int = 0,
     Row order is fixed by the seed: SHARDS blocks in shard order, draws in
     stream order inside each block.  Raises InvalidParams for n_samples < 1.
     """
-    if n_samples < 1:
-        raise InvalidParams(f"n_samples must be >= 1, got {n_samples}")
-    counts = split_counts(n_samples, SHARDS)
-    parts = map_shards(_scan_shard, (params, counts, seed), SHARDS, workers)
-    theta1 = np.concatenate([p[0] for p in parts])
-    theta2 = np.concatenate([p[1] for p in parts])
-    in_d = np.concatenate([p[2] for p in parts])
-    in_g = np.concatenate([p[3] for p in parts])
-    k = np.concatenate([p[4] for p in parts])
-    return theta1, theta2, in_d, in_g, k
+    parts = map_shards(_scan_shard, _scan_payload(params, n_samples, seed), SHARDS, workers)
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+class ScanText(NamedTuple):
+    """One shard's domain-scan rows as CSV text, and what it took."""
+
+    text: bytes
+    fallback_cells: int  # cells formatted one at a time
+    d_points: int
+    g_points: int
+    scan_s: float  # drawing and kernel seconds
+    format_s: float
+
+
+def _scan_text_shard(shard: int, payload) -> ScanText:
+    """Worker: one shard's _scan_shard rows, formatted as SCAN_DTYPE CSV."""
+    clock = time.perf_counter()
+    cols = _scan_shard(shard, payload)
+    scanned = time.perf_counter()
+    text, single = format_records(np.rec.fromarrays(cols, dtype=SCAN_DTYPE))
+    return ScanText(text, single, int(np.count_nonzero(cols[2])), int(np.count_nonzero(cols[3])),
+                    scanned - clock, time.perf_counter() - scanned)
+
+
+def domain_scan_csv(params: RateParams, n_samples: int, seed: int = 0,
+                    workers: int | None = None):
+    """domain_scan's rows as CSV text: yields each shard's ScanText in shard
+    order, as the pool finishes it.
+
+    Joined under a SCAN_DTYPE header, the texts are byte for byte
+    report.write_csv of domain_scan's columns as a SCAN_DTYPE record
+    array.  Raises InvalidParams for n_samples < 1.
+    """
+    return iter_shards(_scan_text_shard, _scan_payload(params, n_samples, seed), SHARDS, workers)
 
 
 # ---------------------------------------------------------------------------

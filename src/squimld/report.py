@@ -1,13 +1,18 @@
 """Output emission: fixed-schema CSV files, run manifests, and plot scripts.
 
-Every CSV is a record array with an explicit dtype, written by the one
-writer, `write_csv`, under a header of its field names.  A column's
-format follows from its dtype kind: a float cell is printed with 17
-significant digits ("%.17g"), so a value survives a round trip through
-text exactly; a bool cell as 1/0; an int cell with "%d"; anything else
-with "%s".  Rows are formatted and written a block of CHUNK_ROWS at a
-time, so a table never sits in memory as text; each block comes back as
-bytes and the file is written in binary.
+Every CSV is a record array with an explicit dtype, under a header of its
+field names.  One formatter, `format_records`, turns a block of rows into
+CSV bytes, and one writer, `write_blocks`, writes the header and then the
+formatted blocks in the order they come.  `write_csv` feeds it a record
+array, CHUNK_ROWS rows per block, so a table never sits in memory as
+text; domain-scan feeds it the blocks its sampling shards format in the
+worker that drew them (ratecurves.domain_scan_csv), so its rows cross the
+process pool once, as text.  A column's format follows from its dtype kind: a float
+cell is printed with 17 significant digits ("%.17g"), so a value survives
+a round trip through text exactly; a bool cell as 1/0; an int cell with
+"%d"; anything else with "%s".  Each cell's bytes depend on its value
+alone, never on the block it was formatted in, so any split of a table
+into blocks writes the same file.
 
 A block is formatted into a byte matrix whose empty slots hold a pad
 byte, deleted afterwards with bytes.translate.  Its float columns go
@@ -18,18 +23,11 @@ digits are the exact integer round(|v| * 10^(16 - E)), E = floor(log10
 gets a slot for the decimal point after it.  nan, inf and -inf are
 written by the kernel too, and bool cells directly.  Only the remaining
 float cells (zeros, subnormals, |v| < 1e-4, |v| >= 1e16) and int and
-text cells are formatted one at a time with %; `write_csv` returns how
-many.  The kernel's bytes equal "%.17g"'s for every float64, and an int
-column prints every value of its dtype exactly (a seed column is uint64).
-
-With workers > 1, a table of more than one block has its blocks formatted
-on the shared process pool of `parallel` (built on first use, reused by
-every later call, fork start method on Linux before Python 3.14 and
-forkserver from 3.14; `_format_records` is module-level, so both work)
-and written in order, with at most parallel.TASKS_PER_WORKER x workers
-(2 x workers) blocks in flight, so the text held in memory stays bounded.
-The bytes do not depend on the worker count; they are the determinism
-contract for repeated runs.
+text cells are formatted one at a time with %; the formatter and the
+writers return how many.  The kernel's bytes equal "%.17g"'s for every
+float64, and an int column prints every value of its dtype exactly (a
+seed column is uint64).  The bytes are the determinism contract for
+repeated runs.
 
 The manifest is a flat JSON object with string keys and string values
 recording what produced the outputs and the estimator's diagnostics
@@ -51,7 +49,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .parallel import ordered_map
 
 FLOAT_FMT = "%.17g"
 # Rows formatted and written per block; bounds the text held in memory.
@@ -211,7 +208,7 @@ def _cell_bytes(spec: str, values: np.ndarray, width: int = 0) -> np.ndarray:
     return matrix.view(np.uint8).reshape(len(cells), matrix.itemsize)
 
 
-def _format_records(block: np.ndarray) -> tuple[bytes, int]:
+def format_records(block: np.ndarray) -> tuple[bytes, int]:
     """A block of a record array as CSV bytes, and the number of cells
     formatted one at a time.
 
@@ -254,26 +251,25 @@ def _format_records(block: np.ndarray) -> tuple[bytes, int]:
     return b"".join(texts), count
 
 
-def write_csv(path: str | Path, rows: np.ndarray, workers: int = 1) -> int:
-    """Write the record array rows as CSV under a header of its field names,
-    CHUNK_ROWS rows per formatting call; return the number of cells
-    formatted one at a time.
-
-    With workers > 1 a table of more than one block has its blocks
-    formatted on the process pool; the bytes written are the same for
-    every worker count.
-    """
-    starts = range(0, len(rows), CHUNK_ROWS)
-    if len(starts) <= 1:
-        workers = 1
-    blocks = (rows[start:start + CHUNK_ROWS] for start in starts)
+def write_blocks(path: str | Path, names, blocks) -> int:
+    """Write CSV under a header of the field names, then each formatted
+    block in turn; blocks yields (bytes, cells formatted one at a time)
+    pairs, as format_records returns them.  Returns the summed count."""
     single = 0
     with open(path, "wb") as out:
-        out.write((",".join(rows.dtype.names) + "\n").encode())
-        for text, count in ordered_map(_format_records, blocks, workers):
+        out.write((",".join(names) + "\n").encode())
+        for text, count in blocks:
             out.write(text)
             single += count
     return single
+
+
+def write_csv(path: str | Path, rows: np.ndarray) -> int:
+    """Write the record array rows as CSV under a header of its field names,
+    CHUNK_ROWS rows per formatted block; return the number of cells
+    formatted one at a time."""
+    blocks = (rows[start:start + CHUNK_ROWS] for start in range(0, len(rows), CHUNK_ROWS))
+    return write_blocks(path, rows.dtype.names, map(format_records, blocks))
 
 
 def utc_now() -> str:

@@ -42,20 +42,21 @@ GL_NODES = 32
 # Nodes of the rule behind the kernel checks, per level.  The integrands
 # 1/q, log q and a_i/q are nearly singular where q_min is small (down to
 # GRAD_QMIN at full level), so the order is where the error stops falling:
-# at full level 256 nodes leave 5e-6, 1024 reach 3e-12 and 4096 drift back
-# to 1e-10, as numpy's rule itself loses digits.  Fast-level points keep
-# q_min >= 0.027, converged at 256 nodes.
+# at full level 256 nodes leave 5e-6, 512 3e-11, and 1024, 2048 and 4096
+# all 2e-13.  Fast-level points keep q_min >= 0.027, converged at 256 nodes.
 KERNEL_NODES = {"fast": 256, "full": 1024}
 # Worst |closed form - quadrature| of c and Int 1/q over the cases below:
-# 5e-15 at fast level, 4e-14 at full level; 25x margin over the latter
+# 9e-16 at fast level, 7e-16 at full level (5e-15 and 4e-14 with numpy's
+# leggauss rule, which set this bound)
 QUAD_TOL = 1e-12
 # Points of the periodic trapezoid on the circle; its error falls like
 # 2 I_{n/2}(1/2), below double precision from 32 points, so 64 leave margin
 CIRCLE_POINTS = 64
 # Gradient points keep min q over [-1, 1] at least this far from 0
 GRAD_QMIN = 1e-4
-# Worst relative |grad c - quadrature|: 1e-13 at fast level, 2.8e-12 at
-# full level; 35x margin over the latter
+# Worst relative |grad c - quadrature|: 1.4e-14 at fast level, 2.1e-13 at
+# full level (1e-13 and 2.8e-12 with numpy's leggauss rule, which set this
+# bound)
 GRAD_RTOL = 1e-10
 # The I2 bracket: curve points where 10^6 draws reliably hit G.
 BRACKET_X = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
@@ -222,10 +223,43 @@ def check_small_n(level: str = "fast") -> CheckResult:
     )
 
 
+def _legendre_and_slope(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_n(x), P_n'(x)) by the three-term recurrence
+    (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1}, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(1, n):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return p1, n * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
+
+
 @functools.cache
 def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Gauss-Legendre rule on [-1, 1], built once per order."""
-    return np.polynomial.legendre.leggauss(nodes)
+    """Nodes (ascending) and weights of the Gauss-Legendre rule on [-1, 1],
+    built once per order.
+
+    Newton's method on P_n finds the nonnegative nodes from Tricomi's
+    guesses (1 - 1/(8n^2) + 1/(8n^3)) cos(pi (4k - 1)/(4n + 2)), k = 1..,
+    which are O(n^-4) off, so two to four steps reach the rounding level;
+    the weights are 2 / ((1 - x^2) P_n'(x)^2), and the negative half
+    mirrors the positive one.  Each step costs O(n^2), against the O(n^3)
+    eigenproblem of numpy's leggauss, and the rule integrates every
+    monomial of degree < 2n to within 1e-15 up to n = 4096 (leggauss
+    loses digits from a few hundred nodes).
+    """
+    n = nodes
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - 1.0 / (8.0 * n * n) + 1.0 / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(10):
+        value, slope = _legendre_and_slope(n, x)
+        step = value / slope
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    slope = _legendre_and_slope(n, x)[1]
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * slope * slope)
+    half = n // 2
+    x[half:] = 0.0  # the middle node of an odd rule
+    return np.concatenate([-x[:half], x[::-1]]), np.concatenate([w[:half], w[::-1]])
 
 
 def gauss_legendre(f, a: float, b: float) -> float:

@@ -159,6 +159,7 @@ class PStarResult:
     y_at_inf: float  # 0.0: the infimum is the y -> 0+ limit
     theta_range: tuple[float, float]
     theta_at_min: float  # the theta minimising p
+    root_evals: int  # _p_and_slope evaluations of the solve for theta_at_min
 
     def __post_init__(self):
         if not (self.p_star_inf > 0.0):
@@ -229,8 +230,9 @@ def p_theta(theta: float, p: WfeParams) -> float:
     return _p_and_slope(theta, p)[0]
 
 
-def _theta_at_slope(y: float, p: WfeParams) -> float:
-    """The admissible theta with p'(theta) = y, by gecore.root_toward.
+def _theta_at_slope(y: float, p: WfeParams) -> tuple[float, int]:
+    """The admissible theta with p'(theta) = y, by gecore.root_toward, and
+    the number of _p_and_slope evaluations the solve took.
 
     p' increases across the admissible interval and diverges at both ends,
     so stepping from 0 halfway to the end on the root's side brackets the
@@ -239,11 +241,15 @@ def _theta_at_slope(y: float, p: WfeParams) -> float:
     raises OutOfThetaRange.
     """
     lo, hi = theta_range(p)
+    evals = 0
 
     def excess(t):
+        nonlocal evals
+        evals += 1
         return _p_and_slope(t, p)[1] - y
 
-    return root_toward(excess, 0.0, hi if excess(0.0) < 0.0 else lo)
+    theta = root_toward(excess, 0.0, hi if excess(0.0) < 0.0 else lo)
+    return theta, evals
 
 
 def p_star(y: float, p: WfeParams) -> float:
@@ -252,7 +258,7 @@ def p_star(y: float, p: WfeParams) -> float:
     The objective is concave, so the supremum sits at the root of
     p'(theta) = y.
     """
-    theta = _theta_at_slope(y, p)
+    theta = _theta_at_slope(y, p)[0]
     return theta * y - p_theta(theta, p)
 
 
@@ -263,12 +269,13 @@ def p_star_inf(p: WfeParams) -> PStarResult:
     y -> 0+ limit, reported as y_at_inf = 0, and the minimising theta is
     the root of p'.
     """
-    theta = _theta_at_slope(0.0, p)
+    theta, evals = _theta_at_slope(0.0, p)
     return PStarResult(
         p_star_inf=-p_theta(theta, p),
         y_at_inf=0.0,
         theta_range=theta_range(p),
         theta_at_min=theta,
+        root_evals=evals,
     )
 
 

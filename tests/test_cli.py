@@ -16,12 +16,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import squimld
 from squimld.cli import ENV_PREFIX, main
+from squimld.gecore import RateParams
 from squimld.mc import SHARDS as MC_SHARDS
 from squimld.parallel import available_cores, resolve_workers
+from squimld.ratecurves import SCAN_DTYPE, domain_scan
+from squimld.report import write_csv
 
 
 def run(argv):
@@ -156,6 +160,7 @@ def test_wfe_csv_hypotheses_ok(tmp_path, capsys):
     res = squimld.p_star_inf(squimld.WfeParams(1.2, 0.1))
     assert float(man["diag.theta_at_min"]) == res.theta_at_min
     assert (float(man["diag.theta_lo"]), float(man["diag.theta_hi"])) == res.theta_range
+    assert man["diag.root_evals"] == str(res.root_evals) == "15"
 
 
 @pytest.mark.parametrize("flags, delta", [
@@ -174,6 +179,7 @@ def test_wfe_failed_hypotheses_row_not_error(tmp_path, capsys, flags, delta):
     assert float(cols[3]) == delta
     man = json.loads(read(tmp_path / "wfe_transition_manifest.json"))
     assert not [k for k in man if k.startswith("diag.theta_")]
+    assert "diag.root_evals" not in man
 
 
 @pytest.mark.parametrize("omega, r", [(1.2, 1.0 / 6.0), (1.5, 1.0 / 3.0), (0.0, math.nan)])
@@ -446,8 +452,9 @@ def test_domain_scan_byte_identity_across_workers(tmp_path, capsys):
 
 
 def test_domain_scan_default_workers_write_the_serial_bytes(tmp_path, capsys):
-    # 200,000 rows are more than one CSV block, so the default run formats
-    # them on the process pool wherever more than one core is available
+    # 200,000 rows are more than one CSV block, and the default run formats
+    # them in the sampling shards on the process pool wherever more than one
+    # core is available
     args = ["domain-scan", "--samples", "200000", "--seed", "5"]
     d0, d1 = tmp_path / "default", tmp_path / "w1"
     assert run(args + ["--out-dir", str(d0)]) == 0
@@ -455,6 +462,32 @@ def test_domain_scan_default_workers_write_the_serial_bytes(tmp_path, capsys):
     capsys.readouterr()
     assert (d0 / "domain_scan.csv").read_bytes() == (d1 / "domain_scan.csv").read_bytes()
     assert json.loads(read(d1 / "domain_scan_manifest.json"))["workers"] == "1"
+
+
+def test_domain_scan_csv_is_write_csv_of_the_library_columns(tmp_path, capsys):
+    # 140,000 rows span three CSV blocks; three workers split the 63 shards
+    # into six uneven groups
+    columns = domain_scan(RateParams(x=0.7, eps=0.3), 140_000, seed=2, workers=1)
+    expected_path = tmp_path / "expected.csv"
+    write_csv(expected_path, np.rec.fromarrays(columns, dtype=SCAN_DTYPE))
+    expected = expected_path.read_bytes()
+    for workers in ("1", "2", "3"):
+        out = tmp_path / f"w{workers}"
+        assert run(["domain-scan", "--samples", "140000", "--seed", "2", "--workers", workers,
+                    "--out-dir", str(out)]) == 0
+        assert (out / "domain_scan.csv").read_bytes() == expected
+    capsys.readouterr()
+
+
+def test_domain_scan_manifest_counts_the_d_and_g_points(tmp_path, capsys):
+    assert run(["domain-scan", "--samples", "5000", "--seed", "9", "--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    table = np.loadtxt(tmp_path / "domain_scan.csv", delimiter=",", skiprows=1)
+    d_points, g_points = int(table[:, 2].sum()), int(table[:, 3].sum())
+    assert 0 < g_points < d_points < 5000
+    man = json.loads(read(tmp_path / "domain_scan_manifest.json"))
+    assert (man["diag.d_points"], man["diag.g_points"]) == (str(d_points), str(g_points))
+    assert f"({d_points} D-points, {g_points} G-points)" in out
 
 
 def test_rate_curves_rows_and_empty_constraint_marker(tmp_path, capsys):

@@ -21,6 +21,7 @@ from squimld import InvalidParams, mc, parallel, ratecurves, wfe
 from squimld.gecore import RateParams
 from squimld.parallel import (
     fold_shifted,
+    iter_shards,
     map_shards,
     process_pool,
     resolve_workers,
@@ -54,6 +55,15 @@ def test_consecutive_maps_reuse_one_executor(built_pools):
     assert map_shards(operator.pow, 2, shards=4, workers=2) == [0, 1, 4, 9]
     assert len(built_pools) == 1
     assert process_pool(2) is built_pools[0]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_iter_shards_yields_in_shard_order_as_groups_finish(built_pools, workers):
+    shards = iter_shards(operator.mul, 3, shards=7, workers=workers)
+    assert next(shards) == 0  # one shard at a time, not one list
+    assert list(shards) == [3, 6, 9, 12, 15, 18]
+    assert map_shards(operator.mul, 3, shards=7, workers=workers) == [0, 3, 6, 9, 12, 15, 18]
+    assert len(built_pools) == (workers > 1)
 
 
 def test_in_process_maps_build_no_executor(built_pools):

@@ -21,7 +21,7 @@ from squimld.gecore import RateParams
 from squimld.parallel import available_cores, resolve_workers
 from squimld.ratecurves import SHARDS, domain_scan
 from squimld.report import (CHUNK_ROWS, FIXED_MAX, FIXED_MIN, FLOAT_FMT, RunManifest,
-                            _format_records, write_csv)
+                            format_records, write_csv)
 
 
 def written(path):
@@ -92,8 +92,9 @@ def test_block_edges_match_line_by_line_reference(tmp_path, n_rows):
     assert written(path) == expected
 
 
-def test_pooled_blocks_write_the_serial_bytes(tmp_path):
-    # 3.5 blocks: three full ones and a partial last block
+def test_three_and_a_half_blocks_match_line_by_line_reference(tmp_path):
+    # three full blocks and a partial last block, with infinities and nans
+    # in both float columns
     n_rows = 3 * CHUNK_ROWS + CHUNK_ROWS // 2
     rng = np.random.default_rng(35)
     a = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
@@ -102,12 +103,9 @@ def test_pooled_blocks_write_the_serial_bytes(tmp_path):
     flag = rng.random(n_rows) < 0.5
     k = rng.standard_normal(n_rows)
     k[::97] = np.nan
-    rows = np.rec.fromarrays([a, flag, k], names="a,flag,k")
-    expected = reference_text(a, flag, k)
-    for workers in (1, 2, 3):
-        path = tmp_path / f"w{workers}.csv"
-        write_csv(path, rows, workers)
-        assert written(path) == expected
+    path = tmp_path / "rec.csv"
+    write_csv(path, np.rec.fromarrays([a, flag, k], names="a,flag,k"))
+    assert written(path) == reference_text(a, flag, k)
 
 
 def test_zero_rows_write_only_the_header(tmp_path):
@@ -143,8 +141,8 @@ def test_domain_scan_manifest_records_stage_times(tmp_path, capsys):
     # the resolved worker count, never the unset default
     assert man["workers"] == str(resolve_workers(None, SHARDS))
     assert man["diag.available_cores"] == str(available_cores())
-    assert float(man["time.scan_s"]) >= 0.0
-    assert float(man["time.write_csv_s"]) >= 0.0
+    for stage in ("scan_s", "format_s", "write_csv_s"):
+        assert float(man[f"time.{stage}"]) >= 0.0
 
 
 def test_manifest_writes_diagnostics_as_diag_keys():
@@ -164,7 +162,7 @@ def test_manifest_writes_diagnostics_as_diag_keys():
 def kernel_text(values) -> bytes:
     """The record-array writer's bytes for one float column."""
     rec = np.rec.fromarrays([np.asarray(values, dtype=np.float64)], names="v")
-    return _format_records(rec)[0]
+    return format_records(rec)[0]
 
 
 def percent_text(values) -> bytes:
@@ -235,7 +233,7 @@ def test_narrow_float_columns_print_as_python_floats():
     rec = np.rec.fromarrays([single, half], names="single,half")
     expected = "".join(f"{FLOAT_FMT % float(a)},{FLOAT_FMT % float(b)}\n"
                        for a, b in zip(single, half))
-    assert _format_records(rec)[0] == expected.encode()
+    assert format_records(rec)[0] == expected.encode()
 
 
 @pytest.mark.parametrize("n_rows", [2, 6000])
@@ -250,7 +248,7 @@ def test_float_columns_sharing_a_kernel_call_keep_their_places(n_rows):
     rec = np.rec.fromarrays(cols, names="a,s,b,c,flag,d,e")
     expected = "".join("%.17g,%s,%.17g,%.17g,%d,%.17g,%.17g\n" % row
                        for row in zip(*[col.tolist() for col in cols]))
-    assert _format_records(rec)[0] == expected.encode()
+    assert format_records(rec)[0] == expected.encode()
 
 
 def test_int_extremes_in_a_record_array(tmp_path):

@@ -3,14 +3,32 @@
 check_uif and check_concentration judge the two measure lemmas by
 numerical integrals; here each integral is checked against its value in
 closed form, so a quadrature rule that drifts shows before a lemma check
-reads it.
+reads it.  The Gauss-Legendre rule behind every check is held to the
+exact integrals of the monomials it must integrate exactly.
 """
 
 import math
 
+import numpy as np
 import pytest
 
-from squimld.validate import concentration_integrals, uif_sides
+from squimld.validate import _legendre_rule, concentration_integrals, uif_sides
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 256, 1024, 4096])
+def test_legendre_rule_integrates_monomials_below_degree_2n(n):
+    x, w = _legendre_rule(n)
+    assert len(x) == n and np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    # Int_{-1}^{1} y^d dy = 2/(d + 1) for even d, 0 for odd d; numpy's
+    # eigenvalue rule misses by 3.6e-15 at n = 256 and 2e-14 at n = 1024
+    power = np.ones(n)
+    worst = 0.0
+    for d in range(2 * n):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        worst = max(worst, abs(float(w @ power) - exact))
+        power *= x
+    assert worst <= 10.0 * np.finfo(float).eps
 
 
 def i0_half() -> float:

@@ -34,6 +34,7 @@ from squimld import (
     p_theta,
     rare_event_rate_mc,
 )
+from squimld import wfe
 from squimld.parallel import shard_rng
 from squimld.wfe import (
     RARE_BLOCK_WORDS,
@@ -213,6 +214,20 @@ def test_p_star_inf_frozen_value():
     assert res.y_at_inf == 0.0
     assert res.theta_range[0] < 0.0 < res.theta_range[1]
     assert res.p_star_inf == pytest.approx(p_star(0.0, P12), rel=1e-14)
+
+
+def test_p_star_inf_counts_the_root_solve_evaluations(monkeypatch):
+    thetas = []
+
+    def counted(theta, p):
+        thetas.append(theta)
+        return _p_and_slope(theta, p)
+
+    monkeypatch.setattr(wfe, "_p_and_slope", counted)
+    res = p_star_inf(P12)
+    # every evaluation but the last, p at theta*, belongs to the root solve
+    assert thetas[0] == 0.0 and thetas[-1] == res.theta_at_min
+    assert res.root_evals == len(thetas) - 1 == 15
 
 
 def test_theta_at_min_zeroes_the_slope_of_p():
