@@ -9,7 +9,6 @@ from .errors import (
     HypothesisViolation,
     InvalidParams,
     NearBoundary,
-    NoConstraintPoints,
     NoRoot,
     OutOfThetaRange,
     SquimldError,

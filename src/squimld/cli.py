@@ -13,16 +13,17 @@ built-in default.  Each option's type, default and range are declared once,
 in build_parser, and main hands the environment and config strings to
 argparse as the subcommand's defaults: every layer is parsed by the flag's
 own type, and a bad value from any layer exits 2 naming the flag.
---samples and --workers must lie in [1, 2^63 - 1] (rate-curves' --samples
-in [10^4, 2^63 - 1]), --n in [2, 2^63 - 1], and --seed in [0, 2^64 - 1]
-everywhere.  Each sampler's shard count is a constant of its module, so a
-sampled output depends on the command's inputs and --seed, never on
---workers.
+--samples and --workers must lie in [1, 2^63 - 1], --n in [2, 2^63 - 1],
+and --seed in [0, 2^64 - 1] everywhere, and a list option (--x-list,
+--observable) needs at least one entry.  Each sampler's shard count is a
+constant of its module, so a sampled output depends on the command's
+inputs and --seed, never on --workers.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure surfaced by the
 library (degenerate weights, boundary evaluations, an I2 dual solve that
-does not certify), 4 validation-suite failure.  Two outcomes are reported
-per row instead: an empty constraint set in rate-curves (NaN I2,
+does not certify) or an array too large to allocate, 4 validation-suite
+failure.  Two outcomes are reported per row instead: the empty-G marker
+point that compute_I2 returns when a rate-curves budget misses G (NaN I2,
 accepted_G = 0; the manifest still records the dual's theta_star, gap and
 Newton count when the dual certifies), and (omega, eps, delta) outside
 the transition-bound hypotheses in wfe (NaN p_star_inf and beta_c,
@@ -41,8 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .ensembles import chain_classes
-from .errors import (DualNotCertified, HypothesisViolation, InvalidParams, NoConstraintPoints,
-                     SquimldError)
+from .errors import HypothesisViolation, InvalidParams, SquimldError
 from .gecore import RateParams
 from .mc import (
     MODELS,
@@ -53,15 +53,7 @@ from .mc import (
     thermal_averages,
 )
 from .parallel import available_cores, resolve_workers
-from .ratecurves import (
-    I2_MIN_SAMPLES,
-    SCAN_DTYPE,
-    SHARDS as RATE_SHARDS,
-    compute_I1,
-    compute_I2,
-    domain_scan_csv,
-    solve_dual,
-)
+from .ratecurves import SCAN_DTYPE, SHARDS as RATE_SHARDS, compute_I2, domain_scan_csv
 from .report import (
     RunManifest,
     domain_plot_script,
@@ -84,14 +76,18 @@ NOT_PARAMETERS = {"command", "func", "config", "out_dir", "seed", "workers"}
 
 
 def _str_list(text: str) -> list[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip() != ""]
+    """An argparse type: the comma-separated tokens of text, refused when there are none."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip() != ""]
+    if not tokens:
+        raise argparse.ArgumentTypeError(f"empty list {text!r}")
+    return tokens
 
 
 def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
+    return [float(tok) for tok in _str_list(text)]
+
+
+_float_list.__name__ = "float list"  # argparse's "invalid float list value" for a bad entry
 
 
 def _int_at_least(low: int, high: int | None = None):
@@ -204,49 +200,25 @@ def cmd_domain_scan(args) -> int:
     return 0
 
 
-def _dual_diagnostics(x: float, theta: tuple[float, float], gap: float, iterations: int) -> dict:
-    """The manifest's record of the certified dual solve at x."""
-    return {f"theta_star.{x!r}": f"{theta[0]!r},{theta[1]!r}", f"dual_gap.{x!r}": gap,
-            f"newton_iters.{x!r}": iterations}
-
-
 def cmd_rate_curves(args) -> int:
     workers = resolve_workers(args.workers, RATE_SHARDS)
-    if not args.x_list:
-        print("error: empty x list", file=sys.stderr)
-        return 2
     started = utc_now()
     rows = []
     timings = {"sample_s": 0.0, "dual_s": 0.0}
     diagnostics = {}
     for x in args.x_list:
-        params = RateParams(x=x, eps=args.eps)
-        clock = time.perf_counter()
-        try:
-            pt = compute_I2(params, args.samples, seed=args.seed, workers=workers)
-        except NoConstraintPoints:
-            # flagged row: empty constraint set at this budget; its draws
-            # still count as sampling time.  The manifest still gets the
-            # dual's record, unless the dual refuses too.
-            timings["sample_s"] += time.perf_counter() - clock
-            rows.append((x, compute_I1(params), math.nan, 0, args.samples, args.seed))
-            clock = time.perf_counter()
-            try:
-                dual = solve_dual(params)
-            except DualNotCertified:
-                pass
-            else:
-                diagnostics.update(_dual_diagnostics(x, dual.theta, dual.gap, dual.iterations))
-            timings["dual_s"] += time.perf_counter() - clock
-            continue
-        rows.append((x, pt.I1, pt.I2, pt.accepted_G, args.samples, args.seed))
+        pt = compute_I2(RateParams(x=x, eps=args.eps), args.samples, seed=args.seed,
+                        workers=workers)
+        rows.append((x, pt.I1, pt.I2, pt.accepted_G, pt.samples, args.seed))
         timings["sample_s"] += pt.sample_s
         timings["dual_s"] += pt.dual_s
-        diagnostics.update({
-            **_dual_diagnostics(x, pt.theta_at_min, pt.dual_gap, pt.newton_iters),
-            f"sampled_k_min.{x!r}": pt.sampled_k_min,
-            f"noise_band.{x!r}": pt.noise_band,
-        })
+        if pt.theta_at_min is not None:  # the dual certified
+            diagnostics.update({f"theta_star.{x!r}": ",".join(map(repr, pt.theta_at_min)),
+                                f"dual_gap.{x!r}": pt.dual_gap,
+                                f"newton_iters.{x!r}": pt.newton_iters})
+        if pt.accepted_G:  # the sampled check exists
+            diagnostics.update({f"sampled_k_min.{x!r}": pt.sampled_k_min,
+                                f"noise_band.{x!r}": pt.noise_band})
     args.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = args.out_dir / "rate_curve.csv"
     table = np.array(rows, dtype=[("x", float), ("I1", float), ("I2", float),
@@ -312,7 +284,7 @@ def cmd_ensemble(args) -> int:
         ("observable", object), ("mean", float), ("std_error", float), ("n_samples", int),
         ("seed", np.uint64)]))
     clock_written = time.perf_counter()
-    diagnostics = {"weight_ess": estimates[0].weight_ess} if estimates else {}
+    diagnostics = {"weight_ess": estimates[0].weight_ess}
     if args.model == "SQUIM_d1":
         diagnostics["classes"] = chain_classes(args.N)[0].size
     for obs, est in zip(args.observable, estimates):
@@ -388,8 +360,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     common(p)
     p.add_argument("--x-list", dest="x_list", type=_float_list, default=X_GRID_DEFAULT)
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--samples", type=_int_at_least(I2_MIN_SAMPLES, COUNT_MAX), default=1_000_000,
-                   help="samples per grid point, at least 10^4")
+    p.add_argument("--samples", type=_count, default=1_000_000, help="samples per grid point")
     p.set_defaults(func=cmd_rate_curves)
 
     p = sub.add_parser("wfe", help="transition pipeline: p*, beta_c")
@@ -443,6 +414,9 @@ def main(argv=None) -> int:
         return 2
     except SquimldError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -39,10 +39,6 @@ class DegenerateWeights(SquimldError):
     """Importance weights collapsed: denominator effective sample size < 100."""
 
 
-class NoConstraintPoints(SquimldError):
-    """No sampled point landed in the constraint set G (marker condition)."""
-
-
 class DualNotCertified(SquimldError):
     """The dual solve for I2 ended with its duality gap above the threshold."""
 

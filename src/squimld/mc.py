@@ -122,9 +122,11 @@ class EnsembleConfig:
         if self.N < 2:
             raise InvalidParams(f"need N >= 2, got {self.N}")
         if self.model == "SQUIM_d1" and self.N > FULL_N_MAX:
-            raise InvalidParams(
-                f"SQUIM_d1 enumerates 2^N states, capped at N={FULL_N_MAX}"
-            )
+            raise InvalidParams(f"SQUIM_d1 is capped at N = {FULL_N_MAX}, got N = {self.N}")
+        if self.model != "SQUIM_d1" and self.N + 1 > CHUNK_SCALARS:
+            # one draw's N + 1 cells must fit in a chunk
+            raise InvalidParams(f"{self.model} needs N + 1 <= CHUNK_SCALARS = {CHUNK_SCALARS}, "
+                                f"got N = {self.N}")
         if not self.beta >= 0.0:
             raise InvalidParams(f"need beta >= 0, got {self.beta}")
         if self.samples < 1:

@@ -22,7 +22,10 @@ own dual cone, so Fenchel duality gives
 solve_dual finds that minimum by projected Newton and certifies it with the
 duality gap: -c at any point of the quadrant bounds I2 from below, k at any
 point of G from above.  The sampled minimum of k over G ∩ D is such an upper
-bound too, and compute_I2 keeps it beside the dual value as a check.
+bound too, and compute_I2 keeps it beside the dual value as a check.  Every
+budget n >= 1 has an outcome: where the draws miss G there is no check, and
+compute_I2 returns the empty-G marker point (I2 = NaN, accepted_G = 0)
+instead of a value.
 
 The Theorem-2 classifier (library only) minimises beta*x + I(x) directly:
 q depends on x only through b, with db/dx = 2 theta1, so by Danskin's
@@ -34,10 +37,10 @@ left vertex P of D, pick theta1, set theta2 = alpha*(theta1 + 1/(2x)), and
 accept iff the three domain tests pass.  The lines h(1) = 1/2 and h(-1) = 1/2
 both pass through P, so every ray with slope between -x/(1+eps) and x/(1-eps)
 automatically satisfies Tests 1 and 2; only the Test-3 ellipse rejects.  Both
-coordinates are drawn from exponentially tilted interval distributions, one
-of the fixed COMBOS per shard, to concentrate samples near the interesting
-corners; the inverse CDF is one log1p of u times the constant
-expm1(-eta (b - a)), finite at any tilt rate.
+coordinates are drawn from exponentially tilted interval distributions
+(tilted_sample), one of the fixed COMBOS per shard, to concentrate samples
+near the interesting corners; the inverse CDF is one log1p of u times the
+constant expm1(-eta (b - a)), finite at any tilt rate.
 
 Shard determinism follows the parallel module: every job runs the fixed
 SHARDS shards, and every sampled number is a function of (seed, shard
@@ -59,63 +62,36 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DualNotCertified, InvalidParams, NoConstraintPoints
+from .errors import DualNotCertified, InvalidParams
 from .gecore import (RateParams, _b_of, _pieces_arr, _q_shape, axis_k_t, root_toward,
                      solve_Q_detail)
 from .parallel import iter_shards, map_shards, shard_rng, split_counts
 from .report import format_records
 
-# The (eta, alpha direction, theta1 direction) of the D sampler; shard s
-# draws under COMBOS[s % 7].  One plain pass (eta = 0 is uniform whatever
-# the direction), then for each tilt 2, 8, 32 alpha pushed toward its upper
-# (positive, G-side) end with theta1 tilted toward either end.  The three
-# theta1-toward-b combos almost never land in D: at eps = 0.1, seed 1 and
+# The (eta, theta1 toward its upper end) of the D sampler; shard s draws
+# under COMBOS[s % 7], and alpha always leans toward its upper (positive,
+# G-side) end.  One plain pass (eta = 0 is uniform whatever the direction),
+# then for each tilt 2, 8, 32 theta1 tilted toward either end.  The three
+# theta1-upper combos almost never land in D: at eps = 0.1, seed 1 and
 # 10^5 draws each, they hold 4, 0 and 0 D points at x = 0.1 and none at
 # x = 0.4 or 0.7.  They stay because every sampled byte is pinned to this
 # schedule; dropping them would also raise the share of rate-curves draws
 # in D (defaults, seed 0) from 0.46 to 0.81, and the kernel work with it.
-COMBOS = (
-    (0.0, "TowardB", "TowardA"),
-    (2.0, "TowardB", "TowardA"),
-    (2.0, "TowardB", "TowardB"),
-    (8.0, "TowardB", "TowardA"),
-    (8.0, "TowardB", "TowardB"),
-    (32.0, "TowardB", "TowardA"),
-    (32.0, "TowardB", "TowardB"),
-)
+COMBOS = ((0.0, False), (2.0, False), (2.0, True), (8.0, False), (8.0, True), (32.0, False),
+          (32.0, True))
 # Shards of every D-sampler job, fixed because every sampled byte depends
 # on it: 63 = 9 x 7, so each of the 7 COMBOS receives the same number.
 SHARDS = 63
 # The columns of domain-scan's CSV, in order; each dtype sets its column's format.
 SCAN_DTYPE = np.dtype([("theta1", float), ("theta2", float), ("in_D", bool), ("in_G", bool),
                        ("k", float)])
-# The fewest draws of D that compute_I2 accepts.
-I2_MIN_SAMPLES = 10**4
-
-
-@dataclass(frozen=True)
-class BiasedInterval:
-    """Interval [a, b] with an exponential tilt of rate eta toward one end."""
-
-    a: float
-    b: float
-    eta: float
-    direction: str  # "TowardA" | "TowardB"; eta = 0 is uniform either way
-
-    def __post_init__(self):
-        if not self.a < self.b:
-            raise InvalidParams(f"need a < b, got [{self.a}, {self.b}]")
-        if self.eta < 0.0:
-            raise InvalidParams(f"eta must be >= 0, got {self.eta}")
-        if self.direction not in ("TowardA", "TowardB"):
-            raise InvalidParams(f"unknown direction {self.direction!r}")
 
 
 @dataclass(frozen=True)
 class RateCurvePoint:
     x: float
     I1: float
-    I2: float  # max(-c(theta*), I1) from the certified dual
+    I2: float  # max(-c(theta*), I1) from the certified dual; NaN when the draws miss G
     accepted_G: int
     samples: int
     noise_band: float = 0.0  # of sampled_k_min
@@ -151,54 +127,52 @@ class GFunctions:
 
 
 # ---------------------------------------------------------------------------
-# biased interval sampling
+# tilted interval sampling
 # ---------------------------------------------------------------------------
 
 
-def biased_sample(iv: BiasedInterval, u):
-    """Inverse-CDF map of u in [0,1] to [a, b] under the tilted density.
+def tilted_sample(u, a, b, eta, upper):
+    """Inverse-CDF map of u in [0, 1] to [a, b] under a tilt of rate eta >= 0.
 
-    Toward a the density is proportional to e^{-eta(s-a)}, toward b to
-    e^{-eta(b-s)}.  With the one scalar E = expm1(-eta (b - a)) in (-1, 0),
+    Toward the lower end (upper false) the density is proportional to
+    e^{-eta(s-a)}, toward the upper end to e^{-eta(b-s)}; eta = 0 is uniform.
+    With the one scalar E = expm1(-eta (b - a)) in (-1, 0),
 
-        toward a: s = a - log1p(u E) / eta,
-        toward b: s = b + log1p((1 - u) E) / eta,
+        lower: s = a - log1p(u E) / eta,
+        upper: s = b + log1p((1 - u) E) / eta,
 
     one log1p per draw (Devroye 1986, sec. II.2).  u E stays in [E, 0], so
     nothing overflows at any eta (b - a); where E rounds to -1, log1p(-1) =
     -inf lands on the far end through the clip.  Monotone increasing in u.
-    The near end is exact (s(0) = a toward a, s(1) = b toward b); the far
-    one only in CDF space, as 1 + E rounds: at eta (b - a) = 30 on [0, 1],
-    s(1) toward a is 1 - 5.5e-6, where 1 - CDF is 2e-17.  Mapped back
-    through biased_cdf, u returns to within 2e-13 for eta (b - a) up to
-    1600 on [-0.4, 0.6], and within 6e-13 up to 2000 on intervals inside
+    The near end is exact (s(0) = a lower, s(1) = b upper); the far one
+    only in CDF space, as 1 + E rounds: at eta (b - a) = 30 on [0, 1], s(1)
+    toward the lower end is 1 - 5.5e-6, where 1 - CDF is 2e-17.  Mapped
+    back through biased_cdf, u returns to within 2e-13 for eta (b - a) up
+    to 1600 on [-0.4, 0.6], and within 6e-13 up to 2000 on intervals inside
     [-5, 5.6]; the rounding of s, eta times an ulp of it, sets that error.
     """
-    u = np.asarray(u, dtype=float)
-    if np.any((u < 0.0) | (u > 1.0)):
-        raise InvalidParams("u must lie in [0, 1]")
-    if iv.eta == 0.0:
-        return iv.a + (iv.b - iv.a) * u
-    e = math.expm1(-iv.eta * (iv.b - iv.a))
+    if eta == 0.0:
+        return a + (b - a) * u
+    e = math.expm1(-eta * (b - a))
     with np.errstate(divide="ignore"):
-        if iv.direction == "TowardB":
-            s = iv.b + np.log1p((1.0 - u) * e) / iv.eta
+        if upper:
+            s = b + np.log1p((1.0 - u) * e) / eta
         else:
-            s = iv.a - np.log1p(u * e) / iv.eta
-    return np.clip(s, iv.a, iv.b)
+            s = a - np.log1p(u * e) / eta
+    return np.clip(s, a, b)
 
 
-def biased_cdf(iv: BiasedInterval, s):
-    """Analytic CDF of biased_sample's output (test oracle for the sampler)."""
+def biased_cdf(s, a, b, eta, upper):
+    """Analytic CDF of tilted_sample's output (test oracle for the sampler)."""
     s = np.asarray(s, dtype=float)
-    if iv.eta == 0.0:
-        return np.clip((s - iv.a) / (iv.b - iv.a), 0.0, 1.0)
-    L = iv.eta * (iv.b - iv.a)
-    t = np.clip(iv.eta * (s - iv.a), 0.0, L)
-    # toward a: u = (1 - e^{-t})/(1 - e^{-L}); toward b the same ratio
+    if eta == 0.0:
+        return np.clip((s - a) / (b - a), 0.0, 1.0)
+    L = eta * (b - a)
+    t = np.clip(eta * (s - a), 0.0, L)
+    # lower: u = (1 - e^{-t})/(1 - e^{-L}); upper: the same ratio
     # (e^t - 1)/(e^L - 1) times e^{t - L}, which cannot overflow
     u = np.expm1(-t) / math.expm1(-L)
-    return np.exp(t - L) * u if iv.direction == "TowardB" else u
+    return np.exp(t - L) * u if upper else u
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +181,11 @@ def biased_cdf(iv: BiasedInterval, s):
 
 
 def _draw_batch(params: RateParams, rng, n: int, combo):
-    """Vector draw of n ray-scheme points under one (eta, direction) combo."""
-    eta, dir_alpha, dir_theta = combo
+    """Vector draw of n ray-scheme points under one (eta, theta1 upper) combo."""
+    eta, upper = combo
     x, eps = params.x, params.eps
-    iv_alpha = BiasedInterval(-x / (1.0 + eps), x / (1.0 - eps), eta, dir_alpha)
-    iv_theta = BiasedInterval(-1.0 / (2.0 * x), 5.0 / (1.0 - x), eta, dir_theta)
-    alpha = biased_sample(iv_alpha, rng.random(n))
-    theta1 = biased_sample(iv_theta, rng.random(n))
+    alpha = tilted_sample(rng.random(n), -x / (1.0 + eps), x / (1.0 - eps), eta, True)
+    theta1 = tilted_sample(rng.random(n), -1.0 / (2.0 * x), 5.0 / (1.0 - x), eta, upper)
     theta2 = alpha * (theta1 + 1.0 / (2.0 * x))
     return theta1, theta2
 
@@ -242,7 +214,7 @@ def _scan_shard(shard: int, payload):
 
 
 def _scan_payload(params: RateParams, n_samples: int, seed: int):
-    """The _scan_shard payload of a scan of n_samples draws; refuses n_samples < 1."""
+    """The _scan_shard and _i2_shard payload of n_samples draws; refuses n_samples < 1."""
     if n_samples < 1:
         raise InvalidParams(f"n_samples must be >= 1, got {n_samples}")
     return params, split_counts(n_samples, SHARDS), seed
@@ -449,48 +421,40 @@ def compute_I2(params: RateParams, n_samples: int, seed: int = 0,
 
     The sampler draws n_samples points of D and keeps the minimum of k over
     those in G ∩ D.  Every such k is an upper bound on I2 (weak duality),
-    so the sampled minimum checks the dual value from above; it raises
-    NoConstraintPoints if the draws never hit G.  The two-constraint event
-    lies inside the one-constraint event, so I2 >= I1, and
-    I2 = max(-c(theta*), I1) states that once.
+    so the sampled minimum checks the dual value from above.  The
+    two-constraint event lies inside the one-constraint event, so
+    I2 >= I1, and I2 = max(-c(theta*), I1) states that once.
+
+    Draws that never hit G leave no check, and the point is the empty-G
+    marker: I2 = NaN, accepted_G = 0, sampled_k_min and noise_band inf.  It
+    keeps the dual's theta_at_min, dual_gap and newton_iters when the dual
+    certifies; DualNotCertified is raised only when the draws hit G.
 
     The noise band of the sampled minimum is half the spread of the four
-    per-shard-group minima (shards grouped by index mod 4), floored at 1e-9.
+    per-shard-group minima (shards grouped by index mod 4), floored at 1e-9,
+    and inf with fewer than two groups in G.  Raises InvalidParams for
+    n_samples < 1.
     """
-    if n_samples < I2_MIN_SAMPLES:
-        raise InvalidParams(f"n_samples must be >= 1e4, got {n_samples}")
     clock = time.perf_counter()
-    counts = split_counts(n_samples, SHARDS)
-    parts = map_shards(_i2_shard, (params, counts, seed), SHARDS, workers)
+    parts = map_shards(_i2_shard, _scan_payload(params, n_samples, seed), SHARDS, workers)
     accepted_g = sum(p[1] for p in parts)
-    if accepted_g == 0:
-        raise NoConstraintPoints(
-            f"no G ∩ D hits in {n_samples} samples at x={params.x}, eps={params.eps}"
-        )
-    group_min = [np.inf] * 4
-    for s, p in enumerate(parts):
-        group_min[s % 4] = min(group_min[s % 4], p[2])
-    finite_groups = [g for g in group_min if np.isfinite(g)]
-    if len(finite_groups) >= 2:
-        band = (max(finite_groups) - min(finite_groups)) / 2.0 + 1e-9
-    else:
-        band = math.inf
+    group_min = [min((p[2] for p in parts[g::4]), default=np.inf) for g in range(4)]
+    finite = [k for k in group_min if np.isfinite(k)]
+    band = (max(finite) - min(finite)) / 2.0 + 1e-9 if len(finite) >= 2 else math.inf
     sampled = time.perf_counter()
-    dual = solve_dual(params)
+    try:
+        dual = solve_dual(params)
+    except DualNotCertified:
+        if accepted_g:
+            raise
+        dual = None
     i1 = compute_I1(params)
     return RateCurvePoint(
-        x=params.x,
-        I1=i1,
-        I2=max(dual.value, i1),
-        accepted_G=accepted_g,
-        samples=n_samples,
-        noise_band=band,
-        theta_at_min=dual.theta,
-        dual_gap=dual.gap,
-        newton_iters=dual.iterations,
-        sampled_k_min=min(group_min),
-        sample_s=sampled - clock,
-        dual_s=time.perf_counter() - sampled,
+        x=params.x, I1=i1, I2=max(dual.value, i1) if accepted_g else math.nan,
+        accepted_G=accepted_g, samples=n_samples, noise_band=band,
+        theta_at_min=dual.theta if dual else None, dual_gap=dual.gap if dual else math.nan,
+        newton_iters=dual.iterations if dual else 0, sampled_k_min=min(group_min),
+        sample_s=sampled - clock, dual_s=time.perf_counter() - sampled,
     )
 
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from .ensembles import chain_tables, classical_ising_1d
 from .errors import InvalidParams
-from .gecore import (RateParams, ThetaPair, _b_of, _pieces_arr, _q_shape, cgf_c, h_value,
-                     in_domain_D, integral_inv_q)
+from .gecore import (DISC_TIE_TOL, SERIES_TOL, RateParams, ThetaPair, _b_of, _pieces_arr,
+                     _q_shape, cgf_c, h_value, integral_inv_q)
 from .mc import EnsembleConfig, esm_evaluate, infinite_T_msq_exact, thermal_average
 from .parallel import shard_rng
 from .ratecurves import DUAL_GAP_TOL, compute_I2
@@ -45,10 +45,15 @@ GL_NODES = 32
 # at full level 256 nodes leave 5e-6, 512 3e-11, and 1024, 2048 and 4096
 # all 2e-13.  Fast-level points keep q_min >= 0.027, converged at 256 nodes.
 KERNEL_NODES = {"fast": 256, "full": 1024}
-# Worst |closed form - quadrature| of c and Int 1/q over the cases below:
-# 9e-16 at fast level, 7e-16 at full level (5e-15 and 4e-14 with numpy's
+# Worst |closed form - quadrature| of c and Int 1/q over QUAD_CASES:
+# 1.1e-15 at fast level, 8.9e-16 at full level (5e-15 and 4e-14 with numpy's
 # leggauss rule, which set this bound)
 QUAD_TOL = 1e-12
+# One strictly interior case at x = 0.3, eps = 0.3 on each branch of
+# gecore.q_kernel: atan, log, series and tie (q_min 0.467, 0.240, 0.987 and
+# 0.122).  The full level adds a second atan case.
+QUAD_CASES = (ThetaPair(0.4, 0.05), ThetaPair(-0.8, 0.2), ThetaPair(0.001, 0.01),
+              ThetaPair(0.2439, 0.7317))
 # Points of the periodic trapezoid on the circle; its error falls like
 # 2 I_{n/2}(1/2), below double precision from 32 points, so 64 leave margin
 CIRCLE_POINTS = 64
@@ -73,44 +78,38 @@ class CheckResult:
     seconds: float = 0.0  # wall time of the check
 
 
+def _kernel_branch(th: ThetaPair, params: RateParams) -> str:
+    """The branch of gecore.q_kernel that evaluates the integrals at th, by its own rule."""
+    t1, t2 = th.theta1, th.theta2
+    b = float(_b_of(params, t1, t2))
+    disc = 4.0 * t2 * t2 - 8.0 * t1 * b
+    gap_rm = abs(t2) - 2.0 * abs(t1)
+    if abs(2.0 * t2 / b) + math.sqrt(abs(2.0 * t1 / b)) <= SERIES_TOL:
+        return "series"
+    if gap_rm > 0.0 and abs(disc) <= DISC_TIE_TOL * 4.0 * gap_rm * gap_rm:
+        return "tie"
+    return "log" if disc > 0.0 else "atan"
+
+
 def check_quadrature(level: str = "fast") -> CheckResult:
-    """Closed-form Int 1/q and c against Gauss-Legendre on both branches."""
+    """Closed-form Int 1/q and c against Gauss-Legendre on all four kernel branches."""
     params = RateParams(x=0.3, eps=0.3)
-    cases = []
-    # negative discriminant (arctan branch) and positive (log branch),
-    # picked by scanning candidates so the branch choice is verified,
-    # not assumed
-    candidates = [
-        ThetaPair(0.4, 0.05), ThetaPair(0.2, 0.3), ThetaPair(-0.8, 0.2),
-        ThetaPair(-2.0, -0.5), ThetaPair(0.05, -0.4), ThetaPair(-0.3, 0.9),
-    ]
-    want = {"neg": False, "pos": False}
-    for th in candidates:
-        verdict = in_domain_D(th, params)
-        if not verdict.in_domain or verdict.q_min < 1e-3:
-            continue
-        b = 1.0 - 2.0 * h_value(0.0, th, params)
-        tag = "neg" if 4.0 * th.theta2**2 - 8.0 * th.theta1 * b < 0 else "pos"
-        if not want[tag]:
-            want[tag] = True
-            cases.append((th, tag))
-    if level == "full":
-        for th in (ThetaPair(0.3, -0.2), ThetaPair(-1.5, 0.8)):
-            if in_domain_D(th, params).in_domain:
-                cases.append((th, "extra"))
+    cases = QUAD_CASES + ((ThetaPair(0.3, -0.2),) if level == "full" else ())
+    # each case's branch by the kernel's own rule, so coverage is verified, not assumed
+    covered = sorted({_kernel_branch(th, params) for th in cases})
     nodes = KERNEL_NODES[level]
     y, w = _legendre_rule(nodes)
     errors = []
-    for th, _tag in cases:
+    for th in cases:
         q = 1.0 - 2.0 * h_value(y, th, params)
         errors += [integral_inv_q(th, params) - float(w @ (1.0 / q)),
                    cgf_c(th, params) - float(w @ (-0.5 * np.log(q)))]
     # a NaN error propagates, and fails the check
-    worst = float(np.max(np.abs(errors))) if errors else math.nan
-    ok = want["neg"] and want["pos"] and worst < QUAD_TOL
+    worst = float(np.max(np.abs(errors)))
+    ok = len(covered) == 4 and worst < QUAD_TOL
     return CheckResult(
         "quadrature-vs-closed-form", ok,
-        f"{len(cases)} cases, both branches covered={want['neg'] and want['pos']}, "
+        f"{len(cases)} cases, branches covered: {', '.join(covered)}, "
         f"worst |closed - {nodes}-node Gauss-Legendre| = {worst:.2e} (tol {QUAD_TOL:g})",
     )
 

@@ -124,8 +124,6 @@ ENSEMBLE_HEADER = b"model,N,beta,omega,eps,observable,mean,std_error,n_samples,s
                  + b"SCWM,8,1,nan,0,msq,0.069604847068365019,0.0011996323715154412,10000,0\n"
                  b"SCWM,8,1,nan,0,m_abs,0.21512316274887672,0.0024564509615113131,10000,0\n",
                  id="ensemble-two-observables"),
-    pytest.param(["ensemble", "--observable", ","], "ensemble.csv", ENSEMBLE_HEADER,
-                 id="ensemble-no-observable"),
 ])
 def test_small_tables_exact_bytes(tmp_path, capsys, argv, name, expected):
     assert run(argv + ["--out-dir", str(tmp_path)]) == 0
@@ -318,13 +316,19 @@ def test_config_layering_and_flag_precedence(tmp_path, capsys, monkeypatch):
     # a seed is one uint64 word, the entropy of every shard's SeedSequence
     pytest.param({}, None, ["rate-curves", "--seed", str(2**64)], "--seed", id="seed-2^64"),
     pytest.param({"SEED": str(2**64)}, None, ["esm"], "--seed", id="env-seed-2^64"),
-    # rate-curves needs 10^4 draws per grid point, from every layer
-    pytest.param({}, None, ["rate-curves", "--samples", "100"], "--samples",
-                 id="rate-curves-samples"),
-    pytest.param({"SAMPLES": "9999"}, None, ["rate-curves"], "--samples",
-                 id="env-rate-curves-samples"),
-    pytest.param({}, "samples = 100\n", ["rate-curves"], "--samples",
-                 id="config-rate-curves-samples"),
+    # a list option needs at least one entry, from every layer
+    pytest.param({}, None, ["rate-curves", "--x-list", ""], "--x-list",
+                 id="rate-curves-empty-x-list"),
+    pytest.param({"X_LIST": ","}, None, ["rate-curves"], "--x-list",
+                 id="env-rate-curves-empty-x-list"),
+    pytest.param({}, "x-list = \n", ["rate-curves"], "--x-list",
+                 id="config-rate-curves-empty-x-list"),
+    pytest.param({}, None, ["rate-curves", "--x-list", "0.1,abc"], "--x-list",
+                 id="rate-curves-bad-x-list"),
+    pytest.param({}, None, ["ensemble", "--observable", ""], "--observable",
+                 id="ensemble-empty-observable"),
+    pytest.param({}, None, ["ensemble", "--observable", ","], "--observable",
+                 id="ensemble-no-observable"),
 ])
 def test_bad_value_from_any_layer_is_usage_error(tmp_path, capsys, monkeypatch,
                                                  env, conf, argv, flag):
@@ -388,6 +392,27 @@ def test_count_above_int64_is_usage_error(tmp_path, capsys, argv, flag):
     assert f"error: argument {flag}: {10**20} is above the maximum {2**63 - 1}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_ensemble_n_too_wide_for_a_chunk_is_usage_error(tmp_path, capsys):
+    # one draw of N + 1 cells must fit the sampler's chunk; a wider N used
+    # to overflow g_values into an empty array and end in a traceback
+    out = tmp_path / "out"
+    assert run(["ensemble", "--n", str(2**63 - 1), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"got N = {2**63 - 1}" in err and "CHUNK_SCALARS = 4194304" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["domain-scan", "rate-curves"])
+def test_samples_too_large_to_allocate_is_numerical_exit(tmp_path, capsys, command):
+    # an in-range count whose shard array does not fit in memory
+    argv = [command, "--samples", str(2**63 - 1), "--workers", "1"]
+    assert run(argv + ["--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_ensemble_byte_identity_across_workers(tmp_path, capsys):
@@ -510,6 +535,18 @@ def test_rate_curves_rows_and_empty_constraint_marker(tmp_path, capsys):
     assert row_07[1] == "0"
     assert float(row_07[2]) > 0.0
     assert (tmp_path / "rate_curve.gp").exists()
+
+
+def test_rate_curves_any_budget_has_an_outcome(tmp_path, capsys):
+    # 100 draws: a value where they hit G, the empty-G marker where not
+    argv = ["rate-curves", "--x-list", "0.05,0.3", "--samples", "100", "--seed", "1"]
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in read(tmp_path / "rate_curve.csv").splitlines()[1:]]
+    assert [row[4] for row in rows] == ["100", "100"]
+    for _x, _i1, i2, accepted, _n, _seed in rows:
+        assert (i2 == "nan") == (accepted == "0")
+    assert rows[0][2] == "nan"
 
 
 def test_rate_curves_byte_identity_across_workers(tmp_path, capsys):

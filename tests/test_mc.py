@@ -40,8 +40,12 @@ def test_config_validation():
         EnsembleConfig(N=8, beta=1.0, model="XXX", samples=100)
     with pytest.raises(InvalidParams):
         EnsembleConfig(N=1, beta=1.0, model="SCWM", samples=100)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match="SQUIM_d1 is capped at N = 20, got N = 25"):
         EnsembleConfig(N=25, beta=1.0, model="SQUIM_d1", samples=100)
+    # one draw of N + 1 cells must fit in a chunk of CHUNK_SCALARS
+    EnsembleConfig(N=mc.CHUNK_SCALARS - 1, beta=1.0, model="SCWM", samples=100)
+    with pytest.raises(InvalidParams, match=f"got N = {mc.CHUNK_SCALARS}"):
+        EnsembleConfig(N=mc.CHUNK_SCALARS, beta=1.0, model="SCWM_ENTROPY", samples=100)
     with pytest.raises(InvalidParams):
         EnsembleConfig(N=8, beta=-1.0, model="SCWM", samples=100)
     with pytest.raises(InvalidParams):

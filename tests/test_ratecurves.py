@@ -1,4 +1,4 @@
-"""Biased interval sampling, dual-plane scans, and the two rate curves.
+"""Tilted interval sampling, dual-plane scans, and the two rate curves.
 
 The tilted inverse-CDF sampler has its own analytic CDF as an oracle, the
 domain scan must honor the shard determinism contract, the I2 shard worker,
@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from squimld import (
     DualNotCertified,
     InvalidParams,
-    NoConstraintPoints,
     RateCurvePoint,
     RateParams,
     compute_I1,
@@ -45,15 +44,14 @@ from squimld.ratecurves import (
     COMBOS,
     DUAL_GAP_TOL,
     SHARDS,
-    BiasedInterval,
     GFunctions,
     _i2_shard,
     _in_G,
     _shard_draw,
     biased_cdf,
-    biased_sample,
     classify_theorem_two,
     solve_dual,
+    tilted_sample,
 )
 
 P07 = RateParams(x=0.7, eps=0.3)
@@ -66,61 +64,40 @@ P06 = RateParams(x=0.6, eps=0.1)
 # ---------------------------------------------------------------------------
 
 
-def test_biased_interval_validation():
-    with pytest.raises(InvalidParams):
-        BiasedInterval(1.0, 0.0, 1.0, "TowardA")
-    with pytest.raises(InvalidParams):
-        BiasedInterval(0.0, 1.0, -1.0, "TowardA")
-    with pytest.raises(InvalidParams):
-        BiasedInterval(0.0, 1.0, 1.0, "Sideways")
-    with pytest.raises(InvalidParams):
-        BiasedInterval(0.0, 1.0, 0.0, "Uniform")
+# tilted toward the lower end a or the upper end b
+upper_ends = pytest.mark.parametrize("upper", [False, True], ids=["TowardA", "TowardB"])
 
 
-def test_biased_sample_rejects_bad_u():
-    iv = BiasedInterval(0.0, 1.0, 2.0, "TowardB")
-    with pytest.raises(InvalidParams):
-        biased_sample(iv, -0.1)
-    with pytest.raises(InvalidParams):
-        biased_sample(iv, 1.1)
-
-
-@pytest.mark.parametrize("direction", ["TowardA", "TowardB"])
-def test_zero_tilt_is_linear_in_either_direction(direction):
-    iv = BiasedInterval(-2.0, 3.0, 0.0, direction)
+@upper_ends
+def test_zero_tilt_is_linear_in_either_direction(upper):
     u = np.linspace(0.0, 1.0, 11)
-    s = biased_sample(iv, u)
+    s = tilted_sample(u, -2.0, 3.0, 0.0, upper)
     assert np.allclose(s, -2.0 + 5.0 * u, atol=1e-15)
-    assert np.allclose(biased_cdf(iv, s), u, atol=1e-15)
-
-
-directions = st.sampled_from(["TowardA", "TowardB"])
+    assert np.allclose(biased_cdf(s, -2.0, 3.0, 0.0, upper), u, atol=1e-15)
 
 
 @given(
     st.floats(min_value=0.0, max_value=1.0),
     st.floats(min_value=1e-3, max_value=400.0),
-    directions,
+    st.booleans(),
 )
 @settings(max_examples=200)
-def test_cdf_inverts_sampler(u, eta, direction):
-    iv = BiasedInterval(-1.5, 2.5, eta, direction)
-    s = float(biased_sample(iv, u))
-    assert iv.a <= s <= iv.b
-    assert float(biased_cdf(iv, s)) == pytest.approx(u, abs=1e-9)
+def test_cdf_inverts_sampler(u, eta, upper):
+    s = float(tilted_sample(u, -1.5, 2.5, eta, upper))
+    assert -1.5 <= s <= 2.5
+    assert float(biased_cdf(s, -1.5, 2.5, eta, upper)) == pytest.approx(u, abs=1e-9)
 
 
 @given(
     st.floats(min_value=0.0, max_value=1.0),
     st.floats(min_value=0.0, max_value=1.0),
     st.floats(min_value=1e-3, max_value=400.0),
-    directions,
+    st.booleans(),
 )
 @settings(max_examples=100)
-def test_sampler_is_monotone_in_u(u1, u2, eta, direction):
-    iv = BiasedInterval(0.0, 1.0, eta, direction)
-    s1 = float(biased_sample(iv, u1))
-    s2 = float(biased_sample(iv, u2))
+def test_sampler_is_monotone_in_u(u1, u2, eta, upper):
+    s1 = float(tilted_sample(u1, 0.0, 1.0, eta, upper))
+    s2 = float(tilted_sample(u2, 0.0, 1.0, eta, upper))
     if u1 < u2:
         assert s1 <= s2
     elif u1 > u2:
@@ -128,32 +105,29 @@ def test_sampler_is_monotone_in_u(u1, u2, eta, direction):
 
 
 def test_tilt_direction_moves_mass():
-    iv_b = BiasedInterval(0.0, 1.0, 8.0, "TowardB")
-    iv_a = BiasedInterval(0.0, 1.0, 8.0, "TowardA")
     u = np.linspace(0.01, 0.99, 99)
-    assert float(np.mean(biased_sample(iv_b, u))) > 0.8
-    assert float(np.mean(biased_sample(iv_a, u))) < 0.2
+    assert float(np.mean(tilted_sample(u, 0.0, 1.0, 8.0, True))) > 0.8
+    assert float(np.mean(tilted_sample(u, 0.0, 1.0, 8.0, False))) < 0.2
 
 
 def test_extreme_tilt_stays_finite():
     # eta*(b - a) in the hundreds must not overflow or produce NaN
-    iv = BiasedInterval(-1.0, 1.0, 500.0, "TowardB")
-    s = biased_sample(iv, np.array([0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0]))
+    s = tilted_sample(np.array([0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0]), -1.0, 1.0, 500.0, True)
     assert np.all(np.isfinite(s))
     assert np.all((s >= -1.0) & (s <= 1.0))
 
 
-@pytest.mark.parametrize("direction", ["TowardA", "TowardB"])
+@upper_ends
 @pytest.mark.parametrize("rate", [1e-6, 1.0, 30.0, 300.0, 1600.0, 2000.0])
-def test_one_log1p_sampler_inverts_its_cdf_to_1e12(rate, direction):
+def test_one_log1p_sampler_inverts_its_cdf_to_1e12(rate, upper):
     # rate = eta*(b - a); the sampler's own stream of u plus both ends
-    iv = BiasedInterval(-1.5, 2.5, rate / 4.0, direction)
+    iv = (-1.5, 2.5, rate / 4.0, upper)
     u = np.concatenate([np.random.default_rng(7).random(10**6),
                         [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]])
-    s = biased_sample(iv, u)
-    assert np.all((s >= iv.a) & (s <= iv.b))
-    assert float(np.max(np.abs(biased_cdf(iv, s) - u))) <= 1e-12
-    assert np.all(np.diff(biased_sample(iv, np.sort(u))) >= 0.0)
+    s = tilted_sample(u, *iv)
+    assert np.all((s >= -1.5) & (s <= 2.5))
+    assert float(np.max(np.abs(biased_cdf(s, *iv) - u))) <= 1e-12
+    assert np.all(np.diff(tilted_sample(np.sort(u), *iv)) >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +266,11 @@ def test_i1_non_increasing_in_x():
 
 
 def test_compute_i2_budget_guard():
-    with pytest.raises(InvalidParams):
-        compute_I2(P06, 9_999)
+    # every budget n >= 1 has an outcome, a value or the empty-G marker
+    for n in (0, -1):
+        with pytest.raises(InvalidParams, match=f"n_samples must be >= 1, got {n}"):
+            compute_I2(P06, n)
+    assert compute_I2(P06, 1).samples == 1
 
 
 def test_compute_i2_smoke():
@@ -313,9 +290,37 @@ def test_compute_i2_deterministic_across_workers():
 
 
 def test_no_constraint_points_marker():
-    # at x = 0.1 the G hit rate is ~2e-6 per draw, so 3e4 samples miss it
-    with pytest.raises(NoConstraintPoints):
-        compute_I2(RateParams(x=0.1, eps=0.1), 30_000, seed=0)
+    # at x = 0.1 the G hit rate is ~2e-6 per draw, so 3e4 samples miss it:
+    # the point is the empty-G marker, and keeps the dual's record
+    params = RateParams(x=0.1, eps=0.1)
+    pt = compute_I2(params, 30_000, seed=0)
+    assert math.isnan(pt.I2) and pt.accepted_G == 0 and pt.samples == 30_000
+    assert pt.sampled_k_min == math.inf and pt.noise_band == math.inf
+    assert pt.I1 == compute_I1(params)
+    dual = solve_dual(params)
+    assert (pt.theta_at_min, pt.dual_gap, pt.newton_iters) == (dual.theta, dual.gap,
+                                                                dual.iterations)
+
+
+def test_marker_point_without_a_certified_dual():
+    # x = 0.05 misses G, and the dual's start point is not strictly inside D
+    params = RateParams(x=0.05, eps=0.1)
+    with pytest.raises(DualNotCertified):
+        solve_dual(params)
+    pt = compute_I2(params, 30_000, seed=0)
+    assert math.isnan(pt.I2) and pt.accepted_G == 0
+    assert pt.theta_at_min is None and math.isnan(pt.dual_gap) and pt.newton_iters == 0
+
+
+def test_dual_refusal_is_raised_when_the_draws_hit_g(monkeypatch):
+    import squimld.ratecurves
+
+    monkeypatch.setattr(squimld.ratecurves, "DUAL_GAP_TOL", -1.0)
+    with pytest.raises(DualNotCertified):
+        compute_I2(P06, 10_000, seed=0)
+    # the marker point stands without the dual
+    pt = compute_I2(RateParams(x=0.1, eps=0.1), 30_000, seed=0)
+    assert pt.accepted_G == 0 and pt.theta_at_min is None
 
 
 # I2 at eps = 0.1 from an independent solve (projected Newton with
@@ -476,8 +481,9 @@ def test_classifier_refusal_names_beta():
 
 
 def test_eta_schedule_default_has_uniform_pass():
-    # a plain pass first, then each tilt, rising, with theta1 toward a, then b
-    assert COMBOS[0] == (0.0, "TowardB", "TowardA")
-    assert COMBOS[1:] == tuple((eta, "TowardB", d) for eta in (2.0, 8.0, 32.0)
-                               for d in ("TowardA", "TowardB"))
+    # a plain pass first, then each tilt, rising, with theta1 toward its
+    # lower end, then its upper end
+    assert COMBOS[0] == (0.0, False)
+    assert COMBOS[1:] == tuple((eta, upper) for eta in (2.0, 8.0, 32.0)
+                               for upper in (False, True))
     assert SHARDS % len(COMBOS) == 0

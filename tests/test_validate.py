@@ -4,7 +4,8 @@ check_uif and check_concentration judge the two measure lemmas by
 numerical integrals; here each integral is checked against its value in
 closed form, so a quadrature rule that drifts shows before a lemma check
 reads it.  The Gauss-Legendre rule behind every check is held to the
-exact integrals of the monomials it must integrate exactly.
+exact integrals of the monomials it must integrate exactly, and the
+quadrature check's fixed cases to the kernel branches they stand for.
 """
 
 import math
@@ -12,7 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from squimld.validate import _legendre_rule, concentration_integrals, uif_sides
+from squimld.gecore import DISC_TIE_TOL, SERIES_TOL, RateParams, in_domain_D
+from squimld.validate import (QUAD_CASES, _legendre_rule, check_quadrature,
+                              concentration_integrals, uif_sides)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 256, 1024, 4096])
@@ -29,6 +32,39 @@ def test_legendre_rule_integrates_monomials_below_degree_2n(n):
         worst = max(worst, abs(float(w @ power) - exact))
         power *= x
     assert worst <= 10.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("theta, branch, q_min", [
+    pytest.param(th, branch, q, id=branch)
+    for th, branch, q in zip(QUAD_CASES, ("atan", "log", "series", "tie"),
+                             (0.46688, 0.24, 0.9866, 0.12196))
+])
+def test_quadrature_cases_sit_on_their_kernel_branches(theta, branch, q_min):
+    # q = 2 t1 y^2 - 2 t2 y + b = b (1 - u1 y)(1 - u2 y); q_kernel takes the
+    # series branch for |u1 + u2| + sqrt|u1 u2| <= SERIES_TOL, the tie
+    # branch off it where the root offset h^2 = disc/(16 t1^2) is within
+    # DISC_TIE_TOL of the squared distance from t2/(2 t1) to [-1, 1], and
+    # else the log or atan branch by the sign of disc
+    params = RateParams(x=0.3, eps=0.3)
+    t1, t2 = theta.theta1, theta.theta2
+    b = 1.0 - 2.0 * t1 * (1.0 - params.x) + 2.0 * t2 * params.eps
+    disc = 4.0 * t2 * t2 - 8.0 * t1 * b
+    gap = abs(t2) - 2.0 * abs(t1)
+    if abs(2.0 * t2 / b) + math.sqrt(abs(2.0 * t1 / b)) <= SERIES_TOL:
+        assert branch == "series"
+    elif gap > 0.0 and abs(disc) <= DISC_TIE_TOL * 4.0 * gap * gap:
+        assert branch == "tie"
+    else:
+        assert branch == ("log" if disc > 0.0 else "atan")
+    verdict = in_domain_D(theta, params)
+    assert verdict.strictly_inside and verdict.q_min == pytest.approx(q_min, abs=1e-4)
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+def test_quadrature_check_covers_all_four_kernel_branches(level):
+    result = check_quadrature(level)
+    assert result.ok, result.detail
+    assert "branches covered: atan, log, series, tie," in result.detail
 
 
 def i0_half() -> float:
