@@ -8,23 +8,14 @@ from .errors import (
     DualNotCertified,
     HypothesisViolation,
     InvalidParams,
-    NearBoundary,
     NoRoot,
     OutOfThetaRange,
     SquimldError,
 )
 from .gecore import (
-    DomainVerdict,
     QRoot,
     RateParams,
-    ThetaPair,
-    H_value,
-    cgf_c,
-    grad_c,
     h_value,
-    in_domain_D,
-    integral_inv_q,
-    k_value,
     solve_Q_detail,
 )
 from .ratecurves import (

@@ -20,14 +20,16 @@ constant of its module, so a sampled output depends on the command's
 inputs and --seed, never on --workers.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure surfaced by the
-library (degenerate weights, boundary evaluations, an I2 dual solve that
-does not certify) or an array too large to allocate, 4 validation-suite
-failure.  Two outcomes are reported per row instead: the empty-G marker
-point that compute_I2 returns when a rate-curves budget misses G (NaN I2,
-accepted_G = 0; the manifest still records the dual's theta_star, gap and
-Newton count when the dual certifies), and (omega, eps, delta) outside
-the transition-bound hypotheses in wfe (NaN p_star_inf and beta_c,
-hypotheses_ok = 0).
+library (degenerate weights, an I2 dual solve that does not certify, a
+root that is not there) or an array too large to allocate, 4
+validation-suite failure.  Two outcomes are reported per row instead:
+the empty-G marker point that compute_I2 returns when a rate-curves budget
+misses G (NaN I2, accepted_G = 0; the manifest still records the dual's
+theta_star, gap and Newton count when the dual certifies), and (omega,
+eps, delta) outside the transition-bound hypotheses in wfe (NaN p_star_inf
+and beta_c, hypotheses_ok = 0).  A failed command leaves no partial CSV.
+A layered --level is not checked against the flag's choices by argparse;
+run_validation refuses it.
 """
 
 from __future__ import annotations
@@ -318,10 +320,6 @@ def cmd_esm(args) -> int:
 def cmd_validate(args) -> int:
     # the suite's one Monte Carlo check runs the ensemble's shards
     workers = resolve_workers(args.workers, MC_SHARDS)
-    if args.level not in LEVELS:
-        # a layered level is a default, which argparse does not check against choices
-        print(f"error: level must be one of {LEVELS}", file=sys.stderr)
-        return 2
     started = utc_now()
     results = run_validation(args.level, workers)
     for r in results:

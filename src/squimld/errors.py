@@ -3,6 +3,9 @@
 Every failure mode that callers are expected to branch on gets its own class.
 The CLI maps these onto exit codes (numerical failures exit 3, validation
 failures exit 4); library users can catch :class:`SquimldError` wholesale.
+A point off the strict interior of the domain D is not an error: the array
+kernel (gecore.q_kernel) returns NaN integrals there and says so in its ok
+mask.
 """
 
 
@@ -12,14 +15,6 @@ class SquimldError(Exception):
 
 class InvalidParams(SquimldError, ValueError):
     """Parameter combination outside the model's admissible region."""
-
-
-class NearBoundary(SquimldError):
-    """Evaluation point is not strictly inside the domain D.
-
-    Raised when min q(y) over [-1, 1] falls below the strict-interior
-    threshold, where the closed forms for 1/q integrals lose meaning.
-    """
 
 
 class NoRoot(SquimldError):

@@ -37,15 +37,14 @@ zero Q is found by bracketed_root in the log of the transformed coordinate
 because Q - P shrinks like exp(-2/x), far below float spacing of theta1 for
 small x, while log t resolves it exactly.
 
-Each quantity has one entry point.  The array workers q_kernel and
-_pieces_arr take numpy arrays and return NaN masks and the in_D verdict that
-domain-scan writes (for the Monte Carlo hot path).  The scalar API validates
-and raises: cgf_c, grad_c, k_value and integral_inv_q take (theta, params),
-read _pieces_arr and raise NearBoundary off the strict interior; in_domain_D
-gives the three-test verdict with q_min over [-1, 1]; on the axis, H_value
-gives H and solve_Q_detail gives Q with its t coordinate and the gap Q - P.
-bracketed_root is the package's one root solve: Q here, theta* and the
-rare-event tilt in wfe (through root_toward).
+Each quantity has one entry point.  q_kernel, and _pieces_arr over it,
+take numpy arrays and return every value as a key: the integrals j, jy, y2
+and lq, c, the gradient (grad1, grad2), k, q_min, the in_D verdict that
+domain-scan writes and the strict-interior mask ok, with NaN integrals off
+it.  kernel_branches is the one statement of which closed form evaluates a
+point.  On the axis, solve_Q_detail gives Q with its t coordinate and the
+gap Q - P.  bracketed_root is the package's one root solve: Q here, theta*
+and the rare-event tilt in wfe (through root_toward).
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NearBoundary, NoRoot
+from .errors import InvalidParams, NoRoot
 
 # Strict-interior threshold on min q over [-1, 1].
 QMIN_STRICT = 1e-12
@@ -103,20 +102,6 @@ class RateParams:
     def p_left(self) -> float:
         """theta1 coordinate of the left-most domain point P on the axis."""
         return -1.0 / (2.0 * self.x)
-
-
-@dataclass(frozen=True)
-class ThetaPair:
-    theta1: float
-    theta2: float
-
-
-@dataclass(frozen=True)
-class DomainVerdict:
-    in_domain: bool
-    failed_test: str | None  # "Test1" | "Test2" | "Test3" | None
-    q_min: float
-    strictly_inside: bool
 
 
 @dataclass(frozen=True)
@@ -168,31 +153,9 @@ def _q_shape(t1, t2, b, ends=None):
     return q1, qm1, qvert, q_min, q_min >= 0.0
 
 
-def h_value(y: float, theta: ThetaPair, params: RateParams) -> float:
-    """h(y) = t1*(1 - x - y^2) + t2*(y - eps)."""
-    t1, t2 = theta.theta1, theta.theta2
+def h_value(y, t1, t2, params: RateParams):
+    """h(y) = t1*(1 - x - y^2) + t2*(y - eps), formed apart from the kernel's b."""
     return t1 * (1.0 - params.x - y * y) + t2 * (y - params.eps)
-
-
-def _failed_test(q1, qm1, qvert):
-    """0 where q(1), q(-1) and the vertex value are all >= 0, else 1/2/3 for
-    the first that is not; a NaN fails its test, so 0 is exactly in_D."""
-    failed = np.select([~(q1 >= 0.0), ~(qm1 >= 0.0), ~(qvert >= 0.0)], [1, 2, 3], 0)
-    return failed.astype(np.int8)
-
-
-def in_domain_D(theta: ThetaPair, params: RateParams) -> DomainVerdict:
-    """Three-test membership verdict, q_min over [-1, 1] and the
-    strict-interior guard, from one _q_shape call."""
-    t1, t2 = theta.theta1, theta.theta2
-    q1, qm1, qvert, q_min, in_d = _q_shape(t1, t2, _b_of(params, t1, t2))
-    q_min = float(q_min)
-    return DomainVerdict(
-        in_domain=bool(in_d),
-        failed_test=(None, "Test1", "Test2", "Test3")[int(_failed_test(q1, qm1, qvert))],
-        q_min=q_min,
-        strictly_inside=q_min >= QMIN_STRICT,
-    )
 
 
 def _small_factor_from_product(f, g, prod):
@@ -330,13 +293,44 @@ def _series_pieces(s, p, b, with_q2: bool):
     return out
 
 
+BRANCHES = ("series", "log", "atan", "tie")
+
+
+def kernel_branches(t1, t2, b):
+    """Which closed form of q_kernel evaluates each point, by the one rule.
+
+    For q = 2*t1*y^2 - 2*t2*y + b with b > 0, written b (1 - s y + p y^2),
+    returns (s, p, disc, masks): s = 2 t2/b, p = 2 t1/b, disc = 4 t2^2 -
+    8 t1 b and the disjoint masks of the branches in BRANCHES order:
+      series -- |s| + sqrt|p| <= SERIES_TOL;
+      tie    -- off series, the double-root offset h^2 = disc/(16 t1^2)
+                within DISC_TIE_TOL of the squared distance from
+                rm = t2/(2 t1) to [-1, 1], which needs |rm| > 1;
+      log    -- otherwise, disc > 0;
+      atan   -- otherwise, disc < 0.
+    A point on none of them has disc == 0 with the double root rm in
+    [-1, 1]: q = 2 t1 (y - rm)^2 vanishes on [-1, 1], however q_min rounds,
+    and q_kernel refuses it.
+    """
+    s = 2.0 * t2 / b
+    p = 2.0 * t1 / b
+    disc = 4.0 * t2 * t2 - 8.0 * t1 * b
+    series = np.abs(s) + np.sqrt(np.abs(p)) <= SERIES_TOL
+    # |h^2| / (|rm| - 1)^2 = |disc| / (4 (|t2| - 2|t1|)^2)
+    gap_rm = np.abs(t2) - 2.0 * np.abs(t1)
+    tie = ~series & (gap_rm > 0.0) & (np.abs(disc) <= DISC_TIE_TOL * 4.0 * gap_rm * gap_rm)
+    roots = ~(series | tie)
+    return s, p, disc, (series, roots & (disc > 0.0), roots & (disc < 0.0), tie)
+
+
 def q_kernel(t1, t2, b, with_q2: bool = False, ends=None):
     """Shape and integrals of q(y) = 2*t1*y^2 - 2*t2*y + b over [-1, 1].
 
     The single closed-form kernel behind c, grad c, its Hessian and k here
     and behind p(theta) in wfe.  Returns 1-d arrays under the keys
       q_min, in_D         -- min q over [-1, 1] and membership in D (_q_shape),
-      ok                  -- strict interior, q_min >= QMIN_STRICT,
+      ok                  -- strict interior, q_min >= QMIN_STRICT, and on a
+                             branch of kernel_branches,
       j, jy, y2, lq       -- Int 1/q, Int y/q, Int y^2/q and Int log q,
     and, with with_q2, q2 of shape (5, n): q2[m] = Int y^m/q^2, m = 0..4.
     The integrals are NaN wherever ok is False.  ends passes (q(1), q(-1))
@@ -345,20 +339,20 @@ def q_kernel(t1, t2, b, with_q2: bool = False, ends=None):
 
     The integrals run on the strict interior, where b = q(0) > 0, and there
     q = b (1 - u1 y)(1 - u2 y) with inverse roots u1 + u2 = s = 2 t2/b and
-    u1 u2 = p = 2 t1/b.  Four branches:
-      series -- |s| + sqrt|p| <= SERIES_TOL, both roots far: power series
-                (_series_pieces), which covers the constant, affine and
-                small-t1 q where every closed form below cancels;
-      log    -- disc = 4 t2^2 - 8 t1 b > 0, real roots: partial fractions
-                over the root moments (_root_moments), J_m = (I[r2] - I[r1])
-                / (b (u1 - u2)) and Int y^m/q^2 = (I2[r1] + I2[r2] - 4 t1 J_m)
-                / disc, with I, I2 the n = 1, 2 moments;
-      atan   -- disc < 0: the same partial fractions over the complex
-                conjugate roots, J_m = -2 Im I[r] / sqrt(-disc) and
+    u1 u2 = p = 2 t1/b.  kernel_branches puts each point on one of four
+    branches:
+      series -- both roots far: power series (_series_pieces), which covers
+                the constant, affine and small-t1 q where every closed form
+                below cancels;
+      log    -- real roots: partial fractions over the root moments
+                (_root_moments), J_m = (I[r2] - I[r1]) / (b (u1 - u2)) and
+                Int y^m/q^2 = (I2[r1] + I2[r2] - 4 t1 J_m) / disc, with I,
+                I2 the n = 1, 2 moments;
+      atan   -- the same partial fractions over the complex conjugate
+                roots, J_m = -2 Im I[r] / sqrt(-disc) and
                 Int y^m/q^2 = (2 Re I2[r] - 4 t1 J_m) / disc;
-      tie    -- q = 2 t1 ((y - rm)^2 - h^2) with rm = t2/(2 t1) and
-                h^2 = disc/(16 t1^2) within DISC_TIE_TOL of the squared
-                distance from rm to [-1, 1]: expanded in h^2 to TIE_ORDER.
+      tie    -- a near-double root rm off [-1, 1], q = 2 t1 ((y - rm)^2 - h^2):
+                expanded in h^2 to TIE_ORDER.
     Off the series branch Int log q comes from c = -1/2 Int log q
     = 2 - 1/2 (log q(1) + log q(-1)) + t2 Int y/q - b Int 1/q.
     """
@@ -378,16 +372,7 @@ def q_kernel(t1, t2, b, with_q2: bool = False, ends=None):
     n_max = 2 if with_q2 else 1
     m_max = 4 if with_q2 else 2
 
-    s = 2.0 * t2 / b
-    p = 2.0 * t1 / b
-    disc = 4.0 * t2 * t2 - 8.0 * t1 * b
-    series = np.abs(s) + np.sqrt(np.abs(p)) <= SERIES_TOL
-    # |h^2| / (|rm| - 1)^2 = |disc| / (4 (|t2| - 2|t1|)^2), with rm = t2/(2 t1)
-    gap_rm = np.abs(t2) - 2.0 * np.abs(t1)
-    tie = ~series & (gap_rm > 0.0) & (np.abs(disc) <= DISC_TIE_TOL * 4.0 * gap_rm * gap_rm)
-    roots = ~(series | tie)
-    logbranch = roots & (disc > 0.0)
-    atanbranch = roots & (disc < 0.0)
+    s, p, disc, (series, logbranch, atanbranch, tie) = kernel_branches(t1, t2, b)
 
     if np.any(series):
         pieces = _series_pieces(s[series], p[series], b[series], with_q2)
@@ -450,8 +435,14 @@ def q_kernel(t1, t2, b, with_q2: bool = False, ends=None):
     if np.any(series):
         lq[series] = pieces[3]
 
+    values = j + [lq] + (q2 or [])
+    lost = ~(series | logbranch | atanbranch | tie)
+    if np.any(lost):
+        # on no branch (see kernel_branches): refused, whatever q_min reads
+        ok[ok] = ~lost
+        values = [v[~lost] for v in values]
     integrals = [np.full(shape, np.nan) for _ in range(4 + (5 if with_q2 else 0))]
-    _put(integrals, ok, j + [lq] + (q2 or []))
+    _put(integrals, ok, values)
     out = {"q_min": qmin, "in_D": in_d, "ok": ok}
     out.update(zip(("j", "jy", "y2", "lq"), integrals))
     if with_q2:
@@ -465,8 +456,7 @@ def _pieces_arr(params: RateParams, t1, t2, hessian: bool = False, ends=None):
     With hessian, also h11, h12, h22 = 2 Int a_i a_j / q^2 with
     a1 = 1 - x - y^2 and a2 = y - eps, the second derivatives of c.  ends
     goes to q_kernel.
-    Entries not strictly inside D come back NaN; scalar wrappers below call
-    it with 0-d arrays and translate NaN into NearBoundary.
+    Entries that are not ok come back NaN.
     """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
@@ -483,36 +473,6 @@ def _pieces_arr(params: RateParams, t1, t2, hessian: bool = False, ends=None):
         out["h12"] = 2.0 * (w * (n1 - eps * n0) - n3 + eps * n2)
         out["h22"] = 2.0 * (n2 - 2.0 * eps * n1 + eps * eps * n0)
     return out
-
-
-def _scalar(theta: ThetaPair, params: RateParams, *fields: str) -> tuple[float, ...]:
-    pieces = _pieces_arr(params, theta.theta1, theta.theta2)
-    if not bool(pieces["ok"][0]):
-        raise NearBoundary(
-            f"min q = {pieces['q_min'][0]:.3e} < {QMIN_STRICT} at "
-            f"theta=({theta.theta1}, {theta.theta2})"
-        )
-    return tuple(float(pieces[field][0]) for field in fields)
-
-
-def integral_inv_q(theta: ThetaPair, params: RateParams) -> float:
-    """Int_{-1}^{1} dy / q(y), closed form with discriminant branching."""
-    return _scalar(theta, params, "j")[0]
-
-
-def cgf_c(theta: ThetaPair, params: RateParams) -> float:
-    """Scaled cumulant generating function c(theta)."""
-    return _scalar(theta, params, "c")[0]
-
-
-def grad_c(theta: ThetaPair, params: RateParams) -> tuple[float, float]:
-    """(dc/dtheta1, dc/dtheta2) in closed form."""
-    return _scalar(theta, params, "grad1", "grad2")
-
-
-def k_value(theta: ThetaPair, params: RateParams) -> float:
-    """k = theta . grad c - c = -1 + 1/2 Int 1/q + 1/2 Int log q."""
-    return _scalar(theta, params, "k")[0]
 
 
 def bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -566,11 +526,6 @@ def root_toward(f, a: float, end: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _t_from_theta1(theta1: float, x: float) -> float:
-    s2 = 1.0 / (-2.0 * theta1) + 1.0 - x
-    return np.sqrt(s2) - 1.0
-
-
 def _theta1_from_t(t: float, x: float) -> float:
     return -1.0 / (2.0 * (t * t + 2.0 * t + x))
 
@@ -604,30 +559,6 @@ def axis_k_t(t, x):
     w = t * t + 2.0 * t + x
     half_lq = np.log1p((2.0 * t + 4.0 - x) / w) + t * np.log1p(2.0 / t) - 2.0
     return axis_h_t(t, x) + half_lq
-
-
-def H_value(theta1: float, x: float) -> float:
-    """H(theta1) = -1 + 1/2 Int 1/q on the axis, for theta1 in (P, 0) u (0, max).
-
-    H(0) would be 0 by the affine limit; theta1 = 0 itself is excluded here
-    (call sites use the exact limit).
-    """
-    if not (0.0 < x <= 1.0):
-        raise InvalidParams(f"x must be in (0, 1], got {x}")
-    p_left = -1.0 / (2.0 * x)
-    if theta1 <= p_left:
-        raise NearBoundary(f"theta1={theta1} is at or left of P={p_left}")
-    if theta1 == 0.0:
-        return 0.0
-    if theta1 < 0.0:
-        return float(axis_h_t(_t_from_theta1(theta1, x), x))
-    # theta1 > 0: q = 2 t1 y^2 + b has its minimum b at y = 0
-    ker = q_kernel(theta1, 0.0, 1.0 - 2.0 * theta1 * (1.0 - x))
-    if not ker["ok"][0]:
-        raise NearBoundary(
-            f"q(0) = b = {ker['q_min'][0]:.3e} < {QMIN_STRICT} at theta1={theta1}"
-        )
-    return float(-1.0 + 0.5 * ker["j"][0])
 
 
 def solve_Q_detail(x: float) -> QRoot:

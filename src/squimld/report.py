@@ -3,7 +3,9 @@
 Every CSV is a record array with an explicit dtype, under a header of its
 field names.  One formatter, `format_records`, turns a block of rows into
 CSV bytes, and one writer, `write_blocks`, writes the header and then the
-formatted blocks in the order they come.  `write_csv` feeds it a record
+formatted blocks in the order they come, into a temporary file beside the
+target that replaces the target only after the last block: a command that
+fails part-way leaves no partial CSV.  `write_csv` feeds it a record
 array, CHUNK_ROWS rows per block, so a table never sits in memory as
 text; domain-scan feeds it the blocks its sampling shards format in the
 worker that drew them (ratecurves.domain_scan_csv), so its rows cross the
@@ -41,6 +43,7 @@ them, so figures stay reproducible without adding a rendering dependency.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cache
@@ -254,13 +257,24 @@ def format_records(block: np.ndarray) -> tuple[bytes, int]:
 def write_blocks(path: str | Path, names, blocks) -> int:
     """Write CSV under a header of the field names, then each formatted
     block in turn; blocks yields (bytes, cells formatted one at a time)
-    pairs, as format_records returns them.  Returns the summed count."""
+    pairs, as format_records returns them.  Returns the summed count.
+
+    The rows go to a temporary file beside path, renamed onto path after
+    the last block; if anything raises on the way, the temporary file is
+    removed, path is left as it was, and the exception propagates."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     single = 0
-    with open(path, "wb") as out:
-        out.write((",".join(names) + "\n").encode())
-        for text, count in blocks:
-            out.write(text)
-            single += count
+    try:
+        with open(tmp, "wb") as out:
+            out.write((",".join(names) + "\n").encode())
+            for text, count in blocks:
+                out.write(text)
+                single += count
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return single
 
 

@@ -27,8 +27,7 @@ import numpy as np
 
 from .ensembles import chain_tables, classical_ising_1d
 from .errors import InvalidParams
-from .gecore import (DISC_TIE_TOL, SERIES_TOL, RateParams, ThetaPair, _b_of, _pieces_arr,
-                     _q_shape, cgf_c, h_value, integral_inv_q)
+from .gecore import BRANCHES, RateParams, _b_of, _pieces_arr, _q_shape, h_value, kernel_branches
 from .mc import EnsembleConfig, esm_evaluate, infinite_T_msq_exact, thermal_average
 from .parallel import shard_rng
 from .ratecurves import DUAL_GAP_TOL, compute_I2
@@ -46,23 +45,23 @@ GL_NODES = 32
 # all 2e-13.  Fast-level points keep q_min >= 0.027, converged at 256 nodes.
 KERNEL_NODES = {"fast": 256, "full": 1024}
 # Worst |closed form - quadrature| of c and Int 1/q over QUAD_CASES:
-# 1.1e-15 at fast level, 8.9e-16 at full level (5e-15 and 4e-14 with numpy's
-# leggauss rule, which set this bound)
-QUAD_TOL = 1e-12
+# 9.2e-16 at fast level, 1.3e-15 at full level with every case in one
+# matrix product (1.1e-15 and 8.9e-16 summed case by case); the bound is
+# about ten times the worst.  Fixed cases, so the figures are deterministic.
+QUAD_TOL = 1e-14
 # One strictly interior case at x = 0.3, eps = 0.3 on each branch of
 # gecore.q_kernel: atan, log, series and tie (q_min 0.467, 0.240, 0.987 and
 # 0.122).  The full level adds a second atan case.
-QUAD_CASES = (ThetaPair(0.4, 0.05), ThetaPair(-0.8, 0.2), ThetaPair(0.001, 0.01),
-              ThetaPair(0.2439, 0.7317))
+QUAD_CASES = ((0.4, 0.05), (-0.8, 0.2), (0.001, 0.01), (0.2439, 0.7317))
 # Points of the periodic trapezoid on the circle; its error falls like
 # 2 I_{n/2}(1/2), below double precision from 32 points, so 64 leave margin
 CIRCLE_POINTS = 64
 # Gradient points keep min q over [-1, 1] at least this far from 0
 GRAD_QMIN = 1e-4
 # Worst relative |grad c - quadrature|: 1.4e-14 at fast level, 2.1e-13 at
-# full level (1e-13 and 2.8e-12 with numpy's leggauss rule, which set this
-# bound)
-GRAD_RTOL = 1e-10
+# full level, on the fixed shard_rng(2024, 0) stream; the bound is about ten
+# times the worst
+GRAD_RTOL = 2e-12
 # The I2 bracket: curve points where 10^6 draws reliably hit G.
 BRACKET_X = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 BRACKET_EPS = 0.1
@@ -78,38 +77,24 @@ class CheckResult:
     seconds: float = 0.0  # wall time of the check
 
 
-def _kernel_branch(th: ThetaPair, params: RateParams) -> str:
-    """The branch of gecore.q_kernel that evaluates the integrals at th, by its own rule."""
-    t1, t2 = th.theta1, th.theta2
-    b = float(_b_of(params, t1, t2))
-    disc = 4.0 * t2 * t2 - 8.0 * t1 * b
-    gap_rm = abs(t2) - 2.0 * abs(t1)
-    if abs(2.0 * t2 / b) + math.sqrt(abs(2.0 * t1 / b)) <= SERIES_TOL:
-        return "series"
-    if gap_rm > 0.0 and abs(disc) <= DISC_TIE_TOL * 4.0 * gap_rm * gap_rm:
-        return "tie"
-    return "log" if disc > 0.0 else "atan"
-
-
 def check_quadrature(level: str = "fast") -> CheckResult:
     """Closed-form Int 1/q and c against Gauss-Legendre on all four kernel branches."""
     params = RateParams(x=0.3, eps=0.3)
-    cases = QUAD_CASES + ((ThetaPair(0.3, -0.2),) if level == "full" else ())
+    t1, t2 = np.array(QUAD_CASES + (((0.3, -0.2),) if level == "full" else ())).T
     # each case's branch by the kernel's own rule, so coverage is verified, not assumed
-    covered = sorted({_kernel_branch(th, params) for th in cases})
+    masks = kernel_branches(t1, t2, _b_of(params, t1, t2))[3]
+    covered = sorted(name for name, mask in zip(BRANCHES, masks) if mask.any())
     nodes = KERNEL_NODES[level]
     y, w = _legendre_rule(nodes)
-    errors = []
-    for th in cases:
-        q = 1.0 - 2.0 * h_value(y, th, params)
-        errors += [integral_inv_q(th, params) - float(w @ (1.0 / q)),
-                   cgf_c(th, params) - float(w @ (-0.5 * np.log(q)))]
+    pieces = _pieces_arr(params, t1, t2)
+    q = 1.0 - 2.0 * h_value(y, t1[:, None], t2[:, None], params)
+    errors = np.concatenate((pieces["j"] - (1.0 / q) @ w, pieces["c"] - (-0.5 * np.log(q)) @ w))
     # a NaN error propagates, and fails the check
     worst = float(np.max(np.abs(errors)))
     ok = len(covered) == 4 and worst < QUAD_TOL
     return CheckResult(
         "quadrature-vs-closed-form", ok,
-        f"{len(cases)} cases, branches covered: {', '.join(covered)}, "
+        f"{len(t1)} cases, branches covered: {', '.join(covered)}, "
         f"worst |closed - {nodes}-node Gauss-Legendre| = {worst:.2e} (tol {QUAD_TOL:g})",
     )
 
@@ -147,7 +132,7 @@ def check_gradients(level: str = "fast") -> CheckResult:
         params = RateParams(x=x, eps=eps)
         t1, t2 = _interior_thetas(params, n_pts, rng)
         pieces = _pieces_arr(params, t1, t2)
-        inv_q = w / (1.0 - 2.0 * h_value(y, ThetaPair(t1[:, None], t2[:, None]), params))
+        inv_q = w / (1.0 - 2.0 * h_value(y, t1[:, None], t2[:, None], params))
         g1, g2 = pieces["grad1"], pieces["grad2"]
         errors.append(np.hypot(g1 - inv_q @ (1.0 - x - y * y), g2 - inv_q @ (y - eps))
                       / np.maximum(np.hypot(g1, g2), 1e-12))

@@ -413,6 +413,27 @@ def test_samples_too_large_to_allocate_is_numerical_exit(tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert err.startswith("out of memory: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+def test_failed_domain_scan_leaves_no_csv(tmp_path, capsys, monkeypatch):
+    # a shard that raises part-way: exit 3, and neither the CSV nor the
+    # temporary file it was written to stays in --out-dir
+    import squimld.ratecurves
+
+    scan_shard = squimld.ratecurves._scan_shard
+
+    def failing(shard, payload):
+        if shard == 5:
+            raise squimld.SquimldError("shard 5 failed")
+        return scan_shard(shard, payload)
+
+    monkeypatch.setattr(squimld.ratecurves, "_scan_shard", failing)
+    out = tmp_path / "out"
+    argv = ["domain-scan", "--samples", "100000", "--workers", "1", "--out-dir", str(out)]
+    assert run(argv) == 3
+    assert "shard 5 failed" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_ensemble_byte_identity_across_workers(tmp_path, capsys):
@@ -651,9 +672,17 @@ def test_validate_fast_passes(tmp_path, capsys):
         assert float(man[f"time.{n}_s"]) > 0.0
 
 
-def test_validate_unknown_level_usage_error(tmp_path, capsys):
+def test_validate_unknown_level_usage_error(tmp_path, capsys, monkeypatch):
     assert run(["validate", "--level", "extreme", "--out-dir", str(tmp_path)]) == 2
     capsys.readouterr()
+    # a layered level is a default, which argparse does not check against
+    # choices; run_validation refuses it
+    monkeypatch.setenv(ENV_PREFIX + "LEVEL", "extreme")
+    out = tmp_path / "env"
+    assert run(["validate", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'extreme'" in err and "Traceback" not in err
+    assert not (out / "validate_manifest.json").exists()
 
 
 def test_manifest_timestamps_and_version(tmp_path, capsys):

@@ -2,10 +2,13 @@
 
 The cumulant function and its companions all reduce to elementary
 antiderivatives, so every value here can be cross-checked by trapezoid
-quadrature on a dense grid.  The tests pin the branch switching (power
-series, log, arctan, double root), the three-test domain verdicts, the exact
-parabola minimum, and the transformed-coordinate machinery on the axis
-where the root gap shrinks below float spacing.
+quadrature on a dense grid.  Every value is read off the array kernel
+(q_kernel, _pieces_arr) and its branch off kernel_branches, the one
+statement of the rule.  The tests pin the branch switching (power series,
+log, arctan, double root) and that it covers every strictly interior point,
+the endpoint and vertex values behind D, the exact parabola minimum, and
+the transformed-coordinate machinery on the axis where the root gap shrinks
+below float spacing.
 """
 
 import math
@@ -18,31 +21,23 @@ from hypothesis import strategies as st
 
 from squimld import (
     InvalidParams,
-    NearBoundary,
     NoRoot,
     QRoot,
     RateParams,
-    ThetaPair,
-    cgf_c,
-    grad_c,
-    integral_inv_q,
-    k_value,
     solve_Q_detail,
 )
 from squimld.gecore import (
-    DISC_TIE_TOL,
-    H_value,
+    BRANCHES,
     QMIN_STRICT,
-    SERIES_TOL,
     _b_of,
     _pieces_arr,
-    _t_from_theta1,
+    _q_shape,
     _theta1_from_t,
     axis_h_t,
     axis_k_t,
     bracketed_root,
     h_value,
-    in_domain_D,
+    kernel_branches,
     q_kernel,
     root_toward,
 )
@@ -51,35 +46,48 @@ P07 = RateParams(x=0.7, eps=0.3)
 P03 = RateParams(x=0.3, eps=0.1)
 
 
-def trapz_j_and_c(theta: ThetaPair, params: RateParams, panels: int = 200_000):
-    """Dense trapezoid values of Int 1/q and c = -1/2 Int log q."""
+def trapz_j_and_c(theta, params: RateParams, panels: int = 200_000):
+    """Dense trapezoid values of Int 1/q and c = -1/2 Int log q at theta = (t1, t2)."""
     ys = np.linspace(-1.0, 1.0, panels + 1)
-    q = 1.0 - 2.0 * h_value(ys, theta, params)
+    q = 1.0 - 2.0 * h_value(ys, *theta, params)
     assert np.all(q > 0.0)
     j = float(np.trapezoid(1.0 / q, ys))
     c = float(-0.5 * np.trapezoid(np.log(q), ys))
     return j, c
 
 
+def at(params: RateParams, theta, *keys):
+    """_pieces_arr's keys at theta = (t1, t2), which must be strictly inside D."""
+    out = _pieces_arr(params, *theta)
+    assert out["ok"][0], (theta, out["q_min"][0])
+    return tuple(float(out[key][0]) for key in keys)
+
+
+def q_min_of(params: RateParams, theta) -> float:
+    t1, t2 = theta
+    return float(_q_shape(t1, t2, _b_of(params, t1, t2))[3])
+
+
 # interior points exercising each branch: disc > 0 (t1 < 0), disc < 0
 # (t1 > 0 large enough), the affine line t1 = 0, and a near-tie point
 BRANCH_POINTS = [
-    (P07, ThetaPair(-0.5, 0.1)),
-    (P07, ThetaPair(-0.2, 0.2)),
-    (P07, ThetaPair(0.8, 0.05)),
-    (P07, ThetaPair(1.2, 0.4)),
-    (P07, ThetaPair(0.0, 0.2)),
-    (P07, ThetaPair(0.0, 1e-7)),
-    (P03, ThetaPair(-0.4, 0.15)),
-    (P03, ThetaPair(0.3, -0.1)),
+    (P07, (-0.5, 0.1)),
+    (P07, (-0.2, 0.2)),
+    (P07, (0.8, 0.05)),
+    (P07, (1.2, 0.4)),
+    (P07, (0.0, 0.2)),
+    (P07, (0.0, 1e-7)),
+    (P03, (-0.4, 0.15)),
+    (P03, (0.3, -0.1)),
 ]
 
 
 @pytest.mark.parametrize("params,theta", BRANCH_POINTS)
 def test_closed_forms_match_quadrature(params, theta):
     j_ref, c_ref = trapz_j_and_c(theta, params)
-    assert abs(integral_inv_q(theta, params) - j_ref) < 2e-8
-    assert abs(cgf_c(theta, params) - c_ref) < 2e-8
+    j, c = at(params, theta, "j", "c")
+    assert abs(j - j_ref) < 2e-8
+    assert abs(c - c_ref) < 2e-8
 
 
 @pytest.mark.parametrize("t1", [1e-10, -1e-10, 3e-11])
@@ -115,15 +123,10 @@ def _gauss_legendre_80(t1, t2, b):
 
 
 def _kernel_branch(t1, t2, b):
-    """The branch q_kernel takes for (t1, t2, b), restated from its docstring."""
-    s, p = 2.0 * t2 / b, 2.0 * t1 / b
-    if abs(s) + math.sqrt(abs(p)) <= SERIES_TOL:
-        return "series"
-    disc = 4.0 * t2 * t2 - 8.0 * t1 * b
-    gap = abs(t2) - 2.0 * abs(t1)
-    if gap > 0.0 and abs(disc) <= DISC_TIE_TOL * 4.0 * gap * gap:
-        return "tie"
-    return "log" if disc > 0.0 else "atan"
+    """The one branch kernel_branches puts (t1, t2, b) on."""
+    masks = kernel_branches(np.atleast_1d(t1), np.atleast_1d(t2), np.atleast_1d(b))[3]
+    (branch,) = [name for name, mask in zip(BRANCHES, masks) if mask[0]]
+    return branch
 
 
 def _assert_kernel_matches(t1, t2, b, rel):
@@ -141,7 +144,7 @@ def test_kernel_just_above_the_old_affine_switch(t1, t2, disc_sign):
     # t1 = 1e-9, t2 = 1e-5 it read Int y^2/q off by 4.1e-4.  Every integral,
     # Int y^m/q^2 included, now holds 1e-12 relative against quadrature on
     # both sides of disc = 0.
-    assert math.copysign(1.0, 4.0 * t2 * t2 - 8.0 * t1) == disc_sign
+    assert np.sign(kernel_branches(t1, t2, 1.0)[2]) == disc_sign
     _assert_kernel_matches(t1, t2, 1.0, rel=1e-12)
 
 
@@ -180,34 +183,34 @@ def test_inverse_square_moments_across_the_edge_of_the_tie_band(offset, branch):
     _assert_kernel_matches(t1, t2, b, rel=1e-12)
 
 
+def central_differences(params: RateParams, theta, step: float):
+    """(dc/dt1, dc/dt2) by central differences of the kernel's c, from one call."""
+    t1, t2 = theta
+    out = _pieces_arr(params, [t1 + step, t1 - step, t1, t1], [t2, t2, t2 + step, t2 - step])
+    assert np.all(out["ok"])
+    c = out["c"]
+    return (c[0] - c[1]) / (2.0 * step), (c[2] - c[3]) / (2.0 * step)
+
+
 @pytest.mark.parametrize("params,theta", BRANCH_POINTS)
 def test_gradient_matches_central_differences(params, theta):
-    step = 1e-6
-    g1, g2 = grad_c(theta, params)
-    fd1 = (
-        cgf_c(ThetaPair(theta.theta1 + step, theta.theta2), params)
-        - cgf_c(ThetaPair(theta.theta1 - step, theta.theta2), params)
-    ) / (2.0 * step)
-    fd2 = (
-        cgf_c(ThetaPair(theta.theta1, theta.theta2 + step), params)
-        - cgf_c(ThetaPair(theta.theta1, theta.theta2 - step), params)
-    ) / (2.0 * step)
+    g1, g2 = at(params, theta, "grad1", "grad2")
+    fd1, fd2 = central_differences(params, theta, 1e-6)
     denom = max(math.hypot(g1, g2), 1e-12)
     assert math.hypot(g1 - fd1, g2 - fd2) / denom < 1e-4
 
 
 @pytest.mark.parametrize("params,theta", BRANCH_POINTS)
 def test_k_is_theta_dot_grad_minus_c(params, theta):
-    g1, g2 = grad_c(theta, params)
-    lhs = k_value(theta, params)
-    rhs = theta.theta1 * g1 + theta.theta2 * g2 - cgf_c(theta, params)
-    assert abs(lhs - rhs) < 1e-10
+    g1, g2, k, c = at(params, theta, "grad1", "grad2", "k", "c")
+    assert abs(k - (theta[0] * g1 + theta[1] * g2 - c)) < 1e-10
 
 
 def test_cgf_zero_at_origin():
-    assert cgf_c(ThetaPair(0.0, 0.0), P07) == 0.0
-    assert k_value(ThetaPair(0.0, 0.0), P07) == pytest.approx(0.0, abs=1e-15)
-    j, _ = trapz_j_and_c(ThetaPair(0.0, 0.0), P07)
+    c, k = at(P07, (0.0, 0.0), "c", "k")
+    assert c == 0.0
+    assert k == pytest.approx(0.0, abs=1e-15)
+    j, _ = trapz_j_and_c((0.0, 0.0), P07)
     assert j == pytest.approx(2.0, abs=1e-12)
 
 
@@ -225,53 +228,47 @@ def test_rate_params_validation():
 
 
 def test_domain_verdicts():
-    v = in_domain_D(ThetaPair(0.0, 0.0), P07)
-    assert v.in_domain and v.strictly_inside and v.failed_test is None
-    assert v.q_min == pytest.approx(1.0)
-    # large positive theta2 pushes h(1) over 1/2
-    v1 = in_domain_D(ThetaPair(0.0, 2.0), P07)
-    assert not v1.in_domain and v1.failed_test == "Test1"
-    # large negative theta2 pushes h(-1) over 1/2
-    v2 = in_domain_D(ThetaPair(0.0, -2.0), P07)
-    assert not v2.in_domain and v2.failed_test == "Test2"
-    # the interior vertex test needs t1 > 0 with the vertex inside [-1, 1]
-    v3 = in_domain_D(ThetaPair(3.0, 0.5), P07)
-    assert not v3.in_domain and v3.failed_test == "Test3"
+    # (q(1), q(-1), vertex value) from _q_shape: D needs all three >= 0
+    def shape(t1, t2):
+        q1, qm1, qvert, q_min, in_d = _q_shape(t1, t2, _b_of(P07, t1, t2))
+        return (float(q1), float(qm1), float(qvert)), float(q_min), bool(in_d)
+
+    values, q_min, in_d = shape(0.0, 0.0)
+    assert in_d and q_min == pytest.approx(1.0)
+    # large positive theta2 pushes h(1) over 1/2: q(1) < 0
+    values, q_min, in_d = shape(0.0, 2.0)
+    assert not in_d and values[0] < 0.0 <= min(values[1:]) and q_min == values[0]
+    # large negative theta2 pushes h(-1) over 1/2: q(-1) < 0
+    values, q_min, in_d = shape(0.0, -2.0)
+    assert not in_d and values[1] < 0.0 <= min(values[0], values[2]) and q_min == values[1]
+    # the vertex counts only for t1 > 0 with the vertex inside [-1, 1]
+    values, q_min, in_d = shape(3.0, 0.5)
+    assert not in_d and values[2] < 0.0 <= min(values[:2]) and q_min == values[2]
 
 
 def test_left_vertex_is_domain_corner():
     # q(-0?) at theta = (P, 0): q_min = 1 + 2 P x = 0 exactly
     p = P07.p_left
-    assert in_domain_D(ThetaPair(p, 0.0), P07).q_min == pytest.approx(0.0, abs=1e-15)
-    assert not in_domain_D(ThetaPair(p - 1e-6, 0.0), P07).in_domain
-    verdict = in_domain_D(ThetaPair(p + 1e-3, 0.0), P07)
-    assert verdict.in_domain
-
-
-def test_near_boundary_raises():
-    p = P07.p_left
-    theta = ThetaPair(p + 1e-16, 0.0)
-    with pytest.raises(NearBoundary):
-        cgf_c(theta, P07)
-    with pytest.raises(NearBoundary):
-        grad_c(theta, P07)
+    assert q_min_of(P07, (p, 0.0)) == pytest.approx(0.0, abs=1e-15)
+    in_d = _pieces_arr(P07, [p - 1e-6, p + 1e-3], [0.0, 0.0])["in_D"]
+    assert not in_d[0] and in_d[1]
 
 
 def test_h_value_and_kernel_agree():
     # 1 - 2 h(y) is the kernel's q = 2 t1 y^2 - 2 t2 y + b
-    theta = ThetaPair(-0.3, 0.2)
-    b = _b_of(P07, theta.theta1, theta.theta2)
+    t1, t2 = -0.3, 0.2
+    b = _b_of(P07, t1, t2)
     for y in (-1.0, -0.25, 0.5, 1.0):
-        q = 2.0 * theta.theta1 * y * y - 2.0 * theta.theta2 * y + b
-        assert q == pytest.approx(1.0 - 2.0 * h_value(y, theta, P07), abs=1e-14)
+        q = 2.0 * t1 * y * y - 2.0 * t2 * y + b
+        assert q == pytest.approx(1.0 - 2.0 * h_value(y, t1, t2, P07), abs=1e-14)
 
 
-def chebyshev_q_min(params: RateParams, theta: ThetaPair, n: int) -> float:
+def chebyshev_q_min(params: RateParams, theta, n: int) -> float:
     """Minimum of q over n Chebyshev-spaced points of [-1, 1] joined with the
-    analytic minimum: the grid cross-check of in_domain_D's q_min."""
+    analytic minimum: the grid cross-check of _q_shape's q_min."""
     ys = np.cos(np.pi * np.arange(n) / (n - 1))
-    q_grid = 1.0 - 2.0 * h_value(ys, theta, params)
-    return float(min(np.min(q_grid), in_domain_D(theta, params).q_min))
+    q_grid = 1.0 - 2.0 * h_value(ys, *theta, params)
+    return float(min(np.min(q_grid), q_min_of(params, theta)))
 
 
 theta_boxes = st.tuples(
@@ -283,41 +280,11 @@ theta_boxes = st.tuples(
 @given(theta_boxes)
 @settings(max_examples=150)
 def test_qmin_matches_grid_scan(pair):
-    theta = ThetaPair(*pair)
-    q_min = in_domain_D(theta, P07).q_min
-    grid = chebyshev_q_min(P07, theta, n=4097)
+    q_min = q_min_of(P07, pair)
+    grid = chebyshev_q_min(P07, pair, n=4097)
     # the analytic minimum can only undercut the grid scan
     assert q_min <= grid + 1e-12
     assert q_min >= grid - 1e-4
-
-
-@given(theta_boxes)
-@settings(max_examples=150)
-@example((-0.25, -0.25))  # on q(-1) = 0, where q(-1) rounds to -1.1e-16
-def test_domain_tests_equal_qmin_sign(pair):
-    # domain-scan reads in_D off _pieces_arr (q_kernel); the scalar verdict
-    # must agree with it and with the sign of q_min
-    t1, t2 = pair
-    in_d = _pieces_arr(P07, t1, t2)["in_D"][0]
-    verdict = in_domain_D(ThetaPair(t1, t2), P07)
-    assert bool(in_d) == verdict.in_domain == (verdict.q_min >= 0.0)
-    assert (verdict.failed_test is None) == verdict.in_domain
-
-
-@pytest.mark.parametrize("params", [P07, P03])
-def test_boundary_lines_through_p_get_one_verdict(params):
-    # q(1) = 0 and q(-1) = 0 are the lines through P = (-1/(2x), 0) with
-    # slopes x/(1-eps) and -x/(1+eps); on them rounding decides membership,
-    # and the scan's route and the scalar verdict must decide it the same way
-    x, eps = params.x, params.eps
-    s = np.linspace(0.0, 3.0, 301)
-    for slope in (x / (1.0 - eps), -x / (1.0 + eps)):
-        t1s, t2s = params.p_left + s, slope * s
-        in_d = _pieces_arr(params, t1s, t2s)["in_D"]
-        for t1, t2, member in zip(t1s, t2s, in_d):
-            verdict = in_domain_D(ThetaPair(float(t1), float(t2)), params)
-            assert bool(member) == verdict.in_domain == (verdict.q_min >= 0.0)
-            assert (verdict.failed_test is None) == verdict.in_domain
 
 
 @given(
@@ -327,18 +294,10 @@ def test_boundary_lines_through_p_get_one_verdict(params):
 @settings(max_examples=60)
 @example(5.960464477539063e-08, 0.5)  # one root of q near 8e6: grad1 was off by 1.7e-2
 def test_gradient_consistency_property(t1, t2):
-    theta = ThetaPair(t1, t2)
-    verdict = in_domain_D(theta, P07)
-    if not (verdict.strictly_inside and verdict.q_min > 1e-3):
+    if not q_min_of(P07, (t1, t2)) > 1e-3:
         return
-    g1, g2 = grad_c(theta, P07)
-    step = 1e-6
-    fd1 = (
-        cgf_c(ThetaPair(t1 + step, t2), P07) - cgf_c(ThetaPair(t1 - step, t2), P07)
-    ) / (2.0 * step)
-    fd2 = (
-        cgf_c(ThetaPair(t1, t2 + step), P07) - cgf_c(ThetaPair(t1, t2 - step), P07)
-    ) / (2.0 * step)
+    g1, g2 = at(P07, (t1, t2), "grad1", "grad2")
+    fd1, fd2 = central_differences(P07, (t1, t2), 1e-6)
     assert math.hypot(g1 - fd1, g2 - fd2) <= 1e-3 * max(math.hypot(g1, g2), 1.0)
 
 
@@ -347,37 +306,44 @@ def test_gradient_consistency_property(t1, t2):
 # ---------------------------------------------------------------------------
 
 
+def kernel_h(theta1, x):
+    """H = -1 + 1/2 Int 1/q on the axis, from the kernel (eps drops out there)."""
+    return -1.0 + 0.5 * _pieces_arr(RateParams(x=x, eps=0.1), theta1, np.zeros_like(theta1))["j"]
+
+
 def test_h_axis_values_match_direct_integral():
     for x, theta1 in [(0.3, -0.8), (0.3, 0.4), (0.7, -0.5), (0.5, 1e-11)]:
         params = RateParams(x=x, eps=0.1)
-        j_ref, _ = trapz_j_and_c(ThetaPair(theta1, 0.0), params)
-        assert H_value(theta1, x) == pytest.approx(-1.0 + 0.5 * j_ref, abs=1e-7)
+        j_ref, _ = trapz_j_and_c((theta1, 0.0), params)
+        assert kernel_h(theta1, x)[0] == pytest.approx(-1.0 + 0.5 * j_ref, abs=1e-7)
     # near the origin H ~ theta1 (4/3 - 2x) sits far below the trapezoid's
     # resolution; the reference is -1 + 1/2 Int 1/q by mpmath at 30 digits
-    assert H_value(1e-11, 0.5) == pytest.approx(3.33333333338e-12, rel=1e-6)
+    assert kernel_h(1e-11, 0.5)[0] == pytest.approx(3.33333333338e-12, rel=1e-6)
 
 
 def test_h_limits_and_sign_structure():
     x = 0.3
     p_left = -1.0 / (2.0 * x)
-    assert H_value(0.0, x) == 0.0
+    h0, h_near_p, h_near_0 = kernel_h(np.array([0.0, p_left + 1e-9, -1e-6]), x)
+    assert h0 == 0.0
     # H blows up only logarithmically toward P: ~ (x/2) log(2/t)
-    assert H_value(p_left + 1e-9, x) > 2.0
+    assert h_near_p > 2.0
     assert float(axis_h_t(1e-300, x)) > 100.0
-    assert H_value(-1e-6, x) < 0.0
-    with pytest.raises(NearBoundary):
-        H_value(p_left, x)
-    # the right end of the axis segment in D: b = q(0) = 0 at 1/(2(1 - x))
-    with pytest.raises(NearBoundary):
-        H_value(1.0 / (2.0 * (1.0 - x)), x)
-    with pytest.raises(InvalidParams):
-        H_value(-0.1, 0.0)
+    assert h_near_0 < 0.0
+    # P itself and the right end of the axis segment in D, where
+    # b = q(0) = 0 at 1/(2(1 - x)), are off the strict interior
+    assert np.all(np.isnan(kernel_h(np.array([p_left, 1.0 / (2.0 * (1.0 - x))]), x)))
+
+
+def t_of_theta1(theta1, x):
+    """The stretched axis coordinate t = sqrt(1/(-2 theta1) + 1 - x) - 1."""
+    return math.sqrt(1.0 / (-2.0 * theta1) + 1.0 - x) - 1.0
 
 
 def test_t_coordinate_round_trip():
     for x in (0.1, 0.3, 0.65):
         for theta1 in (-1.0 / (2.0 * x) + 1e-4, -0.5, -1e-6):
-            t = _t_from_theta1(theta1, x)
+            t = t_of_theta1(theta1, x)
             assert _theta1_from_t(t, x) == pytest.approx(theta1, rel=1e-12)
 
 
@@ -385,20 +351,20 @@ def test_axis_h_t_matches_h_value():
     for x in (0.1, 0.3, 0.6):
         p_left = -1.0 / (2.0 * x)
         for theta1 in (0.1 * p_left, 0.6 * p_left, p_left + 1e-5):
-            t = _t_from_theta1(theta1, x)
+            t = t_of_theta1(theta1, x)
             assert float(axis_h_t(t, x)) == pytest.approx(
-                H_value(theta1, x), rel=1e-9, abs=1e-12
+                kernel_h(theta1, x)[0], rel=1e-9, abs=1e-12
             )
 
 
-def test_axis_k_t_matches_k_value():
+def test_axis_k_t_matches_the_kernel_k():
     # eps drops out of k on the axis, so any admissible eps gives the same k
     for x, eps in [(0.3, 0.1), (0.3, 0.5), (0.6, 0.2)]:
         params = RateParams(x=x, eps=eps)
         for theta1 in (-0.8, -0.1, -1e-7):
-            t = _t_from_theta1(theta1, x)
+            t = t_of_theta1(theta1, x)
             assert float(axis_k_t(t, x)) == pytest.approx(
-                k_value(ThetaPair(theta1, 0.0), params), rel=1e-8, abs=1e-10
+                at(params, (theta1, 0.0), "k")[0], rel=1e-8, abs=1e-10
             )
 
 
@@ -490,10 +456,70 @@ def test_q_gap_matches_theta_difference_where_resolvable():
     assert gap == pytest.approx(direct, rel=1e-6)
 
 
-def test_strict_interior_threshold_is_enforced():
-    # a point passing the sign tests but inside the guard band must raise
+def test_near_boundary_raises():
+    # P + 1e-16 is in D but inside the guard band; the kernel raises no error
+    # there, it refuses the point through ok, with or without exact ends
     p = P07.p_left
-    theta = ThetaPair(p + 1e-14, 0.0)
-    assert 0.0 <= in_domain_D(theta, P07).q_min < QMIN_STRICT
-    with pytest.raises(NearBoundary):
-        integral_inv_q(theta, P07)
+    x, s = P07.x, 1e-16
+    ends = (2.0 * x * s, 2.0 * x * s)  # q(+-1) at theta2 = 0, as solve_dual forms them
+    for kw in ({}, {"ends": ends}):
+        out = _pieces_arr(P07, p + s, 0.0, **kw)
+        assert out["in_D"][0] and not out["ok"][0]
+        for key in ("c", "grad1", "grad2"):
+            assert math.isnan(out[key][0]), key
+
+
+def test_strict_interior_threshold_is_enforced():
+    # points passing the sign tests but inside the guard band are in D and
+    # not ok: every integral, and so c, its gradient and k, is NaN
+    p = P07.p_left
+    out = _pieces_arr(P07, [p + 1e-16, p + 1e-14], [0.0, 0.0])
+    assert np.all(out["in_D"]) and not np.any(out["ok"])
+    assert np.all((0.0 <= out["q_min"]) & (out["q_min"] < QMIN_STRICT))
+    for key in ("j", "jy", "y2", "lq", "c", "grad1", "grad2", "k"):
+        assert np.all(np.isnan(out[key])), key
+
+
+# disc == 0 exactly with the double root t2/(2 t1) = -0.93 in [-1, 1]: q_min
+# rounds to 1.8e-12, above QMIN_STRICT, yet no closed form applies
+TIED_INSIDE = (6232.31902816863, -11598.248270891638, 10792.079348413063)
+
+
+def test_double_root_inside_the_interval_is_refused():
+    t1, t2, b = TIED_INSIDE
+    assert kernel_branches(t1, t2, b)[2] == 0.0 and abs(t2 / (2.0 * t1)) <= 1.0
+    out = q_kernel(t1, t2, b, with_q2=True)
+    q_min, in_d = _q_shape(t1, t2, b)[3:]
+    assert out["q_min"][0] == q_min >= QMIN_STRICT and out["in_D"][0] == in_d
+    assert not out["ok"][0]
+    for key in ("j", "jy", "y2", "lq"):
+        assert math.isnan(out[key][0]), key
+    assert np.all(np.isnan(out["q2"]))
+
+
+def test_every_ok_point_sits_on_exactly_one_branch():
+    # a random batch of interior points plus large-b constructions with
+    # disc == 0: t2 = 2 t1 r and b = t2 r make q = 2 t1 (y - r)^2, with the
+    # double root r inside [-1, 1] or outside it (the tie branch).  At b in
+    # the thousands the rounding of q_min reaches QMIN_STRICT, so some of
+    # the inside roots pass the q_min guard, as TIED_INSIDE does.
+    rng = np.random.default_rng(3)
+    n = 20_000
+    t1d = rng.uniform(1e3, 1e4, 2 * n)
+    r = np.concatenate((rng.uniform(-1.0, 1.0, n), rng.uniform(1.0, 3.0, n)))
+    t2d = 2.0 * t1d * r
+    bd = t2d * r
+    tied = kernel_branches(t1d, t2d, bd)[2] == 0.0
+    batch = (rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n), rng.uniform(0.5, 4.0, n))
+    t1, t2, b = (np.concatenate((u, v[tied])) for u, v in zip(batch, (t1d, t2d, bd)))
+    out = q_kernel(t1, t2, b)
+    ok = out["ok"]
+    masks = np.array(kernel_branches(t1[ok], t2[ok], b[ok])[3])
+    assert np.all(masks.sum(axis=0) == 1)
+    assert np.all(np.isfinite(out["j"][ok])) and np.all(np.isnan(out["j"][~ok]))
+    # the points refused although q_min passes are exactly the double roots
+    # inside [-1, 1]
+    off_branch = ~ok & (out["q_min"] >= QMIN_STRICT)
+    assert off_branch.sum() >= 10
+    assert np.all(np.abs(t2[off_branch] / (2.0 * t1[off_branch])) <= 1.0)
+    assert np.all(kernel_branches(t1[off_branch], t2[off_branch], b[off_branch])[2] == 0.0)

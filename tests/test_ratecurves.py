@@ -33,11 +33,10 @@ from squimld import (
 from scipy.integrate import quad
 
 from squimld.gecore import (
-    ThetaPair,
+    _b_of,
     _pieces_arr,
+    _q_shape,
     axis_k_t,
-    grad_c,
-    in_domain_D,
     solve_Q_detail,
 )
 from squimld.ratecurves import (
@@ -143,10 +142,8 @@ def test_domain_scan_columns_are_consistent():
     assert np.all(np.isfinite(k[in_g]))
     assert np.all(np.isnan(k[~in_d]))
     assert in_d.sum() > 1000
-    # membership recheck on a subsample
-    idx = np.flatnonzero(in_d)[:50]
-    for i in idx:
-        assert in_domain_D(ThetaPair(float(theta1[i]), float(theta2[i])), P07).in_domain
+    # membership recheck from the endpoint and vertex values of q
+    assert np.array_equal(_q_shape(theta1, theta2, _b_of(P07, theta1, theta2))[4], in_d)
 
 
 def test_domain_scan_is_deterministic_across_workers():
@@ -185,9 +182,9 @@ def test_no_point_with_theta2_at_most_zero_is_in_G(x, eps_frac, s_frac, f):
         b0 = 1.0 - 2.0 * theta1 * (1.0 - x)
         e = params.eps * theta1
         m = min(m, math.sqrt(4.0 * e * e + 2.0 * b0 * theta1) - 2.0 * e)
-    theta = ThetaPair(theta1, -f * m)
-    assume(in_domain_D(theta, params).strictly_inside)
-    assert grad_c(theta, params)[1] < 0.0
+    pieces = _pieces_arr(params, theta1, -f * m)
+    assume(pieces["ok"][0])
+    assert pieces["grad2"][0] < 0.0
 
 
 @pytest.mark.parametrize("x", [0.1, 0.4, 0.7])

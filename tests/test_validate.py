@@ -5,7 +5,8 @@ numerical integrals; here each integral is checked against its value in
 closed form, so a quadrature rule that drifts shows before a lemma check
 reads it.  The Gauss-Legendre rule behind every check is held to the
 exact integrals of the monomials it must integrate exactly, and the
-quadrature check's fixed cases to the kernel branches they stand for.
+quadrature check's fixed cases to the kernel branches they stand for, by
+gecore.kernel_branches, the kernel's own rule.
 """
 
 import math
@@ -13,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from squimld.gecore import DISC_TIE_TOL, SERIES_TOL, RateParams, in_domain_D
+from squimld.gecore import BRANCHES, RateParams, _b_of, _pieces_arr, kernel_branches
 from squimld.validate import (QUAD_CASES, _legendre_rule, check_quadrature,
                               concentration_integrals, uif_sides)
 
@@ -40,24 +41,12 @@ def test_legendre_rule_integrates_monomials_below_degree_2n(n):
                              (0.46688, 0.24, 0.9866, 0.12196))
 ])
 def test_quadrature_cases_sit_on_their_kernel_branches(theta, branch, q_min):
-    # q = 2 t1 y^2 - 2 t2 y + b = b (1 - u1 y)(1 - u2 y); q_kernel takes the
-    # series branch for |u1 + u2| + sqrt|u1 u2| <= SERIES_TOL, the tie
-    # branch off it where the root offset h^2 = disc/(16 t1^2) is within
-    # DISC_TIE_TOL of the squared distance from t2/(2 t1) to [-1, 1], and
-    # else the log or atan branch by the sign of disc
     params = RateParams(x=0.3, eps=0.3)
-    t1, t2 = theta.theta1, theta.theta2
-    b = 1.0 - 2.0 * t1 * (1.0 - params.x) + 2.0 * t2 * params.eps
-    disc = 4.0 * t2 * t2 - 8.0 * t1 * b
-    gap = abs(t2) - 2.0 * abs(t1)
-    if abs(2.0 * t2 / b) + math.sqrt(abs(2.0 * t1 / b)) <= SERIES_TOL:
-        assert branch == "series"
-    elif gap > 0.0 and abs(disc) <= DISC_TIE_TOL * 4.0 * gap * gap:
-        assert branch == "tie"
-    else:
-        assert branch == ("log" if disc > 0.0 else "atan")
-    verdict = in_domain_D(theta, params)
-    assert verdict.strictly_inside and verdict.q_min == pytest.approx(q_min, abs=1e-4)
+    t1, t2 = np.array([theta[0]]), np.array([theta[1]])
+    masks = kernel_branches(t1, t2, _b_of(params, t1, t2))[3]
+    assert [name for name, mask in zip(BRANCHES, masks) if mask[0]] == [branch]
+    out = _pieces_arr(params, t1, t2)
+    assert out["ok"][0] and out["q_min"][0] == pytest.approx(q_min, abs=1e-4)
 
 
 @pytest.mark.parametrize("level", ["fast", "full"])
