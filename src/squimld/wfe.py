@@ -59,13 +59,13 @@ hit at N = 2000; the tilt makes 1e7 replicas informative.
 The sampler only needs the squares chi_n^2 = Z_n^2, so it draws them in
 pairs: Box-Muller gives two independent chi_1^2 values, R^2 cos^2(phi) and
 R^2 sin^2(phi), from one uniform pair, which it takes from the two 32-bit
-halves of one raw word of the shard's SFC64 stream.  With c_n = b_n
-sigma_n^2 padded to an even count, T = sum_k c_{2k+1} R_k^2 + (c_{2k} -
-c_{2k+1}) R_k^2 cos^2(phi_k): one log and one cos per two coordinates.
+halves of one raw word of the shard's SFC64 stream.  With R^2 = -2L and
+c_n = b_n sigma_n^2 padded to an even count, T = -sum_k L_k [(c_{2k} +
+c_{2k+1}) + (c_{2k} - c_{2k+1}) cos 2phi_k]: one log and one cos per pair.
 Replicas are split over the fixed RARE_SHARDS shards and run in blocks of
-RARE_BLOCK_WORDS words, sized to stay in cache.
-The result carries a standard error for log P and the ESS of the hit
-weights.
+RARE_BLOCK_WORDS words, sized to stay in cache; each shard then weighs its
+hits in one pass.  The result carries a standard error for log P and the
+ESS of the hit weights.
 """
 
 from __future__ import annotations
@@ -83,10 +83,10 @@ from .parallel import fold_shifted, map_shards, shard_rng, split_counts
 
 # Raw SFC64 words per block of the rare-event sampler (256 kB of uint64).  A
 # block and its work arrays take ~3x that, which stays in a core's L2.  On a
-# 2-core AMD EPYC host, one in-process N = 2000, 10^5-replica run took a
-# median 0.330 s at 2^15 words, 0.372 s at 2^14, where the per-block
-# overhead starts to show, and 0.502 s at 2^16; 2^15 was the faster in each
-# of 10 alternating rounds against either
+# 2-core AMD EPYC host, one in-process N = 2000, 10^5-replica run over the
+# 63 shards took a median 0.265 s at 2^15 words, 0.283 s at 2^14, where the
+# per-block overhead starts to show, and 0.447 s at 2^16; 2^15 was the
+# fastest of the three in 9 of 10 alternating rounds
 RARE_BLOCK_WORDS = 1 << 15
 # Shards of every rare-event job, fixed because the estimate depends on it
 RARE_SHARDS = 63
@@ -202,15 +202,16 @@ def theta_range(p: WfeParams) -> tuple[float, float]:
     return 1.0 / (2.0 * a_min), 1.0 / (2.0 * a_max)
 
 
-def _p_and_slope(theta: float, p: WfeParams) -> tuple[float, float]:
-    """(p(theta), p'(theta)) from one evaluation of the quadratic kernel."""
+def _p_and_slope(theta: float, p: WfeParams) -> tuple[float, float, float]:
+    """(p(theta), p'(theta), eps (|r J_2| + |sqrt(delta) J_1| + |delta J_0|)/(2b),
+    the rounding bound of p') from one evaluation of the quadratic kernel."""
     lo, hi = theta_range(p)
     if not (lo < theta < hi):
         raise OutOfThetaRange(
             f"theta={theta} outside the admissible interval ({lo:.6g}, {hi:.6g})"
         )
     if theta == 0.0:
-        return 0.0, -(p.r / 3.0 + p.delta)
+        return 0.0, -(p.r / 3.0 + p.delta), math.ulp(1.0) * (p.r / 3.0 + p.delta)
     b = 1.0 + 2.0 * theta * p.delta
     sqrt_delta = math.sqrt(p.delta)
     ker = q_kernel(theta * p.r / b, theta * sqrt_delta / b, 1.0)
@@ -221,8 +222,9 @@ def _p_and_slope(theta: float, p: WfeParams) -> tuple[float, float]:
         )
     j0, j1, j2, lq = (float(ker[key][0]) for key in ("j", "jy", "y2", "lq"))
     p_val = -0.25 * (lq + 2.0 * math.log1p(2.0 * theta * p.delta))
-    slope = -(p.r * j2 - sqrt_delta * j1 + p.delta * j0) / (2.0 * b)
-    return p_val, slope
+    terms = (p.r * j2, -sqrt_delta * j1, p.delta * j0)
+    slope = -sum(terms) / (2.0 * b)
+    return p_val, slope, math.ulp(1.0) * sum(map(abs, terms)) / (2.0 * b)
 
 
 def p_theta(theta: float, p: WfeParams) -> float:
@@ -237,8 +239,9 @@ def _theta_at_slope(y: float, p: WfeParams) -> tuple[float, int]:
     p' increases across the admissible interval and diverges at both ends,
     so stepping from 0 halfway to the end on the root's side brackets the
     root within a few steps, and bracketed_root narrows it to adjacent
-    doubles.  A root closer to an end than the kernel's strict interior
-    raises OutOfThetaRange.
+    doubles, or to the first theta where excess reads 0: p' - y within the
+    slope's rounding bound.  p'(0) is evaluated once.  A root closer to an
+    end than the kernel's strict interior raises OutOfThetaRange.
     """
     lo, hi = theta_range(p)
     evals = 0
@@ -246,9 +249,11 @@ def _theta_at_slope(y: float, p: WfeParams) -> tuple[float, int]:
     def excess(t):
         nonlocal evals
         evals += 1
-        return _p_and_slope(t, p)[1] - y
+        _, slope, err = _p_and_slope(t, p)
+        return 0.0 if abs(slope - y) <= err else slope - y
 
-    theta = root_toward(excess, 0.0, hi if excess(0.0) < 0.0 else lo)
+    at_zero = excess(0.0)
+    theta = root_toward(lambda t: excess(t) if t else at_zero, 0.0, hi if at_zero < 0.0 else lo)
     return theta, evals
 
 
@@ -334,83 +339,77 @@ def solve_tilt(b: np.ndarray) -> float:
 
 
 def _pair_coefficients(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a_odd, a_diff) in float32 for the pair kernel, from c_0..c_{d-1}.
+    """(a_sum, a_diff) in float32 for the pair kernel, from c_0..c_{d-1}.
 
     c is padded with one zero to an even length; pair k carries the
-    coordinates 2k and 2k+1, and a_odd[k] = c[2k+1], a_diff[k] = c[2k] -
-    c[2k+1], so that c[2k] x + c[2k+1] y = a_odd[k] (x + y) + a_diff[k] x.
+    coordinates 2k and 2k+1, and a_sum[k] = -(c[2k] + c[2k+1]), a_diff[k] =
+    c[2k+1] - c[2k], so that with R^2 = -2L the pair's share of T is
+    c[2k] R^2 cos^2(phi) + c[2k+1] R^2 sin^2(phi) = a_sum[k] L + a_diff[k] L cos(2 phi).
     """
     c = np.append(coef, np.zeros(coef.size % 2))
-    return c[1::2].astype(np.float32), (c[0::2] - c[1::2]).astype(np.float32)
+    return -(c[0::2] + c[1::2]).astype(np.float32), (c[1::2] - c[0::2]).astype(np.float32)
 
 
-def _chi2_pair_block(bitgen, rows: int, a_odd: np.ndarray, a_diff: np.ndarray) -> np.ndarray:
+def _chi2_pair_block(bitgen, rows: int, a_sum: np.ndarray, a_diff: np.ndarray) -> np.ndarray:
     """T = sum_n c_n chi_n^2 for `rows` replicas, one raw 64-bit word per pair.
 
     Box-Muller without the square root: for a raw 64-bit word split into
     its high and low 32-bit halves, hi32 = word >> 32 and lo32 = word mod 2^32,
 
-        R^2 = -2 log((hi32 + 1/2) 2^-32),    phi = lo32 * 2 pi 2^-32,
+        L = log((hi32 + 1/2) 2^-32),    2 phi = lo32 * 4 pi 2^-32,
 
-    and R^2 cos^2(phi), R^2 sin^2(phi) are two independent chi_1^2 values.
-    T = R^2 @ a_odd + (R^2 cos^2 phi) @ a_diff, so one log and one cos serve
-    two coordinates and no coordinate is squared.  All of it is float32.
+    and R^2 cos^2(phi) = -L (1 + cos 2phi), R^2 sin^2(phi) = -L (1 - cos 2phi)
+    are two independent chi_1^2 values.  T = L @ a_sum + (L cos 2phi) @ a_diff:
+    one log and one cos serve two coordinates, nothing doubled or squared.
+    All of it is float32; a member near 0 carries an absolute error of about
+    ulp(R^2), not a relative one.
     (hi32 + 1/2) 2^-32 is never 0, so R^2 <= 66 log 2 = 45.7: the tail of
     each coordinate is cut at |Z| <= 6.76, a probability of 1.4e-11.  A
     uniform that rounds to 1.0 in float32 gives R^2 = 0, a harmless atom of
     probability ~2^-25.
     """
-    shape = (rows, a_odd.shape[0])
+    shape = (rows, a_sum.shape[0])
     # the little-endian view puts lo32 first on any host; copyto casts each
     # strided half straight into float32, 0.49 ns a word against 0.66 for a
     # contiguous copy and then a cast
     halves = bitgen.random_raw(shape).astype("<u8", copy=False).view("<u4")
-    r2 = np.empty(shape, np.float32)
+    log_u = np.empty(shape, np.float32)
     x = np.empty(shape, np.float32)
-    np.copyto(r2, halves[:, 1::2], casting="unsafe")
+    np.copyto(log_u, halves[:, 1::2], casting="unsafe")
     np.copyto(x, halves[:, 0::2], casting="unsafe")
-    r2 += np.float32(0.5)
-    r2 *= np.float32(2.0**-32)
-    np.log(r2, out=r2)
-    r2 *= np.float32(-2.0)
+    log_u += np.float32(0.5)
+    log_u *= np.float32(2.0**-32)
+    np.log(log_u, out=log_u)
     # scale the angle before cos: float32 cos of raw 2^32-sized magnitudes
     # falls off numpy's SIMD path and runs ~40x slower
-    x *= np.float32(2.0 * math.pi * 2.0**-32)
+    x *= np.float32(4.0 * math.pi * 2.0**-32)
     np.cos(x, out=x)
-    np.square(x, out=x)
-    x *= r2
-    return r2 @ a_odd + x @ a_diff
+    x *= log_u
+    return log_u @ a_sum + x @ a_diff
 
 
 def _rare_event_shard(shard: int, payload) -> tuple[tuple[float, float, float], int]:
     """((max exp-arg, scaled sum of w, scaled sum of w^2), hits).
 
     w = exp(-t* T) over hits, scaled by exp(-max exp-arg) (and its square
-    for w^2); blocks fold in through parallel.fold_shifted.  Replicas run in
-    blocks of RARE_BLOCK_WORDS raw SFC64 words, so the dozen elementwise
-    passes _chi2_pair_block makes over a block run from cache; the cost is
-    then mostly the raw words, the log and the cos.  T is float32: a 1e-2
-    absolute error on t*T moves log P by far less than the +-25 percent
-    acceptance band.
+    for w^2).  Replicas run in blocks of RARE_BLOCK_WORDS raw SFC64 words,
+    so the elementwise passes _chi2_pair_block makes over a block run from
+    cache; the cost is then mostly the raw words, the log and the cos.  The
+    shard's T values are kept, and the hit filter, max-shift, exp and both
+    sums run once over all of them.  T is float32: a 1e-2 absolute error on
+    t*T moves log P by far less than the +-25 percent acceptance band.
     """
-    a_odd, a_diff, tilt, counts, seed = payload
+    a_sum, a_diff, tilt, counts, seed = payload
     n = counts[shard]
     bitgen = shard_rng(seed, shard).bit_generator
-    rows = max(1, RARE_BLOCK_WORDS // a_odd.shape[0])
-    acc = (-math.inf, 0.0, 0.0)
-    hits = 0
+    rows = max(1, RARE_BLOCK_WORDS // a_sum.shape[0])
+    t_vals = np.empty(n, np.float32)
     for done in range(0, n, rows):
-        t_vals = _chi2_pair_block(bitgen, min(rows, n - done), a_odd, a_diff)
-        pos = t_vals[t_vals >= 0.0].astype(np.float64)
-        if pos.size == 0:
-            continue
-        hits += int(pos.size)
-        args = -tilt * pos
-        # sums taken at the running max fold in with a unit rescale
-        block_max = max(acc[0], float(args.max()))
-        w = np.exp(args - block_max)
-        acc = fold_shifted(acc, (block_max, float(np.sum(w)), float(np.sum(w * w))))
-    return acc, hits
+        t_vals[done:done + rows] = _chi2_pair_block(bitgen, min(rows, n - done), a_sum, a_diff)
+    args = -tilt * t_vals[t_vals >= 0.0].astype(np.float64)
+    shift = float(args.max(initial=-math.inf))  # -inf (no weight) without hits
+    w = np.exp(args - shift)
+    return (shift, float(np.sum(w)), float(np.sum(w * w))), int(args.size)
 
 
 def rare_event_rate_mc(
@@ -437,10 +436,10 @@ def rare_event_rate_mc(
     tilt = solve_tilt(b)
     psi = psi_weighted(b, tilt)
     sigma2 = 1.0 / (1.0 - 2.0 * tilt * b)
-    a_odd, a_diff = _pair_coefficients(b * sigma2)
+    a_sum, a_diff = _pair_coefficients(b * sigma2)
     counts = split_counts(replicas, RARE_SHARDS)
     parts = map_shards(
-        _rare_event_shard, (a_odd, a_diff, tilt, counts, seed), RARE_SHARDS, workers
+        _rare_event_shard, (a_sum, a_diff, tilt, counts, seed), RARE_SHARDS, workers
     )
     m, s, s2 = reduce(fold_shifted, (part[0] for part in parts), (-math.inf, 0.0, 0.0))
     hits = sum(part[1] for part in parts)

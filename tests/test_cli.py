@@ -158,7 +158,7 @@ def test_wfe_csv_hypotheses_ok(tmp_path, capsys):
     res = squimld.p_star_inf(squimld.WfeParams(1.2, 0.1))
     assert float(man["diag.theta_at_min"]) == res.theta_at_min
     assert (float(man["diag.theta_lo"]), float(man["diag.theta_hi"])) == res.theta_range
-    assert man["diag.root_evals"] == str(res.root_evals) == "15"
+    assert man["diag.root_evals"] == str(res.root_evals) == "11"
 
 
 @pytest.mark.parametrize("flags, delta", [

@@ -264,6 +264,34 @@ def test_heating_raises_msq_for_scwm():
     assert cold.mean - hot.mean > 3.0 * math.hypot(cold.std_error, hot.std_error)
 
 
+def test_wfe_beta_zero_is_the_flat_law():
+    # beta = 0: both caps are the uniform sphere, every weight is exactly 1
+    cfg = EnsembleConfig(N=8, beta=0.0, model="SCWM_WFE", omega=1.2, samples=200_000, seed=2)
+    est = thermal_average(cfg, "msq")
+    assert est.weight_ess == cfg.samples
+    assert abs(est.mean - infinite_T_msq_exact(8)) < 3.0 * est.std_error
+
+
+def test_wfe_matches_weighted_raw_gaussians():
+    # independent route: uniform-sphere draws from raw normalized Gaussians,
+    # weighted by exp(-f) with f = N beta (1 - m^2 + (omega - 1) D) written
+    # out here, and self-normalised
+    n_spins, beta, omega = 2, 1.0, 1.2
+    g = g_values(n_spins)
+    z = np.random.default_rng(8).standard_normal((400_000, 2 * (n_spins + 1)))
+    w = z[:, ::2] ** 2 + z[:, 1::2] ** 2
+    w /= w.sum(axis=1, keepdims=True)
+    m = w @ g
+    exact = {"msq": m * m, "dispersion": w @ (g * g) - m * m}
+    weight = np.exp(-n_spins * beta * (1.0 - exact["msq"] + (omega - 1.0) * exact["dispersion"]))
+    cfg = EnsembleConfig(N=n_spins, beta=beta, model="SCWM_WFE", omega=omega,
+                         samples=200_000, seed=6)
+    for obs, est in zip(exact, thermal_averages(cfg, list(exact))):
+        ratio = float(weight @ exact[obs]) / float(weight.sum())
+        se = math.sqrt(float((weight * weight) @ (exact[obs] - ratio) ** 2)) / float(weight.sum())
+        assert abs(est.mean - ratio) <= 4.0 * math.hypot(est.std_error, se), (obs, est, ratio, se)
+
+
 def test_wfe_exceeds_plain_at_low_temperature():
     # paired seeds: the wavefunction-energy correction pushes [m^2] up
     kw = dict(N=8, beta=40.0, samples=100_000, seed=7)

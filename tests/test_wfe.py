@@ -176,7 +176,7 @@ def test_p_theta_near_zero_keeps_the_quadratic_term(theta):
 def test_p_and_slope_keep_full_relative_precision_near_zero(theta):
     # p and p' are O(theta) here: rounding b = 1 + 2 theta delta before the
     # kernel, or forming p' as (Int 1/q - 2)/(4 theta), costs ~1e-4 of them
-    p_val, slope = _p_and_slope(theta, P12)
+    p_val, slope, _ = _p_and_slope(theta, P12)
     assert p_val == pytest.approx(p_theta_quad(theta, P12, epsabs=0.0), rel=1e-12, abs=0.0)
     assert slope == pytest.approx(slope_quad(theta, P12), rel=1e-12, abs=0.0)
 
@@ -225,9 +225,15 @@ def test_p_star_inf_counts_the_root_solve_evaluations(monkeypatch):
 
     monkeypatch.setattr(wfe, "_p_and_slope", counted)
     res = p_star_inf(P12)
-    # every evaluation but the last, p at theta*, belongs to the root solve
+    # every evaluation but the last, p at theta*, belongs to the root solve;
+    # p'(0) is taken once, and the solve stops at the first theta whose
+    # slope is within its own rounding bound
     assert thetas[0] == 0.0 and thetas[-1] == res.theta_at_min
-    assert res.root_evals == len(thetas) - 1 == 15
+    assert thetas.count(0.0) == 1
+    assert res.root_evals == len(thetas) - 1 == 11
+    _, slope, err = _p_and_slope(res.theta_at_min, P12)
+    assert abs(slope) <= err
+    assert all(abs(_p_and_slope(t, P12)[1]) > _p_and_slope(t, P12)[2] for t in thetas[:-2])
 
 
 def test_theta_at_min_zeroes_the_slope_of_p():
@@ -345,24 +351,25 @@ def test_rare_event_matches_the_contour_within_its_standard_error():
 
 def pair_kernel_draws(coef, replicas: int, seed: int = 11) -> np.ndarray:
     """T = sum c_n chi_n^2 from _chi2_pair_block, block by block."""
-    a_odd, a_diff = _pair_coefficients(np.asarray(coef, dtype=float))
+    a_sum, a_diff = _pair_coefficients(np.asarray(coef, dtype=float))
     bitgen = shard_rng(seed, 0).bit_generator
-    rows = RARE_BLOCK_WORDS // a_odd.size
+    rows = RARE_BLOCK_WORDS // a_sum.size
     out = [
-        _chi2_pair_block(bitgen, min(rows, replicas - done), a_odd, a_diff)
+        _chi2_pair_block(bitgen, min(rows, replicas - done), a_sum, a_diff)
         for done in range(0, replicas, rows)
     ]
     return np.concatenate(out).astype(np.float64)
 
 
 def test_pair_coefficients_pad_odd_counts():
-    a_odd, a_diff = _pair_coefficients(np.array([1.0, 2.0, 3.0]))
-    assert a_odd.dtype == a_diff.dtype == np.float32
-    np.testing.assert_array_equal(a_odd, [2.0, 0.0])
-    np.testing.assert_array_equal(a_diff, [-1.0, 3.0])
-    a_odd, a_diff = _pair_coefficients(np.array([1.0, 2.0, 3.0, 5.0]))
-    np.testing.assert_array_equal(a_odd, [2.0, 5.0])
-    np.testing.assert_array_equal(a_diff, [-1.0, -2.0])
+    # a_sum = -(c_even + c_odd), a_diff = c_odd - c_even, pair by pair
+    a_sum, a_diff = _pair_coefficients(np.array([1.0, 2.0, 3.0]))
+    assert a_sum.dtype == a_diff.dtype == np.float32
+    np.testing.assert_array_equal(a_sum, [-3.0, -3.0])
+    np.testing.assert_array_equal(a_diff, [1.0, -3.0])
+    a_sum, a_diff = _pair_coefficients(np.array([1.0, 2.0, 3.0, 5.0]))
+    np.testing.assert_array_equal(a_sum, [-3.0, -8.0])
+    np.testing.assert_array_equal(a_diff, [1.0, 2.0])
 
 
 @pytest.mark.parametrize(
@@ -390,13 +397,22 @@ def test_pair_kernel_bit_layout():
         def random_raw(self, shape):
             return np.full(shape, (hi << 32) | lo, dtype=np.uint64)
 
-    r2 = -2.0 * math.log((hi + 0.5) * 2.0**-32)
-    cos2 = math.cos(lo * 2.0 * math.pi * 2.0**-32) ** 2
+    log_u = math.log((hi + 0.5) * 2.0**-32)
+    cos_2phi = math.cos(lo * 4.0 * math.pi * 2.0**-32)
     one, zero = np.ones(1, np.float32), np.zeros(1, np.float32)
-    assert _chi2_pair_block(Words(), 2, one, zero) == pytest.approx([r2, r2], rel=1e-6)
+    assert _chi2_pair_block(Words(), 2, one, zero) == pytest.approx([log_u, log_u], rel=1e-6)
     assert _chi2_pair_block(Words(), 2, zero, one) == pytest.approx(
-        [r2 * cos2, r2 * cos2], rel=1e-5
+        [log_u * cos_2phi, log_u * cos_2phi], rel=1e-5
     )
+    # the pair's members are R^2 cos^2(phi) and R^2 sin^2(phi); the first,
+    # 8.3e-3 here, is a difference of two O(R^2) terms, so its error is
+    # absolute, on the scale of ulp(R^2) = 6e-8
+    r2, phi = -2.0 * log_u, lo * 2.0 * math.pi * 2.0**-32
+    for coef, member in (([1.0, 0.0], math.cos(phi) ** 2), ([0.0, 1.0], math.sin(phi) ** 2)):
+        a_sum, a_diff = _pair_coefficients(np.array(coef))
+        assert _chi2_pair_block(Words(), 2, a_sum, a_diff) == pytest.approx(
+            [r2 * member, r2 * member], rel=0.0, abs=5e-7
+        )
 
 
 def test_pair_kernel_casts_each_half_as_copy_then_astype():
@@ -411,13 +427,13 @@ def test_pair_kernel_casts_each_half_as_copy_then_astype():
 
     # the kernel with each strided half copied out and then cast
     halves = words.astype("<u8", copy=False).view("<u4")
-    r2 = halves[:, 1::2].copy().astype(np.float32)
+    log_u = halves[:, 1::2].copy().astype(np.float32)
     x = halves[:, 0::2].copy().astype(np.float32)
-    r2 = np.float32(-2.0) * np.log((r2 + np.float32(0.5)) * np.float32(2.0**-32))
-    x = np.cos(x * np.float32(2.0 * math.pi * 2.0**-32)) ** 2 * r2
-    a_odd, a_diff = _pair_coefficients(np.linspace(-1.0, 0.5, 14))
+    log_u = np.log((log_u + np.float32(0.5)) * np.float32(2.0**-32))
+    x = np.cos(x * np.float32(4.0 * math.pi * 2.0**-32)) * log_u
+    a_sum, a_diff = _pair_coefficients(np.linspace(-1.0, 0.5, 14))
     np.testing.assert_array_equal(
-        _chi2_pair_block(Replay(), 300, a_odd, a_diff), r2 @ a_odd + x @ a_diff
+        _chi2_pair_block(Replay(), 300, a_sum, a_diff), log_u @ a_sum + x @ a_diff
     )
 
 
@@ -435,6 +451,15 @@ def test_rare_event_is_deterministic_across_workers():
     a = rare_event_rate_mc(P12, n_sites=40, replicas=50_000, seed=3, workers=1)
     b = rare_event_rate_mc(P12, n_sites=40, replicas=50_000, seed=3, workers=2)
     assert a == b
+
+
+def test_rare_event_does_not_depend_on_the_block_size(monkeypatch):
+    # blocks split the same stream into rows, and the shard sums run once
+    # over all of its T values, so the block size cannot move the result
+    kw = dict(n_sites=2000, replicas=100_000, seed=0, workers=1)
+    ref = rare_event_rate_mc(P12, **kw)
+    monkeypatch.setattr(wfe, "RARE_BLOCK_WORDS", 1 << 12)
+    assert rare_event_rate_mc(P12, **kw) == ref
 
 
 def test_rare_event_rejects_bad_budget():
