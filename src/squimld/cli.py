@@ -3,9 +3,9 @@
 Subcommands wrap the library modules one-to-one: domain-scan and
 rate-curves sample the dual plane, wfe evaluates the transition pipeline,
 ensemble and esm run the thermal estimators and the enumerated product
-model, and validate runs the oracle suite.  Each command writes
-fixed-schema CSV output plus a JSON run manifest (and, for the two figure
-commands, a gnuplot script) into --out-dir.
+model, and validate runs the oracle suite.  Every command ends in one
+call, `_write_outputs`, that leaves its fixed-schema CSV, gnuplot script
+and JSON run manifest in --out-dir (domain-scan streams its CSV first).
 
 Option layering: an explicit flag wins, then an SQUIMLD_<NAME> environment
 variable, then a key=value line in the file passed via --config, then the
@@ -148,25 +148,36 @@ def _layered_defaults(command: argparse.ArgumentParser, config: str | None) -> d
     return layered
 
 
-def _manifest(args, stem: str, outputs: list[str], started: str, *, seed: int = 0,
-              workers: int = 1, timings: dict | None = None,
-              diagnostics: dict | None = None) -> None:
-    """Write <stem>_manifest.json; seed and workers default to what the
-    seedless, in-process commands use."""
-    man = RunManifest(
-        command=args.command,
+def _write_outputs(args, stem: str, started: str, table: np.ndarray | None = None, *,
+                   streamed: bool = False, summary: str = "", plot=None, seed: int = 0,
+                   workers: int = 1, timings: dict | None = None,
+                   diagnostics: dict | None = None) -> None:
+    """Write <stem>.csv from the record array table, timed as write_csv_s
+    (streamed: the command wrote it itself and timed it), <stem>.gp from
+    plot(csv name), where the command draws one, and <stem>_manifest.json
+    into --out-dir, and announce the CSV as "wrote <path> (summary)".  seed
+    and workers default to what the seedless, in-process commands use."""
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = args.out_dir / f"{stem}.csv"
+    timings = dict(timings or {})
+    if table is not None:
+        clock = time.perf_counter()
+        write_csv(csv_path, table)
+        timings["write_csv_s"] = time.perf_counter() - clock
+    outputs = [csv_path.name] if table is not None or streamed else []
+    if plot is not None:
+        write_text(args.out_dir / f"{stem}.gp", plot(csv_path.name))
+        outputs.append(f"{stem}.gp")
+    RunManifest(
+        command=args.command, seed=seed, workers=workers, started=started, finished=utc_now(),
         # lists comma-joined, an unset option as ""
         parameters={k: "" if v is None else ",".join(map(str, v)) if isinstance(v, list) else v
                     for k, v in vars(args).items() if k not in NOT_PARAMETERS},
-        seed=seed,
-        workers=workers,
-        started=started,
-        finished=utc_now(),
-        output_files=outputs,
-        timings=timings or {},
+        output_files=outputs, timings=timings,
         diagnostics={"available_cores": available_cores(), **(diagnostics or {})},
-    )
-    man.write(args.out_dir / f"{stem}_manifest.json")
+    ).write(args.out_dir / f"{stem}_manifest.json")
+    if outputs:
+        print(f"wrote {csv_path} ({summary})")
 
 
 def cmd_domain_scan(args) -> int:
@@ -186,19 +197,15 @@ def cmd_domain_scan(args) -> int:
             yield part.text, part.fallback_cells
             totals["write_csv_s"] += time.perf_counter() - clock
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = args.out_dir / "domain_scan.csv"
-    fallback_cells = write_blocks(csv_path, SCAN_DTYPE.names, blocks())
-    gp_path = args.out_dir / "domain_scan.gp"
-    write_text(gp_path, domain_plot_script("domain_scan.csv"))
-    _manifest(
-        args, "domain_scan", [csv_path.name, gp_path.name], started,
-        seed=args.seed, workers=workers,
+    fallback_cells = write_blocks(args.out_dir / "domain_scan.csv", SCAN_DTYPE.names, blocks())
+    _write_outputs(
+        args, "domain_scan", started, streamed=True,
+        summary=f"{totals['d_points']} D-points, {totals['g_points']} G-points",
+        plot=domain_plot_script, seed=args.seed, workers=workers,
         timings={key: totals[key] for key in ("scan_s", "format_s", "write_csv_s")},
         diagnostics={"csv_fallback_cells": fallback_cells, "d_points": totals["d_points"],
                      "g_points": totals["g_points"]},
     )
-    print(f"wrote {csv_path} ({totals['d_points']} D-points, {totals['g_points']} G-points)")
     return 0
 
 
@@ -221,19 +228,13 @@ def cmd_rate_curves(args) -> int:
         if pt.accepted_G:  # the sampled check exists
             diagnostics.update({f"sampled_k_min.{x!r}": pt.sampled_k_min,
                                 f"noise_band.{x!r}": pt.noise_band})
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = args.out_dir / "rate_curve.csv"
     table = np.array(rows, dtype=[("x", float), ("I1", float), ("I2", float),
                                   ("accepted_G", int), ("samples", int), ("seed", np.uint64)])
-    write_csv(csv_path, table)
-    gp_path = args.out_dir / "rate_curve.gp"
-    write_text(gp_path, rate_plot_script("rate_curve.csv"))
-    _manifest(
-        args, "rate_curve", [csv_path.name, gp_path.name], started,
-        seed=args.seed, workers=workers, timings=timings, diagnostics=diagnostics,
-    )
     flagged = int(np.isnan(table["I2"]).sum())
-    print(f"wrote {csv_path} ({len(table)} rows, {flagged} with empty constraint set)")
+    _write_outputs(args, "rate_curve", started, table,
+                   summary=f"{len(table)} rows, {flagged} with empty constraint set",
+                   plot=rate_plot_script, seed=args.seed, workers=workers, timings=timings,
+                   diagnostics=diagnostics)
     return 0
 
 
@@ -242,7 +243,7 @@ def cmd_wfe(args) -> int:
     started = utc_now()
     r = r_of_omega(omega)
     diagnostics = {}
-    clock_start = time.perf_counter()
+    clock = time.perf_counter()
     try:
         p = WfeParams(omega=omega, eps=eps, delta=delta)
     except HypothesisViolation:
@@ -253,16 +254,12 @@ def cmd_wfe(args) -> int:
         row = (omega, eps, r, p.delta, res.p_star_inf, res.y_at_inf, beta_c, 1)
         diagnostics = {"theta_at_min": res.theta_at_min, "theta_lo": res.theta_range[0],
                        "theta_hi": res.theta_range[1], "root_evals": res.root_evals}
-    clock_solved = time.perf_counter()
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = args.out_dir / "wfe_transition.csv"
-    write_csv(csv_path, np.array([row], dtype=[
+    table = np.array([row], dtype=[
         ("omega", float), ("eps", float), ("r", float), ("delta", float), ("p_star_inf", float),
-        ("y_at_inf", float), ("beta_c", float), ("hypotheses_ok", int)]))
-    _manifest(args, "wfe_transition", [csv_path.name], started, diagnostics=diagnostics,
-              timings={"beta_critical_s": clock_solved - clock_start,
-                       "write_csv_s": time.perf_counter() - clock_solved})
-    print(f"wrote {csv_path} (hypotheses_ok={row[-1]})")
+        ("y_at_inf", float), ("beta_c", float), ("hypotheses_ok", int)])
+    _write_outputs(args, "wfe_transition", started, table, summary=f"hypotheses_ok={row[-1]}",
+                   timings={"beta_critical_s": time.perf_counter() - clock},
+                   diagnostics=diagnostics)
     return 0
 
 
@@ -273,47 +270,36 @@ def cmd_ensemble(args) -> int:
         N=args.N, beta=args.beta, model=args.model, samples=args.samples,
         omega=args.omega, eps=args.eps, seed=args.seed, workers=workers,
     )
-    clock_start = time.perf_counter()
+    clock = time.perf_counter()
     estimates = thermal_averages(cfg, args.observable)
-    clock_sampled = time.perf_counter()
+    sample_s = time.perf_counter() - clock
     omega = math.nan if args.omega is None else args.omega
     rows = [(args.model, args.N, args.beta, omega, args.eps, obs, est.mean, est.std_error,
              est.n_samples, args.seed) for obs, est in zip(args.observable, estimates)]
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = args.out_dir / "ensemble.csv"
-    write_csv(csv_path, np.array(rows, dtype=[
+    table = np.array(rows, dtype=[
         ("model", object), ("N", int), ("beta", float), ("omega", float), ("eps", float),
         ("observable", object), ("mean", float), ("std_error", float), ("n_samples", int),
-        ("seed", np.uint64)]))
-    clock_written = time.perf_counter()
+        ("seed", np.uint64)])
     diagnostics = {"weight_ess": estimates[0].weight_ess}
     if args.model == "SQUIM_d1":
         diagnostics["classes"] = chain_classes(args.N)[0].size
     for obs, est in zip(args.observable, estimates):
         diagnostics[f"numerator_ess.{obs}"] = est.numerator_ess
-    _manifest(
-        args, "ensemble", [csv_path.name], started, seed=args.seed, workers=workers,
-        timings={"sample_s": clock_sampled - clock_start,
-                 "write_csv_s": clock_written - clock_sampled},
-        diagnostics=diagnostics,
-    )
-    print(f"wrote {csv_path} ({len(rows)} rows)")
+    _write_outputs(args, "ensemble", started, table, summary=f"{len(rows)} rows",
+                   seed=args.seed, workers=workers, timings={"sample_s": sample_s},
+                   diagnostics=diagnostics)
     return 0
 
 
 def cmd_esm(args) -> int:
     started = utc_now()
-    clock_start = time.perf_counter()
+    clock = time.perf_counter()
     res = esm_evaluate(args.N, args.beta)
-    clock_evaluated = time.perf_counter()
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = args.out_dir / "esm.csv"
-    write_csv(csv_path, np.array([(res.N, res.beta, res.logZhat, res.msq_dispersion)], dtype=[
-        ("N", int), ("beta", float), ("logZhat", float), ("msq_dispersion", float)]))
-    _manifest(args, "esm", [csv_path.name], started,
-              timings={"evaluate_s": clock_evaluated - clock_start,
-                       "write_csv_s": time.perf_counter() - clock_evaluated})
-    print(f"wrote {csv_path} (logZhat={res.logZhat:.12g})")
+    evaluate_s = time.perf_counter() - clock
+    table = np.array([(res.N, res.beta, res.logZhat, res.msq_dispersion)], dtype=[
+        ("N", int), ("beta", float), ("logZhat", float), ("msq_dispersion", float)])
+    _write_outputs(args, "esm", started, table, summary=f"logZhat={res.logZhat:.12g}",
+                   timings={"evaluate_s": evaluate_s})
     return 0
 
 
@@ -324,11 +310,10 @@ def cmd_validate(args) -> int:
     results = run_validation(args.level, workers)
     for r in results:
         print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    _manifest(args, "validate", [], started, workers=workers,
-              timings={f"{r.name}_s": r.seconds for r in results},
-              diagnostics={f"check.{r.name}.{key}": value for r in results
-                           for key, value in (("ok", r.ok), ("detail", r.detail))})
+    _write_outputs(args, "validate", started, workers=workers,
+                   timings={f"{r.name}_s": r.seconds for r in results},
+                   diagnostics={f"check.{r.name}.{key}": value for r in results
+                                for key, value in (("ok", r.ok), ("detail", r.detail))})
     return 0 if all(r.ok for r in results) else 4
 
 

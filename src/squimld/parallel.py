@@ -16,13 +16,13 @@ one used.  One worker runs everything in-process.  More workers run on one
 ProcessPoolExecutor per process, built on first use and reused by every
 later call, so a command that maps many jobs starts its worker processes
 once.  The pool is rebuilt only when a call asks for a different worker
-count, or after a worker process died.  `iter_shards` sends the shards as
-TASKS_PER_WORKER x workers contiguous groups, one task each: a job of many
-small shards then pays a few round trips to the pool instead of one per
-shard.  It yields the results in shard order as the groups finish, so a
-caller that streams them (domain-scan writes each shard's CSV text as it
-arrives) never waits for the whole job; `map_shards` collects them into a
-list.
+count, or after a worker process died.  `iter_shards` hands the shards to
+the executor's own ordered map in about TASKS_PER_WORKER x workers chunks,
+one task each: a job of many small shards then pays a few round trips to
+the pool instead of one per shard.  It yields the results in shard order
+as the chunks finish, so a caller that streams them (domain-scan writes
+each shard's CSV text as it arrives) never waits for the whole job;
+`map_shards` collects them into a list.
 
 The pool uses the platform's default start method: fork on Linux up to
 Python 3.13, forkserver from 3.14.  Both work because the functions sent to
@@ -46,10 +46,9 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from functools import partial
+from itertools import repeat
 
 import numpy as np
 # numpy loads its random module on first use.  Every sampler needs it, so
@@ -57,7 +56,9 @@ import numpy as np
 # of each importing it inside the sampling call.
 import numpy.random  # noqa: F401
 
-# Shard groups per worker in iter_shards, each one pool task:
+from .errors import InvalidParams
+
+# Shard chunks per worker in iter_shards, each one pool task:
 # two keep each worker busy while the parent collects a result.  With one
 # task per shard, the benchmark's 64-shard ensemble calls ran 1.5-1.9x
 # slower on the pool of a 2-core Xeon host.
@@ -119,11 +120,13 @@ def available_cores() -> int:
 def resolve_workers(workers: int | None, shards: int) -> int:
     """The worker count a job of `shards` items runs with.
 
-    None means every available core.  The count never exceeds shards (an
-    idle worker does nothing) and never drops below 1.
+    None means every available core; a count below 1 is refused.  The
+    count never exceeds shards: an idle worker does nothing.
     """
     wanted = available_cores() if workers is None else int(workers)
-    return max(1, min(wanted, int(shards)))
+    if wanted < 1:
+        raise InvalidParams(f"need workers >= 1, got {workers}")
+    return min(wanted, int(shards))
 
 
 def process_pool(workers: int) -> ProcessPoolExecutor:
@@ -145,19 +148,16 @@ def _drop_pool() -> None:
     _pool, _pool_workers = None, 0
 
 
-def _run_shards(shards: range, fn, payload) -> list:
-    return [fn(s, payload) for s in shards]
-
-
 def iter_shards(fn, payload, shards: int, workers: int | None = None):
     """Yield fn(shard, payload) for shard = 0..shards-1, in shard order.
 
     workers is resolved by `resolve_workers`; one worker runs in-process,
-    shard by shard.  More split the shards into TASKS_PER_WORKER x workers
-    contiguous groups, one pool task each, and yield a group's results as
-    soon as it and every earlier group have finished, so a caller can
-    consume the first shards while later ones still run.  The sequence
-    yielded is identical either way.
+    shard by shard.  More send the shards to the pool's ordered map in
+    chunks of ceil(shards / (TASKS_PER_WORKER x workers)), one task each,
+    and yield a chunk's results as soon as it and every earlier chunk have
+    finished, so a caller can consume the first shards while later ones
+    still run; a caller that stops early cancels the chunks not yet
+    started.  The sequence yielded is identical either way.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -165,20 +165,13 @@ def iter_shards(fn, payload, shards: int, workers: int | None = None):
     if workers == 1:
         yield from (fn(s, payload) for s in range(shards))
         return
-    groups = min(shards, TASKS_PER_WORKER * workers)
-    edges = [shards * i // groups for i in range(groups + 1)]
-    job = partial(_run_shards, fn=fn, payload=payload)
-    pool = process_pool(workers)
-    pending = deque(pool.submit(job, range(a, b)) for a, b in zip(edges[:-1], edges[1:]))
+    chunksize = -(-shards // (TASKS_PER_WORKER * workers))
     try:
-        while pending:
-            yield from pending.popleft().result()
+        yield from process_pool(workers).map(fn, range(shards), repeat(payload, shards),
+                                             chunksize=chunksize)
     except BrokenProcessPool:
         _drop_pool()
         raise
-    finally:
-        for future in pending:
-            future.cancel()
 
 
 def map_shards(fn, payload, shards: int, workers: int | None = None) -> list:

@@ -6,7 +6,7 @@ CSV bytes, and one writer, `write_blocks`, writes the header and then the
 formatted blocks in the order they come, into a temporary file beside the
 target that replaces the target only after the last block: a command that
 fails part-way leaves no partial CSV.  `write_csv` feeds it a record
-array, CHUNK_ROWS rows per block, so a table never sits in memory as
+array, KERNEL_ROWS rows per block, so a table never sits in memory as
 text; domain-scan feeds it the blocks its sampling shards format in the
 worker that drew them (ratecurves.domain_scan_csv), so its rows cross the
 process pool once, as text.  A column's format follows from its dtype kind: a float
@@ -17,8 +17,8 @@ alone, never on the block it was formatted in, so any split of a table
 into blocks writes the same file.
 
 A block is formatted into a byte matrix whose empty slots hold a pad
-byte, deleted afterwards with bytes.translate.  Its float columns go
-through an exact numpy kernel for "%.17g" together: for finite |v| in
+byte, deleted afterwards with bytes.translate.  Each float column goes
+through an exact numpy kernel for "%.17g": for finite |v| in
 [1e-4, 1e16), where "%.17g" prints fixed notation, the 17 significant
 digits are the exact integer round(|v| * 10^(16 - E)), E = floor(log10
 |v|), rounded half to even from Dekker's error-free product; each digit
@@ -54,8 +54,6 @@ import numpy as np
 from . import __version__
 
 FLOAT_FMT = "%.17g"
-# Rows formatted and written per block; bounds the text held in memory.
-CHUNK_ROWS = 65_536
 
 
 # The float kernel.  Each cell is laid out in a row of bytes with PAD in
@@ -72,11 +70,10 @@ PAD = b"\0"
 # "%.17g" uses fixed notation with E = floor(log10 |v|) in [-4, 15].  Zeros,
 # subnormals and every other finite value are formatted one at a time.
 FIXED_MIN, FIXED_MAX = 1e-4, 1e16
-# Rows formatted at a time within a block, and the most float cells the
-# kernel takes in one call: its temporaries stay in cache (a float column
-# of 65,536 rows took 4.5 ms in one piece, 2.4 ms in four, on a 2-core AMD
-# EPYC).  A call takes as many float columns as fit, so a table of a few
-# rows pays the kernel's fixed cost once, not once per column.
+# Rows formatted at a time, and the rows write_csv puts in one block: the
+# kernel's temporaries for one column of them stay in cache (a float
+# column of 65,536 rows took 4.5 ms in one piece, 2.4 ms in four, on a
+# 2-core AMD EPYC).
 KERNEL_ROWS = 16_384
 
 
@@ -216,33 +213,24 @@ def format_records(block: np.ndarray) -> tuple[bytes, int]:
     formatted one at a time.
 
     A column's format follows from its dtype kind: float columns go
-    through the kernel, KERNEL_ROWS rows and at most KERNEL_ROWS cells at
-    a time, and bool columns are written as 1/0 directly; int columns are
-    formatted one cell at a time with "%d" and any other column with "%s".
+    through the kernel, one column of KERNEL_ROWS rows at a time, and bool
+    columns are written as 1/0 directly; int columns are formatted one
+    cell at a time with "%d" and any other column with "%s".
     """
     names = block.dtype.names
     kinds = [block.dtype[name].kind for name in names]
     seps = [ord(",")] * (len(names) - 1) + [ord("\n")]
-    floats = [name for name, kind in zip(names, kinds) if kind == "f"]
     texts, count = [], 0
     for start in range(0, len(block), KERNEL_ROWS):
         rows = block[start:start + KERNEL_ROWS]
-        float_cells = {}
-        width = KERNEL_ROWS // len(rows)  # float columns per kernel call
-        for first in range(0, len(floats), width):
-            group = floats[first:first + width]
-            # % prints any float width as a Python float
-            cells, single = _format_floats(
-                np.stack([rows[name] for name in group], axis=1, dtype=np.float64).ravel())
-            float_cells.update(zip(group, cells.reshape(len(rows), len(group), 40)
-                                   .transpose(1, 0, 2)))
-            count += single
         parts = []
         for name, kind, sep in zip(names, kinds, seps):
             col = rows[name]
             if kind == "f":
-                cells = float_cells[name]
+                # % prints any float width as a Python float
+                cells, single = _format_floats(col.astype(np.float64, copy=False))
                 cells[:, 39] = sep
+                count += single
             elif kind == "b":
                 cells = np.stack([col + ord("0"), np.full(len(col), sep)], axis=1)
             else:
@@ -259,10 +247,12 @@ def write_blocks(path: str | Path, names, blocks) -> int:
     block in turn; blocks yields (bytes, cells formatted one at a time)
     pairs, as format_records returns them.  Returns the summed count.
 
-    The rows go to a temporary file beside path, renamed onto path after
-    the last block; if anything raises on the way, the temporary file is
-    removed, path is left as it was, and the exception propagates."""
+    The rows go to a temporary file beside path (its directory is made if
+    missing), renamed onto path after the last block; if anything raises on
+    the way, the temporary file is removed, path is left as it was, and the
+    exception propagates."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     single = 0
     try:
@@ -280,9 +270,9 @@ def write_blocks(path: str | Path, names, blocks) -> int:
 
 def write_csv(path: str | Path, rows: np.ndarray) -> int:
     """Write the record array rows as CSV under a header of its field names,
-    CHUNK_ROWS rows per formatted block; return the number of cells
+    KERNEL_ROWS rows per formatted block; return the number of cells
     formatted one at a time."""
-    blocks = (rows[start:start + CHUNK_ROWS] for start in range(0, len(rows), CHUNK_ROWS))
+    blocks = (rows[start:start + KERNEL_ROWS] for start in range(0, len(rows), KERNEL_ROWS))
     return write_blocks(path, rows.dtype.names, map(format_records, blocks))
 
 

@@ -462,13 +462,22 @@ def test_ensemble_manifest_records_the_chain_class_count(tmp_path, capsys, model
     (["wfe"], "wfe_transition", ("beta_critical_s", "write_csv_s")),
     (["wfe", "--delta", "0.8"], "wfe_transition", ("beta_critical_s", "write_csv_s")),
     (["esm", "--n", "8"], "esm", ("evaluate_s", "write_csv_s")),
+    (["rate-curves", "--x-list", "0.05,0.3", "--samples", "1000"], "rate_curve",
+     ("sample_s", "dual_s", "write_csv_s")),
+    (["ensemble", "--samples", "2000"], "ensemble", ("sample_s", "write_csv_s")),
+    (["domain-scan", "--samples", "2000"], "domain_scan", ("scan_s", "format_s", "write_csv_s")),
 ])
 def test_wfe_and_esm_manifests_record_stage_times(tmp_path, capsys, argv, stem, stages):
+    # every table command times its stages and its CSV write, and lists
+    # its CSV first and its plot script, where it has one, second
     assert run(argv + ["--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     man = json.loads(read(tmp_path / f"{stem}_manifest.json"))
     assert sorted(k for k in man if k.startswith("time.")) == sorted(f"time.{s}" for s in stages)
     assert all(float(man[f"time.{s}"]) >= 0.0 for s in stages)
+    assert man["output.0"] == f"{stem}.csv"
+    plot = f"{stem}.gp" if stem in ("rate_curve", "domain_scan") else None
+    assert man.get("output.1") == plot
 
 
 def test_domain_scan_outputs(tmp_path, capsys):
@@ -511,8 +520,8 @@ def test_domain_scan_default_workers_write_the_serial_bytes(tmp_path, capsys):
 
 
 def test_domain_scan_csv_is_write_csv_of_the_library_columns(tmp_path, capsys):
-    # 140,000 rows span three CSV blocks; three workers split the 63 shards
-    # into six uneven groups
+    # 140,000 rows span nine CSV blocks; three workers take the 63 shards
+    # in five chunks of 11 and one of 8
     columns = domain_scan(RateParams(x=0.7, eps=0.3), 140_000, seed=2, workers=1)
     expected_path = tmp_path / "expected.csv"
     write_csv(expected_path, np.rec.fromarrays(columns, dtype=SCAN_DTYPE))

@@ -4,14 +4,16 @@ The pool is an execution detail: every result must equal the in-process
 one, and consecutive maps must share one executor instead of starting
 their worker processes again.  Each shard's stream is pinned to numpy's
 SFC64 child of SeedSequence(seed).  The mapped functions are stdlib or squimld
-callables, so they pickle by reference under any start method.  The
-max-shift fold is checked against scipy's logsumexp.
+callables, so they pickle by reference under any start method, except the
+one that ends its worker process, which the worker finds in this module.
+The max-shift fold is checked against scipy's logsumexp.
 """
 
-import operator
-from concurrent.futures import ProcessPoolExecutor
-
 import math
+import operator
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from squimld.parallel import (
     resolve_workers,
     shard_rng,
 )
-from squimld.ratecurves import domain_scan
+from squimld.ratecurves import compute_I2, domain_scan
 from squimld.wfe import WfeParams, rare_event_rate_mc
 
 
@@ -73,6 +75,28 @@ def test_in_process_maps_build_no_executor(built_pools):
     assert built_pools == []
 
 
+def test_a_shard_error_propagates_and_the_pool_stays(built_pools):
+    # the worker refuses every RateParams(x=shard, eps=-1.0)
+    with pytest.raises(InvalidParams):
+        map_shards(RateParams, -1.0, shards=5, workers=2)
+    assert map_shards(operator.mul, 3, shards=5, workers=2) == [0, 3, 6, 9, 12]
+    assert len(built_pools) == 1
+
+
+def _exit_on_shard(shard, payload):
+    """Ends the worker process that runs shard `payload`."""
+    if shard == payload:
+        os._exit(1)
+    return shard
+
+
+def test_a_killed_worker_breaks_only_that_map(built_pools):
+    with pytest.raises(BrokenProcessPool):
+        map_shards(_exit_on_shard, 2, shards=5, workers=2)
+    assert map_shards(operator.mul, 3, shards=5, workers=2) == [0, 3, 6, 9, 12]
+    assert len(built_pools) == 2
+
+
 def test_a_new_worker_count_replaces_the_executor(built_pools):
     map_shards(operator.mul, 1, shards=4, workers=2)
     map_shards(operator.mul, 1, shards=4, workers=3)
@@ -102,7 +126,8 @@ def test_resolve_workers_defaults_to_available_cores(monkeypatch):
     assert resolve_workers(None, 2) == 2
     assert resolve_workers(5, 64) == 5
     assert resolve_workers(5, 4) == 4
-    assert resolve_workers(0, 64) == 1
+    with pytest.raises(InvalidParams, match="workers >= 1, got 0"):
+        resolve_workers(0, 64)
 
 
 def test_resolve_workers_is_capped_by_the_sampler_shard_counts():
@@ -116,8 +141,13 @@ def test_resolve_workers_is_capped_by_the_sampler_shard_counts():
     (lambda: rare_event_rate_mc(WfeParams(omega=1.2, eps=0.1), n_sites=-3), "n_sites.*got -3"),
     (lambda: domain_scan(RateParams(x=0.7, eps=0.3), 0), "n_samples.*got 0"),
     (lambda: domain_scan(RateParams(x=0.7, eps=0.3), -1), "n_samples.*got -1"),
+    (lambda: rare_event_rate_mc(WfeParams(omega=1.2, eps=0.1), n_sites=40, workers=0),
+     "workers.*got 0"),
+    (lambda: domain_scan(RateParams(x=0.7, eps=0.3), 1000, workers=-3), "workers.*got -3"),
+    (lambda: compute_I2(RateParams(x=0.4, eps=0.1), 1000, workers=0), "workers.*got 0"),
 ], ids=["rare-event-n_sites-0", "rare-event-n_sites-neg", "domain-scan-n_samples-0",
-        "domain-scan-n_samples-neg"])
+        "domain-scan-n_samples-neg", "rare-event-workers-0", "domain-scan-workers-neg",
+        "compute-i2-workers-0"])
 def test_sampler_count_below_one_is_refused(call, message):
     with pytest.raises(InvalidParams, match=message):
         call()

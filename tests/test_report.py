@@ -2,10 +2,11 @@
 
 Expected output is written out literally or rebuilt line by line with
 "%.17g" in the test, never taken from the writer itself.  The block tests
-sit one row either side of the writer's block size, where an off-by-one in
-the chunking would drop, repeat or mis-terminate a row.  The float kernel
-is compared with "%.17g" on drawn bit patterns, on exact decimal ties and
-around every power of ten where its notation or exponent changes.
+sit one row either side of multiples of the writer's block size, where an
+off-by-one in the chunking would drop, repeat or mis-terminate a row.  The
+float kernel is compared with "%.17g" on drawn bit patterns, on exact
+decimal ties and around every power of ten where its notation or exponent
+changes.
 """
 
 import json
@@ -20,7 +21,7 @@ from squimld.cli import main
 from squimld.gecore import RateParams
 from squimld.parallel import available_cores, resolve_workers
 from squimld.ratecurves import SHARDS, domain_scan
-from squimld.report import (CHUNK_ROWS, FIXED_MAX, FIXED_MIN, FLOAT_FMT, RunManifest,
+from squimld.report import (FIXED_MAX, FIXED_MIN, FLOAT_FMT, KERNEL_ROWS, RunManifest,
                             format_records, write_csv)
 
 
@@ -77,7 +78,8 @@ def reference_text(a, flag, k):
     return "".join(lines).encode()
 
 
-@pytest.mark.parametrize("n_rows", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+@pytest.mark.parametrize("n_rows", [n + d for n in (KERNEL_ROWS, 4 * KERNEL_ROWS)
+                                    for d in (-1, 0, 1)])
 def test_block_edges_match_line_by_line_reference(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
     a = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
@@ -95,7 +97,7 @@ def test_block_edges_match_line_by_line_reference(tmp_path, n_rows):
 def test_three_and_a_half_blocks_match_line_by_line_reference(tmp_path):
     # three full blocks and a partial last block, with infinities and nans
     # in both float columns
-    n_rows = 3 * CHUNK_ROWS + CHUNK_ROWS // 2
+    n_rows = 3 * KERNEL_ROWS + KERNEL_ROWS // 2
     rng = np.random.default_rng(35)
     a = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
     a[::101] = np.inf
@@ -236,9 +238,10 @@ def test_narrow_float_columns_print_as_python_floats():
     assert format_records(rec)[0] == expected.encode()
 
 
-@pytest.mark.parametrize("n_rows", [2, 6000])
-def test_float_columns_sharing_a_kernel_call_keep_their_places(n_rows):
-    # 6000 rows: two float columns per kernel call, so calls of 2, 2 and 1
+@pytest.mark.parametrize("n_rows", [2, 6000, KERNEL_ROWS + 1])
+def test_float_columns_keep_their_places_between_other_columns(n_rows):
+    # each float column is its own kernel call, and KERNEL_ROWS + 1 rows
+    # take two calls per column
     rng = np.random.default_rng(n_rows)
     columns = [rng.standard_normal(n_rows) * 10.0 ** j for j in range(5)]
     columns[2][::7] = np.nan
