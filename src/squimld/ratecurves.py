@@ -280,13 +280,15 @@ def _i2_shard(shard: int, payload):
     For theta2 <= 0, q(y) - q(-y) = -4 theta2 y >= 0 for y > 0, so
     Int y/q <= 0 and dc/dtheta2 = Int y/q - eps Int 1/q < 0: never in G.
     The kernel works point by point, so the counts and k_min equal those
-    of the kernel over every draw.
+    of the kernel over every draw.  It gets the (q(1), q(-1)) of the D
+    test as ends, the values it would form itself.
     """
     params = payload[0]
     theta1, theta2 = _shard_draw(shard, payload)
-    *_, in_d = _q_shape(theta1, theta2, _b_of(params, theta1, theta2))
+    q1, qm1, *_, in_d = _q_shape(theta1, theta2, _b_of(params, theta1, theta2))
     maybe_g = in_d & (theta2 > 0.0)
-    pieces = _pieces_arr(params, theta1[maybe_g], theta2[maybe_g])
+    pieces = _pieces_arr(params, theta1[maybe_g], theta2[maybe_g],
+                         ends=(q1[maybe_g], qm1[maybe_g]))
     g_mask = _in_G(pieces)
     k_min = float(pieces["k"][g_mask].min()) if g_mask.any() else np.inf
     return int(np.count_nonzero(in_d)), int(np.count_nonzero(g_mask)), k_min

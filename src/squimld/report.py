@@ -16,8 +16,15 @@ a round trip through text exactly; a bool cell as 1/0; an int cell with
 alone, never on the block it was formatted in, so any split of a table
 into blocks writes the same file.
 
-A block is formatted into a byte matrix whose empty slots hold a pad
-byte, deleted afterwards with bytes.translate.  Each float column goes
+A block is formatted KERNEL_ROWS rows at a time, each window into one
+row buffer: a bytearray filled with the pad byte, in which every cell has
+a word-aligned slot of its row.  A float cell takes 5 words with its
+separator in byte 39; a bool cell takes 2 bytes, its digit and its
+separator, and adjacent bool columns share a word, 4 cells to it; an int
+or text cell takes ceil((width + 1)/8) words, width being its column's
+widest cell in the window, with the separator in the last byte.  The
+cells are written straight into their slots, and one bytearray.translate
+deletes the padding.  Each float column goes
 through an exact numpy kernel for "%.17g": for finite |v| in
 [1e-4, 1e16), where "%.17g" prints fixed notation, the 17 significant
 digits are the exact integer round(|v| * 10^(16 - E)), E = floor(log10
@@ -56,9 +63,9 @@ from . import __version__
 FLOAT_FMT = "%.17g"
 
 
-# The float kernel.  Each cell is laid out in a row of bytes with PAD in
-# every slot it leaves empty, and one bytes.translate per KERNEL_ROWS rows
-# deletes the padding.
+# The float kernel.  Each cell is laid out in its slot of a window's row
+# buffer with PAD in every byte it leaves empty, and one translate of the
+# buffer deletes the padding.
 # A float cell takes 40 bytes, filled as five uint64 words (native order):
 #   byte 0      the sign;
 #   bytes 1-5   "0.000", of which 1e-4 <= |v| < 1 shows "0." and -E - 1 zeros;
@@ -147,10 +154,11 @@ def _scaled_digits(mag: np.ndarray, exp10: np.ndarray) -> np.ndarray:
     return p.astype(np.int64) + np.rint(err).astype(np.int64)
 
 
-def _format_floats(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """"%.17g" of each value, as the 40-byte rows of a PAD-filled uint8
-    matrix whose last byte the caller sets to the separator, and the number
-    of cells formatted one at a time."""
+def _format_floats(values: np.ndarray, rows: np.ndarray, at: int) -> int:
+    """Write "%.17g" of each value into its float slot, words at..at + 4 of
+    its row of the PAD-filled uint64 row buffer rows, and return the number
+    of cells formatted one at a time.  Byte 39 of the slot, after the 17th
+    digit, is left as it was for the caller's separator."""
     mag = np.abs(values)
     fast = (mag >= FIXED_MIN) & (mag < FIXED_MAX)
     mag[~fast] = 1.0  # a stand-in; those cells are overwritten below
@@ -176,14 +184,13 @@ def _format_floats(values: np.ndarray) -> tuple[np.ndarray, int]:
     for c in range(1, 4):
         np.maximum(last, last_nonzero[chunks[c]] + 4 * c, out=last)
     shown = np.maximum(last, exp10)  # digits 0..shown are printed
-    words = np.empty((len(d), 5), dtype=np.uint64)
+    words = rows[:, at:at + 5]
     words[:, 0] = head_words[(exp10 + 4 + 20 * (values < 0)) * 10 + first]
     for c in range(4):
         keep = np.minimum(np.maximum(shown - 4 * c, 0), 4)
         words[:, c + 1] = digit_words[keep * 10_000 + chunks[c]]
-    cells = words.view(np.uint8)
     point = np.flatnonzero((last > exp10) & (exp10 >= 0))
-    cells.reshape(-1)[point * 40 + 2 * exp10[point] + 7] = ord(".")
+    rows.view(np.uint8)[point, 8 * at + 2 * exp10[point] + 7] = ord(".")
 
     special = ~np.isfinite(values)
     if special.any():
@@ -195,7 +202,7 @@ def _format_floats(values: np.ndarray) -> tuple[np.ndarray, int]:
     if count:
         words[single] = 0
         words[single, :4] = _cell_bytes(FLOAT_FMT, values[single], 32).view(np.uint64)
-    return cells, count
+    return count
 
 
 def _cell_bytes(spec: str, values: np.ndarray, width: int = 0) -> np.ndarray:
@@ -208,14 +215,40 @@ def _cell_bytes(spec: str, values: np.ndarray, width: int = 0) -> np.ndarray:
     return matrix.view(np.uint8).reshape(len(cells), matrix.itemsize)
 
 
+def _slots(kinds, widths) -> tuple[list[int], list[int], int]:
+    """The row layout of one window: each cell's first byte, each
+    separator's byte, and the row size in bytes, a whole number of words.
+
+    A float cell takes 5 words, its separator in byte 39; a bool cell takes
+    2 bytes, the digit and its separator, and a run of bool columns shares
+    words, 4 cells to a word; any other cell, width bytes at its widest,
+    takes ceil((width + 1) / 8) words with its separator in the last byte.
+    Every non-bool slot starts on a word."""
+    starts, seps, size = [], [], 0
+    for kind, width in zip(kinds, widths):
+        if kind == "b":
+            span = 2
+        else:
+            size = -(-size // 8) * 8
+            span = 40 if kind == "f" else (width // 8 + 1) * 8
+        starts.append(size)
+        size += span
+        seps.append(size - 1)
+    return starts, seps, -(-size // 8) * 8
+
+
 def format_records(block: np.ndarray) -> tuple[bytes, int]:
     """A block of a record array as CSV bytes, and the number of cells
     formatted one at a time.
 
-    A column's format follows from its dtype kind: float columns go
-    through the kernel, one column of KERNEL_ROWS rows at a time, and bool
-    columns are written as 1/0 directly; int columns are formatted one
-    cell at a time with "%d" and any other column with "%s".
+    Each window of KERNEL_ROWS rows is written into one PAD-filled row
+    buffer, every cell into its word-aligned slot (see _slots), and one
+    translate deletes the padding.  A column's format follows from its
+    dtype kind: float columns go through the kernel, which writes its
+    words straight into the slots, and bool columns are written as 1/0
+    directly; int columns are formatted one cell at a time with "%d" and
+    any other column with "%s", and their widest cell in the window sets
+    their slot width.
     """
     names = block.dtype.names
     kinds = [block.dtype[name].kind for name in names]
@@ -223,22 +256,24 @@ def format_records(block: np.ndarray) -> tuple[bytes, int]:
     texts, count = [], 0
     for start in range(0, len(block), KERNEL_ROWS):
         rows = block[start:start + KERNEL_ROWS]
-        parts = []
-        for name, kind, sep in zip(names, kinds, seps):
+        cells = [None if kind in "fb" else _cell_bytes("%d" if kind in "iu" else "%s", rows[name])
+                 for name, kind in zip(names, kinds)]
+        starts, sep_at, size = _slots(kinds, [0 if c is None else c.shape[1] for c in cells])
+        buf = bytearray(len(rows) * size)  # zero bytes: PAD
+        table = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), size)
+        for name, kind, cell, at in zip(names, kinds, cells, starts):
             col = rows[name]
             if kind == "f":
                 # % prints any float width as a Python float
-                cells, single = _format_floats(col.astype(np.float64, copy=False))
-                cells[:, 39] = sep
-                count += single
+                count += _format_floats(col.astype(np.float64, copy=False),
+                                        table.view(np.uint64), at // 8)
             elif kind == "b":
-                cells = np.stack([col + ord("0"), np.full(len(col), sep)], axis=1)
+                table[:, at] = col.view(np.uint8) + ord("0")
             else:
-                cells = _cell_bytes("%d" if kind in "iu" else "%s", col)
-                cells = np.column_stack([cells, np.full(len(col), sep)])
+                table[:, at:at + cell.shape[1]] = cell
                 count += len(col)
-            parts.append(cells.astype(np.uint8, copy=False))
-        texts.append(np.concatenate(parts, axis=1).tobytes().translate(None, PAD))
+        table[:, sep_at] = seps
+        texts.append(buf.translate(None, PAD))
     return b"".join(texts), count
 
 

@@ -142,6 +142,43 @@ def test_domain_scan_exact_bytes(tmp_path, capsys):
         "392c27a8901a2e4cbe30bbc30e16f9a205e8facde6a109dc14101e26d148290c")
 
 
+def test_domain_scan_exact_bytes_over_full_windows(tmp_path, capsys):
+    # 200,000 draws: each shard formats 3,175 rows, and write_csv of the same
+    # columns runs 12 full report.KERNEL_ROWS windows and a partial one; both
+    # write these bytes
+    argv = ["domain-scan", "--samples", "200000", "--seed", "3", "--workers", "1"]
+    assert run(argv + ["--out-dir", str(tmp_path / "cli")]) == 0
+    capsys.readouterr()
+    digest = "3a2243cbc0cfa0953609b8297a5a20f050d2a378a8559cfc58d1c91aefa1eaac"
+    data = (tmp_path / "cli" / "domain_scan.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    cols = domain_scan(RateParams(x=0.7, eps=0.3), 200_000, seed=3, workers=1)
+    write_csv(tmp_path / "lib.csv", np.rec.fromarrays(cols, dtype=SCAN_DTYPE))
+    assert hashlib.sha256((tmp_path / "lib.csv").read_bytes()).hexdigest() == digest
+
+
+def test_rate_curves_exact_bytes_and_sampled_diagnostics(tmp_path, capsys):
+    # 20,000 draws per x: the I2 sampler's kernel calls, the empty-G marker
+    # at x = 0.1 and the sampled minimum and its noise band where G is hit
+    argv = ["rate-curves", "--x-list", "0.1,0.4,0.7", "--samples", "20000", "--workers", "1"]
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "rate_curve.csv").read_bytes() == (
+        b"x,I1,I2,accepted_G,samples,seed\n"
+        b"0.10000000000000001,1.6888794582362463,nan,0,20000,0\n"
+        b"0.40000000000000002,0.31857370256255713,0.32088473258849159,5365,20000,0\n"
+        b"0.69999999999999996,0,0.015045285074600567,7524,20000,0\n")
+    man = json.loads((tmp_path / "rate_curve_manifest.json").read_text())
+    sampled = {key: value for key, value in man.items()
+               if key.startswith(("diag.sampled_k_min.", "diag.noise_band."))}
+    assert sampled == {
+        "diag.sampled_k_min.0.4": "0.3234025580224795",
+        "diag.noise_band.0.4": "0.001926712808861503",
+        "diag.sampled_k_min.0.7": "0.01520782313859681",
+        "diag.noise_band.0.7": "0.0010808309293407763",
+    }
+
+
 def test_wfe_csv_hypotheses_ok(tmp_path, capsys):
     assert run(["wfe", "--omega", "1.2", "--eps", "0.1", "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()

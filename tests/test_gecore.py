@@ -523,3 +523,65 @@ def test_every_ok_point_sits_on_exactly_one_branch():
     assert off_branch.sum() >= 10
     assert np.all(np.abs(t2[off_branch] / (2.0 * t1[off_branch])) <= 1.0)
     assert np.all(kernel_branches(t1[off_branch], t2[off_branch], b[off_branch])[2] == 0.0)
+
+
+def _same_bits(a, b):
+    """a and b bit for bit, any NaN equal to any NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype == bool:
+        return np.array_equal(a, b)
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+def _mixed_batch():
+    """(t1, t2, b) over everything q_kernel meets: each branch and the tie
+    band's edges, points outside D, points of D below QMIN_STRICT, the
+    double root inside [-1, 1], and random points, most of them on the log
+    branch."""
+    points = [point for _, point in KERNEL_BRANCH_POINTS]
+    points += [(0.25, 0.75 * (1.0 + offset), 1.125)
+               for offset in (2.7e-3, 2.9e-3, -2.7e-3, -2.9e-3)]
+    points += [(-0.3, 0.1, 0.1), (0.0, 0.0, -1.0), (2.0, 3.0, 0.5)]  # outside D
+    points += [(0.0, 0.0, 5e-13), (0.0, 0.0, 0.0), (-0.25, 0.0, 0.5 + 1e-13)]  # q_min < QMIN_STRICT
+    points.append(TIED_INSIDE)
+    rng = np.random.default_rng(28)
+    n = 400
+    random = (rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n), rng.uniform(0.5, 4.0, n))
+    return tuple(np.concatenate((np.array(fixed), drawn))
+                 for fixed, drawn in zip(zip(*points), random))
+
+
+@pytest.mark.parametrize("with_q2", [False, True])
+@pytest.mark.parametrize("with_ends", [False, True])
+@pytest.mark.parametrize("interior", [False, True])
+def test_kernel_works_point_by_point(with_q2, with_ends, interior):
+    # Every output of a batch call equals that of the point's own call, bit
+    # for bit: the log branch runs over the whole batch and the other
+    # branches overwrite their points, so a branch must not reach another
+    # point's entries.  The interior batch keeps the points with q_min at or
+    # above QMIN_STRICT, the double root inside [-1, 1] among them, and so
+    # skips the compress to the strict interior.
+    t1, t2, b = _mixed_batch()
+    # q(+-1) summed in another order than the kernel's own 2 t1 -+ 2 t2 + b
+    ends = ((b - 2.0 * t2) + 2.0 * t1, (b + 2.0 * t2) + 2.0 * t1) if with_ends else None
+    q_min = _q_shape(t1, t2, b, ends)[3]
+    if interior:
+        keep = q_min >= QMIN_STRICT
+        t1, t2, b = t1[keep], t2[keep], b[keep]
+        ends = ends and tuple(end[keep] for end in ends)
+        q_min = q_min[keep]
+    out = q_kernel(t1, t2, b, with_q2=with_q2, ends=ends)
+    ok = out["ok"]
+    masks = kernel_branches(t1[ok], t2[ok], b[ok])[3]
+    assert all(mask.any() for mask in masks)  # every branch is in the batch
+    assert np.any((q_min >= QMIN_STRICT) & ~ok)  # the double root
+    if not interior:
+        assert np.any(~out["in_D"]) and np.any(out["in_D"] & (q_min < QMIN_STRICT))
+    for i in range(len(t1)):
+        one = q_kernel(t1[i], t2[i], b[i], with_q2=with_q2,
+                       ends=ends and (ends[0][i], ends[1][i]))
+        assert one.keys() == out.keys()
+        for key, value in out.items():
+            assert _same_bits(value[..., i], one[key][..., 0]), (key, i)

@@ -254,6 +254,46 @@ def test_float_columns_keep_their_places_between_other_columns(n_rows):
     assert format_records(rec)[0] == expected.encode()
 
 
+def _layout_columns(n_rows: int, width: int):
+    """The columns and formats of the slot-layout tests: bool runs of 1, 2
+    and 5, int, uint64 and text columns whose widest cell is width bytes,
+    and a float column right after the text column."""
+    rng = np.random.default_rng(n_rows * 100 + width)
+    cols = {"a": rng.standard_normal(n_rows) * 10.0 ** rng.integers(-6, 18, n_rows)}
+    cols["p"] = rng.random(n_rows) < 0.5
+    cols["n"] = rng.integers(-99, 100, n_rows)
+    cols["q1"], cols["q2"] = rng.random((2, n_rows)) < 0.5
+    cols["u"] = rng.integers(0, 100, n_rows, dtype=np.uint64)
+    for r in range(5):
+        cols[f"r{r}"] = rng.random(n_rows) < 0.5
+    cols["s"] = np.array([f"s{i % 10}" for i in range(n_rows)], dtype=object)
+    cols["z"] = rng.standard_normal(n_rows)
+    # the widest cell in the first and the last row, so every window has it
+    for row in {0, n_rows - 1} if n_rows else ():
+        cols["n"][row] = -(10 ** (width - 2))  # width characters with the sign
+        cols["u"][row] = 10 ** (width - 1)
+        cols["s"][row] = "x" * width
+    fmts = {"a": "%.17g", "n": "%d", "u": "%d", "s": "%s", "z": "%.17g"}
+    return cols, [fmts.get(name, "%d") for name in cols]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, KERNEL_ROWS, KERNEL_ROWS + 1])
+@pytest.mark.parametrize("width", [7, 8, 15, 16])
+def test_slot_layout_edges_match_line_by_line_reference(n_rows, width):
+    # widest cell plus separator exactly 8 or 16 bytes, a whole number of
+    # words, and one byte more; bool runs that fill part of a word, half a
+    # word and more than one; 0, 1 and one row either side of a window
+    cols, fmts = _layout_columns(n_rows, width)
+    rec = np.rec.fromarrays(list(cols.values()), names=",".join(cols))
+    line = ",".join(fmts) + "\n"
+    expected = "".join(line % row for row in zip(*[col.tolist() for col in cols.values()]))
+    text, single = format_records(rec)
+    assert text == expected.encode()
+    floats = np.concatenate([cols["a"], cols["z"]])
+    outside = (np.abs(floats) < FIXED_MIN) | (np.abs(floats) >= FIXED_MAX)
+    assert single == 3 * n_rows + int(outside.sum())  # the int, uint64 and text cells
+
+
 def test_int_extremes_in_a_record_array(tmp_path):
     path = tmp_path / "ints.csv"
     rec = np.rec.fromarrays(
