@@ -19,14 +19,11 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="runs/figures")
     ap.add_argument("--samples", type=int, default=1_000_000)
-    ap.add_argument("--curve-samples", type=int, default=None,
-                    help="per-x budget for the curves (default: same as --samples)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workers", type=int, default=None,
                     help="worker processes (default: every available core)")
     args = ap.parse_args()
 
-    curve_samples = args.curve_samples or args.samples
     workers = [] if args.workers is None else ["--workers", str(args.workers)]
     rc = cli_main([
         "domain-scan", "--x", "0.7", "--eps", "0.3",
@@ -37,7 +34,7 @@ def main() -> int:
         return rc
     return cli_main([
         "rate-curves", "--eps", "0.1",
-        "--samples", str(curve_samples), "--seed", str(args.seed),
+        "--samples", str(args.samples), "--seed", str(args.seed),
         "--out-dir", args.out_dir, *workers,
     ])
 

@@ -53,7 +53,6 @@ from .mc import (
     McEstimate,
     esm_evaluate,
     infinite_T_msq_exact,
-    thermal_average,
     thermal_averages,
 )
 from .validate import CheckResult, run_validation

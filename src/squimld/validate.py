@@ -5,15 +5,16 @@ Gauss-Legendre quadrature against the closed-form antiderivatives and
 against the analytic gradient (dc/dtheta_i = Int a_i / q), Monte Carlo
 against exact sphere moments, the product model and the chain's log Z
 against hand values, the chain's zero-field var M against
-(1/4) sum tanh(beta/2)^|i-j|, its two energy conventions against each
-other on the enumeration tables, and the two measure lemmas (the
-layer-cake integral identity and the concentration bound) against direct
-numerical integration on the circle and the 2-sphere.
+(1/4) sum tanh(beta/2)^|i-j|, its class table's log Z and var M against
+the transfer matrix, and the two measure lemmas (the layer-cake integral
+identity and the concentration bound) against direct numerical
+integration on the circle and the 2-sphere.
 
 Levels: "fast" exercises every check at small grids; "full" widens the
 gradient and quadrature sweeps to the sizes used by the acceptance gate and
 adds the I2 bracket, the certified dual value against the sampled minimum
-of k over G.
+of k over G.  Every check takes (level, workers); workers runs the shards
+of the checks that sample, and the others ignore it.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensembles import chain_tables, classical_ising_1d
+from .ensembles import chain_classes, classical_ising_1d
 from .errors import InvalidParams
 from .gecore import BRANCHES, RateParams, _b_of, _pieces_arr, _q_shape, h_value, kernel_branches
-from .mc import EnsembleConfig, esm_evaluate, infinite_T_msq_exact, thermal_average
+from .mc import EnsembleConfig, esm_evaluate, infinite_T_msq_exact, thermal_averages
 from .parallel import shard_rng
 from .ratecurves import DUAL_GAP_TOL, compute_I2
 
@@ -56,6 +57,9 @@ QUAD_CASES = ((0.4, 0.05), (-0.8, 0.2), (0.001, 0.01), (0.2439, 0.7317))
 # Points of the periodic trapezoid on the circle; its error falls like
 # 2 I_{n/2}(1/2), below double precision from 32 points, so 64 leave margin
 CIRCLE_POINTS = 64
+# Bound on both gaps of the circle identity, |closed - layer-cake| and
+# |direct - closed|, which read 2.2e-16 and 0.0; the QUAD_TOL scale
+UIF_TOL = 1e-14
 # Gradient points keep min q over [-1, 1] at least this far from 0
 GRAD_QMIN = 1e-4
 # Worst relative |grad c - quadrature|: 1.4e-14 at fast level, 2.1e-13 at
@@ -77,7 +81,7 @@ class CheckResult:
     seconds: float = 0.0  # wall time of the check
 
 
-def check_quadrature(level: str = "fast") -> CheckResult:
+def check_quadrature(level: str, workers: int | None = None) -> CheckResult:
     """Closed-form Int 1/q and c against Gauss-Legendre on all four kernel branches."""
     params = RateParams(x=0.3, eps=0.3)
     t1, t2 = np.array(QUAD_CASES + (((0.3, -0.2),) if level == "full" else ())).T
@@ -111,7 +115,7 @@ def _interior_thetas(params: RateParams, n: int, rng) -> tuple[np.ndarray, np.nd
     return t1[:n], t2[:n]
 
 
-def check_gradients(level: str = "fast") -> CheckResult:
+def check_gradients(level: str, workers: int | None = None) -> CheckResult:
     """Analytic gradient of the cumulant against dc/dtheta_i = Int a_i / q.
 
     With a1 = 1 - x - y^2 and a2 = y - eps, both integrals for every point
@@ -146,7 +150,7 @@ def check_gradients(level: str = "fast") -> CheckResult:
     )
 
 
-def check_beta0_moments(level: str = "fast", workers: int | None = None) -> CheckResult:
+def check_beta0_moments(level: str, workers: int | None = None) -> CheckResult:
     """Monte Carlo second moment at beta = 0 against the exact sphere moment.
 
     workers runs the shards (None: every available core); the estimate
@@ -156,11 +160,11 @@ def check_beta0_moments(level: str = "fast", workers: int | None = None) -> Chec
     worst_z = 0.0
     for n in sizes:
         exact = infinite_T_msq_exact(n)
-        est = thermal_average(
+        est = thermal_averages(
             EnsembleConfig(N=n, beta=0.0, model="SCWM", samples=200_000, seed=11,
                            workers=workers),
-            "msq",
-        )
+            ["msq"],
+        )[0]
         worst_z = max(worst_z, abs(est.mean - exact) / est.std_error)
     ok = worst_z < 3.0
     return CheckResult(
@@ -176,8 +180,14 @@ def chain_var_closed_form(n_spins: int, beta: float) -> float:
     return 0.25 * (n_spins + 2.0 * float(np.sum((n_spins - d) * t**d)))
 
 
-def check_small_n(level: str = "fast") -> CheckResult:
-    """Exact small-N values and closed forms: product model, transfer matrix, energies."""
+def check_small_n(level: str, workers: int | None = None) -> CheckResult:
+    """Exact small-N values and closed forms: product model, transfer matrix, class table.
+
+    The class table chain_classes(12), over which SQUIM_d1 samples, gives
+    log Z = log sum count e^(beta ((N-1) - 2k)/2) - N log 2 over its flip
+    counts k and var M = sum w M^2 / sum w with the same weights w; both
+    must match the transfer matrix (they read 2.7e-15 relative at worst).
+    """
     issues = []
     r = esm_evaluate(2, 1.0)
     if abs(r.logZhat - 2.0 * math.log(8.0 / 9.0)) > 1e-12:
@@ -191,16 +201,16 @@ def check_small_n(level: str = "fast") -> CheckResult:
             var, exact = classical_ising_1d(n, beta)[2], chain_var_closed_form(n, beta)
             if abs(var - exact) > 1e-12 * exact:
                 issues.append(f"chain N={n} var(M) = {var!r}, closed form {exact!r} at beta={beta}")
-    # chain energy conventions related by a constant: E+ = 2E + (N-1)/2,
-    # on random weights and, per configuration, flips = (N-1)/2 - 2I
-    rng = shard_rng(7, 0)
-    amps = rng.standard_normal(2**5) + 1j * rng.standard_normal(2**5)
-    w = np.abs(amps) ** 2 / np.sum(np.abs(amps) ** 2)
-    _m_conf, interaction, flips = chain_tables(5)
-    if abs(w @ flips - (2.0 * -(w @ interaction) + 2.0)) > 1e-12:
-        issues.append("chain energy-convention relation violated")
-    if not np.all(flips == 2.0 - 2.0 * interaction):
-        issues.append("chain tables violate flips = (N-1)/2 - 2I at N=5")
+    n = 12
+    m_class, flips, count = chain_classes(n)
+    for beta in (0.7, 3.0):
+        w = count * np.exp(beta * ((n - 1) - 2.0 * flips) / 2.0)
+        z = float(np.sum(w))
+        log_z, var = math.log(z) - n * math.log(2.0), float(w @ (m_class * m_class)) / z
+        ref_log_z, _, ref_var = classical_ising_1d(n, beta)
+        if abs(log_z - ref_log_z) > 1e-12 * abs(ref_log_z) or abs(var - ref_var) > 1e-12 * ref_var:
+            issues.append(f"chain N={n} class table (logZ, var M) = ({log_z!r}, {var!r}), "
+                          f"transfer matrix ({ref_log_z!r}, {ref_var!r}) at beta={beta}")
     ok = not issues
     return CheckResult(
         "small-N-enumerations", ok, "; ".join(issues) if issues else "all exact"
@@ -271,7 +281,7 @@ def uif_sides() -> tuple[float, float, float]:
     return closed, direct, math.exp(-1.0) + tail
 
 
-def check_uif(level: str = "fast") -> CheckResult:
+def check_uif(level: str, workers: int | None = None) -> CheckResult:
     """Layer-cake identity on the circle with f = sin^2(angle).
 
     Left side has the closed form exp(-1/2) I0(1/2); the right side is
@@ -281,10 +291,10 @@ def check_uif(level: str = "fast") -> CheckResult:
     lhs_closed, lhs_direct, rhs = uif_sides()
     d1 = abs(lhs_closed - rhs)
     d2 = abs(lhs_direct - lhs_closed)
-    ok = d1 < 1e-4 and d2 < 1e-8
+    ok = d1 < UIF_TOL and d2 < UIF_TOL
     return CheckResult(
         "uif-circle-identity", ok,
-        f"|closed - layer-cake| = {d1:.2e} (tol 1e-4), |direct - closed| = {d2:.2e}",
+        f"|closed - layer-cake| = {d1:.2e}, |direct - closed| = {d2:.2e} (tol {UIF_TOL:g})",
     )
 
 
@@ -309,7 +319,7 @@ def concentration_integrals(beta: float, u_cut: float) -> tuple[float, float, fl
     )
 
 
-def check_concentration(level: str = "fast") -> CheckResult:
+def check_concentration(level: str, workers: int | None = None) -> CheckResult:
     """Concentration bound on the 2-sphere with f = beta (1 - z).
 
     Uniform measure on the sphere projects to uniform z on [-1, 1], so all
@@ -325,29 +335,17 @@ def check_concentration(level: str = "fast") -> CheckResult:
     mu = (1.0 - v_cut) / 2.0
 
     z_total, z_u, num_total, num_u = concentration_integrals(beta, u_cut)
-    avg = num_total / z_total
-    big_r = num_u / z_u
     xi = (num_total - num_u) / z_u
     zeta = (z_total - z_u) / z_u
     bound = math.exp(eta - alpha) / mu  # sup|g| = 1
-
-    hyp_b = beta * (1.0 - v_cut) <= eta + 1e-15
-    hyp_c = beta * (1.0 - u_cut) >= alpha - 1e-15
-    hyp_d = (1.0 - v_cut) / 2.0 >= mu - 1e-15
-    reassembled = (big_r + xi) / (1.0 + zeta)
-    ok = (
-        hyp_b and hyp_c and hyp_d
-        and abs(xi) <= bound and abs(zeta) <= bound
-        and abs(reassembled - avg) < 1e-12
-    )
+    ok = abs(xi) <= bound and abs(zeta) <= bound
     return CheckResult(
         "concentration-bound-2-sphere", ok,
-        f"|xi| = {abs(xi):.2e}, |zeta| = {abs(zeta):.2e} vs bound {bound:.2e}; "
-        f"reassembly error {abs(reassembled - avg):.1e}",
+        f"|xi| = {abs(xi):.2e}, |zeta| = {abs(zeta):.2e} vs bound {bound:.2e}",
     )
 
 
-def check_i2_dual_bracket(level: str = "full", workers: int | None = None) -> CheckResult:
+def check_i2_dual_bracket(level: str, workers: int | None = None) -> CheckResult:
     """I2 from the dual between its certified lower bound and the sampler.
 
     Weak duality puts I2 at or above -c(theta*) and at or below k at every
@@ -382,18 +380,16 @@ CHECKS = (
 )
 # Checks that run at level "full" only.
 FULL_CHECKS = (check_i2_dual_bracket,)
-# Checks that sample, and take the worker count.
-SAMPLING_CHECKS = (check_beta0_moments, check_i2_dual_bracket)
 
 
 def run_validation(level: str = "fast", workers: int | None = None) -> list[CheckResult]:
-    """Every check at `level`; workers goes to the sampling checks."""
+    """Every check at `level`, each given workers."""
     if level not in LEVELS:
         raise InvalidParams(f"level must be one of {LEVELS}, got {level!r}")
     checks = CHECKS + (FULL_CHECKS if level == "full" else ())
     results = []
     for check in checks:
         clock = time.perf_counter()
-        result = check(level, workers) if check in SAMPLING_CHECKS else check(level)
+        result = check(level, workers)
         results.append(replace(result, seconds=time.perf_counter() - clock))
     return results

@@ -146,7 +146,6 @@ class WfeParams:
             object.__setattr__(self, "delta", self.eps)
         elif not (self.delta > 0.0):
             raise HypothesisViolation(f"delta must be positive, got {self.delta}")
-        assert self.r < 0.25
         if not (x_lower_root(self) < 1.0):
             raise HypothesisViolation(
                 f"lower root of A at {x_lower_root(self):.4f} >= 1: A <= 0 on [-1, 1]"

@@ -31,7 +31,7 @@ from squimld import (
     infinite_T_msq_exact,
     rare_event_rate_mc,
     solve_Q_detail,
-    thermal_average,
+    thermal_averages,
 )
 from squimld.cli import main as cli_main
 from squimld.ensembles import chain_tables, g_values
@@ -178,7 +178,7 @@ def test_criterion_07_infinite_temperature_oracle():
     zs = []
     for n in (2, 8, 32):
         cfg = EnsembleConfig(N=n, beta=0.0, model="SCWM", samples=400_000, seed=11)
-        est = thermal_average(cfg, "msq")
+        est = thermal_averages(cfg, ["msq"])[0]
         exact = infinite_T_msq_exact(n)
         zs.append((est.mean - exact) / est.std_error)
     # brute-force cross-check of the N = 2 exact value 1/6 by raw
@@ -226,8 +226,8 @@ def test_criterion_08_product_model_exactness():
 def test_criterion_09_wfe_magnetization_direction():
     t0 = time.perf_counter()
     kw = dict(N=8, beta=40.0, samples=400_000, seed=7)
-    plain = thermal_average(EnsembleConfig(model="SCWM", **kw), "msq")
-    wfe = thermal_average(EnsembleConfig(model="SCWM_WFE", omega=1.2, **kw), "msq")
+    plain = thermal_averages(EnsembleConfig(model="SCWM", **kw), ["msq"])[0]
+    wfe = thermal_averages(EnsembleConfig(model="SCWM_WFE", omega=1.2, **kw), ["msq"])[0]
     gap = wfe.mean - plain.mean
     se = math.hypot(wfe.std_error, plain.std_error)
     ok = gap >= 3.0 * se

@@ -26,7 +26,6 @@ from squimld import (
     McEstimate,
     esm_evaluate,
     infinite_T_msq_exact,
-    thermal_average,
     thermal_averages,
 )
 from squimld import mc
@@ -74,7 +73,7 @@ def test_estimate_validation():
 def test_unknown_observable_rejected():
     cfg = EnsembleConfig(N=4, beta=0.0, model="SCWM", samples=1000)
     with pytest.raises(InvalidParams):
-        thermal_average(cfg, "energy")
+        thermal_averages(cfg, ["energy"])[0]
 
 
 ONE_PASS_CONFIGS = [
@@ -96,7 +95,7 @@ def test_one_pass_equals_one_call_per_observable(kw, monkeypatch):
         monkeypatch.setattr(mc, "CHUNK_SCALARS", N12_CHUNK_SCALARS)
     cfg = EnsembleConfig(**kw)
     together = thermal_averages(cfg, OBSERVABLES)
-    assert together == [thermal_average(cfg, obs) for obs in OBSERVABLES]
+    assert together == [thermal_averages(cfg, [obs])[0] for obs in OBSERVABLES]
     assert len({est.weight_ess for est in together}) == 1
 
 
@@ -122,7 +121,7 @@ def test_one_pass_keeps_request_order_and_repeats():
     cfg = EnsembleConfig(N=8, beta=10.0, model="SCWM", samples=20_000, seed=6)
     msq, disp, again = thermal_averages(cfg, ["msq", "dispersion", "msq"])
     assert msq == again
-    assert disp == thermal_average(cfg, "dispersion")
+    assert disp == thermal_averages(cfg, ["dispersion"])[0]
 
 
 def test_unknown_tag_anywhere_refused_before_sampling(monkeypatch):
@@ -139,7 +138,7 @@ def test_unknown_tag_anywhere_refused_before_sampling(monkeypatch):
 def test_weight_ess_is_the_budget_for_uniform_weights():
     # beta = 0: the tilted proposal is the flat law, every weight is exactly 1
     cfg = EnsembleConfig(N=8, beta=0.0, model="SCWM", samples=30_000, seed=1)
-    est = thermal_average(cfg, "msq")
+    est = thermal_averages(cfg, ["msq"])[0]
     assert est.weight_ess == cfg.samples
     # estimates built without it still construct
     assert math.isnan(McEstimate(0.1, 0.01, 10, 5.0).weight_ess)
@@ -200,7 +199,7 @@ def test_infinite_t_exact_values():
 @pytest.mark.parametrize("n_spins", [2, 8, 32])
 def test_beta_zero_matches_sphere_moments(n_spins):
     cfg = EnsembleConfig(N=n_spins, beta=0.0, model="SCWM", samples=200_000, seed=11)
-    est = thermal_average(cfg, "msq")
+    est = thermal_averages(cfg, ["msq"])[0]
     exact = infinite_T_msq_exact(n_spins)
     assert abs(est.mean - exact) < 3.0 * est.std_error
     assert est.std_error > 0.0
@@ -235,39 +234,39 @@ def test_squim_chain_beta_zero_oracle():
     # class columns, and K = 256 still sets the law
     for n_spins, seed in ((2, 7), (8, 4)):
         cfg = EnsembleConfig(N=n_spins, beta=0.0, model="SQUIM_d1", samples=200_000, seed=seed)
-        est = thermal_average(cfg, "msq")
+        est = thermal_averages(cfg, ["msq"])[0]
         assert est.weight_ess == cfg.samples
         assert abs(est.mean - 1.0 / (n_spins * (2**n_spins + 1))) < 3.0 * est.std_error
 
 
 def test_entropy_weighting_shifts_mass_to_center():
     # binomial weights favor the m ~ 0 classes, lowering [m^2] below uniform
-    plain = thermal_average(
-        EnsembleConfig(N=8, beta=0.0, model="SCWM", samples=100_000, seed=3), "msq"
-    )
-    tilted = thermal_average(
+    plain = thermal_averages(
+        EnsembleConfig(N=8, beta=0.0, model="SCWM", samples=100_000, seed=3), ["msq"]
+    )[0]
+    tilted = thermal_averages(
         EnsembleConfig(N=8, beta=0.0, model="SCWM_ENTROPY", samples=100_000, seed=3),
-        "msq",
-    )
+        ["msq"],
+    )[0]
     gap_se = math.hypot(plain.std_error, tilted.std_error)
     assert plain.mean - tilted.mean > 3.0 * gap_se
 
 
 def test_heating_raises_msq_for_scwm():
     # the exponent exp(-beta N (1 - m^2)) rewards aligned states
-    cold = thermal_average(
-        EnsembleConfig(N=8, beta=40.0, model="SCWM", samples=100_000, seed=5), "msq"
-    )
-    hot = thermal_average(
-        EnsembleConfig(N=8, beta=0.0, model="SCWM", samples=100_000, seed=5), "msq"
-    )
+    cold = thermal_averages(
+        EnsembleConfig(N=8, beta=40.0, model="SCWM", samples=100_000, seed=5), ["msq"]
+    )[0]
+    hot = thermal_averages(
+        EnsembleConfig(N=8, beta=0.0, model="SCWM", samples=100_000, seed=5), ["msq"]
+    )[0]
     assert cold.mean - hot.mean > 3.0 * math.hypot(cold.std_error, hot.std_error)
 
 
 def test_wfe_beta_zero_is_the_flat_law():
     # beta = 0: both caps are the uniform sphere, every weight is exactly 1
     cfg = EnsembleConfig(N=8, beta=0.0, model="SCWM_WFE", omega=1.2, samples=200_000, seed=2)
-    est = thermal_average(cfg, "msq")
+    est = thermal_averages(cfg, ["msq"])[0]
     assert est.weight_ess == cfg.samples
     assert abs(est.mean - infinite_T_msq_exact(8)) < 3.0 * est.std_error
 
@@ -295,8 +294,8 @@ def test_wfe_matches_weighted_raw_gaussians():
 def test_wfe_exceeds_plain_at_low_temperature():
     # paired seeds: the wavefunction-energy correction pushes [m^2] up
     kw = dict(N=8, beta=40.0, samples=100_000, seed=7)
-    plain = thermal_average(EnsembleConfig(model="SCWM", **kw), "msq")
-    wfe = thermal_average(EnsembleConfig(model="SCWM_WFE", omega=1.2, **kw), "msq")
+    plain = thermal_averages(EnsembleConfig(model="SCWM", **kw), ["msq"])[0]
+    wfe = thermal_averages(EnsembleConfig(model="SCWM_WFE", omega=1.2, **kw), ["msq"])[0]
     assert wfe.mean - plain.mean > 3.0 * math.hypot(wfe.std_error, plain.std_error)
 
 
@@ -304,7 +303,7 @@ def test_worker_count_is_an_execution_detail():
     cfg1 = EnsembleConfig(N=8, beta=40.0, model="SCWM", samples=60_000, seed=9, workers=1)
     cfg2 = EnsembleConfig(N=8, beta=40.0, model="SCWM", samples=60_000, seed=9, workers=2)
     for obs in ("msq", "dispersion"):
-        assert thermal_average(cfg1, obs) == thermal_average(cfg2, obs)
+        assert thermal_averages(cfg1, [obs])[0] == thermal_averages(cfg2, [obs])[0]
 
 
 def test_signed_magnetization_is_refused():
@@ -320,7 +319,7 @@ def test_magnetized_fraction_monotone_in_threshold():
         cfg = EnsembleConfig(
             N=8, beta=8.0, model="SCWM", samples=50_000, seed=4, eps=eps
         )
-        means.append(thermal_average(cfg, "magnetized_fraction").mean)
+        means.append(thermal_averages(cfg, ["magnetized_fraction"])[0].mean)
     assert means[0] == 1.0
     assert all(a >= b for a, b in zip(means, means[1:]))
 
@@ -330,7 +329,7 @@ def test_degenerate_weights_guard():
         N=32, beta=40.0, model="SCWM_WFE", omega=1.2, samples=20_000, seed=0
     )
     with pytest.raises(DegenerateWeights):
-        thermal_average(cfg, "msq")
+        thermal_averages(cfg, ["msq"])[0]
 
 
 def test_observable_tuple_is_public():

@@ -6,14 +6,18 @@ closed form, so a quadrature rule that drifts shows before a lemma check
 reads it.  The Gauss-Legendre rule behind every check is held to the
 exact integrals of the monomials it must integrate exactly, and the
 quadrature check's fixed cases to the kernel branches they stand for, by
-gecore.kernel_branches, the kernel's own rule.
+gecore.kernel_branches, the kernel's own rule.  And every check must be
+able to fail: each is run once as it is and once with its subject or its
+oracle nudged past its tolerance.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from squimld import validate
 from squimld.gecore import BRANCHES, RateParams, _b_of, _pieces_arr, kernel_branches
 from squimld.validate import (QUAD_CASES, _legendre_rule, check_quadrature,
                               concentration_integrals, uif_sides)
@@ -89,3 +93,54 @@ def test_concentration_integrals_against_closed_forms(beta, u_cut):
         assert g == pytest.approx(w, rel=1e-13)
     # Z = (1 - exp(-2 beta)) / (2 beta), the form the lemma quotes
     assert got[0] == pytest.approx((1.0 - math.exp(-2.0 * beta)) / (2.0 * beta), rel=1e-13)
+
+
+def _nudged(fn, change):
+    """fn with change applied to its result."""
+    return lambda *args, **kwargs: change(fn(*args, **kwargs))
+
+
+def _shift_piece(key, change):
+    def nudge(out):
+        out[key] = change(out[key])
+        return out
+    return "_pieces_arr", _nudged(_pieces_arr, nudge)
+
+
+# check, level, and the name in validate it replaces with a nudged copy
+NUDGES = {
+    "quadrature-vs-closed-form": (
+        validate.check_quadrature, "fast", *_shift_piece("j", lambda j: j + 1e-13)),
+    "gradient-vs-quadrature": (
+        validate.check_gradients, "fast", *_shift_piece("grad1", lambda g: g * (1.0 + 1e-11))),
+    "beta0-moment-oracle": (
+        validate.check_beta0_moments, "fast", "infinite_T_msq_exact",
+        _nudged(validate.infinite_T_msq_exact, lambda v: 1.5 * v)),
+    "small-N-enumerations": (
+        validate.check_small_n, "fast", "classical_ising_1d",
+        _nudged(validate.classical_ising_1d, lambda r: (r[0] + 1e-9, *r[1:]))),
+    "uif-circle-identity": (
+        validate.check_uif, "fast", "uif_sides",
+        _nudged(validate.uif_sides, lambda r: (*r[:2], r[2] + 1e-12))),
+    "concentration-bound-2-sphere": (
+        validate.check_concentration, "fast", "concentration_integrals",
+        _nudged(validate.concentration_integrals, lambda r: (r[0], 0.9 * r[1], *r[2:]))),
+    "i2-dual-vs-sampled-bracket": (
+        validate.check_i2_dual_bracket, "full", "compute_I2",
+        _nudged(validate.compute_I2,
+                lambda pt: dataclasses.replace(pt, sampled_k_min=pt.I2 - 1e-9))),
+}
+
+
+def test_every_check_has_a_nudge():
+    assert {nudge[0] for nudge in NUDGES.values()} == set(validate.CHECKS + validate.FULL_CHECKS)
+
+
+@pytest.mark.parametrize("name", list(NUDGES))
+def test_every_check_fails_when_its_subject_or_oracle_is_nudged(name, monkeypatch):
+    check, level, attr, nudged = NUDGES[name]
+    result = check(level, 1)
+    assert result.name == name and result.ok, result.detail
+    monkeypatch.setattr(validate, attr, nudged)
+    result = check(level, 1)
+    assert result.name == name and not result.ok, result.detail
