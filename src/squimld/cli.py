@@ -23,13 +23,21 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure surfaced by the
 library (degenerate weights, an I2 dual solve that does not certify, a
 root that is not there) or an array too large to allocate, 4
 validation-suite failure.  Two outcomes are reported per row instead:
-the empty-G marker point that compute_I2 returns when a rate-curves budget
-misses G (NaN I2, accepted_G = 0; the manifest still records the dual's
-theta_star, gap and Newton count when the dual certifies), and (omega,
-eps, delta) outside the transition-bound hypotheses in wfe (NaN p_star_inf
-and beta_c, hypotheses_ok = 0).  A failed command leaves no partial CSV.
-A layered --level is not checked against the flag's choices by argparse;
-run_validation refuses it.
+the empty-G marker point that compute_I2 returns for each x of the
+rate-curves grid whose budget misses G (NaN I2, accepted_G = 0; the
+manifest still records the dual's theta_star, gap and Newton count when
+the dual certifies, and a dual that does not certify exits 3 only at an x
+whose draws hit G), and (omega, eps, delta) outside the transition-bound
+hypotheses in wfe (NaN p_star_inf and beta_c, hypotheses_ok = 0).  A
+failed command leaves no partial CSV.  A layered --level is not checked
+against the flag's choices by argparse; run_validation refuses it.
+
+rate-curves makes one compute_I2 call over its whole grid: one sampling
+job on the pool, with the parent solving every x's dual and I1 while it
+runs.  Its manifest's time.sample_s is that call's wall time, the job's,
+and time.dual_s the seconds the parent spends on the dual and I1 solves
+inside it; with one worker the shards run in-process after the solves,
+so sample_s is the solves and the sampling end to end.
 """
 
 from __future__ import annotations
@@ -213,14 +221,14 @@ def cmd_rate_curves(args) -> int:
     workers = resolve_workers(args.workers, RATE_SHARDS)
     started = utc_now()
     rows = []
-    timings = {"sample_s": 0.0, "dual_s": 0.0}
     diagnostics = {}
-    for x in args.x_list:
-        pt = compute_I2(RateParams(x=x, eps=args.eps), args.samples, seed=args.seed,
-                        workers=workers)
+    clock = time.perf_counter()
+    points = compute_I2([RateParams(x=x, eps=args.eps) for x in args.x_list], args.samples,
+                        seed=args.seed, workers=workers)
+    timings = {"sample_s": time.perf_counter() - clock,
+               "dual_s": sum(pt.dual_s for pt in points)}
+    for x, pt in zip(args.x_list, points):
         rows.append((x, pt.I1, pt.I2, pt.accepted_G, pt.samples, args.seed))
-        timings["sample_s"] += pt.sample_s
-        timings["dual_s"] += pt.dual_s
         if pt.theta_at_min is not None:  # the dual certified
             diagnostics.update({f"theta_star.{x!r}": ",".join(map(repr, pt.theta_at_min)),
                                 f"dual_gap.{x!r}": pt.dual_gap,

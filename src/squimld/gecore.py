@@ -333,9 +333,12 @@ def q_kernel(t1, t2, b, with_q2: bool = False, ends=None):
                              branch of kernel_branches,
       j, jy, y2, lq       -- Int 1/q, Int y/q, Int y^2/q and Int log q,
     and, with with_q2, q2 of shape (5, n): q2[m] = Int y^m/q^2, m = 0..4.
-    The integrals are NaN wherever ok is False.  ends passes (q(1), q(-1))
-    through to _q_shape; every integral then depends on them and not on
-    their rounded values 2*t1 -+ 2*t2 + b.
+    The integrals are NaN wherever ok is False.  ends passes what the
+    caller knows of q's shape.  A pair (q(1), q(-1)) goes through to
+    _q_shape, and every integral then depends on those values and not on
+    their rounded 2*t1 -+ 2*t2 + b.  The four values (q(1), q(-1), q_min,
+    in_D) of a D test the caller has already run through _q_shape stand
+    for it, and ok and the returned q_min and in_D are taken from them.
 
     The integrals run on the strict interior, where b = q(0) > 0, and there
     q = b (1 - u1 y)(1 - u2 y) with inverse roots u1 + u2 = s = 2 t2/b and
@@ -370,9 +373,13 @@ def q_kernel(t1, t2, b, with_q2: bool = False, ends=None):
     t1, t2, b = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (t1, t2, b))
     )
-    if ends is not None:
-        ends = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in ends))
-    q1, qm1, _, qmin, in_d = _q_shape(t1, t2, b, ends)
+    if ends is not None and len(ends) == 4:
+        q1, qm1, qmin, in_d = ends
+    else:
+        if ends is not None:
+            ends = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                         for v in ends))
+        q1, qm1, _, qmin, in_d = _q_shape(t1, t2, b, ends)
     ok = qmin >= QMIN_STRICT
     inside = bool(ok.all())
     if not inside:

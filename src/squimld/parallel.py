@@ -19,10 +19,12 @@ once.  The pool is rebuilt only when a call asks for a different worker
 count, or after a worker process died.  `iter_shards` hands the shards to
 the executor's own ordered map in about TASKS_PER_WORKER x workers chunks,
 one task each: a job of many small shards then pays a few round trips to
-the pool instead of one per shard.  It yields the results in shard order
-as the chunks finish, so a caller that streams them (domain-scan writes
-each shard's CSV text as it arrives) never waits for the whole job;
-`map_shards` collects them into a list.
+the pool instead of one per shard.  The pool gets the job when
+`iter_shards` is called, so the caller can do its own work meanwhile
+(rate-curves solves its duals while the pool samples), and the results
+come in shard order as the chunks finish, so a caller that streams them
+(domain-scan writes each shard's CSV text as it arrives) never waits for
+the whole job; `map_shards` collects them into a list.
 
 The pool uses the platform's default start method: fork on Linux up to
 Python 3.13, forkserver from 3.14.  Both work because the functions sent to
@@ -149,26 +151,37 @@ def _drop_pool() -> None:
 
 
 def iter_shards(fn, payload, shards: int, workers: int | None = None):
-    """Yield fn(shard, payload) for shard = 0..shards-1, in shard order.
+    """Iterator of fn(shard, payload) for shard = 0..shards-1, in shard order.
 
     workers is resolved by `resolve_workers`; one worker runs in-process,
-    shard by shard.  More send the shards to the pool's ordered map in
-    chunks of ceil(shards / (TASKS_PER_WORKER x workers)), one task each,
-    and yield a chunk's results as soon as it and every earlier chunk have
-    finished, so a caller can consume the first shards while later ones
-    still run; a caller that stops early cancels the chunks not yet
-    started.  The sequence yielded is identical either way.
+    shard by shard, as the caller iterates.  More send the shards to the
+    pool's ordered map when iter_shards is called, in chunks of
+    ceil(shards / (TASKS_PER_WORKER x workers)), one task each, so the
+    caller can work while the pool runs them.  A chunk's results are
+    yielded as soon as it and every earlier chunk have finished, so a
+    caller can consume the first shards while later ones still run; a
+    caller that stops iterating early cancels the chunks not yet started.
+    The sequence yielded is identical either way.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     workers = resolve_workers(workers, shards)
     if workers == 1:
-        yield from (fn(s, payload) for s in range(shards))
-        return
+        return (fn(s, payload) for s in range(shards))
     chunksize = -(-shards // (TASKS_PER_WORKER * workers))
     try:
-        yield from process_pool(workers).map(fn, range(shards), repeat(payload, shards),
-                                             chunksize=chunksize)
+        results = process_pool(workers).map(fn, range(shards), repeat(payload, shards),
+                                            chunksize=chunksize)
+    except BrokenProcessPool:
+        _drop_pool()
+        raise
+    return _dropping_a_broken_pool(results)
+
+
+def _dropping_a_broken_pool(results):
+    """The pool's results, forgetting the pool if a worker process died."""
+    try:
+        yield from results
     except BrokenProcessPool:
         _drop_pool()
         raise

@@ -22,10 +22,11 @@ own dual cone, so Fenchel duality gives
 solve_dual finds that minimum by projected Newton and certifies it with the
 duality gap: -c at any point of the quadrant bounds I2 from below, k at any
 point of G from above.  The sampled minimum of k over G ∩ D is such an upper
-bound too, and compute_I2 keeps it beside the dual value as a check.  Every
-budget n >= 1 has an outcome: where the draws miss G there is no check, and
-compute_I2 returns the empty-G marker point (I2 = NaN, accepted_G = 0)
-instead of a value.
+bound too, and compute_I2 keeps it beside the dual value as a check.  It
+takes the whole x grid at once: one sampling job runs on the pool while the
+parent solves every x's dual and I1.  Every budget n >= 1 has an outcome:
+where the draws miss G there is no check, and compute_I2 returns the
+empty-G marker point (I2 = NaN, accepted_G = 0) instead of a value.
 
 The Theorem-2 classifier (library only) minimises beta*x + I(x) directly:
 q depends on x only through b, with db/dx = 2 theta1, so by Danskin's
@@ -44,9 +45,13 @@ constant expm1(-eta (b - a)), finite at any tilt rate.
 
 Shard determinism follows the parallel module: every job runs the fixed
 SHARDS shards, and every sampled number is a function of (seed, shard
-index) only, the combo included.  Both shard workers, the scan's and I2's,
-draw through the one path `_shard_draw` and call the kernel on the draws
-they need: the scan on all of them, I2 only on those that can be in G.
+index) only, the combo included.  A shard's draws at one x are its 2n
+uniforms (`_uniforms`) mapped through the ray scheme (`_ray_points`).  The
+scan's worker draws them through `_shard_draw`, and calls the kernel on
+all of them.  I2's worker reads the uniforms once for the whole grid and
+maps them at each x, so its draws at an x are those of a fresh
+`_shard_draw` stream; it runs one D test per draw and calls the kernel
+only on the draws that can be in G, handing it that test's values.
 The scan has two outlets over the one `_scan_shard`: `domain_scan` returns
 its rows as columns, and `domain_scan_csv` has each shard format its rows
 as SCAN_DTYPE CSV text in the worker and yields the texts in shard order,
@@ -99,8 +104,7 @@ class RateCurvePoint:
     dual_gap: float = math.nan
     newton_iters: int = 0
     sampled_k_min: float = math.nan  # min of k over the sampled G ∩ D points
-    # wall seconds of the two stages; not part of the result
-    sample_s: float = field(default=0.0, compare=False)
+    # wall seconds of this x's dual and I1 solves; not part of the result
     dual_s: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
@@ -180,14 +184,24 @@ def biased_cdf(s, a, b, eta, upper):
 # ---------------------------------------------------------------------------
 
 
-def _draw_batch(params: RateParams, rng, n: int, combo):
-    """Vector draw of n ray-scheme points under one (eta, theta1 upper) combo."""
+def _ray_points(params: RateParams, u_alpha, u_theta1, combo):
+    """(theta1, theta2) of the ray scheme at the uniforms, under one (eta, theta1 upper) combo."""
     eta, upper = combo
     x, eps = params.x, params.eps
-    alpha = tilted_sample(rng.random(n), -x / (1.0 + eps), x / (1.0 - eps), eta, True)
-    theta1 = tilted_sample(rng.random(n), -1.0 / (2.0 * x), 5.0 / (1.0 - x), eta, upper)
+    alpha = tilted_sample(u_alpha, -x / (1.0 + eps), x / (1.0 - eps), eta, True)
+    theta1 = tilted_sample(u_theta1, -1.0 / (2.0 * x), 5.0 / (1.0 - x), eta, upper)
     theta2 = alpha * (theta1 + 1.0 / (2.0 * x))
     return theta1, theta2
+
+
+def _uniforms(rng, n: int):
+    """The 2n uniforms of n ray-scheme draws: n for alpha, then n for theta1."""
+    return rng.random(n), rng.random(n)
+
+
+def _draw_batch(params: RateParams, rng, n: int, combo):
+    """Vector draw of n ray-scheme points under one (eta, theta1 upper) combo."""
+    return _ray_points(params, *_uniforms(rng, n), combo)
 
 
 def _in_G(pieces):
@@ -213,8 +227,9 @@ def _scan_shard(shard: int, payload):
     return theta1, theta2, pieces["in_D"], _in_G(pieces), pieces["k"]
 
 
-def _scan_payload(params: RateParams, n_samples: int, seed: int):
-    """The _scan_shard and _i2_shard payload of n_samples draws; refuses n_samples < 1."""
+def _payload(params, n_samples: int, seed: int):
+    """The shard payload of n_samples draws at params, one RateParams for
+    the scan and the grid's tuple for I2; refuses n_samples < 1."""
     if n_samples < 1:
         raise InvalidParams(f"n_samples must be >= 1, got {n_samples}")
     return params, split_counts(n_samples, SHARDS), seed
@@ -227,7 +242,7 @@ def domain_scan(params: RateParams, n_samples: int, seed: int = 0,
     Row order is fixed by the seed: SHARDS blocks in shard order, draws in
     stream order inside each block.  Raises InvalidParams for n_samples < 1.
     """
-    parts = map_shards(_scan_shard, _scan_payload(params, n_samples, seed), SHARDS, workers)
+    parts = map_shards(_scan_shard, _payload(params, n_samples, seed), SHARDS, workers)
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
@@ -261,7 +276,7 @@ def domain_scan_csv(params: RateParams, n_samples: int, seed: int = 0,
     report.write_csv of domain_scan's columns as a SCAN_DTYPE record
     array.  Raises InvalidParams for n_samples < 1.
     """
-    return iter_shards(_scan_text_shard, _scan_payload(params, n_samples, seed), SHARDS, workers)
+    return iter_shards(_scan_text_shard, _payload(params, n_samples, seed), SHARDS, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -269,29 +284,38 @@ def domain_scan_csv(params: RateParams, n_samples: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 
-def _i2_shard(shard: int, payload):
-    """Worker: (n_in_D, n_in_G, k_min) of one shard's draws.
+def _i2_grid_shard(shard: int, payload):
+    """Worker: (n_in_D, n_in_G, k_min) of one shard's draws at each x of the grid.
 
-    k_min is the minimum of k over the draws in G ∩ D, +inf when the shard
-    never hits G.  compute_I2 reads n_in_G and k_min; n_in_D is the shard's
-    D acceptance count, which the layer benchmark's tracer reads.
+    payload is (grid, per-shard counts, seed).  The shard reads its 2n
+    uniforms from the (seed, shard) stream once, the words _shard_draw
+    reads, and maps them through the ray scheme of each x under
+    COMBOS[shard % len(COMBOS)]: the draws at each x are those of a fresh
+    _shard_draw stream.  k_min is the minimum of k over the draws in
+    G ∩ D, +inf when the shard never hits G.  compute_I2 reads n_in_G and
+    k_min; n_in_D is the shard's D acceptance count.
 
     G lies in theta2 > 0, so the kernel runs only on the draws of D there.
     For theta2 <= 0, q(y) - q(-y) = -4 theta2 y >= 0 for y > 0, so
     Int y/q <= 0 and dc/dtheta2 = Int y/q - eps Int 1/q < 0: never in G.
     The kernel works point by point, so the counts and k_min equal those
-    of the kernel over every draw.  It gets the (q(1), q(-1)) of the D
-    test as ends, the values it would form itself.
+    of the kernel over every draw.  It gets the (q(1), q(-1), q_min, in_D)
+    of the one D test as ends, the values it would form itself.
     """
-    params = payload[0]
-    theta1, theta2 = _shard_draw(shard, payload)
-    q1, qm1, *_, in_d = _q_shape(theta1, theta2, _b_of(params, theta1, theta2))
-    maybe_g = in_d & (theta2 > 0.0)
-    pieces = _pieces_arr(params, theta1[maybe_g], theta2[maybe_g],
-                         ends=(q1[maybe_g], qm1[maybe_g]))
-    g_mask = _in_G(pieces)
-    k_min = float(pieces["k"][g_mask].min()) if g_mask.any() else np.inf
-    return int(np.count_nonzero(in_d)), int(np.count_nonzero(g_mask)), k_min
+    grid, counts, seed = payload
+    uniforms = _uniforms(shard_rng(seed, shard), counts[shard])
+    combo = COMBOS[shard % len(COMBOS)]
+    out = []
+    for params in grid:
+        theta1, theta2 = _ray_points(params, *uniforms, combo)
+        q1, qm1, _, q_min, in_d = _q_shape(theta1, theta2, _b_of(params, theta1, theta2))
+        maybe_g = in_d & (theta2 > 0.0)
+        pieces = _pieces_arr(params, theta1[maybe_g], theta2[maybe_g],
+                             ends=tuple(v[maybe_g] for v in (q1, qm1, q_min, in_d)))
+        g_mask = _in_G(pieces)
+        k_min = float(pieces["k"][g_mask].min()) if g_mask.any() else np.inf
+        out.append((int(np.count_nonzero(in_d)), int(np.count_nonzero(g_mask)), k_min))
+    return out
 
 
 # The dual solve certifies I2 when its duality gap is at or below this.
@@ -417,47 +441,62 @@ def solve_dual(params: RateParams) -> DualSolution:
                         iterations=iterations, slope=theta1 * j)
 
 
-def compute_I2(params: RateParams, n_samples: int, seed: int = 0,
-               workers: int | None = None) -> RateCurvePoint:
-    """I2 from the certified dual (solve_dual), with the sampler alongside.
+def _dual_and_i1(params: RateParams):
+    """(dual or None, its refusal or None, I1, seconds) at one x: compute_I2's parent side."""
+    clock = time.perf_counter()
+    try:
+        dual, refusal = solve_dual(params), None
+    except DualNotCertified as err:
+        dual, refusal = None, err
+    return dual, refusal, compute_I1(params), time.perf_counter() - clock
 
-    The sampler draws n_samples points of D and keeps the minimum of k over
-    those in G ∩ D.  Every such k is an upper bound on I2 (weak duality),
-    so the sampled minimum checks the dual value from above.  The
+
+def compute_I2(grid, n_samples: int, seed: int = 0,
+               workers: int | None = None) -> list[RateCurvePoint]:
+    """I2 at each RateParams of grid from the certified dual (solve_dual),
+    with the sampler alongside; one RateCurvePoint per x, in grid order.
+
+    The sampler is one job over the SHARDS shards for the whole grid: each
+    shard draws its uniforms once and maps them to n_samples points of D
+    at every x (_i2_grid_shard), keeping the minimum of k over those in
+    G ∩ D.  The parent solves every x's dual and I1 while the pool
+    samples.  Every sampled k is an upper bound on I2 (weak duality), so
+    the sampled minimum checks the dual value from above.  The
     two-constraint event lies inside the one-constraint event, so
     I2 >= I1, and I2 = max(-c(theta*), I1) states that once.
 
     Draws that never hit G leave no check, and the point is the empty-G
     marker: I2 = NaN, accepted_G = 0, sampled_k_min and noise_band inf.  It
     keeps the dual's theta_at_min, dual_gap and newton_iters when the dual
-    certifies; DualNotCertified is raised only when the draws hit G.
+    certifies.  DualNotCertified is raised only at an x whose draws hit G,
+    the first such x in grid order, and names it.
 
     The noise band of the sampled minimum is half the spread of the four
     per-shard-group minima (shards grouped by index mod 4), floored at 1e-9,
-    and inf with fewer than two groups in G.  Raises InvalidParams for
-    n_samples < 1.
+    and inf with fewer than two groups in G.  Every point is the one a call
+    with that x alone gives.  Raises InvalidParams for n_samples < 1.
     """
-    clock = time.perf_counter()
-    parts = map_shards(_i2_shard, _scan_payload(params, n_samples, seed), SHARDS, workers)
-    accepted_g = sum(p[1] for p in parts)
-    group_min = [min((p[2] for p in parts[g::4]), default=np.inf) for g in range(4)]
-    finite = [k for k in group_min if np.isfinite(k)]
-    band = (max(finite) - min(finite)) / 2.0 + 1e-9 if len(finite) >= 2 else math.inf
-    sampled = time.perf_counter()
-    try:
-        dual = solve_dual(params)
-    except DualNotCertified:
-        if accepted_g:
-            raise
-        dual = None
-    i1 = compute_I1(params)
-    return RateCurvePoint(
-        x=params.x, I1=i1, I2=max(dual.value, i1) if accepted_g else math.nan,
-        accepted_G=accepted_g, samples=n_samples, noise_band=band,
-        theta_at_min=dual.theta if dual else None, dual_gap=dual.gap if dual else math.nan,
-        newton_iters=dual.iterations if dual else 0, sampled_k_min=min(group_min),
-        sample_s=sampled - clock, dual_s=time.perf_counter() - sampled,
-    )
+    grid = tuple(grid)
+    job = iter_shards(_i2_grid_shard, _payload(grid, n_samples, seed), SHARDS, workers)
+    solved = [_dual_and_i1(params) for params in grid]
+    parts = list(job)
+    points = []
+    for i, (params, (dual, refusal, i1, dual_s)) in enumerate(zip(grid, solved)):
+        mine = [part[i] for part in parts]
+        accepted_g = sum(p[1] for p in mine)
+        if refusal is not None and accepted_g:
+            raise refusal
+        group_min = [min((p[2] for p in mine[g::4]), default=np.inf) for g in range(4)]
+        finite = [k for k in group_min if np.isfinite(k)]
+        band = (max(finite) - min(finite)) / 2.0 + 1e-9 if len(finite) >= 2 else math.inf
+        points.append(RateCurvePoint(
+            x=params.x, I1=i1, I2=max(dual.value, i1) if accepted_g else math.nan,
+            accepted_G=accepted_g, samples=n_samples, noise_band=band,
+            theta_at_min=dual.theta if dual else None, dual_gap=dual.gap if dual else math.nan,
+            newton_iters=dual.iterations if dual else 0, sampled_k_min=min(group_min),
+            dual_s=dual_s,
+        ))
+    return points
 
 
 def _axis_rate(x: float) -> tuple[float, float]:

@@ -351,16 +351,17 @@ def check_i2_dual_bracket(level: str, workers: int | None = None) -> CheckResult
     Weak duality puts I2 at or above -c(theta*) and at or below k at every
     point of G, so the sampled minimum of k over G ∩ D (10^6 draws) must
     not fall below the dual value, which must not fall below I1; the gap
-    must certify.  workers runs the sampler's shards.
+    must certify.  One compute_I2 call covers BRACKET_X, and workers runs
+    its shards.
     """
     issues = []
     margins = []
-    for x in BRACKET_X:
-        pt = compute_I2(RateParams(x=x, eps=BRACKET_EPS), BRACKET_SAMPLES, seed=BRACKET_SEED,
-                        workers=workers)
+    points = compute_I2([RateParams(x=x, eps=BRACKET_EPS) for x in BRACKET_X], BRACKET_SAMPLES,
+                        seed=BRACKET_SEED, workers=workers)
+    for pt in points:
         margins.append(pt.sampled_k_min - pt.I2)
         if not (pt.I1 <= pt.I2 <= pt.sampled_k_min and pt.dual_gap <= DUAL_GAP_TOL):
-            issues.append(f"x={x}: I1={pt.I1:.12g}, I2={pt.I2:.12g}, "
+            issues.append(f"x={pt.x}: I1={pt.I1:.12g}, I2={pt.I2:.12g}, "
                           f"sampled={pt.sampled_k_min:.12g}, gap={pt.dual_gap:.2e}")
     return CheckResult(
         "i2-dual-vs-sampled-bracket", not issues,

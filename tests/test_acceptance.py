@@ -101,12 +101,9 @@ def test_criterion_03_constraint_geometry():
 
 def test_criterion_04_rate_curves():
     t0 = time.perf_counter()
-    rows = []
-    for x in X_GRID:
-        pt = compute_I2(
-            RateParams(x=x, eps=CURVE_EPS), CURVE_SAMPLES, seed=0, workers=1
-        )
-        rows.append(pt)
+    rows = compute_I2(
+        [RateParams(x=x, eps=CURVE_EPS) for x in X_GRID], CURVE_SAMPLES, seed=0, workers=1
+    )
     i1 = [p.I1 for p in rows]
     i2 = [p.I2 for p in rows]
     bands = [p.noise_band for p in rows]

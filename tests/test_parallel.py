@@ -144,7 +144,7 @@ def test_resolve_workers_is_capped_by_the_sampler_shard_counts():
     (lambda: rare_event_rate_mc(WfeParams(omega=1.2, eps=0.1), n_sites=40, workers=0),
      "workers.*got 0"),
     (lambda: domain_scan(RateParams(x=0.7, eps=0.3), 1000, workers=-3), "workers.*got -3"),
-    (lambda: compute_I2(RateParams(x=0.4, eps=0.1), 1000, workers=0), "workers.*got 0"),
+    (lambda: compute_I2([RateParams(x=0.4, eps=0.1)], 1000, workers=0), "workers.*got 0"),
 ], ids=["rare-event-n_sites-0", "rare-event-n_sites-neg", "domain-scan-n_samples-0",
         "domain-scan-n_samples-neg", "rare-event-workers-0", "domain-scan-workers-neg",
         "compute-i2-workers-0"])

@@ -1,9 +1,11 @@
 """Tilted interval sampling, dual-plane scans, and the two rate curves.
 
 The tilted inverse-CDF sampler has its own analytic CDF as an oracle, the
-domain scan must honor the shard determinism contract, the I2 shard worker,
-which skips the kernel where theta2 <= 0, must count exactly what the kernel
-over every draw counts, and the axis rate
+domain scan must honor the shard determinism contract, the I2 grid shard,
+which maps one set of uniforms to every x and skips the kernel where
+theta2 <= 0, must count exactly what the kernel over every draw of a fresh
+stream counts, one call over a grid must give each x's own point, and the
+axis rate
 I1 is k at the constraint end Q, which a dense grid of k along the axis
 segment must never undercut.  I2 is minus the minimum of c over the
 quadrant theta1 <= 0, theta2 >= 0; its tests pin the certificate, the
@@ -33,6 +35,7 @@ from squimld import (
 from scipy.integrate import quad
 
 from squimld.gecore import (
+    QMIN_STRICT,
     _b_of,
     _pieces_arr,
     _q_shape,
@@ -44,7 +47,7 @@ from squimld.ratecurves import (
     DUAL_GAP_TOL,
     SHARDS,
     GFunctions,
-    _i2_shard,
+    _i2_grid_shard,
     _in_G,
     _shard_draw,
     biased_cdf,
@@ -189,20 +192,44 @@ def test_no_point_with_theta2_at_most_zero_is_in_G(x, eps_frac, s_frac, f):
 
 @pytest.mark.parametrize("x", [0.1, 0.4, 0.7])
 def test_i2_shard_matches_the_kernel_over_every_draw(x):
-    # one shard per (eta, direction) combo; the oracle runs the kernel on
-    # all of a shard's draws, _i2_shard only on those in D with theta2 > 0
-    params = RateParams(x=x, eps=0.1)
-    payload = (params, [100_000] * len(COMBOS), 1)
+    # one shard per (eta, direction) combo; the grid shard maps one set of
+    # uniforms to every x and runs the kernel only on the draws in D with
+    # theta2 > 0, while the oracle draws x from a fresh _shard_draw stream
+    # and runs the kernel on every draw
+    grid = tuple(RateParams(x=v, eps=0.1) for v in (0.1, 0.4, 0.7))
+    at = [p.x for p in grid].index(x)
+    counts = [100_000] * len(COMBOS)
     hits = 0
     for shard in range(len(COMBOS)):
-        theta1, theta2 = _shard_draw(shard, payload)
-        pieces = _pieces_arr(params, theta1, theta2)
+        theta1, theta2 = _shard_draw(shard, (grid[at], counts, 1))
+        pieces = _pieces_arr(grid[at], theta1, theta2)
         g_mask = _in_G(pieces)
         k_min = float(pieces["k"][g_mask].min()) if g_mask.any() else np.inf
         oracle = (int(np.count_nonzero(pieces["in_D"])), int(np.count_nonzero(g_mask)), k_min)
-        assert _i2_shard(shard, payload) == oracle
+        assert _i2_grid_shard(shard, (grid, counts, 1))[at] == oracle
         hits += oracle[1]
     assert hits > 0
+
+
+def test_kernel_given_the_shard_shape_equals_the_kernel_computing_it():
+    # the grid shard hands the kernel the (q(1), q(-1), q_min, in_D) of its
+    # one D test on the maybe-G draws; the kernel's own D test on the same
+    # points gives every key bit for bit.  Two draws on the q(1) = 0 edge
+    # of D, 0 <= q_min < QMIN_STRICT, take ok from the q_min passed in.
+    params = RateParams(x=0.4, eps=0.1)
+    theta1, theta2 = _shard_draw(0, (params, [20_000], 1))
+    theta1 = np.append(theta1, [-0.75, -0.75])
+    theta2 = np.append(theta2, [2.0 / 9.0, np.nextafter(np.nextafter(2.0 / 9.0, 0.0), 0.0)])
+    q1, qm1, _, q_min, in_d = _q_shape(theta1, theta2, _b_of(params, theta1, theta2))
+    maybe_g = in_d & (theta2 > 0.0)
+    assert np.all(maybe_g[-2:]) and np.all(q_min[-2:] < QMIN_STRICT)
+    given = _pieces_arr(params, theta1[maybe_g], theta2[maybe_g],
+                        ends=tuple(v[maybe_g] for v in (q1, qm1, q_min, in_d)))
+    computed = _pieces_arr(params, theta1[maybe_g], theta2[maybe_g])
+    assert not np.any(given["ok"][-2:]) and np.count_nonzero(given["ok"]) > 1000
+    assert given.keys() == computed.keys()
+    for key, value in computed.items():
+        assert value.dtype == given[key].dtype and value.tobytes() == given[key].tobytes(), key
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +293,12 @@ def test_compute_i2_budget_guard():
     # every budget n >= 1 has an outcome, a value or the empty-G marker
     for n in (0, -1):
         with pytest.raises(InvalidParams, match=f"n_samples must be >= 1, got {n}"):
-            compute_I2(P06, n)
-    assert compute_I2(P06, 1).samples == 1
+            compute_I2([P06], n)
+    assert compute_I2([P06], 1)[0].samples == 1
 
 
 def test_compute_i2_smoke():
-    pt = compute_I2(P06, 100_000, seed=0)
+    [pt] = compute_I2([P06], 100_000, seed=0)
     assert pt.accepted_G > 1000
     assert pt.I2 >= pt.I1 >= 0.0
     # frozen from a 1e7-sample reference run: I2(0.6) ~ 0.0333
@@ -281,8 +308,8 @@ def test_compute_i2_smoke():
 
 
 def test_compute_i2_deterministic_across_workers():
-    a = compute_I2(P06, 50_000, seed=2, workers=1)
-    b = compute_I2(P06, 50_000, seed=2, workers=2)
+    a = compute_I2([P06], 50_000, seed=2, workers=1)
+    b = compute_I2([P06], 50_000, seed=2, workers=2)
     assert a == b
 
 
@@ -290,7 +317,7 @@ def test_no_constraint_points_marker():
     # at x = 0.1 the G hit rate is ~2e-6 per draw, so 3e4 samples miss it:
     # the point is the empty-G marker, and keeps the dual's record
     params = RateParams(x=0.1, eps=0.1)
-    pt = compute_I2(params, 30_000, seed=0)
+    [pt] = compute_I2([params], 30_000, seed=0)
     assert math.isnan(pt.I2) and pt.accepted_G == 0 and pt.samples == 30_000
     assert pt.sampled_k_min == math.inf and pt.noise_band == math.inf
     assert pt.I1 == compute_I1(params)
@@ -304,7 +331,7 @@ def test_marker_point_without_a_certified_dual():
     params = RateParams(x=0.05, eps=0.1)
     with pytest.raises(DualNotCertified):
         solve_dual(params)
-    pt = compute_I2(params, 30_000, seed=0)
+    [pt] = compute_I2([params], 30_000, seed=0)
     assert math.isnan(pt.I2) and pt.accepted_G == 0
     assert pt.theta_at_min is None and math.isnan(pt.dual_gap) and pt.newton_iters == 0
 
@@ -313,11 +340,28 @@ def test_dual_refusal_is_raised_when_the_draws_hit_g(monkeypatch):
     import squimld.ratecurves
 
     monkeypatch.setattr(squimld.ratecurves, "DUAL_GAP_TOL", -1.0)
-    with pytest.raises(DualNotCertified):
-        compute_I2(P06, 10_000, seed=0)
-    # the marker point stands without the dual
-    pt = compute_I2(RateParams(x=0.1, eps=0.1), 30_000, seed=0)
+    # x = 0.1 misses G, so its marker point stands without the dual; x = 0.6
+    # hits G, and the refusal there is raised and names it
+    with pytest.raises(DualNotCertified, match=r"at x=0\.6, ") as err:
+        compute_I2([RateParams(x=0.1, eps=0.1), P06], 30_000, seed=0)
+    assert err.value.x == 0.6
+    [pt] = compute_I2([RateParams(x=0.1, eps=0.1)], 30_000, seed=0)
     assert pt.accepted_G == 0 and pt.theta_at_min is None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_grid_call_equals_the_one_x_calls(workers):
+    # every point of one call over the grid is the point of that x's own
+    # call; at 3e4 draws x = 0.05 and 0.1 miss G, and x = 0.05 has no dual
+    grid = [RateParams(x=x, eps=0.1) for x in (0.05, 0.1, 0.3, 0.6)]
+    points = compute_I2(grid, 30_000, seed=0, workers=workers)
+    assert points == [compute_I2([params], 30_000, seed=0, workers=workers)[0]
+                      for params in grid]
+    assert [pt.x for pt in points] == [params.x for params in grid]
+    assert [pt.accepted_G == 0 for pt in points] == [True, True, False, False]
+    assert math.isnan(points[0].I2) and math.isnan(points[1].I2)
+    assert points[0].theta_at_min is None and points[1].theta_at_min is not None
+    assert all(pt.I1 <= pt.I2 <= pt.sampled_k_min for pt in points[2:])
 
 
 # I2 at eps = 0.1 from an independent solve (projected Newton with
@@ -385,7 +429,7 @@ def test_dual_value_is_minus_c_by_quadrature(x):
 
 
 def test_i2_is_bracketed_by_i1_and_the_sampled_minimum_on_every_seed():
-    points = [compute_I2(P03_CURVE, 200_000, seed=seed) for seed in range(4)]
+    points = [compute_I2([P03_CURVE], 200_000, seed=seed)[0] for seed in range(4)]
     for pt in points:
         assert pt.I1 <= pt.I2 <= pt.sampled_k_min
         assert pt.dual_gap <= DUAL_GAP_TOL

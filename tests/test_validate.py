@@ -128,7 +128,7 @@ NUDGES = {
     "i2-dual-vs-sampled-bracket": (
         validate.check_i2_dual_bracket, "full", "compute_I2",
         _nudged(validate.compute_I2,
-                lambda pt: dataclasses.replace(pt, sampled_k_min=pt.I2 - 1e-9))),
+                lambda pts: [dataclasses.replace(pt, sampled_k_min=pt.I2 - 1e-9) for pt in pts])),
 }
 
 
