@@ -41,7 +41,9 @@ Each quantity has one entry point.  q_kernel, and _pieces_arr over it,
 take numpy arrays and return every value as a key: the integrals j, jy, y2
 and lq, c, the gradient (grad1, grad2), k, q_min, the in_D verdict that
 domain-scan writes and the strict-interior mask ok, with NaN integrals off
-it.  kernel_branches is the one statement of which closed form evaluates a
+it.  The D test has one producer, _q_shape: a caller that needs it before
+the kernel runs it once and hands its values over as the kernel's shape.
+kernel_branches is the one statement of which closed form evaluates a
 point.  On the axis, solve_Q_detail gives Q with its t coordinate and the
 gap Q - P.  bracketed_root is the package's one root solve: Q here, theta*
 and the rare-event tilt in wfe (through root_toward).
@@ -126,15 +128,15 @@ def _b_of(params: RateParams, t1, t2):
 
 
 def _q_shape(t1, t2, b, ends=None):
-    """(q(1), q(-1), vertex value, q_min, in_D) for q = 2*t1*y^2 - 2*t2*y + b.
+    """The D test of q = 2*t1*y^2 - 2*t2*y + b: (q(1), q(-1), q_min, in_D).
 
     This is the one place the endpoint and vertex values of q are formed,
     so every membership verdict and every reported q_min are views of the
     same numbers.  ends = (q(1), q(-1)) passes endpoint values the caller
     knows to better relative accuracy than 2*t1 -+ 2*t2 + b, which cancels
     near the vertex P of D.  The vertex y_c = t2/(2 t1) is a minimum of q
-    only for t1 > 0, and counts only when it lands in [-1, 1]; elsewhere the
-    vertex value reads +inf.  q_min is the minimum of q over [-1, 1].
+    only for t1 > 0, and counts only when it lands in [-1, 1].  q_min is
+    the minimum of q over [-1, 1].
 
     in_D = q_min >= 0 is the one tie rule for the boundary of the closed
     set D (a NaN is not in D).
@@ -150,7 +152,7 @@ def _q_shape(t1, t2, b, ends=None):
         yc = np.where(t1 > 0.0, t2 / (2.0 * t1), np.inf)
         qvert = np.where(np.abs(yc) <= 1.0, b - t2 * yc, np.inf)
     q_min = np.minimum(np.minimum(q1, qm1), qvert)
-    return q1, qm1, qvert, q_min, q_min >= 0.0
+    return q1, qm1, q_min, q_min >= 0.0
 
 
 def h_value(y, t1, t2, params: RateParams):
@@ -323,7 +325,7 @@ def kernel_branches(t1, t2, b):
     return s, p, disc, (series, roots & (disc > 0.0), roots & (disc < 0.0), tie)
 
 
-def q_kernel(t1, t2, b, with_q2: bool = False, ends=None):
+def q_kernel(t1, t2, b, with_q2: bool = False, shape=None):
     """Shape and integrals of q(y) = 2*t1*y^2 - 2*t2*y + b over [-1, 1].
 
     The single closed-form kernel behind c, grad c, its Hessian and k here
@@ -333,12 +335,12 @@ def q_kernel(t1, t2, b, with_q2: bool = False, ends=None):
                              branch of kernel_branches,
       j, jy, y2, lq       -- Int 1/q, Int y/q, Int y^2/q and Int log q,
     and, with with_q2, q2 of shape (5, n): q2[m] = Int y^m/q^2, m = 0..4.
-    The integrals are NaN wherever ok is False.  ends passes what the
-    caller knows of q's shape.  A pair (q(1), q(-1)) goes through to
-    _q_shape, and every integral then depends on those values and not on
-    their rounded 2*t1 -+ 2*t2 + b.  The four values (q(1), q(-1), q_min,
-    in_D) of a D test the caller has already run through _q_shape stand
-    for it, and ok and the returned q_min and in_D are taken from them.
+    The integrals are NaN wherever ok is False.  shape is the D test of
+    these points, _q_shape's (q(1), q(-1), q_min, in_D), when the caller
+    has run it; the kernel runs it itself when shape is None.  ok, the
+    returned q_min and in_D and every integral depend on q(+-1) through
+    those values, so a caller that formed them from exact end values (as
+    solve_dual does) gets integrals free of the rounded 2*t1 -+ 2*t2 + b.
 
     The integrals run on the strict interior, where b = q(0) > 0, and there
     q = b (1 - u1 y)(1 - u2 y) with inverse roots u1 + u2 = s = 2 t2/b and
@@ -363,23 +365,18 @@ def q_kernel(t1, t2, b, with_q2: bool = False, ends=None):
     whole strict interior, as it holds most points (92 % of domain-scan's
     at x = 0.7, eps = 0.3, and 94-99 % of the I2 sampler's at eps = 0.1);
     the series, atan and tie points then overwrite their own entries, and
-    a point on no branch is set to NaN.  When every point is strictly inside, as on the I2
-    sampler's points, which are in D already, and on the scalar calls of
-    wfe and solve_dual, the inputs are not compressed to the interior and
-    the integrals are returned as computed, with no NaN-filled copy.
-    Every entry depends on its own point alone: a batch call equals the
-    single-point calls bit for bit.
+    a point on no branch is set to NaN.  When every point is strictly
+    inside, as in most batches of the samplers, which hold points of D
+    only, and on the scalar calls of wfe and solve_dual, the inputs are
+    not compressed to the interior and the integrals are returned as
+    computed, with no NaN-filled copy.  Every entry depends on its own
+    point alone: a batch call equals the single-point calls bit for bit.
     """
     t1, t2, b = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (t1, t2, b))
     )
-    if ends is not None and len(ends) == 4:
-        q1, qm1, qmin, in_d = ends
-    else:
-        if ends is not None:
-            ends = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
-                                         for v in ends))
-        q1, qm1, _, qmin, in_d = _q_shape(t1, t2, b, ends)
+    q1, qm1, qmin, in_d = (_q_shape(t1, t2, b) if shape is None
+                           else (np.atleast_1d(v) for v in shape))
     ok = qmin >= QMIN_STRICT
     inside = bool(ok.all())
     if not inside:
@@ -469,17 +466,17 @@ def q_kernel(t1, t2, b, with_q2: bool = False, ends=None):
     return out
 
 
-def _pieces_arr(params: RateParams, t1, t2, hessian: bool = False, ends=None):
+def _pieces_arr(params: RateParams, t1, t2, hessian: bool = False, shape=None):
     """The kernel's output at b(x, eps) plus c, grad1, grad2 and k.
 
     With hessian, also h11, h12, h22 = 2 Int a_i a_j / q^2 with
-    a1 = 1 - x - y^2 and a2 = y - eps, the second derivatives of c.  ends
-    goes to q_kernel.
+    a1 = 1 - x - y^2 and a2 = y - eps, the second derivatives of c.  shape,
+    the points' D test from _q_shape at b(x, eps), goes to q_kernel.
     Entries that are not ok come back NaN.
     """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
-    out = q_kernel(t1, t2, _b_of(params, t1, t2), with_q2=hessian, ends=ends)
+    out = q_kernel(t1, t2, _b_of(params, t1, t2), with_q2=hessian, shape=shape)
     j, lq = out["j"], out["lq"]
     out["c"] = -0.5 * lq
     out["grad1"] = (1.0 - params.x) * j - out["y2"]

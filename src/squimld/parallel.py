@@ -143,10 +143,15 @@ def process_pool(workers: int) -> ProcessPoolExecutor:
 
 
 def _drop_pool() -> None:
-    """Forget a broken pool so that the next call builds a fresh one."""
+    """Stop the pool's workers and forget the pool, for a pool that broke or
+    a job its caller gave up: the executor cannot take back the workers + 1
+    chunks it has queued, and they would run on ahead of the next job."""
     global _pool, _pool_workers
     if _pool is not None:
+        processes = list((_pool._processes or {}).values())  # no public handle before 3.14
         _pool.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            process.terminate()
     _pool, _pool_workers = None, 0
 
 

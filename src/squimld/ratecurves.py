@@ -47,11 +47,11 @@ Shard determinism follows the parallel module: every job runs the fixed
 SHARDS shards, and every sampled number is a function of (seed, shard
 index) only, the combo included.  A shard's draws at one x are its 2n
 uniforms (`_uniforms`) mapped through the ray scheme (`_ray_points`).  The
-scan's worker draws them through `_shard_draw`, and calls the kernel on
-all of them.  I2's worker reads the uniforms once for the whole grid and
-maps them at each x, so its draws at an x are those of a fresh
-`_shard_draw` stream; it runs one D test per draw and calls the kernel
-only on the draws that can be in G, handing it that test's values.
+scan's worker reads them at its one x; I2's worker reads them once for the
+whole grid and maps them at each x, so its draws at an x are those of a
+fresh stream.  Both hand their draws to `_tested_k`, which runs one D
+test per draw and the kernel, given that test's values, on the draws of D
+the caller picks: all of them for the scan, those with theta2 > 0 for I2.
 The scan has two outlets over the one `_scan_shard`: `domain_scan` returns
 its rows as columns, and `domain_scan_csv` has each shard format its rows
 as SCAN_DTYPE CSV text in the worker and yields the texts in shard order,
@@ -70,7 +70,7 @@ import numpy as np
 from .errors import DualNotCertified, InvalidParams
 from .gecore import (RateParams, _b_of, _pieces_arr, _q_shape, axis_k_t, root_toward,
                      solve_Q_detail)
-from .parallel import iter_shards, map_shards, shard_rng, split_counts
+from .parallel import _drop_pool, iter_shards, map_shards, shard_rng, split_counts
 from .report import format_records
 
 # The (eta, theta1 toward its upper end) of the D sampler; shard s draws
@@ -199,37 +199,36 @@ def _uniforms(rng, n: int):
     return rng.random(n), rng.random(n)
 
 
-def _draw_batch(params: RateParams, rng, n: int, combo):
-    """Vector draw of n ray-scheme points under one (eta, theta1 upper) combo."""
-    return _ray_points(params, *_uniforms(rng, n), combo)
-
-
 def _in_G(pieces):
     """G membership, dc/dtheta1 <= 0 and dc/dtheta2 >= 0, in the strict interior."""
     return pieces["ok"] & (pieces["grad1"] <= 0.0) & (pieces["grad2"] >= 0.0)
 
 
-def _shard_draw(shard: int, payload):
-    """(theta1, theta2) of one shard's ray-scheme draws.
-
-    payload is (params, per-shard counts, seed); shard s draws its count
-    from the (seed, s) stream under COMBOS[s % len(COMBOS)].
-    """
-    params, counts, seed = payload
-    rng = shard_rng(seed, shard)
-    return _draw_batch(params, rng, counts[shard], COMBOS[shard % len(COMBOS)])
+def _tested_k(params: RateParams, theta1, theta2, keep):
+    """(in_D, in_G, k) of the draws, from one D test per draw and the kernel,
+    handed that test's values, on the draws of D that keep marks; elsewhere
+    k is NaN and in_G false, as the kernel gives them off D."""
+    shape = _q_shape(theta1, theta2, _b_of(params, theta1, theta2))
+    picked = shape[3] & keep
+    pieces = _pieces_arr(params, theta1[picked], theta2[picked], shape=[v[picked] for v in shape])
+    in_g, k = np.zeros(len(theta1), dtype=bool), np.full(len(theta1), np.nan)
+    in_g[picked], k[picked] = _in_G(pieces), pieces["k"]
+    return shape[3], in_g, k
 
 
 def _scan_shard(shard: int, payload):
     """Worker: one shard's draws and their kernel values, as the SCAN_DTYPE columns."""
-    theta1, theta2 = _shard_draw(shard, payload)
-    pieces = _pieces_arr(payload[0], theta1, theta2)
-    return theta1, theta2, pieces["in_D"], _in_G(pieces), pieces["k"]
+    params, counts, seed = payload
+    theta1, theta2 = _ray_points(params, *_uniforms(shard_rng(seed, shard), counts[shard]),
+                                 COMBOS[shard % len(COMBOS)])
+    return (theta1, theta2) + _tested_k(params, theta1, theta2, True)
 
 
 def _payload(params, n_samples: int, seed: int):
-    """The shard payload of n_samples draws at params, one RateParams for
-    the scan and the grid's tuple for I2; refuses n_samples < 1."""
+    """The shard payload (params, per-shard counts, seed) of n_samples
+    draws at params, one RateParams for the scan and the grid's tuple for
+    I2: shard s draws its count from the (seed, s) stream under
+    COMBOS[s % len(COMBOS)].  Refuses n_samples < 1."""
     if n_samples < 1:
         raise InvalidParams(f"n_samples must be >= 1, got {n_samples}")
     return params, split_counts(n_samples, SHARDS), seed
@@ -287,20 +286,15 @@ def domain_scan_csv(params: RateParams, n_samples: int, seed: int = 0,
 def _i2_grid_shard(shard: int, payload):
     """Worker: (n_in_D, n_in_G, k_min) of one shard's draws at each x of the grid.
 
-    payload is (grid, per-shard counts, seed).  The shard reads its 2n
-    uniforms from the (seed, shard) stream once, the words _shard_draw
-    reads, and maps them through the ray scheme of each x under
-    COMBOS[shard % len(COMBOS)]: the draws at each x are those of a fresh
-    _shard_draw stream.  k_min is the minimum of k over the draws in
-    G ∩ D, +inf when the shard never hits G.  compute_I2 reads n_in_G and
-    k_min; n_in_D is the shard's D acceptance count.
+    The shard reads its uniforms once and maps them through the ray scheme
+    of each x, so its draws at each x are those of a fresh stream.  k_min
+    is the minimum of k over the draws in G ∩ D, +inf when the shard never
+    hits G.
 
     G lies in theta2 > 0, so the kernel runs only on the draws of D there.
     For theta2 <= 0, q(y) - q(-y) = -4 theta2 y >= 0 for y > 0, so
     Int y/q <= 0 and dc/dtheta2 = Int y/q - eps Int 1/q < 0: never in G.
-    The kernel works point by point, so the counts and k_min equal those
-    of the kernel over every draw.  It gets the (q(1), q(-1), q_min, in_D)
-    of the one D test as ends, the values it would form itself.
+    So the counts and k_min equal those of the kernel over every draw.
     """
     grid, counts, seed = payload
     uniforms = _uniforms(shard_rng(seed, shard), counts[shard])
@@ -308,13 +302,9 @@ def _i2_grid_shard(shard: int, payload):
     out = []
     for params in grid:
         theta1, theta2 = _ray_points(params, *uniforms, combo)
-        q1, qm1, _, q_min, in_d = _q_shape(theta1, theta2, _b_of(params, theta1, theta2))
-        maybe_g = in_d & (theta2 > 0.0)
-        pieces = _pieces_arr(params, theta1[maybe_g], theta2[maybe_g],
-                             ends=tuple(v[maybe_g] for v in (q1, qm1, q_min, in_d)))
-        g_mask = _in_G(pieces)
-        k_min = float(pieces["k"][g_mask].min()) if g_mask.any() else np.inf
-        out.append((int(np.count_nonzero(in_d)), int(np.count_nonzero(g_mask)), k_min))
+        in_d, in_g, k = _tested_k(params, theta1, theta2, theta2 > 0.0)
+        k_min = float(k[in_g].min()) if in_g.any() else np.inf
+        out.append((int(np.count_nonzero(in_d)), int(np.count_nonzero(in_g)), k_min))
     return out
 
 
@@ -357,8 +347,10 @@ def _dual_pieces(params: RateParams, v):
     """
     s, theta2 = v
     x, eps = params.x, params.eps
+    theta1 = params.p_left + s
     ends = (2.0 * x * s - 2.0 * (1.0 - eps) * theta2, 2.0 * x * s + 2.0 * (1.0 + eps) * theta2)
-    pieces = _pieces_arr(params, params.p_left + s, theta2, hessian=True, ends=ends)
+    pieces = _pieces_arr(params, theta1, theta2, hessian=True,
+                         shape=_q_shape(theta1, theta2, _b_of(params, theta1, theta2), ends))
     if not pieces["ok"][0]:
         return None
     c, g1, g2, h11, h12, h22, j = (float(pieces[key][0])
@@ -478,7 +470,11 @@ def compute_I2(grid, n_samples: int, seed: int = 0,
     """
     grid = tuple(grid)
     job = iter_shards(_i2_grid_shard, _payload(grid, n_samples, seed), SHARDS, workers)
-    solved = [_dual_and_i1(params) for params in grid]
+    try:
+        solved = [_dual_and_i1(params) for params in grid]
+    except BaseException:
+        _drop_pool()  # else the job's chunks run on in the pool, ahead of the next job
+        raise
     parts = list(job)
     points = []
     for i, (params, (dual, refusal, i1, dual_s)) in enumerate(zip(grid, solved)):

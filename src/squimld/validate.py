@@ -103,16 +103,17 @@ def check_quadrature(level: str, workers: int | None = None) -> CheckResult:
     )
 
 
-def _interior_thetas(params: RateParams, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """n points with q_min >= GRAD_QMIN, by rejection from a box, a batch at a time."""
+def _interior_thetas(params: RateParams, n: int, rng):
+    """t1, t2 and _q_shape's D test of n points with q_min >= GRAD_QMIN, by
+    rejection from a box, a batch at a time."""
     hi1 = 0.499 / (1.0 - params.x)
-    t1, t2 = np.empty(0), np.empty(0)
-    while t1.size < n:
+    kept = []
+    while sum(len(batch[0]) for batch in kept) < n:
         c1 = rng.uniform(-3.0, hi1, 4 * n)
         c2 = rng.uniform(-2.0, 2.0, 4 * n)
-        keep = _q_shape(c1, c2, _b_of(params, c1, c2))[3] >= GRAD_QMIN
-        t1, t2 = np.concatenate((t1, c1[keep])), np.concatenate((t2, c2[keep]))
-    return t1[:n], t2[:n]
+        shape = _q_shape(c1, c2, _b_of(params, c1, c2))
+        kept.append([v[shape[2] >= GRAD_QMIN] for v in (c1, c2, *shape)])
+    return [np.concatenate(col)[:n] for col in zip(*kept)]
 
 
 def check_gradients(level: str, workers: int | None = None) -> CheckResult:
@@ -134,8 +135,8 @@ def check_gradients(level: str, workers: int | None = None) -> CheckResult:
     errors = []
     for x, eps in grid:
         params = RateParams(x=x, eps=eps)
-        t1, t2 = _interior_thetas(params, n_pts, rng)
-        pieces = _pieces_arr(params, t1, t2)
+        t1, t2, *shape = _interior_thetas(params, n_pts, rng)
+        pieces = _pieces_arr(params, t1, t2, shape=shape)
         inv_q = w / (1.0 - 2.0 * h_value(y, t1[:, None], t2[:, None], params))
         g1, g2 = pieces["grad1"], pieces["grad2"]
         errors.append(np.hypot(g1 - inv_q @ (1.0 - x - y * y), g2 - inv_q @ (y - eps))

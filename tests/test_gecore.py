@@ -65,7 +65,7 @@ def at(params: RateParams, theta, *keys):
 
 def q_min_of(params: RateParams, theta) -> float:
     t1, t2 = theta
-    return float(_q_shape(t1, t2, _b_of(params, t1, t2))[3])
+    return float(_q_shape(t1, t2, _b_of(params, t1, t2))[2])
 
 
 # interior points exercising each branch: disc > 0 (t1 < 0), disc < 0
@@ -228,10 +228,14 @@ def test_rate_params_validation():
 
 
 def test_domain_verdicts():
-    # (q(1), q(-1), vertex value) from _q_shape: D needs all three >= 0
+    # q(1), q(-1) from _q_shape and the vertex value b - t2^2/(2 t1), for
+    # t1 > 0 with the vertex in [-1, 1]: D needs all three >= 0
     def shape(t1, t2):
-        q1, qm1, qvert, q_min, in_d = _q_shape(t1, t2, _b_of(P07, t1, t2))
-        return (float(q1), float(qm1), float(qvert)), float(q_min), bool(in_d)
+        b = _b_of(P07, t1, t2)
+        q1, qm1, q_min, in_d = _q_shape(t1, t2, b)
+        inside = t1 > 0.0 and abs(t2 / (2.0 * t1)) <= 1.0
+        qvert = b - t2 * (t2 / (2.0 * t1)) if inside else math.inf
+        return (float(q1), float(qm1), qvert), float(q_min), bool(in_d)
 
     values, q_min, in_d = shape(0.0, 0.0)
     assert in_d and q_min == pytest.approx(1.0)
@@ -462,7 +466,7 @@ def test_near_boundary_raises():
     p = P07.p_left
     x, s = P07.x, 1e-16
     ends = (2.0 * x * s, 2.0 * x * s)  # q(+-1) at theta2 = 0, as solve_dual forms them
-    for kw in ({}, {"ends": ends}):
+    for kw in ({}, {"shape": _q_shape(p + s, 0.0, _b_of(P07, p + s, 0.0), ends)}):
         out = _pieces_arr(P07, p + s, 0.0, **kw)
         assert out["in_D"][0] and not out["ok"][0]
         for key in ("c", "grad1", "grad2"):
@@ -489,7 +493,7 @@ def test_double_root_inside_the_interval_is_refused():
     t1, t2, b = TIED_INSIDE
     assert kernel_branches(t1, t2, b)[2] == 0.0 and abs(t2 / (2.0 * t1)) <= 1.0
     out = q_kernel(t1, t2, b, with_q2=True)
-    q_min, in_d = _q_shape(t1, t2, b)[3:]
+    q_min, in_d = _q_shape(t1, t2, b)[2:]
     assert out["q_min"][0] == q_min >= QMIN_STRICT and out["in_D"][0] == in_d
     assert not out["ok"][0]
     for key in ("j", "jy", "y2", "lq"):
@@ -564,15 +568,16 @@ def test_kernel_works_point_by_point(with_q2, with_ends, interior):
     # above QMIN_STRICT, the double root inside [-1, 1] among them, and so
     # skips the compress to the strict interior.
     t1, t2, b = _mixed_batch()
-    # q(+-1) summed in another order than the kernel's own 2 t1 -+ 2 t2 + b
+    # q(+-1) summed in another order than the kernel's own 2 t1 -+ 2 t2 + b,
+    # handed over in the D test
     ends = ((b - 2.0 * t2) + 2.0 * t1, (b + 2.0 * t2) + 2.0 * t1) if with_ends else None
-    q_min = _q_shape(t1, t2, b, ends)[3]
+    q_min = _q_shape(t1, t2, b, ends)[2]
     if interior:
         keep = q_min >= QMIN_STRICT
         t1, t2, b = t1[keep], t2[keep], b[keep]
         ends = ends and tuple(end[keep] for end in ends)
         q_min = q_min[keep]
-    out = q_kernel(t1, t2, b, with_q2=with_q2, ends=ends)
+    out = q_kernel(t1, t2, b, with_q2=with_q2, shape=ends and _q_shape(t1, t2, b, ends))
     ok = out["ok"]
     masks = kernel_branches(t1[ok], t2[ok], b[ok])[3]
     assert all(mask.any() for mask in masks)  # every branch is in the batch
@@ -581,7 +586,7 @@ def test_kernel_works_point_by_point(with_q2, with_ends, interior):
         assert np.any(~out["in_D"]) and np.any(out["in_D"] & (q_min < QMIN_STRICT))
     for i in range(len(t1)):
         one = q_kernel(t1[i], t2[i], b[i], with_q2=with_q2,
-                       ends=ends and (ends[0][i], ends[1][i]))
+                       shape=ends and _q_shape(t1[i], t2[i], b[i], (ends[0][i], ends[1][i])))
         assert one.keys() == out.keys()
         for key, value in out.items():
             assert _same_bits(value[..., i], one[key][..., 0]), (key, i)

@@ -12,6 +12,7 @@ The max-shift fold is checked against scipy's logsumexp.
 import math
 import operator
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from squimld import InvalidParams, mc, parallel, ratecurves, wfe
+from squimld import InvalidParams, NoRoot, mc, parallel, ratecurves, wfe
 from squimld.gecore import RateParams
 from squimld.parallel import (
     fold_shifted,
@@ -41,7 +42,13 @@ def built_pools(monkeypatch):
     class Counted(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.futures = []  # of every work item submitted
             built.append(self)
+
+        def submit(self, *args, **kwargs):
+            future = super().submit(*args, **kwargs)
+            self.futures.append(future)
+            return future
 
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", Counted)
     monkeypatch.setattr(parallel, "_pool", None)
@@ -94,6 +101,26 @@ def test_a_killed_worker_breaks_only_that_map(built_pools):
     with pytest.raises(BrokenProcessPool):
         map_shards(_exit_on_shard, 2, shards=5, workers=2)
     assert map_shards(operator.mul, 3, shards=5, workers=2) == [0, 3, 6, 9, 12]
+    assert len(built_pools) == 2
+
+
+def test_a_parent_side_error_in_compute_I2_stops_its_job(built_pools):
+    # Q at x = 0.0028 lies below the bracket floor, so the parent's solves
+    # raise NoRoot at once, while the pool holds the grid's sampling job:
+    # none of its work items may run on, and the next job runs as in-process
+    grid = [RateParams(x=0.0028, eps=0.1), RateParams(x=0.3, eps=0.1)]
+    with pytest.raises(NoRoot, match="x=0.0028"):
+        compute_I2(grid, 4_000_000, seed=1, workers=2)
+    (pool,) = built_pools
+    assert parallel._pool is None and pool.futures
+    deadline = time.monotonic() + 60.0
+    while not all(f.done() for f in pool.futures) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not [f for f in pool.futures if not f.cancelled() and f.exception(timeout=0) is None]
+    params = RateParams(x=0.7, eps=0.3)
+    for a, b in zip(domain_scan(params, 63, seed=1, workers=2),
+                    domain_scan(params, 63, seed=1, workers=1)):
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
     assert len(built_pools) == 2
 
 

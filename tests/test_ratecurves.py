@@ -1,8 +1,9 @@
 """Tilted interval sampling, dual-plane scans, and the two rate curves.
 
 The tilted inverse-CDF sampler has its own analytic CDF as an oracle, the
-domain scan must honor the shard determinism contract, the I2 grid shard,
-which maps one set of uniforms to every x and skips the kernel where
+domain scan must honor the shard determinism contract, the scan shard's
+columns must be the kernel's over every draw, bit for bit, the I2 grid
+shard, which maps one set of uniforms to every x and skips the kernel where
 theta2 <= 0, must count exactly what the kernel over every draw of a fresh
 stream counts, one call over a grid must give each x's own point, and the
 axis rate
@@ -42,14 +43,19 @@ from squimld.gecore import (
     axis_k_t,
     solve_Q_detail,
 )
+from squimld.parallel import shard_rng
 from squimld.ratecurves import (
     COMBOS,
     DUAL_GAP_TOL,
+    SCAN_DTYPE,
     SHARDS,
     GFunctions,
     _i2_grid_shard,
     _in_G,
-    _shard_draw,
+    _ray_points,
+    _scan_shard,
+    _tested_k,
+    _uniforms,
     biased_cdf,
     classify_theorem_two,
     solve_dual,
@@ -146,7 +152,7 @@ def test_domain_scan_columns_are_consistent():
     assert np.all(np.isnan(k[~in_d]))
     assert in_d.sum() > 1000
     # membership recheck from the endpoint and vertex values of q
-    assert np.array_equal(_q_shape(theta1, theta2, _b_of(P07, theta1, theta2))[4], in_d)
+    assert np.array_equal(_q_shape(theta1, theta2, _b_of(P07, theta1, theta2))[3], in_d)
 
 
 def test_domain_scan_is_deterministic_across_workers():
@@ -190,18 +196,40 @@ def test_no_point_with_theta2_at_most_zero_is_in_G(x, eps_frac, s_frac, f):
     assert pieces["grad2"][0] < 0.0
 
 
+def _fresh_draws(params, shard, n):
+    """n ray-scheme draws at params from a fresh (seed 1, shard) stream."""
+    return _ray_points(params, *_uniforms(shard_rng(1, shard), n), COMBOS[shard % len(COMBOS)])
+
+
+def test_scan_shard_matches_the_kernel_over_every_draw():
+    # one shard per (eta, direction) combo; the scan runs the kernel only on
+    # the draws in D, and its five columns equal the draws and the kernel's
+    # in_D, G verdict and k over every draw, bit for bit
+    counts = [20_000] * len(COMBOS)
+    hits = 0
+    for shard in range(len(COMBOS)):
+        theta1, theta2 = _fresh_draws(P07, shard, counts[shard])
+        pieces = _pieces_arr(P07, theta1, theta2)
+        oracle = (theta1, theta2, pieces["in_D"], _in_G(pieces), pieces["k"])
+        cols = _scan_shard(shard, (P07, counts, 1))
+        for name, col, want in zip(SCAN_DTYPE.names, cols, oracle):
+            assert col.dtype == want.dtype and col.tobytes() == want.tobytes(), (shard, name)
+        hits += int(np.count_nonzero(oracle[3]))
+    assert hits > 0
+
+
 @pytest.mark.parametrize("x", [0.1, 0.4, 0.7])
 def test_i2_shard_matches_the_kernel_over_every_draw(x):
     # one shard per (eta, direction) combo; the grid shard maps one set of
     # uniforms to every x and runs the kernel only on the draws in D with
-    # theta2 > 0, while the oracle draws x from a fresh _shard_draw stream
-    # and runs the kernel on every draw
+    # theta2 > 0, while the oracle draws x from a fresh stream and runs the
+    # kernel on every draw
     grid = tuple(RateParams(x=v, eps=0.1) for v in (0.1, 0.4, 0.7))
     at = [p.x for p in grid].index(x)
     counts = [100_000] * len(COMBOS)
     hits = 0
     for shard in range(len(COMBOS)):
-        theta1, theta2 = _shard_draw(shard, (grid[at], counts, 1))
+        theta1, theta2 = _fresh_draws(grid[at], shard, counts[shard])
         pieces = _pieces_arr(grid[at], theta1, theta2)
         g_mask = _in_G(pieces)
         k_min = float(pieces["k"][g_mask].min()) if g_mask.any() else np.inf
@@ -212,24 +240,29 @@ def test_i2_shard_matches_the_kernel_over_every_draw(x):
 
 
 def test_kernel_given_the_shard_shape_equals_the_kernel_computing_it():
-    # the grid shard hands the kernel the (q(1), q(-1), q_min, in_D) of its
-    # one D test on the maybe-G draws; the kernel's own D test on the same
-    # points gives every key bit for bit.  Two draws on the q(1) = 0 edge
-    # of D, 0 <= q_min < QMIN_STRICT, take ok from the q_min passed in.
+    # the samplers hand the kernel the (q(1), q(-1), q_min, in_D) of their
+    # one D test on the draws they pick; the kernel over every draw,
+    # running its own D test, gives every key bit for bit there.  Two draws
+    # on the q(1) = 0 edge of D, 0 <= q_min < QMIN_STRICT, take ok from
+    # the q_min passed in, and the shared sampler path finds them in D,
+    # with k NaN and not in G.
     params = RateParams(x=0.4, eps=0.1)
-    theta1, theta2 = _shard_draw(0, (params, [20_000], 1))
+    theta1, theta2 = _fresh_draws(params, 0, 20_000)
     theta1 = np.append(theta1, [-0.75, -0.75])
     theta2 = np.append(theta2, [2.0 / 9.0, np.nextafter(np.nextafter(2.0 / 9.0, 0.0), 0.0)])
-    q1, qm1, _, q_min, in_d = _q_shape(theta1, theta2, _b_of(params, theta1, theta2))
-    maybe_g = in_d & (theta2 > 0.0)
-    assert np.all(maybe_g[-2:]) and np.all(q_min[-2:] < QMIN_STRICT)
-    given = _pieces_arr(params, theta1[maybe_g], theta2[maybe_g],
-                        ends=tuple(v[maybe_g] for v in (q1, qm1, q_min, in_d)))
-    computed = _pieces_arr(params, theta1[maybe_g], theta2[maybe_g])
+    shape = _q_shape(theta1, theta2, _b_of(params, theta1, theta2))
+    picked = shape[3] & (theta2 > 0.0)
+    given = _pieces_arr(params, theta1[picked], theta2[picked],
+                        shape=tuple(v[picked] for v in shape))
+    computed = _pieces_arr(params, theta1, theta2)
+    assert np.all(picked[-2:]) and np.all(computed["q_min"][-2:] < QMIN_STRICT)
     assert not np.any(given["ok"][-2:]) and np.count_nonzero(given["ok"]) > 1000
     assert given.keys() == computed.keys()
     for key, value in computed.items():
+        value = value[picked]
         assert value.dtype == given[key].dtype and value.tobytes() == given[key].tobytes(), key
+    in_d, in_g, k = _tested_k(params, theta1[-2:], theta2[-2:], theta2[-2:] > 0.0)
+    assert np.all(in_d) and np.all(np.isnan(k)) and not np.any(in_g)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +418,8 @@ def _ends(params, t1, t2):
 
 
 def _grad_from_ends(params, t1, t2):
-    pieces = _pieces_arr(params, t1, t2, ends=_ends(params, t1, t2))
+    shape = _q_shape(t1, t2, _b_of(params, t1, t2), _ends(params, t1, t2))
+    pieces = _pieces_arr(params, t1, t2, shape=shape)
     return float(pieces["grad1"][0]), float(pieces["grad2"][0])
 
 
