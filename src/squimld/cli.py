@@ -32,12 +32,10 @@ hypotheses in wfe (NaN p_star_inf and beta_c, hypotheses_ok = 0).  A
 failed command leaves no partial CSV.  A layered --level is not checked
 against the flag's choices by argparse; run_validation refuses it.
 
-rate-curves makes one compute_I2 call over its whole grid: one sampling
-job on the pool, with the parent solving every x's dual and I1 while it
-runs.  Its manifest's time.sample_s is that call's wall time, the job's,
-and time.dual_s the seconds the parent spends on the dual and I1 solves
-inside it; with one worker the shards run in-process after the solves,
-so sample_s is the solves and the sampling end to end.
+rate-curves makes one compute_I2 call over its whole grid: it solves every
+x's dual and I1, then runs one sampling job.  Its manifest's time.dual_s
+is the seconds of those solves, and time.sample_s the rest of the call's
+wall time, the sampling job's.
 """
 
 from __future__ import annotations
@@ -225,8 +223,8 @@ def cmd_rate_curves(args) -> int:
     clock = time.perf_counter()
     points = compute_I2([RateParams(x=x, eps=args.eps) for x in args.x_list], args.samples,
                         seed=args.seed, workers=workers)
-    timings = {"sample_s": time.perf_counter() - clock,
-               "dual_s": sum(pt.dual_s for pt in points)}
+    dual_s = sum(pt.dual_s for pt in points)
+    timings = {"sample_s": time.perf_counter() - clock - dual_s, "dual_s": dual_s}
     for x, pt in zip(args.x_list, points):
         rows.append((x, pt.I1, pt.I2, pt.accepted_G, pt.samples, args.seed))
         if pt.theta_at_min is not None:  # the dual certified

@@ -130,15 +130,15 @@ class EnsembleConfig:
             # one draw's N + 1 cells must fit in a chunk
             raise InvalidParams(f"{self.model} needs N + 1 <= CHUNK_SCALARS = {CHUNK_SCALARS}, "
                                 f"got N = {self.N}")
-        if not self.beta >= 0.0:
-            raise InvalidParams(f"need beta >= 0, got {self.beta}")
+        if not 0.0 <= self.beta < math.inf:
+            raise InvalidParams(f"need finite beta >= 0, got beta = {self.beta}")
         if self.samples < 1:
             raise InvalidParams(f"need samples >= 1, got {self.samples}")
         if self.model == "SCWM_WFE":
             if self.omega is None:
                 raise InvalidParams("SCWM_WFE requires omega")
-            if not self.omega >= 0.0:
-                raise InvalidParams(f"need omega >= 0, got {self.omega}")
+            if not 0.0 <= self.omega < math.inf:
+                raise InvalidParams(f"need finite omega >= 0, got omega = {self.omega}")
         elif self.omega is not None:
             raise InvalidParams(f"omega is only meaningful for SCWM_WFE, got model {self.model!r}")
         if not 0.0 <= self.eps <= 1.0:

@@ -19,12 +19,11 @@ once.  The pool is rebuilt only when a call asks for a different worker
 count, or after a worker process died.  `iter_shards` hands the shards to
 the executor's own ordered map in about TASKS_PER_WORKER x workers chunks,
 one task each: a job of many small shards then pays a few round trips to
-the pool instead of one per shard.  The pool gets the job when
-`iter_shards` is called, so the caller can do its own work meanwhile
-(rate-curves solves its duals while the pool samples), and the results
-come in shard order as the chunks finish, so a caller that streams them
-(domain-scan writes each shard's CSV text as it arrives) never waits for
-the whole job; `map_shards` collects them into a list.
+the pool instead of one per shard.  The pool gets the job when the caller
+asks for the first result, and the results come in shard order as the
+chunks finish, so a caller that streams them (domain-scan writes each
+shard's CSV text as it arrives) never waits for the whole job;
+`map_shards` collects them into a list.
 
 The pool uses the platform's default start method: fork on Linux up to
 Python 3.13, forkserver from 3.14.  Both work because the functions sent to
@@ -143,50 +142,39 @@ def process_pool(workers: int) -> ProcessPoolExecutor:
 
 
 def _drop_pool() -> None:
-    """Stop the pool's workers and forget the pool, for a pool that broke or
-    a job its caller gave up: the executor cannot take back the workers + 1
-    chunks it has queued, and they would run on ahead of the next job."""
+    """Forget a pool whose worker process died; the next job builds a new one.
+
+    The broken executor has already failed its pending work items, and its
+    own manager thread terminates the remaining workers.
+    """
     global _pool, _pool_workers
-    if _pool is not None:
-        processes = list((_pool._processes or {}).values())  # no public handle before 3.14
-        _pool.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
-            process.terminate()
     _pool, _pool_workers = None, 0
 
 
 def iter_shards(fn, payload, shards: int, workers: int | None = None):
-    """Iterator of fn(shard, payload) for shard = 0..shards-1, in shard order.
+    """Generator of fn(shard, payload) for shard = 0..shards-1, in shard order.
 
-    workers is resolved by `resolve_workers`; one worker runs in-process,
-    shard by shard, as the caller iterates.  More send the shards to the
-    pool's ordered map when iter_shards is called, in chunks of
-    ceil(shards / (TASKS_PER_WORKER x workers)), one task each, so the
-    caller can work while the pool runs them.  A chunk's results are
-    yielded as soon as it and every earlier chunk have finished, so a
-    caller can consume the first shards while later ones still run; a
-    caller that stops iterating early cancels the chunks not yet started.
-    The sequence yielded is identical either way.
+    Nothing runs until the first result is asked for.  workers is resolved
+    by `resolve_workers`; one worker runs in-process, shard by shard, as
+    the caller iterates.  More send the shards to the pool's ordered map
+    on the first request, in chunks of
+    ceil(shards / (TASKS_PER_WORKER x workers)), one task each.  A
+    chunk's results are yielded as soon as it and every earlier chunk have
+    finished, so a caller can consume the first shards while later ones
+    still run; a caller that closes the generator early cancels the chunks
+    not yet started.  The sequence yielded is identical either way.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     workers = resolve_workers(workers, shards)
     if workers == 1:
-        return (fn(s, payload) for s in range(shards))
+        for s in range(shards):
+            yield fn(s, payload)
+        return
     chunksize = -(-shards // (TASKS_PER_WORKER * workers))
     try:
-        results = process_pool(workers).map(fn, range(shards), repeat(payload, shards),
-                                            chunksize=chunksize)
-    except BrokenProcessPool:
-        _drop_pool()
-        raise
-    return _dropping_a_broken_pool(results)
-
-
-def _dropping_a_broken_pool(results):
-    """The pool's results, forgetting the pool if a worker process died."""
-    try:
-        yield from results
+        yield from process_pool(workers).map(fn, range(shards), repeat(payload, shards),
+                                             chunksize=chunksize)
     except BrokenProcessPool:
         _drop_pool()
         raise

@@ -23,8 +23,8 @@ solve_dual finds that minimum by projected Newton and certifies it with the
 duality gap: -c at any point of the quadrant bounds I2 from below, k at any
 point of G from above.  The sampled minimum of k over G ∩ D is such an upper
 bound too, and compute_I2 keeps it beside the dual value as a check.  It
-takes the whole x grid at once: one sampling job runs on the pool while the
-parent solves every x's dual and I1.  Every budget n >= 1 has an outcome:
+takes the whole x grid at once: it solves every x's dual and I1, then runs
+one sampling job for the grid.  Every budget n >= 1 has an outcome:
 where the draws miss G there is no check, and compute_I2 returns the
 empty-G marker point (I2 = NaN, accepted_G = 0) instead of a value.
 
@@ -60,6 +60,7 @@ so domain-scan's table crosses the process pool once, as text.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -70,7 +71,7 @@ import numpy as np
 from .errors import DualNotCertified, InvalidParams
 from .gecore import (RateParams, _b_of, _pieces_arr, _q_shape, axis_k_t, root_toward,
                      solve_Q_detail)
-from .parallel import _drop_pool, iter_shards, map_shards, shard_rng, split_counts
+from .parallel import iter_shards, map_shards, shard_rng, split_counts
 from .report import format_records
 
 # The (eta, theta1 toward its upper end) of the D sampler; shard s draws
@@ -434,7 +435,7 @@ def solve_dual(params: RateParams) -> DualSolution:
 
 
 def _dual_and_i1(params: RateParams):
-    """(dual or None, its refusal or None, I1, seconds) at one x: compute_I2's parent side."""
+    """(dual or None, its refusal or None, I1, seconds) at one x: compute_I2's solves."""
     clock = time.perf_counter()
     try:
         dual, refusal = solve_dual(params), None
@@ -448,11 +449,12 @@ def compute_I2(grid, n_samples: int, seed: int = 0,
     """I2 at each RateParams of grid from the certified dual (solve_dual),
     with the sampler alongside; one RateCurvePoint per x, in grid order.
 
-    The sampler is one job over the SHARDS shards for the whole grid: each
-    shard draws its uniforms once and maps them to n_samples points of D
-    at every x (_i2_grid_shard), keeping the minimum of k over those in
-    G ∩ D.  The parent solves every x's dual and I1 while the pool
-    samples.  Every sampled k is an upper bound on I2 (weak duality), so
+    Every x's dual and I1 are solved first, in grid order, so a solve that
+    raises leaves no sampling work behind.  The sampler is then one job
+    over the SHARDS shards for the whole grid: each shard draws its
+    uniforms once and maps them to n_samples points of D at every x
+    (_i2_grid_shard), keeping the minimum of k over those in G ∩ D.
+    Every sampled k is an upper bound on I2 (weak duality), so
     the sampled minimum checks the dual value from above.  The
     two-constraint event lies inside the one-constraint event, so
     I2 >= I1, and I2 = max(-c(theta*), I1) states that once.
@@ -469,13 +471,9 @@ def compute_I2(grid, n_samples: int, seed: int = 0,
     with that x alone gives.  Raises InvalidParams for n_samples < 1.
     """
     grid = tuple(grid)
-    job = iter_shards(_i2_grid_shard, _payload(grid, n_samples, seed), SHARDS, workers)
-    try:
-        solved = [_dual_and_i1(params) for params in grid]
-    except BaseException:
-        _drop_pool()  # else the job's chunks run on in the pool, ahead of the next job
-        raise
-    parts = list(job)
+    payload = _payload(grid, n_samples, seed)
+    solved = [_dual_and_i1(params) for params in grid]
+    parts = map_shards(_i2_grid_shard, payload, SHARDS, workers)
     points = []
     for i, (params, (dual, refusal, i1, dual_s)) in enumerate(zip(grid, solved)):
         mine = [part[i] for part in parts]
@@ -524,7 +522,10 @@ def _min_over_x(beta: float, x_max: float, rate) -> tuple[float, float]:
     2Q > 2P).  root_toward starts at
     x0 = x_top / (1 + x_top), 1/(beta + 1) for large beta, and steps toward
     x_top if g'(x0) < 0, else toward 0: no x below x0 is probed needlessly.
+    rate is cached, so the direction test, root_toward's first point and
+    the value at the root each solve their x once.
     """
+    rate = functools.cache(rate)
     x_top = min(x_max, 1.0 / beta)
     x0 = x_top / (1.0 + x_top)
     up = beta + rate(x0)[1] < 0.0

@@ -415,6 +415,22 @@ def test_esm_non_finite_beta_is_refused(tmp_path, capsys, beta):
     assert not out.exists()
 
 
+# an infinite beta or omega must not reach the sampler, whose weights it turns to NaN
+@pytest.mark.parametrize("argv, message", [
+    (["ensemble", "--beta", "inf"], "need finite beta >= 0, got beta = inf"),
+    (["ensemble", "--model", "SCWM_WFE", "--omega", "inf", "--beta", "1"],
+     "need finite omega >= 0, got omega = inf"),
+], ids=["beta", "omega"])
+def test_ensemble_non_finite_parameter_is_refused(tmp_path, capsys, recwarn, argv, message):
+    out = tmp_path / "out"
+    assert run(argv + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
 # a count above int64 used to reach numpy's allocation and end in a traceback
 @pytest.mark.parametrize("argv, flag", [
     pytest.param(["ensemble", "--n", str(10**20), "--samples", "10"], "--n/--N",

@@ -12,7 +12,6 @@ The max-shift fold is checked against scipy's logsumexp.
 import math
 import operator
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -104,24 +103,34 @@ def test_a_killed_worker_breaks_only_that_map(built_pools):
     assert len(built_pools) == 2
 
 
-def test_a_parent_side_error_in_compute_I2_stops_its_job(built_pools):
-    # Q at x = 0.0028 lies below the bracket floor, so the parent's solves
-    # raise NoRoot at once, while the pool holds the grid's sampling job:
-    # none of its work items may run on, and the next job runs as in-process
+def test_a_solve_error_in_compute_I2_gives_the_pool_no_work(built_pools):
+    # Q at x = 0.0028 lies below the bracket floor, so the solves raise
+    # NoRoot before the grid's sampling job exists: no executor is built,
+    # no work item submitted, and the next job runs as in-process
     grid = [RateParams(x=0.0028, eps=0.1), RateParams(x=0.3, eps=0.1)]
     with pytest.raises(NoRoot, match="x=0.0028"):
         compute_I2(grid, 4_000_000, seed=1, workers=2)
-    (pool,) = built_pools
-    assert parallel._pool is None and pool.futures
-    deadline = time.monotonic() + 60.0
-    while not all(f.done() for f in pool.futures) and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert not [f for f in pool.futures if not f.cancelled() and f.exception(timeout=0) is None]
+    assert built_pools == []
     params = RateParams(x=0.7, eps=0.3)
     for a, b in zip(domain_scan(params, 63, seed=1, workers=2),
                     domain_scan(params, 63, seed=1, workers=1)):
         assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
-    assert len(built_pools) == 2
+    assert len(built_pools) == 1
+
+
+def test_an_unread_iter_shards_builds_no_executor(built_pools):
+    shards = iter_shards(operator.mul, 3, shards=7, workers=2)
+    del shards
+    assert built_pools == []
+
+
+def test_closing_iter_shards_early_leaves_the_next_map_correct(built_pools):
+    shards = iter_shards(operator.mul, 3, shards=40, workers=2)
+    assert next(shards) == 0
+    shards.close()
+    assert map_shards(operator.add, 10, shards=7, workers=2) == list(range(10, 17))
+    assert len(built_pools) == 1
+    assert process_pool(2) is built_pools[0]
 
 
 def test_a_new_worker_count_replaces_the_executor(built_pools):

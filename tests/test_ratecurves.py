@@ -43,6 +43,7 @@ from squimld.gecore import (
     axis_k_t,
     solve_Q_detail,
 )
+from squimld import ratecurves
 from squimld.parallel import shard_rng
 from squimld.ratecurves import (
     COMBOS,
@@ -536,6 +537,21 @@ def test_classifier_tags_and_positive_ratio_rate():
     # tiny beta: beta itself undercuts min g2, while g1' = beta > 0 at
     # x = 2/3 keeps min g1 below (2/3) beta, so D1 never occurs
     assert classify_theorem_two(1e-3, 0.1).case_tag == "N1D2"
+
+
+@pytest.mark.parametrize("beta", [8.0, 13.0])
+def test_classifier_solves_each_x_once(monkeypatch, beta):
+    # the direction test at x0, root_toward's first point and the value at
+    # the root each ask for an x the search has already solved
+    solved = []
+
+    def counted(params):
+        solved.append(params.x)
+        return solve_dual(params)
+
+    monkeypatch.setattr(ratecurves, "solve_dual", counted)
+    classify_theorem_two(beta, 0.1)
+    assert solved and len(solved) == len(set(solved))
 
 
 def test_classifier_rejects_bad_params():
