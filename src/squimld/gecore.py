@@ -325,6 +325,7 @@ def kernel_branches(t1, t2, b):
     return s, p, disc, (series, roots & (disc > 0.0), roots & (disc < 0.0), tie)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def q_kernel(t1, t2, b, with_q2: bool = False, shape=None):
     """Shape and integrals of q(y) = 2*t1*y^2 - 2*t2*y + b over [-1, 1].
 
@@ -342,7 +343,7 @@ def q_kernel(t1, t2, b, with_q2: bool = False, shape=None):
     those values, so a caller that formed them from exact end values (as
     solve_dual does) gets integrals free of the rounded 2*t1 -+ 2*t2 + b.
 
-    The integrals run on the strict interior, where b = q(0) > 0, and there
+    On the strict interior, where the integrals are kept, b = q(0) > 0 and
     q = b (1 - u1 y)(1 - u2 y) with inverse roots u1 + u2 = s = 2 t2/b and
     u1 u2 = p = 2 t1/b.  kernel_branches puts each point on one of four
     branches:
@@ -361,27 +362,21 @@ def q_kernel(t1, t2, b, with_q2: bool = False, shape=None):
     Off the series branch Int log q comes from c = -1/2 Int log q
     = 2 - 1/2 (log q(1) + log q(-1)) + t2 Int y/q - b Int 1/q.
 
-    When any point is on the log branch, it is evaluated in place over the
-    whole strict interior, as it holds most points (92 % of domain-scan's
-    at x = 0.7, eps = 0.3, and 94-99 % of the I2 sampler's at eps = 0.1);
-    the series, atan and tie points then overwrite their own entries, and
-    a point on no branch is set to NaN.  When every point is strictly
-    inside, as in most batches of the samplers, which hold points of D
-    only, and on the scalar calls of wfe and solve_dual, the inputs are
-    not compressed to the interior and the integrals are returned as
-    computed, with no NaN-filled copy.  Every entry depends on its own
-    point alone: a batch call equals the single-point calls bit for bit.
+    The branch passes run over every point handed over, under one errstate.
+    When any point is on the log branch, it is evaluated in place over all
+    of them, as it holds most points (92 % of domain-scan's at x = 0.7,
+    eps = 0.3, and 94-99 % of the I2 sampler's at eps = 0.1); the series,
+    atan and tie points then overwrite their own entries.  A point off the
+    strict interior runs through the same formulas, which may read inf or
+    NaN there, and every integral is set to NaN wherever ok is False.
+    Every entry depends on its own point alone: a batch call equals the
+    single-point calls bit for bit.
     """
     t1, t2, b = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (t1, t2, b))
     )
     q1, qm1, qmin, in_d = (_q_shape(t1, t2, b) if shape is None
                            else (np.atleast_1d(v) for v in shape))
-    ok = qmin >= QMIN_STRICT
-    inside = bool(ok.all())
-    if not inside:
-        # The integrals run on the strict interior only.
-        t1, t2, b, q1, qm1 = (v[ok] for v in (t1, t2, b, q1, qm1))
     n_max = 2 if with_q2 else 1
     m_max = 4 if with_q2 else 2
 
@@ -389,23 +384,22 @@ def q_kernel(t1, t2, b, with_q2: bool = False, shape=None):
 
     if np.any(logbranch):
         # over every point; the other branches overwrite theirs
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # signed b (u1 - u2) = sgn(s) sqrt(disc); u1 is the larger root in
-            # size, u2 = p/u1 the smaller (0 when t1 = 0: a root at infinity)
-            sq = np.copysign(np.sqrt(disc), s)
-            u1 = 0.5 * (s + sq / b)
-            u2 = p / u1
-            # (1 -+ u1)(1 -+ u2) = q(+-1)/b exactly, and q(+-1) is known to full
-            # absolute precision, so a root within ~1e-12 of an endpoint gets its
-            # small factor from that product over the other (safe) one.  Near P
-            # both endpoints have a root that close.
-            f1, f2 = _small_factor_from_product(1.0 - u1, 1.0 - u2, q1 / b)
-            g1, g2 = _small_factor_from_product(1.0 + u1, 1.0 + u2, qm1 / b)
-            mom1 = _root_moments(u1, f1, g1, n_max, m_max)
-            mom2 = _root_moments(u2, f2, g2, n_max, m_max)
-            jl = [(i2 - i1) / sq for i1, i2 in zip(mom1[0], mom2[0])]  # Int y^m/q, m = 0..m_max
-            q2 = ([(a1 + a2 - 4.0 * t1 * jm) / disc for a1, a2, jm in zip(mom1[1], mom2[1], jl)]
-                  if with_q2 else None)
+        # signed b (u1 - u2) = sgn(s) sqrt(disc); u1 is the larger root in
+        # size, u2 = p/u1 the smaller (0 when t1 = 0: a root at infinity)
+        sq = np.copysign(np.sqrt(disc), s)
+        u1 = 0.5 * (s + sq / b)
+        u2 = p / u1
+        # (1 -+ u1)(1 -+ u2) = q(+-1)/b exactly, and q(+-1) is known to full
+        # absolute precision, so a root within ~1e-12 of an endpoint gets its
+        # small factor from that product over the other (safe) one.  Near P
+        # both endpoints have a root that close.
+        f1, f2 = _small_factor_from_product(1.0 - u1, 1.0 - u2, q1 / b)
+        g1, g2 = _small_factor_from_product(1.0 + u1, 1.0 + u2, qm1 / b)
+        mom1 = _root_moments(u1, f1, g1, n_max, m_max)
+        mom2 = _root_moments(u2, f2, g2, n_max, m_max)
+        jl = [(i2 - i1) / sq for i1, i2 in zip(mom1[0], mom2[0])]  # Int y^m/q, m = 0..m_max
+        q2 = ([(a1 + a2 - 4.0 * t1 * jm) / disc for a1, a2, jm in zip(mom1[1], mom2[1], jl)]
+              if with_q2 else None)
         j = jl[:3]
     else:
         j = [np.empty(len(t1)) for _ in range(3)]  # Int y^m/q, m = 0, 1, 2
@@ -451,13 +445,9 @@ def q_kernel(t1, t2, b, with_q2: bool = False, shape=None):
         lq[series] = pieces[3]
 
     integrals = j + [lq] + (q2 or [])
-    if not inside:
-        values, integrals = integrals, [np.full(ok.shape, np.nan) for _ in integrals]
-        _put(integrals, ok, values)
-    lost = ~(series | logbranch | atanbranch | tie)
-    if np.any(lost):
-        # on no branch (see kernel_branches): refused, whatever q_min reads
-        ok[ok] = ~lost
+    # refused: off the strict interior, or on no branch (see kernel_branches)
+    ok = (qmin >= QMIN_STRICT) & (series | logbranch | atanbranch | tie)
+    if not ok.all():
         _put(integrals, ~ok, [np.nan] * len(integrals))
     out = {"q_min": qmin, "in_D": in_d, "ok": ok}
     out.update(zip(("j", "jy", "y2", "lq"), integrals))

@@ -43,18 +43,16 @@ shape 1.0, for which standard_gamma returns standard_exponential's draws.
 
 The wavefunction-energy model's exponent is quadratic in w (it rewards
 m^2), and its mass sits in two antipodal magnetized caps rather than in
-one linear-exponent shell, so no single tilt of the above family covers
-it.  It gets an equal mixture of two angular Gaussians on the amplitude
-sphere, one tilted toward each cap, built from the tangent linearization
-m^2 >= 2|m| - 1: component fields +-2*omega*g_n - (omega-1)*g_n^2 (times
-beta*N), scaled to keep inverse variances positive.  The mixture density
-is evaluated exactly for the importance weight, and the construction
-stays flip-symmetric, reducing to the uniform measure at beta = 0.  A
-cap's two Gaussian coordinates of state n (variance 1/alpha_n) have the
-squared norm 2 Exp(1)/alpha_n (Devroye 1986), and the normalisation drops
-the 2, so a cell draws one Exp(1) over the cap's alpha_n.  At omega = 1.2
-and 10^5 samples (seed 0, beta in {0.1, 1, 10, 40}) its ESS clears ESS_MIN
-for N <= 8 up to beta = 40, but for N = 16 to 64 only at beta <= 1.
+one linear-exponent shell, so no single rate-tilted Dirichlet above covers
+it.  Its proposal is an equal mixture of two members, one tilted toward
+each cap by the tangent linearization m^2 >= 2|m| - 1, with exponents
+phi_+- = beta N (+-2 omega g_n - (omega - 1) g_n^2) / (N + 1).  The cap at
+m < 0 is the one at m > 0 reversed (the spin flip n -> N - n), so the two
+members' prod(lam) are one product and drop out of the weight as a
+constant; the mixture density is otherwise evaluated exactly, and beta = 0
+gives c = 0, the flat law.  At omega = 1.2 and 10^5 samples (seed 0,
+beta in {0.1, 1, 10, 40}) its ESS clears ESS_MIN for N <= 8 up to
+beta = 40, but for N = 16 to 64 only at beta <= 1.
 
 Estimator plumbing shared by all models:
 
@@ -183,64 +181,69 @@ class EsmResult:
 
 
 def _proposal(cfg: EnsembleConfig) -> dict:
-    """The model's importance proposal and cell magnetization g, built once.
+    """The model's proposal members and cell magnetization g, built once.
 
-    Both families draw w = Gamma(shape)/rate per column, with shape 1.0 or
-    the chain's class counts.  "tilted": decay form c_decay and rates lam of
-    a linear exponent phi . w, and the number of cells K; "mixture": the
-    rates alpha = 1 - tilt and log-determinant of each cap of the WFE model.
+    A member is the rate-tilted Dirichlet of a linear exponent phi . w:
+    decay form c_decay = max(phi) - phi and rates lam = 1 + c_decay, per
+    column of shape 1.0 or the chain's class counts.  SCWM_WFE has two, its
+    caps, the second the first reversed, and "exponent" (N, beta, omega) of
+    its f; the other models have one and exponent None.  Raises
+    InvalidParams, before any sampling, if a member's c_decay or the bound
+    N beta (1 + |omega - 1|) on SCWM_WFE's |f| overflows float64.
     """
-    n_spins, beta = cfg.N, cfg.beta
-    if cfg.model == "SCWM_WFE":
-        dim = 2 * (n_spins + 1)
-        g = g_values(n_spins)
-        omega = cfg.omega
-        fields = [beta * n_spins * (sign * 2.0 * omega * g - (omega - 1.0) * (g * g))
-                  for sign in (1.0, -1.0)]
-        scale = 1.0 / (1.0 + 2.0 * max(fields[0].max(), fields[1].max(), 0.0) / dim)
-        tilts = [2.0 * scale * field / dim for field in fields]
-        return {"family": "mixture", "g": g, "exponent": (n_spins, beta, omega),
-                "alpha": [1.0 - tilt for tilt in tilts], "tilt": tilts, "shape": 1.0,
-                # log |Sigma|^(-1/2) per cap; each state owns two coords
-                "logdet": [float(np.sum(np.log1p(-tilt))) for tilt in tilts]}
+    n_spins, beta, omega = cfg.N, cfg.beta, cfg.omega
+    wfe = cfg.model == "SCWM_WFE"
     # one Exp(1) draw per cell (shape 1.0), except on the chain's classes
     shape, cells = 1.0, n_spins + 1
-    if cfg.model == "SQUIM_d1":
-        m_class, flips, shape = chain_classes(n_spins)
-        g = 2.0 * m_class / n_spins
-        cells = 2**n_spins
-        # f = beta * <H> = -beta * <I>, with I = ((N - 1) - 2 flips) / 4
-        phi = beta * ((n_spins - 1) - 2.0 * flips) / 4.0
-    else:
-        g = g_values(n_spins)
-        phi = beta * n_spins * (g * g)
-        if cfg.model == "SCWM_ENTROPY":
-            phi = phi + log_binomials(n_spins)
-    c_decay = phi.max() - phi
-    return {"family": "tilted", "g": g, "c_decay": c_decay, "lam": 1.0 + c_decay,
-            "shape": shape, "cells": cells}
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.model == "SQUIM_d1":
+            m_class, flips, shape = chain_classes(n_spins)
+            g = 2.0 * m_class / n_spins
+            cells = 2**n_spins
+            # f = beta * <H> = -beta * <I>, with I = ((N - 1) - 2 flips) / 4
+            phi = beta * ((n_spins - 1) - 2.0 * flips) / 4.0
+        else:
+            g = g_values(n_spins)
+            if wfe:
+                # the cap at m > 0, from m^2 >= 2|m| - 1
+                phi = beta * n_spins * (2.0 * omega * g - (omega - 1.0) * (g * g)) / (n_spins + 1)
+            else:
+                phi = beta * n_spins * (g * g)
+                if cfg.model == "SCWM_ENTROPY":
+                    phi = phi + log_binomials(n_spins)
+        c_decay = phi.max() - phi
+    f_bound = n_spins * beta * (1.0 + abs(omega - 1.0)) if wfe else 0.0
+    if not (np.isfinite(c_decay).all() and math.isfinite(f_bound)):
+        raise InvalidParams(
+            f"{cfg.model}'s weight exponent overflows float64 at beta={beta}, N={n_spins}"
+            + (f", omega={omega}" if wfe else ""))
+    # contiguous, as a pickled payload is: w @ c sums a reversed view in another order
+    members = [c_decay, np.ascontiguousarray(c_decay[::-1])] if wfe else [c_decay]
+    return {"g": g, "c_decay": members, "lam": [1.0 + c for c in members], "shape": shape,
+            "cells": cells, "exponent": (n_spins, beta, omega) if wfe else None}
 
 
 def _draw(rng: np.random.Generator, rows: int, prop: dict) -> tuple:
-    """(m, D, log importance weight) of `rows` draws; the one family branch."""
+    """(m, D, log importance weight) of `rows` draws; one path for every model.
+
+    With two members each row first picks one.  Member j's density over
+    the flat law is prod(lam_j) (1 + v_j)^(-K), v_j = c_j . w, and the
+    prod(lam_j) of mirror members are one product, so log q_j keeps only
+    -K log1p(v_j).  The log weight is the target, -v for a linear exponent
+    or -f, minus log q_1 or the logaddexp of the equal mixture.
+    """
     g = prop["g"]
-    cells = g.size
-    mixture = prop["family"] == "mixture"
-    # Gamma(shape)/rate per column; the mixture picks a cap's rates per row
-    rate = np.where((rng.random(rows) < 0.5)[:, None], *prop["alpha"]) if mixture else prop["lam"]
-    w = rng.standard_gamma(prop["shape"], (rows, cells))
+    lam = prop["lam"]
+    rate = np.where((rng.random(rows) < 0.5)[:, None], *lam) if len(lam) == 2 else lam[0]
+    w = rng.standard_gamma(prop["shape"], (rows, g.size))
     w /= rate
     w /= w.sum(axis=1, keepdims=True)
     m, d = spin_moments(w, g)
-    if mixture:
-        f = wfe_exponent(m, d, *prop["exponent"])
-        # each cap's density on the simplex: |Sigma|^(-1/2) (alpha . w)^(-cells),
-        # with alpha . w = 1 - tilt . w, exactly 1 where the tilt is 0
-        lq = [logdet - cells * np.log1p(-(w @ tilt))
-              for logdet, tilt in zip(prop["logdet"], prop["tilt"])]
-        return m, d, -f - np.logaddexp(*lq)
-    v = w @ prop["c_decay"]
-    return m, d, -v + prop["cells"] * np.log1p(v)
+    v = [w @ c for c in prop["c_decay"]]
+    lq = [-prop["cells"] * np.log1p(vj) for vj in v]
+    exponent = prop["exponent"]
+    target = -v[0] if exponent is None else -wfe_exponent(m, d, *exponent)
+    return m, d, target - (lq[0] if len(lq) == 1 else np.logaddexp(*lq))
 
 
 def _shard_partials(shard: int, payload: dict) -> tuple:

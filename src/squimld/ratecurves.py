@@ -466,7 +466,7 @@ def compute_I2(grid, n_samples: int, seed: int = 0,
     the first such x in grid order, and names it.
 
     The noise band of the sampled minimum is half the spread of the four
-    per-shard-group minima (shards grouped by index mod 4), floored at 1e-9,
+    per-shard-group minima (shards grouped by index mod 4) plus 1e-9,
     and inf with fewer than two groups in G.  Every point is the one a call
     with that x alone gives.  Raises InvalidParams for n_samples < 1.
     """

@@ -420,7 +420,20 @@ def test_esm_non_finite_beta_is_refused(tmp_path, capsys, beta):
     (["ensemble", "--beta", "inf"], "need finite beta >= 0, got beta = inf"),
     (["ensemble", "--model", "SCWM_WFE", "--omega", "inf", "--beta", "1"],
      "need finite omega >= 0, got omega = inf"),
-], ids=["beta", "omega"])
+    # finite values whose weight exponent overflows float64
+    (["ensemble", "--beta", "1e308"], "beta=1e+308, N=8"),
+    (["ensemble", "--model", "SQUIM_d1", "--beta", "1e308"], "beta=1e+308, N=8"),
+    (["ensemble", "--model", "SCWM_ENTROPY", "--n", "64", "--beta", "1e307"],
+     "beta=1e+307, N=64"),
+    (["ensemble", "--model", "SCWM_WFE", "--omega", "1e308", "--beta", "1"],
+     "beta=1.0, N=8, omega=1e+308"),
+    (["ensemble", "--model", "SCWM_WFE", "--n", "64", "--omega", "1.2", "--beta", "1e307"],
+     "beta=1e+307, N=64, omega=1.2"),
+    # the caps' exponents are finite; only the bound N beta (1 + |omega - 1|) on |f| is not
+    (["ensemble", "--model", "SCWM_WFE", "--omega", "0", "--beta", "1.5e307"],
+     "beta=1.5e+307, N=8, omega=0.0"),
+], ids=["beta", "omega", "SCWM-beta", "SQUIM_d1-beta", "SCWM_ENTROPY-beta", "SCWM_WFE-omega",
+        "SCWM_WFE-beta", "SCWM_WFE-f-bound"])
 def test_ensemble_non_finite_parameter_is_refused(tmp_path, capsys, recwarn, argv, message):
     out = tmp_path / "out"
     assert run(argv + ["--out-dir", str(out)]) == 2
@@ -429,6 +442,18 @@ def test_ensemble_non_finite_parameter_is_refused(tmp_path, capsys, recwarn, arg
     assert "Traceback" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
+
+
+def test_ensemble_collapsed_weights_at_huge_beta_refuse_without_warning(tmp_path, capfd, recwarn):
+    # every rate is at least 1, so no draw divides by a rate that rounded to 0
+    out = tmp_path / "out"
+    argv = ["ensemble", "--model", "SCWM_WFE", "--n", "8", "--omega", "1.2", "--beta", "1e200",
+            "--samples", "10000", "--workers", "1", "--out-dir", str(out)]
+    assert run(argv) == 3
+    err = capfd.readouterr().err
+    assert "weight ESS" in err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 # a count above int64 used to reach numpy's allocation and end in a traceback

@@ -557,6 +557,7 @@ def _mixed_batch():
                  for fixed, drawn in zip(zip(*points), random))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("with_q2", [False, True])
 @pytest.mark.parametrize("with_ends", [False, True])
 @pytest.mark.parametrize("interior", [False, True])
@@ -565,8 +566,9 @@ def test_kernel_works_point_by_point(with_q2, with_ends, interior):
     # for bit: the log branch runs over the whole batch and the other
     # branches overwrite their points, so a branch must not reach another
     # point's entries.  The interior batch keeps the points with q_min at or
-    # above QMIN_STRICT, the double root inside [-1, 1] among them, and so
-    # skips the compress to the strict interior.
+    # above QMIN_STRICT, the double root inside [-1, 1] among them; the full
+    # batch runs its points outside D and below QMIN_STRICT through the same
+    # branch formulas, which must not warn.
     t1, t2, b = _mixed_batch()
     # q(+-1) summed in another order than the kernel's own 2 t1 -+ 2 t2 + b,
     # handed over in the D test

@@ -271,6 +271,33 @@ def test_wfe_beta_zero_is_the_flat_law():
     assert abs(est.mean - infinite_T_msq_exact(8)) < 3.0 * est.std_error
 
 
+@pytest.mark.parametrize("n_spins", [7, 8])
+def test_wfe_weight_is_the_exact_density_ratio_up_to_one_constant(n_spins):
+    # The weight drops the caps' prod(lam), which is one constant only if the
+    # two caps' rates are the same numbers, by the spin flip n -> N - n.  Each
+    # cap's rates are built here from its own field, and each row's w from a
+    # copy of the stream; the exact log ratio keeps every constant.
+    beta, omega, rows = 10.0, 1.2, 1000
+    cfg = EnsembleConfig(N=n_spins, beta=beta, model="SCWM_WFE", omega=omega, samples=rows)
+    m, d, logw = mc._draw(mc.shard_rng(4, 0), rows, mc._proposal(cfg))
+    g = g_values(n_spins)
+    lam = []
+    for sign in (1.0, -1.0):
+        phi = beta * n_spins * (sign * 2.0 * omega * g - (omega - 1.0) * g * g) / (n_spins + 1)
+        lam.append(1.0 + phi.max() - phi)
+    copy = mc.shard_rng(4, 0)
+    first = copy.random(rows) < 0.5
+    w = copy.standard_gamma(1.0, (rows, n_spins + 1)) / np.where(first[:, None], *lam)
+    w /= w.sum(axis=1, keepdims=True)
+    m_copy = w @ g
+    assert np.max(np.abs(m - m_copy)) < 1e-12
+    f = n_spins * beta * (1.0 - m_copy**2 + (omega - 1.0) * (w @ (g * g) - m_copy**2))
+    log_q = [np.log(0.5) + np.sum(np.log(rates)) - (n_spins + 1) * np.log(w @ rates)
+             for rates in lam]
+    offset = logw - (-f - np.logaddexp(*log_q))
+    assert np.ptp(offset) < 1e-12
+
+
 def test_wfe_matches_weighted_raw_gaussians():
     # independent route: uniform-sphere draws from raw normalized Gaussians,
     # weighted by exp(-f) with f = N beta (1 - m^2 + (omega - 1) D) written
