@@ -351,7 +351,7 @@ def esm_evaluate(n_spins: int, beta: float) -> EsmResult:
         raise InvalidParams(f"need finite beta >= 0, got beta = {beta}")
     a_n = 2.0 * 2**n_spins
     m_conf, _interaction, flips = chain_tables(n_spins)
-    ratio = beta * flips / a_n
+    ratio = beta * (flips / a_n)  # flips / a_n first: beta * flips can overflow
     log_zhat = -float(np.sum(np.log1p(ratio)))
     msq_dispersion = float(np.sum((m_conf / (1.0 + ratio)) ** 2)) / (a_n * a_n)
     return EsmResult(

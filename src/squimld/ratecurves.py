@@ -69,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DualNotCertified, InvalidParams
-from .gecore import (RateParams, _b_of, _pieces_arr, _q_shape, axis_k_t, root_toward,
+from .gecore import (QRoot, RateParams, _b_of, _pieces_arr, _q_shape, axis_k_t, root_toward,
                      solve_Q_detail)
 from .parallel import iter_shards, map_shards, shard_rng, split_counts
 from .report import format_records
@@ -375,7 +375,7 @@ def _dual_gap(params: RateParams, v, grad) -> float:
             + max(-g2, 0.0) / (2.0 * (1.0 - params.eps)))
 
 
-def solve_dual(params: RateParams) -> DualSolution:
+def solve_dual(params: RateParams, root: QRoot | None = None) -> DualSolution:
     """I2 as -min c over the quadrant, by projected Newton with a certificate.
 
     K = {z1 <= 0, z2 >= 0} is its own dual cone, so Fenchel duality gives
@@ -387,12 +387,14 @@ def solve_dual(params: RateParams) -> DualSolution:
     coordinate at its bound with the gradient pointing out of the quadrant
     is held there, the free ones take a Newton step, and Armijo
     backtracking along the projected path keeps to the strict interior of
-    D.  Raises DualNotCertified when the best gap reached exceeds
-    DUAL_GAP_TOL.
+    D.  root is solve_Q_detail(x) when the caller has it already.  Raises
+    DualNotCertified when the best gap reached exceeds DUAL_GAP_TOL.
     """
     x = params.x
     s_max = -params.p_left  # theta1 = 0
-    v = np.array([solve_Q_detail(x).gap if x < 2.0 / 3.0 else s_max, 0.0])
+    if x < 2.0 / 3.0 and root is None:
+        root = solve_Q_detail(x)
+    v = np.array([root.gap if x < 2.0 / 3.0 else s_max, 0.0])
     start = _dual_pieces(params, v)
     if start is None:
         raise DualNotCertified(x, params.eps, math.nan, DUAL_GAP_TOL, 0, "start theta1 = "
@@ -435,13 +437,15 @@ def solve_dual(params: RateParams) -> DualSolution:
 
 
 def _dual_and_i1(params: RateParams):
-    """(dual or None, its refusal or None, I1, seconds) at one x: compute_I2's solves."""
+    """(dual or None, its refusal or None, I1, seconds) at one x: compute_I2's
+    solves, which share one solve of Q."""
     clock = time.perf_counter()
+    root = solve_Q_detail(params.x) if params.x < 2.0 / 3.0 else None
     try:
-        dual, refusal = solve_dual(params), None
+        dual, refusal = solve_dual(params, root), None
     except DualNotCertified as err:
         dual, refusal = None, err
-    return dual, refusal, compute_I1(params), time.perf_counter() - clock
+    return dual, refusal, compute_I1(params, root), time.perf_counter() - clock
 
 
 def compute_I2(grid, n_samples: int, seed: int = 0,
@@ -493,20 +497,22 @@ def compute_I2(grid, n_samples: int, seed: int = 0,
     return points
 
 
-def _axis_rate(x: float) -> tuple[float, float]:
-    """(I1(x), dI1/dx) = (k at Q, 2Q) for x < 2/3; I1 has no eps to check x against."""
-    root = solve_Q_detail(x)
+def _axis_rate(x: float, root: QRoot | None = None) -> tuple[float, float]:
+    """(I1(x), dI1/dx) = (k at Q, 2Q) for x < 2/3, from root = solve_Q_detail(x)
+    if given; I1 has no eps to check x against."""
+    root = solve_Q_detail(x) if root is None else root
     return max(float(axis_k_t(root.t, x)), 0.0), 2.0 * root.theta1
 
 
-def compute_I1(params: RateParams) -> float:
+def compute_I1(params: RateParams, root: QRoot | None = None) -> float:
     """I1 = inf k(theta1, 0) over the axis constraint segment.
 
     The segment is {H >= 0} = (P, Q] for x < 2/3, and k decreases along it,
     so I1 = k(Q).  For x >= 2/3 it is the whole axis piece of D, over which
-    k falls to 0 at the origin end, so I1 = 0.
+    k falls to 0 at the origin end, so I1 = 0.  root is solve_Q_detail(x)
+    when the caller has it already.
     """
-    return 0.0 if params.x >= 2.0 / 3.0 else _axis_rate(params.x)[0]
+    return 0.0 if params.x >= 2.0 / 3.0 else _axis_rate(params.x, root)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,9 @@ hit at N = 2000; the tilt makes 1e7 replicas informative.
 
 The sampler only needs the squares chi_n^2 = Z_n^2, so it draws them in
 pairs: Box-Muller gives two independent chi_1^2 values, R^2 cos^2(phi) and
-R^2 sin^2(phi), from one uniform pair, which it takes from the two 32-bit
-halves of one raw word of the shard's SFC64 stream.  With R^2 = -2L and
+R^2 sin^2(phi), from one uniform pair.  A replica's P pairs read P raw
+words of the shard's SFC64 stream as 2P 32-bit halves: pair k takes its
+radius from half k and its angle from half P + k.  With R^2 = -2L and
 c_n = b_n sigma_n^2 padded to an even count, T = -sum_k L_k [(c_{2k} +
 c_{2k+1}) + (c_{2k} - c_{2k+1}) cos 2phi_k]: one log and one cos per pair.
 Replicas are split over the fixed RARE_SHARDS shards and run in blocks of
@@ -82,11 +83,16 @@ from .gecore import QMIN_STRICT, q_kernel, root_toward
 from .parallel import fold_shifted, map_shards, shard_rng, split_counts
 
 # Raw SFC64 words per block of the rare-event sampler (256 kB of uint64).  A
-# block and its work arrays take ~3x that, which stays in a core's L2.  On a
-# 2-core AMD EPYC host, one in-process N = 2000, 10^5-replica run over the
-# 63 shards took a median 0.265 s at 2^15 words, 0.283 s at 2^14, where the
-# per-block overhead starts to show, and 0.447 s at 2^16; 2^15 was the
-# fastest of the three in 9 of 10 alternating rounds
+# block and its two float32 work arrays take ~2x that, which stays in a
+# core's L2.  On a 2-core Intel Xeon host (2 MB L2 per core), one in-process
+# N = 2000, 10^5-replica run at one worker took a median 0.435 s at 2^15
+# words, 0.492 s at 2^14, where the per-block overhead starts to show, and
+# 0.448 s at 2^16; 2^15 was the fastest of the three in 6 of 10 alternating
+# rounds.  It stays at 2^15 also because the block size sets how sgemv groups
+# T's rows: OpenBLAS's Haswell kernel sums rows in fours, so every block of a
+# multiple of 4 rows gives the same bytes (2^12 to 2^15 words are 4 to 32 rows at
+# N = 2000), while 2^16 words, 65 rows, sums each 65th row another way and
+# moves log P in its 11th digit
 RARE_BLOCK_WORDS = 1 << 15
 # Shards of every rare-event job, fixed because the estimate depends on it
 RARE_SHARDS = 63
@@ -349,33 +355,34 @@ def _pair_coefficients(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -(c[0::2] + c[1::2]).astype(np.float32), (c[1::2] - c[0::2]).astype(np.float32)
 
 
-def _chi2_pair_block(bitgen, rows: int, a_sum: np.ndarray, a_diff: np.ndarray) -> np.ndarray:
-    """T = sum_n c_n chi_n^2 for `rows` replicas, one raw 64-bit word per pair.
+def _chi2_pair_block(bitgen, a_sum: np.ndarray, a_diff: np.ndarray,
+                     log_u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T = sum_n c_n chi_n^2 for log_u.shape[0] replicas, one raw word per pair.
 
-    Box-Muller without the square root: for a raw 64-bit word split into
-    its high and low 32-bit halves, hi32 = word >> 32 and lo32 = word mod 2^32,
+    Each replica draws P = a_sum.size raw words, read as 2P little-endian
+    32-bit halves h_0..h_{2P-1}; pair k takes its radius from h_k and its
+    angle from h_{P+k}.  Box-Muller without the square root:
 
-        L = log((hi32 + 1/2) 2^-32),    2 phi = lo32 * 4 pi 2^-32,
+        L = log((h_k + 1/2) 2^-32),    2 phi = h_{P+k} * 4 pi 2^-32,
 
     and R^2 cos^2(phi) = -L (1 + cos 2phi), R^2 sin^2(phi) = -L (1 - cos 2phi)
     are two independent chi_1^2 values.  T = L @ a_sum + (L cos 2phi) @ a_diff:
     one log and one cos serve two coordinates, nothing doubled or squared.
+    log_u and x are float32 work arrays of shape (rows, P), overwritten.
     All of it is float32; a member near 0 carries an absolute error of about
     ulp(R^2), not a relative one.
-    (hi32 + 1/2) 2^-32 is never 0, so R^2 <= 66 log 2 = 45.7: the tail of
+    (h + 1/2) 2^-32 is never 0, so R^2 <= 66 log 2 = 45.7: the tail of
     each coordinate is cut at |Z| <= 6.76, a probability of 1.4e-11.  A
     uniform that rounds to 1.0 in float32 gives R^2 = 0, a harmless atom of
     probability ~2^-25.
     """
-    shape = (rows, a_sum.shape[0])
-    # the little-endian view puts lo32 first on any host; copyto casts each
-    # strided half straight into float32, 0.49 ns a word against 0.66 for a
-    # contiguous copy and then a cast
-    halves = bitgen.random_raw(shape).astype("<u8", copy=False).view("<u4")
-    log_u = np.empty(shape, np.float32)
-    x = np.empty(shape, np.float32)
-    np.copyto(log_u, halves[:, 1::2], casting="unsafe")
-    np.copyto(x, halves[:, 0::2], casting="unsafe")
+    pairs = a_sum.shape[0]
+    halves = bitgen.random_raw((log_u.shape[0], pairs)).astype("<u8", copy=False).view("<u4")
+    # each run of halves is contiguous within a row, so copyto casts it
+    # straight into float32 at 0.37 ns an element, against 0.86 for a
+    # stride-2 cast of every word's hi or lo half (2-core Intel Xeon, numpy 2.4)
+    np.copyto(log_u, halves[:, :pairs], casting="unsafe")
+    np.copyto(x, halves[:, pairs:], casting="unsafe")
     log_u += np.float32(0.5)
     log_u *= np.float32(2.0**-32)
     np.log(log_u, out=log_u)
@@ -394,17 +401,22 @@ def _rare_event_shard(shard: int, payload) -> tuple[tuple[float, float, float], 
     for w^2).  Replicas run in blocks of RARE_BLOCK_WORDS raw SFC64 words,
     so the elementwise passes _chi2_pair_block makes over a block run from
     cache; the cost is then mostly the raw words, the log and the cos.  The
-    shard's T values are kept, and the hit filter, max-shift, exp and both
-    sums run once over all of them.  T is float32: a 1e-2 absolute error on
-    t*T moves log P by far less than the +-25 percent acceptance band.
+    two float32 work arrays are allocated once per shard, and the last,
+    short block uses their leading rows.  The shard's T values are kept,
+    and the hit filter, max-shift, exp and both sums run once over all of
+    them.  T is float32: a 1e-2 absolute error on t*T moves log P by far
+    less than the +-25 percent acceptance band.
     """
     a_sum, a_diff, tilt, counts, seed = payload
     n = counts[shard]
     bitgen = shard_rng(seed, shard).bit_generator
     rows = max(1, RARE_BLOCK_WORDS // a_sum.shape[0])
+    log_u = np.empty((rows, a_sum.shape[0]), np.float32)
+    x = np.empty_like(log_u)
     t_vals = np.empty(n, np.float32)
     for done in range(0, n, rows):
-        t_vals[done:done + rows] = _chi2_pair_block(bitgen, min(rows, n - done), a_sum, a_diff)
+        k = min(rows, n - done)
+        t_vals[done:done + k] = _chi2_pair_block(bitgen, a_sum, a_diff, log_u[:k], x[:k])
     args = -tilt * t_vals[t_vals >= 0.0].astype(np.float64)
     shift = float(args.max(initial=-math.inf))  # -inf (no weight) without hits
     w = np.exp(args - shift)

@@ -401,6 +401,21 @@ def test_esm_structural_bounds(n_spins, beta):
     assert 0.0 < res.msq_dispersion <= esm_evaluate(n_spins, 0.0).msq_dispersion
 
 
+@pytest.mark.filterwarnings("error")
+def test_esm_stays_finite_at_huge_finite_beta():
+    # beta * flips / a_N would overflow before the division; at this size
+    # every factor is beta * flips / a_N, so raising beta tenfold lowers
+    # log Zhat by log(10) once per configuration with a flip
+    z7, z8 = esm_evaluate(8, 1e307).logZhat, esm_evaluate(8, 1e308).logZhat
+    assert math.isfinite(z7) and math.isfinite(z8)
+    _, _, flips = chain_tables(8)
+    assert z8 - z7 == pytest.approx(-np.count_nonzero(flips) * math.log(10.0), rel=1e-12)
+    # ordinary beta keeps its bytes
+    assert esm_evaluate(2, 1.0).logZhat == -0.2355660713127669
+    assert esm_evaluate(16, 1.0).logZhat == -3.749885563993055
+    assert esm_evaluate(16, 1.0).msq_dispersion == 1.5257261236124915e-05
+
+
 def test_esm_guards():
     with pytest.raises(InvalidParams):
         esm_evaluate(1, 1.0)

@@ -554,6 +554,22 @@ def test_classifier_solves_each_x_once(monkeypatch, beta):
     assert solved and len(solved) == len(set(solved))
 
 
+def test_compute_I2_solves_Q_once_per_x(monkeypatch):
+    # the dual's start point and I1 share one root; the default grid has
+    # six x below 2/3 and one (0.7) with no Q
+    solved = []
+
+    def counted(x):
+        solved.append(x)
+        return solve_Q_detail(x)
+
+    monkeypatch.setattr(ratecurves, "solve_Q_detail", counted)
+    grid = [RateParams(x=x, eps=0.1) for x in CURVE_X]
+    points = compute_I2(grid, 200, seed=1, workers=1)
+    assert solved == [x for x in CURVE_X if x < 2.0 / 3.0]
+    assert [pt.I1 for pt in points] == [compute_I1(params) for params in grid]
+
+
 def test_classifier_rejects_bad_params():
     for beta in (0.0, -1.0, math.nan):
         with pytest.raises(InvalidParams):

@@ -349,16 +349,33 @@ def test_rare_event_matches_the_contour_within_its_standard_error():
     assert abs(res.log_p - contour_log_p(50)) < 4.0 * res.std_error
 
 
+def pair_block(bitgen, rows: int, a_sum: np.ndarray, a_diff: np.ndarray) -> np.ndarray:
+    """_chi2_pair_block for `rows` replicas on fresh work arrays."""
+    log_u = np.empty((rows, a_sum.size), np.float32)
+    return _chi2_pair_block(bitgen, a_sum, a_diff, log_u, np.empty_like(log_u))
+
+
 def pair_kernel_draws(coef, replicas: int, seed: int = 11) -> np.ndarray:
     """T = sum c_n chi_n^2 from _chi2_pair_block, block by block."""
     a_sum, a_diff = _pair_coefficients(np.asarray(coef, dtype=float))
     bitgen = shard_rng(seed, 0).bit_generator
     rows = RARE_BLOCK_WORDS // a_sum.size
     out = [
-        _chi2_pair_block(bitgen, min(rows, replicas - done), a_sum, a_diff)
+        pair_block(bitgen, min(rows, replicas - done), a_sum, a_diff)
         for done in range(0, replicas, rows)
     ]
     return np.concatenate(out).astype(np.float64)
+
+
+class Replay:
+    """A bit generator whose random_raw hands back one fixed block of words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def random_raw(self, shape):
+        assert shape == self.words.shape
+        return self.words.copy()
 
 
 def test_pair_coefficients_pad_odd_counts():
@@ -391,50 +408,88 @@ def test_pair_kernel_coordinate_is_chi_square_one(d, j):
 
 
 def test_pair_kernel_bit_layout():
-    hi, lo = 3_000_000_000, 1_000_000_000
-
-    class Words:
-        def random_raw(self, shape):
-            return np.full(shape, (hi << 32) | lo, dtype=np.uint64)
-
-    log_u = math.log((hi + 0.5) * 2.0**-32)
-    cos_2phi = math.cos(lo * 4.0 * math.pi * 2.0**-32)
-    one, zero = np.ones(1, np.float32), np.zeros(1, np.float32)
-    assert _chi2_pair_block(Words(), 2, one, zero) == pytest.approx([log_u, log_u], rel=1e-6)
-    assert _chi2_pair_block(Words(), 2, zero, one) == pytest.approx(
-        [log_u * cos_2phi, log_u * cos_2phi], rel=1e-5
-    )
-    # the pair's members are R^2 cos^2(phi) and R^2 sin^2(phi); the first,
-    # 8.3e-3 here, is a difference of two O(R^2) terms, so its error is
-    # absolute, on the scale of ulp(R^2) = 6e-8
-    r2, phi = -2.0 * log_u, lo * 2.0 * math.pi * 2.0**-32
-    for coef, member in (([1.0, 0.0], math.cos(phi) ** 2), ([0.0, 1.0], math.sin(phi) ** 2)):
-        a_sum, a_diff = _pair_coefficients(np.array(coef))
-        assert _chi2_pair_block(Words(), 2, a_sum, a_diff) == pytest.approx(
-            [r2 * member, r2 * member], rel=0.0, abs=5e-7
+    # P = 3 pairs read 3 words as 6 little-endian halves h_0..h_5: pair k
+    # takes its radius from h_k and its angle from h_{3+k}, so pair 2's
+    # radius and pair 0's angle are the two halves of the middle word
+    h = np.array([3_000_000_000, 700_000_000, 2_500_000_000, 1_000_000_000, 0, 4_000_000_000],
+                 "<u4")
+    words = np.tile(h, (2, 1)).view("<u8")
+    assert words.shape == (2, 3)
+    for k in range(3):
+        log_u = math.log((float(h[k]) + 0.5) * 2.0**-32)
+        two_phi = float(h[3 + k]) * 4.0 * math.pi * 2.0**-32
+        pick, zero = np.zeros(3, np.float32), np.zeros(3, np.float32)
+        pick[k] = 1.0
+        assert pair_block(Replay(words), 2, pick, zero) == pytest.approx([log_u] * 2, rel=1e-6)
+        assert pair_block(Replay(words), 2, zero, pick) == pytest.approx(
+            [log_u * math.cos(two_phi)] * 2, rel=1e-5, abs=1e-6
         )
+        # the pair's members are R^2 cos^2(phi) and R^2 sin^2(phi); a member
+        # that is a difference of two O(R^2) terms carries an absolute error
+        # on the scale of ulp(R^2), at most 2.4e-7 here (R^2 <= 3.7)
+        r2 = -2.0 * log_u
+        for j, member in ((2 * k, math.cos(two_phi / 2.0) ** 2),
+                          (2 * k + 1, math.sin(two_phi / 2.0) ** 2)):
+            coef = np.zeros(6)
+            coef[j] = 1.0
+            a_sum, a_diff = _pair_coefficients(coef)
+            assert pair_block(Replay(words), 2, a_sum, a_diff) == pytest.approx(
+                [r2 * member] * 2, rel=0.0, abs=5e-7
+            )
 
 
 def test_pair_kernel_casts_each_half_as_copy_then_astype():
-    # a block of raw words, the extreme halves 0 and 2^32 - 1 among them
+    # a block of raw words, the extreme halves 0 and 2^32 - 1 among them in
+    # both the radius run (halves 0..6) and the angle run (halves 7..13)
     words = np.random.SFC64(3).random_raw((300, 7))
-    words[0, :4] = [0, 2**32 - 1, 2**64 - 2**32, 2**64 - 1]
+    extremes = [0, 2**32 - 1, 2**64 - 2**32, 2**64 - 1]
+    words[0, :4] = extremes
+    words[1, 3:] = extremes
 
-    class Replay:
-        def random_raw(self, shape):
-            assert shape == words.shape
-            return words.copy()
-
-    # the kernel with each strided half copied out and then cast
+    # the kernel with each contiguous run of halves copied out and then cast
     halves = words.astype("<u8", copy=False).view("<u4")
-    log_u = halves[:, 1::2].copy().astype(np.float32)
-    x = halves[:, 0::2].copy().astype(np.float32)
+    log_u = halves[:, :7].copy().astype(np.float32)
+    x = halves[:, 7:].copy().astype(np.float32)
     log_u = np.log((log_u + np.float32(0.5)) * np.float32(2.0**-32))
     x = np.cos(x * np.float32(4.0 * math.pi * 2.0**-32)) * log_u
     a_sum, a_diff = _pair_coefficients(np.linspace(-1.0, 0.5, 14))
     np.testing.assert_array_equal(
-        _chi2_pair_block(Replay(), 300, a_sum, a_diff), log_u @ a_sum + x @ a_diff
+        pair_block(Replay(words), 300, a_sum, a_diff), log_u @ a_sum + x @ a_diff
     )
+
+
+def test_pair_kernel_work_arrays_may_be_reused_and_sliced():
+    # one pair of work arrays serves every block of a shard, the last short
+    # block through their leading rows; stale values must not leak through
+    a_sum, a_diff = _pair_coefficients(np.linspace(-1.0, 0.5, 14))
+    words = np.random.SFC64(5).random_raw((40, 7))
+    log_u = np.full((64, 7), np.nan, np.float32)
+    x = np.full_like(log_u, np.inf)
+    _chi2_pair_block(Replay(np.random.SFC64(6).random_raw((64, 7))), a_sum, a_diff, log_u, x)
+    np.testing.assert_array_equal(
+        _chi2_pair_block(Replay(words), a_sum, a_diff, log_u[:40], x[:40]),
+        pair_block(Replay(words), 40, a_sum, a_diff),
+    )
+
+
+def test_pair_kernel_coordinates_sharing_a_word_are_independent_chi_square():
+    # with an odd pair count the halves of one word serve two pairs: at
+    # P = 3, word 1 holds pair 2's radius (h_2) and pair 0's angle (h_3), so
+    # coordinates 0, 1 (pair 0) and 4, 5 (pair 2) share a raw word
+    n = 1_000_000
+    draws = {j: pair_kernel_draws(np.eye(6)[j], n) for j in (0, 1, 4, 5)}
+    for j, x in draws.items():
+        assert abs(x.mean() - 1.0) < 4.0 * math.sqrt(2.0 / n), j
+        assert stats.kstest(x, stats.chi2(1).cdf).pvalue > 1e-3, j
+    for i, j in ((0, 4), (0, 5), (1, 4), (1, 5)):
+        assert abs(np.corrcoef(draws[i], draws[j])[0, 1]) < 4.0 / math.sqrt(n), (i, j)
+    # the shared word's halves themselves: pair 2's R^2 against pair 0's
+    # cos 2phi, which is (x0 - x1)/(x0 + x1) wherever pair 0's R^2 is not 0
+    r2_first = draws[0] + draws[1]
+    keep = r2_first > 0.0
+    cos_first = (draws[0] - draws[1])[keep] / r2_first[keep]
+    r2_last = (draws[4] + draws[5])[keep]
+    assert abs(np.corrcoef(r2_last, cos_first)[0, 1]) < 4.0 / math.sqrt(n)
 
 
 def test_pair_kernel_members_are_uncorrelated():
@@ -455,11 +510,15 @@ def test_rare_event_is_deterministic_across_workers():
 
 def test_rare_event_does_not_depend_on_the_block_size(monkeypatch):
     # blocks split the same stream into rows, and the shard sums run once
-    # over all of its T values, so the block size cannot move the result
+    # over all of its T values.  OpenBLAS's Haswell sgemv kernel sums T's
+    # rows in groups of four, so blocks of 4, 8, 16 and 32 rows (2^12 to
+    # 2^15 words at N = 2000) give the same bytes; 65 rows (2^16) would not
     kw = dict(n_sites=2000, replicas=100_000, seed=0, workers=1)
-    ref = rare_event_rate_mc(P12, **kw)
-    monkeypatch.setattr(wfe, "RARE_BLOCK_WORDS", 1 << 12)
-    assert rare_event_rate_mc(P12, **kw) == ref
+    results = []
+    for bits in (12, 13, 14, 15):
+        monkeypatch.setattr(wfe, "RARE_BLOCK_WORDS", 1 << bits)
+        results.append(rare_event_rate_mc(P12, **kw))
+    assert results[:3] == [results[3]] * 3
 
 
 def test_rare_event_rejects_bad_budget():
