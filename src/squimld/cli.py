@@ -191,13 +191,14 @@ def cmd_domain_scan(args) -> int:
     started = utc_now()
     params = RateParams(x=args.x, eps=args.eps)
     shards = domain_scan_csv(params, args.samples, seed=args.seed, workers=workers)
-    totals = dict.fromkeys(("d_points", "g_points", "scan_s", "format_s", "write_csv_s"), 0)
+    totals = dict.fromkeys(("d_points", "g_points", "cut_draws", "scan_s", "format_s",
+                            "write_csv_s"), 0)
 
     def blocks():
         # each shard's text as it arrives; the time until the writer asks
         # for the next block is its file-write time
         for part in shards:
-            for key in ("d_points", "g_points", "scan_s", "format_s"):
+            for key in ("d_points", "g_points", "cut_draws", "scan_s", "format_s"):
                 totals[key] += getattr(part, key)
             clock = time.perf_counter()
             yield part.text, part.fallback_cells
@@ -209,8 +210,8 @@ def cmd_domain_scan(args) -> int:
         summary=f"{totals['d_points']} D-points, {totals['g_points']} G-points",
         plot=domain_plot_script, seed=args.seed, workers=workers,
         timings={key: totals[key] for key in ("scan_s", "format_s", "write_csv_s")},
-        diagnostics={"csv_fallback_cells": fallback_cells, "d_points": totals["d_points"],
-                     "g_points": totals["g_points"]},
+        diagnostics={"csv_fallback_cells": fallback_cells,
+                     **{key: totals[key] for key in ("d_points", "g_points", "cut_draws")}},
     )
     return 0
 
@@ -227,6 +228,7 @@ def cmd_rate_curves(args) -> int:
     timings = {"sample_s": time.perf_counter() - clock - dual_s, "dual_s": dual_s}
     for x, pt in zip(args.x_list, points):
         rows.append((x, pt.I1, pt.I2, pt.accepted_G, pt.samples, args.seed))
+        diagnostics.update({f"d_points.{x!r}": pt.d_points, f"cut_draws.{x!r}": pt.cut_draws})
         if pt.theta_at_min is not None:  # the dual certified
             diagnostics.update({f"theta_star.{x!r}": ",".join(map(repr, pt.theta_at_min)),
                                 f"dual_gap.{x!r}": pt.dual_gap,

@@ -49,9 +49,12 @@ index) only, the combo included.  A shard's draws at one x are its 2n
 uniforms (`_uniforms`) mapped through the ray scheme (`_ray_points`).  The
 scan's worker reads them at its one x; I2's worker reads them once for the
 whole grid and maps them at each x, so its draws at an x are those of a
-fresh stream.  Both hand their draws to `_tested_k`, which runs one D
-test per draw and the kernel, given that test's values, on the draws of D
-the caller picks: all of them for the scan, those with theta2 > 0 for I2.
+fresh stream.  A draw with theta1 past `_theta1_cut` cannot be in D, and
+neither worker D-tests it; the scan still writes its row, while I2's
+worker does not even form its alpha and theta2.  Both hand the other
+draws to `_tested_k`, which runs one D test per draw and the kernel, given
+that test's values, on the draws of D the caller picks: all of them for
+the scan, those with theta2 > 0 for I2.
 The scan has two outlets over the one `_scan_shard`: `domain_scan` returns
 its rows as columns, and `domain_scan_csv` has each shard format its rows
 as SCAN_DTYPE CSV text in the worker and yields the texts in shard order,
@@ -81,8 +84,9 @@ from .report import format_records
 # theta1-upper combos almost never land in D: at eps = 0.1, seed 1 and
 # 10^5 draws each, they hold 4, 0 and 0 D points at x = 0.1 and none at
 # x = 0.4 or 0.7.  They stay because every sampled byte is pinned to this
-# schedule; dropping them would also raise the share of rate-curves draws
-# in D (defaults, seed 0) from 0.46 to 0.81, and the kernel work with it.
+# schedule, and they now cost one tilted theta1 draw per x: the cut
+# (_theta1_cut) drops all but 0.01 % of their draws at x = 0.1 and all of
+# them at x = 0.4 and 0.7 before any alpha, D test or kernel work.
 COMBOS = ((0.0, False), (2.0, False), (2.0, True), (8.0, False), (8.0, True), (32.0, False),
           (32.0, True))
 # Shards of every D-sampler job, fixed because every sampled byte depends
@@ -105,6 +109,8 @@ class RateCurvePoint:
     dual_gap: float = math.nan
     newton_iters: int = 0
     sampled_k_min: float = math.nan  # min of k over the sampled G ∩ D points
+    d_points: int = 0  # sampled points in D
+    cut_draws: int = 0  # draws past _theta1_cut, never D-tested
     # wall seconds of this x's dual and I1 solves; not part of the result
     dual_s: float = field(default=0.0, compare=False)
 
@@ -185,14 +191,56 @@ def biased_cdf(s, a, b, eta, upper):
 # ---------------------------------------------------------------------------
 
 
-def _ray_points(params: RateParams, u_alpha, u_theta1, combo):
-    """(theta1, theta2) of the ray scheme at the uniforms, under one (eta, theta1 upper) combo."""
-    eta, upper = combo
+# The D test rounds below 1 while |theta1| + |theta2| stays under this;
+# see _theta1_cut.
+CUT_REACH = 2.0**48
+
+
+def _ray_box(params: RateParams):
+    """(alpha_lo, alpha_hi, theta1_lo, theta1_hi): the ranges the ray scheme draws from."""
     x, eps = params.x, params.eps
-    alpha = tilted_sample(u_alpha, -x / (1.0 + eps), x / (1.0 - eps), eta, True)
-    theta1 = tilted_sample(u_theta1, -1.0 / (2.0 * x), 5.0 / (1.0 - x), eta, upper)
-    theta2 = alpha * (theta1 + 1.0 / (2.0 * x))
-    return theta1, theta2
+    return -x / (1.0 + eps), x / (1.0 - eps), -1.0 / (2.0 * x), 5.0 / (1.0 - x)
+
+
+def _theta1_cut(params: RateParams) -> float:
+    """The theta1 past which no draw of the ray scheme is in D:
+    1/((1 - x) - eps^2), or inf where the scheme reaches |theta1| +
+    |theta2| >= CUT_REACH.
+
+    q(eps) = 1 - 2 theta1 ((1 - x) - eps^2), so past the cut q(eps) < -1,
+    and as eps lies in (0, 1), the minimum of q over [-1, 1], at an end or
+    at the vertex y_c inside, is below -1 too.  _q_shape forms q(1), q(-1)
+    and the vertex value b - theta2 y_c each with an absolute rounding
+    error below (12 |theta1| + 10 |theta2| + 3) 2^-53, under 0.4 for
+    |theta1| + |theta2| < CUT_REACH; a y_c that rounds across +-1 moves
+    the minimum to an end, where q differs from the vertex value by
+    2 theta1 (1 - |y_c|)^2, below 2^-50.  Where the cut falls inside the
+    theta1 range, eps^2 < 0.8 (1 - x), and its own rounding moves q(eps)
+    by a few ulps.  So the computed q_min of every draw past the cut is
+    negative: the cut drops no draw that _q_shape puts in D.
+    """
+    _, a_hi, t_lo, t_hi = _ray_box(params)
+    reach = max(-t_lo, t_hi) + a_hi * (t_hi - t_lo)  # |alpha| <= a_hi
+    if not reach < CUT_REACH:
+        return math.inf
+    return 1.0 / ((1.0 - params.x) - params.eps * params.eps)
+
+
+def _ray_points(params: RateParams, u_alpha, u_theta1, combo, live_only=False):
+    """(theta1, theta2, live) of the ray scheme at the uniforms, under one
+    (eta, theta1 upper) combo; live indexes the draws at or below the cut.
+
+    theta1 and theta2 are those of every draw, or with live_only those of
+    the live draws, whose alpha alone is then drawn.
+    """
+    eta, upper = combo
+    a_lo, a_hi, t_lo, t_hi = _ray_box(params)
+    theta1 = tilted_sample(u_theta1, t_lo, t_hi, eta, upper)
+    live = np.flatnonzero(theta1 <= _theta1_cut(params))
+    if live_only:
+        theta1, u_alpha = theta1.take(live), u_alpha.take(live)
+    theta2 = tilted_sample(u_alpha, a_lo, a_hi, eta, True) * (theta1 - t_lo)
+    return theta1, theta2, live
 
 
 def _uniforms(rng, n: int):
@@ -205,24 +253,31 @@ def _in_G(pieces):
     return pieces["ok"] & (pieces["grad1"] <= 0.0) & (pieces["grad2"] >= 0.0)
 
 
-def _tested_k(params: RateParams, theta1, theta2, keep):
-    """(in_D, in_G, k) of the draws, from one D test per draw and the kernel,
-    handed that test's values, on the draws of D that keep marks; elsewhere
-    k is NaN and in_G false, as the kernel gives them off D."""
+def _tested_k(params: RateParams, theta1, theta2, g_only: bool):
+    """(in_D, picked, in_G, k) of the draws: in_D from one D test per draw,
+    picked the indices of the draws of D the kernel runs on, handed that
+    test's values (with g_only, only those with theta2 > 0), and in_G and
+    k the kernel's verdicts there."""
     shape = _q_shape(theta1, theta2, _b_of(params, theta1, theta2))
-    picked = shape[3] & keep
-    pieces = _pieces_arr(params, theta1[picked], theta2[picked], shape=[v[picked] for v in shape])
-    in_g, k = np.zeros(len(theta1), dtype=bool), np.full(len(theta1), np.nan)
-    in_g[picked], k[picked] = _in_G(pieces), pieces["k"]
-    return shape[3], in_g, k
+    picked = np.flatnonzero(shape[3] & (theta2 > 0.0) if g_only else shape[3])
+    pieces = _pieces_arr(params, theta1.take(picked), theta2.take(picked),
+                         shape=[v.take(picked) for v in shape])
+    return shape[3], picked, _in_G(pieces), pieces["k"]
 
 
 def _scan_shard(shard: int, payload):
-    """Worker: one shard's draws and their kernel values, as the SCAN_DTYPE columns."""
+    """Worker: one shard's draws and their kernel values, as the SCAN_DTYPE
+    columns; a draw off D has in_D and in_G false and k NaN, as the kernel
+    gives it."""
     params, counts, seed = payload
-    theta1, theta2 = _ray_points(params, *_uniforms(shard_rng(seed, shard), counts[shard]),
-                                 COMBOS[shard % len(COMBOS)])
-    return (theta1, theta2) + _tested_k(params, theta1, theta2, True)
+    theta1, theta2, live = _ray_points(params, *_uniforms(shard_rng(seed, shard), counts[shard]),
+                                       COMBOS[shard % len(COMBOS)])
+    _, picked, in_g, k = _tested_k(params, theta1.take(live), theta2.take(live), False)
+    at = live.take(picked)
+    in_d_col, in_g_col = np.zeros(len(theta1), dtype=bool), np.zeros(len(theta1), dtype=bool)
+    k_col = np.full(len(theta1), np.nan)
+    in_d_col[at], in_g_col[at], k_col[at] = True, in_g, k
+    return theta1, theta2, in_d_col, in_g_col, k_col
 
 
 def _payload(params, n_samples: int, seed: int):
@@ -253,6 +308,7 @@ class ScanText(NamedTuple):
     fallback_cells: int  # cells formatted one at a time
     d_points: int
     g_points: int
+    cut_draws: int  # draws past _theta1_cut, never D-tested
     scan_s: float  # drawing and kernel seconds
     format_s: float
 
@@ -261,10 +317,11 @@ def _scan_text_shard(shard: int, payload) -> ScanText:
     """Worker: one shard's _scan_shard rows, formatted as SCAN_DTYPE CSV."""
     clock = time.perf_counter()
     cols = _scan_shard(shard, payload)
+    cut = int(np.count_nonzero(cols[0] > _theta1_cut(payload[0])))
     scanned = time.perf_counter()
     text, single = format_records(np.rec.fromarrays(cols, dtype=SCAN_DTYPE))
     return ScanText(text, single, int(np.count_nonzero(cols[2])), int(np.count_nonzero(cols[3])),
-                    scanned - clock, time.perf_counter() - scanned)
+                    cut, scanned - clock, time.perf_counter() - scanned)
 
 
 def domain_scan_csv(params: RateParams, n_samples: int, seed: int = 0,
@@ -285,7 +342,8 @@ def domain_scan_csv(params: RateParams, n_samples: int, seed: int = 0,
 
 
 def _i2_grid_shard(shard: int, payload):
-    """Worker: (n_in_D, n_in_G, k_min) of one shard's draws at each x of the grid.
+    """Worker: (n_in_D, n_in_G, k_min, n_cut) of one shard's draws at each
+    x of the grid, n_cut the draws past _theta1_cut.
 
     The shard reads its uniforms once and maps them through the ray scheme
     of each x, so its draws at each x are those of a fresh stream.  k_min
@@ -295,17 +353,20 @@ def _i2_grid_shard(shard: int, payload):
     G lies in theta2 > 0, so the kernel runs only on the draws of D there.
     For theta2 <= 0, q(y) - q(-y) = -4 theta2 y >= 0 for y > 0, so
     Int y/q <= 0 and dc/dtheta2 = Int y/q - eps Int 1/q < 0: never in G.
-    So the counts and k_min equal those of the kernel over every draw.
+    Only the draws at or below the cut get an alpha and a D test, and the
+    kernel's verdicts on those it runs on reduce straight to the counts and
+    k_min, which equal those of the kernel over every draw.
     """
     grid, counts, seed = payload
     uniforms = _uniforms(shard_rng(seed, shard), counts[shard])
     combo = COMBOS[shard % len(COMBOS)]
     out = []
     for params in grid:
-        theta1, theta2 = _ray_points(params, *uniforms, combo)
-        in_d, in_g, k = _tested_k(params, theta1, theta2, theta2 > 0.0)
+        theta1, theta2, live = _ray_points(params, *uniforms, combo, live_only=True)
+        in_d, _, in_g, k = _tested_k(params, theta1, theta2, True)
         k_min = float(k[in_g].min()) if in_g.any() else np.inf
-        out.append((int(np.count_nonzero(in_d)), int(np.count_nonzero(in_g)), k_min))
+        out.append((int(np.count_nonzero(in_d)), int(np.count_nonzero(in_g)), k_min,
+                    counts[shard] - len(live)))
     return out
 
 
@@ -456,8 +517,9 @@ def compute_I2(grid, n_samples: int, seed: int = 0,
     Every x's dual and I1 are solved first, in grid order, so a solve that
     raises leaves no sampling work behind.  The sampler is then one job
     over the SHARDS shards for the whole grid: each shard draws its
-    uniforms once and maps them to n_samples points of D at every x
-    (_i2_grid_shard), keeping the minimum of k over those in G ∩ D.
+    uniforms once and maps them to n_samples draws at every x
+    (_i2_grid_shard), keeping the minimum of k over those in G ∩ D and
+    counting those in D (d_points) and past the cut (cut_draws).
     Every sampled k is an upper bound on I2 (weak duality), so
     the sampled minimum checks the dual value from above.  The
     two-constraint event lies inside the one-constraint event, so
@@ -492,7 +554,7 @@ def compute_I2(grid, n_samples: int, seed: int = 0,
             accepted_G=accepted_g, samples=n_samples, noise_band=band,
             theta_at_min=dual.theta if dual else None, dual_gap=dual.gap if dual else math.nan,
             newton_iters=dual.iterations if dual else 0, sampled_k_min=min(group_min),
-            dual_s=dual_s,
+            d_points=sum(p[0] for p in mine), cut_draws=sum(p[3] for p in mine), dual_s=dual_s,
         ))
     return points
 

@@ -23,17 +23,20 @@ separator in byte 39; a bool cell takes 2 bytes, its digit and its
 separator, and adjacent bool columns share a word, 4 cells to it; an int
 or text cell takes ceil((width + 1)/8) words, width being its column's
 widest cell in the window, with the separator in the last byte.  The
-cells are written straight into their slots, and one bytearray.translate
-deletes the padding.  Each float column goes
-through an exact numpy kernel for "%.17g": for finite |v| in
-[1e-4, 1e16), where "%.17g" prints fixed notation, the 17 significant
-digits are the exact integer round(|v| * 10^(16 - E)), E = floor(log10
-|v|), rounded half to even from Dekker's error-free product; each digit
-gets a slot for the decimal point after it.  nan, inf and -inf are
-written by the kernel too, and bool cells directly.  Only the remaining
-float cells (zeros, subnormals, |v| < 1e-4, |v| >= 1e16) and int and
-text cells are formatted one at a time with %; the formatter and the
-writers return how many.  The kernel's bytes equal "%.17g"'s for every
+cells are written into their slots, and one bytearray.translate deletes
+the padding.  Each float column goes through an exact numpy kernel for
+"%.17g", whose digit pipeline runs only on the cells it prints: finite
+|v| in [1e-4, 1e16), where "%.17g" prints fixed notation.  There the 17
+significant digits are the exact integer round(|v| * 10^(16 - E)), E =
+floor(log10 |v|), rounded half to even from Dekker's error-free product;
+each digit gets a slot for the decimal point after it.  When the 17th
+digit is nonzero all 17 show, so only the cells whose 17th digit is 0
+are searched for trailing zeros.  Each such cell's five words are built
+in one contiguous block and copied into the row buffer once.  nan, inf
+and -inf take one word each, and bool cells are written directly.  Only
+the remaining float cells (zeros, subnormals, |v| < 1e-4, |v| >= 1e16)
+and int and text cells are formatted one at a time with %; the formatter
+and the writers return how many.  The kernel's bytes equal "%.17g"'s for every
 float64, and an int column prints every value of its dtype exactly (a
 seed column is uint64).  The bytes are the determinism contract for
 repeated runs.
@@ -90,12 +93,17 @@ def _words(byte_rows) -> np.ndarray:
 
 
 def _digit_words(digits: np.ndarray) -> np.ndarray:
-    """[n * 10^4 + v]: the 4 digits of v < 10^4 in the even bytes of a
-    word, only the first n (0..4) of them shown."""
-    rows = np.zeros((5, 10_000, 8), dtype=np.uint8)
-    for n in range(1, 5):
-        rows[n, :, :2 * n:2] = digits[:, :n] + ord("0")
-    return _words(rows).ravel()
+    """[v]: the 4 digits of v < 10^4 in the even bytes of a word."""
+    rows = np.zeros((10_000, 8), dtype=np.uint8)
+    rows[:, ::2] = digits + ord("0")
+    return _words(rows)
+
+
+def _shown_masks() -> np.ndarray:
+    """[s]: the five words of a float cell that keep its bytes through
+    digit s, byte 2 s + 6, and clear every later byte."""
+    keep = np.arange(40) <= 2 * np.arange(17)[:, None] + 6
+    return _words(np.where(keep, 0xFF, 0).reshape(17, 5, 8))
 
 
 def _head_words() -> np.ndarray:
@@ -111,14 +119,15 @@ def _head_words() -> np.ndarray:
 
 
 @cache
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The digit words, the head words, and [v]: the position (1..4) of the
-    last nonzero digit of v < 10^4, below any digit position for v = 0.
-    Built on first use, so importing the module stays cheap."""
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The digit words, the head words, [v]: the position (1..4) of the
+    last nonzero digit of v < 10^4, below any digit position for v = 0,
+    and the shown-digit masks.  Built on first use, so importing the
+    module stays cheap."""
     digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # [v]: v's 4 digits
     last_nonzero = np.where(digits.any(axis=1),
                             4 - np.argmax(digits[:, ::-1] != 0, axis=1), -16)
-    return _digit_words(digits), _head_words(), last_nonzero
+    return _digit_words(digits), _head_words(), last_nonzero, _shown_masks()
 
 
 _NAN, _INF, _MINUS_INF = _words(np.frombuffer(b"nan\0\0\0\0\0\0inf\0\0\0\0-inf\0\0\0\0",
@@ -129,12 +138,17 @@ _TEN = np.array([10.0**k for k in range(22)])
 
 def _split(a):
     """Veltkamp's split of float64 a into two 26-bit halves, hi + lo = a."""
-    c = a * 134217729.0  # 2^27 + 1
-    hi = c - (c - a)
+    hi = a * 134217729.0  # 2^27 + 1, then hi = c - (c - a)
+    hi -= hi - a
     return hi, a - hi
 
 
 _TEN_HI, _TEN_LO = _split(_TEN)
+
+
+# The digit kernel works in place where it can: a window's column
+# temporaries are 128 KiB each, and a fresh one can cost a page fault per
+# 4 KiB when the allocator has handed that memory back to the system.
 
 
 def _scaled_digits(mag: np.ndarray, exp10: np.ndarray) -> np.ndarray:
@@ -150,59 +164,90 @@ def _scaled_digits(mag: np.ndarray, exp10: np.ndarray) -> np.ndarray:
     p = mag * _TEN[k]
     hi, lo = _split(mag)
     ten_hi, ten_lo = _TEN_HI[k], _TEN_LO[k]
-    err = ((hi * ten_hi - p) + hi * ten_lo + lo * ten_hi) + lo * ten_lo
-    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+    # err = ((hi * ten_hi - p) + hi * ten_lo + lo * ten_hi) + lo * ten_lo
+    err = hi * ten_hi
+    err -= p
+    term = np.multiply(hi, ten_lo, out=hi)
+    err += term
+    err += np.multiply(lo, ten_hi, out=term)
+    err += np.multiply(lo, ten_lo, out=term)
+    d = p.astype(np.int64)
+    d += np.rint(err, out=err).astype(np.int64)
+    return d
+
+
+def _fixed_cells(mag: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """The five words of "%.17g" of each finite mag in [FIXED_MIN, FIXED_MAX),
+    signed by negative, as an (n, 5) uint64 block, one cell to a row; byte
+    39 of each cell, after the 17th digit, is PAD."""
+    exp10 = np.log10(mag)
+    exp10 = np.floor(exp10, out=exp10).astype(np.int64)
+    d = _scaled_digits(mag, exp10)
+    # log10 can miss E by one near a power of ten, and rounding can carry
+    # into an 18th digit: move E and redo those cells until D has 17 digits
+    while True:
+        redo = ((d >= 10**17) | (d < 10**16)).nonzero()[0]
+        if not redo.size:
+            break
+        exp10[redo] += np.where(d[redo] >= 10**17, 1, -1)
+        d[redo] = _scaled_digits(mag[redo], exp10[redo])
+    digit_words, head_words, last_nonzero, shown_masks = _tables()
+    # D = first * 10^16 + four 4-digit chunks, cut down in place
+    high = d // 10**8
+    d -= high * 10**8
+    first = high // 10**8
+    high -= first * 10**8
+    chunks = [high // 10**4, high, d // 10**4, d]
+    high -= chunks[0] * 10**4
+    d -= chunks[2] * 10**4
+    cells = np.empty((len(d), 5), dtype=np.uint64)
+    head = 20 * negative
+    head += exp10
+    head += 4
+    head *= 10
+    head += first
+    cells[:, 0] = head_words[head]
+    for c in range(4):
+        cells[:, c + 1] = digit_words[chunks[c]]
+    # all 17 digits, with the point after digit E
+    point = (exp10 >= 0).nonzero()[0]
+    cells.view(np.uint8)[point, 2 * exp10[point] + 7] = ord(".")
+    # where the 17th digit is 0, %g cuts the trailing zeros, down to digit
+    # E, and with them a point after the last digit it shows
+    tail = (last_nonzero[chunks[3]] != 4).nonzero()[0]
+    if tail.size:
+        last = np.maximum(last_nonzero[chunks[0][tail]], 0)  # index of the last nonzero digit
+        for c in range(1, 4):
+            np.maximum(last, last_nonzero[chunks[c][tail]] + 4 * c, out=last)
+        cells[tail] &= shown_masks[np.maximum(last, exp10[tail])]
+    return cells
 
 
 def _format_floats(values: np.ndarray, rows: np.ndarray, at: int) -> int:
     """Write "%.17g" of each value into its float slot, words at..at + 4 of
     its row of the PAD-filled uint64 row buffer rows, and return the number
-    of cells formatted one at a time.  Byte 39 of the slot, after the 17th
-    digit, is left as it was for the caller's separator."""
+    of cells formatted one at a time.  Only the cells "%.17g" prints in
+    fixed notation go through the digit kernel (_fixed_cells); nan and
+    +-inf take one word, the rest are formatted one at a time.  Byte 39 of
+    the slot, after the 17th digit, is left as it was for the caller's
+    separator."""
     mag = np.abs(values)
     fast = (mag >= FIXED_MIN) & (mag < FIXED_MAX)
-    mag[~fast] = 1.0  # a stand-in; those cells are overwritten below
-    exp10 = np.floor(np.log10(mag)).astype(np.int64)
-    d = _scaled_digits(mag, exp10)
-    # log10 can miss E by one near a power of ten, and rounding can carry
-    # into an 18th digit: move E and redo those cells until D has 17 digits
-    while True:
-        step = (d >= 10**17).astype(np.int64) - (d < 10**16)
-        redo = np.flatnonzero(step)
-        if not redo.size:
-            break
-        exp10[redo] += step[redo]
-        d[redo] = _scaled_digits(mag[redo], exp10[redo])
-    digit_words, head_words, last_nonzero = _tables()
-    # D = first * 10^16 + four 4-digit chunks
-    first = d // 10**16
-    rest = d - first * 10**16
-    high = rest // 10**8
-    low = rest - high * 10**8
-    chunks = [high // 10**4, high % 10**4, low // 10**4, low % 10**4]
-    last = np.maximum(last_nonzero[chunks[0]], 0)  # index of the last nonzero digit
-    for c in range(1, 4):
-        np.maximum(last, last_nonzero[chunks[c]] + 4 * c, out=last)
-    shown = np.maximum(last, exp10)  # digits 0..shown are printed
-    words = rows[:, at:at + 5]
-    words[:, 0] = head_words[(exp10 + 4 + 20 * (values < 0)) * 10 + first]
-    for c in range(4):
-        keep = np.minimum(np.maximum(shown - 4 * c, 0), 4)
-        words[:, c + 1] = digit_words[keep * 10_000 + chunks[c]]
-    point = np.flatnonzero((last > exp10) & (exp10 >= 0))
-    rows.view(np.uint8)[point, 8 * at + 2 * exp10[point] + 7] = ord(".")
-
-    special = ~np.isfinite(values)
-    if special.any():
-        words[special, 1:] = 0
-        words[special, 0] = np.where(np.isnan(values[special]), _NAN,
-                                     np.where(values[special] < 0, _MINUS_INF, _INF))
-    single = ~fast & ~special
-    count = int(single.sum())
-    if count:
-        words[single] = 0
-        words[single, :4] = _cell_bytes(FLOAT_FMT, values[single], 32).view(np.uint64)
-    return count
+    if fast.all():
+        rows[:, at:at + 5] = _fixed_cells(mag, values < 0.0)
+        return 0
+    fixed = fast.nonzero()[0]
+    if fixed.size:
+        rows[fixed, at:at + 5] = _fixed_cells(mag[fixed], values[fixed] < 0.0)
+    finite = np.isfinite(values)
+    special = (~finite).nonzero()[0]
+    if special.size:
+        v = values[special]
+        rows[special, at] = np.where(np.isnan(v), _NAN, np.where(v < 0.0, _MINUS_INF, _INF))
+    single = (finite & ~fast).nonzero()[0]
+    if single.size:
+        rows[single, at:at + 4] = _cell_bytes(FLOAT_FMT, values[single], 32).view(np.uint64)
+    return int(single.size)
 
 
 def _cell_bytes(spec: str, values: np.ndarray, width: int = 0) -> np.ndarray:

@@ -712,7 +712,9 @@ def test_rate_curves_marker_row_stands_when_the_dual_refuses_too(tmp_path, capsy
     row = read(tmp_path / "rate_curve.csv").splitlines()[1].split(",")
     assert row[2] == "nan" and row[3] == "0"
     man = json.loads(read(tmp_path / "rate_curve_manifest.json"))
-    assert not [k for k in man if k.startswith("diag.") and k.endswith(".0.05")]
+    # the sampler's counts stand; no dual or sampled-minimum figure does
+    assert sorted(k for k in man if k.startswith("diag.") and k.endswith(".0.05")) == [
+        "diag.cut_draws.0.05", "diag.d_points.0.05"]
 
 
 def test_rate_curves_exit_3_when_the_dual_does_not_certify(tmp_path, capsys, monkeypatch):

@@ -5,10 +5,11 @@ domain scan must honor the shard determinism contract, the scan shard's
 columns must be the kernel's over every draw, bit for bit, the I2 grid
 shard, which maps one set of uniforms to every x and skips the kernel where
 theta2 <= 0, must count exactly what the kernel over every draw of a fresh
-stream counts, one call over a grid must give each x's own point, and the
-axis rate
-I1 is k at the constraint end Q, which a dense grid of k along the axis
-segment must never undercut.  I2 is minus the minimum of c over the
+stream counts, the cut both shards make past theta1 = 1/((1 - x) - eps^2)
+must drop no draw of D on any admitted (x, eps), one call over a grid
+must give each x's own point, and the axis rate I1 is k at the
+constraint end Q, which a dense grid of k along the axis segment must
+never undercut.  I2 is minus the minimum of c over the
 quadrant theta1 <= 0, theta2 >= 0; its tests pin the certificate, the
 dual value against quadrature of c, reference values, and the bracket
 I1 <= I2 <= (sampled minimum of k over G) on every seed.  The Theorem-2
@@ -47,15 +48,16 @@ from squimld import ratecurves
 from squimld.parallel import shard_rng
 from squimld.ratecurves import (
     COMBOS,
+    CUT_REACH,
     DUAL_GAP_TOL,
     SCAN_DTYPE,
     SHARDS,
     GFunctions,
     _i2_grid_shard,
     _in_G,
-    _ray_points,
     _scan_shard,
     _tested_k,
+    _theta1_cut,
     _uniforms,
     biased_cdf,
     classify_theorem_two,
@@ -197,9 +199,24 @@ def test_no_point_with_theta2_at_most_zero_is_in_G(x, eps_frac, s_frac, f):
     assert pieces["grad2"][0] < 0.0
 
 
-def _fresh_draws(params, shard, n):
-    """n ray-scheme draws at params from a fresh (seed 1, shard) stream."""
-    return _ray_points(params, *_uniforms(shard_rng(1, shard), n), COMBOS[shard % len(COMBOS)])
+def _uncut_draws(params, u_alpha, u_theta1, combo):
+    """(theta1, theta2) of the ray scheme at the uniforms, every draw: the
+    reference the samplers' cut draws are checked against."""
+    eta, upper = combo
+    x, eps = params.x, params.eps
+    alpha = tilted_sample(u_alpha, -x / (1.0 + eps), x / (1.0 - eps), eta, True)
+    theta1 = tilted_sample(u_theta1, -1.0 / (2.0 * x), 5.0 / (1.0 - x), eta, upper)
+    return theta1, alpha * (theta1 + 1.0 / (2.0 * x))
+
+
+def _fresh_draws(params, shard, n, seed=1):
+    """n ray-scheme draws at params from a fresh (seed, shard) stream, uncut."""
+    return _uncut_draws(params, *_uniforms(shard_rng(seed, shard), n), COMBOS[shard % len(COMBOS)])
+
+
+def _cut_count(params, theta1):
+    """The draws past theta1 = 1/((1 - x) - eps^2), where q(eps) < -1."""
+    return int(np.count_nonzero(theta1 > 1.0 / ((1.0 - params.x) - params.eps * params.eps)))
 
 
 def test_scan_shard_matches_the_kernel_over_every_draw():
@@ -234,10 +251,68 @@ def test_i2_shard_matches_the_kernel_over_every_draw(x):
         pieces = _pieces_arr(grid[at], theta1, theta2)
         g_mask = _in_G(pieces)
         k_min = float(pieces["k"][g_mask].min()) if g_mask.any() else np.inf
-        oracle = (int(np.count_nonzero(pieces["in_D"])), int(np.count_nonzero(g_mask)), k_min)
+        oracle = (int(np.count_nonzero(pieces["in_D"])), int(np.count_nonzero(g_mask)), k_min,
+                  _cut_count(grid[at], theta1))
         assert _i2_grid_shard(shard, (grid, counts, 1))[at] == oracle
         hits += oracle[1]
     assert hits > 0
+
+
+def _admitted(eps, x):
+    params = RateParams(x=x, eps=eps) if 0.0 < x <= 1.0 and (1.0 - x) - eps * eps > 0.0 else None
+    assume(params is not None)
+    return params
+
+
+# admitted (x, eps): anywhere, x within 1e-9 below 1 - eps^2, x down to 1e-6,
+# and x next to 1 with eps below 1.5e-8, where the ray scheme's reach
+# |theta1| + |theta2| crosses CUT_REACH
+ANY_PARAMS = st.builds(lambda e, f: _admitted(e, f * (1.0 - e * e)),
+                       st.floats(1e-3, 0.999), st.floats(1e-3, 0.999))
+EDGE_PARAMS = st.builds(lambda e, d: _admitted(e, (1.0 - e * e) - d),
+                        st.floats(1e-3, 0.999), st.floats(1e-18, 1e-9))
+SMALL_X_PARAMS = st.builds(lambda e, x: _admitted(e, x), st.floats(1e-3, 0.99),
+                           st.floats(1e-6, 1e-3))
+GUARD_PARAMS = st.builds(lambda m, f: _admitted(f * math.sqrt(m * 2.0**-53), 1.0 - m * 2.0**-53),
+                         st.integers(2, 4000), st.floats(1e-4, 0.9))
+
+
+@given(st.one_of(ANY_PARAMS, EDGE_PARAMS, SMALL_X_PARAMS, GUARD_PARAMS), st.integers(0, 2**32))
+@settings(max_examples=120, deadline=None)
+def test_the_cut_drops_no_draw_of_d_and_the_shards_equal_the_uncut_draws(params, seed):
+    # the cut is 1/((1 - x) - eps^2) wherever the scheme's reach stays below
+    # CUT_REACH, and no cut at all beyond it
+    x, eps = params.x, params.eps
+    t_lo, t_hi = -1.0 / (2.0 * x), 5.0 / (1.0 - x)
+    reach = max(-t_lo, t_hi) + x / (1.0 - eps) * (t_hi - t_lo)
+    cut = _theta1_cut(params)
+    assert cut == (1.0 / ((1.0 - x) - eps * eps) if reach < CUT_REACH else math.inf)
+    if math.isfinite(cut) and cut < t_hi:
+        # the doubles right past the cut and at the far end of the theta1
+        # range, along the widest rays, are out of D
+        theta1 = np.repeat([np.nextafter(cut, math.inf), np.nextafter(cut, math.inf) * 1.5,
+                            t_hi], 3)
+        alpha = np.tile([-x / (1.0 + eps), 0.0, x / (1.0 - eps)], 3)
+        theta2 = alpha * (theta1 - t_lo)
+        assert not np.any(_q_shape(theta1, theta2, _b_of(params, theta1, theta2))[3])
+    counts = [300] * len(COMBOS)
+    scanned = 0
+    for shard in range(len(COMBOS)):
+        theta1, theta2 = _fresh_draws(params, shard, counts[shard], seed)
+        pieces = _pieces_arr(params, theta1, theta2)
+        # every draw the D test puts in D passes the cut
+        assert np.all(theta1[_q_shape(theta1, theta2, _b_of(params, theta1, theta2))[3]] <= cut)
+        oracle = (theta1, theta2, pieces["in_D"], _in_G(pieces), pieces["k"])
+        cols = _scan_shard(shard, (params, counts, seed))
+        for name, col, want in zip(SCAN_DTYPE.names, cols, oracle):
+            assert col.dtype == want.dtype and col.tobytes() == want.tobytes(), (shard, name)
+        g_mask = oracle[3]
+        k_min = float(pieces["k"][g_mask].min()) if g_mask.any() else np.inf
+        n_cut = int(np.count_nonzero(theta1 > cut))
+        assert _i2_grid_shard(shard, ((params,), counts, seed)) == [
+            (int(np.count_nonzero(oracle[2])), int(np.count_nonzero(g_mask)), k_min, n_cut)]
+        scanned += counts[shard] - n_cut
+    assert scanned > 0
 
 
 def test_kernel_given_the_shard_shape_equals_the_kernel_computing_it():
@@ -262,8 +337,9 @@ def test_kernel_given_the_shard_shape_equals_the_kernel_computing_it():
     for key, value in computed.items():
         value = value[picked]
         assert value.dtype == given[key].dtype and value.tobytes() == given[key].tobytes(), key
-    in_d, in_g, k = _tested_k(params, theta1[-2:], theta2[-2:], theta2[-2:] > 0.0)
-    assert np.all(in_d) and np.all(np.isnan(k)) and not np.any(in_g)
+    in_d, picked, in_g, k = _tested_k(params, theta1[-2:], theta2[-2:], True)
+    assert np.all(in_d) and list(picked) == [0, 1]
+    assert np.all(np.isnan(k)) and not np.any(in_g)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,68 @@ def test_kernel_special_values():
     assert kernel_text([negative_nan, -math.inf, -0.0]) == b"nan\n-inf\n-0\n"
 
 
+def _cells(text: bytes) -> list[str]:
+    return text.decode().splitlines()
+
+
+def _percent_cells(values) -> list[str]:
+    return [FLOAT_FMT % float(v) for v in values]
+
+
+# cells whose 17th significant digit is 0, printed with fewer digits
+TRAILING_ZEROS = [0.5, -0.5, 1.25, 123456789.0, -123456789.0, 1e15, 1e-4, 0.1, 100.0, 9.5]
+OUTSIDE_THE_KERNEL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072009e-308,
+                      1e-5, 1e16, -1e16]
+
+
+def test_trailing_zero_cells_among_cells_outside_the_kernel():
+    # every path of the float formatter in one column: the kernel cells with
+    # all 17 digits and with trailing zeros cut, nan and +-inf, and the
+    # cells formatted one at a time
+    rng = np.random.default_rng(7)
+    full = rng.standard_normal(40) * 10.0 ** rng.integers(-4, 16, 40)
+    values = np.concatenate([TRAILING_ZEROS, OUTSIDE_THE_KERNEL, full])
+    values = values[rng.permutation(len(values))]
+    text, single = format_records(np.rec.fromarrays([values], names="v"))
+    assert _cells(text) == _percent_cells(values)
+    mag = np.abs(values)
+    outside = np.isfinite(values) & ((mag < FIXED_MIN) | (mag >= FIXED_MAX))
+    assert single == int(np.count_nonzero(outside)) >= 7  # zeros, subnormals, 1e-5, +-1e16
+
+
+def test_all_nan_column():
+    values = np.full(1000, np.nan)
+    text, single = format_records(np.rec.fromarrays([values, -values], names="a,b"))
+    assert text == b"nan,nan\n" * 1000 and single == 0
+
+
+@pytest.mark.parametrize("value", TRAILING_ZEROS + OUTSIDE_THE_KERNEL + [1.0 / 3.0, -2.0 / 3.0])
+def test_one_cell_column(value):
+    text, _ = format_records(np.rec.fromarrays([np.array([value])], names="v"))
+    assert _cells(text) == _percent_cells([value])
+
+
+def test_multi_window_table_split_at_several_points():
+    # a window of kernel cells only, a window with every path, and a short
+    # last window: any split into blocks writes the same cells
+    n_rows = 2 * KERNEL_ROWS + 1000
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-4, 16, n_rows)
+    places = 10.0 ** rng.integers(0, 17, n_rows)
+    b = np.floor(rng.random(n_rows) * places) / places  # many with trailing zeros
+    special = np.array(TRAILING_ZEROS + OUTSIDE_THE_KERNEL)
+    a[KERNEL_ROWS + 5::97] = special[rng.integers(0, len(special), len(a[KERNEL_ROWS + 5::97]))]
+    b[::89] = np.nan
+    rec = np.rec.fromarrays([a, b], names="a,b")
+    whole = format_records(rec)[0]
+    assert _cells(whole) == [f"{x},{y}" for x, y in zip(_percent_cells(a), _percent_cells(b))]
+    for cuts in ([1], [KERNEL_ROWS - 1], [KERNEL_ROWS, KERNEL_ROWS + 7],
+                 [3, KERNEL_ROWS + 1, 2 * KERNEL_ROWS - 1, n_rows - 1]):
+        edges = [0, *cuts, n_rows]
+        parts = [format_records(rec[lo:hi])[0] for lo, hi in zip(edges, edges[1:])]
+        assert b"".join(parts) == whole, cuts
+
+
 def test_narrow_float_columns_print_as_python_floats():
     single = np.array([0.1, -1 / 3, 1e-5, 3e38, np.nan], dtype=np.float32)
     half = np.array([0.1, -1 / 3, 1e-3, 6e4, -np.inf], dtype=np.float16)
