@@ -26,11 +26,12 @@ validation-suite failure.  Two outcomes are reported per row instead:
 the empty-G marker point that compute_I2 returns for each x of the
 rate-curves grid whose budget misses G (NaN I2, accepted_G = 0; the
 manifest still records the dual's theta_star, gap and Newton count when
-the dual certifies, and a dual that does not certify exits 3 only at an x
-whose draws hit G), and (omega, eps, delta) outside the transition-bound
-hypotheses in wfe (NaN p_star_inf and beta_c, hypotheses_ok = 0).  A
-failed command leaves no partial CSV.  A layered --level is not checked
-against the flag's choices by argparse; run_validation refuses it.
+the dual certifies, and its refusal's message as dual_refusal when it
+does not; a refusal exits 3 only at an x whose draws hit G), and (omega,
+eps, delta) outside the transition-bound hypotheses in wfe (NaN
+p_star_inf and beta_c, hypotheses_ok = 0).  A failed command leaves no
+partial CSV.  A layered --level is not checked against the flag's
+choices by argparse; run_validation refuses it.
 
 rate-curves makes one compute_I2 call over its whole grid: it solves every
 x's dual and I1, then runs one sampling job.  Its manifest's time.dual_s
@@ -229,10 +230,12 @@ def cmd_rate_curves(args) -> int:
     for x, pt in zip(args.x_list, points):
         rows.append((x, pt.I1, pt.I2, pt.accepted_G, pt.samples, args.seed))
         diagnostics.update({f"d_points.{x!r}": pt.d_points, f"cut_draws.{x!r}": pt.cut_draws})
-        if pt.theta_at_min is not None:  # the dual certified
-            diagnostics.update({f"theta_star.{x!r}": ",".join(map(repr, pt.theta_at_min)),
-                                f"dual_gap.{x!r}": pt.dual_gap,
-                                f"newton_iters.{x!r}": pt.newton_iters})
+        if pt.dual is not None:  # the dual certified
+            diagnostics.update({f"theta_star.{x!r}": ",".join(map(repr, pt.dual.theta)),
+                                f"dual_gap.{x!r}": pt.dual.gap,
+                                f"newton_iters.{x!r}": pt.dual.iterations})
+        else:
+            diagnostics[f"dual_refusal.{x!r}"] = pt.dual_refusal
         if pt.accepted_G:  # the sampled check exists
             diagnostics.update({f"sampled_k_min.{x!r}": pt.sampled_k_min,
                                 f"noise_band.{x!r}": pt.noise_band})
@@ -259,7 +262,8 @@ def cmd_wfe(args) -> int:
         row = (omega, eps, r, d, math.nan, math.nan, math.nan, 0)
     else:
         res, beta_c = beta_critical(p)
-        row = (omega, eps, r, p.delta, res.p_star_inf, res.y_at_inf, beta_c, 1)
+        # y_at_inf is 0: the infimum of p* over y > 0 is its y -> 0+ limit
+        row = (omega, eps, r, p.delta, res.p_star_inf, 0.0, beta_c, 1)
         diagnostics = {"theta_at_min": res.theta_at_min, "theta_lo": res.theta_range[0],
                        "theta_hi": res.theta_range[1], "root_evals": res.root_evals}
     table = np.array([row], dtype=[

@@ -42,7 +42,8 @@ take numpy arrays and return every value as a key: the integrals j, jy, y2
 and lq, c, the gradient (grad1, grad2), k, q_min, the in_D verdict that
 domain-scan writes and the strict-interior mask ok, with NaN integrals off
 it.  The D test has one producer, _q_shape: a caller that needs it before
-the kernel runs it once and hands its values over as the kernel's shape.
+the kernel runs it once and hands its values, b among them, over as the
+kernel's shape.
 kernel_branches is the one statement of which closed form evaluates a
 point.  On the axis, solve_Q_detail gives Q with its t coordinate and the
 gap Q - P.  bracketed_root is the package's one root solve: Q here, theta*
@@ -128,11 +129,12 @@ def _b_of(params: RateParams, t1, t2):
 
 
 def _q_shape(t1, t2, b, ends=None):
-    """The D test of q = 2*t1*y^2 - 2*t2*y + b: (q(1), q(-1), q_min, in_D).
+    """The D test of q = 2*t1*y^2 - 2*t2*y + b: (q(1), q(-1), q_min, in_D, b).
 
     This is the one place the endpoint and vertex values of q are formed,
     so every membership verdict and every reported q_min are views of the
-    same numbers.  ends = (q(1), q(-1)) passes endpoint values the caller
+    same numbers; b rides along, so the kernel handed this shape reads the
+    b the test used.  ends = (q(1), q(-1)) passes endpoint values the caller
     knows to better relative accuracy than 2*t1 -+ 2*t2 + b, which cancels
     near the vertex P of D.  The vertex y_c = t2/(2 t1) is a minimum of q
     only for t1 > 0, and counts only when it lands in [-1, 1].  q_min is
@@ -152,7 +154,7 @@ def _q_shape(t1, t2, b, ends=None):
         yc = np.where(t1 > 0.0, t2 / (2.0 * t1), np.inf)
         qvert = np.where(np.abs(yc) <= 1.0, b - t2 * yc, np.inf)
     q_min = np.minimum(np.minimum(q1, qm1), qvert)
-    return q1, qm1, q_min, q_min >= 0.0
+    return q1, qm1, q_min, q_min >= 0.0, b
 
 
 def h_value(y, t1, t2, params: RateParams):
@@ -337,11 +339,12 @@ def q_kernel(t1, t2, b, with_q2: bool = False, shape=None):
       j, jy, y2, lq       -- Int 1/q, Int y/q, Int y^2/q and Int log q,
     and, with with_q2, q2 of shape (5, n): q2[m] = Int y^m/q^2, m = 0..4.
     The integrals are NaN wherever ok is False.  shape is the D test of
-    these points, _q_shape's (q(1), q(-1), q_min, in_D), when the caller
-    has run it; the kernel runs it itself when shape is None.  ok, the
-    returned q_min and in_D and every integral depend on q(+-1) through
-    those values, so a caller that formed them from exact end values (as
-    solve_dual does) gets integrals free of the rounded 2*t1 -+ 2*t2 + b.
+    these points at this b, _q_shape's (q(1), q(-1), q_min, in_D, b), when
+    the caller has run it; the kernel runs it itself when shape is None.
+    ok, the returned q_min and in_D and every integral depend on q(+-1)
+    through those values, so a caller that formed them from exact end
+    values (as solve_dual does) gets integrals free of the rounded
+    2*t1 -+ 2*t2 + b.
 
     On the strict interior, where the integrals are kept, b = q(0) > 0 and
     q = b (1 - u1 y)(1 - u2 y) with inverse roots u1 + u2 = s = 2 t2/b and
@@ -375,8 +378,8 @@ def q_kernel(t1, t2, b, with_q2: bool = False, shape=None):
     t1, t2, b = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (t1, t2, b))
     )
-    q1, qm1, qmin, in_d = (_q_shape(t1, t2, b) if shape is None
-                           else (np.atleast_1d(v) for v in shape))
+    q1, qm1, qmin, in_d = (_q_shape(t1, t2, b)[:4] if shape is None
+                           else [np.atleast_1d(v) for v in shape[:4]])
     n_max = 2 if with_q2 else 1
     m_max = 4 if with_q2 else 2
 
@@ -461,12 +464,14 @@ def _pieces_arr(params: RateParams, t1, t2, hessian: bool = False, shape=None):
 
     With hessian, also h11, h12, h22 = 2 Int a_i a_j / q^2 with
     a1 = 1 - x - y^2 and a2 = y - eps, the second derivatives of c.  shape,
-    the points' D test from _q_shape at b(x, eps), goes to q_kernel.
-    Entries that are not ok come back NaN.
+    the points' D test from _q_shape at b(x, eps), goes to q_kernel with
+    its b; b is formed here only when there is no shape.  Entries that are
+    not ok come back NaN.
     """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
-    out = q_kernel(t1, t2, _b_of(params, t1, t2), with_q2=hessian, shape=shape)
+    b = _b_of(params, t1, t2) if shape is None else shape[4]
+    out = q_kernel(t1, t2, b, with_q2=hessian, shape=shape)
     j, lq = out["j"], out["lq"]
     out["c"] = -0.5 * lq
     out["grad1"] = (1.0 - params.x) * j - out["y2"]

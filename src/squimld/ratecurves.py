@@ -72,7 +72,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DualNotCertified, InvalidParams
-from .gecore import (QRoot, RateParams, _b_of, _pieces_arr, _q_shape, axis_k_t, root_toward,
+from .gecore import (RateParams, _b_of, _pieces_arr, _q_shape, axis_k_t, root_toward,
                      solve_Q_detail)
 from .parallel import iter_shards, map_shards, shard_rng, split_counts
 from .report import format_records
@@ -101,13 +101,11 @@ SCAN_DTYPE = np.dtype([("theta1", float), ("theta2", float), ("in_D", bool), ("i
 class RateCurvePoint:
     x: float
     I1: float
-    I2: float  # max(-c(theta*), I1) from the certified dual; NaN when the draws miss G
     accepted_G: int
     samples: int
     noise_band: float = 0.0  # of sampled_k_min
-    theta_at_min: tuple[float, float] | None = None  # the dual minimizer theta*
-    dual_gap: float = math.nan
-    newton_iters: int = 0
+    dual: DualSolution | None = None  # the certified dual; None when it refused
+    dual_refusal: str | None = None  # the refusal's message, when the dual refused
     sampled_k_min: float = math.nan  # min of k over the sampled G ∩ D points
     d_points: int = 0  # sampled points in D
     cut_draws: int = 0  # draws past _theta1_cut, never D-tested
@@ -117,8 +115,11 @@ class RateCurvePoint:
     def __post_init__(self):
         if self.I1 < 0.0:
             raise InvalidParams(f"I1 must be >= 0, got {self.I1}")
-        if self.I2 < self.I1:
-            raise InvalidParams(f"I2={self.I2} below I1={self.I1}")
+
+    @property
+    def I2(self) -> float:
+        """max(-c(theta*), I1) from the certified dual; NaN when the draws miss G."""
+        return max(self.dual.value, self.I1) if self.accepted_G and self.dual else math.nan
 
 
 @dataclass(frozen=True)
@@ -436,7 +437,7 @@ def _dual_gap(params: RateParams, v, grad) -> float:
             + max(-g2, 0.0) / (2.0 * (1.0 - params.eps)))
 
 
-def solve_dual(params: RateParams, root: QRoot | None = None) -> DualSolution:
+def solve_dual(params: RateParams) -> DualSolution:
     """I2 as -min c over the quadrant, by projected Newton with a certificate.
 
     K = {z1 <= 0, z2 >= 0} is its own dual cone, so Fenchel duality gives
@@ -444,18 +445,15 @@ def solve_dual(params: RateParams, root: QRoot | None = None) -> DualSolution:
     theta1 <= 0, theta2 >= 0}.  The solve runs in v = (s, theta2) with
     s = theta1 - P, from Q on the axis for x < 2/3 (where -c = k = I1, so
     descent keeps -c >= I1 up to the roundoff slack) and from the origin
-    otherwise.  A
-    coordinate at its bound with the gradient pointing out of the quadrant
-    is held there, the free ones take a Newton step, and Armijo
-    backtracking along the projected path keeps to the strict interior of
-    D.  root is solve_Q_detail(x) when the caller has it already.  Raises
-    DualNotCertified when the best gap reached exceeds DUAL_GAP_TOL.
+    otherwise.  A coordinate at its bound with the gradient pointing out of
+    the quadrant is held there, the free ones take a Newton step, and
+    Armijo backtracking along the projected path keeps to the strict
+    interior of D.  Raises DualNotCertified when the best gap reached
+    exceeds DUAL_GAP_TOL.
     """
     x = params.x
     s_max = -params.p_left  # theta1 = 0
-    if x < 2.0 / 3.0 and root is None:
-        root = solve_Q_detail(x)
-    v = np.array([root.gap if x < 2.0 / 3.0 else s_max, 0.0])
+    v = np.array([solve_Q_detail(x).gap if x < 2.0 / 3.0 else s_max, 0.0])
     start = _dual_pieces(params, v)
     if start is None:
         raise DualNotCertified(x, params.eps, math.nan, DUAL_GAP_TOL, 0, "start theta1 = "
@@ -498,15 +496,13 @@ def solve_dual(params: RateParams, root: QRoot | None = None) -> DualSolution:
 
 
 def _dual_and_i1(params: RateParams):
-    """(dual or None, its refusal or None, I1, seconds) at one x: compute_I2's
-    solves, which share one solve of Q."""
+    """compute_I2's solves at one x: (dual or None, its refusal or None, I1, seconds)."""
     clock = time.perf_counter()
-    root = solve_Q_detail(params.x) if params.x < 2.0 / 3.0 else None
     try:
-        dual, refusal = solve_dual(params, root), None
+        dual, refusal = solve_dual(params), None
     except DualNotCertified as err:
         dual, refusal = None, err
-    return dual, refusal, compute_I1(params, root), time.perf_counter() - clock
+    return dual, refusal, compute_I1(params), time.perf_counter() - clock
 
 
 def compute_I2(grid, n_samples: int, seed: int = 0,
@@ -523,13 +519,13 @@ def compute_I2(grid, n_samples: int, seed: int = 0,
     Every sampled k is an upper bound on I2 (weak duality), so
     the sampled minimum checks the dual value from above.  The
     two-constraint event lies inside the one-constraint event, so
-    I2 >= I1, and I2 = max(-c(theta*), I1) states that once.
+    I2 >= I1, and the point's I2, max(-c(theta*), I1), states that once.
 
     Draws that never hit G leave no check, and the point is the empty-G
     marker: I2 = NaN, accepted_G = 0, sampled_k_min and noise_band inf.  It
-    keeps the dual's theta_at_min, dual_gap and newton_iters when the dual
-    certifies.  DualNotCertified is raised only at an x whose draws hit G,
-    the first such x in grid order, and names it.
+    keeps the dual when the dual certifies, and the refusal's message
+    (dual_refusal) when it does not.  DualNotCertified is raised only at an
+    x whose draws hit G, the first such x in grid order, and names it.
 
     The noise band of the sampled minimum is half the spread of the four
     per-shard-group minima (shards grouped by index mod 4) plus 1e-9,
@@ -550,31 +546,28 @@ def compute_I2(grid, n_samples: int, seed: int = 0,
         finite = [k for k in group_min if np.isfinite(k)]
         band = (max(finite) - min(finite)) / 2.0 + 1e-9 if len(finite) >= 2 else math.inf
         points.append(RateCurvePoint(
-            x=params.x, I1=i1, I2=max(dual.value, i1) if accepted_g else math.nan,
-            accepted_G=accepted_g, samples=n_samples, noise_band=band,
-            theta_at_min=dual.theta if dual else None, dual_gap=dual.gap if dual else math.nan,
-            newton_iters=dual.iterations if dual else 0, sampled_k_min=min(group_min),
+            x=params.x, I1=i1, accepted_G=accepted_g, samples=n_samples, noise_band=band,
+            dual=dual, dual_refusal=None if refusal is None else str(refusal),
+            sampled_k_min=min(group_min),
             d_points=sum(p[0] for p in mine), cut_draws=sum(p[3] for p in mine), dual_s=dual_s,
         ))
     return points
 
 
-def _axis_rate(x: float, root: QRoot | None = None) -> tuple[float, float]:
-    """(I1(x), dI1/dx) = (k at Q, 2Q) for x < 2/3, from root = solve_Q_detail(x)
-    if given; I1 has no eps to check x against."""
-    root = solve_Q_detail(x) if root is None else root
+def _axis_rate(x: float) -> tuple[float, float]:
+    """(I1(x), dI1/dx) = (k at Q, 2Q) for x < 2/3; I1 has no eps to check x against."""
+    root = solve_Q_detail(x)
     return max(float(axis_k_t(root.t, x)), 0.0), 2.0 * root.theta1
 
 
-def compute_I1(params: RateParams, root: QRoot | None = None) -> float:
+def compute_I1(params: RateParams) -> float:
     """I1 = inf k(theta1, 0) over the axis constraint segment.
 
     The segment is {H >= 0} = (P, Q] for x < 2/3, and k decreases along it,
     so I1 = k(Q).  For x >= 2/3 it is the whole axis piece of D, over which
-    k falls to 0 at the origin end, so I1 = 0.  root is solve_Q_detail(x)
-    when the caller has it already.
+    k falls to 0 at the origin end, so I1 = 0.
     """
-    return 0.0 if params.x >= 2.0 / 3.0 else _axis_rate(params.x, root)[0]
+    return 0.0 if params.x >= 2.0 / 3.0 else _axis_rate(params.x)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,8 @@ def check_quadrature(level: str, workers: int | None = None) -> CheckResult:
 
 
 def _interior_thetas(params: RateParams, n: int, rng):
-    """t1, t2 and _q_shape's D test of n points with q_min >= GRAD_QMIN, by
-    rejection from a box, a batch at a time."""
+    """t1, t2 and _q_shape's D test, b included, of n points with
+    q_min >= GRAD_QMIN, by rejection from a box, a batch at a time."""
     hi1 = 0.499 / (1.0 - params.x)
     kept = []
     while sum(len(batch[0]) for batch in kept) < n:
@@ -361,9 +361,10 @@ def check_i2_dual_bracket(level: str, workers: int | None = None) -> CheckResult
                         seed=BRACKET_SEED, workers=workers)
     for pt in points:
         margins.append(pt.sampled_k_min - pt.I2)
-        if not (pt.I1 <= pt.I2 <= pt.sampled_k_min and pt.dual_gap <= DUAL_GAP_TOL):
+        gap = pt.dual.gap if pt.dual else math.nan
+        if not (pt.I1 <= pt.I2 <= pt.sampled_k_min and gap <= DUAL_GAP_TOL):
             issues.append(f"x={pt.x}: I1={pt.I1:.12g}, I2={pt.I2:.12g}, "
-                          f"sampled={pt.sampled_k_min:.12g}, gap={pt.dual_gap:.2e}")
+                          f"sampled={pt.sampled_k_min:.12g}, gap={gap:.2e}")
     return CheckResult(
         "i2-dual-vs-sampled-bracket", not issues,
         "; ".join(issues) if issues else

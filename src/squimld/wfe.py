@@ -160,8 +160,7 @@ class WfeParams:
 
 @dataclass(frozen=True)
 class PStarResult:
-    p_star_inf: float
-    y_at_inf: float  # 0.0: the infimum is the y -> 0+ limit
+    p_star_inf: float  # the y -> 0+ limit of p*
     theta_range: tuple[float, float]
     theta_at_min: float  # the theta minimising p
     root_evals: int  # _p_and_slope evaluations of the solve for theta_at_min
@@ -169,8 +168,6 @@ class PStarResult:
     def __post_init__(self):
         if not (self.p_star_inf > 0.0):
             raise InvalidParams(f"pbar* must be positive, got {self.p_star_inf}")
-        if not (self.y_at_inf >= 0.0):
-            raise InvalidParams(f"y at inf must be nonnegative, got {self.y_at_inf}")
 
 
 def a_of_x(x, p: WfeParams):
@@ -276,13 +273,11 @@ def p_star_inf(p: WfeParams) -> PStarResult:
     """pbar* = inf_{y > 0} p*(y) = p*(0+) = -min_theta p(theta).
 
     p* increases on y > 0 (see the module docstring), so the infimum is the
-    y -> 0+ limit, reported as y_at_inf = 0, and the minimising theta is
-    the root of p'.
+    y -> 0+ limit, and the minimising theta is the root of p'.
     """
     theta, evals = _theta_at_slope(0.0, p)
     return PStarResult(
         p_star_inf=-p_theta(theta, p),
-        y_at_inf=0.0,
         theta_range=theta_range(p),
         theta_at_min=theta,
         root_evals=evals,

@@ -712,9 +712,19 @@ def test_rate_curves_marker_row_stands_when_the_dual_refuses_too(tmp_path, capsy
     row = read(tmp_path / "rate_curve.csv").splitlines()[1].split(",")
     assert row[2] == "nan" and row[3] == "0"
     man = json.loads(read(tmp_path / "rate_curve_manifest.json"))
-    # the sampler's counts stand; no dual or sampled-minimum figure does
+    # the sampler's counts and the refusal stand; no dual or sampled-minimum figure does
     assert sorted(k for k in man if k.startswith("diag.") and k.endswith(".0.05")) == [
-        "diag.cut_draws.0.05", "diag.d_points.0.05"]
+        "diag.cut_draws.0.05", "diag.d_points.0.05", "diag.dual_refusal.0.05"]
+
+
+def test_rate_curves_manifest_names_the_dual_refusal_at_its_x(tmp_path):
+    args = ["rate-curves", "--x-list", "0.05,0.3", "--samples", "100", "--out-dir",
+            str(tmp_path)]
+    assert run(args) == 0
+    man = json.loads(read(tmp_path / "rate_curve_manifest.json"))
+    refusal = man["diag.dual_refusal.0.05"]
+    assert "x=0.05" in refusal and "not strictly inside D" in refusal
+    assert "diag.dual_refusal.0.3" not in man and "diag.dual_gap.0.3" in man
 
 
 def test_rate_curves_exit_3_when_the_dual_does_not_certify(tmp_path, capsys, monkeypatch):

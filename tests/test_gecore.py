@@ -232,7 +232,7 @@ def test_domain_verdicts():
     # t1 > 0 with the vertex in [-1, 1]: D needs all three >= 0
     def shape(t1, t2):
         b = _b_of(P07, t1, t2)
-        q1, qm1, q_min, in_d = _q_shape(t1, t2, b)
+        q1, qm1, q_min, in_d, _ = _q_shape(t1, t2, b)
         inside = t1 > 0.0 and abs(t2 / (2.0 * t1)) <= 1.0
         qvert = b - t2 * (t2 / (2.0 * t1)) if inside else math.inf
         return (float(q1), float(qm1), qvert), float(q_min), bool(in_d)
@@ -473,6 +473,23 @@ def test_near_boundary_raises():
             assert math.isnan(out[key][0]), key
 
 
+@pytest.mark.parametrize("params", [P07, P03])
+@pytest.mark.parametrize("hessian", [False, True])
+def test_pieces_given_the_shape_equal_pieces_given_none(params, hessian):
+    # the shape hands its b to the kernel: bit for bit the b _pieces_arr
+    # forms itself, on D points, off D and in the guard band alike
+    rng = np.random.default_rng(5)
+    t1 = np.concatenate((rng.uniform(-3.0, 3.0, 400), [params.p_left + 1e-16, 0.0]))
+    t2 = np.concatenate((rng.uniform(-2.0, 2.0, 400), [0.0, 0.0]))
+    shape = _q_shape(t1, t2, _b_of(params, t1, t2))
+    assert shape[3].any() and not shape[3].all()
+    given = _pieces_arr(params, t1, t2, hessian=hessian, shape=shape)
+    alone = _pieces_arr(params, t1, t2, hessian=hessian)
+    assert given.keys() == alone.keys()
+    for key in alone:
+        assert np.array_equal(given[key], alone[key], equal_nan=True), key
+
+
 def test_strict_interior_threshold_is_enforced():
     # points passing the sign tests but inside the guard band are in D and
     # not ok: every integral, and so c, its gradient and k, is NaN
@@ -493,7 +510,7 @@ def test_double_root_inside_the_interval_is_refused():
     t1, t2, b = TIED_INSIDE
     assert kernel_branches(t1, t2, b)[2] == 0.0 and abs(t2 / (2.0 * t1)) <= 1.0
     out = q_kernel(t1, t2, b, with_q2=True)
-    q_min, in_d = _q_shape(t1, t2, b)[2:]
+    q_min, in_d = _q_shape(t1, t2, b)[2:4]
     assert out["q_min"][0] == q_min >= QMIN_STRICT and out["in_D"][0] == in_d
     assert not out["ok"][0]
     for key in ("j", "jy", "y2", "lq"):

@@ -17,6 +17,7 @@ classifier's minima of beta*x + I(x) are checked against a refined grid of
 x and against the asymptote log(4 beta) - 1 of min g1.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -414,7 +415,7 @@ def test_compute_i2_smoke():
     # frozen from a 1e7-sample reference run: I2(0.6) ~ 0.0333
     assert pt.I2 == pytest.approx(0.0333, abs=0.002)
     assert pt.noise_band > 0.0
-    assert pt.theta_at_min is not None
+    assert pt.dual == solve_dual(P06) and pt.dual_refusal is None
 
 
 def test_compute_i2_deterministic_across_workers():
@@ -425,25 +426,23 @@ def test_compute_i2_deterministic_across_workers():
 
 def test_no_constraint_points_marker():
     # at x = 0.1 the G hit rate is ~2e-6 per draw, so 3e4 samples miss it:
-    # the point is the empty-G marker, and keeps the dual's record
+    # the point is the empty-G marker, and keeps the dual
     params = RateParams(x=0.1, eps=0.1)
     [pt] = compute_I2([params], 30_000, seed=0)
     assert math.isnan(pt.I2) and pt.accepted_G == 0 and pt.samples == 30_000
     assert pt.sampled_k_min == math.inf and pt.noise_band == math.inf
     assert pt.I1 == compute_I1(params)
-    dual = solve_dual(params)
-    assert (pt.theta_at_min, pt.dual_gap, pt.newton_iters) == (dual.theta, dual.gap,
-                                                                dual.iterations)
+    assert pt.dual == solve_dual(params) and pt.dual_refusal is None
 
 
 def test_marker_point_without_a_certified_dual():
     # x = 0.05 misses G, and the dual's start point is not strictly inside D
     params = RateParams(x=0.05, eps=0.1)
-    with pytest.raises(DualNotCertified):
+    with pytest.raises(DualNotCertified) as err:
         solve_dual(params)
     [pt] = compute_I2([params], 30_000, seed=0)
     assert math.isnan(pt.I2) and pt.accepted_G == 0
-    assert pt.theta_at_min is None and math.isnan(pt.dual_gap) and pt.newton_iters == 0
+    assert pt.dual is None and pt.dual_refusal == str(err.value)
 
 
 def test_dual_refusal_is_raised_when_the_draws_hit_g(monkeypatch):
@@ -456,7 +455,7 @@ def test_dual_refusal_is_raised_when_the_draws_hit_g(monkeypatch):
         compute_I2([RateParams(x=0.1, eps=0.1), P06], 30_000, seed=0)
     assert err.value.x == 0.6
     [pt] = compute_I2([RateParams(x=0.1, eps=0.1)], 30_000, seed=0)
-    assert pt.accepted_G == 0 and pt.theta_at_min is None
+    assert pt.accepted_G == 0 and pt.dual is None and "at x=0.1, " in pt.dual_refusal
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -470,7 +469,10 @@ def test_one_grid_call_equals_the_one_x_calls(workers):
     assert [pt.x for pt in points] == [params.x for params in grid]
     assert [pt.accepted_G == 0 for pt in points] == [True, True, False, False]
     assert math.isnan(points[0].I2) and math.isnan(points[1].I2)
-    assert points[0].theta_at_min is None and points[1].theta_at_min is not None
+    assert points[0].dual is None and "at x=0.05, " in points[0].dual_refusal
+    # every certified x keeps its dual, the one solve_dual gives
+    assert all(pt.dual == solve_dual(params) and pt.dual_refusal is None
+               for pt, params in zip(points[1:], grid[1:]))
     assert all(pt.I1 <= pt.I2 <= pt.sampled_k_min for pt in points[2:])
 
 
@@ -543,20 +545,32 @@ def test_i2_is_bracketed_by_i1_and_the_sampled_minimum_on_every_seed():
     points = [compute_I2([P03_CURVE], 200_000, seed=seed)[0] for seed in range(4)]
     for pt in points:
         assert pt.I1 <= pt.I2 <= pt.sampled_k_min
-        assert pt.dual_gap <= DUAL_GAP_TOL
-    # the dual value does not depend on the sampler's seed
+        assert pt.dual.gap <= DUAL_GAP_TOL
+    # the dual does not depend on the sampler's seed
     assert len({pt.I2 for pt in points}) == 1
-    assert len({pt.theta_at_min for pt in points}) == 1
+    assert len({pt.dual for pt in points}) == 1
 
 
 def test_rate_curve_point_validation():
     with pytest.raises(InvalidParams):
-        RateCurvePoint(x=0.5, I1=-0.1, I2=0.2, accepted_G=1, samples=10)
-    with pytest.raises(InvalidParams):
-        RateCurvePoint(x=0.5, I1=0.3, I2=0.1, accepted_G=1, samples=10)
-    # NaN I2 marks an empty constraint set and must construct fine
-    pt = RateCurvePoint(x=0.5, I1=0.3, I2=math.nan, accepted_G=0, samples=10)
+        RateCurvePoint(x=0.5, I1=-0.1, accepted_G=1, samples=10)
+    # no dual and no check both mark an empty constraint set and construct fine
+    pt = RateCurvePoint(x=0.5, I1=0.3, accepted_G=0, samples=10)
     assert math.isnan(pt.I2)
+
+
+def test_i2_is_the_certified_dual_value_where_the_draws_hit_g():
+    params = RateParams(x=0.3, eps=0.1)
+    dual, i1 = solve_dual(params), compute_I1(params)
+    pt = RateCurvePoint(x=0.3, I1=i1, accepted_G=5, samples=10, dual=dual)
+    assert pt.I2 == max(dual.value, i1) == dual.value
+    # a dual value that rounds below I1 reads as I1
+    low = dataclasses.replace(dual, value=i1 - 1e-12)
+    assert RateCurvePoint(x=0.3, I1=i1, accepted_G=5, samples=10, dual=low).I2 == i1
+    # the empty-G marker has no I2, certified dual or not
+    assert math.isnan(dataclasses.replace(pt, accepted_G=0).I2)
+    refused = dataclasses.replace(pt, accepted_G=0, dual=None, dual_refusal="refused")
+    assert math.isnan(refused.I2)
 
 
 # ---------------------------------------------------------------------------
@@ -630,19 +644,9 @@ def test_classifier_solves_each_x_once(monkeypatch, beta):
     assert solved and len(solved) == len(set(solved))
 
 
-def test_compute_I2_solves_Q_once_per_x(monkeypatch):
-    # the dual's start point and I1 share one root; the default grid has
-    # six x below 2/3 and one (0.7) with no Q
-    solved = []
-
-    def counted(x):
-        solved.append(x)
-        return solve_Q_detail(x)
-
-    monkeypatch.setattr(ratecurves, "solve_Q_detail", counted)
+def test_compute_I2_points_carry_compute_I1():
     grid = [RateParams(x=x, eps=0.1) for x in CURVE_X]
     points = compute_I2(grid, 200, seed=1, workers=1)
-    assert solved == [x for x in CURVE_X if x < 2.0 / 3.0]
     assert [pt.I1 for pt in points] == [compute_I1(params) for params in grid]
 
 

@@ -210,9 +210,8 @@ def test_p_star_inf_frozen_value():
     assert res.p_star_inf == pytest.approx(0.3400098818596, rel=1e-12)
     # the quadrature infimum: p is stationary at theta_at_min
     assert res.p_star_inf == pytest.approx(-p_theta_quad(res.theta_at_min, P12), rel=1e-12)
-    # p* increases on y > 0, so the infimum is the y -> 0+ limit
-    assert res.y_at_inf == 0.0
     assert res.theta_range[0] < 0.0 < res.theta_range[1]
+    # p* increases on y > 0, so the infimum is the y -> 0+ limit
     assert res.p_star_inf == pytest.approx(p_star(0.0, P12), rel=1e-14)
 
 
