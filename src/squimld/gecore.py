@@ -37,13 +37,13 @@ zero Q is found by bracketed_root in the log of the transformed coordinate
 because Q - P shrinks like exp(-2/x), far below float spacing of theta1 for
 small x, while log t resolves it exactly.
 
-Each quantity has one entry point.  q_kernel, and _pieces_arr over it,
-take numpy arrays and return every value as a key: the integrals j, jy, y2
-and lq, c, the gradient (grad1, grad2), k, q_min, the in_D verdict that
-domain-scan writes and the strict-interior mask ok, with NaN integrals off
-it.  The D test has one producer, _q_shape: a caller that needs it before
-the kernel runs it once and hands its values, b among them, over as the
-kernel's shape.
+Each quantity has one entry point.  The kernel's one input is a QShape,
+the points' quadratic (t1, t2, b) with its D test (q(1), q(-1), q_min and
+the in_D verdict that domain-scan writes), built by q_shape alone, or by
+RateParams.shape, which forms b at (x, eps).  q_kernel, and rate_pieces
+over it, take that record and return every other value as a key: the
+integrals j, jy, y2 and lq, c, the gradient (grad1, grad2), k and the
+strict-interior mask ok, with NaN integrals off it.
 kernel_branches is the one statement of which closed form evaluates a
 point.  On the axis, solve_Q_detail gives Q with its t coordinate and the
 gap Q - P.  bracketed_root is the package's one root solve: Q here, theta*
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,6 +107,11 @@ class RateParams:
         """theta1 coordinate of the left-most domain point P on the axis."""
         return -1.0 / (2.0 * self.x)
 
+    def shape(self, t1, t2, ends=None) -> QShape:
+        """q_shape of theta = (t1, t2) at b = 1 - 2*t1*(1 - x) + 2*t2*eps."""
+        t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
+        return q_shape(t1, t2, 1.0 - 2.0 * t1 * (1.0 - self.x) + 2.0 * t2 * self.eps, ends)
+
 
 @dataclass(frozen=True)
 class QRoot:
@@ -123,38 +129,45 @@ class QRoot:
 # ---------------------------------------------------------------------------
 
 
-def _b_of(params: RateParams, t1, t2):
-    """Constant term b = 1 - 2*t1*(1 - x) + 2*t2*eps of q."""
-    return 1.0 - 2.0 * t1 * (1.0 - params.x) + 2.0 * t2 * params.eps
+class QShape(NamedTuple):
+    """The kernel's one input, from q_shape: the quadratic q = 2*t1*y^2 -
+    2*t2*y + b of some points and its D test, 1-d arrays of one length."""
+
+    t1: np.ndarray
+    t2: np.ndarray
+    b: np.ndarray
+    q1: np.ndarray
+    qm1: np.ndarray
+    q_min: np.ndarray
+    in_D: np.ndarray
+
+    def take(self, idx) -> QShape:
+        """The shape of the points at the indices idx."""
+        return QShape(*(v.take(idx) for v in self))
 
 
-def _q_shape(t1, t2, b, ends=None):
-    """The D test of q = 2*t1*y^2 - 2*t2*y + b: (q(1), q(-1), q_min, in_D, b).
+def q_shape(t1, t2, b, ends=None) -> QShape:
+    """The QShape of q = 2*t1*y^2 - 2*t2*y + b, its D test included.
 
     This is the one place the endpoint and vertex values of q are formed,
     so every membership verdict and every reported q_min are views of the
-    same numbers; b rides along, so the kernel handed this shape reads the
-    b the test used.  ends = (q(1), q(-1)) passes endpoint values the caller
+    same numbers.  ends = (q(1), q(-1)) passes endpoint values the caller
     knows to better relative accuracy than 2*t1 -+ 2*t2 + b, which cancels
     near the vertex P of D.  The vertex y_c = t2/(2 t1) is a minimum of q
     only for t1 > 0, and counts only when it lands in [-1, 1].  q_min is
-    the minimum of q over [-1, 1].
+    the minimum of q over [-1, 1].  Every input broadcasts to one 1-d shape.
 
     in_D = q_min >= 0 is the one tie rule for the boundary of the closed
     set D (a NaN is not in D).
     """
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    if ends is None:
-        q1 = 2.0 * t1 - 2.0 * t2 + b
-        qm1 = 2.0 * t1 + 2.0 * t2 + b
-    else:
-        q1, qm1 = (np.asarray(v, dtype=float) for v in ends)
+    arrays = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (t1, t2, b, *(ends or ())))
+    t1, t2, b, *ends = np.broadcast_arrays(*arrays)
+    q1, qm1 = ends or (2.0 * t1 - 2.0 * t2 + b, 2.0 * t1 + 2.0 * t2 + b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         yc = np.where(t1 > 0.0, t2 / (2.0 * t1), np.inf)
         qvert = np.where(np.abs(yc) <= 1.0, b - t2 * yc, np.inf)
     q_min = np.minimum(np.minimum(q1, qm1), qvert)
-    return q1, qm1, q_min, q_min >= 0.0, b
+    return QShape(t1, t2, b, q1, qm1, q_min, q_min >= 0.0)
 
 
 def h_value(y, t1, t2, params: RateParams):
@@ -300,12 +313,13 @@ def _series_pieces(s, p, b, with_q2: bool):
 BRANCHES = ("series", "log", "atan", "tie")
 
 
-def kernel_branches(t1, t2, b):
+def kernel_branches(shape: QShape):
     """Which closed form of q_kernel evaluates each point, by the one rule.
 
-    For q = 2*t1*y^2 - 2*t2*y + b with b > 0, written b (1 - s y + p y^2),
-    returns (s, p, disc, masks): s = 2 t2/b, p = 2 t1/b, disc = 4 t2^2 -
-    8 t1 b and the disjoint masks of the branches in BRANCHES order:
+    For the shape's q = 2*t1*y^2 - 2*t2*y + b with b > 0, written
+    b (1 - s y + p y^2), returns (s, p, disc, masks): s = 2 t2/b,
+    p = 2 t1/b, disc = 4 t2^2 - 8 t1 b and the disjoint masks of the
+    branches in BRANCHES order:
       series -- |s| + sqrt|p| <= SERIES_TOL;
       tie    -- off series, the double-root offset h^2 = disc/(16 t1^2)
                 within DISC_TIE_TOL of the squared distance from
@@ -316,6 +330,7 @@ def kernel_branches(t1, t2, b):
     [-1, 1]: q = 2 t1 (y - rm)^2 vanishes on [-1, 1], however q_min rounds,
     and q_kernel refuses it.
     """
+    t1, t2, b = shape.t1, shape.t2, shape.b
     s = 2.0 * t2 / b
     p = 2.0 * t1 / b
     disc = 4.0 * t2 * t2 - 8.0 * t1 * b
@@ -328,23 +343,20 @@ def kernel_branches(t1, t2, b):
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def q_kernel(t1, t2, b, with_q2: bool = False, shape=None):
-    """Shape and integrals of q(y) = 2*t1*y^2 - 2*t2*y + b over [-1, 1].
+def q_kernel(shape: QShape, with_q2: bool = False):
+    """Integrals of the shape's q(y) = 2*t1*y^2 - 2*t2*y + b over [-1, 1].
 
     The single closed-form kernel behind c, grad c, its Hessian and k here
     and behind p(theta) in wfe.  Returns 1-d arrays under the keys
-      q_min, in_D         -- min q over [-1, 1] and membership in D (_q_shape),
       ok                  -- strict interior, q_min >= QMIN_STRICT, and on a
                              branch of kernel_branches,
       j, jy, y2, lq       -- Int 1/q, Int y/q, Int y^2/q and Int log q,
     and, with with_q2, q2 of shape (5, n): q2[m] = Int y^m/q^2, m = 0..4.
-    The integrals are NaN wherever ok is False.  shape is the D test of
-    these points at this b, _q_shape's (q(1), q(-1), q_min, in_D, b), when
-    the caller has run it; the kernel runs it itself when shape is None.
-    ok, the returned q_min and in_D and every integral depend on q(+-1)
-    through those values, so a caller that formed them from exact end
-    values (as solve_dual does) gets integrals free of the rounded
-    2*t1 -+ 2*t2 + b.
+    The integrals are NaN wherever ok is False.  Every value comes from
+    the shape (q_shape), whose q_min and in_D the caller holds: ok and
+    every integral depend on q(+-1) through its q1 and qm1, so a caller
+    that formed them from exact end values (as solve_dual does) gets
+    integrals free of the rounded 2*t1 -+ 2*t2 + b.
 
     On the strict interior, where the integrals are kept, b = q(0) > 0 and
     q = b (1 - u1 y)(1 - u2 y) with inverse roots u1 + u2 = s = 2 t2/b and
@@ -375,15 +387,11 @@ def q_kernel(t1, t2, b, with_q2: bool = False, shape=None):
     Every entry depends on its own point alone: a batch call equals the
     single-point calls bit for bit.
     """
-    t1, t2, b = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (t1, t2, b))
-    )
-    q1, qm1, qmin, in_d = (_q_shape(t1, t2, b)[:4] if shape is None
-                           else [np.atleast_1d(v) for v in shape[:4]])
+    t1, t2, b, q1, qm1 = shape.t1, shape.t2, shape.b, shape.q1, shape.qm1
     n_max = 2 if with_q2 else 1
     m_max = 4 if with_q2 else 2
 
-    s, p, disc, (series, logbranch, atanbranch, tie) = kernel_branches(t1, t2, b)
+    s, p, disc, (series, logbranch, atanbranch, tie) = kernel_branches(shape)
 
     if np.any(logbranch):
         # over every point; the other branches overwrite theirs
@@ -449,29 +457,23 @@ def q_kernel(t1, t2, b, with_q2: bool = False, shape=None):
 
     integrals = j + [lq] + (q2 or [])
     # refused: off the strict interior, or on no branch (see kernel_branches)
-    ok = (qmin >= QMIN_STRICT) & (series | logbranch | atanbranch | tie)
+    ok = (shape.q_min >= QMIN_STRICT) & (series | logbranch | atanbranch | tie)
     if not ok.all():
         _put(integrals, ~ok, [np.nan] * len(integrals))
-    out = {"q_min": qmin, "in_D": in_d, "ok": ok}
+    out = {"ok": ok}
     out.update(zip(("j", "jy", "y2", "lq"), integrals))
     if with_q2:
         out["q2"] = np.array(integrals[4:])
     return out
 
 
-def _pieces_arr(params: RateParams, t1, t2, hessian: bool = False, shape=None):
-    """The kernel's output at b(x, eps) plus c, grad1, grad2 and k.
+def rate_pieces(params: RateParams, shape: QShape, hessian: bool = False):
+    """The kernel's output on params.shape(t1, t2) plus c, grad1, grad2 and k.
 
     With hessian, also h11, h12, h22 = 2 Int a_i a_j / q^2 with
-    a1 = 1 - x - y^2 and a2 = y - eps, the second derivatives of c.  shape,
-    the points' D test from _q_shape at b(x, eps), goes to q_kernel with
-    its b; b is formed here only when there is no shape.  Entries that are
-    not ok come back NaN.
+    a1 = 1 - x - y^2 and a2 = y - eps, the second derivatives of c; all NaN where not ok.
     """
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    b = _b_of(params, t1, t2) if shape is None else shape[4]
-    out = q_kernel(t1, t2, b, with_q2=hessian, shape=shape)
+    out = q_kernel(shape, with_q2=hessian)
     j, lq = out["j"], out["lq"]
     out["c"] = -0.5 * lq
     out["grad1"] = (1.0 - params.x) * j - out["y2"]

@@ -183,9 +183,9 @@ class EsmResult:
 def _proposal(cfg: EnsembleConfig) -> dict:
     """The model's proposal members and cell magnetization g, built once.
 
-    A member is the rate-tilted Dirichlet of a linear exponent phi . w:
-    decay form c_decay = max(phi) - phi and rates lam = 1 + c_decay, per
-    column of shape 1.0 or the chain's class counts.  SCWM_WFE has two, its
+    A member is the rate-tilted Dirichlet of a linear exponent phi . w,
+    stored as its decay form c_decay = max(phi) - phi; _draw's rates are
+    1 + c_decay, per column of shape 1.0 or the chain's class counts.  SCWM_WFE has two, its
     caps, the second the first reversed, and "exponent" (N, beta, omega) of
     its f; the other models have one and exponent None.  Raises
     InvalidParams, before any sampling, if a member's c_decay or the bound
@@ -219,27 +219,28 @@ def _proposal(cfg: EnsembleConfig) -> dict:
             + (f", omega={omega}" if wfe else ""))
     # contiguous, as a pickled payload is: w @ c sums a reversed view in another order
     members = [c_decay, np.ascontiguousarray(c_decay[::-1])] if wfe else [c_decay]
-    return {"g": g, "c_decay": members, "lam": [1.0 + c for c in members], "shape": shape,
+    return {"g": g, "c_decay": members, "shape": shape,
             "cells": cells, "exponent": (n_spins, beta, omega) if wfe else None}
 
 
 def _draw(rng: np.random.Generator, rows: int, prop: dict) -> tuple:
     """(m, D, log importance weight) of `rows` draws; one path for every model.
 
-    With two members each row first picks one.  Member j's density over
-    the flat law is prod(lam_j) (1 + v_j)^(-K), v_j = c_j . w, and the
-    prod(lam_j) of mirror members are one product, so log q_j keeps only
-    -K log1p(v_j).  The log weight is the target, -v for a linear exponent
-    or -f, minus log q_1 or the logaddexp of the equal mixture.
+    With two members each row first picks one.  Member j draws at the
+    rates lam_j = 1 + c_j; its density over the flat law is
+    prod(lam_j) (1 + v_j)^(-K), v_j = c_j . w, and the prod(lam_j) of
+    mirror members are one product, so log q_j keeps only -K log1p(v_j).
+    The log weight is the target, -v for a linear exponent or -f, minus
+    log q_1 or the logaddexp of the equal mixture.
     """
-    g = prop["g"]
-    lam = prop["lam"]
-    rate = np.where((rng.random(rows) < 0.5)[:, None], *lam) if len(lam) == 2 else lam[0]
+    g, c_decay = prop["g"], prop["c_decay"]
+    rate = (np.where((rng.random(rows) < 0.5)[:, None], *(1.0 + c for c in c_decay))
+            if len(c_decay) == 2 else 1.0 + c_decay[0])
     w = rng.standard_gamma(prop["shape"], (rows, g.size))
     w /= rate
     w /= w.sum(axis=1, keepdims=True)
     m, d = spin_moments(w, g)
-    v = [w @ c for c in prop["c_decay"]]
+    v = [w @ c for c in c_decay]
     lq = [-prop["cells"] * np.log1p(vj) for vj in v]
     exponent = prop["exponent"]
     target = -v[0] if exponent is None else -wfe_exponent(m, d, *exponent)

@@ -52,9 +52,9 @@ whole grid and maps them at each x, so its draws at an x are those of a
 fresh stream.  A draw with theta1 past `_theta1_cut` cannot be in D, and
 neither worker D-tests it; the scan still writes its row, while I2's
 worker does not even form its alpha and theta2.  Both hand the other
-draws to `_tested_k`, which runs one D test per draw and the kernel, given
-that test's values, on the draws of D the caller picks: all of them for
-the scan, those with theta2 > 0 for I2.
+draws to `_tested_k`, which builds one QShape per draw (`RateParams.shape`,
+the D test) and runs the kernel on that record's rows for the draws of D
+the caller picks: all of them for the scan, those with theta2 > 0 for I2.
 The scan has two outlets over the one `_scan_shard`: `domain_scan` returns
 its rows as columns, and `domain_scan_csv` has each shard format its rows
 as SCAN_DTYPE CSV text in the worker and yields the texts in shard order,
@@ -72,8 +72,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DualNotCertified, InvalidParams
-from .gecore import (RateParams, _b_of, _pieces_arr, _q_shape, axis_k_t, root_toward,
-                     solve_Q_detail)
+from .gecore import RateParams, axis_k_t, rate_pieces, root_toward, solve_Q_detail
 from .parallel import iter_shards, map_shards, shard_rng, split_counts
 from .report import format_records
 
@@ -210,7 +209,7 @@ def _theta1_cut(params: RateParams) -> float:
 
     q(eps) = 1 - 2 theta1 ((1 - x) - eps^2), so past the cut q(eps) < -1,
     and as eps lies in (0, 1), the minimum of q over [-1, 1], at an end or
-    at the vertex y_c inside, is below -1 too.  _q_shape forms q(1), q(-1)
+    at the vertex y_c inside, is below -1 too.  q_shape forms q(1), q(-1)
     and the vertex value b - theta2 y_c each with an absolute rounding
     error below (12 |theta1| + 10 |theta2| + 3) 2^-53, under 0.4 for
     |theta1| + |theta2| < CUT_REACH; a y_c that rounds across +-1 moves
@@ -218,7 +217,7 @@ def _theta1_cut(params: RateParams) -> float:
     2 theta1 (1 - |y_c|)^2, below 2^-50.  Where the cut falls inside the
     theta1 range, eps^2 < 0.8 (1 - x), and its own rounding moves q(eps)
     by a few ulps.  So the computed q_min of every draw past the cut is
-    negative: the cut drops no draw that _q_shape puts in D.
+    negative: the cut drops no draw that q_shape puts in D.
     """
     _, a_hi, t_lo, t_hi = _ray_box(params)
     reach = max(-t_lo, t_hi) + a_hi * (t_hi - t_lo)  # |alpha| <= a_hi
@@ -256,14 +255,13 @@ def _in_G(pieces):
 
 def _tested_k(params: RateParams, theta1, theta2, g_only: bool):
     """(in_D, picked, in_G, k) of the draws: in_D from one D test per draw,
-    picked the indices of the draws of D the kernel runs on, handed that
-    test's values (with g_only, only those with theta2 > 0), and in_G and
-    k the kernel's verdicts there."""
-    shape = _q_shape(theta1, theta2, _b_of(params, theta1, theta2))
-    picked = np.flatnonzero(shape[3] & (theta2 > 0.0) if g_only else shape[3])
-    pieces = _pieces_arr(params, theta1.take(picked), theta2.take(picked),
-                         shape=[v.take(picked) for v in shape])
-    return shape[3], picked, _in_G(pieces), pieces["k"]
+    picked the indices of the draws of D the kernel runs on, handed those
+    rows of the test's QShape (with g_only, only those with theta2 > 0),
+    and in_G and k the kernel's verdicts there."""
+    shape = params.shape(theta1, theta2)
+    picked = np.flatnonzero(shape.in_D & (theta2 > 0.0) if g_only else shape.in_D)
+    pieces = rate_pieces(params, shape.take(picked))
+    return shape.in_D, picked, _in_G(pieces), pieces["k"]
 
 
 def _scan_shard(shard: int, payload):
@@ -412,8 +410,7 @@ def _dual_pieces(params: RateParams, v):
     x, eps = params.x, params.eps
     theta1 = params.p_left + s
     ends = (2.0 * x * s - 2.0 * (1.0 - eps) * theta2, 2.0 * x * s + 2.0 * (1.0 + eps) * theta2)
-    pieces = _pieces_arr(params, theta1, theta2, hessian=True,
-                         shape=_q_shape(theta1, theta2, _b_of(params, theta1, theta2), ends))
+    pieces = rate_pieces(params, params.shape(theta1, theta2, ends), hessian=True)
     if not pieces["ok"][0]:
         return None
     c, g1, g2, h11, h12, h22, j = (float(pieces[key][0])

@@ -28,7 +28,7 @@ import numpy as np
 
 from .ensembles import chain_classes, classical_ising_1d
 from .errors import InvalidParams
-from .gecore import BRANCHES, RateParams, _b_of, _pieces_arr, _q_shape, h_value, kernel_branches
+from .gecore import BRANCHES, QShape, RateParams, h_value, kernel_branches, rate_pieces
 from .mc import EnsembleConfig, esm_evaluate, infinite_T_msq_exact, thermal_averages
 from .parallel import shard_rng
 from .ratecurves import DUAL_GAP_TOL, compute_I2
@@ -85,12 +85,13 @@ def check_quadrature(level: str, workers: int | None = None) -> CheckResult:
     """Closed-form Int 1/q and c against Gauss-Legendre on all four kernel branches."""
     params = RateParams(x=0.3, eps=0.3)
     t1, t2 = np.array(QUAD_CASES + (((0.3, -0.2),) if level == "full" else ())).T
+    shape = params.shape(t1, t2)
     # each case's branch by the kernel's own rule, so coverage is verified, not assumed
-    masks = kernel_branches(t1, t2, _b_of(params, t1, t2))[3]
+    masks = kernel_branches(shape)[3]
     covered = sorted(name for name, mask in zip(BRANCHES, masks) if mask.any())
     nodes = KERNEL_NODES[level]
     y, w = _legendre_rule(nodes)
-    pieces = _pieces_arr(params, t1, t2)
+    pieces = rate_pieces(params, shape)
     q = 1.0 - 2.0 * h_value(y, t1[:, None], t2[:, None], params)
     errors = np.concatenate((pieces["j"] - (1.0 / q) @ w, pieces["c"] - (-0.5 * np.log(q)) @ w))
     # a NaN error propagates, and fails the check
@@ -103,17 +104,15 @@ def check_quadrature(level: str, workers: int | None = None) -> CheckResult:
     )
 
 
-def _interior_thetas(params: RateParams, n: int, rng):
-    """t1, t2 and _q_shape's D test, b included, of n points with
-    q_min >= GRAD_QMIN, by rejection from a box, a batch at a time."""
+def _interior_thetas(params: RateParams, n: int, rng) -> QShape:
+    """params.shape of n points with q_min >= GRAD_QMIN, by rejection
+    from a box, a batch at a time."""
     hi1 = 0.499 / (1.0 - params.x)
     kept = []
-    while sum(len(batch[0]) for batch in kept) < n:
-        c1 = rng.uniform(-3.0, hi1, 4 * n)
-        c2 = rng.uniform(-2.0, 2.0, 4 * n)
-        shape = _q_shape(c1, c2, _b_of(params, c1, c2))
-        kept.append([v[shape[2] >= GRAD_QMIN] for v in (c1, c2, *shape)])
-    return [np.concatenate(col)[:n] for col in zip(*kept)]
+    while sum(len(batch.t1) for batch in kept) < n:
+        shape = params.shape(rng.uniform(-3.0, hi1, 4 * n), rng.uniform(-2.0, 2.0, 4 * n))
+        kept.append(shape.take(np.flatnonzero(shape.q_min >= GRAD_QMIN)))
+    return QShape(*(np.concatenate(col)[:n] for col in zip(*kept)))
 
 
 def check_gradients(level: str, workers: int | None = None) -> CheckResult:
@@ -135,9 +134,9 @@ def check_gradients(level: str, workers: int | None = None) -> CheckResult:
     errors = []
     for x, eps in grid:
         params = RateParams(x=x, eps=eps)
-        t1, t2, *shape = _interior_thetas(params, n_pts, rng)
-        pieces = _pieces_arr(params, t1, t2, shape=shape)
-        inv_q = w / (1.0 - 2.0 * h_value(y, t1[:, None], t2[:, None], params))
+        shape = _interior_thetas(params, n_pts, rng)
+        pieces = rate_pieces(params, shape)
+        inv_q = w / (1.0 - 2.0 * h_value(y, shape.t1[:, None], shape.t2[:, None], params))
         g1, g2 = pieces["grad1"], pieces["grad2"]
         errors.append(np.hypot(g1 - inv_q @ (1.0 - x - y * y), g2 - inv_q @ (y - eps))
                       / np.maximum(np.hypot(g1, g2), 1e-12))

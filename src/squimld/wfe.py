@@ -79,7 +79,7 @@ import numpy as np
 
 from .ensembles import g_values
 from .errors import HypothesisViolation, InvalidParams, OutOfThetaRange
-from .gecore import QMIN_STRICT, q_kernel, root_toward
+from .gecore import QMIN_STRICT, q_kernel, q_shape, root_toward
 from .parallel import fold_shifted, map_shards, shard_rng, split_counts
 
 # Raw SFC64 words per block of the rare-event sampler (256 kB of uint64).  A
@@ -216,10 +216,11 @@ def _p_and_slope(theta: float, p: WfeParams) -> tuple[float, float, float]:
         return 0.0, -(p.r / 3.0 + p.delta), math.ulp(1.0) * (p.r / 3.0 + p.delta)
     b = 1.0 + 2.0 * theta * p.delta
     sqrt_delta = math.sqrt(p.delta)
-    ker = q_kernel(theta * p.r / b, theta * sqrt_delta / b, 1.0)
+    shape = q_shape(theta * p.r / b, theta * sqrt_delta / b, 1.0)
+    ker = q_kernel(shape)
     if not ker["ok"][0]:
         raise OutOfThetaRange(
-            f"min of (1 - 2 theta A)/b = {ker['q_min'][0]:.3e} < {QMIN_STRICT} at "
+            f"min of (1 - 2 theta A)/b = {shape.q_min[0]:.3e} < {QMIN_STRICT} at "
             f"theta={theta}, too close to the end of ({lo:.6g}, {hi:.6g})"
         )
     j0, j1, j2, lq = (float(ker[key][0]) for key in ("j", "jy", "y2", "lq"))

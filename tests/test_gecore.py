@@ -3,7 +3,7 @@
 The cumulant function and its companions all reduce to elementary
 antiderivatives, so every value here can be cross-checked by trapezoid
 quadrature on a dense grid.  Every value is read off the array kernel
-(q_kernel, _pieces_arr) and its branch off kernel_branches, the one
+(q_kernel, rate_pieces) and its branch off kernel_branches, the one
 statement of the rule.  The tests pin the branch switching (power series,
 log, arctan, double root) and that it covers every strictly interior point,
 the endpoint and vertex values behind D, the exact parabola minimum, and
@@ -29,9 +29,6 @@ from squimld import (
 from squimld.gecore import (
     BRANCHES,
     QMIN_STRICT,
-    _b_of,
-    _pieces_arr,
-    _q_shape,
     _theta1_from_t,
     axis_h_t,
     axis_k_t,
@@ -39,6 +36,8 @@ from squimld.gecore import (
     h_value,
     kernel_branches,
     q_kernel,
+    q_shape,
+    rate_pieces,
     root_toward,
 )
 
@@ -57,15 +56,15 @@ def trapz_j_and_c(theta, params: RateParams, panels: int = 200_000):
 
 
 def at(params: RateParams, theta, *keys):
-    """_pieces_arr's keys at theta = (t1, t2), which must be strictly inside D."""
-    out = _pieces_arr(params, *theta)
-    assert out["ok"][0], (theta, out["q_min"][0])
+    """rate_pieces's keys at theta = (t1, t2), which must be strictly inside D."""
+    shape = params.shape(*theta)
+    out = rate_pieces(params, shape)
+    assert out["ok"][0], (theta, shape.q_min[0])
     return tuple(float(out[key][0]) for key in keys)
 
 
 def q_min_of(params: RateParams, theta) -> float:
-    t1, t2 = theta
-    return float(_q_shape(t1, t2, _b_of(params, t1, t2))[2])
+    return float(params.shape(*theta).q_min[0])
 
 
 # interior points exercising each branch: disc > 0 (t1 < 0), disc < 0
@@ -97,7 +96,7 @@ def test_affine_branch_keeps_first_order_t1_terms(t1, t2):
     # 1e-14 tolerance, so the integrals of the affine part alone would fail.
     # q's nearest root is y = 1.25 (t2 = 0.4), whose Bernstein ellipse has
     # rho = 2, so 80-point Gauss-Legendre is exact to rounding (~2^-160).
-    out = q_kernel(t1, t2, 1.0)
+    out = q_kernel(q_shape(t1, t2, 1.0))
     refs = _gauss_legendre_80(t1, t2, 1.0)
     for key in ("j", "jy", "y2", "lq"):
         assert out[key][0] == pytest.approx(refs[key], rel=1e-12, abs=1e-14), key
@@ -124,13 +123,13 @@ def _gauss_legendre_80(t1, t2, b):
 
 def _kernel_branch(t1, t2, b):
     """The one branch kernel_branches puts (t1, t2, b) on."""
-    masks = kernel_branches(np.atleast_1d(t1), np.atleast_1d(t2), np.atleast_1d(b))[3]
+    masks = kernel_branches(q_shape(t1, t2, b))[3]
     (branch,) = [name for name, mask in zip(BRANCHES, masks) if mask[0]]
     return branch
 
 
 def _assert_kernel_matches(t1, t2, b, rel):
-    out = q_kernel(t1, t2, b, with_q2=True)
+    out = q_kernel(q_shape(t1, t2, b), with_q2=True)
     refs = _gauss_legendre_80(t1, t2, b)
     for key, ref in refs.items():
         got = out["q2"][int(key[-1])][0] if key.startswith("q2") else out[key][0]
@@ -144,7 +143,7 @@ def test_kernel_just_above_the_old_affine_switch(t1, t2, disc_sign):
     # t1 = 1e-9, t2 = 1e-5 it read Int y^2/q off by 4.1e-4.  Every integral,
     # Int y^m/q^2 included, now holds 1e-12 relative against quadrature on
     # both sides of disc = 0.
-    assert np.sign(kernel_branches(t1, t2, 1.0)[2]) == disc_sign
+    assert np.sign(kernel_branches(q_shape(t1, t2, 1.0))[2][0]) == disc_sign
     _assert_kernel_matches(t1, t2, 1.0, rel=1e-12)
 
 
@@ -186,7 +185,8 @@ def test_inverse_square_moments_across_the_edge_of_the_tie_band(offset, branch):
 def central_differences(params: RateParams, theta, step: float):
     """(dc/dt1, dc/dt2) by central differences of the kernel's c, from one call."""
     t1, t2 = theta
-    out = _pieces_arr(params, [t1 + step, t1 - step, t1, t1], [t2, t2, t2 + step, t2 - step])
+    out = rate_pieces(params, params.shape([t1 + step, t1 - step, t1, t1],
+                                           [t2, t2, t2 + step, t2 - step]))
     assert np.all(out["ok"])
     c = out["c"]
     return (c[0] - c[1]) / (2.0 * step), (c[2] - c[3]) / (2.0 * step)
@@ -228,11 +228,11 @@ def test_rate_params_validation():
 
 
 def test_domain_verdicts():
-    # q(1), q(-1) from _q_shape and the vertex value b - t2^2/(2 t1), for
+    # q(1), q(-1) from q_shape and the vertex value b - t2^2/(2 t1), for
     # t1 > 0 with the vertex in [-1, 1]: D needs all three >= 0
     def shape(t1, t2):
-        b = _b_of(P07, t1, t2)
-        q1, qm1, q_min, in_d, _ = _q_shape(t1, t2, b)
+        sh = P07.shape(t1, t2)
+        q1, qm1, q_min, in_d, b = sh.q1[0], sh.qm1[0], sh.q_min[0], sh.in_D[0], sh.b[0]
         inside = t1 > 0.0 and abs(t2 / (2.0 * t1)) <= 1.0
         qvert = b - t2 * (t2 / (2.0 * t1)) if inside else math.inf
         return (float(q1), float(qm1), qvert), float(q_min), bool(in_d)
@@ -254,14 +254,14 @@ def test_left_vertex_is_domain_corner():
     # q(-0?) at theta = (P, 0): q_min = 1 + 2 P x = 0 exactly
     p = P07.p_left
     assert q_min_of(P07, (p, 0.0)) == pytest.approx(0.0, abs=1e-15)
-    in_d = _pieces_arr(P07, [p - 1e-6, p + 1e-3], [0.0, 0.0])["in_D"]
+    in_d = P07.shape([p - 1e-6, p + 1e-3], [0.0, 0.0]).in_D
     assert not in_d[0] and in_d[1]
 
 
 def test_h_value_and_kernel_agree():
     # 1 - 2 h(y) is the kernel's q = 2 t1 y^2 - 2 t2 y + b
     t1, t2 = -0.3, 0.2
-    b = _b_of(P07, t1, t2)
+    b = float(P07.shape(t1, t2).b[0])
     for y in (-1.0, -0.25, 0.5, 1.0):
         q = 2.0 * t1 * y * y - 2.0 * t2 * y + b
         assert q == pytest.approx(1.0 - 2.0 * h_value(y, t1, t2, P07), abs=1e-14)
@@ -269,7 +269,7 @@ def test_h_value_and_kernel_agree():
 
 def chebyshev_q_min(params: RateParams, theta, n: int) -> float:
     """Minimum of q over n Chebyshev-spaced points of [-1, 1] joined with the
-    analytic minimum: the grid cross-check of _q_shape's q_min."""
+    analytic minimum: the grid cross-check of q_shape's q_min."""
     ys = np.cos(np.pi * np.arange(n) / (n - 1))
     q_grid = 1.0 - 2.0 * h_value(ys, *theta, params)
     return float(min(np.min(q_grid), q_min_of(params, theta)))
@@ -312,7 +312,8 @@ def test_gradient_consistency_property(t1, t2):
 
 def kernel_h(theta1, x):
     """H = -1 + 1/2 Int 1/q on the axis, from the kernel (eps drops out there)."""
-    return -1.0 + 0.5 * _pieces_arr(RateParams(x=x, eps=0.1), theta1, np.zeros_like(theta1))["j"]
+    params = RateParams(x=x, eps=0.1)
+    return -1.0 + 0.5 * rate_pieces(params, params.shape(theta1, np.zeros_like(theta1)))["j"]
 
 
 def test_h_axis_values_match_direct_integral():
@@ -466,37 +467,21 @@ def test_near_boundary_raises():
     p = P07.p_left
     x, s = P07.x, 1e-16
     ends = (2.0 * x * s, 2.0 * x * s)  # q(+-1) at theta2 = 0, as solve_dual forms them
-    for kw in ({}, {"shape": _q_shape(p + s, 0.0, _b_of(P07, p + s, 0.0), ends)}):
-        out = _pieces_arr(P07, p + s, 0.0, **kw)
-        assert out["in_D"][0] and not out["ok"][0]
+    for shape in (P07.shape(p + s, 0.0), P07.shape(p + s, 0.0, ends)):
+        out = rate_pieces(P07, shape)
+        assert shape.in_D[0] and not out["ok"][0]
         for key in ("c", "grad1", "grad2"):
             assert math.isnan(out[key][0]), key
-
-
-@pytest.mark.parametrize("params", [P07, P03])
-@pytest.mark.parametrize("hessian", [False, True])
-def test_pieces_given_the_shape_equal_pieces_given_none(params, hessian):
-    # the shape hands its b to the kernel: bit for bit the b _pieces_arr
-    # forms itself, on D points, off D and in the guard band alike
-    rng = np.random.default_rng(5)
-    t1 = np.concatenate((rng.uniform(-3.0, 3.0, 400), [params.p_left + 1e-16, 0.0]))
-    t2 = np.concatenate((rng.uniform(-2.0, 2.0, 400), [0.0, 0.0]))
-    shape = _q_shape(t1, t2, _b_of(params, t1, t2))
-    assert shape[3].any() and not shape[3].all()
-    given = _pieces_arr(params, t1, t2, hessian=hessian, shape=shape)
-    alone = _pieces_arr(params, t1, t2, hessian=hessian)
-    assert given.keys() == alone.keys()
-    for key in alone:
-        assert np.array_equal(given[key], alone[key], equal_nan=True), key
 
 
 def test_strict_interior_threshold_is_enforced():
     # points passing the sign tests but inside the guard band are in D and
     # not ok: every integral, and so c, its gradient and k, is NaN
     p = P07.p_left
-    out = _pieces_arr(P07, [p + 1e-16, p + 1e-14], [0.0, 0.0])
-    assert np.all(out["in_D"]) and not np.any(out["ok"])
-    assert np.all((0.0 <= out["q_min"]) & (out["q_min"] < QMIN_STRICT))
+    shape = P07.shape([p + 1e-16, p + 1e-14], [0.0, 0.0])
+    out = rate_pieces(P07, shape)
+    assert np.all(shape.in_D) and not np.any(out["ok"])
+    assert np.all((0.0 <= shape.q_min) & (shape.q_min < QMIN_STRICT))
     for key in ("j", "jy", "y2", "lq", "c", "grad1", "grad2", "k"):
         assert np.all(np.isnan(out[key])), key
 
@@ -508,10 +493,10 @@ TIED_INSIDE = (6232.31902816863, -11598.248270891638, 10792.079348413063)
 
 def test_double_root_inside_the_interval_is_refused():
     t1, t2, b = TIED_INSIDE
-    assert kernel_branches(t1, t2, b)[2] == 0.0 and abs(t2 / (2.0 * t1)) <= 1.0
-    out = q_kernel(t1, t2, b, with_q2=True)
-    q_min, in_d = _q_shape(t1, t2, b)[2:4]
-    assert out["q_min"][0] == q_min >= QMIN_STRICT and out["in_D"][0] == in_d
+    shape = q_shape(t1, t2, b)
+    assert kernel_branches(shape)[2][0] == 0.0 and abs(t2 / (2.0 * t1)) <= 1.0
+    out = q_kernel(shape, with_q2=True)
+    assert shape.q_min[0] >= QMIN_STRICT and shape.in_D[0]
     assert not out["ok"][0]
     for key in ("j", "jy", "y2", "lq"):
         assert math.isnan(out[key][0]), key
@@ -530,20 +515,21 @@ def test_every_ok_point_sits_on_exactly_one_branch():
     r = np.concatenate((rng.uniform(-1.0, 1.0, n), rng.uniform(1.0, 3.0, n)))
     t2d = 2.0 * t1d * r
     bd = t2d * r
-    tied = kernel_branches(t1d, t2d, bd)[2] == 0.0
+    tied = kernel_branches(q_shape(t1d, t2d, bd))[2] == 0.0
     batch = (rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n), rng.uniform(0.5, 4.0, n))
     t1, t2, b = (np.concatenate((u, v[tied])) for u, v in zip(batch, (t1d, t2d, bd)))
-    out = q_kernel(t1, t2, b)
+    shape = q_shape(t1, t2, b)
+    out = q_kernel(shape)
     ok = out["ok"]
-    masks = np.array(kernel_branches(t1[ok], t2[ok], b[ok])[3])
+    masks = np.array(kernel_branches(shape.take(np.flatnonzero(ok)))[3])
     assert np.all(masks.sum(axis=0) == 1)
     assert np.all(np.isfinite(out["j"][ok])) and np.all(np.isnan(out["j"][~ok]))
     # the points refused although q_min passes are exactly the double roots
     # inside [-1, 1]
-    off_branch = ~ok & (out["q_min"] >= QMIN_STRICT)
+    off_branch = ~ok & (shape.q_min >= QMIN_STRICT)
     assert off_branch.sum() >= 10
     assert np.all(np.abs(t2[off_branch] / (2.0 * t1[off_branch])) <= 1.0)
-    assert np.all(kernel_branches(t1[off_branch], t2[off_branch], b[off_branch])[2] == 0.0)
+    assert np.all(kernel_branches(shape.take(np.flatnonzero(off_branch)))[2] == 0.0)
 
 
 def _same_bits(a, b):
@@ -579,33 +565,38 @@ def _mixed_batch():
 @pytest.mark.parametrize("with_ends", [False, True])
 @pytest.mark.parametrize("interior", [False, True])
 def test_kernel_works_point_by_point(with_q2, with_ends, interior):
-    # Every output of a batch call equals that of the point's own call, bit
-    # for bit: the log branch runs over the whole batch and the other
-    # branches overwrite their points, so a branch must not reach another
-    # point's entries.  The interior batch keeps the points with q_min at or
-    # above QMIN_STRICT, the double root inside [-1, 1] among them; the full
+    # Every output of a batch call equals that of the point's own call, and
+    # that of a call on a subset taken from the batch's QShape, bit for
+    # bit: the log branch runs over the whole batch and the other branches
+    # overwrite their points, so a branch must not reach another point's
+    # entries.  The interior batch keeps the points with q_min at or above
+    # QMIN_STRICT, the double root inside [-1, 1] among them; the full
     # batch runs its points outside D and below QMIN_STRICT through the same
     # branch formulas, which must not warn.
     t1, t2, b = _mixed_batch()
     # q(+-1) summed in another order than the kernel's own 2 t1 -+ 2 t2 + b,
     # handed over in the D test
     ends = ((b - 2.0 * t2) + 2.0 * t1, (b + 2.0 * t2) + 2.0 * t1) if with_ends else None
-    q_min = _q_shape(t1, t2, b, ends)[2]
+    shape = q_shape(t1, t2, b, ends)
     if interior:
-        keep = q_min >= QMIN_STRICT
-        t1, t2, b = t1[keep], t2[keep], b[keep]
-        ends = ends and tuple(end[keep] for end in ends)
-        q_min = q_min[keep]
-    out = q_kernel(t1, t2, b, with_q2=with_q2, shape=ends and _q_shape(t1, t2, b, ends))
+        shape = shape.take(np.flatnonzero(shape.q_min >= QMIN_STRICT))
+    q_min = shape.q_min
+    out = q_kernel(shape, with_q2=with_q2)
     ok = out["ok"]
-    masks = kernel_branches(t1[ok], t2[ok], b[ok])[3]
+    masks = kernel_branches(shape.take(np.flatnonzero(ok)))[3]
     assert all(mask.any() for mask in masks)  # every branch is in the batch
     assert np.any((q_min >= QMIN_STRICT) & ~ok)  # the double root
     if not interior:
-        assert np.any(~out["in_D"]) and np.any(out["in_D"] & (q_min < QMIN_STRICT))
-    for i in range(len(t1)):
-        one = q_kernel(t1[i], t2[i], b[i], with_q2=with_q2,
-                       shape=ends and _q_shape(t1[i], t2[i], b[i], (ends[0][i], ends[1][i])))
+        assert np.any(~shape.in_D) and np.any(shape.in_D & (q_min < QMIN_STRICT))
+    for i in range(len(q_min)):
+        one = q_kernel(q_shape(shape.t1[i], shape.t2[i], shape.b[i],
+                               ends and (shape.q1[i], shape.qm1[i])), with_q2=with_q2)
         assert one.keys() == out.keys()
         for key, value in out.items():
             assert _same_bits(value[..., i], one[key][..., 0]), (key, i)
+    # subsets in another order, one of them the points refused
+    for idx in (np.arange(len(q_min))[::-3], np.flatnonzero(~ok)):
+        sub = q_kernel(shape.take(idx), with_q2=with_q2)
+        assert sub.keys() == out.keys()
+        for key, value in out.items():
+            assert _same_bits(value[..., idx], sub[key]), key

@@ -39,10 +39,8 @@ from scipy.integrate import quad
 
 from squimld.gecore import (
     QMIN_STRICT,
-    _b_of,
-    _pieces_arr,
-    _q_shape,
     axis_k_t,
+    rate_pieces,
     solve_Q_detail,
 )
 from squimld import ratecurves
@@ -156,7 +154,7 @@ def test_domain_scan_columns_are_consistent():
     assert np.all(np.isnan(k[~in_d]))
     assert in_d.sum() > 1000
     # membership recheck from the endpoint and vertex values of q
-    assert np.array_equal(_q_shape(theta1, theta2, _b_of(P07, theta1, theta2))[3], in_d)
+    assert np.array_equal(P07.shape(theta1, theta2).in_D, in_d)
 
 
 def test_domain_scan_is_deterministic_across_workers():
@@ -195,7 +193,7 @@ def test_no_point_with_theta2_at_most_zero_is_in_G(x, eps_frac, s_frac, f):
         b0 = 1.0 - 2.0 * theta1 * (1.0 - x)
         e = params.eps * theta1
         m = min(m, math.sqrt(4.0 * e * e + 2.0 * b0 * theta1) - 2.0 * e)
-    pieces = _pieces_arr(params, theta1, -f * m)
+    pieces = rate_pieces(params, params.shape(theta1, -f * m))
     assume(pieces["ok"][0])
     assert pieces["grad2"][0] < 0.0
 
@@ -228,8 +226,9 @@ def test_scan_shard_matches_the_kernel_over_every_draw():
     hits = 0
     for shard in range(len(COMBOS)):
         theta1, theta2 = _fresh_draws(P07, shard, counts[shard])
-        pieces = _pieces_arr(P07, theta1, theta2)
-        oracle = (theta1, theta2, pieces["in_D"], _in_G(pieces), pieces["k"])
+        shape = P07.shape(theta1, theta2)
+        pieces = rate_pieces(P07, shape)
+        oracle = (theta1, theta2, shape.in_D, _in_G(pieces), pieces["k"])
         cols = _scan_shard(shard, (P07, counts, 1))
         for name, col, want in zip(SCAN_DTYPE.names, cols, oracle):
             assert col.dtype == want.dtype and col.tobytes() == want.tobytes(), (shard, name)
@@ -249,10 +248,11 @@ def test_i2_shard_matches_the_kernel_over_every_draw(x):
     hits = 0
     for shard in range(len(COMBOS)):
         theta1, theta2 = _fresh_draws(grid[at], shard, counts[shard])
-        pieces = _pieces_arr(grid[at], theta1, theta2)
+        shape = grid[at].shape(theta1, theta2)
+        pieces = rate_pieces(grid[at], shape)
         g_mask = _in_G(pieces)
         k_min = float(pieces["k"][g_mask].min()) if g_mask.any() else np.inf
-        oracle = (int(np.count_nonzero(pieces["in_D"])), int(np.count_nonzero(g_mask)), k_min,
+        oracle = (int(np.count_nonzero(shape.in_D)), int(np.count_nonzero(g_mask)), k_min,
                   _cut_count(grid[at], theta1))
         assert _i2_grid_shard(shard, (grid, counts, 1))[at] == oracle
         hits += oracle[1]
@@ -295,15 +295,16 @@ def test_the_cut_drops_no_draw_of_d_and_the_shards_equal_the_uncut_draws(params,
                             t_hi], 3)
         alpha = np.tile([-x / (1.0 + eps), 0.0, x / (1.0 - eps)], 3)
         theta2 = alpha * (theta1 - t_lo)
-        assert not np.any(_q_shape(theta1, theta2, _b_of(params, theta1, theta2))[3])
+        assert not np.any(params.shape(theta1, theta2).in_D)
     counts = [300] * len(COMBOS)
     scanned = 0
     for shard in range(len(COMBOS)):
         theta1, theta2 = _fresh_draws(params, shard, counts[shard], seed)
-        pieces = _pieces_arr(params, theta1, theta2)
+        shape = params.shape(theta1, theta2)
+        pieces = rate_pieces(params, shape)
         # every draw the D test puts in D passes the cut
-        assert np.all(theta1[_q_shape(theta1, theta2, _b_of(params, theta1, theta2))[3]] <= cut)
-        oracle = (theta1, theta2, pieces["in_D"], _in_G(pieces), pieces["k"])
+        assert np.all(theta1[shape.in_D] <= cut)
+        oracle = (theta1, theta2, shape.in_D, _in_G(pieces), pieces["k"])
         cols = _scan_shard(shard, (params, counts, seed))
         for name, col, want in zip(SCAN_DTYPE.names, cols, oracle):
             assert col.dtype == want.dtype and col.tobytes() == want.tobytes(), (shard, name)
@@ -316,31 +317,22 @@ def test_the_cut_drops_no_draw_of_d_and_the_shards_equal_the_uncut_draws(params,
     assert scanned > 0
 
 
-def test_kernel_given_the_shard_shape_equals_the_kernel_computing_it():
-    # the samplers hand the kernel the (q(1), q(-1), q_min, in_D) of their
-    # one D test on the draws they pick; the kernel over every draw,
-    # running its own D test, gives every key bit for bit there.  Two draws
-    # on the q(1) = 0 edge of D, 0 <= q_min < QMIN_STRICT, take ok from
-    # the q_min passed in, and the shared sampler path finds them in D,
-    # with k NaN and not in G.
+def test_tested_k_picks_the_g_side_draws_of_d_and_refuses_the_edge_of_d():
+    # the I2 sampler's _tested_k picks the draws of D with theta2 > 0.  Two
+    # draws on the q(1) = 0 edge of D, 0 <= q_min < QMIN_STRICT, are picked
+    # as in D, and the kernel refuses them: k NaN and not in G.
     params = RateParams(x=0.4, eps=0.1)
     theta1, theta2 = _fresh_draws(params, 0, 20_000)
     theta1 = np.append(theta1, [-0.75, -0.75])
     theta2 = np.append(theta2, [2.0 / 9.0, np.nextafter(np.nextafter(2.0 / 9.0, 0.0), 0.0)])
-    shape = _q_shape(theta1, theta2, _b_of(params, theta1, theta2))
-    picked = shape[3] & (theta2 > 0.0)
-    given = _pieces_arr(params, theta1[picked], theta2[picked],
-                        shape=tuple(v[picked] for v in shape))
-    computed = _pieces_arr(params, theta1, theta2)
-    assert np.all(picked[-2:]) and np.all(computed["q_min"][-2:] < QMIN_STRICT)
-    assert not np.any(given["ok"][-2:]) and np.count_nonzero(given["ok"]) > 1000
-    assert given.keys() == computed.keys()
-    for key, value in computed.items():
-        value = value[picked]
-        assert value.dtype == given[key].dtype and value.tobytes() == given[key].tobytes(), key
-    in_d, picked, in_g, k = _tested_k(params, theta1[-2:], theta2[-2:], True)
-    assert np.all(in_d) and list(picked) == [0, 1]
-    assert np.all(np.isnan(k)) and not np.any(in_g)
+    shape = params.shape(theta1, theta2)
+    assert np.all(shape.in_D[-2:]) and np.all(shape.q_min[-2:] < QMIN_STRICT)
+    in_d, picked, in_g, k = _tested_k(params, theta1, theta2, True)
+    assert np.array_equal(in_d, shape.in_D)
+    assert np.array_equal(picked, np.flatnonzero(shape.in_D & (theta2 > 0.0)))
+    assert list(picked[-2:]) == [len(theta1) - 2, len(theta1) - 1]
+    assert np.all(np.isnan(k[-2:])) and not np.any(in_g[-2:])
+    assert np.count_nonzero(np.isfinite(k)) > 1000
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +489,7 @@ def _ends(params, t1, t2):
 
 
 def _grad_from_ends(params, t1, t2):
-    shape = _q_shape(t1, t2, _b_of(params, t1, t2), _ends(params, t1, t2))
-    pieces = _pieces_arr(params, t1, t2, shape=shape)
+    pieces = rate_pieces(params, params.shape(t1, t2, _ends(params, t1, t2)))
     return float(pieces["grad1"][0]), float(pieces["grad2"][0])
 
 

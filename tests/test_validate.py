@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from squimld import validate
-from squimld.gecore import BRANCHES, RateParams, _b_of, _pieces_arr, kernel_branches
+from squimld.gecore import BRANCHES, RateParams, kernel_branches, rate_pieces
 from squimld.validate import (QUAD_CASES, _legendre_rule, check_quadrature,
                               concentration_integrals, uif_sides)
 
@@ -46,11 +46,11 @@ def test_legendre_rule_integrates_monomials_below_degree_2n(n):
 ])
 def test_quadrature_cases_sit_on_their_kernel_branches(theta, branch, q_min):
     params = RateParams(x=0.3, eps=0.3)
-    t1, t2 = np.array([theta[0]]), np.array([theta[1]])
-    masks = kernel_branches(t1, t2, _b_of(params, t1, t2))[3]
+    shape = params.shape(*theta)
+    masks = kernel_branches(shape)[3]
     assert [name for name, mask in zip(BRANCHES, masks) if mask[0]] == [branch]
-    out = _pieces_arr(params, t1, t2)
-    assert out["ok"][0] and out["q_min"][0] == pytest.approx(q_min, abs=1e-4)
+    out = rate_pieces(params, shape)
+    assert out["ok"][0] and shape.q_min[0] == pytest.approx(q_min, abs=1e-4)
 
 
 @pytest.mark.parametrize("level", ["fast", "full"])
@@ -104,7 +104,7 @@ def _shift_piece(key, change):
     def nudge(out):
         out[key] = change(out[key])
         return out
-    return "_pieces_arr", _nudged(_pieces_arr, nudge)
+    return "rate_pieces", _nudged(rate_pieces, nudge)
 
 
 # check, level, and the name in validate it replaces with a nudged copy
